@@ -11,8 +11,8 @@ the differential fuzzing harness exercises.
 from .domain import Domain, DomainError, Label, TERMINATION_MARK
 from .lang import (LangError, ParseError, Program, eval_expr, parse,
                    parse_expression, program_from_body, step, to_source)
-from .logic import (Evaluation, LogicError, expand, formula_to_source,
-                    model_satisfies, parse_formula, satisfies)
+from .logic import (LogicError, formula_to_source, model_satisfies,
+                    parse_formula, satisfies)
 from .model import (Model, ModelConfig, Point, Status, accessible,
                     build_model, epoch_of, trace_of)
 from .policies import (FlowSpec, InitPredicate, PolicyError, ReleaseSpec,

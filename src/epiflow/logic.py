@@ -1,36 +1,47 @@
-"""Linear-time epistemic logic without Next: syntax, expansion, satisfaction.
+"""Linear-time epistemic logic without Next: syntax and satisfaction.
 
-Core formulas are built from the atoms ``e1 = e2`` (current store) and
-``init_x(e)`` (the initial value of ``x`` equals the current value of
-``e``), conjunction, negation, the knowledge operator K, and strong
-until.  Everything else -- or, implication, truth constants, the finite
-quantifiers, the possibility operator L, future, globally, weak until --
-is sugar that :func:`expand` removes:
+Atoms are ``e1 = e2`` (current store) and ``init_x(e)`` (the initial
+value of ``x`` equals the current value of ``e``).  On top of them sit the
+boolean connectives, the knowledge operator K and its dual L, the
+temporal operators U, W, F and G, and quantifiers over the finite value
+domain.  Their meaning:
 
     forall id. p  =  AND_{v in Val} p[v/id]      exists dually
     L p  =  !K !p        F p  =  tt U p          G p  =  !F !p
     p W q  =  (p U q) || G p
 
-Satisfaction is evaluated over a fully built model.  K quantifies over
-every point of the model whose trace equals the current one; until ranges
-over the remaining (finite, terminated) suffix of the current execution.
-Callers must refuse tainted models before asking for satisfaction.
+Satisfaction is evaluated over a fully built model, on formulas as
+written: quantified variables live in an environment, their values never
+written into the formula.  K quantifies over every point of the model whose trace
+equals the current one; until ranges over the remaining (finite,
+terminated) suffix of the current execution.  Callers must refuse tainted
+models before asking for satisfaction.
 
-Evaluation memoizes per node, keyed as coarsely as soundness allows: an
-``init`` atom over a constant is fixed along an execution, a K/L formula
-is constant across an epoch, and big conjunctions of guarded implications
-(the shape the policy encoders emit) dispatch on the initial store instead
-of scanning every conjunct.  ``optimize=False`` disables all of that and
-evaluates naively; verdicts must not change.
+Before evaluation each node is checked like a program expression
+(identifiers, operators, literals) and compiled under its quantifier
+scope.  Values are memoized per node, keyed as coarsely as soundness
+allows -- an ``init`` atom over bound values is fixed along an execution,
+a K/L formula is constant across an epoch -- plus the values of the bound
+variables free in the node.  Three rules keep quantifiers cheap:
+
+* ``forall v1 ... vk. guard -> body`` is one block.  A guard conjunct
+  ``init_x(v)`` binds ``v`` to the run's own initial ``x``; conjuncts over
+  bound variables only are solved once per value of their outer variables.
+* ``L`` of ``init`` atoms over bound values that pin every variable asks
+  whether that one run visits the current epoch.
+* A K/L formula whose body is fixed along executions is checked once per
+  execution of the epoch rather than once per point.
 """
 
 from __future__ import annotations
 
-import warnings
+import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .domain import Domain
-from .lang import Binary, Const, Expr, HashCall, Unary, Var, eval_expr, expr_ids
+from .lang import (Expr, LangError, Var, eval_expr, expr_ids, expr_to_source,
+                   validate_expr)
 from .model import Execution, Model, Point
 from .verdicts import Outcome, Stats, Verdict, Witness
 
@@ -51,11 +62,7 @@ def _join(a: int, b: int) -> int:
 
 
 class Formula:
-    level: int = _POINT
-
-
-def _expr_varfree(e: Expr) -> bool:
-    return not expr_ids(e)
+    pass
 
 
 @dataclass(eq=False)
@@ -63,61 +70,32 @@ class Eq(Formula):
     lhs: Expr
     rhs: Expr
 
-    def __post_init__(self) -> None:
-        self.level = _CONST if _expr_varfree(self.lhs) and _expr_varfree(self.rhs) else _POINT
-
 
 @dataclass(eq=False)
 class Init(Formula):
     name: str
     expr: Expr
 
-    def __post_init__(self) -> None:
-        self.level = _EXEC if _expr_varfree(self.expr) else _POINT
-
 
 @dataclass(eq=False)
 class And(Formula):
     children: tuple[Formula, ...]
-    tags: tuple | None = None  # per-child (identifier, value) binding pairs
-
-    def __post_init__(self) -> None:
-        level = _CONST
-        for c in self.children:
-            level = _join(level, c.level)
-        self.level = level
 
 
 @dataclass(eq=False)
 class Not(Formula):
     child: Formula
 
-    def __post_init__(self) -> None:
-        self.level = self.child.level
-
 
 @dataclass(eq=False)
 class K(Formula):
     child: Formula
-
-    def __post_init__(self) -> None:
-        self.level = _CONST if self.child.level == _CONST else _EPOCH
 
 
 @dataclass(eq=False)
 class Until(Formula):
     lhs: Formula
     rhs: Formula
-
-    def __post_init__(self) -> None:
-        level = _join(self.lhs.level, self.rhs.level)
-        self.level = level if level <= _EXEC else _POINT
-
-
-CORE_NODES = (Eq, Init, And, Not, K, Until)
-
-
-# Sugar nodes, removed by expand().
 
 
 @dataclass(eq=False)
@@ -174,19 +152,6 @@ class W(Formula):
     rhs: Formula
 
 
-def is_core(f: Formula) -> bool:
-    match f:
-        case Eq() | Init():
-            return True
-        case And(children):
-            return all(is_core(c) for c in children)
-        case Not(child) | K(child):
-            return is_core(child)
-        case Until(lhs, rhs):
-            return is_core(lhs) and is_core(rhs)
-    return False
-
-
 def formula_size(f: Formula) -> int:
     """Distinct nodes reachable from the root (shared subtrees count once)."""
     seen: set[int] = set()
@@ -240,21 +205,13 @@ def struct_eq(a: Formula, b: Formula) -> bool:
 # Construction helpers (used by the policy encoders)
 
 
-def conj(children, tags=None) -> Formula:
+def conj(children) -> Formula:
     """Conjunction that drops trivial truths; empty means tt."""
-    kept = []
-    kept_tags = [] if tags is not None else None
-    for idx, c in enumerate(children):
-        if isinstance(c, Tt):
-            continue
-        if isinstance(c, And) and not c.children:
-            continue
-        kept.append(c)
-        if kept_tags is not None:
-            kept_tags.append(tags[idx])
-    if len(kept) == 1 and (kept_tags is None or kept_tags[0] is None):
+    kept = [c for c in children
+            if not isinstance(c, Tt) and not (isinstance(c, And) and not c.children)]
+    if len(kept) == 1:
         return kept[0]
-    return And(tuple(kept), tuple(kept_tags) if kept_tags is not None else None)
+    return And(tuple(kept))
 
 
 def disj(children) -> Formula:
@@ -276,139 +233,6 @@ def foralls(vars_: list[str], body: Formula) -> Formula:
     for v in reversed(vars_):
         body = Forall(v, body)
     return body
-
-
-# --------------------------------------------------------------------------
-# Substitution and expansion
-
-
-def subst_expr(e: Expr, var: str, value) -> Expr:
-    match e:
-        case Const():
-            return e
-        case Var(name):
-            return Const(value) if name == var else e
-        case Unary(op, arg):
-            return Unary(op, subst_expr(arg, var, value))
-        case HashCall(arg):
-            return HashCall(subst_expr(arg, var, value))
-        case Binary(op, lhs, rhs):
-            return Binary(op, subst_expr(lhs, var, value), subst_expr(rhs, var, value))
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def subst(f: Formula, var: str, value) -> Formula:
-    match f:
-        case Eq(lhs, rhs):
-            return Eq(subst_expr(lhs, var, value), subst_expr(rhs, var, value))
-        case Init(name, expr):
-            return Init(name, subst_expr(expr, var, value))
-        case And(children, tags):
-            return And(tuple(subst(c, var, value) for c in children), tags)
-        case Not(child):
-            return Not(subst(child, var, value))
-        case K(child):
-            return K(subst(child, var, value))
-        case Until(lhs, rhs):
-            return Until(subst(lhs, var, value), subst(rhs, var, value))
-        case Tt() | Ff():
-            return f
-        case Or(children):
-            return Or(tuple(subst(c, var, value) for c in children))
-        case Implies(lhs, rhs):
-            return Implies(subst(lhs, var, value), subst(rhs, var, value))
-        case Forall(v, body) | Exists(v, body):
-            if v == var:
-                raise LogicError(f"quantifier shadows {var!r}; rename the inner binder")
-            inner = subst(body, var, value)
-            return Forall(v, inner) if isinstance(f, Forall) else Exists(v, inner)
-        case L(child):
-            return L(subst(child, var, value))
-        case F(child):
-            return F(subst(child, var, value))
-        case G(child):
-            return G(subst(child, var, value))
-        case W(lhs, rhs):
-            return W(subst(lhs, var, value), subst(rhs, var, value))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-EXPANSION_WARN = 8 ** 4
-DEFAULT_EXPANSION_CAP = 5_000_000
-
-
-def expand(f: Formula, dom: Domain, cap: int = DEFAULT_EXPANSION_CAP) -> Formula:
-    """Rewrite to core nodes only; quantifiers become finite conjunctions.
-
-    Shared subtrees stay shared: the encoders rely on that for both memory
-    and the evaluator's per-node memoization.
-    """
-    state = {"instances": 1, "warned": False}
-    memo: dict[tuple, Formula] = {}
-
-    def quantify(var: str, body: Formula, bound: frozenset) -> list[Formula]:
-        if var in bound:
-            raise LogicError(f"quantifier shadows {var!r}; rename the inner binder")
-        state["instances"] += dom.size
-        if state["instances"] > cap:
-            raise LogicError(
-                f"quantifier expansion exceeds {cap} instances; "
-                "shrink the domain or raise the cap")
-        if state["instances"] > EXPANSION_WARN and not state["warned"]:
-            state["warned"] = True
-            warnings.warn(
-                f"quantifier expansion beyond {EXPANSION_WARN} instances; "
-                "evaluation may be slow", stacklevel=2)
-        return [walk(subst(body, var, v), bound | {var}) for v in dom.values]
-
-    def walk(node: Formula, bound: frozenset) -> Formula:
-        # key by identity, pinning the node: ids of dead temporaries recycle
-        key = (id(node), bound)
-        done = memo.get(key)
-        if done is not None and done[0] is node:
-            return done[1]
-        result = _walk(node, bound)
-        memo[key] = (node, result)
-        return result
-
-    def _walk(node: Formula, bound: frozenset) -> Formula:
-        match node:
-            case Eq() | Init():
-                return node
-            case And(children, tags):
-                return And(tuple(walk(c, bound) for c in children), tags)
-            case Not(child):
-                return Not(walk(child, bound))
-            case K(child):
-                return K(walk(child, bound))
-            case Until(lhs, rhs):
-                return Until(walk(lhs, bound), walk(rhs, bound))
-            case Tt():
-                return And(())
-            case Ff():
-                return Not(And(()))
-            case Or(children):
-                return Not(And(tuple(Not(walk(c, bound)) for c in children)))
-            case Implies(lhs, rhs):
-                return Not(And((walk(lhs, bound), Not(walk(rhs, bound)))))
-            case Forall(var, body):
-                parts = quantify(var, body, bound)
-                return And(tuple(parts), tuple(((var, v),) for v in dom.values))
-            case Exists(var, body):
-                parts = quantify(var, body, bound)
-                return Not(And(tuple(Not(p) for p in parts),
-                               tuple(((var, v),) for v in dom.values)))
-            case L(child):
-                return Not(K(Not(walk(child, bound))))
-            case F(child):
-                return Until(And(()), walk(child, bound))
-            case G(child):
-                return Not(Until(And(()), Not(walk(child, bound))))
-            case W(lhs, rhs):
-                return walk(Or((Until(lhs, rhs), G(lhs))), bound)
-        raise TypeError(f"not a formula: {node!r}")
-
-    return walk(f, frozenset())
 
 
 def formula_identifiers(f: Formula) -> set[str]:
@@ -446,243 +270,365 @@ def formula_identifiers(f: Formula) -> set[str]:
 # Satisfaction
 
 
-class Evaluation:
-    """Memoizing evaluator for core formulas over a single model."""
+class _Plan:
+    """A formula node compiled under its quantifier scope.
 
-    def __init__(self, model: Model, optimize: bool = True, cache: bool = True):
+    ``free`` holds the bound variables free in the node; with ``level`` they
+    key the memo.  Atoms and connectives are cheaper to recompute than to
+    look up, so only the other nodes set ``memo``.  ``args`` holds what the
+    node's ``compute`` needs besides its kids.
+    """
+
+    __slots__ = ("formula", "compute", "kids", "level", "free", "key", "memo", "args")
+
+    def __init__(self, formula: Formula, compute, kids: tuple = (), level: int = _CONST,
+                 free: frozenset = frozenset(), memo: bool = False, args=None):
+        self.formula = formula
+        self.compute = compute
+        self.kids = kids
+        self.level = level
+        self.free = free
+        self.key = itemgetter(*sorted(free)) if free else None
+        self.memo = memo
+        self.args = args
+
+
+@dataclass(frozen=True, eq=False)
+class _Block:
+    """Consecutive quantifiers of one kind, the guard of a forall split up.
+
+    ``binders`` pairs a variable with the identifier whose initial value it
+    takes.  The other variables, ``solve``, range over the assignments that
+    satisfy ``pure`` (guard conjuncts over bound variables only), solved
+    once per value of the variables ``outer`` reads.  ``checks`` are the
+    rest of the guard.
+    """
+
+    vars: tuple[str, ...]
+    binders: tuple[tuple[str, str], ...]
+    solve: tuple[str, ...]
+    pure: tuple[_Plan, ...]
+    outer: object
+    checks: tuple[_Plan, ...]
+    body: _Plan
+
+
+def _conjuncts(f: Formula) -> tuple[Formula, ...]:
+    return f.children if isinstance(f, And) else (f,)
+
+
+class Evaluation:
+    """Memoizing evaluator over a single model, with one environment."""
+
+    def __init__(self, model: Model):
         self.model = model
-        self.optimize = optimize
-        self.cache = cache
-        self._variables = model.variables
-        self._varset = set(model.variables)
-        self.memo_const: dict[int, bool] = {}
-        self.memo_exec: dict[tuple[int, int], bool] = {}
-        self.memo_epoch: dict[tuple[int, int], bool] = {}
-        self.memo_point: dict[tuple[int, int, int], bool] = {}
-        self._dispatch: dict[int, tuple | None] = {}
-        self._init_vec: dict[int, tuple | None] = {}
+        self.domain: Domain = model.domain
+        self.signature = set(model.program.variables) | set(model.program.flags)
+        self.env: dict[str, object] = {}
+        self.memo: dict[tuple, bool] = {}
+        self.solved: dict[object, list[tuple]] = {}
+        self.plans: dict[tuple[int, frozenset], _Plan] = {}
         self.points_visited = 0
         self.cache_hits = 0
 
     def stats(self, formula_nodes: int = 0) -> Stats:
         return Stats(self.points_visited, self.cache_hits, formula_nodes)
 
-    def holds(self, f: Formula, ex: Execution, i: int) -> bool:
-        if not self.cache:
-            self.points_visited += 1
-            return self._compute(f, ex, i)
-        level = f.level
+    def holds(self, p: _Plan, ex: Execution, i: int) -> bool:
+        if not p.memo:
+            return p.compute(p, ex, i)
+        level = p.level
         if level == _CONST:
-            key = id(f)
-            memo = self.memo_const
+            at = None
         elif level == _EXEC:
-            key = (id(f), ex.index)
-            memo = self.memo_exec
+            at = ex.index
         elif level == _EPOCH:
-            key = (id(f), ex.trace_ids[i])
-            memo = self.memo_epoch
+            at = ex.trace_ids[i]
         else:
-            key = (id(f), ex.index, i)
-            memo = self.memo_point
-        cached = memo.get(key)
-        if cached is not None:
+            at = (ex.index, i)
+        key = (p, at) if p.key is None else (p, at, p.key(self.env))
+        value = self.memo.get(key)
+        if value is None:
+            self.points_visited += 1
+            value = self.memo[key] = p.compute(p, ex, i)
+        else:
             self.cache_hits += 1
-            return cached
-        self.points_visited += 1
-        value = self._compute(f, ex, i)
-        memo[key] = value
         return value
 
-    def _compute(self, f: Formula, ex: Execution, i: int) -> bool:
-        dom = self.model.domain
-        match f:
-            case Eq(lhs, rhs):
-                store = ex.stores[i]
-                return eval_expr(store, lhs, dom) == eval_expr(store, rhs, dom)
-            case Init(name, expr):
-                return ex.stores[0][name] == eval_expr(ex.stores[i], expr, dom)
-            case And():
-                return self._and(f, ex, i)
-            case Not(child):
-                return not self.holds(child, ex, i)
-            case K(child):
-                return self._knows(child, ex, i)
-            case Until(lhs, rhs):
-                j = i
-                last = len(ex)
-                while j <= last:
-                    if self.holds(rhs, ex, j):
-                        return True
-                    if not self.holds(lhs, ex, j):
-                        return False
-                    j += 1
-                return False
-        raise LogicError(f"not a core formula node: {f!r}")
+    # -- compilation ---------------------------------------------------------
 
-    # -- conjunction dispatch ------------------------------------------------
-
-    def _and(self, f: And, ex: Execution, i: int) -> bool:
-        if self.optimize and len(f.children) >= 16:
-            plan = self._dispatch_plan(f)
-            if plan is not None:
-                names, table, rest = plan
-                init = ex.stores[0]
-                key = tuple(init[n] for n in names)
-                for idx in table.get(key, ()):
-                    if not self.holds(f.children[idx], ex, i):
-                        return False
-                for idx in rest:
-                    if not self.holds(f.children[idx], ex, i):
-                        return False
-                return True
-        for c in f.children:
-            if not self.holds(c, ex, i):
-                return False
-        return True
-
-    def _dispatch_plan(self, f: And):
-        """Index children of the form !(guard && !body) by their guard values.
-
-        A guard made of init atoms over constants pins the initial store, so
-        a child whose guard disagrees with the current execution is true and
-        can be skipped wholesale.
-        """
-        plan = self._dispatch.get(id(f))
-        if plan is not None or id(f) in self._dispatch:
-            return plan
-        names: tuple[str, ...] | None = None
-        table: dict[tuple, list[int]] = {}
-        rest: list[int] = []
-        guarded = 0
-        for idx, child in enumerate(f.children):
-            guard = self._guard_values(child)
-            if guard is None:
-                rest.append(idx)
-                continue
-            g_names, g_vals = guard
-            if names is None:
-                names = g_names
-            if g_names != names:
-                self._dispatch[id(f)] = None
-                return None
-            table.setdefault(g_vals, []).append(idx)
-            guarded += 1
-        plan = (names, table, rest) if names is not None and guarded >= 16 else None
-        self._dispatch[id(f)] = plan
+    def compile(self, f: Formula, scope: frozenset = frozenset()) -> _Plan:
+        """Check the node against the model's signature and domain, and plan it."""
+        key = (id(f), scope)
+        plan = self.plans.get(key)
+        if plan is None:
+            plan = self.plans[key] = self._compile(f, scope)
         return plan
 
-    def _guard_values(self, child: Formula):
-        if not (isinstance(child, Not) and isinstance(child.child, And)):
-            return None
-        inner = child.child.children
-        if len(inner) != 2 or not isinstance(inner[1], Not):
-            return None
-        atoms = self._init_atoms(inner[0])
-        if not atoms:
-            return None
-        names = tuple(sorted(atoms))
-        return names, tuple(atoms[n] for n in names)
+    def _compile(self, f: Formula, scope: frozenset) -> _Plan:
+        match f:
+            case Eq(lhs, rhs):
+                return self._atom(f, (lhs, rhs), _CONST, scope)
+            case Init(name, expr):
+                if name not in self.signature:
+                    raise LogicError(f"init names unknown identifier {name!r}")
+                return self._atom(f, (expr,), _EXEC, scope)
+            case Tt() | Ff():
+                return _Plan(f, self._constant, args=isinstance(f, Tt))
+            case Not(child):
+                return self._connective(f, self._not, (child,), scope)
+            case And(children):
+                return self._connective(f, self._and, children, scope)
+            case Or(children):
+                return self._connective(f, self._or, children, scope)
+            case Implies(lhs, rhs):
+                return self._connective(f, self._implies, (lhs, rhs), scope)
+            case K(child) | L(child):
+                kid = self.compile(child, scope)
+                level = _CONST if kid.level == _CONST else _EPOCH
+                pinned = self._pinned_run(child, scope) if isinstance(f, L) else None
+                if pinned is not None:
+                    return _Plan(f, self._possible_run, (kid,), level, kid.free, args=pinned)
+                return _Plan(f, self._knows, (kid,), level, kid.free, memo=True,
+                             args=isinstance(f, K))
+            case F(child) | G(child):
+                return self._temporal(f, self._eventually, (child,), scope, isinstance(f, G))
+            case Until(lhs, rhs) | W(lhs, rhs):
+                return self._temporal(f, self._until, (lhs, rhs), scope, isinstance(f, W))
+            case Forall() | Exists():
+                return self._block(f, scope)
+        raise TypeError(f"not a formula: {f!r}")
 
-    @staticmethod
-    def _init_atoms(guard: Formula) -> dict | None:
-        parts: tuple[Formula, ...]
-        if isinstance(guard, Init):
-            parts = (guard,)
-        elif isinstance(guard, And):
-            parts = guard.children
-        else:
+    def _atom(self, f: Formula, exprs: tuple, fixed_level: int, scope: frozenset) -> _Plan:
+        """An atom's level is ``fixed_level`` unless it reads the current store."""
+        names: set[str] = set()
+        for e in exprs:
+            try:
+                validate_expr(e, self.domain, self.signature | scope)
+            except LangError as err:
+                raise LogicError(f"formula atom {expr_to_source(e)!r}: {err}") from err
+            names.update(expr_ids(e))
+        compute = self._eq if isinstance(f, Eq) else self._init
+        return _Plan(f, compute, level=_POINT if names - scope else fixed_level,
+                     free=frozenset(names & scope))
+
+    def _connective(self, f: Formula, compute, children, scope: frozenset) -> _Plan:
+        kids = tuple(self.compile(c, scope) for c in children)
+        level, free = _CONST, frozenset()
+        for kid in kids:
+            level = _join(level, kid.level)
+            free |= kid.free
+        return _Plan(f, compute, kids, level, free)
+
+    def _temporal(self, f: Formula, compute, children, scope: frozenset, flag: bool) -> _Plan:
+        plan = self._connective(f, compute, children, scope)
+        plan.level = plan.level if plan.level <= _EXEC else _POINT
+        plan.memo = True
+        plan.args = flag
+        return plan
+
+    def _pinned_run(self, child: Formula, scope: frozenset):
+        """(identifier, expression) pairs of the L child, when it is a
+        conjunction of init atoms over bound values naming every variable."""
+        parts = _conjuncts(child)
+        if not all(isinstance(a, Init) and set(expr_ids(a.expr)) <= scope for a in parts):
             return None
-        atoms: dict[str, object] = {}
-        for p in parts:
-            if not (isinstance(p, Init) and isinstance(p.expr, Const)):
-                return None
-            if p.name in atoms and atoms[p.name] != p.expr.value:
-                return None  # contradictory guard; leave to the slow path
-            atoms[p.name] = p.expr.value
-        return atoms
+        if {a.name for a in parts} != set(self.model.variables):
+            return None
+        return tuple((a.name, a.expr) for a in parts)
 
-    # -- knowledge -----------------------------------------------------------
+    def _block(self, f: Formula, scope: frozenset) -> _Plan:
+        kind = type(f)
+        names: list[str] = []
+        node = f
+        while isinstance(node, kind):
+            if node.var in scope or node.var in names:
+                raise LogicError(f"quantifier shadows {node.var!r}; rename the inner binder")
+            names.append(node.var)
+            node = node.body
+        inner = scope | frozenset(names)
+        guard: tuple[Formula, ...] = ()
+        if kind is Forall and isinstance(node, Implies):
+            guard, node = _conjuncts(node.lhs), node.rhs
+        binders: dict[str, str] = {}
+        pure: list[_Plan] = []
+        checks: list[_Plan] = []
+        for g in guard:
+            plan = self.compile(g, inner)
+            if (isinstance(g, Init) and isinstance(g.expr, Var) and g.expr.name in names
+                    and g.expr.name not in binders):
+                binders[g.expr.name] = g.name
+            elif plan.level == _CONST:
+                pure.append(plan)
+            else:
+                checks.append(plan)
+        body = self.compile(node, inner)
+        level = _EXEC if binders else _CONST
+        free = frozenset()
+        for plan in (body, *pure, *checks):
+            level = _join(level, plan.level)
+            free |= plan.free
+        solve = tuple(v for v in names if v not in binders)
+        outer = frozenset().union(*(plan.free for plan in pure)) - frozenset(solve)
+        block = _Block(tuple(names), tuple(binders.items()), solve, tuple(pure),
+                       itemgetter(*sorted(outer)) if outer else None, tuple(checks), body)
+        compute = self._forall if kind is Forall else self._exists
+        return _Plan(f, compute, (body, *pure, *checks), level, free - frozenset(names),
+                     memo=True,
+                     args=block)
 
-    def _knows(self, child: Formula, ex: Execution, i: int) -> bool:
-        model = self.model
-        tid = ex.trace_ids[i]
-        if self.optimize:
-            vec = self._init_vector(child)
-            if vec is not None:
-                # K !init_vec: true unless the pinned execution visits this epoch.
-                names, vals, contradiction = vec
-                if contradiction:
-                    return True
-                target = model.exec_by_values.get(vals)
-                return target is None or tid not in target.trace_id_set
-            if child.level <= _EXEC:
-                executions = model.executions
-                return all(
-                    self.holds(child, executions[j], 0)
-                    for j in model.epoch_exec_ids[tid])
-        for pt in model.epochs[tid]:
-            if not self.holds(child, pt.execution, pt.index):
+    # -- node semantics ------------------------------------------------------
+
+    def _scope(self, p: _Plan, store: dict) -> dict:
+        """The store with the atom's bound variables laid over it."""
+        if not p.free:
+            return store
+        return {**store, **{n: self.env[n] for n in p.free}}
+
+    def _eq(self, p: _Plan, ex: Execution, i: int) -> bool:
+        scope = self._scope(p, ex.stores[i])
+        f = p.formula
+        return eval_expr(scope, f.lhs, self.domain) == eval_expr(scope, f.rhs, self.domain)
+
+    def _init(self, p: _Plan, ex: Execution, i: int) -> bool:
+        f = p.formula
+        return ex.stores[0][f.name] == eval_expr(
+            self._scope(p, ex.stores[i]), f.expr, self.domain)
+
+    def _constant(self, p: _Plan, ex: Execution, i: int) -> bool:
+        return p.args
+
+    def _not(self, p: _Plan, ex: Execution, i: int) -> bool:
+        return not self.holds(p.kids[0], ex, i)
+
+    def _and(self, p: _Plan, ex: Execution, i: int) -> bool:
+        for kid in p.kids:
+            if not self.holds(kid, ex, i):
                 return False
         return True
 
-    def _init_vector(self, child: Formula):
-        """Recognize !(init_x1(c1) && ... && init_xk(ck)) pinning all variables."""
-        cached = self._init_vec.get(id(child))
-        if cached is not None or id(child) in self._init_vec:
-            return cached
-        result = None
-        if isinstance(child, Not):
-            atoms = self._init_atoms(child.child)
-            if atoms is not None and set(atoms) == self._varset:
-                vals = tuple(atoms[n] for n in self._variables)
-                result = (self._variables, vals, False)
-            elif atoms is None and isinstance(child.child, (And, Init)):
-                contradictory = self._contradictory_vector(child.child)
-                if contradictory:
-                    result = ((), (), True)
-        self._init_vec[id(child)] = result
-        return result
-
-    @staticmethod
-    def _contradictory_vector(guard: Formula) -> bool:
-        parts = guard.children if isinstance(guard, And) else (guard,)
-        seen: dict[str, object] = {}
-        for p in parts:
-            if not (isinstance(p, Init) and isinstance(p.expr, Const)):
-                return False
-            if p.name in seen and seen[p.name] != p.expr.value:
+    def _or(self, p: _Plan, ex: Execution, i: int) -> bool:
+        for kid in p.kids:
+            if self.holds(kid, ex, i):
                 return True
-            seen[p.name] = p.expr.value
         return False
 
+    def _implies(self, p: _Plan, ex: Execution, i: int) -> bool:
+        lhs, rhs = p.kids
+        return not self.holds(lhs, ex, i) or self.holds(rhs, ex, i)
 
-def satisfies(model: Model, pt: Point, f: Formula, optimize: bool = True,
-              cache: bool = True) -> bool:
-    """Does the core formula hold at the point?  The model must be clean."""
+    def _knows(self, p: _Plan, ex: Execution, i: int) -> bool:
+        """K (``args`` set): every point of the epoch; L: some point."""
+        child, every = p.kids[0], p.args
+        model = self.model
+        tid = ex.trace_ids[i]
+        if child.level == _CONST:
+            return self.holds(child, ex, i)
+        if child.level == _EXEC:
+            executions = model.executions
+            points = ((executions[j], 0) for j in model.epoch_exec_ids[tid])
+        else:
+            points = ((pt.execution, pt.index) for pt in model.epochs[tid])
+        for other, k in points:
+            if self.holds(child, other, k) is not every:
+                return not every
+        return every
+
+    def _possible_run(self, p: _Plan, ex: Execution, i: int) -> bool:
+        """L of a pinned initial store: does that run visit the current epoch?"""
+        values: dict[str, object] = {}
+        for name, expr in p.args:
+            value = eval_expr(self.env, expr, self.domain)
+            if values.setdefault(name, value) != value:
+                return False
+        model = self.model
+        target = model.exec_by_values.get(tuple(values[n] for n in model.variables))
+        return target is not None and ex.trace_ids[i] in target.trace_id_set
+
+    def _eventually(self, p: _Plan, ex: Execution, i: int) -> bool:
+        """F, or G when ``args`` is set."""
+        child, always = p.kids[0], p.args
+        for j in range(i, len(ex) + 1):
+            if self.holds(child, ex, j) is not always:
+                return not always
+        return always
+
+    def _until(self, p: _Plan, ex: Execution, i: int) -> bool:
+        """U, or W when ``args`` is set."""
+        lhs, rhs = p.kids
+        for j in range(i, len(ex) + 1):
+            if self.holds(rhs, ex, j):
+                return True
+            if not self.holds(lhs, ex, j):
+                return False
+        return p.args
+
+    def _forall(self, p: _Plan, ex: Execution, i: int) -> bool:
+        body = p.args.body
+        for _ in self._instances(p, ex, i):
+            if not self.holds(body, ex, i):
+                return False
+        return True
+
+    def _exists(self, p: _Plan, ex: Execution, i: int) -> bool:
+        body = p.args.body
+        for _ in self._instances(p, ex, i):
+            if self.holds(body, ex, i):
+                return True
+        return False
+
+    def _instances(self, p: _Plan, ex: Execution, i: int):
+        """Bind the block's variables to each assignment its guard admits."""
+        block: _Block = p.args
+        env = self.env
+        init = ex.stores[0]
+        for var, subject in block.binders:
+            env[var] = init[subject]
+        for values in self._solutions(block, ex, i):
+            env.update(zip(block.solve, values))
+            if all(self.holds(check, ex, i) for check in block.checks):
+                yield
+
+    def _solutions(self, block: _Block, ex: Execution, i: int):
+        space = itertools.product(self.domain.values, repeat=len(block.solve))
+        if not block.pure:
+            return space
+        key = block if block.outer is None else (block, block.outer(self.env))
+        found = self.solved.get(key)
+        if found is None:
+            found = []
+            for values in space:
+                self.env.update(zip(block.solve, values))
+                if all(self.holds(c, ex, i) for c in block.pure):
+                    found.append(values)
+            self.solved[key] = found
+        return found
+
+
+def satisfies(model: Model, pt: Point, f: Formula) -> bool:
+    """Does the formula hold at the point?  The model must be clean."""
     if model.tainted:
         raise LogicError("satisfaction undefined on models with non-terminated executions")
-    if not is_core(f):
-        raise LogicError("satisfies expects a core formula; call expand first")
-    return Evaluation(model, optimize, cache).holds(f, pt.execution, pt.index)
+    ev = Evaluation(model)
+    return ev.holds(ev.compile(f), pt.execution, pt.index)
 
 
-def model_satisfies(model: Model, f: Formula, optimize: bool = True,
-                    cap: int = DEFAULT_EXPANSION_CAP) -> Verdict:
-    """Expand and evaluate at the first point of every execution.
+def model_satisfies(model: Model, f: Formula) -> Verdict:
+    """Check the formula, then evaluate it at the first point of every execution.
 
     Fails fast with a witness; refuses tainted models.
     """
+    ev = Evaluation(model)
+    root = ev.compile(f)
     if model.tainted:
         bad = next(e for e in model.executions if e.status.value != "terminated")
         return Verdict(
             Outcome.BOUND_EXCEEDED, None, Stats(),
             f"execution from {_store_note(model, bad)} is {bad.status.value}")
-    core = expand(f, model.domain, cap)
-    size = formula_size(core)
-    ev = Evaluation(model, optimize)
+    size = formula_size(f)
     for ex in model.executions:
-        if not ev.holds(core, ex, 0):
-            witness = _extract_witness(ev, core, ex)
+        if not ev.holds(root, ex, 0):
+            witness = _extract_witness(ev, root, ex)
             return Verdict(Outcome.FAILS, witness, ev.stats(size))
     return Verdict(Outcome.HOLDS, None, ev.stats(size))
 
@@ -694,51 +640,17 @@ def _store_note(model: Model, ex: Execution) -> str:
     return f"({pairs})"
 
 
-def _extract_witness(ev: Evaluation, core: Formula, ex: Execution) -> Witness:
+def _extract_witness(ev: Evaluation, root: _Plan, ex: Execution) -> Witness:
     """Chase the falsified formula to a concrete point and its bindings.
 
-    Follows first-false children through conjunctions (collecting quantifier
-    tags), unwraps negations, and resolves until-scans to the decisive
-    index.  Stops at epistemic leaves: their failure is the whole epoch's.
+    Stops at atoms and at epistemic nodes: their failure is the whole
+    epoch's.
     """
     bindings: list[tuple[str, object]] = []
-    node, i, expect = core, 0, False
-
-    while True:
-        match node:
-            case Not(child):
-                node, expect = child, not expect
-            case And(children, tags) if not expect:
-                found = None
-                for idx, child in enumerate(children):
-                    if not ev.holds(child, ex, i):
-                        found = idx
-                        break
-                if found is None:
-                    break
-                if tags is not None and tags[found] is not None:
-                    bindings.extend(tags[found])
-                node = children[found]
-            case And(children) if expect and len(children) == 2 and isinstance(children[1], Not):
-                # implication shape: guard true, body false
-                if not ev.holds(children[0], ex, i):
-                    break
-                node = children[1]
-            case Until(lhs, rhs) if expect:
-                j = i
-                while j <= len(ex):
-                    if ev.holds(rhs, ex, j):
-                        node, i, expect = rhs, j, True
-                        break
-                    if not ev.holds(lhs, ex, j):
-                        node, i, expect = lhs, j, False
-                        break
-                    j += 1
-                else:
-                    break
-            case _:
-                break
-
+    step = (root, 0, False)
+    while step is not None:
+        p, i, expect = step
+        step = _decisive(ev, p, ex, i, expect, bindings)
     return Witness(
         kind="epistemic",
         stores=(("initial", tuple(
@@ -747,6 +659,44 @@ def _extract_witness(ev: Evaluation, core: Formula, ex: Execution) -> Witness:
         trace=ev.model.trace_tuple(ex.trace_ids[i]),
         bindings=tuple(bindings),
     )
+
+
+def _decisive(ev: Evaluation, p: _Plan, ex: Execution, i: int, expect: bool,
+              bindings: list):
+    """The child, point and value that make ``p`` evaluate to ``expect``.
+
+    Through a quantifier block that is the first assignment deciding it,
+    whose bindings are recorded; through a temporal scan, the first point.
+    """
+    f, holds = p.formula, ev.holds
+    match f:
+        case Not():
+            return p.kids[0], i, not expect
+        case And() | Or() if expect == isinstance(f, Or):
+            return next(((k, i, expect) for k in p.kids if holds(k, ex, i) == expect), None)
+        case Implies():
+            lhs, rhs = p.kids
+            if expect and not holds(lhs, ex, i):
+                return lhs, i, False
+            return rhs, i, expect
+        case Forall() | Exists() if expect == isinstance(f, Exists):
+            body = p.args.body
+            for _ in ev._instances(p, ex, i):
+                if holds(body, ex, i) == expect:
+                    bindings.extend((v, ev.env[v]) for v in p.args.vars)
+                    return body, i, expect
+        case F() | G() if expect == isinstance(f, F):
+            child = p.kids[0]
+            return next(((child, j, expect) for j in range(i, len(ex) + 1)
+                         if holds(child, ex, j) == expect), None)
+        case Until() | W() if expect == isinstance(f, Until):
+            lhs, rhs = p.kids
+            for j in range(i, len(ex) + 1):
+                if holds(rhs, ex, j):
+                    return rhs, j, True
+                if not holds(lhs, ex, j):
+                    return lhs, j, False
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -876,8 +826,6 @@ def _comparison(p) -> Formula:
 
 
 def formula_to_source(f: Formula, dom: Domain | None = None) -> str:
-    from .lang import expr_to_source
-
     def p(node: Formula) -> str:
         src = formula_to_source(node, dom)
         if isinstance(node, (Eq, Init, Tt, Ff, Not, K, L, F, G)):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .domain import Domain, TERMINATION_MARK
-from .lang import Program, Stmt, step
+from .lang import Program, step
 
 
 class Status(Enum):
@@ -46,7 +46,6 @@ class Execution:
     index: int
     stores: list[dict]
     events: list  # per step; None when the step was silent
-    positions: list[Stmt]
     status: Status
     lasso_entry: int | None = None
     trace_ids: list[int] = field(default_factory=list)
@@ -181,7 +180,6 @@ def _run(program: Program, init: dict, cfg: ModelConfig, index: int, extend_trac
     names = tuple(init)
     stores = [init]
     events: list = []
-    positions: list[Stmt] = [program.body]
     trace_ids = [0]
     seen: dict[tuple, int] = {(program.body, tuple(init[n] for n in names)): 0}
 
@@ -198,7 +196,6 @@ def _run(program: Program, init: dict, cfg: ModelConfig, index: int, extend_trac
         current, store, event = result
         stores.append(store)
         events.append(event)
-        positions.append(current)
         trace_ids.append(extend_trace(trace_ids[-1], event) if event is not None else trace_ids[-1])
         key = (current, tuple(store[n] for n in names))
         if key in seen:
@@ -210,14 +207,12 @@ def _run(program: Program, init: dict, cfg: ModelConfig, index: int, extend_trac
     if status is Status.TERMINATED and cfg.termination_output:
         stores.append(store)
         events.append(TERMINATION_MARK)
-        positions.append(current)
         trace_ids.append(extend_trace(trace_ids[-1], TERMINATION_MARK))
 
     return Execution(
         index=index,
         stores=stores,
         events=events,
-        positions=positions,
         status=status,
         lasso_entry=lasso_entry,
         trace_ids=trace_ids,

@@ -12,31 +12,32 @@ On top of them sit the five conditions: absence of knowledge (plain, and
 modulo a declassified predicate, an abstraction pair, write-once release
 flags, or condition-triggered temporal declassifications).
 
-``espm`` is emitted pre-expanded: the agreement side-conditions are
-decided on concrete value vectors while encoding, so the formula itself
-stays inside the plain logic (equality and init atoms only).  Quantified
-initial values are named after the identifier they constrain: ``x'`` for
-the premise value, ``x''`` for the epistemic alternative.
+``espm`` is written as the paper writes it: for the actual initial values,
+every alternative secret that agrees with the actual one on each
+declassified property stays possible.  Agreement is an equality between
+the property's expression over the premise values and over the
+alternative ones.  Quantified initial values are named after the
+identifier they constrain: ``x'`` for the premise value, ``x''`` for the
+epistemic alternative.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .domain import Domain
-from .lang import (Binary, Const, Expr, Out, Program, Seq, Stmt, Var, eval_expr,
-                   expr_ids, expr_to_source, program_from_body, validate_expr)
-from .logic import (And, Eq, Formula, G, Init, L, Not, W, conj, disj,
-                    foralls, implies)
+from .lang import (Binary, Const, Expr, HashCall, Out, Program, Seq, Stmt, Unary,
+                   Var, eval_expr, expr_ids, expr_to_source, program_from_body,
+                   validate_expr)
+from .logic import (Eq, Formula, G, Init, L, Not, W, conj, disj, foralls,
+                    implies)
 
 
 class PolicyError(ValueError):
     pass
 
 
-DEFAULT_ESPM_BUDGET = 2_000_000
 MAX_POWERSET = 6
 
 
@@ -82,11 +83,15 @@ class InitPredicate:
 
     Either an expression evaluated on the initial store, or one of the
     named abstractions Id, Sign, Par applied pointwise to identifiers.
+    ``exprs`` is the same function written as expressions over ``ids``, for
+    the formulas; ``fn`` stays separate so the trace-based checks share no
+    code with them.
     """
 
     label: str
     ids: tuple[str, ...]
     fn: Callable[[dict], object]
+    exprs: tuple[Expr, ...]
 
     def __call__(self, store: dict):
         return self.fn(store)
@@ -97,7 +102,7 @@ class InitPredicate:
         ids = expr_ids(expr)
         return InitPredicate(
             label or expr_to_source(expr, dom), ids,
-            lambda store: eval_expr(store, expr, dom))
+            lambda store: eval_expr(store, expr, dom), (expr,))
 
     @staticmethod
     def abstraction(name: str, ids: Iterable[str], dom: Domain) -> "InitPredicate":
@@ -105,7 +110,8 @@ class InitPredicate:
         fn = abstraction_fn(name, dom)
         return InitPredicate(
             f"{name}({', '.join(ids)})", ids,
-            lambda store: tuple(fn(store[i]) for i in ids))
+            lambda store: tuple(fn(store[i]) for i in ids),
+            tuple(abstraction_expr(name, Var(i), dom) for i in ids))
 
 
 ABSTRACTIONS = ("Id", "Sign", "Par")
@@ -125,15 +131,32 @@ def abstraction_fn(name: str, dom: Domain) -> Callable:
     raise PolicyError(f"unknown abstraction {name!r}; expected one of {ABSTRACTIONS}")
 
 
-def abstraction_expr(name: str, target: Expr) -> Expr:
-    """The abstraction as an expression, for placing it in output statements."""
+def abstraction_expr(name: str, target: Expr, dom: Domain) -> Expr:
+    """The abstraction as an expression over ``target`` in the domain."""
+    abstraction_fn(name, dom)  # rejects unknown names and misapplied ones
     if name == "Id":
         return target
     if name == "Sign":
         return Binary(">=", target, Const(0))
-    if name == "Par":
-        return Binary("mod", target, Const(2))
-    raise PolicyError(f"unknown abstraction {name!r}")
+    # 2 as a literal of the domain: signed int:4 wraps it to -2, int:2 to 0,
+    # and x mod -2 and x mod 0 (= x) still separate even from odd there
+    return Binary("mod", target, Const(dom.normalize(2)))
+
+
+def _renamed(e: Expr, names: dict[str, str]) -> Expr:
+    """The expression with its identifiers renamed."""
+    match e:
+        case Const():
+            return e
+        case Var(name):
+            return Var(names.get(name, name))
+        case Unary(op, arg):
+            return Unary(op, _renamed(arg, names))
+        case HashCall(arg):
+            return HashCall(_renamed(arg, names))
+        case Binary(op, lhs, rhs):
+            return Binary(op, _renamed(lhs, names), _renamed(rhs, names))
+    raise TypeError(f"not an expression: {e!r}")
 
 
 @dataclass(frozen=True)
@@ -191,14 +214,11 @@ def esp(fs: FlowSpec, dom: Domain) -> Formula:
 
 
 def espm(fixed_low: Iterable[str], high: Iterable[str],
-         predicates: Iterable[InitPredicate], dom: Domain,
-         budget: int = DEFAULT_ESPM_BUDGET) -> Formula:
+         predicates: Iterable[InitPredicate], dom: Domain) -> Formula:
     """Every initial secret agreeing on the predicates is possible.
 
-    Emitted fully expanded: one guarded implication per (public, secret)
-    value vector, whose body requires each agreeing alternative secret to
-    be epistemically possible.  Agreement is computed here, on concrete
-    vectors, never inside the formula.
+    forall l' h'. init_l(l') && init_h(h') ->
+        forall h''. (p[l', h'] == p[l', h''] for each p) -> L(init_l(l') && init_h(h''))
     """
     fixed_low = tuple(fixed_low)
     high = tuple(high)
@@ -211,51 +231,15 @@ def espm(fixed_low: Iterable[str], high: Iterable[str],
                 f"declassification {p.label!r} mentions {outside[0]!r}, "
                 "which is neither fixed-public nor secret")
 
-    weight = dom.size ** (len(fixed_low) + 2 * len(high))
-    if weight > budget:
-        raise PolicyError(
-            f"espm expansion would need up to {weight} possibility atoms "
-            f"(budget {budget}); shrink the domain or the identifier split")
-
-    values = dom.values
-    children: list[Formula] = []
-    tags: list = []
-    possible_cache: dict[tuple, Formula] = {}
-
-    def possibility(low_vals: tuple, high_vals: tuple) -> Formula:
-        key = (low_vals, high_vals)
-        node = possible_cache.get(key)
-        if node is None:
-            node = L(init_atoms(fixed_low + high,
-                                [Const(v) for v in low_vals + high_vals]))
-            possible_cache[key] = node
-        return node
-
-    for low_vals in itertools.product(values, repeat=len(fixed_low)):
-        # group secret vectors by their declassified-property values
-        classes: dict[tuple, list[tuple]] = {}
-        keys: dict[tuple, tuple] = {}
-        for high_vals in itertools.product(values, repeat=len(high)):
-            store = dict(zip(fixed_low, low_vals))
-            store.update(zip(high, high_vals))
-            key = tuple(p(store) for p in predicates)
-            classes.setdefault(key, []).append(high_vals)
-            keys[high_vals] = key
-
-        bodies: dict[tuple, Formula] = {}
-        for key, members in classes.items():
-            bodies[key] = conj(
-                tuple(possibility(low_vals, alt) for alt in members),
-                tuple(tuple(zip(map(alt_primed, high), alt)) for alt in members))
-
-        for high_vals in itertools.product(values, repeat=len(high)):
-            guard = init_atoms(fixed_low + high,
-                               [Const(v) for v in low_vals + high_vals])
-            body = bodies[keys[high_vals]]
-            children.append(Not(And((guard, Not(body)))))
-            tags.append(tuple(zip(map(primed, fixed_low + high), low_vals + high_vals)))
-
-    return conj(tuple(children), tuple(tags))
+    names = fixed_low + high
+    premise = {n: primed(n) for n in names}
+    alternative = {**premise, **{n: alt_primed(n) for n in high}}
+    agree = conj(tuple(Eq(_renamed(e, premise), _renamed(e, alternative))
+                       for p in predicates for e in p.exprs))
+    possible = L(init_atoms(names, [Var(alternative[n]) for n in names]))
+    return foralls([premise[n] for n in names], implies(
+        init_atoms(names, [Var(premise[n]) for n in names]),
+        foralls([alternative[n] for n in high], implies(agree, possible))))
 
 
 # --------------------------------------------------------------------------
@@ -277,15 +261,14 @@ def _as_predicates(phi, dom: Domain) -> tuple[InitPredicate, ...]:
         for p in phi)
 
 
-def encode_akd(fs: FlowSpec, phi, dom: Domain,
-               budget: int = DEFAULT_ESPM_BUDGET) -> Formula:
+def encode_akd(fs: FlowSpec, phi, dom: Domain) -> Formula:
     """Absence of knowledge beyond the declassified predicate(s)."""
-    return G(espm(fs.low, fs.high, _as_predicates(phi, dom), dom, budget))
+    return G(espm(fs.low, fs.high, _as_predicates(phi, dom), dom))
 
 
 def encode_aak(program: Program, fs: FlowSpec, eta: str | Expr, phi: str | Expr,
-               rho: str | Expr, dom: Domain, fix_low: bool = False,
-               budget: int = DEFAULT_ESPM_BUDGET) -> tuple[Program, Formula]:
+               rho: str | Expr, dom: Domain,
+               fix_low: bool = False) -> tuple[Program, Formula]:
     """Abstract absence of knowledge, as a transformed program plus formula.
 
     The program gains a final output of the ``rho``-abstracted public
@@ -304,7 +287,7 @@ def encode_aak(program: Program, fs: FlowSpec, eta: str | Expr, phi: str | Expr,
         if not fs.low:
             raise PolicyError("abstract output needs at least one public identifier")
         for name in fs.low:
-            body = Seq(body, Out(abstraction_expr(rho, Var(name))))
+            body = Seq(body, Out(abstraction_expr(rho, Var(name), dom)))
     transformed = program_from_body(body, program.text)
 
     eta_pred = (InitPredicate.from_expression(eta, dom) if isinstance(eta, Expr)
@@ -312,11 +295,11 @@ def encode_aak(program: Program, fs: FlowSpec, eta: str | Expr, phi: str | Expr,
     phi_pred = (InitPredicate.from_expression(phi, dom) if isinstance(phi, Expr)
                 else InitPredicate.abstraction(phi, fs.high, dom))
     if fix_low:
-        formula = espm(fs.low, fs.high, (eta_pred, phi_pred), dom, budget)
+        formula = espm(fs.low, fs.high, (eta_pred, phi_pred), dom)
     else:
         ordered = fs.low + fs.high
         in_order = tuple(n for n in transformed.variables if n in ordered)
-        formula = espm((), in_order, (eta_pred, phi_pred), dom, budget)
+        formula = espm((), in_order, (eta_pred, phi_pred), dom)
     return transformed, G(formula)
 
 
@@ -330,29 +313,28 @@ def _powerset(items: tuple) -> list[tuple]:
     return out
 
 
-def encode_akr(fs: FlowSpec, rs: ReleaseSpec, dom: Domain,
-               budget: int = DEFAULT_ESPM_BUDGET) -> Formula:
+def encode_akr(fs: FlowSpec, rs: ReleaseSpec, dom: Domain) -> Formula:
     """Absence of knowledge beyond what the set flags have released.
 
-    At each point exactly one disjunct applies: the one whose flag pattern
-    matches the store, requiring uncertainty modulo the expressions
-    released so far (evaluated on initial stores).
+    Release flags are write-once booleans, so at each point exactly one
+    flag pattern matches the store; under it, uncertainty must hold modulo
+    the expressions released so far (evaluated on initial stores).
     """
-    disjuncts = []
+    conjuncts = []
     for chosen in _powerset(rs.items):
         chosen_flags = {f for f, _ in chosen}
         preds = tuple(
             InitPredicate.from_expression(e, dom, label=f"released {expr_to_source(e, dom)}")
             for _, e in chosen)
-        pattern = [Eq(Var(f), Const(dom.true_value)) for f, _ in rs.items if f in chosen_flags]
-        pattern += [Eq(Var(f), Const(dom.false_value)) for f, _ in rs.items
-                    if f not in chosen_flags]
-        disjuncts.append(conj((espm(fs.low, fs.high, preds, dom, budget),) + tuple(pattern)))
-    return G(disj(disjuncts))
+        pattern = conj(tuple(
+            Eq(Var(f), Const(dom.true_value if f in chosen_flags else dom.false_value))
+            for f, _ in rs.items))
+        conjuncts.append(implies(pattern, espm(fs.low, fs.high, preds, dom)))
+    return G(conj(tuple(conjuncts)))
 
 
-def encode_aktd(fs: FlowSpec, tds: Iterable[TemporalDeclassification], dom: Domain,
-                budget: int = DEFAULT_ESPM_BUDGET) -> Formula:
+def encode_aktd(fs: FlowSpec, tds: Iterable[TemporalDeclassification],
+                dom: Domain) -> Formula:
     """Absence of knowledge under condition-triggered declassifications.
 
     For every subset of the declassifications, uncertainty modulo that
@@ -363,7 +345,7 @@ def encode_aktd(fs: FlowSpec, tds: Iterable[TemporalDeclassification], dom: Doma
     conjuncts = []
     for chosen in _powerset(tds):
         chosen_ids = {id(td) for td in chosen}
-        body = espm(fs.low, fs.high, tuple(td.declassified for td in chosen), dom, budget)
+        body = espm(fs.low, fs.high, tuple(td.declassified for td in chosen), dom)
         # "fired" means truthy, so compare against false rather than true
         released_later = disj(tuple(
             Not(Eq(td.condition, Const(dom.false_value)))

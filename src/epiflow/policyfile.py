@@ -19,7 +19,7 @@ nani, er, nitd) run directly on the model.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .domain import Domain
 from .lang import Expr, Program, parse_expression, validate_expr
@@ -256,11 +256,8 @@ def run_both_sides(program: Program, policy: Policy, cfg: ModelConfig,
     name = policy.check
     semantic = SEMANTIC_OF.get(name, name)
     epistemic = EPISTEMIC_OF.get(name, name)
-    sem_run = run_check(program, _with_check(policy, semantic), cfg, fix_low)
-    epi_run = run_check(program, _with_check(policy, epistemic), cfg, fix_low)
+    sem_run = run_check(program, replace(policy, check=semantic), cfg, fix_low)
+    epi_run = run_check(program, replace(policy, check=epistemic), cfg, fix_low)
     return sem_run, epi_run
 
 
-def _with_check(policy: Policy, check: str) -> Policy:
-    return Policy(check, policy.low, policy.declassify, policy.eta, policy.phi,
-                  policy.rho, policy.releases, policy.whens)

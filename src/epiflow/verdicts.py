@@ -45,13 +45,6 @@ class Stats:
     cache_hits: int = 0
     formula_nodes: int = 0
 
-    def merged(self, other: "Stats") -> "Stats":
-        return Stats(
-            self.points_visited + other.points_visited,
-            self.cache_hits + other.cache_hits,
-            max(self.formula_nodes, other.formula_nodes),
-        )
-
 
 @dataclass(frozen=True)
 class Verdict:

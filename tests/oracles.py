@@ -1,8 +1,10 @@
-"""Independent big-step interpreter used to cross-check the model builder.
+"""Reference implementations the tests cross-check the package against.
 
-Written against the language semantics directly (recursive, big-step,
-trace-accumulating) and sharing no code with the package's small-step
-machinery, so agreement between the two is meaningful.
+``run`` is a big-step interpreter written against the language semantics
+directly (recursive, trace-accumulating) and sharing no code with the
+package's small-step machinery.  ``holds`` evaluates formulas straight from
+the logic's definitions, sharing nothing with the package's evaluator but
+expression evaluation.  Agreement with either is meaningful.
 """
 
 from __future__ import annotations
@@ -58,3 +60,66 @@ def run(stmt: Stmt, store: dict, dom: Domain, fuel: int = 10_000):
 
     go(stmt)
     return tuple(trace), store
+
+
+def holds(model, f, ex, i: int, env: dict | None = None) -> bool:
+    """Reference satisfaction: the logic's definitions, evaluated naively.
+
+    Quantifiers try every value, K and L scan every point of the epoch,
+    temporal operators scan the rest of the run; nothing is memoized or
+    recognized by shape.  Bound variables shadow program identifiers.
+    """
+    from epiflow import logic as lg
+
+    env = env or {}
+    dom = model.domain
+
+    def value(e, k):
+        return eval_expr({**ex.stores[k], **env}, e, dom)
+
+    def epoch():
+        tid = ex.trace_ids[i]
+        return [(o, k) for o in model.executions
+                for k in range(len(o) + 1) if o.trace_ids[k] == tid]
+
+    def at(g, other=ex, k=i, extra=None):
+        return holds(model, g, other, k, {**env, **(extra or {})})
+
+    rest = range(i, len(ex) + 1)
+    match f:
+        case lg.Eq(lhs, rhs):
+            return value(lhs, i) == value(rhs, i)
+        case lg.Init(name, expr):
+            return ex.stores[0][name] == value(expr, i)
+        case lg.Tt():
+            return True
+        case lg.Ff():
+            return False
+        case lg.Not(g):
+            return not at(g)
+        case lg.And(gs):
+            return all(at(g) for g in gs)
+        case lg.Or(gs):
+            return any(at(g) for g in gs)
+        case lg.Implies(a, b):
+            return not at(a) or at(b)
+        case lg.K(g):
+            return all(at(g, o, k) for o, k in epoch())
+        case lg.L(g):
+            return any(at(g, o, k) for o, k in epoch())
+        case lg.F(g):
+            return any(at(g, ex, j) for j in rest)
+        case lg.G(g):
+            return all(at(g, ex, j) for j in rest)
+        case lg.Until(a, b) | lg.W(a, b):
+            for j in rest:
+                if at(b, ex, j):
+                    return True
+                if not at(a, ex, j):
+                    return False
+            return isinstance(f, lg.W)
+        case lg.Forall(v, g):
+            return all(at(g, extra={v: x}) for x in dom.values)
+        case lg.Exists(v, g):
+            return any(at(g, extra={v: x}) for x in dom.values)
+    raise TypeError(f"not a formula: {f!r}")

@@ -11,7 +11,7 @@ import time
 from epiflow.domain import Domain
 from epiflow.fuzz import FuzzConfig, fuzz_equivalences, generate_program
 from epiflow.lang import parse, parse_expression
-from epiflow.logic import K, L, Not, expand, model_satisfies, satisfies
+from epiflow.logic import K, L, Not, model_satisfies, satisfies
 from epiflow.model import ModelConfig, Point, accessible, build_model
 from epiflow.policies import (FlowSpec, InitPredicate, ReleaseSpec,
                               TemporalDeclassification, encode_ak, encode_akd,
@@ -234,8 +234,8 @@ def test_criterion_10_logic_properties():
                         s5 &= accessible(a, c)
 
         chosen = m.variables[0]
-        know = expand(K(truth_atom(chosen)), BOOL)
-        dual = expand(Not(L(Not(truth_atom(chosen)))), BOOL)
+        know = K(truth_atom(chosen))
+        dual = Not(L(Not(truth_atom(chosen))))
         for pt in points:
             duality &= satisfies(m, pt, know) == satisfies(m, pt, dual)
         for epoch_points in m.epochs.values():
@@ -245,16 +245,16 @@ def test_criterion_10_logic_properties():
         from epiflow.logic import Init
         from epiflow.lang import Const
         for value in BOOL.values:
-            init = expand(Init(chosen, Const(value)), BOOL)
+            init = Init(chosen, Const(value))
             for ex in m.executions:
                 if satisfies(m, Point(ex, 0), init):
                     stability &= all(satisfies(m, Point(ex, i), init)
                                      for i in range(len(ex) + 1))
 
-        plain = expand(esp(fs, BOOL), BOOL)
-        modulo_empty = expand(espm(fs.low, fs.high, (), BOOL), BOOL)
+        plain = esp(fs, BOOL)
+        modulo_empty = espm(fs.low, fs.high, (), BOOL)
         some = (pred(f"{m.variables[-1]} == tt", BOOL),)
-        modulo_some = expand(espm(fs.low, fs.high, some, BOOL), BOOL)
+        modulo_some = espm(fs.low, fs.high, some, BOOL)
         for pt in points:
             a = satisfies(m, pt, plain)
             esp_espm &= a == satisfies(m, pt, modulo_empty)

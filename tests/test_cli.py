@@ -61,6 +61,12 @@ class TestCheckCommand:
                     "--formula", "G (forall v . init(y, v) -> L init(y, v))"])
         assert code == 0
 
+    def test_formula_checked_against_the_domain(self, workdir, capsys):
+        code = run(["check", "--program", workdir / "copy.wout",
+                    "--formula", "G (y == 7)"])
+        assert code == 3
+        assert "outside the bool domain" in capsys.readouterr().err
+
     def test_low_override(self, workdir):
         code = run(["check", "--program", workdir / "copy.wout",
                     "--policy", workdir / "low-y.pol", "--low", "x"])
@@ -86,6 +92,16 @@ class TestOtherCommands:
                     "--policy", workdir / "release.pol"])
         assert code == 0
         assert "agree" in capsys.readouterr().out
+
+    def test_diff_agrees_on_a_wide_declassification(self, tmp_path, capsys):
+        # four identifiers at int:8: up to 8^7 possibility pairs to consider
+        (tmp_path / "wide.wout").write_text(
+            "out l; if h1 < 4 then { out 1 } else { out 0 }; h2 := h3\n")
+        (tmp_path / "wide.pol").write_text("check: nid\nlow: l\ndeclassify: h1 < 4\n")
+        code = run(["diff", "--program", tmp_path / "wide.wout",
+                    "--policy", tmp_path / "wide.pol", "--domain", "int:8"])
+        assert code == 0
+        assert "semantic=HOLDS epistemic=HOLDS agree" in capsys.readouterr().out
 
     def test_knowledge_rows(self, workdir, capsys):
         code = run(["knowledge", "--program", workdir / "release.wout",

@@ -69,9 +69,11 @@ class TestHarness:
         assert run_one("oni-ak", 7, cfg) == run_one("oni-ak", 7, cfg)
 
     def test_small_sweep_has_no_mismatches(self):
-        summary = fuzz_equivalences(FuzzConfig(seed=6, count=10))
-        assert summary.ok, summary.render()
-        assert summary.runs == 50
+        for cfg in (FuzzConfig(seed=6, count=10),
+                    FuzzConfig(seed=6, count=10, domain=Domain.integers(4), loops=True)):
+            summary = fuzz_equivalences(cfg)
+            assert summary.ok, summary.render()
+            assert summary.runs == 50
 
     def test_render_reports_counts(self):
         summary = fuzz_equivalences(

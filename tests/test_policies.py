@@ -4,9 +4,9 @@ import pytest
 
 from epiflow.domain import Domain
 from epiflow.fuzz import FuzzConfig, generate_program
-from epiflow.lang import Const, Out, Seq, Var, parse, parse_expression
+from epiflow.lang import Binary, Const, Out, Seq, Var, parse, parse_expression
 from epiflow.logic import (And, Eq, Forall, G, Implies, Init, K, L, Not, W,
-                           expand, model_satisfies, satisfies, struct_eq)
+                           model_satisfies, satisfies, struct_eq)
 from epiflow.model import ModelConfig, Point, build_model
 from epiflow.policies import (FlowSpec, InitPredicate, PolicyError,
                               ReleaseSpec, TemporalDeclassification,
@@ -67,10 +67,8 @@ class TestEspShape:
             Forall("x''", L(And((Init("y", Var("y'")), Init("x", Var("x''"))))))))
         assert struct_eq(f, expected)
 
-    def test_warmup_two_by_two_expansion(self):
-        program = parse("x := y; out y")
-        fs = FlowSpec.from_low(program, ["y"])
-        expanded = expand(esp(fs, BOOL), BOOL)
+    def test_warmup_two_by_two_expansion(self, copy_out_model):
+        fs = FlowSpec.from_low(copy_out_model.program, ["y"])
 
         def arm(v):
             possible = And(tuple(
@@ -78,7 +76,10 @@ class TestEspShape:
                 for u in (True, False)))
             return Not(And((Init("y", Const(v)), Not(possible))))
 
-        assert struct_eq(expanded, And((arm(True), arm(False))))
+        expanded = And((arm(True), arm(False)))
+        for pt in points_of(copy_out_model):
+            assert satisfies(copy_out_model, pt, esp(fs, BOOL)) == \
+                satisfies(copy_out_model, pt, expanded)
 
     def test_empty_high_side(self):
         program = parse("out l")
@@ -105,8 +106,8 @@ class TestEspmProperties:
         for m in models_for(10, seed=22):
             names = m.variables
             fs = FlowSpec.from_low(m.program, names[:1])
-            plain = expand(esp(fs, BOOL), BOOL)
-            modulo = expand(espm(fs.low, fs.high, (), BOOL), BOOL)
+            plain = esp(fs, BOOL)
+            modulo = espm(fs.low, fs.high, (), BOOL)
             for pt in points_of(m):
                 assert satisfies(m, pt, plain) == satisfies(m, pt, modulo)
 
@@ -117,8 +118,8 @@ class TestEspmProperties:
             fs = FlowSpec.from_low(m.program, names[:1])
             base = [pred(f"{rng.choice(names)} == tt", BOOL)]
             extra = base + [pred(f"{rng.choice(names)} != tt", BOOL)]
-            small = expand(espm(fs.low, fs.high, base, BOOL), BOOL)
-            large = expand(espm(fs.low, fs.high, extra, BOOL), BOOL)
+            small = espm(fs.low, fs.high, base, BOOL)
+            large = espm(fs.low, fs.high, extra, BOOL)
             for pt in points_of(m):
                 if satisfies(m, pt, small):
                     assert satisfies(m, pt, large)
@@ -126,26 +127,26 @@ class TestEspmProperties:
     def test_esp_subsumes_espm(self):
         for m in models_for(8, seed=24):
             fs = FlowSpec.from_low(m.program, m.variables[:1])
-            plain = expand(esp(fs, BOOL), BOOL)
-            modulo = expand(espm(fs.low, fs.high, (pred("h == tt", BOOL),), BOOL), BOOL)
+            plain = esp(fs, BOOL)
+            modulo = espm(fs.low, fs.high, (pred("h == tt", BOOL),), BOOL)
             for pt in points_of(m):
                 if satisfies(m, pt, plain):
                     assert satisfies(m, pt, modulo)
 
     def test_alternatives_grouped_by_agreement_class(self):
-        # declassifying zeroness over {0,1}: each secret's class is itself
+        # the alternatives h'' that must stay possible agree with h' on h == 0
         dom = Domain.integers(2)
         f = espm(("l",), ("h",), (pred("h == 0", dom),), dom)
-        assert isinstance(f, And) and len(f.children) == 4
-        for child, tag in zip(f.children, f.tags):
-            premise = dict(tag)
-            body = child.child.children[1].child  # !(guard && !body)
-            alternatives = {dict(t)["h''"] for t in body.tags}
-            assert alternatives == {premise["h'"]}
 
-    def test_budget_enforced(self):
-        with pytest.raises(PolicyError, match="budget"):
-            espm(("a",), ("b", "c"), (), Domain.integers(16), budget=100)
+        def zero(name):
+            return Binary("==", Var(name), Const(0))
+
+        expected = Forall("l'", Forall("h'", Implies(
+            And((Init("l", Var("l'")), Init("h", Var("h'")))),
+            Forall("h''", Implies(
+                Eq(zero("h'"), zero("h''")),
+                L(And((Init("l", Var("l'")), Init("h", Var("h''"))))))))))
+        assert struct_eq(f, expected)
 
     def test_predicate_over_unknown_identifier(self):
         with pytest.raises(PolicyError, match="neither"):
