@@ -9,8 +9,8 @@ the differential fuzzing harness exercises.
 """
 
 from .domain import Domain, DomainError, Label, TERMINATION_MARK
-from .lang import (LangError, ParseError, Program, eval_expr, parse,
-                   parse_expression, program_from_body, step, to_source)
+from .lang import (LangError, ParseError, Program, compile_expr, parse,
+                   parse_expression, program_from_body, to_source)
 from .logic import (LogicError, formula_to_source, model_satisfies,
                     parse_formula, satisfies)
 from .model import (Model, ModelConfig, Point, Status, accessible,

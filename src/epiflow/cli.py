@@ -9,7 +9,8 @@ Subcommands::
     fuzz       differential fuzzing of the condition pairs
 
 Exit status of ``check``: 0 the policy holds, 1 it fails, 2 the model has
-a non-terminating run and the verdict is refused, 3 usage error.
+a non-terminating run and the verdict is refused, 3 usage error, 4 internal
+error (a crash is never reported as a verdict).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_BOUND = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 _EXIT_OF = {
     Outcome.HOLDS: EXIT_HOLDS,
@@ -269,6 +271,12 @@ def main(argv=None) -> int:
             OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as err:  # a bug, not a verdict: keep it apart from exit 1
+        import traceback  # only on this path, to keep start-up short
+
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

@@ -1,4 +1,4 @@
-"""The while-language with synchronous output: AST, parser, evaluation, steps.
+"""The while-language with synchronous output: AST, parser, compiler to flat code.
 
 Programs are deterministic and operate on a finite store.  The only
 observable behaviour is the sequence of values emitted by ``out``
@@ -17,7 +17,10 @@ Concrete grammar (whitespace-insensitive, ``;`` separates statements)::
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Callable, Mapping
 
 from .domain import Domain, Label
 
@@ -97,52 +100,75 @@ def expr_ids(e: Expr) -> tuple[str, ...]:
     return tuple(out)
 
 
-def eval_expr(store: dict, e: Expr, dom: Domain):
-    """Value of ``e`` in ``store``; total on the configured domain.
+def compile_expr(e: Expr, dom: Domain) -> Callable[[Mapping], object]:
+    """``e`` as a function of a name-to-value mapping; total on the domain.
 
-    Integer results wrap into the canonical range, comparisons yield the
-    domain's encoding of tt/ff, and ``x mod 0`` is defined as ``x``.
+    The expression is walked once and becomes a tree of closures (Feeley
+    and Lapalme, "Using closures for code generation", 1987), so callers
+    that evaluate it at many stores pay for the walk once.  Integer results
+    wrap into the canonical range, comparisons and connectives yield the
+    domain's encoding of tt/ff, and ``x mod 0`` is defined as ``x``.  A value
+    is true when it is ``tt`` or a nonzero integer, which is Python's own
+    truth test on both kinds of value.
     """
+    tt, ff = dom.true_value, dom.false_value
     match e:
         case Const(v):
-            return dom.bool_value(v) if isinstance(v, bool) else v
+            value = dom.bool_value(v) if isinstance(v, bool) else v
+            return lambda store: value
         case Var(name):
-            return store[name]
+            return itemgetter(name)
         case Unary("!", arg):
-            return dom.bool_value(not dom.truth(eval_expr(store, arg, dom)))
+            a = compile_expr(arg, dom)
+            return lambda store: ff if a(store) else tt
         case Unary("-", arg):
-            return dom.normalize(-eval_expr(store, arg, dom))
+            a, wrap = compile_expr(arg, dom), _wrap(dom)
+            return lambda store: wrap(-a(store))
         case HashCall(arg):
-            return dom.hash_value(eval_expr(store, arg, dom))
+            a = compile_expr(arg, dom)
+            if dom.hash_table is not None:
+                table = {v: dom.hash_value(v) for v in dom.values}
+                return lambda store: table[a(store)]
+            if dom.kind == "bool":
+                return a  # the default hash is the identity on booleans
+            wrap = _wrap(dom)
+            return lambda store: wrap(3 * a(store))
         case Binary(op, lhs, rhs):
-            a = eval_expr(store, lhs, dom)
-            b = eval_expr(store, rhs, dom)
+            a, b = compile_expr(lhs, dom), compile_expr(rhs, dom)
             match op:
                 case "&&":
-                    return dom.bool_value(dom.truth(a) and dom.truth(b))
+                    return lambda store: tt if a(store) and b(store) else ff
                 case "||":
-                    return dom.bool_value(dom.truth(a) or dom.truth(b))
-                case "==":
-                    return dom.bool_value(a == b)
-                case "!=":
-                    return dom.bool_value(a != b)
-                case "<":
-                    return dom.bool_value(a < b)
-                case "<=":
-                    return dom.bool_value(a <= b)
-                case ">":
-                    return dom.bool_value(a > b)
-                case ">=":
-                    return dom.bool_value(a >= b)
-                case "+":
-                    return dom.normalize(a + b)
-                case "-":
-                    return dom.normalize(a - b)
-                case "*":
-                    return dom.normalize(a * b)
+                    return lambda store: tt if a(store) or b(store) else ff
                 case "mod":
-                    return dom.normalize(a % b) if b != 0 else a
+                    wrap = _wrap(dom)
+
+                    def mod(store):
+                        x, y = a(store), b(store)
+                        return wrap(x % y) if y != 0 else x
+                    return mod
+            if op in _COMPARE:
+                test = _COMPARE[op]
+                return lambda store: tt if test(a(store), b(store)) else ff
+            if op in _ARITH:
+                arith, wrap = _ARITH[op], _wrap(dom)
+                return lambda store: wrap(arith(a(store), b(store)))
     raise TypeError(f"not an expression: {e!r}")
+
+
+_COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _wrap(dom: Domain) -> Callable[[int], object]:
+    """Wrap an integer into the domain's canonical range."""
+    if dom.kind != "int":
+        return dom.normalize  # raises: arithmetic is not boolean
+    lo, size = dom.values[0], dom.size
+    if lo == 0:
+        return lambda i: i % size
+    return lambda i: (i - lo) % size + lo
 
 
 def validate_expr(e: Expr, dom: Domain, allowed: set[str] | None = None) -> None:
@@ -242,52 +268,66 @@ class Program:
         return tuple(i.name for i in self.signature if i.is_flag)
 
 
+def _statements(s: Stmt) -> list[Stmt]:
+    """The statements of a ``;`` chain, in order, however it is nested.
+
+    Long programs are long ``Seq`` spines, so the walk uses a stack rather
+    than recursion.
+    """
+    out: list[Stmt] = []
+    stack = [s]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, Seq):
+            stack.append(s.second)
+            stack.append(s.first)
+        else:
+            out.append(s)
+    return out
+
+
+def _walk(body: Stmt):
+    """Every statement other than ``;``, in source order, without recursion."""
+    stack = [body]
+    while stack:
+        s = stack.pop()
+        match s:
+            case Seq(a, b):
+                stack += (b, a)
+                continue
+            case If(_, then, orelse):
+                stack += (orelse, then)
+            case While(_, inner):
+                stack.append(inner)
+            case Skip() | Out() | OutLit() | Assign() | Release():
+                pass
+            case _:
+                raise TypeError(f"not a statement: {s!r}")
+        yield s
+
+
 def program_from_body(body: Stmt, text: str | None = None) -> Program:
     """Wrap a statement, deriving the store signature in occurrence order.
 
     Enforces the release-flag discipline: a flag identifier appears only in
     ``release`` statements, never in expressions or assignment targets.
     """
-    order: list[str] = []
+    order: dict[str, None] = {}
     flag_names: set[str] = set()
     var_names: set[str] = set()
-
-    def see(name: str) -> None:
-        if name not in order:
-            order.append(name)
-
-    def see_expr(e: Expr) -> None:
-        for name in expr_ids(e):
-            see(name)
-            var_names.add(name)
-
-    def walk(s: Stmt) -> None:
+    for s in _walk(body):
         match s:
-            case Skip() | OutLit():
-                pass
-            case Out(expr):
-                see_expr(expr)
-            case Assign(name, expr):
-                see(name)
-                var_names.add(name)
-                see_expr(expr)
-            case Seq(a, b):
-                walk(a)
-                walk(b)
-            case If(guard, then, orelse):
-                see_expr(guard)
-                walk(then)
-                walk(orelse)
-            case While(guard, inner):
-                see_expr(guard)
-                walk(inner)
             case Release(flag):
-                see(flag)
+                order.setdefault(flag)
                 flag_names.add(flag)
-            case _:
-                raise TypeError(f"not a statement: {s!r}")
-
-    walk(body)
+                continue
+            case Assign(name, _):
+                order.setdefault(name)
+                var_names.add(name)
+        for e in _exprs(s):
+            for name in expr_ids(e):
+                order.setdefault(name)
+                var_names.add(name)
     clash = flag_names & var_names
     if clash:
         name = sorted(clash)[0]
@@ -296,72 +336,93 @@ def program_from_body(body: Stmt, text: str | None = None) -> Program:
     return Program(body, signature, text)
 
 
-def validate_program(program: Program, dom: Domain) -> None:
-    def walk(s: Stmt) -> None:
-        match s:
-            case Skip() | OutLit() | Release():
-                pass
-            case Out(expr):
-                validate_expr(expr, dom)
-            case Assign(_, expr):
-                validate_expr(expr, dom)
-            case Seq(a, b):
-                walk(a)
-                walk(b)
-            case If(guard, then, orelse):
-                validate_expr(guard, dom)
-                walk(then)
-                walk(orelse)
-            case While(guard, inner):
-                validate_expr(guard, dom)
-                walk(inner)
+def _exprs(s: Stmt) -> tuple[Expr, ...]:
+    """The expressions a statement evaluates itself (not its sub-statements)."""
+    match s:
+        case Out(expr) | Assign(_, expr):
+            return (expr,)
+        case If(guard, _, _) | While(guard, _):
+            return (guard,)
+    return ()
 
-    walk(program.body)
+
+def validate_program(program: Program, dom: Domain) -> None:
+    for s in _walk(program.body):
+        for e in _exprs(s):
+            validate_expr(e, dom)
 
 
 # --------------------------------------------------------------------------
-# Small-step semantics
+# Compiled programs: the small-step semantics
 
 
-def step(p: Stmt, store: dict, dom: Domain):
-    """One execution step, or None when the configuration is terminal.
+OUT, ASSIGN, BRANCH = "out", "assign", "branch"
+EXIT = -1  # the program counter of a finished run
 
-    Returns ``(p', store', event)`` where ``event`` is the emitted output
-    value, if any.  Deterministic: a configuration has at most one
-    successor.  Sequencing drops finished heads so that each step
-    corresponds to one base statement.
+
+@dataclass(frozen=True, eq=False)
+class Code:
+    """A program compiled for one domain into flat code.
+
+    ``instrs[pc]`` is ``(op, fn, name, next, other)``; ``fn`` is a compiled
+    expression over the store.  One instruction is one step of a run:
+
+    * ``OUT``: emit ``fn(store)``, go to ``next``.  ``out "text"`` emits its
+      label the same way.
+    * ``ASSIGN``: a new store with ``name`` set to ``fn(store)``, go to
+      ``next``.  ``release r`` assigns tt to ``r``.
+    * ``BRANCH``: go to ``next`` when ``fn(store)`` is true, else to
+      ``other``.  One step, like ``if`` and each test of ``while``.
+
+    ``skip`` and ``;`` compile to nothing.  A run starts at ``entry`` and
+    terminates on reaching ``EXIT``.
     """
-    match p:
-        case Skip():
-            return None
-        case Out(expr):
-            return Skip(), store, eval_expr(store, expr, dom)
-        case OutLit(text):
-            return Skip(), store, Label(text)
-        case Assign(name, expr):
-            new = dict(store)
-            new[name] = eval_expr(store, expr, dom)
-            return Skip(), new, None
-        case Release(flag):
-            new = dict(store)
-            new[flag] = dom.true_value
-            return Skip(), new, None
-        case If(guard, then, orelse):
-            branch = then if dom.truth(eval_expr(store, guard, dom)) else orelse
-            return branch, store, None
-        case While(guard, body):
-            if dom.truth(eval_expr(store, guard, dom)):
-                return Seq(body, p), store, None
-            return Skip(), store, None
-        case Seq(first, second):
-            head = step(first, store, dom)
-            if head is None:  # first is a finished skip chain
-                return step(second, store, dom)
-            p1, store1, ev = head
-            if isinstance(p1, Skip):
-                return second, store1, ev
-            return Seq(p1, second), store1, ev
-    raise TypeError(f"not a statement: {p!r}")
+
+    instrs: tuple[tuple, ...]
+    entry: int
+
+
+def compile_program(program: Program, dom: Domain) -> Code:
+    """Compile every statement once, each to the pc of its first step."""
+    instrs: list[tuple] = []
+    true = dom.true_value
+
+    def emit(op: str, fn, name, nxt: int, other: int) -> int:
+        instrs.append((op, fn, name, nxt, other))
+        return len(instrs) - 1
+
+    def block(body: Stmt, nxt: int) -> int:
+        """The pc that runs ``body`` and then continues at ``nxt``."""
+        for s in reversed(_statements(body)):
+            nxt = single(s, nxt)
+        return nxt
+
+    def single(s: Stmt, nxt: int) -> int:
+        match s:
+            case Skip():
+                return nxt
+            case Out(expr):
+                return emit(OUT, compile_expr(expr, dom), None, nxt, nxt)
+            case OutLit(text):
+                label = Label(text)
+                return emit(OUT, lambda store: label, None, nxt, nxt)
+            case Assign(name, expr):
+                return emit(ASSIGN, compile_expr(expr, dom), name, nxt, nxt)
+            case Release(flag):
+                return emit(ASSIGN, lambda store: true, flag, nxt, nxt)
+            case If(guard, then, orelse):
+                yes, no = block(then, nxt), block(orelse, nxt)
+                return emit(BRANCH, compile_expr(guard, dom), None, yes, no)
+            case While(guard, body):
+                head = len(instrs)  # the body loops back here
+                instrs.append(None)
+                instrs[head] = (BRANCH, compile_expr(guard, dom), None,
+                                block(body, head), nxt)
+                return head
+        raise TypeError(f"not a statement: {s!r}")
+
+    entry = block(program.body, EXIT)
+    return Code(tuple(instrs), entry)
 
 
 # --------------------------------------------------------------------------
@@ -673,6 +734,10 @@ def _paren(e: Expr, dom: Domain | None) -> str:
 
 
 def to_source(s: Stmt, dom: Domain | None = None) -> str:
+    return "; ".join(_stmt_source(x, dom) for x in _statements(s))
+
+
+def _stmt_source(s: Stmt, dom: Domain | None) -> str:
     match s:
         case Skip():
             return "skip"
@@ -682,8 +747,6 @@ def to_source(s: Stmt, dom: Domain | None = None) -> str:
             return f'out "{text}"'
         case Assign(name, expr):
             return f"{name} := {expr_to_source(expr, dom)}"
-        case Seq(a, b):
-            return f"{to_source(a, dom)}; {to_source(b, dom)}"
         case If(guard, then, orelse):
             return (f"if {expr_to_source(guard, dom)} then {{ {to_source(then, dom)} }}"
                     f" else {{ {to_source(orelse, dom)} }}")

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .domain import Domain
-from .lang import (Expr, LangError, Var, eval_expr, expr_ids, expr_to_source,
+from .lang import (Expr, LangError, Var, compile_expr, expr_ids, expr_to_source,
                    validate_expr)
 from .model import Execution, Model, Point
 from .verdicts import Outcome, Stats, Verdict, Witness
@@ -410,7 +410,8 @@ class Evaluation:
             names.update(expr_ids(e))
         compute = self._eq if isinstance(f, Eq) else self._init
         return _Plan(f, compute, level=_POINT if names - scope else fixed_level,
-                     free=frozenset(names & scope))
+                     free=frozenset(names & scope),
+                     args=tuple(compile_expr(e, self.domain) for e in exprs))
 
     def _connective(self, f: Formula, compute, children, scope: frozenset) -> _Plan:
         kids = tuple(self.compile(c, scope) for c in children)
@@ -428,14 +429,14 @@ class Evaluation:
         return plan
 
     def _pinned_run(self, child: Formula, scope: frozenset):
-        """(identifier, expression) pairs of the L child, when it is a
+        """(identifier, compiled expression) pairs of the L child, when it is a
         conjunction of init atoms over bound values naming every variable."""
         parts = _conjuncts(child)
         if not all(isinstance(a, Init) and set(expr_ids(a.expr)) <= scope for a in parts):
             return None
         if {a.name for a in parts} != set(self.model.variables):
             return None
-        return tuple((a.name, a.expr) for a in parts)
+        return tuple((a.name, compile_expr(a.expr, self.domain)) for a in parts)
 
     def _block(self, f: Formula, scope: frozenset) -> _Plan:
         kind = type(f)
@@ -487,13 +488,12 @@ class Evaluation:
 
     def _eq(self, p: _Plan, ex: Execution, i: int) -> bool:
         scope = self._scope(p, ex.stores[i])
-        f = p.formula
-        return eval_expr(scope, f.lhs, self.domain) == eval_expr(scope, f.rhs, self.domain)
+        lhs, rhs = p.args
+        return lhs(scope) == rhs(scope)
 
     def _init(self, p: _Plan, ex: Execution, i: int) -> bool:
-        f = p.formula
-        return ex.stores[0][f.name] == eval_expr(
-            self._scope(p, ex.stores[i]), f.expr, self.domain)
+        (value,) = p.args
+        return ex.stores[0][p.formula.name] == value(self._scope(p, ex.stores[i]))
 
     def _constant(self, p: _Plan, ex: Execution, i: int) -> bool:
         return p.args
@@ -537,8 +537,8 @@ class Evaluation:
     def _possible_run(self, p: _Plan, ex: Execution, i: int) -> bool:
         """L of a pinned initial store: does that run visit the current epoch?"""
         values: dict[str, object] = {}
-        for name, expr in p.args:
-            value = eval_expr(self.env, expr, self.domain)
+        for name, fn in p.args:
+            value = fn(self.env)
             if values.setdefault(name, value) != value:
                 return False
         model = self.model

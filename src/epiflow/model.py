@@ -7,8 +7,8 @@ indistinguishable to the observer; that relation is an S5 equivalence by
 construction.
 
 Divergence is never guessed at: an execution that exceeds the step bound
-is marked BOUND_EXCEEDED, and one that revisits a (program, store)
-configuration is marked LASSO.  Either taints the model, and every
+is marked BOUND_EXCEEDED, and one that revisits a (program counter,
+store) configuration is marked LASSO.  Either taints the model, and every
 downstream verdict on a tainted model must refuse rather than answer.
 """
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .domain import Domain, TERMINATION_MARK
-from .lang import Program, step
+from .lang import ASSIGN, BRANCH, EXIT, Code, Program, compile_program
 
 
 class Status(Enum):
@@ -64,7 +64,7 @@ class Execution:
         return self.stores[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     execution: Execution
     index: int
@@ -131,6 +131,7 @@ def build_model(program: Program, cfg: ModelConfig) -> Model:
     names = program.variables
     flags = program.flags
 
+    code = compile_program(program, dom)
     trace_parents: list[tuple[int, object]] = [(-1, None)]
     trace_table: dict[tuple[int, object], int] = {}
 
@@ -148,7 +149,7 @@ def build_model(program: Program, cfg: ModelConfig) -> Model:
     for values in itertools.product(dom.values, repeat=len(names)):
         store = dict(zip(names, values))
         store.update((f, dom.false_value) for f in flags)
-        execution = _run(program, store, cfg, len(executions), extend_trace)
+        execution = _run(code, store, cfg, len(executions), extend_trace)
         executions.append(execution)
         exec_by_values[values] = execution
 
@@ -175,39 +176,55 @@ def build_model(program: Program, cfg: ModelConfig) -> Model:
     return model
 
 
-def _run(program: Program, init: dict, cfg: ModelConfig, index: int, extend_trace) -> Execution:
-    dom = cfg.domain
-    names = tuple(init)
+def _run(code: Code, init: dict, cfg: ModelConfig, index: int, extend_trace) -> Execution:
+    """Run the compiled program from ``init``.
+
+    A new store is made only by assigning steps.  The lasso key is the
+    program counter with the store's values, in signature order.
+    """
+    instrs = code.instrs
+    bound = cfg.bound
+    store = init
+    values = tuple(init.values())
     stores = [init]
     events: list = []
     trace_ids = [0]
-    seen: dict[tuple, int] = {(program.body, tuple(init[n] for n in names)): 0}
-
-    current, store = program.body, init
+    tid = 0
+    pc = code.entry
+    seen: dict[tuple, int] = {(pc, values): 0}
+    status = Status.TERMINATED
     lasso_entry: int | None = None
-    while True:
-        result = step(current, store, dom)
-        if result is None:
-            status = Status.TERMINATED
-            break
-        if len(events) >= cfg.bound:
+    steps = 0
+    while pc != EXIT:
+        if steps >= bound:
             status = Status.BOUND_EXCEEDED
             break
-        current, store, event = result
+        op, fn, name, nxt, other = instrs[pc]
+        event = None
+        if op is BRANCH:
+            pc = nxt if fn(store) else other
+        elif op is ASSIGN:
+            store = {**store, name: fn(store)}
+            values = tuple(store.values())
+            pc = nxt
+        else:
+            event = fn(store)
+            tid = extend_trace(tid, event)
+            pc = nxt
+        steps += 1
         stores.append(store)
         events.append(event)
-        trace_ids.append(extend_trace(trace_ids[-1], event) if event is not None else trace_ids[-1])
-        key = (current, tuple(store[n] for n in names))
-        if key in seen:
+        trace_ids.append(tid)
+        first = seen.setdefault((pc, values), steps)
+        if first != steps:
             status = Status.LASSO
-            lasso_entry = seen[key]
+            lasso_entry = first
             break
-        seen[key] = len(events)
 
     if status is Status.TERMINATED and cfg.termination_output:
         stores.append(store)
         events.append(TERMINATION_MARK)
-        trace_ids.append(extend_trace(trace_ids[-1], TERMINATION_MARK))
+        trace_ids.append(extend_trace(tid, TERMINATION_MARK))
 
     return Execution(
         index=index,

@@ -28,7 +28,7 @@ from typing import Callable, Iterable
 
 from .domain import Domain
 from .lang import (Binary, Const, Expr, HashCall, Out, Program, Seq, Stmt, Unary,
-                   Var, eval_expr, expr_ids, expr_to_source, program_from_body,
+                   Var, compile_expr, expr_ids, expr_to_source, program_from_body,
                    validate_expr)
 from .logic import (Eq, Formula, G, Init, L, Not, W, conj, disj, foralls,
                     implies)
@@ -101,8 +101,7 @@ class InitPredicate:
         validate_expr(expr, dom)
         ids = expr_ids(expr)
         return InitPredicate(
-            label or expr_to_source(expr, dom), ids,
-            lambda store: eval_expr(store, expr, dom), (expr,))
+            label or expr_to_source(expr, dom), ids, compile_expr(expr, dom), (expr,))
 
     @staticmethod
     def abstraction(name: str, ids: Iterable[str], dom: Domain) -> "InitPredicate":

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .lang import Expr, Program, eval_expr
+from .lang import Expr, Program, compile_expr
 from .model import Execution, Model, ModelConfig, Status, build_model
 from .policies import (FlowSpec, InitPredicate, PolicyError, ReleaseSpec,
                        TemporalDeclassification, abstraction_fn)
@@ -110,7 +110,7 @@ def check_nani(program: Program, fs: FlowSpec, eta: str | Expr, phi: str | Expr,
     eta_fn = in_abstraction(eta, fs.low)
     phi_fn = in_abstraction(phi, fs.high)
     if isinstance(rho, Expr):
-        out_fn = lambda store: eval_expr(store, rho, dom)
+        out_fn = compile_expr(rho, dom)
     else:
         rho_fn = abstraction_fn(rho, dom)
         out_fn = lambda store: tuple(rho_fn(store[n]) for n in fs.low)
@@ -172,14 +172,14 @@ def release_set(m: Model, fs: FlowSpec, rs: ReleaseSpec, store: dict,
     for i in matching:
         flags = _flags_at(m, start, i)
         common = flags if common is None else common & flags
-    released = [e for f, e in rs.items if f in common]
-    expected = [eval_expr(start.init_store, e, dom) for e in released]
+    released = [compile_expr(e, dom) for f, e in rs.items if f in common]
+    expected = [fn(start.init_store) for fn in released]
     low = _low_key(m, fs, start)
     out = set()
     for ex in m.executions:
         if _low_key(m, fs, ex) != low:
             continue
-        if all(eval_expr(ex.init_store, e, dom) == v for e, v in zip(released, expected)):
+        if all(fn(ex.init_store) == v for fn, v in zip(released, expected)):
             out.add(m.values_of(ex.init_store))
     return frozenset(out)
 
@@ -203,9 +203,9 @@ def check_er(m: Model, fs: FlowSpec, rs: ReleaseSpec) -> Verdict:
     groups: dict[tuple, list[Execution]] = {}
     for ex in m.executions:
         groups.setdefault(_low_key(m, fs, ex), []).append(ex)
+    released = [compile_expr(e, dom) for _, e in rs.items]
     release_values = {
-        ex.index: tuple(eval_expr(ex.init_store, e, dom) for _, e in rs.items)
-        for ex in m.executions}
+        ex.index: tuple(fn(ex.init_store) for fn in released) for ex in m.executions}
 
     k_cache: dict[tuple, frozenset[int]] = {}
     r_cache: dict[tuple, frozenset[int]] = {}
@@ -275,13 +275,16 @@ def check_nitd(m: Model, fs: FlowSpec,
     tds = tuple(tds)
     dom = m.domain
 
-    def trigger_index(ex: Execution, td: TemporalDeclassification) -> int | None:
+    conditions = [compile_expr(td.condition, dom) for td in tds]
+
+    def trigger_index(ex: Execution, condition) -> int | None:
         for j, store in enumerate(ex.stores):
-            if dom.truth(eval_expr(store, td.condition, dom)):
+            if condition(store):
                 return j
         return None
 
-    triggers = {ex.index: [trigger_index(ex, td) for td in tds] for ex in m.executions}
+    triggers = {ex.index: [trigger_index(ex, c) for c in conditions]
+                for ex in m.executions}
     declass_values = {
         ex.index: [td.declassified(ex.init_store) for td in tds] for ex in m.executions}
 

@@ -1,17 +1,166 @@
 """Reference implementations the tests cross-check the package against.
 
-``run`` is a big-step interpreter written against the language semantics
-directly (recursive, trace-accumulating) and sharing no code with the
-package's small-step machinery.  ``holds`` evaluates formulas straight from
-the logic's definitions, sharing nothing with the package's evaluator but
-expression evaluation.  Agreement with either is meaningful.
+``eval_expr`` is the expression semantics as a direct recursive
+interpreter, sharing no code with the package's compiled expressions; the
+other references evaluate through it.  ``run`` is a big-step interpreter
+written against the language semantics directly (recursive,
+trace-accumulating).  ``step`` is the AST-rewriting small-step semantics
+and ``reference_runs`` the model's runs built with it, keyed by residual
+program for lasso detection.  ``holds`` evaluates formulas straight from
+the logic's definitions, sharing nothing with the package's evaluator.
+None of them shares code with the package's compiled programs, so
+agreement with any of them is meaningful.
 """
 
 from __future__ import annotations
 
-from epiflow.domain import Domain, Label
-from epiflow.lang import (Assign, If, Out, OutLit, Release, Seq, Skip, Stmt,
-                          While, eval_expr)
+import itertools
+
+from epiflow.domain import Domain, Label, TERMINATION_MARK
+from epiflow.lang import (Assign, Binary, Const, Expr, HashCall, If, Out,
+                          OutLit, Program, Release, Seq, Skip, Stmt, Unary,
+                          Var, While)
+
+
+def eval_expr(store: dict, e: Expr, dom: Domain):
+    """Value of ``e`` in ``store``; total on the configured domain.
+
+    Integer results wrap into the canonical range, comparisons yield the
+    domain's encoding of tt/ff, and ``x mod 0`` is defined as ``x``.
+    """
+    match e:
+        case Const(v):
+            return dom.bool_value(v) if isinstance(v, bool) else v
+        case Var(name):
+            return store[name]
+        case Unary("!", arg):
+            return dom.bool_value(not dom.truth(eval_expr(store, arg, dom)))
+        case Unary("-", arg):
+            return dom.normalize(-eval_expr(store, arg, dom))
+        case HashCall(arg):
+            return dom.hash_value(eval_expr(store, arg, dom))
+        case Binary(op, lhs, rhs):
+            a = eval_expr(store, lhs, dom)
+            b = eval_expr(store, rhs, dom)
+            match op:
+                case "&&":
+                    return dom.bool_value(dom.truth(a) and dom.truth(b))
+                case "||":
+                    return dom.bool_value(dom.truth(a) or dom.truth(b))
+                case "==":
+                    return dom.bool_value(a == b)
+                case "!=":
+                    return dom.bool_value(a != b)
+                case "<":
+                    return dom.bool_value(a < b)
+                case "<=":
+                    return dom.bool_value(a <= b)
+                case ">":
+                    return dom.bool_value(a > b)
+                case ">=":
+                    return dom.bool_value(a >= b)
+                case "+":
+                    return dom.normalize(a + b)
+                case "-":
+                    return dom.normalize(a - b)
+                case "*":
+                    return dom.normalize(a * b)
+                case "mod":
+                    return dom.normalize(a % b) if b != 0 else a
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def step(p: Stmt, store: dict, dom: Domain):
+    """One execution step, or None when the configuration is terminal.
+
+    Returns ``(p', store', event)`` where ``event`` is the emitted output
+    value, if any.  Sequencing drops finished heads so that each step
+    corresponds to one base statement.
+    """
+    match p:
+        case Skip():
+            return None
+        case Out(expr):
+            return Skip(), store, eval_expr(store, expr, dom)
+        case OutLit(text):
+            return Skip(), store, Label(text)
+        case Assign(name, expr):
+            new = dict(store)
+            new[name] = eval_expr(store, expr, dom)
+            return Skip(), new, None
+        case Release(flag):
+            new = dict(store)
+            new[flag] = dom.true_value
+            return Skip(), new, None
+        case If(guard, then, orelse):
+            branch = then if dom.truth(eval_expr(store, guard, dom)) else orelse
+            return branch, store, None
+        case While(guard, body):
+            if dom.truth(eval_expr(store, guard, dom)):
+                return Seq(body, p), store, None
+            return Skip(), store, None
+        case Seq(first, second):
+            head = step(first, store, dom)
+            if head is None:  # first is a finished skip chain
+                return step(second, store, dom)
+            p1, store1, ev = head
+            if isinstance(p1, Skip):
+                return second, store1, ev
+            return Seq(p1, second), store1, ev
+    raise TypeError(f"not a statement: {p!r}")
+
+
+def reference_runs(program: Program, dom: Domain, bound: int,
+                   termination_output: bool = False):
+    """Every run of the program by ``step``, as the model enumerates them.
+
+    Returns ``(runs, trace_parents)``; each run is a dict with the keys
+    ``stores``, ``events``, ``status``, ``lasso_entry`` and ``trace_ids``
+    (status as the ``Status`` value string).  A run is a lasso when a
+    (residual program, store) configuration repeats.
+    """
+    names, flags = program.variables, program.flags
+    trace_parents: list = [(-1, None)]
+    table: dict = {}
+
+    def extend(tid, event):
+        key = (tid, event)
+        if key not in table:
+            table[key] = len(trace_parents)
+            trace_parents.append(key)
+        return table[key]
+
+    runs = []
+    for values in itertools.product(dom.values, repeat=len(names)):
+        store = dict(zip(names, values))
+        store.update((f, dom.false_value) for f in flags)
+        current = program.body
+        stores, events, trace_ids = [store], [], [0]
+        seen = {(current, tuple(store.values())): 0}
+        status, entry = "terminated", None
+        while True:
+            result = step(current, store, dom)
+            if result is None:
+                break
+            if len(events) >= bound:
+                status = "bound-exceeded"
+                break
+            current, store, event = result
+            stores.append(store)
+            events.append(event)
+            trace_ids.append(trace_ids[-1] if event is None else extend(trace_ids[-1], event))
+            key = (current, tuple(store.values()))
+            if key in seen:
+                status, entry = "lasso", seen[key]
+                break
+            seen[key] = len(events)
+        if status == "terminated" and termination_output:
+            stores.append(store)
+            events.append(TERMINATION_MARK)
+            trace_ids.append(extend(trace_ids[-1], TERMINATION_MARK))
+        runs.append({"stores": stores, "events": events, "status": status,
+                     "lasso_entry": entry, "trace_ids": trace_ids})
+    return runs, trace_parents
 
 
 class Diverged(Exception):

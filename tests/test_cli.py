@@ -128,3 +128,34 @@ class TestOtherCommands:
         code = run(["fuzz", "--count", "5", "--seed", "3"])
         assert code == 0
         assert "no mismatches" in capsys.readouterr().out
+
+
+class TestRobustness:
+    def test_internal_error_exits_four(self, workdir, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("epiflow.cli.run_check", broken)
+        code = run(["check", "--program", workdir / "copy.wout",
+                    "--policy", workdir / "low-y.pol"])
+        assert code == 4
+        assert "internal error: RuntimeError: boom" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check", ["ak", "oni"])
+    @pytest.mark.parametrize("shape", ["long", "deep"])
+    def test_long_and_deep_programs_get_a_verdict(self, tmp_path, shape, check, capsys):
+        if shape == "long":  # 5,000 statements
+            text = "l := l;\n" * 4_998 + "out h; out l\n"
+        else:  # if and while alternately, nested 200 deep
+            text = "out h"
+            for depth in range(200):
+                if depth % 2:
+                    text = f"while l do {{ {text}; l := ff }}"
+                else:
+                    text = f"if h then {{ {text} }} else {{ skip }}"
+        (tmp_path / "p.wout").write_text(text)
+        (tmp_path / "p.pol").write_text(f"check: {check}\nlow: l\n")
+        code = run(["check", "--program", tmp_path / "p.wout",
+                    "--policy", tmp_path / "p.pol"])
+        assert code == 1
+        assert "FAILS" in capsys.readouterr().out

@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from epiflow.domain import Domain, Label
-from epiflow.lang import (Assign, Binary, Const, HashCall, If, LangError, Out,
-                          ParseError, Seq, Skip, Var, While, eval_expr, parse,
-                          parse_expression, step, to_source)
+from epiflow.lang import (ASSIGN, BRANCH, EXIT, OUT, Assign, Binary, Const,
+                          HashCall, If, LangError, Out, ParseError, Seq, Skip,
+                          Unary, Var, compile_expr, compile_program,
+                          parse, parse_expression, to_source)
 
 BOOL = Domain.booleans()
 INT16 = Domain.integers(16)
@@ -81,6 +83,10 @@ class TestParse:
         assert parse(to_source(program.body)).body == program.body
 
 
+def eval_expr(store: dict, e, dom: Domain):
+    return compile_expr(e, dom)(store)
+
+
 class TestEval:
     def test_boolean_table(self):
         e = parse_expression("x && y")
@@ -133,43 +139,125 @@ class TestEval:
 
 
 class TestStep:
+    """The compiled program: one instruction per step, ``skip`` and ``;`` gone."""
+
     def test_out_emits_and_preserves_store(self):
-        store = {"x": True, "y": True}
-        result = step(Out(Var("y")), store, BOOL)
-        assert result == (Skip(), store, True)
+        code = compile_program(parse("out y"), BOOL)
+        op, fn, name, nxt, _ = code.instrs[code.entry]
+        store = {"y": True}
+        assert (op, name, nxt) == (OUT, None, EXIT)
+        assert fn(store) is True and store == {"y": True}
 
     def test_skip_is_terminal(self):
-        assert step(Skip(), {}, BOOL) is None
+        code = compile_program(parse("skip"), BOOL)
+        assert code.entry == EXIT and code.instrs == ()
 
     def test_while_unrolls_without_event(self):
-        loop = While(Const(True), Skip())
-        program, store, event = step(loop, {}, BOOL)
-        assert program == Seq(Skip(), loop)
-        assert event is None
+        code = compile_program(parse("while tt do { skip }"), BOOL)
+        op, guard, _, body, after = code.instrs[code.entry]
+        assert op == BRANCH and guard({}) is True
+        assert (body, after) == (code.entry, EXIT)  # the empty body loops back
 
     def test_sequence_counts_base_statements(self):
         # two transitions for assign-then-out, as in the warm-up model
-        program = parse("x := y; out y").body
-        store = {"x": False, "y": True}
-        p1, s1, e1 = step(program, store, BOOL)
-        assert (p1, e1) == (Out(Var("y")), None)
-        p2, s2, e2 = step(p1, s1, BOOL)
-        assert (p2, e2) == (Skip(), True)
-        assert step(p2, s2, BOOL) is None
+        code = compile_program(parse("x := y; out y"), BOOL)
+        assign = code.instrs[code.entry]
+        assert (assign[0], assign[2]) == (ASSIGN, "x")
+        assert assign[1]({"x": False, "y": True}) is True
+        out = code.instrs[assign[3]]
+        assert (out[0], out[3]) == (OUT, EXIT)
+        assert len(code.instrs) == 2
 
     def test_skip_chain_terminates(self):
-        program = parse("skip; skip; skip").body
-        assert step(program, {}, BOOL) is None
+        code = compile_program(parse("skip; skip; skip"), BOOL)
+        assert code.entry == EXIT and code.instrs == ()
 
     def test_release_sets_flag(self):
-        _, store, event = step(parse("release r").body, {"r": False}, BOOL)
-        assert store == {"r": True} and event is None
+        code = compile_program(parse("release r"), BOOL)
+        op, fn, name, nxt, _ = code.instrs[code.entry]
+        assert (op, name, nxt) == (ASSIGN, "r", EXIT)
+        assert fn({"r": False}) is True
 
     def test_determinism(self):
-        program = parse("if x then { out x } else { x := y }").body
-        store = {"x": True, "y": False}
-        assert step(program, store, BOOL) == step(program, store, BOOL)
+        def shape(code):
+            return code.entry, [(op, name, nxt, other)
+                                for op, _, name, nxt, other in code.instrs]
+
+        program = parse("if x then { out x } else { x := y }")
+        first = compile_program(program, BOOL)
+        assert shape(first) == shape(compile_program(program, BOOL))
+        op, guard, _, then, orelse = first.instrs[first.entry]
+        assert op == BRANCH and first.instrs[then][0] == OUT
+        assert first.instrs[orelse][:3:2] == (ASSIGN, "x")
+        assert guard({"x": True, "y": False}) is True
 
     def test_string_output_event(self):
-        _, _, event = step(parse('out "ok"', INT8).body, {}, INT8)
-        assert event == Label("ok")
+        code = compile_program(parse('out "ok"', INT8), INT8)
+        op, fn, _, _, _ = code.instrs[code.entry]
+        assert op == OUT and fn({}) == Label("ok")
+
+
+NAMES = ("x", "y", "z")
+
+
+def expressions(dom: Domain):
+    """Random expressions the domain accepts, over ``NAMES``."""
+    if dom.kind == "bool":
+        leaves = st.one_of(st.sampled_from(NAMES).map(Var),
+                           st.booleans().map(Const))
+        ops = ["&&", "||", "==", "!="]
+        unary = ["!"]
+    else:
+        leaves = st.one_of(st.sampled_from(NAMES).map(Var),
+                           st.sampled_from(dom.values).map(Const),
+                           st.booleans().map(Const))
+        ops = ["&&", "||", "==", "!=", "<", "<=", ">", ">=", "+", "-", "*", "mod"]
+        unary = ["!", "-"]
+
+    def grow(inner):
+        return st.one_of(
+            st.tuples(st.sampled_from(ops), inner, inner).map(lambda t: Binary(*t)),
+            st.tuples(st.sampled_from(unary), inner).map(lambda t: Unary(*t)),
+            inner.map(HashCall))
+
+    return st.recursive(leaves, grow, max_leaves=8)
+
+
+DOMAINS = {
+    "bool": BOOL,
+    "int4": Domain.integers(4),
+    "sint8": Domain.integers(8, signed=True),
+    "int4-hash": Domain.integers(4, hash_table=(2, 0, 3, 1)),
+    "bool-hash": Domain("bool", 2, False, (False, True)),
+}
+
+
+class TestCompiledExpressions:
+    """compile_expr agrees with the reference interpreter in tests/oracles.py."""
+
+    @pytest.mark.parametrize("label", DOMAINS)
+    def test_agrees_with_reference(self, label):
+        dom = DOMAINS[label]
+        stores = st.fixed_dictionaries({n: st.sampled_from(dom.values) for n in NAMES})
+
+        @given(expressions(dom), stores)
+        def agree(e, store):
+            assert compile_expr(e, dom)(store) == oracles.eval_expr(store, e, dom)
+
+        agree()
+
+    @pytest.mark.parametrize("text, store, value", [
+        ("x mod 0", {"x": 3}, 3),
+        ("x mod y", {"x": 3, "y": 0}, 3),
+        ("x mod y", {"x": -3, "y": 2}, 1),
+        ("-x", {"x": -4}, -4),  # the window's least value negates to itself
+        ("x * x", {"x": -4}, 0),
+        ("x + y", {"x": 3, "y": 3}, -2),
+        ("hash(x)", {"x": 3}, 1),  # 9 wraps to 1
+        ("!x", {"x": 0}, 1),
+        ("x >= 0 && y < 0", {"x": 0, "y": -1}, 1),
+    ])
+    def test_signed_int8_edges(self, text, store, value):
+        dom = DOMAINS["sint8"]
+        e = parse_expression(text)
+        assert compile_expr(e, dom)(store) == value == oracles.eval_expr(store, e, dom)

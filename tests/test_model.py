@@ -1,14 +1,15 @@
 import itertools
+import random
 
 import pytest
 
 from conftest import exec_from
 from epiflow.domain import Domain, Label, TERMINATION_MARK
-from epiflow.lang import parse
+from epiflow.lang import Const, OutLit, Seq, While, parse, program_from_body
 from epiflow.model import (ModelConfig, Status, accessible, build_model,
                            epoch_of, trace_of)
 from epiflow.fuzz import FuzzConfig, generate_program
-from oracles import run
+from oracles import reference_runs, run
 
 BOOL = Domain.booleans()
 INT4 = Domain.integers(4)
@@ -159,6 +160,22 @@ class TestDivergence:
         assert any(e.status is Status.BOUND_EXCEEDED for e in m.executions)
         assert m.tainted
 
+    def test_first_repeated_configuration_is_the_lasso(self):
+        m = build_model(parse("while tt do { skip }", BOOL), ModelConfig(BOOL))
+        (ex,) = m.executions
+        assert (ex.lasso_entry, len(ex)) == (0, 1)
+
+    def test_lasso_compares_program_counters_not_residual_programs(self):
+        # both branches end in the same code; from x = tt the run meets the
+        # else branch's out with the store the then branch's out had, which
+        # is no repeat of a program counter: the loop head repeats later
+        program = parse(
+            "while tt do { if x then { x := ff; out tt } else { out tt } }", BOOL)
+        ex = exec_from(build_model(program, ModelConfig(BOOL)), x=True)
+        assert ex.status is Status.LASSO
+        assert (ex.lasso_entry, len(ex)) == (4, 7)
+        assert ex.stores[4] == ex.stores[7]
+
     def test_terminating_model_is_clean(self, copy_out_model):
         assert not copy_out_model.tainted
 
@@ -176,3 +193,67 @@ class TestTerminationOutput:
         m = build_model(program, ModelConfig(BOOL, termination_output=True))
         lens = {m.values_of(e.init_store): len(e) for e in m.executions}
         assert lens == {(True,): 2, (False,): 4}
+
+
+def _fuzzed(dom: Domain, loops: bool, count: int):
+    """Fuzzed programs, some with a release flag and a labelled output."""
+    cfg = FuzzConfig(seed=3, count=count, size=8, ident_count=2, domain=dom,
+                     loops=loops)
+    for index in range(count):
+        rng = random.Random(f"compiled:{dom.spec()}:{loops}:{index}")
+        program = generate_program(rng, cfg, release_flags=("r",) * (index % 2))
+        if index % 3 == 0:
+            program = program_from_body(Seq(program.body, OutLit("end")))
+        yield program
+
+
+SINT4 = Domain.integers(4, signed=True)
+DIFF_CONFIGS = [pytest.param(dom, loops, id=f"{label}-loops={loops}")
+                for label, dom, loops in [("bool", BOOL, False), ("int4", INT4, False),
+                                          ("int4", INT4, True), ("sint4", SINT4, False),
+                                          ("sint4", SINT4, True)]]
+
+
+class TestCompiledRuns:
+    """The compiled program against the AST-rewriting reference ``step``."""
+
+    @pytest.mark.parametrize("termination_output", [False, True])
+    @pytest.mark.parametrize("dom, loops", DIFF_CONFIGS)
+    def test_runs_match_the_reference(self, dom, loops, termination_output):
+        cut = 0
+        for index, program in enumerate(_fuzzed(dom, loops, 40)):
+            bound = (6, 12, 400)[index % 3]
+            m = build_model(program, ModelConfig(dom, bound, termination_output))
+            runs, parents = reference_runs(program, dom, bound, termination_output)
+            assert len(m.executions) == len(runs)
+            for ex, ref in zip(m.executions, runs):
+                assert ex.status.value == ref["status"]
+                if ex.status is Status.TERMINATED:
+                    assert ex.stores == ref["stores"]
+                    assert ex.events == ref["events"]
+                    assert ex.trace_ids == ref["trace_ids"]
+                    assert ex.lasso_entry is None
+                    continue
+                cut += 1
+                if ex.status is Status.LASSO:
+                    assert ex.lasso_entry <= ref["lasso_entry"]
+                n = min(len(ex), len(ref["events"]))
+                assert ex.events[:n] == ref["events"][:n]
+                assert ex.stores[:n + 1] == ref["stores"][:n + 1]
+            if all(len(ex) == len(ref["events"]) for ex, ref in zip(m.executions, runs)):
+                assert m.trace_parents == parents
+        assert cut, "no run hit the bound; the bounds are too loose"
+
+    @pytest.mark.parametrize("dom, loops", DIFF_CONFIGS[:3])
+    def test_diverging_runs_are_refused_like_the_reference(self, dom, loops):
+        for program in _fuzzed(dom, loops, 30):
+            looping = program_from_body(While(Const(True), program.body))
+            m = build_model(looping, ModelConfig(dom, bound=2_000))
+            runs, _ = reference_runs(looping, dom, 2_000)
+            for ex, ref in zip(m.executions, runs):
+                assert ex.status is Status.LASSO and ref["status"] == "lasso"
+                # a lasso closes on the store it entered with
+                assert ex.stores[ex.lasso_entry] == ex.stores[-1]
+                n = min(len(ex), len(ref["events"]))
+                assert ex.events[:n] == ref["events"][:n]
+                assert ex.stores[:n + 1] == ref["stores"][:n + 1]
