@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class DomainError(ValueError):
@@ -68,8 +69,10 @@ class Domain:
         table = tuple(hash_table) if hash_table is not None else None
         return Domain("int", size, signed, table)
 
-    @property
+    @cached_property
     def values(self) -> tuple:
+        """Every value in order; computed once per domain (not a field, so
+        equality and hashing ignore it)."""
         if self.kind == "bool":
             return (True, False)
         lo = -(self.size // 2) if self.signed else 0
@@ -78,7 +81,8 @@ class Domain:
     def __contains__(self, v) -> bool:
         if self.kind == "bool":
             return isinstance(v, bool)
-        return isinstance(v, int) and not isinstance(v, bool) and self.values[0] <= v < self.values[0] + self.size
+        lo = self.values[0]
+        return isinstance(v, int) and not isinstance(v, bool) and lo <= v < lo + self.size
 
     def index(self, v) -> int:
         if self.kind == "bool":

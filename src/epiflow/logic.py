@@ -21,27 +21,32 @@ Before evaluation each node is checked like a program expression
 (identifiers, operators, literals) and compiled under its quantifier
 scope.  Values are memoized per node, keyed as coarsely as soundness
 allows -- an ``init`` atom over bound values is fixed along an execution,
-a K/L formula is constant across an epoch -- plus the values of the bound
-variables free in the node.  Three rules keep quantifiers cheap:
+a K/L formula is constant across an epoch, and a formula built from such
+parts (temporal operators included) is fixed within one run's visit to
+one epoch -- plus the values of the bound variables free in the node.
+Only atoms that read the current store vary from point to point.  Three
+rules keep quantifiers cheap:
 
 * ``forall v1 ... vk. guard -> body`` is one block.  A guard conjunct
   ``init_x(v)`` binds ``v`` to the run's own initial ``x``; conjuncts over
   bound variables only are solved once per value of their outer variables.
 * ``L`` of ``init`` atoms over bound values that pin every variable asks
   whether that one run visits the current epoch.
-* A K/L formula whose body is fixed along executions is checked once per
-  execution of the epoch rather than once per point.
+* A K/L body that is fixed per run and epoch is checked once per execution
+  of the epoch rather than once per point; a body fixed across the epoch
+  is checked at the current point alone.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 
 from .domain import Domain
-from .lang import (Expr, LangError, Var, compile_expr, expr_ids, expr_to_source,
-                   validate_expr)
+from .lang import (Binary, Const, Expr, LangError, Unary, Var, compile_expr,
+                   expr_ids, expr_to_source, validate_expr)
 from .model import Execution, Model, Point
 from .verdicts import Outcome, Stats, Verdict, Witness
 
@@ -51,13 +56,15 @@ class LogicError(ValueError):
 
 
 # Memoization granularity, ordered by how much of a point's identity the
-# value depends on.  EXEC and EPOCH are incomparable; their join is POINT.
-_CONST, _EXEC, _EPOCH, _POINT = 0, 1, 2, 3
+# value depends on.  EXEC and EPOCH are incomparable; their join is
+# RUN_EPOCH, a value fixed over one run's positions in one epoch.  Trace
+# ids never decrease along a run, so those positions are contiguous.
+_CONST, _EXEC, _EPOCH, _RUN_EPOCH, _POINT = 0, 1, 2, 3, 4
 
 
 def _join(a: int, b: int) -> int:
     if {a, b} == {_EXEC, _EPOCH}:
-        return _POINT
+        return _RUN_EPOCH
     return max(a, b)
 
 
@@ -235,37 +242,6 @@ def foralls(vars_: list[str], body: Formula) -> Formula:
     return body
 
 
-def formula_identifiers(f: Formula) -> set[str]:
-    """Free identifiers: expression variables plus init subjects."""
-    names: set[str] = set()
-    bound: list[str] = []
-
-    def walk(node: Formula) -> None:
-        match node:
-            case Eq(lhs, rhs):
-                names.update(n for n in expr_ids(lhs) + expr_ids(rhs) if n not in bound)
-            case Init(name, expr):
-                names.add(name)
-                names.update(n for n in expr_ids(expr) if n not in bound)
-            case And(children) | Or(children):
-                for c in children:
-                    walk(c)
-            case Not(child) | K(child) | L(child) | F(child) | G(child):
-                walk(child)
-            case Until(lhs, rhs) | Implies(lhs, rhs) | W(lhs, rhs):
-                walk(lhs)
-                walk(rhs)
-            case Forall(var, body) | Exists(var, body):
-                bound.append(var)
-                walk(body)
-                bound.pop()
-            case Tt() | Ff():
-                pass
-
-    walk(f)
-    return names
-
-
 # --------------------------------------------------------------------------
 # Satisfaction
 
@@ -275,8 +251,10 @@ class _Plan:
 
     ``free`` holds the bound variables free in the node; with ``level`` they
     key the memo.  Atoms and connectives are cheaper to recompute than to
-    look up, so only the other nodes set ``memo``.  ``args`` holds what the
-    node's ``compute`` needs besides its kids.
+    look up, so only the other nodes set ``memo``.  ``compute`` is a plain
+    function of the evaluation, the plan and the point, so plans hold no
+    reference back to their evaluation.  ``args`` holds what it needs
+    besides the kids.
     """
 
     __slots__ = ("formula", "compute", "kids", "level", "free", "key", "memo", "args")
@@ -336,7 +314,7 @@ class Evaluation:
 
     def holds(self, p: _Plan, ex: Execution, i: int) -> bool:
         if not p.memo:
-            return p.compute(p, ex, i)
+            return p.compute(self, p, ex, i)
         level = p.level
         if level == _CONST:
             at = None
@@ -344,13 +322,15 @@ class Evaluation:
             at = ex.index
         elif level == _EPOCH:
             at = ex.trace_ids[i]
+        elif level == _RUN_EPOCH:
+            at = (ex.index, ex.trace_ids[i])
         else:
             at = (ex.index, i)
         key = (p, at) if p.key is None else (p, at, p.key(self.env))
         value = self.memo.get(key)
         if value is None:
             self.points_visited += 1
-            value = self.memo[key] = p.compute(p, ex, i)
+            value = self.memo[key] = p.compute(self, p, ex, i)
         else:
             self.cache_hits += 1
         return value
@@ -374,27 +354,27 @@ class Evaluation:
                     raise LogicError(f"init names unknown identifier {name!r}")
                 return self._atom(f, (expr,), _EXEC, scope)
             case Tt() | Ff():
-                return _Plan(f, self._constant, args=isinstance(f, Tt))
+                return _Plan(f, Evaluation._constant, args=isinstance(f, Tt))
             case Not(child):
-                return self._connective(f, self._not, (child,), scope)
+                return self._connective(f, Evaluation._not, (child,), scope)
             case And(children):
-                return self._connective(f, self._and, children, scope)
+                return self._connective(f, Evaluation._and, children, scope)
             case Or(children):
-                return self._connective(f, self._or, children, scope)
+                return self._connective(f, Evaluation._or, children, scope)
             case Implies(lhs, rhs):
-                return self._connective(f, self._implies, (lhs, rhs), scope)
+                return self._connective(f, Evaluation._implies, (lhs, rhs), scope)
             case K(child) | L(child):
                 kid = self.compile(child, scope)
                 level = _CONST if kid.level == _CONST else _EPOCH
                 pinned = self._pinned_run(child, scope) if isinstance(f, L) else None
                 if pinned is not None:
-                    return _Plan(f, self._possible_run, (kid,), level, kid.free, args=pinned)
-                return _Plan(f, self._knows, (kid,), level, kid.free, memo=True,
+                    return _Plan(f, Evaluation._possible_run, (kid,), level, kid.free, args=pinned)
+                return _Plan(f, Evaluation._knows, (kid,), level, kid.free, memo=True,
                              args=isinstance(f, K))
             case F(child) | G(child):
-                return self._temporal(f, self._eventually, (child,), scope, isinstance(f, G))
+                return self._temporal(f, Evaluation._eventually, (child,), scope, isinstance(f, G))
             case Until(lhs, rhs) | W(lhs, rhs):
-                return self._temporal(f, self._until, (lhs, rhs), scope, isinstance(f, W))
+                return self._temporal(f, Evaluation._until, (lhs, rhs), scope, isinstance(f, W))
             case Forall() | Exists():
                 return self._block(f, scope)
         raise TypeError(f"not a formula: {f!r}")
@@ -408,7 +388,7 @@ class Evaluation:
             except LangError as err:
                 raise LogicError(f"formula atom {expr_to_source(e)!r}: {err}") from err
             names.update(expr_ids(e))
-        compute = self._eq if isinstance(f, Eq) else self._init
+        compute = Evaluation._eq if isinstance(f, Eq) else Evaluation._init
         return _Plan(f, compute, level=_POINT if names - scope else fixed_level,
                      free=frozenset(names & scope),
                      args=tuple(compile_expr(e, self.domain) for e in exprs))
@@ -422,8 +402,11 @@ class Evaluation:
         return _Plan(f, compute, kids, level, free)
 
     def _temporal(self, f: Formula, compute, children, scope: frozenset, flag: bool) -> _Plan:
+        """Children fixed per run and epoch make the scan so too: the rest
+        of the current epoch's block repeats the value at the point."""
         plan = self._connective(f, compute, children, scope)
-        plan.level = plan.level if plan.level <= _EXEC else _POINT
+        if plan.level == _EPOCH:
+            plan.level = _RUN_EPOCH
         plan.memo = True
         plan.args = flag
         return plan
@@ -473,7 +456,7 @@ class Evaluation:
         outer = frozenset().union(*(plan.free for plan in pure)) - frozenset(solve)
         block = _Block(tuple(names), tuple(binders.items()), solve, tuple(pure),
                        itemgetter(*sorted(outer)) if outer else None, tuple(checks), body)
-        compute = self._forall if kind is Forall else self._exists
+        compute = Evaluation._forall if kind is Forall else Evaluation._exists
         return _Plan(f, compute, (body, *pure, *checks), level, free - frozenset(names),
                      memo=True,
                      args=block)
@@ -518,20 +501,29 @@ class Evaluation:
         return not self.holds(lhs, ex, i) or self.holds(rhs, ex, i)
 
     def _knows(self, p: _Plan, ex: Execution, i: int) -> bool:
-        """K (``args`` set): every point of the epoch; L: some point."""
+        """K (``args`` set): every point of the epoch; L: some point.
+
+        A child fixed across the epoch is read at the current point.
+        Otherwise each execution of the epoch is visited once: at position
+        0 for a child fixed along executions, at its first position in the
+        epoch for one fixed per run and epoch, else over its whole block.
+        """
         child, every = p.kids[0], p.args
-        model = self.model
-        tid = ex.trace_ids[i]
-        if child.level == _CONST:
+        level = child.level
+        if level == _CONST or level == _EPOCH:
             return self.holds(child, ex, i)
-        if child.level == _EXEC:
-            executions = model.executions
-            points = ((executions[j], 0) for j in model.epoch_exec_ids[tid])
-        else:
-            points = ((pt.execution, pt.index) for pt in model.epochs[tid])
-        for other, k in points:
-            if self.holds(child, other, k) is not every:
-                return not every
+        tid = ex.trace_ids[i]
+        for other in self.model.epoch_executions[tid]:
+            if level == _EXEC:
+                positions = (0,)
+            else:
+                ids = other.trace_ids
+                first = bisect_left(ids, tid)
+                positions = ((first,) if level == _RUN_EPOCH
+                             else range(first, bisect_right(ids, tid, first)))
+            for k in positions:
+                if self.holds(child, other, k) is not every:
+                    return not every
         return every
 
     def _possible_run(self, p: _Plan, ex: Execution, i: int) -> bool:
@@ -815,8 +807,6 @@ def _parse_atom(p) -> Formula:
 
 
 def _comparison(p) -> Formula:
-    from .lang import Binary
-
     lhs = p.cmp_expr()
     if isinstance(lhs, Binary) and lhs.op == "==":
         return Eq(lhs.lhs, lhs.rhs)
@@ -834,7 +824,7 @@ def formula_to_source(f: Formula, dom: Domain | None = None) -> str:
 
     match f:
         case Eq(lhs, rhs):
-            return f"{expr_to_source(lhs, dom)} == {expr_to_source(rhs, dom)}"
+            return f"{_eq_side(lhs, dom, True)} == {_eq_side(rhs, dom, False)}"
         case Init(name, expr):
             return f"init({name}, {expr_to_source(expr, dom)})"
         case And(children):
@@ -866,3 +856,15 @@ def formula_to_source(f: Formula, dom: Domain | None = None) -> str:
         case Ff():
             return "false"
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _eq_side(e: Expr, dom: Domain | None, left: bool) -> str:
+    """One side of ``==``, parenthesized where it would not read back: an
+    operator binding looser than ``==`` (a comparison, ``&&``, ``||``), and
+    on the left a ``!`` or a boolean literal, which the formula parser
+    would read as a negation or a truth constant."""
+    src = expr_to_source(e, dom)
+    loose = isinstance(e, Binary) and e.op not in ("+", "-", "*", "mod")
+    formula_word = left and (isinstance(e, Unary) and e.op == "!"
+                             or isinstance(e, Const) and isinstance(e.value, bool))
+    return f"({src})" if loose or formula_word else src

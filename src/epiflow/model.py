@@ -1,10 +1,15 @@
 """Exhaustive execution models: every run of a program from every store.
 
-A model holds one maximal (bounded) execution per initial store, an
-interned trace table, and the epoch index grouping execution points by
-the trace observed so far.  Two points with the same trace are
+A model holds one maximal (bounded) execution per initial store and an
+interned trace table.  Two points with the same trace are
 indistinguishable to the observer; that relation is an S5 equivalence by
-construction.
+construction.  Each point carries the id of its trace, and ids never
+decrease along a run, so an epoch (the points sharing one trace) meets a
+run in one contiguous block of positions.  Epochs are indexed on demand:
+by execution for the logic's K, by point for ``epoch_of`` and the dump.
+
+An execution refers back to its model only weakly, so a model no longer
+in use is freed by reference counting, without the cycle collector.
 
 Divergence is never guessed at: an execution that exceeds the step bound
 is marked BOUND_EXCEEDED, and one that revisits a (program counter,
@@ -15,7 +20,9 @@ downstream verdict on a tainted model must refuse rather than answer.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from enum import Enum
 
 from .domain import Domain, TERMINATION_MARK
@@ -50,7 +57,7 @@ class Execution:
     lasso_entry: int | None = None
     trace_ids: list[int] = field(default_factory=list)
     trace_id_set: frozenset[int] = frozenset()
-    model: "Model | None" = None
+    model_ref: "weakref.ref[Model] | None" = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -62,6 +69,10 @@ class Execution:
     @property
     def final_store(self) -> dict:
         return self.stores[-1]
+
+    @property
+    def model(self) -> "Model | None":
+        return self.model_ref() if self.model_ref is not None else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,8 +90,6 @@ class Model:
     program: Program
     cfg: ModelConfig
     executions: list[Execution]
-    epochs: dict[int, tuple[Point, ...]]
-    epoch_exec_ids: dict[int, frozenset[int]]
     trace_parents: list[tuple[int, object]]  # trace id -> (parent id, event)
     trace_table: dict[tuple[int, object], int]
     exec_by_values: dict[tuple, Execution]  # keyed by non-flag initial values
@@ -97,6 +106,24 @@ class Model:
     @property
     def point_count(self) -> int:
         return sum(len(e) + 1 for e in self.executions)
+
+    @cached_property
+    def epochs(self) -> dict[int, tuple[Point, ...]]:
+        """The points of each trace id, by execution and then position."""
+        epochs: dict[int, list[Point]] = {}
+        for execution in self.executions:
+            for i, tid in enumerate(execution.trace_ids):
+                epochs.setdefault(tid, []).append(Point(execution, i))
+        return {tid: tuple(points) for tid, points in epochs.items()}
+
+    @cached_property
+    def epoch_executions(self) -> dict[int, tuple[Execution, ...]]:
+        """The executions that visit each trace id, in execution order."""
+        index: dict[int, list[Execution]] = {}
+        for execution in self.executions:
+            for tid in execution.trace_id_set:
+                index.setdefault(tid, []).append(execution)
+        return {tid: tuple(execs) for tid, execs in index.items()}
 
     def trace_tuple(self, trace_id: int) -> tuple:
         events = []
@@ -120,7 +147,7 @@ class Model:
 
 
 def build_model(program: Program, cfg: ModelConfig) -> Model:
-    """Run the program from every initial store and index the points.
+    """Run the program from every initial store.
 
     Initial stores range over the full domain for ordinary identifiers, in
     lexicographic value order; release flags start false.  With
@@ -153,26 +180,18 @@ def build_model(program: Program, cfg: ModelConfig) -> Model:
         executions.append(execution)
         exec_by_values[values] = execution
 
-    epochs: dict[int, list[Point]] = {}
-    epoch_execs: dict[int, set[int]] = {}
-    for execution in executions:
-        for i, tid in enumerate(execution.trace_ids):
-            epochs.setdefault(tid, []).append(Point(execution, i))
-            epoch_execs.setdefault(tid, set()).add(execution.index)
-
     model = Model(
         program=program,
         cfg=cfg,
         executions=executions,
-        epochs={tid: tuple(points) for tid, points in epochs.items()},
-        epoch_exec_ids={tid: frozenset(ids) for tid, ids in epoch_execs.items()},
         trace_parents=trace_parents,
         trace_table=trace_table,
         exec_by_values=exec_by_values,
         variables=names,
     )
+    ref = weakref.ref(model)
     for execution in executions:
-        execution.model = model
+        execution.model_ref = ref
     return model
 
 

@@ -20,6 +20,14 @@ class TestDomains:
         assert dom.normalize(-5) == 3
         assert -4 in dom and 4 not in dom
 
+    def test_values_are_computed_once_per_domain(self):
+        for dom in (Domain.booleans(), Domain.integers(8, signed=True)):
+            assert dom.values is dom.values
+        # the cached tuple is no field: equality and hashing ignore it
+        a, b = Domain.integers(4), Domain.integers(4)
+        assert a.values and "values" not in vars(b)
+        assert a == b and hash(a) == hash(b)
+
     def test_truthiness(self):
         dom = Domain.integers(4)
         assert dom.truth(2) and not dom.truth(0)

@@ -6,12 +6,12 @@ import oracles
 from conftest import exec_from
 from epiflow.domain import Domain
 from epiflow.fuzz import FuzzConfig, generate_program
-from epiflow.lang import Const, Var, parse, parse_expression
-from epiflow.logic import (And, Eq, Exists, F, Ff, Forall, G, Implies, Init,
+from epiflow.lang import Binary, Const, Unary, Var, parse, parse_expression
+from epiflow.logic import (_EPOCH, _EXEC, _POINT, _RUN_EPOCH, And, Eq,
+                           Evaluation, Exists, F, Ff, Forall, G, Implies, Init,
                            K, L, LogicError, Not, Or, Tt, Until, W,
-                           formula_identifiers, formula_to_source,
-                           model_satisfies, parse_formula, satisfies,
-                           struct_eq)
+                           formula_to_source, model_satisfies, parse_formula,
+                           satisfies, struct_eq)
 from epiflow.model import ModelConfig, Point, build_model
 from epiflow.policies import (FlowSpec, InitPredicate, ReleaseSpec,
                               TemporalDeclassification, encode_aak, encode_ak,
@@ -275,6 +275,71 @@ class TestEvaluatorTransparency:
                 matches_reference(m, parse_formula(text), every_point=True)
 
 
+def agrees_at_every_point(m, f, seed=0):
+    """One evaluation visits every point in shuffled order, so values
+    memoized at one point are reused at the others."""
+    ev = Evaluation(m)
+    root = ev.compile(f)
+    points = list(all_points(m))
+    random.Random(seed).shuffle(points)
+    for pt in points:
+        expected = oracles.holds(m, f, pt.execution, pt.index)
+        assert ev.holds(root, pt.execution, pt.index) == expected, formula_to_source(f)
+
+
+# one child per memo level, over the bound variable v
+AT_POINT = Eq(Var("l"), Var("h"))  # reads the current store
+AT_EXEC = Init("h", Var("v"))  # fixed along a run
+AT_EPOCH = K(Or((Eq(Var("l"), Var("v")), Init("l", Var("v")))))  # fixed across an epoch
+AT_RUN_EPOCH = And((AT_EXEC, AT_EPOCH))  # fixed within one run's visit to an epoch
+LEVELS = [(AT_POINT, _POINT), (AT_EXEC, _EXEC), (AT_EPOCH, _EPOCH),
+          (AT_RUN_EPOCH, _RUN_EPOCH)]
+
+
+def level_models():
+    return random_models(4, seed=21) + random_models(2, seed=22, domain=INT4, size=4)
+
+
+class TestMemoLevels:
+    """K, L and the temporal operators over children at every memo level,
+    against the reference evaluator at every point of random models."""
+
+    def test_children_have_the_intended_levels(self):
+        ev = Evaluation(random_models(1, seed=21)[0])
+        scope = frozenset({"v"})
+        for child, level in LEVELS:
+            assert ev.compile(child, scope).level == level
+        for temporal in (G(AT_RUN_EPOCH), F(AT_RUN_EPOCH), Until(AT_EPOCH, AT_RUN_EPOCH),
+                         W(AT_RUN_EPOCH, AT_EXEC)):
+            assert ev.compile(temporal, scope).level == _RUN_EPOCH
+        assert ev.compile(Until(AT_RUN_EPOCH, AT_POINT), scope).level == _POINT
+
+    @pytest.mark.parametrize("child", [c for c, _ in LEVELS],
+                             ids=["point", "exec", "epoch", "run-epoch"])
+    def test_knowledge_and_possibility(self, child):
+        formulas = [
+            Forall("v", K(child)),
+            Exists("v", K(child)),
+            Forall("v", L(child)),
+            Forall("v", Implies(Init("l", Var("v")), L(child))),
+            G(Exists("v", Not(K(child)))),
+        ]
+        for index, m in enumerate(level_models()):
+            for f in formulas:
+                agrees_at_every_point(m, f, seed=index)
+
+    def test_temporal_over_the_run_epoch_conjunction(self):
+        conj = AT_RUN_EPOCH
+        bodies = [G(conj), F(conj), Until(conj, AT_POINT), Until(AT_POINT, conj),
+                  W(conj, AT_EPOCH), W(AT_EXEC, conj), Until(AT_EPOCH, conj)]
+        formulas = [Forall("v", L(G(conj))), Forall("v", L(Until(conj, AT_POINT)))]
+        for body in bodies:
+            formulas += [Forall("v", body), Exists("v", body), Exists("v", K(body))]
+        for index, m in enumerate(level_models()):
+            for f in formulas:
+                agrees_at_every_point(m, f, seed=index)
+
+
 class TestFormulaChecks:
     """Formulas get the identifier, operator and literal checks programs get."""
 
@@ -328,6 +393,18 @@ class TestFormulaSyntax:
         again = parse_formula(formula_to_source(f))
         assert struct_eq(f, again)
 
-    def test_free_identifiers(self):
-        f = parse_formula("forall v . init(x, v) && y == v")
-        assert formula_identifiers(f) == {"x", "y"}
+    def test_comparison_sides_round_trip(self):
+        ge = Binary(">=", Var("h"), Const(0))
+        lt = Binary("<", Var("l"), Var("h"))
+        formulas = [
+            Eq(ge, Binary(">=", Var("l"), Const(0))),
+            Not(Eq(lt, Const(True))),
+            Eq(Var("x"), Binary("!=", Var("l"), Var("h"))),
+            Eq(Binary("&&", Var("x"), Var("y")), Binary("||", Var("y"), lt)),
+            Eq(Unary("!", Var("x")), Var("y")),
+            Forall("v", Implies(Eq(Binary("<", Var("v"), Var("h")), Var("b")),
+                                K(Eq(lt, Binary("==", Var("v"), Const(1)))))),
+            G(Until(Eq(ge, Const(True)), L(Eq(Const(False), Binary("<=", Var("h"), Var("l")))))),
+        ]
+        for f in formulas:
+            assert struct_eq(parse_formula(formula_to_source(f)), f), formula_to_source(f)

@@ -142,6 +142,17 @@ class TestModelShape:
                     seen.add(key)
 
 
+    def test_epoch_executions_match_the_epoch_points(self):
+        cfg = FuzzConfig(seed=12, count=1, size=6, ident_count=2, domain=INT4, loops=True)
+        for index in range(10):
+            m = build_model(generate_program(random.Random(f"e:{index}"), cfg),
+                            ModelConfig(INT4))
+            assert set(m.epoch_executions) == set(m.epochs)
+            for tid, points in m.epochs.items():
+                visitors = list(dict.fromkeys(p.execution for p in points))
+                assert list(m.epoch_executions[tid]) == visitors
+
+
 class TestDivergence:
     def test_lasso_detected(self):
         m = build_model(parse("while tt do { skip }", BOOL), ModelConfig(BOOL))
@@ -257,3 +268,16 @@ class TestCompiledRuns:
                 n = min(len(ex), len(ref["events"]))
                 assert ex.events[:n] == ref["events"][:n]
                 assert ex.stores[:n + 1] == ref["stores"][:n + 1]
+
+    @pytest.mark.parametrize("termination_output", [False, True])
+    @pytest.mark.parametrize("dom, loops", DIFF_CONFIGS)
+    def test_trace_ids_never_decrease(self, dom, loops, termination_output):
+        # the logic's per-run-and-epoch memo rests on this: one epoch meets
+        # a run in one contiguous block of positions
+        for index, program in enumerate(_fuzzed(dom, loops, 40)):
+            bound = (6, 12, 400)[index % 3]
+            m = build_model(program, ModelConfig(dom, bound, termination_output))
+            for ex in m.executions:
+                ids = ex.trace_ids
+                for a, b, event in zip(ids, ids[1:], ex.events):
+                    assert a < b if event is not None else a == b

@@ -1,10 +1,14 @@
+import gc
+import weakref
+
 import pytest
 
 from epiflow.domain import Domain
 from epiflow.lang import parse
-from epiflow.model import ModelConfig
+from epiflow.logic import model_satisfies, parse_formula
+from epiflow.model import ModelConfig, build_model
 from epiflow.policies import PolicyError
-from epiflow.policyfile import (Policy, parse_policy, run_both_sides,
+from epiflow.policyfile import (CheckRun, Policy, parse_policy, run_both_sides,
                                 run_check)
 from epiflow.verdicts import Outcome
 
@@ -108,3 +112,35 @@ class TestRunCheck:
         sem, epi = run_both_sides(program, policy, ModelConfig(BOOL))
         assert sem.check == "er" and epi.check == "akr"
         assert sem.verdict.outcome is epi.verdict.outcome is Outcome.HOLDS
+
+
+class TestModelLifetime:
+    """A finished check's model is freed by reference counting alone."""
+
+    LOOP = "x := 0; while x < h do { out l; x := x + 1 }; out l + x"
+
+    @pytest.fixture
+    def no_cycle_collector(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    def test_models_free_themselves(self, no_cycle_collector):
+        program = parse(self.LOOP, INT4)
+        cfg = ModelConfig(INT4)
+
+        def policy_check(check):
+            return run_check(program, Policy(check, low=("l",), declassify=("h < 2",)), cfg)
+
+        def user_formula():
+            # K over an atom that reads the current store
+            model = build_model(program, cfg)
+            formula = parse_formula("G K (l == x) || F (x == h)")
+            return CheckRun("formula", model_satisfies(model, formula), model, formula)
+
+        for make in (lambda: policy_check("akd"), lambda: policy_check("nid"), user_formula):
+            run = make()
+            model = weakref.ref(run.model)
+            del run
+            assert model() is None

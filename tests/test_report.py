@@ -1,8 +1,10 @@
 import json
+import random
 
 from epiflow.domain import Domain
+from epiflow.fuzz import FuzzConfig, generate_program
 from epiflow.lang import parse
-from epiflow.model import ModelConfig, build_model
+from epiflow.model import ModelConfig, Point, build_model, trace_of
 from epiflow.policyfile import Policy, run_check
 from epiflow.report import Report, build_report, model_dump, render_text
 
@@ -44,6 +46,16 @@ class TestReportFormat:
         assert report.witness["bindings"] == {"x'": "tt", "y''": "ff"}
         assert report.witness["trace"] == ["tt"]
 
+    def test_epoch_count_is_the_number_of_epochs(self):
+        cfg = FuzzConfig(seed=4, count=1, size=6, ident_count=2, domain=Domain.integers(4),
+                         loops=True)
+        for index in range(25):
+            program = generate_program(random.Random(f"r:{index}"), cfg)
+            policy = Policy("ak", low=program.variables[:1])
+            run = run_check(program, policy, ModelConfig(cfg.domain, 200, index % 2 == 1))
+            report = build_report(run, policy.describe(), cfg.domain, "", None, 200, False)
+            assert report.stats["epochs"] == len(run.model.epochs)
+
     def test_text_rendering_mentions_the_verdict(self):
         text = render_text(make_report(low=("y",)))
         assert "HOLDS" in text
@@ -63,3 +75,17 @@ class TestModelDump:
     def test_lasso_is_visible(self):
         m = build_model(parse("while tt do { skip }", BOOL), ModelConfig(BOOL))
         assert "lasso" in model_dump(m)
+
+    def test_epoch_table_groups_points_by_trace(self):
+        # traces are interned in order of first occurrence, runs in value order
+        m = build_model(parse("out x; if y then { out x } else { skip }", BOOL),
+                        ModelConfig(BOOL))
+        counts: dict = {}
+        for ex in m.executions:
+            for i in range(len(ex) + 1):
+                trace = trace_of(Point(ex, i))
+                counts[trace] = counts.get(trace, 0) + 1
+        expected = [f"  [{', '.join(BOOL.format_value(e) for e in trace)}] -> {n} points"
+                    for trace, n in counts.items()]
+        assert model_dump(m).split("epochs:\n")[1].splitlines() == expected
+        assert expected[:2] == ["  [] -> 4 points", "  [tt] -> 4 points"]
