@@ -9,6 +9,7 @@ The equivalence of the two readings is the oracle: mismatches are bugs.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .domain import Domain
@@ -21,6 +22,7 @@ from .policies import (FlowSpec, InitPredicate, ReleaseSpec,
                        TemporalDeclassification, encode_ak, encode_akd,
                        encode_aak, encode_akr, encode_aktd)
 from .semantics import (check_er, check_nani, check_nid, check_nitd, check_oni)
+from .verdicts import Outcome
 
 PAIRS = ("oni-ak", "nid-akd", "nani-aak", "akr-er", "nitd-aktd")
 
@@ -64,14 +66,22 @@ class Mismatch:
 
 @dataclass
 class FuzzSummary:
+    """``outcomes`` counts each pair's runs by the outcome both readings
+    agreed on (``None`` for a mismatch)."""
+
     config: FuzzConfig
     runs: int = 0
-    per_pair: dict = field(default_factory=dict)
+    outcomes: dict[str, Counter] = field(default_factory=dict)
     mismatches: list[Mismatch] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.mismatches
+
+    @property
+    def per_pair(self) -> dict[str, int]:
+        """Runs per pair."""
+        return {pair: sum(split.values()) for pair, split in self.outcomes.items()}
 
     def render(self) -> str:
         lines = [
@@ -79,7 +89,11 @@ class FuzzSummary:
             f"runs={self.runs}"
         ]
         for pair in self.config.pairs:
-            lines.append(f"  {pair}: {self.per_pair.get(pair, 0)} runs")
+            split = self.outcomes.get(pair, Counter())
+            lines.append(
+                f"  {pair}: {sum(split.values())} runs: "
+                f"{split[Outcome.HOLDS]} HOLDS, {split[Outcome.FAILS]} FAILS, "
+                f"{split[Outcome.BOUND_EXCEEDED]} refused, {split[None]} mismatched")
         if self.ok:
             lines.append("no mismatches")
         else:
@@ -216,6 +230,13 @@ def _abstractions_for(dom: Domain) -> tuple[str, ...]:
 
 
 def run_one(pair: str, index: int, cfg: FuzzConfig) -> Mismatch | None:
+    """Run both readings of one generated program and policy; the
+    disagreement, if any."""
+    return _compare(pair, index, cfg)[1]
+
+
+def _compare(pair: str, index: int, cfg: FuzzConfig) -> tuple[Outcome | None, Mismatch | None]:
+    """The outcome both readings agree on, or None and their mismatch."""
     rng = random.Random(f"{cfg.seed}:{pair}:{index}")
     dom = cfg.domain
     mcfg = ModelConfig(dom, bound=cfg.bound)
@@ -279,8 +300,8 @@ def run_one(pair: str, index: int, cfg: FuzzConfig) -> Mismatch | None:
             raise ValueError(f"unknown pair {pair!r}")
 
     if semantic.outcome is epistemic.outcome:
-        return None
-    return Mismatch(
+        return semantic.outcome, None
+    return None, Mismatch(
         pair=pair, index=index, program=to_source(program.body, dom),
         policy=policy_desc, semantic=semantic.outcome.value,
         epistemic=epistemic.outcome.value)
@@ -290,9 +311,9 @@ def fuzz_equivalences(cfg: FuzzConfig) -> FuzzSummary:
     summary = FuzzSummary(cfg)
     for pair in cfg.pairs:
         for index in range(cfg.count):
-            mismatch = run_one(pair, index, cfg)
+            outcome, mismatch = _compare(pair, index, cfg)
             summary.runs += 1
-            summary.per_pair[pair] = summary.per_pair.get(pair, 0) + 1
+            summary.outcomes.setdefault(pair, Counter())[outcome] += 1
             if mismatch is not None:
                 summary.mismatches.append(mismatch)
     return summary

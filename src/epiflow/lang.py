@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Mapping
 
@@ -259,11 +260,12 @@ class Program:
     signature: tuple[Identifier, ...]
     text: str | None = field(default=None, compare=False)
 
-    @property
+    # computed once per program; not fields, so equality and hashing ignore them
+    @cached_property
     def variables(self) -> tuple[str, ...]:
         return tuple(i.name for i in self.signature if not i.is_flag)
 
-    @property
+    @cached_property
     def flags(self) -> tuple[str, ...]:
         return tuple(i.name for i in self.signature if i.is_flag)
 

@@ -24,12 +24,18 @@ allows -- an ``init`` atom over bound values is fixed along an execution,
 a K/L formula is constant across an epoch, and a formula built from such
 parts (temporal operators included) is fixed within one run's visit to
 one epoch -- plus the values of the bound variables free in the node.
-Only atoms that read the current store vary from point to point.  Three
+Only atoms that read the current store vary from point to point.  Four
 rules keep quantifiers cheap:
 
 * ``forall v1 ... vk. guard -> body`` is one block.  A guard conjunct
   ``init_x(v)`` binds ``v`` to the run's own initial ``x``; conjuncts over
   bound variables only are solved once per value of their outer variables.
+* A block with such binders whose other parts are fixed across an epoch
+  depends on the run only through the initial values its binders read.
+  It is memoized by those values, and by the trace when a part is fixed
+  per epoch, so runs that differ only in values it never reads share one
+  evaluation.  To the nodes around it the block is still fixed per run
+  (and epoch); only its memo key is coarser.
 * ``L`` of ``init`` atoms over bound values that pin every variable asks
   whether that one run visits the current epoch.
 * A K/L body that is fixed per run and epoch is checked once per execution
@@ -66,6 +72,25 @@ def _join(a: int, b: int) -> int:
     if {a, b} == {_EXEC, _EPOCH}:
         return _RUN_EPOCH
     return max(a, b)
+
+
+# The memo position of a point at each level.
+_AT = (
+    lambda ex, i: None,
+    lambda ex, i: ex.index,
+    lambda ex, i: ex.trace_ids[i],
+    lambda ex, i: (ex.index, ex.trace_ids[i]),
+    lambda ex, i: (ex.index, i),
+)
+
+
+def _init_values_at(subjects: tuple[str, ...], epoch: bool):
+    """The memo position of a block fixed by the initial values of
+    ``subjects``, and by the trace when ``epoch`` is set."""
+    values = itemgetter(*subjects) if subjects else (lambda store: ())
+    if epoch:
+        return lambda ex, i: (ex.trace_ids[i], values(ex.stores[0]))
+    return lambda ex, i: values(ex.stores[0])
 
 
 class Formula:
@@ -249,7 +274,8 @@ def foralls(vars_: list[str], body: Formula) -> Formula:
 class _Plan:
     """A formula node compiled under its quantifier scope.
 
-    ``free`` holds the bound variables free in the node; with ``level`` they
+    ``free`` holds the bound variables free in the node; with ``at``, the
+    memo position of a point (by default the one ``level`` implies), they
     key the memo.  Atoms and connectives are cheaper to recompute than to
     look up, so only the other nodes set ``memo``.  ``compute`` is a plain
     function of the evaluation, the plan and the point, so plans hold no
@@ -257,10 +283,10 @@ class _Plan:
     besides the kids.
     """
 
-    __slots__ = ("formula", "compute", "kids", "level", "free", "key", "memo", "args")
+    __slots__ = ("formula", "compute", "kids", "level", "free", "key", "memo", "args", "at")
 
     def __init__(self, formula: Formula, compute, kids: tuple = (), level: int = _CONST,
-                 free: frozenset = frozenset(), memo: bool = False, args=None):
+                 free: frozenset = frozenset(), memo: bool = False, args=None, at=None):
         self.formula = formula
         self.compute = compute
         self.kids = kids
@@ -269,6 +295,7 @@ class _Plan:
         self.key = itemgetter(*sorted(free)) if free else None
         self.memo = memo
         self.args = args
+        self.at = at or _AT[level]
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,6 +316,15 @@ class _Block:
     outer: object
     checks: tuple[_Plan, ...]
     body: _Plan
+
+
+def _combined(kids) -> tuple[int, frozenset]:
+    """The joined level and the union of the free variables of ``kids``."""
+    level, free = _CONST, frozenset()
+    for kid in kids:
+        level = _join(level, kid.level)
+        free |= kid.free
+    return level, free
 
 
 def _conjuncts(f: Formula) -> tuple[Formula, ...]:
@@ -315,17 +351,7 @@ class Evaluation:
     def holds(self, p: _Plan, ex: Execution, i: int) -> bool:
         if not p.memo:
             return p.compute(self, p, ex, i)
-        level = p.level
-        if level == _CONST:
-            at = None
-        elif level == _EXEC:
-            at = ex.index
-        elif level == _EPOCH:
-            at = ex.trace_ids[i]
-        elif level == _RUN_EPOCH:
-            at = (ex.index, ex.trace_ids[i])
-        else:
-            at = (ex.index, i)
+        at = p.at(ex, i)
         key = (p, at) if p.key is None else (p, at, p.key(self.env))
         value = self.memo.get(key)
         if value is None:
@@ -395,21 +421,15 @@ class Evaluation:
 
     def _connective(self, f: Formula, compute, children, scope: frozenset) -> _Plan:
         kids = tuple(self.compile(c, scope) for c in children)
-        level, free = _CONST, frozenset()
-        for kid in kids:
-            level = _join(level, kid.level)
-            free |= kid.free
-        return _Plan(f, compute, kids, level, free)
+        return _Plan(f, compute, kids, *_combined(kids))
 
     def _temporal(self, f: Formula, compute, children, scope: frozenset, flag: bool) -> _Plan:
         """Children fixed per run and epoch make the scan so too: the rest
         of the current epoch's block repeats the value at the point."""
-        plan = self._connective(f, compute, children, scope)
-        if plan.level == _EPOCH:
-            plan.level = _RUN_EPOCH
-        plan.memo = True
-        plan.args = flag
-        return plan
+        kids = tuple(self.compile(c, scope) for c in children)
+        level, free = _combined(kids)
+        return _Plan(f, compute, kids, _RUN_EPOCH if level == _EPOCH else level, free,
+                     memo=True, args=flag)
 
     def _pinned_run(self, child: Formula, scope: frozenset):
         """(identifier, compiled expression) pairs of the L child, when it is a
@@ -447,19 +467,22 @@ class Evaluation:
             else:
                 checks.append(plan)
         body = self.compile(node, inner)
-        level = _EXEC if binders else _CONST
-        free = frozenset()
-        for plan in (body, *pure, *checks):
-            level = _join(level, plan.level)
-            free |= plan.free
+        kids = (body, *pure, *checks)
+        level, free = _combined(kids)
+        at = None
+        if binders:
+            if level in (_CONST, _EPOCH):
+                # the run matters only through the initial values read
+                at = _init_values_at(tuple(subject for var, subject in binders.items()
+                                           if var in free), level == _EPOCH)
+            level = _join(level, _EXEC)
         solve = tuple(v for v in names if v not in binders)
         outer = frozenset().union(*(plan.free for plan in pure)) - frozenset(solve)
         block = _Block(tuple(names), tuple(binders.items()), solve, tuple(pure),
                        itemgetter(*sorted(outer)) if outer else None, tuple(checks), body)
         compute = Evaluation._forall if kind is Forall else Evaluation._exists
-        return _Plan(f, compute, (body, *pure, *checks), level, free - frozenset(names),
-                     memo=True,
-                     args=block)
+        return _Plan(f, compute, kids, level, free - frozenset(names), memo=True,
+                     args=block, at=at)
 
     # -- node semantics ------------------------------------------------------
 

@@ -11,6 +11,11 @@ by execution for the logic's K, by point for ``epoch_of`` and the dump.
 An execution refers back to its model only weakly, so a model no longer
 in use is freed by reference counting, without the cycle collector.
 
+The builder keeps one table of the (program counter, store) configurations
+reached so far.  A run that meets a configuration a terminated run reached
+first, with the same trace, copies that run's rest, so a store dict may be
+shared between runs: stores are read-only.
+
 Divergence is never guessed at: an execution that exceeds the step bound
 is marked BOUND_EXCEEDED, and one that revisits a (program counter,
 store) configuration is marked LASSO.  Either taints the model, and every
@@ -173,10 +178,11 @@ def build_model(program: Program, cfg: ModelConfig) -> Model:
 
     executions: list[Execution] = []
     exec_by_values: dict[tuple, Execution] = {}
+    states: dict[tuple, tuple[int, int, int]] = {}
     for values in itertools.product(dom.values, repeat=len(names)):
         store = dict(zip(names, values))
         store.update((f, dom.false_value) for f in flags)
-        execution = _run(code, store, cfg, len(executions), extend_trace)
+        execution = _run(code, store, cfg, len(executions), extend_trace, states, executions)
         executions.append(execution)
         exec_by_values[values] = execution
 
@@ -195,11 +201,19 @@ def build_model(program: Program, cfg: ModelConfig) -> Model:
     return model
 
 
-def _run(code: Code, init: dict, cfg: ModelConfig, index: int, extend_trace) -> Execution:
+def _run(code: Code, init: dict, cfg: ModelConfig, index: int, extend_trace,
+         states: dict, executions: list[Execution]) -> Execution:
     """Run the compiled program from ``init``.
 
-    A new store is made only by assigning steps.  The lasso key is the
-    program counter with the store's values, in signature order.
+    A new store is made only by assigning steps.  A configuration is the
+    program counter with the store's values, in signature order; ``states``
+    maps each one to the first (run, step, trace id) that reached it.
+    Reaching one of this run's own configurations again closes a lasso.
+    Reaching a terminated run's configuration with the same trace id
+    copies that run's rest, when the joined run stays within the bound:
+    runs are deterministic in their configuration, and a terminated run
+    repeats none, so neither does the joined run.  Any other meeting
+    runs this run again from ``init`` with a private table.
     """
     instrs = code.instrs
     bound = cfg.bound
@@ -210,11 +224,27 @@ def _run(code: Code, init: dict, cfg: ModelConfig, index: int, extend_trace) -> 
     trace_ids = [0]
     tid = 0
     pc = code.entry
-    seen: dict[tuple, int] = {(pc, values): 0}
     status = Status.TERMINATED
     lasso_entry: int | None = None
     steps = 0
-    while pc != EXIT:
+    while True:
+        run, step, first_tid = states.setdefault((pc, values), (index, steps, tid))
+        if run != index:
+            earlier = executions[run]
+            rest = len(earlier) - cfg.termination_output - step
+            if (earlier.status is not Status.TERMINATED or first_tid != tid
+                    or steps + rest > bound):
+                return _run(code, init, cfg, index, extend_trace, {}, executions)
+            stores += earlier.stores[step + 1:]
+            events += earlier.events[step:]
+            trace_ids += earlier.trace_ids[step + 1:]
+            return _execution(index, stores, events, status, None, trace_ids)
+        if step != steps:
+            status = Status.LASSO
+            lasso_entry = step
+            break
+        if pc == EXIT:
+            break
         if steps >= bound:
             status = Status.BOUND_EXCEEDED
             break
@@ -234,26 +264,19 @@ def _run(code: Code, init: dict, cfg: ModelConfig, index: int, extend_trace) -> 
         stores.append(store)
         events.append(event)
         trace_ids.append(tid)
-        first = seen.setdefault((pc, values), steps)
-        if first != steps:
-            status = Status.LASSO
-            lasso_entry = first
-            break
 
     if status is Status.TERMINATED and cfg.termination_output:
         stores.append(store)
         events.append(TERMINATION_MARK)
         trace_ids.append(extend_trace(tid, TERMINATION_MARK))
+    return _execution(index, stores, events, status, lasso_entry, trace_ids)
 
-    return Execution(
-        index=index,
-        stores=stores,
-        events=events,
-        status=status,
-        lasso_entry=lasso_entry,
-        trace_ids=trace_ids,
-        trace_id_set=frozenset(trace_ids),
-    )
+
+def _execution(index: int, stores: list, events: list, status: Status,
+               lasso_entry: int | None, trace_ids: list[int]) -> Execution:
+    return Execution(index=index, stores=stores, events=events, status=status,
+                     lasso_entry=lasso_entry, trace_ids=trace_ids,
+                     trace_id_set=frozenset(trace_ids))
 
 
 def trace_of(pt: Point) -> tuple:

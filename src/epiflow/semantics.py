@@ -146,10 +146,9 @@ def knowledge_set(m: Model, fs: FlowSpec, store: dict, trace: tuple) -> frozense
     return frozenset(out)
 
 
-def _flags_at(m: Model, ex: Execution, i: int) -> frozenset:
-    dom = m.domain
-    return frozenset(
-        f for f in m.program.flags if ex.stores[i][f] == dom.true_value)
+def _flags_at(flags: tuple[str, ...], store: dict, true) -> frozenset:
+    """The flags among ``flags`` that are set in ``store``."""
+    return frozenset(f for f in flags if store[f] == true)
 
 
 def release_set(m: Model, fs: FlowSpec, rs: ReleaseSpec, store: dict,
@@ -170,7 +169,7 @@ def release_set(m: Model, fs: FlowSpec, rs: ReleaseSpec, store: dict,
         raise PolicyError("trace never observed on the execution from this store")
     common: frozenset | None = None
     for i in matching:
-        flags = _flags_at(m, start, i)
+        flags = _flags_at(m.program.flags, start.stores[i], dom.true_value)
         common = flags if common is None else common & flags
     released = [compile_expr(e, dom) for f, e in rs.items if f in common]
     expected = [fn(start.init_store) for fn in released]
@@ -230,12 +229,13 @@ def check_er(m: Model, fs: FlowSpec, rs: ReleaseSpec) -> Verdict:
         return ids
 
     flag_names = tuple(f for f, _ in rs.items)
+    all_flags, true = m.program.flags, dom.true_value
     for ex in m.executions:
         low = _low_key(m, fs, ex)
         seen: dict[int, int] = {}
         common: dict[int, frozenset] = {}
         for i, tid in enumerate(ex.trace_ids):
-            flags = _flags_at(m, ex, i)
+            flags = _flags_at(all_flags, ex.stores[i], true)
             if tid in common:
                 common[tid] &= flags
             else:

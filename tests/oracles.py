@@ -6,10 +6,13 @@ other references evaluate through it.  ``run`` is a big-step interpreter
 written against the language semantics directly (recursive,
 trace-accumulating).  ``step`` is the AST-rewriting small-step semantics
 and ``reference_runs`` the model's runs built with it, keyed by residual
-program for lasso detection.  ``holds`` evaluates formulas straight from
+program for lasso detection.  ``unshared_runs`` runs the compiled program
+once per initial store with a private lasso table, sharing no suffix
+between runs, as the model's builder must agree with.  ``holds`` evaluates formulas straight from
 the logic's definitions, sharing nothing with the package's evaluator.
 None of them shares code with the package's compiled programs, so
-agreement with any of them is meaningful.
+agreement with any of them is meaningful (``unshared_runs`` excepted:
+it checks only the sharing of run suffixes).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import itertools
 
 from epiflow.domain import Domain, Label, TERMINATION_MARK
+from epiflow.lang import (ASSIGN, BRANCH, EXIT, compile_program)
 from epiflow.lang import (Assign, Binary, Const, Expr, HashCall, If, Out,
                           OutLit, Program, Release, Seq, Skip, Stmt, Unary,
                           Var, While)
@@ -160,6 +164,72 @@ def reference_runs(program: Program, dom: Domain, bound: int,
             trace_ids.append(extend(trace_ids[-1], TERMINATION_MARK))
         runs.append({"stores": stores, "events": events, "status": status,
                      "lasso_entry": entry, "trace_ids": trace_ids})
+    return runs, trace_parents
+
+
+def unshared_runs(program: Program, cfg):
+    """Every run of the compiled program, each from its own initial store.
+
+    Returns ``(runs, trace_parents)``; each run is a dict with the fields
+    of ``Execution`` other than the model (status as ``Status``), plus
+    ``configs``, the (program counter, store values) configuration after
+    each step.  A run is a lasso when a configuration of its own repeats;
+    nothing is shared between runs.
+    """
+    from epiflow.model import Status
+
+    dom = cfg.domain
+    names, flags = program.variables, program.flags
+    code = compile_program(program, dom)
+    trace_parents: list = [(-1, None)]
+    table: dict = {}
+
+    def extend(tid, event):
+        key = (tid, event)
+        if key not in table:
+            table[key] = len(trace_parents)
+            trace_parents.append(key)
+        return table[key]
+
+    runs = []
+    for index, values in enumerate(itertools.product(dom.values, repeat=len(names))):
+        store = dict(zip(names, values))
+        store.update((f, dom.false_value) for f in flags)
+        pc, tid = code.entry, 0
+        stores, events, trace_ids = [store], [], [0]
+        configs = [(pc, tuple(store.values()))]
+        seen = {configs[0]: 0}
+        status, entry = Status.TERMINATED, None
+        while pc != EXIT:
+            if len(events) >= cfg.bound:
+                status = Status.BOUND_EXCEEDED
+                break
+            op, fn, name, nxt, other = code.instrs[pc]
+            event = None
+            if op is BRANCH:
+                pc = nxt if fn(store) else other
+            elif op is ASSIGN:
+                store = {**store, name: fn(store)}
+                pc = nxt
+            else:
+                event = fn(store)
+                tid = extend(tid, event)
+                pc = nxt
+            stores.append(store)
+            events.append(event)
+            trace_ids.append(tid)
+            configs.append((pc, tuple(store.values())))
+            first = seen.setdefault(configs[-1], len(events))
+            if first != len(events):
+                status, entry = Status.LASSO, first
+                break
+        if status is Status.TERMINATED and cfg.termination_output:
+            stores.append(store)
+            events.append(TERMINATION_MARK)
+            trace_ids.append(extend(tid, TERMINATION_MARK))
+        runs.append({"index": index, "stores": stores, "events": events,
+                     "status": status, "lasso_entry": entry, "trace_ids": trace_ids,
+                     "trace_id_set": frozenset(trace_ids), "configs": configs})
     return runs, trace_parents
 
 

@@ -7,6 +7,7 @@ from epiflow.fuzz import (FuzzConfig, fuzz_equivalences, generate_program,
                           run_one)
 from epiflow.lang import Out, Skip, Stmt, Seq, While, to_source
 from epiflow.model import ModelConfig, Status, build_model
+from epiflow.verdicts import Outcome
 
 
 def walk(stmt):
@@ -80,3 +81,14 @@ class TestHarness:
             FuzzConfig(seed=6, count=2, pairs=("oni-ak",)))
         text = summary.render()
         assert "oni-ak: 2 runs" in text and "no mismatches" in text
+
+    def test_render_splits_each_pair_by_outcome(self):
+        cfg = FuzzConfig(seed=6, count=12, pairs=("oni-ak", "nid-akd"))
+        summary = fuzz_equivalences(cfg)
+        for pair in cfg.pairs:
+            split = summary.outcomes[pair]
+            assert sum(split.values()) == summary.per_pair[pair] == 12
+            assert split[Outcome.HOLDS] and split[Outcome.FAILS]
+            assert (f"  {pair}: 12 runs: {split[Outcome.HOLDS]} HOLDS, "
+                    f"{split[Outcome.FAILS]} FAILS, 0 refused, 0 mismatched"
+                    in summary.render())

@@ -1,11 +1,14 @@
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from epiflow.domain import Domain, Label
+from epiflow.fuzz import FuzzConfig, generate_program
 from epiflow.lang import (ASSIGN, BRANCH, EXIT, OUT, Assign, Binary, Const,
                           HashCall, If, LangError, Out, ParseError, Seq, Skip,
-                          Unary, Var, compile_expr, compile_program,
+                          Unary, Var, While, compile_expr, compile_program,
                           parse, parse_expression, to_source)
 
 BOOL = Domain.booleans()
@@ -81,6 +84,43 @@ class TestParse:
         text = 'if x < h then { out x; x := x + 1 } else { skip }; release r'
         program = parse(text, INT8)
         assert parse(to_source(program.body)).body == program.body
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from([BOOL, Domain.integers(4),
+                                                   Domain.integers(4, signed=True)]),
+           st.booleans(), st.integers(0, 2))
+    def test_source_is_a_fixed_point_through_parse(self, seed, dom, loops, flags):
+        # the parser groups ";" its own way, so the statements are compared
+        # with the grouping flattened
+        cfg = FuzzConfig(seed=1, count=1, size=10, ident_count=3, domain=dom, loops=loops)
+        program = generate_program(random.Random(seed), cfg,
+                                   release_flags=("r1", "r2")[:flags])
+        text = to_source(program.body, dom)
+        again = parse(text, dom)
+        assert to_source(again.body, dom) == text
+        assert again.signature == program.signature
+        assert flat_statements(again.body) == flat_statements(program.body)
+
+    def test_signature_views_are_computed_once(self):
+        program = parse("release r; out x; x := y", BOOL)
+        assert program.flags is program.flags and program.flags == ("r",)
+        assert program.variables is program.variables and program.variables == ("x", "y")
+        # the cached tuples are no fields: equality and hashing ignore them
+        other = parse("release r; out x; x := y", BOOL)
+        assert program == other and hash(program) == hash(other)
+        assert "flags" not in vars(other)
+
+
+def flat_statements(s) -> tuple:
+    """The statements of a ``;`` chain, however it is nested, with the
+    bodies of ``if`` and ``while`` flattened the same way."""
+    if isinstance(s, Seq):
+        return flat_statements(s.first) + flat_statements(s.second)
+    if isinstance(s, If):
+        return (("if", s.guard, flat_statements(s.then), flat_statements(s.orelse)),)
+    if isinstance(s, While):
+        return (("while", s.guard, flat_statements(s.body)),)
+    return (s,)
 
 
 def eval_expr(store: dict, e, dom: Domain):

@@ -300,6 +300,18 @@ def level_models():
     return random_models(4, seed=21) + random_models(2, seed=22, domain=INT4, size=4)
 
 
+def binder_block(body):
+    """A block binding v to the run's initial h and w to its initial l."""
+    return Forall("v", Forall("w", Implies(And((Init("h", Var("v")), Init("l", Var("w")))),
+                                           body)))
+
+
+# blocks whose other parts are fixed across an epoch, reading v but not w
+# (and the outer u): memoized by the initial h and, for the second, the trace
+AT_INIT_H = binder_block(Eq(Var("v"), Var("u")))
+AT_TRACE_AND_INIT_H = binder_block(K(Or((Eq(Var("l"), Var("v")), Init("l", Var("v"))))))
+
+
 class TestMemoLevels:
     """K, L and the temporal operators over children at every memo level,
     against the reference evaluator at every point of random models."""
@@ -335,6 +347,29 @@ class TestMemoLevels:
         formulas = [Forall("v", L(G(conj))), Forall("v", L(Until(conj, AT_POINT)))]
         for body in bodies:
             formulas += [Forall("v", body), Exists("v", body), Exists("v", K(body))]
+        for index, m in enumerate(level_models()):
+            for f in formulas:
+                agrees_at_every_point(m, f, seed=index)
+
+
+    def test_initial_value_blocks_keep_their_levels(self):
+        ev = Evaluation(random_models(1, seed=21)[0])
+        scope = frozenset({"u"})
+        assert ev.compile(AT_INIT_H, scope).level == _EXEC
+        assert ev.compile(AT_TRACE_AND_INIT_H, scope).level == _RUN_EPOCH
+
+    @pytest.mark.parametrize("block", [AT_INIT_H, AT_TRACE_AND_INIT_H],
+                             ids=["const-body", "epoch-body"])
+    def test_initial_value_blocks(self, block):
+        formulas = [
+            Forall("u", K(block)),
+            Exists("u", L(block)),
+            Forall("u", L(Not(block))),
+            G(Exists("u", block)),
+            Forall("u", W(block, AT_POINT)),
+            Exists("u", W(AT_POINT, Not(block))),
+            Forall("u", G(Implies(Init("l", Var("u")), block))),
+        ]
         for index, m in enumerate(level_models()):
             for f in formulas:
                 agrees_at_every_point(m, f, seed=index)

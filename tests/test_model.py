@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,7 +10,7 @@ from epiflow.lang import Const, OutLit, Seq, While, parse, program_from_body
 from epiflow.model import (ModelConfig, Status, accessible, build_model,
                            epoch_of, trace_of)
 from epiflow.fuzz import FuzzConfig, generate_program
-from oracles import reference_runs, run
+from oracles import reference_runs, run, unshared_runs
 
 BOOL = Domain.booleans()
 INT4 = Domain.integers(4)
@@ -281,3 +282,81 @@ class TestCompiledRuns:
                 ids = ex.trace_ids
                 for a, b, event in zip(ids, ids[1:], ex.events):
                     assert a < b if event is not None else a == b
+
+
+def _meetings(runs, bound: int, termination_output: bool) -> Counter:
+    """How each run first meets a configuration an earlier run reached first,
+    replaying the builder's table over the reference runs: ``joined`` when
+    the builder may copy the earlier run's rest, else why it may not."""
+    first: dict = {}
+    kinds: Counter = Counter()
+    for r, ref in enumerate(runs):
+        for k, config in enumerate(ref["configs"]):
+            q, step, tid = first.setdefault(config, (r, k, ref["trace_ids"][k]))
+            if q == r:
+                continue
+            earlier = runs[q]
+            rest = len(earlier["events"]) - termination_output - step
+            if earlier["status"] is not Status.TERMINATED:
+                kinds[f"earlier-{earlier['status'].value}"] += 1
+            elif tid != ref["trace_ids"][k]:
+                kinds["trace-differs"] += 1
+            elif k + rest > bound:
+                kinds["over-bound"] += 1
+            else:
+                kinds["joined"] += 1
+            break
+    return kinds
+
+
+class TestSharedBuild:
+    """Runs that meet an earlier run's configuration share its rest; the
+    model must equal the one built run by run with private lasso tables."""
+
+    @staticmethod
+    def assert_unshared(program, cfg) -> Counter:
+        m = build_model(program, cfg)
+        runs, parents = unshared_runs(program, cfg)
+        assert len(m.executions) == len(runs)
+        for ex, ref in zip(m.executions, runs):
+            for name in ("index", "stores", "events", "status", "lasso_entry",
+                         "trace_ids", "trace_id_set"):
+                assert getattr(ex, name) == ref[name], name
+        assert m.trace_parents == parents
+        return _meetings(runs, cfg.bound, cfg.termination_output)
+
+    @pytest.mark.parametrize("termination_output", [False, True])
+    @pytest.mark.parametrize("dom, loops", DIFF_CONFIGS)
+    def test_models_match_the_unshared_build(self, dom, loops, termination_output):
+        kinds: Counter = Counter()
+        for index, program in enumerate(_fuzzed(dom, loops, 30)):
+            if index % 4 == 3:
+                program = program_from_body(While(Const(True), program.body))
+            bound = (3, 12, 10_000)[index % 3]
+            kinds += self.assert_unshared(program, ModelConfig(dom, bound, termination_output))
+        assert kinds["joined"], kinds
+
+    def test_meetings_that_cannot_join(self):
+        # from x = ff the run meets the x = tt run one step later than that
+        # run did, so with bound 4 the joined run is over the bound; runs
+        # that meet after different outputs differ in trace; a run from
+        # x = ff starts where the lasso from x = tt passed
+        late = parse("if x then { x := ff } else { x := ff; x := ff }; out l; out l", BOOL)
+        relay = parse("if h then { out tt } else { out ff }; l := ff; h := ff; out l", BOOL)
+        spin = parse("while tt do { x := ff }", BOOL)
+        loop = parse("x := 0; while x < h do { out l; x := x + 1 }; out l + x", INT4)
+        kinds = Counter()
+        for program, dom, bound in ((late, BOOL, 4), (relay, BOOL, 50), (spin, BOOL, 50),
+                                    (loop, INT4, 3), (loop, INT4, 10_000)):
+            for termination_output in (False, True):
+                kinds += self.assert_unshared(
+                    program, ModelConfig(dom, bound, termination_output))
+        assert {"joined", "over-bound", "trace-differs", "earlier-bound-exceeded",
+                "earlier-lasso"} <= set(kinds), kinds
+
+    def test_runs_that_differ_in_a_dead_value_share_their_stores(self):
+        loop = parse("x := 0; while x < h do { out l; x := x + 1 }; out l + x", INT4)
+        m = build_model(loop, ModelConfig(INT4))
+        for h, l in itertools.product(INT4.values, repeat=2):
+            runs = [exec_from(m, x=x, h=h, l=l) for x in INT4.values]
+            assert all(ex.final_store is runs[0].final_store for ex in runs)
