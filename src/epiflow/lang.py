@@ -448,7 +448,9 @@ class _Token:
     column: int
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str, primes: bool = False) -> list[_Token]:
+    """Tokens of ``text``; with ``primes``, an identifier may end in primes
+    (``x'``, ``x''``), as the formulas name quantified initial values."""
     tokens: list[_Token] = []
     i, line, col = 0, 1, 1
     n = len(text)
@@ -483,6 +485,8 @@ def _tokenize(text: str) -> list[_Token]:
         if c.isalpha() or c == "_":
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            while primes and j < n and text[j] == "'":
                 j += 1
             word = text[i:j]
             tokens.append(_Token("kw" if word in _KEYWORDS else "id", word, line, col))

@@ -24,8 +24,8 @@ allows -- an ``init`` atom over bound values is fixed along an execution,
 a K/L formula is constant across an epoch, and a formula built from such
 parts (temporal operators included) is fixed within one run's visit to
 one epoch -- plus the values of the bound variables free in the node.
-Only atoms that read the current store vary from point to point.  Four
-rules keep quantifiers cheap:
+Only atoms that read the current store vary from point to point.  These
+rules keep quantifiers, knowledge and scans cheap:
 
 * ``forall v1 ... vk. guard -> body`` is one block.  A guard conjunct
   ``init_x(v)`` binds ``v`` to the run's own initial ``x``; conjuncts over
@@ -36,11 +36,23 @@ rules keep quantifiers cheap:
   per epoch, so runs that differ only in values it never reads share one
   evaluation.  To the nodes around it the block is still fixed per run
   (and epoch); only its memo key is coarser.
-* ``L`` of ``init`` atoms over bound values that pin every variable asks
-  whether that one run visits the current epoch.
-* A K/L body that is fixed per run and epoch is checked once per execution
-  of the epoch rather than once per point; a body fixed across the epoch
-  is checked at the current point alone.
+* K and L over a body fixed along a run work on sets of runs, held as int
+  bitmasks (bit k for run k).  ``have`` is the mask of the runs that visit
+  a trace id, and ``sat`` the mask of the runs where the body holds.  For
+  ``init`` atoms over bound values that pin every variable, ``sat`` is the
+  one run they pin (none when two atoms disagree); for any other body it
+  is the body at the start of every run, kept per value of its bound
+  variables.  Then K is ``have & ~sat == 0`` and L is ``have & sat != 0``.
+* A forall block with no binders and no checks whose body is such a pinned
+  L asks whether every run its instances pin visits the epoch:
+  ``wanted & ~have == 0``, where ``wanted`` is the union of those runs per
+  value of the block's outer variables.  An instance that pins no run
+  makes the block false; a guard that admits no instance makes it true.
+* Any other K/L body is read at the current point when it is fixed across
+  the epoch, else checked once per execution of the epoch when it is fixed
+  per run and epoch, else at every point of the epoch.
+* A temporal operator whose children are all fixed per run and epoch steps
+  over the run one epoch block at a time, not one position at a time.
 """
 
 from __future__ import annotations
@@ -48,6 +60,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
 from .domain import Domain
@@ -82,6 +95,19 @@ _AT = (
     lambda ex, i: (ex.index, ex.trace_ids[i]),
     lambda ex, i: (ex.index, i),
 )
+
+
+def _each_position(ids: list[int], i: int):
+    """Every position of a run from ``i`` on."""
+    return range(i, len(ids))
+
+
+def _each_epoch_block(ids: list[int], i: int):
+    """The first position of each epoch block of a run from ``i`` on."""
+    end = len(ids)
+    while i < end:
+        yield i
+        i = bisect_right(ids, ids[i], i)
 
 
 def _init_values_at(subjects: tuple[str, ...], epoch: bool):
@@ -341,6 +367,7 @@ class Evaluation:
         self.env: dict[str, object] = {}
         self.memo: dict[tuple, bool] = {}
         self.solved: dict[object, list[tuple]] = {}
+        self.masks: dict[object, int] = {}
         self.plans: dict[tuple[int, frozenset], _Plan] = {}
         self.points_visited = 0
         self.cache_hits = 0
@@ -392,9 +419,11 @@ class Evaluation:
             case K(child) | L(child):
                 kid = self.compile(child, scope)
                 level = _CONST if kid.level == _CONST else _EPOCH
-                pinned = self._pinned_run(child, scope) if isinstance(f, L) else None
-                if pinned is not None:
-                    return _Plan(f, Evaluation._possible_run, (kid,), level, kid.free, args=pinned)
+                if kid.level == _EXEC:
+                    compute = (Evaluation._knows_runs if isinstance(f, K)
+                               else Evaluation._possible_runs)
+                    return _Plan(f, compute, (kid,), level, kid.free,
+                                 args=self._pinned_run(child, scope))
                 return _Plan(f, Evaluation._knows, (kid,), level, kid.free, memo=True,
                              args=isinstance(f, K))
             case F(child) | G(child):
@@ -425,15 +454,18 @@ class Evaluation:
 
     def _temporal(self, f: Formula, compute, children, scope: frozenset, flag: bool) -> _Plan:
         """Children fixed per run and epoch make the scan so too: the rest
-        of the current epoch's block repeats the value at the point."""
+        of the current epoch's block repeats the value at the point, so the
+        scan steps from block to block.  Trace ids never decrease along a
+        run, so a block ends where the next larger id starts."""
         kids = tuple(self.compile(c, scope) for c in children)
         level, free = _combined(kids)
+        positions = _each_position if level == _POINT else _each_epoch_block
         return _Plan(f, compute, kids, _RUN_EPOCH if level == _EPOCH else level, free,
-                     memo=True, args=flag)
+                     memo=True, args=(flag, positions))
 
     def _pinned_run(self, child: Formula, scope: frozenset):
-        """(identifier, compiled expression) pairs of the L child, when it is a
-        conjunction of init atoms over bound values naming every variable."""
+        """(identifier, compiled expression) pairs of the K/L child, when it is
+        a conjunction of init atoms over bound values naming every variable."""
         parts = _conjuncts(child)
         if not all(isinstance(a, Init) and set(expr_ids(a.expr)) <= scope for a in parts):
             return None
@@ -480,7 +512,13 @@ class Evaluation:
         outer = frozenset().union(*(plan.free for plan in pure)) - frozenset(solve)
         block = _Block(tuple(names), tuple(binders.items()), solve, tuple(pure),
                        itemgetter(*sorted(outer)) if outer else None, tuple(checks), body)
-        compute = Evaluation._forall if kind is Forall else Evaluation._exists
+        if kind is Exists:
+            compute = Evaluation._exists
+        elif (not binders and not checks and body.compute is Evaluation._possible_runs
+                and body.args is not None):
+            compute = Evaluation._all_possible
+        else:
+            compute = Evaluation._forall
         return _Plan(f, compute, kids, level, free - frozenset(names), memo=True,
                      args=block, at=at)
 
@@ -527,9 +565,9 @@ class Evaluation:
         """K (``args`` set): every point of the epoch; L: some point.
 
         A child fixed across the epoch is read at the current point.
-        Otherwise each execution of the epoch is visited once: at position
-        0 for a child fixed along executions, at its first position in the
-        epoch for one fixed per run and epoch, else over its whole block.
+        Otherwise each execution of the epoch is visited once: at its first
+        position in the epoch for a child fixed per run and epoch, else over
+        its whole block.
         """
         child, every = p.kids[0], p.args
         level = child.level
@@ -537,46 +575,95 @@ class Evaluation:
             return self.holds(child, ex, i)
         tid = ex.trace_ids[i]
         for other in self.model.epoch_executions[tid]:
-            if level == _EXEC:
-                positions = (0,)
-            else:
-                ids = other.trace_ids
-                first = bisect_left(ids, tid)
-                positions = ((first,) if level == _RUN_EPOCH
-                             else range(first, bisect_right(ids, tid, first)))
+            ids = other.trace_ids
+            first = bisect_left(ids, tid)
+            positions = ((first,) if level == _RUN_EPOCH
+                         else range(first, bisect_right(ids, tid, first)))
             for k in positions:
                 if self.holds(child, other, k) is not every:
                     return not every
         return every
 
-    def _possible_run(self, p: _Plan, ex: Execution, i: int) -> bool:
-        """L of a pinned initial store: does that run visit the current epoch?"""
+    @cached_property
+    def have(self) -> list[int]:
+        """Per trace id, the mask of the runs that visit it."""
+        have = [0] * len(self.model.trace_parents)
+        for ex in self.model.executions:
+            bit = 1 << ex.index
+            for tid in ex.trace_id_set:
+                have[tid] |= bit
+        return have
+
+    def _sat(self, p: _Plan) -> int:
+        """The mask of the runs where the run-fixed child of K/L ``p`` holds,
+        under the current values of its bound variables.  A pinned child's
+        one bit is cheaper to find again than to key, so only the masks of
+        other children, each a pass over all runs, are kept."""
+        if p.args is not None:
+            return self._pinned_bit(p.args)
+        key = (p, p.key(self.env)) if p.key is not None else p
+        sat = self.masks.get(key)
+        if sat is None:
+            sat = 0
+            for ex in self.model.executions:
+                if self.holds(p.kids[0], ex, 0):
+                    sat |= 1 << ex.index
+            self.masks[key] = sat
+        return sat
+
+    def _pinned_bit(self, pinned) -> int:
+        """The bit of the run the pinning names, or 0 when two of its atoms
+        pin one identifier to different values."""
         values: dict[str, object] = {}
-        for name, fn in p.args:
+        for name, fn in pinned:
             value = fn(self.env)
             if values.setdefault(name, value) != value:
-                return False
+                return 0
         model = self.model
         target = model.exec_by_values.get(tuple(values[n] for n in model.variables))
-        return target is not None and ex.trace_ids[i] in target.trace_id_set
+        return 0 if target is None else 1 << target.index
+
+    def _knows_runs(self, p: _Plan, ex: Execution, i: int) -> bool:
+        """K of a child fixed along runs: every run of the epoch satisfies it."""
+        return self.have[ex.trace_ids[i]] & ~self._sat(p) == 0
+
+    def _possible_runs(self, p: _Plan, ex: Execution, i: int) -> bool:
+        """L of a child fixed along runs: some run of the epoch satisfies it."""
+        return self.have[ex.trace_ids[i]] & self._sat(p) != 0
+
+    def _all_possible(self, p: _Plan, ex: Execution, i: int) -> bool:
+        """A forall block of pinned L bodies: every run the instances pin
+        visits the epoch."""
+        key = (p, p.key(self.env)) if p.key is not None else p
+        wanted = self.masks.get(key)
+        if wanted is None:
+            wanted = 0
+            body = p.args.body
+            for _ in self._instances(p, ex, i):
+                # -1 wants every run, including ones no model has: an
+                # instance that pins no run is never possible
+                wanted |= self._sat(body) or -1
+            self.masks[key] = wanted
+        return wanted & ~self.have[ex.trace_ids[i]] == 0
 
     def _eventually(self, p: _Plan, ex: Execution, i: int) -> bool:
-        """F, or G when ``args`` is set."""
-        child, always = p.kids[0], p.args
-        for j in range(i, len(ex) + 1):
+        """F, or G when ``args[0]`` is set."""
+        child, (always, positions) = p.kids[0], p.args
+        for j in positions(ex.trace_ids, i):
             if self.holds(child, ex, j) is not always:
                 return not always
         return always
 
     def _until(self, p: _Plan, ex: Execution, i: int) -> bool:
-        """U, or W when ``args`` is set."""
+        """U, or W when ``args[0]`` is set."""
         lhs, rhs = p.kids
-        for j in range(i, len(ex) + 1):
+        weak, positions = p.args
+        for j in positions(ex.trace_ids, i):
             if self.holds(rhs, ex, j):
                 return True
             if not self.holds(lhs, ex, j):
                 return False
-        return p.args
+        return weak
 
     def _forall(self, p: _Plan, ex: Execution, i: int) -> bool:
         body = p.args.body
@@ -701,12 +788,13 @@ def _decisive(ev: Evaluation, p: _Plan, ex: Execution, i: int, expect: bool,
                     bindings.extend((v, ev.env[v]) for v in p.args.vars)
                     return body, i, expect
         case F() | G() if expect == isinstance(f, F):
-            child = p.kids[0]
-            return next(((child, j, expect) for j in range(i, len(ex) + 1)
+            child, positions = p.kids[0], p.args[1]
+            return next(((child, j, expect) for j in positions(ex.trace_ids, i)
                          if holds(child, ex, j) == expect), None)
         case Until() | W() if expect == isinstance(f, Until):
             lhs, rhs = p.kids
-            for j in range(i, len(ex) + 1):
+            positions = p.args[1]
+            for j in positions(ex.trace_ids, i):
                 if holds(rhs, ex, j):
                     return rhs, j, True
                 if not holds(lhs, ex, j):
@@ -731,7 +819,7 @@ def _decisive(ev: Evaluation, p: _Plan, ex: Execution, i: int, expect: bool,
 def parse_formula(text: str) -> Formula:
     from .lang import _Parser, _tokenize
 
-    p = _Parser(_tokenize(text))
+    p = _Parser(_tokenize(text, primes=True))
     f = _parse_quantified(p)
     tok = p.peek()
     if tok.kind != "eof":

@@ -61,6 +61,14 @@ class TestCheckCommand:
                     "--formula", "G (forall v . init(y, v) -> L init(y, v))"])
         assert code == 0
 
+    def test_primed_names_in_formulas_not_programs(self, workdir, tmp_path):
+        code = run(["check", "--program", workdir / "copy.wout",
+                    "--formula", "G (forall y' . init(y, y') -> L init(y, y'))"])
+        assert code == 0
+        (tmp_path / "primed.wout").write_text("x' := y; out y\n")
+        assert run(["check", "--program", tmp_path / "primed.wout",
+                    "--policy", workdir / "low-y.pol"]) == 3
+
     def test_formula_checked_against_the_domain(self, workdir, capsys):
         code = run(["check", "--program", workdir / "copy.wout",
                     "--formula", "G (y == 7)"])

@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import exec_from
 from epiflow.domain import Domain
-from epiflow.fuzz import FuzzConfig, generate_program
+from epiflow.fuzz import FuzzConfig, _abstractions_for, _gen_expr, generate_program
 from epiflow.lang import Binary, Const, Unary, Var, parse, parse_expression
 from epiflow.logic import (_EPOCH, _EXEC, _POINT, _RUN_EPOCH, And, Eq,
                            Evaluation, Exists, F, Ff, Forall, G, Implies, Init,
@@ -42,6 +43,12 @@ def equivalent(f1, f2, models):
     for m in models:
         for pt in all_points(m):
             assert satisfies(m, pt, f1) == satisfies(m, pt, f2)
+
+
+def loop_model():
+    """The loop program at int:4, whose output count reveals h."""
+    program = parse("x := 0; while x < h do { out l; x := x + 1 }; out l + x", INT4)
+    return program, build_model(program, ModelConfig(INT4))
 
 
 P = Eq(Var("l"), Var("h"))
@@ -140,6 +147,18 @@ class TestModelSatisfies:
         verdict = model_satisfies(m, G(Tt()))
         assert verdict.outcome is Outcome.BOUND_EXCEEDED
         assert verdict.witness is None
+
+    def test_loop_witness(self):
+        # after seeing 0 then 1, the observer knows h = 1; the first
+        # alternative that is no longer possible is h'' = 0
+        program, m = loop_model()
+        verdict = model_satisfies(m, encode_ak(FlowSpec.from_low(program, ["l"]), INT4))
+        assert verdict.outcome is Outcome.FAILS
+        w = verdict.witness
+        assert w.stores == (("initial", (("x", 0), ("h", 1), ("l", 0))),)
+        assert w.point_index == 6
+        assert w.trace == (0, 1)
+        assert w.bindings == (("l'", 0), ("x''", 0), ("h''", 0))
 
 
 class TestLogicProperties:
@@ -312,6 +331,27 @@ AT_INIT_H = binder_block(Eq(Var("v"), Var("u")))
 AT_TRACE_AND_INIT_H = binder_block(K(Or((Eq(Var("l"), Var("v")), Init("l", Var("v"))))))
 
 
+# forall blocks over init atoms pinning l and h: possibility blocks (no
+# binders, no checks, and a pinned L as the body), covering pure guards, a
+# guard no assignment satisfies and contradictory pins, then other blocks
+POSSIBILITY_BLOCKS = [
+    "forall a . forall b . L (init(l, a) && init(h, b))",
+    "forall a . forall b . a != b -> L (init(l, a) && init(h, b))",
+    "forall u . init(l, u) -> forall b . b != u -> L (init(l, u) && init(h, b))",
+    "G (forall a . a != a -> L (init(l, a) && init(h, a)))",
+    "forall a . forall b . L (init(l, a) && init(h, b) && init(l, b))",
+    "forall a . forall b . a == b -> L (init(l, a) && init(h, b) && init(l, b))",
+    "G (forall u . init(h, u) -> forall a . a != u -> L (init(l, a) && init(h, u) && init(h, a)))",
+]
+OTHER_BLOCKS = [
+    "exists a . exists b . L (init(l, a) && init(h, b))",
+    "forall a . a == l -> L (init(l, a) && init(h, a))",
+    "forall a . init(h, a) -> L (init(l, a) && init(h, a))",
+    "forall a . forall b . !L (init(l, a) && init(h, b))",
+    "forall a . forall b . K (init(l, a) && init(h, b))",
+]
+
+
 class TestMemoLevels:
     """K, L and the temporal operators over children at every memo level,
     against the reference evaluator at every point of random models."""
@@ -375,6 +415,85 @@ class TestMemoLevels:
                 agrees_at_every_point(m, f, seed=index)
 
 
+    def test_knowledge_of_run_fixed_children_uses_masks(self):
+        ev = Evaluation(random_models(1, seed=21)[0])
+        scope = frozenset({"v"})
+        assert ev.compile(K(AT_EXEC), scope).compute is Evaluation._knows_runs
+        assert ev.compile(L(AT_EXEC), scope).compute is Evaluation._possible_runs
+        for child in (AT_POINT, AT_EPOCH, AT_RUN_EPOCH):
+            assert ev.compile(K(child), scope).compute is Evaluation._knows
+
+    @pytest.mark.parametrize("text", POSSIBILITY_BLOCKS + OTHER_BLOCKS)
+    def test_possibility_blocks(self, text):
+        f = parse_formula(text)
+        fused = text in POSSIBILITY_BLOCKS
+        models = level_models()
+        ev = Evaluation(models[0])
+        ev.compile(f)
+        assert fused == any(p.compute is Evaluation._all_possible for p in ev.plans.values())
+        for index, m in enumerate(models):
+            agrees_at_every_point(m, f, seed=index)
+
+    def test_knowledge_over_run_masks(self):
+        formulas = [
+            "forall a . forall b . K (init(l, a) && init(h, b))",
+            "exists a . exists b . K (init(l, a) && init(h, b) && init(l, b))",
+            "forall a . K (init(h, a) || init(l, a)) -> L init(l, a)",
+            "G (exists a . !K (init(h, a) -> init(l, a)))",
+            "forall a . L (init(l, a) && init(h, a))",
+            "exists a . L (init(l, a) && init(h, l))",
+        ]
+        for index, m in enumerate(level_models()):
+            for text in formulas:
+                agrees_at_every_point(m, parse_formula(text), seed=index)
+
+    @pytest.mark.parametrize("lhs", [c for c, _ in LEVELS],
+                             ids=["point", "exec", "epoch", "run-epoch"])
+    @pytest.mark.parametrize("rhs", [c for c, _ in LEVELS],
+                             ids=["point", "exec", "epoch", "run-epoch"])
+    def test_temporal_over_every_pair_of_levels(self, lhs, rhs):
+        formulas = [Exists("v", Until(lhs, rhs)), Forall("v", W(lhs, rhs)),
+                    Exists("v", And((F(lhs), G(rhs)))), Forall("v", L(W(lhs, Not(rhs))))]
+        for index, m in enumerate(level_models()[::2]):
+            for f in formulas:
+                agrees_at_every_point(m, f, seed=index)
+
+    def test_masks_wider_than_a_machine_word(self):
+        # 125 runs, so run masks span several machine words
+        dom = Domain.integers(5)
+        m = build_model(parse("if h < 2 then { out l } else { out h + k }", dom), ModelConfig(dom))
+        assert len(m.executions) > 64
+        formulas = [
+            "forall a . L (init(l, a) && init(h, a) && init(k, a))",
+            "exists a . K (init(k, a) || init(h, a))",
+            "F (forall a . forall b . (a == b) -> L (init(l, a) && init(h, 1) && init(k, b)))",
+        ]
+        for text in formulas:
+            agrees_at_every_point(m, parse_formula(text))
+
+    def test_scans_visit_each_epoch_block_once(self):
+        program, m = loop_model()
+        f = encode_akd(FlowSpec.from_low(program, ["l"]), (pred("h", INT4),), INT4)
+        ev = CountingEvaluation(m)
+        root = ev.compile(f)
+        ev.counted = root.kids[0]
+        assert isinstance(f, G) and ev.counted.level != _POINT
+        assert all(ev.holds(root, ex, 0) for ex in m.executions)
+        assert ev.calls == sum(len(ex.trace_id_set) for ex in m.executions)
+
+
+class CountingEvaluation(Evaluation):
+    """Counts the evaluations of one plan."""
+
+    counted = None
+    calls = 0
+
+    def holds(self, p, ex, i):
+        if p is self.counted:
+            self.calls += 1
+        return super().holds(p, ex, i)
+
+
 class TestFormulaChecks:
     """Formulas get the identifier, operator and literal checks programs get."""
 
@@ -428,6 +547,18 @@ class TestFormulaSyntax:
         again = parse_formula(formula_to_source(f))
         assert struct_eq(f, again)
 
+    def test_primed_names(self):
+        f = parse_formula("forall h' . forall h'' . init(h, h') -> L init(h, h'')")
+        assert struct_eq(f, Forall("h'", Forall("h''", Implies(Init("h", Var("h'")),
+                                                               L(Init("h", Var("h''")))))))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["ak", "akd", "aak", "akr", "aktd"]), st.integers(0, 2**32),
+           st.sampled_from([BOOL, INT4, Domain.integers(4, signed=True)]))
+    def test_encoded_formulas_read_back(self, encoder, seed, dom):
+        f = encoded(encoder, random.Random(seed), dom)
+        assert struct_eq(parse_formula(formula_to_source(f, dom)), f), formula_to_source(f, dom)
+
     def test_comparison_sides_round_trip(self):
         ge = Binary(">=", Var("h"), Const(0))
         lt = Binary("<", Var("l"), Var("h"))
@@ -443,3 +574,33 @@ class TestFormulaSyntax:
         ]
         for f in formulas:
             assert struct_eq(parse_formula(formula_to_source(f)), f), formula_to_source(f)
+
+
+def encoded(encoder, rng, dom):
+    """The encoder's formula for a generated program and policy."""
+    flags = ("r1", "r2")[:rng.randint(1, 2)] if encoder == "akr" else ()
+    cfg = FuzzConfig(count=1, size=6, ident_count=rng.randint(1, 3), domain=dom)
+    program = generate_program(rng, cfg, release_flags=flags)
+    names = program.variables
+    fs = FlowSpec.from_low(program, [n for n in names if rng.random() < 0.5])
+
+    def expr(depth):
+        return _gen_expr(rng, names, dom, depth)
+
+    def predicate(depth):
+        return InitPredicate.from_expression(expr(depth), dom)
+
+    match encoder:
+        case "ak":
+            return encode_ak(fs, dom)
+        case "akd":
+            return encode_akd(fs, [predicate(2) for _ in range(rng.randint(1, 2))], dom)
+        case "aak":
+            fs = FlowSpec.from_low(program, fs.low or names[:1])
+            eta, phi, rho = (rng.choice(_abstractions_for(dom)) for _ in range(3))
+            return encode_aak(program, fs, eta, phi, rho, dom, fix_low=rng.random() < 0.5)[1]
+        case "akr":
+            return encode_akr(fs, ReleaseSpec(tuple((f, expr(2)) for f in program.flags)), dom)
+        case "aktd":
+            return encode_aktd(fs, [TemporalDeclassification(expr(1), predicate(1))
+                                    for _ in range(rng.randint(0, 2))], dom)
