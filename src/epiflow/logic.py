@@ -38,21 +38,36 @@ rules keep quantifiers, knowledge and scans cheap:
   (and epoch); only its memo key is coarser.
 * K and L over a body fixed along a run work on sets of runs, held as int
   bitmasks (bit k for run k).  ``have`` is the mask of the runs that visit
-  a trace id, and ``sat`` the mask of the runs where the body holds.  For
-  ``init`` atoms over bound values that pin every variable, ``sat`` is the
-  one run they pin (none when two atoms disagree); for any other body it
-  is the body at the start of every run, kept per value of its bound
-  variables.  Then K is ``have & ~sat == 0`` and L is ``have & sat != 0``.
+  a trace id, and ``sat`` the mask of the runs where the body holds.  Per
+  identifier and value, ``runs_from`` is the mask of the runs starting
+  with that value, so ``init`` atoms over bound values that pin every
+  variable name the AND of their masks: one run, or none when two atoms
+  disagree.  For any other body ``sat`` is the body at the start of every
+  run, kept per value of its bound variables.  Then K is
+  ``have & ~sat == 0`` and L is ``have & sat != 0``.
 * A forall block with no binders and no checks whose body is such a pinned
-  L asks whether every run its instances pin visits the epoch:
-  ``wanted & ~have == 0``, where ``wanted`` is the union of those runs per
-  value of the block's outer variables.  An instance that pins no run
-  makes the block false; a guard that admits no instance makes it true.
+  L asks whether every run its instances pin visits the epoch.  Its pins
+  split by identifier: fixed ones read no variable the guard solves,
+  varying ones do.  The instances pin ``fixed & union``, where ``union``
+  is the OR of the varying pins' masks over the guard's solutions, built
+  once per solved guard: per value of the variables the guard and the
+  varying pins read besides the solved ones.  The block holds when
+  ``fixed & union & ~have == 0``.  The model holds every initial store, so
+  an instance pins no run only when the fixed side or its varying side
+  contradicts itself; that makes the block false, and a guard that admits
+  no instance makes it true.
 * Any other K/L body is read at the current point when it is fixed across
   the epoch, else checked once per execution of the epoch when it is fixed
   per run and epoch, else at every point of the epoch.
-* A temporal operator whose children are all fixed per run and epoch steps
-  over the run one epoch block at a time, not one position at a time.
+* The logic has no Next, so no formula tells repeated states apart: it is
+  stutter-invariant (Lamport, "What good is temporal logic?", 1983; Peled
+  and Wilke, IPL 1997).  A temporal operator therefore scans a run from
+  change to change: it visits only the positions where the trace id, or a
+  store identifier its children's atoms read at the current point,
+  differs from the position before.  With nothing read that is one
+  position per epoch block.  A scan's first deciding position is the
+  first of its stutter block, so witnesses are found where a scan of
+  every position would find them.
 """
 
 from __future__ import annotations
@@ -97,17 +112,30 @@ _AT = (
 )
 
 
-def _each_position(ids: list[int], i: int):
-    """Every position of a run from ``i`` on."""
-    return range(i, len(ids))
+def _changes(ex: Execution, i: int, read):
+    """Position ``i``, then each later position of the run where the trace
+    id or a value ``read`` takes from the store (None: no value) differs
+    from the position before.
 
-
-def _each_epoch_block(ids: list[int], i: int):
-    """The first position of each epoch block of a run from ``i`` on."""
+    Formulas without Next cannot tell repeated states apart (they are
+    stutter-invariant), so between two such positions a formula whose
+    atoms read only those values keeps the value it has at the first.
+    Trace ids never decrease along a run, so an epoch's block ends where
+    the next larger id starts; a step that assigns nothing keeps the very
+    same store.
+    """
+    ids, stores = ex.trace_ids, ex.stores
     end = len(ids)
     while i < end:
         yield i
-        i = bisect_right(ids, ids[i], i)
+        block_end = bisect_right(ids, ids[i], i)
+        if read is None:
+            i = block_end
+            continue
+        seen = read(stores[i])
+        i += 1
+        while i < block_end and (stores[i] is stores[i - 1] or read(stores[i]) == seen):
+            i += 1
 
 
 def _init_values_at(subjects: tuple[str, ...], epoch: bool):
@@ -302,23 +330,31 @@ class _Plan:
 
     ``free`` holds the bound variables free in the node; with ``at``, the
     memo position of a point (by default the one ``level`` implies), they
-    key the memo.  Atoms and connectives are cheaper to recompute than to
+    key the memo.  ``reads`` holds the store identifiers the node's atoms
+    read at the current point (by default its kids' when it is ``_POINT``,
+    else none).  Atoms and connectives are cheaper to recompute than to
     look up, so only the other nodes set ``memo``.  ``compute`` is a plain
     function of the evaluation, the plan and the point, so plans hold no
     reference back to their evaluation.  ``args`` holds what it needs
     besides the kids.
     """
 
-    __slots__ = ("formula", "compute", "kids", "level", "free", "key", "memo", "args", "at")
+    __slots__ = ("formula", "compute", "kids", "level", "free", "reads", "key", "memo",
+                 "args", "at")
 
     def __init__(self, formula: Formula, compute, kids: tuple = (), level: int = _CONST,
-                 free: frozenset = frozenset(), memo: bool = False, args=None, at=None):
+                 free: frozenset = frozenset(), memo: bool = False, args=None, at=None,
+                 reads: frozenset | None = None):
         self.formula = formula
         self.compute = compute
         self.kids = kids
         self.level = level
         self.free = free
-        self.key = itemgetter(*sorted(free)) if free else None
+        if reads is None:
+            reads = (frozenset().union(*(kid.reads for kid in kids)) if level == _POINT
+                     else frozenset())
+        self.reads = reads
+        self.key = _getter(free)
         self.memo = memo
         self.args = args
         self.at = at or _AT[level]
@@ -333,6 +369,13 @@ class _Block:
     satisfy ``pure`` (guard conjuncts over bound variables only), solved
     once per value of the variables ``outer`` reads.  ``checks`` are the
     rest of the guard.
+
+    A possibility block (no binders, no checks, a pinned L body) splits
+    the body's pins by identifier: ``fixed`` pins identifiers none of whose
+    pinned expressions reads a solved variable, ``varying`` the others.
+    ``spread`` reads the values the union of the varying pins over the
+    guard's solutions depends on: ``outer``'s and those of the other bound
+    variables the varying expressions read.
     """
 
     vars: tuple[str, ...]
@@ -342,6 +385,9 @@ class _Block:
     outer: object
     checks: tuple[_Plan, ...]
     body: _Plan
+    fixed: tuple = ()
+    varying: tuple = ()
+    spread: object = None
 
 
 def _combined(kids) -> tuple[int, frozenset]:
@@ -357,6 +403,23 @@ def _conjuncts(f: Formula) -> tuple[Formula, ...]:
     return f.children if isinstance(f, And) else (f,)
 
 
+def _getter(names: frozenset):
+    """Reads the values of ``names`` from a store or an environment; None
+    for no names."""
+    return itemgetter(*sorted(names)) if names else None
+
+
+def _split_pins(body: _Plan, solve: frozenset, outer: frozenset) -> dict:
+    """The ``fixed``, ``varying`` and ``spread`` of a possibility block
+    whose pinned L is ``body``, solving ``solve``."""
+    atoms = _conjuncts(body.formula.child)
+    varying = {a.name for a in atoms if solve & set(expr_ids(a.expr))}
+    spread = outer.union(*(expr_ids(a.expr) for a in atoms if a.name in varying))
+    return {"fixed": tuple(pin for pin in body.args if pin[0] not in varying),
+            "varying": tuple(pin for pin in body.args if pin[0] in varying),
+            "spread": _getter(spread - solve)}
+
+
 class Evaluation:
     """Memoizing evaluator over a single model, with one environment."""
 
@@ -368,6 +431,7 @@ class Evaluation:
         self.memo: dict[tuple, bool] = {}
         self.solved: dict[object, list[tuple]] = {}
         self.masks: dict[object, int] = {}
+        self.every_run = (1 << len(model.executions)) - 1
         self.plans: dict[tuple[int, frozenset], _Plan] = {}
         self.points_visited = 0
         self.cache_hits = 0
@@ -444,8 +508,9 @@ class Evaluation:
                 raise LogicError(f"formula atom {expr_to_source(e)!r}: {err}") from err
             names.update(expr_ids(e))
         compute = Evaluation._eq if isinstance(f, Eq) else Evaluation._init
-        return _Plan(f, compute, level=_POINT if names - scope else fixed_level,
-                     free=frozenset(names & scope),
+        reads = frozenset(names - scope)
+        return _Plan(f, compute, level=_POINT if reads else fixed_level,
+                     free=frozenset(names & scope), reads=reads,
                      args=tuple(compile_expr(e, self.domain) for e in exprs))
 
     def _connective(self, f: Formula, compute, children, scope: frozenset) -> _Plan:
@@ -453,15 +518,15 @@ class Evaluation:
         return _Plan(f, compute, kids, *_combined(kids))
 
     def _temporal(self, f: Formula, compute, children, scope: frozenset, flag: bool) -> _Plan:
-        """Children fixed per run and epoch make the scan so too: the rest
-        of the current epoch's block repeats the value at the point, so the
-        scan steps from block to block.  Trace ids never decrease along a
-        run, so a block ends where the next larger id starts."""
+        """The scan steps over the run with ``_changes``, reading the store
+        identifiers its children read.  Children fixed per run and epoch
+        make the scan so too."""
         kids = tuple(self.compile(c, scope) for c in children)
         level, free = _combined(kids)
-        positions = _each_position if level == _POINT else _each_epoch_block
-        return _Plan(f, compute, kids, _RUN_EPOCH if level == _EPOCH else level, free,
-                     memo=True, args=(flag, positions))
+        plan = _Plan(f, compute, kids, _RUN_EPOCH if level == _EPOCH else level, free,
+                     memo=True)
+        plan.args = (flag, _getter(plan.reads))
+        return plan
 
     def _pinned_run(self, child: Formula, scope: frozenset):
         """(identifier, compiled expression) pairs of the K/L child, when it is
@@ -510,22 +575,28 @@ class Evaluation:
             level = _join(level, _EXEC)
         solve = tuple(v for v in names if v not in binders)
         outer = frozenset().union(*(plan.free for plan in pure)) - frozenset(solve)
-        block = _Block(tuple(names), tuple(binders.items()), solve, tuple(pure),
-                       itemgetter(*sorted(outer)) if outer else None, tuple(checks), body)
+        pins = {}
         if kind is Exists:
             compute = Evaluation._exists
         elif (not binders and not checks and body.compute is Evaluation._possible_runs
                 and body.args is not None):
             compute = Evaluation._all_possible
+            pins = _split_pins(body, frozenset(solve), outer)
         else:
             compute = Evaluation._forall
+        block = _Block(tuple(names), tuple(binders.items()), solve, tuple(pure),
+                       _getter(outer), tuple(checks), body, **pins)
         return _Plan(f, compute, kids, level, free - frozenset(names), memo=True,
                      args=block, at=at)
 
     # -- node semantics ------------------------------------------------------
 
     def _scope(self, p: _Plan, store: dict) -> dict:
-        """The store with the atom's bound variables laid over it."""
+        """What the atom's expressions read: the environment when they read
+        no store identifier, else the store with the atom's bound variables
+        laid over it."""
+        if not p.reads:
+            return self.env
         if not p.free:
             return store
         return {**store, **{n: self.env[n] for n in p.free}}
@@ -594,6 +665,19 @@ class Evaluation:
                 have[tid] |= bit
         return have
 
+    @cached_property
+    def runs_from(self) -> dict[str, dict[object, int]]:
+        """Per identifier and value, the mask of the runs whose initial
+        store holds that value."""
+        runs: dict[str, dict[object, int]] = {n: {} for n in self.model.variables}
+        for ex in self.model.executions:
+            bit = 1 << ex.index
+            init = ex.stores[0]
+            for name, by_value in runs.items():
+                value = init[name]
+                by_value[value] = by_value.get(value, 0) | bit
+        return runs
+
     def _sat(self, p: _Plan) -> int:
         """The mask of the runs where the run-fixed child of K/L ``p`` holds,
         under the current values of its bound variables.  A pinned child's
@@ -612,16 +696,15 @@ class Evaluation:
         return sat
 
     def _pinned_bit(self, pinned) -> int:
-        """The bit of the run the pinning names, or 0 when two of its atoms
-        pin one identifier to different values."""
-        values: dict[str, object] = {}
+        """The runs whose initial values the (identifier, expression) pairs
+        pin: the AND of their masks.  Pins naming every variable leave the
+        bit of one run, or 0 when two of them pin one identifier to
+        different values."""
+        env, runs_from = self.env, self.runs_from
+        runs = self.every_run
         for name, fn in pinned:
-            value = fn(self.env)
-            if values.setdefault(name, value) != value:
-                return 0
-        model = self.model
-        target = model.exec_by_values.get(tuple(values[n] for n in model.variables))
-        return 0 if target is None else 1 << target.index
+            runs &= runs_from[name].get(fn(env), 0)
+        return runs
 
     def _knows_runs(self, p: _Plan, ex: Execution, i: int) -> bool:
         """K of a child fixed along runs: every run of the epoch satisfies it."""
@@ -633,23 +716,33 @@ class Evaluation:
 
     def _all_possible(self, p: _Plan, ex: Execution, i: int) -> bool:
         """A forall block of pinned L bodies: every run the instances pin
-        visits the epoch."""
-        key = (p, p.key(self.env)) if p.key is not None else p
-        wanted = self.masks.get(key)
-        if wanted is None:
-            wanted = 0
-            body = p.args.body
+        visits the epoch.
+
+        An instance pins the runs of its fixed pins and of its varying
+        ones, so the instances pin ``fixed & union``, where ``union`` is the
+        OR of the varying pins over the guard's solutions, kept per solved
+        guard.  The model holds every initial store, so an instance pins no
+        run only when one side contradicts itself; that makes the block
+        false, and a guard that admits no instance makes it true.
+        """
+        block: _Block = p.args
+        key = block if block.spread is None else (block, block.spread(self.env))
+        union = self.masks.get(key)
+        if union is None:
+            union = 0
             for _ in self._instances(p, ex, i):
-                # -1 wants every run, including ones no model has: an
-                # instance that pins no run is never possible
-                wanted |= self._sat(body) or -1
-            self.masks[key] = wanted
-        return wanted & ~self.have[ex.trace_ids[i]] == 0
+                # -1 marks an instance whose varying pins contradict
+                union |= self._pinned_bit(block.varying) or -1
+            self.masks[key] = union
+        if union <= 0:
+            return union == 0
+        fixed = self._pinned_bit(block.fixed)
+        return fixed != 0 and fixed & union & ~self.have[ex.trace_ids[i]] == 0
 
     def _eventually(self, p: _Plan, ex: Execution, i: int) -> bool:
         """F, or G when ``args[0]`` is set."""
-        child, (always, positions) = p.kids[0], p.args
-        for j in positions(ex.trace_ids, i):
+        child, (always, read) = p.kids[0], p.args
+        for j in _changes(ex, i, read):
             if self.holds(child, ex, j) is not always:
                 return not always
         return always
@@ -657,8 +750,8 @@ class Evaluation:
     def _until(self, p: _Plan, ex: Execution, i: int) -> bool:
         """U, or W when ``args[0]`` is set."""
         lhs, rhs = p.kids
-        weak, positions = p.args
-        for j in positions(ex.trace_ids, i):
+        weak, read = p.args
+        for j in _changes(ex, i, read):
             if self.holds(rhs, ex, j):
                 return True
             if not self.holds(lhs, ex, j):
@@ -788,13 +881,12 @@ def _decisive(ev: Evaluation, p: _Plan, ex: Execution, i: int, expect: bool,
                     bindings.extend((v, ev.env[v]) for v in p.args.vars)
                     return body, i, expect
         case F() | G() if expect == isinstance(f, F):
-            child, positions = p.kids[0], p.args[1]
-            return next(((child, j, expect) for j in positions(ex.trace_ids, i)
+            child = p.kids[0]
+            return next(((child, j, expect) for j in _changes(ex, i, p.args[1])
                          if holds(child, ex, j) == expect), None)
         case Until() | W() if expect == isinstance(f, Until):
             lhs, rhs = p.kids
-            positions = p.args[1]
-            for j in positions(ex.trace_ids, i):
+            for j in _changes(ex, i, p.args[1]):
                 if holds(rhs, ex, j):
                     return rhs, j, True
                 if not holds(lhs, ex, j):

@@ -1,8 +1,14 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epiflow.cli import main
+from epiflow.domain import Domain
+from epiflow.fuzz import FuzzConfig, _abstractions_for, _gen_expr, generate_program
+from epiflow.lang import expr_to_source, to_source
+from epiflow.policyfile import EPISTEMIC_CHECKS, SEMANTIC_CHECKS
 from epiflow.report import Report
 
 
@@ -167,3 +173,69 @@ class TestRobustness:
                     "--policy", tmp_path / "p.pol"])
         assert code == 1
         assert "FAILS" in capsys.readouterr().out
+
+
+# --domain flags and the domain they select
+DOMAINS = [(("--domain", "bool"), Domain.booleans()),
+           (("--domain", "int:4"), Domain.integers(4)),
+           (("--domain", "int:4", "--signed-window"), Domain.integers(4, signed=True))]
+
+
+def nested(text: str, depth: int) -> str:
+    """``text`` under ``depth`` alternating ifs and loops that run once."""
+    for level in range(depth):
+        if level % 2:
+            text = f"c := tt; while c do {{ {text}; c := ff }}"
+        else:
+            text = f"if h == h then {{ {text} }} else {{ skip }}"
+    return text
+
+
+@st.composite
+def check_inputs(draw):
+    """A generated program (plain, long or deep) and a policy for any check."""
+    check = draw(st.sampled_from(EPISTEMIC_CHECKS + SEMANTIC_CHECKS))
+    flags, dom = draw(st.sampled_from(DOMAINS))
+    shape = draw(st.sampled_from(["plain", "long", "deep"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    # the deep shape's guards read h, the second identifier
+    cfg = FuzzConfig(size=draw(st.integers(1, 8)), domain=dom, loops=draw(st.booleans()),
+                     ident_count=draw(st.integers(1, 3)) if shape == "plain" else 2)
+    releases = ("r1", "r2")[:draw(st.integers(0, 2))] if check in ("akr", "er") else ()
+    program = generate_program(rng, cfg, release_flags=releases)
+    text = to_source(program.body, dom)
+    if shape == "long":
+        text = "l := l;\n" * draw(st.integers(1_000, 5_000)) + text
+    elif shape == "deep":
+        text = nested(text, draw(st.integers(50, 250)))
+    names = program.variables + (("c",) if shape == "deep" else ())
+    low = [n for n in names if draw(st.booleans())]
+    if check in ("aak", "nani") and not low:  # the output abstraction needs one
+        low = names[:1]
+    lines = [f"check: {check}", "low: " + ", ".join(low)]
+
+    def expr(depth=2):
+        return expr_to_source(_gen_expr(rng, names, dom, depth), dom)
+
+    if check in ("akd", "nid"):
+        lines += [f"declassify: {expr()}" for _ in range(draw(st.integers(0, 2)))]
+    elif check in ("aak", "nani"):
+        lines += [f"{key}: {rng.choice(_abstractions_for(dom))}" for key in ("eta", "phi", "rho")]
+    elif check in ("akr", "er"):
+        lines += [f"release: {flag} = {expr()}" for flag in releases]
+    elif check in ("aktd", "nitd"):
+        lines += [f"when: {expr(1)} ==> {expr(1)}" for _ in range(draw(st.integers(0, 2)))]
+    return text, "\n".join(lines) + "\n", flags
+
+
+class TestWellFormedInputs:
+    @settings(max_examples=100, deadline=None)
+    @given(check_inputs())
+    def test_exit_code_is_a_verdict_or_a_usage_error(self, tmp_path_factory, inputs):
+        # exit 4 is an internal error: never the answer to a well-formed input
+        text, policy, flags = inputs
+        tmp = tmp_path_factory.mktemp("check")
+        (tmp / "p.wout").write_text(text)
+        (tmp / "p.pol").write_text(policy)
+        code = run(["check", "--program", tmp / "p.wout", "--policy", tmp / "p.pol", *flags])
+        assert code in (0, 1, 2, 3), (text[-400:], policy)

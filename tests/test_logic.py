@@ -7,7 +7,7 @@ import oracles
 from conftest import exec_from
 from epiflow.domain import Domain
 from epiflow.fuzz import FuzzConfig, _abstractions_for, _gen_expr, generate_program
-from epiflow.lang import Binary, Const, Unary, Var, parse, parse_expression
+from epiflow.lang import Binary, Const, Unary, Var, expr_ids, parse, parse_expression
 from epiflow.logic import (_EPOCH, _EXEC, _POINT, _RUN_EPOCH, And, Eq,
                            Evaluation, Exists, F, Ff, Forall, G, Implies, Init,
                            K, L, LogicError, Not, Or, Tt, Until, W,
@@ -351,6 +351,19 @@ OTHER_BLOCKS = [
     "forall a . forall b . K (init(l, a) && init(h, b))",
 ]
 
+# possibility blocks inside a block binding u to the run's initial l and w
+# to its initial h, each with the identifiers of its fixed pins (reading no
+# solved variable) and of its varying pins.  The fixed side contradicts
+# itself on runs where l != h; the varying side does there; a guard admits
+# no instance while the fixed side contradicts; varying pins read outer u.
+SPLIT_BLOCKS = [
+    ("forall b . b != u -> L (init(l, u) && init(l, w) && init(h, b))", "l l", "h"),
+    ("forall a . a == w -> L (init(l, u) && init(h, a) && init(h, u))", "l", "h h"),
+    ("forall b . b != b -> L (init(l, u) && init(l, w) && init(h, b))", "l l", "h"),
+    ("forall a . a != u -> L (init(l, u) && init(h, a + u))", "l", "h"),
+    ("forall a . L (init(l, a) && init(h, a + u))", "", "l h"),
+]
+
 
 class TestMemoLevels:
     """K, L and the temporal operators over children at every memo level,
@@ -434,6 +447,19 @@ class TestMemoLevels:
         for index, m in enumerate(models):
             agrees_at_every_point(m, f, seed=index)
 
+    @pytest.mark.parametrize("inner, fixed, varying", SPLIT_BLOCKS)
+    def test_possibility_blocks_split_their_pins(self, inner, fixed, varying):
+        f = parse_formula(f"forall u . forall w . (init(l, u) && init(h, w)) -> {inner}")
+        # a + u needs integers
+        models = [m for m in level_models() if "+" not in inner or m.domain == INT4]
+        ev = Evaluation(models[0])
+        ev.compile(f)
+        (block,) = [p.args for p in ev.plans.values() if p.compute is Evaluation._all_possible]
+        assert " ".join(name for name, _ in block.fixed) == fixed
+        assert " ".join(name for name, _ in block.varying) == varying
+        for index, m in enumerate(models):
+            agrees_at_every_point(m, f, seed=index)
+
     def test_knowledge_over_run_masks(self):
         formulas = [
             "forall a . forall b . K (init(l, a) && init(h, b))",
@@ -480,6 +506,100 @@ class TestMemoLevels:
         assert isinstance(f, G) and ev.counted.level != _POINT
         assert all(ev.holds(root, ex, 0) for ex in m.executions)
         assert ev.calls == sum(len(ex.trace_id_set) for ex in m.executions)
+
+    def test_scans_step_from_change_to_change(self):
+        # akr's G child reads the release flag, which changes only at the
+        # release step: its scans visit each position where the flag or
+        # the trace changes, and no other
+        m, f = c7_akr()
+        ev = CountingEvaluation(m)
+        root = ev.compile(f)
+        ev.counted = root.kids[0]
+        assert isinstance(f, G) and ev.counted.reads == {"rh"}
+        assert all(ev.holds(root, ex, 0) for ex in m.executions)
+        changes = sum(1 for ex in m.executions for j in range(len(ex) + 1)
+                      if j == 0 or ex.trace_ids[j] != ex.trace_ids[j - 1]
+                      or ex.stores[j]["rh"] != ex.stores[j - 1]["rh"])
+        assert ev.calls == changes < m.point_count
+
+    def test_release_witness(self):
+        # the extra output x mod 3 tells h = 0 from h'' = 4, which agree on
+        # the released hashed check
+        m, f = c7_akr(leaky=True)
+        verdict = model_satisfies(m, f)
+        assert verdict.outcome is Outcome.FAILS
+        w = verdict.witness
+        assert w.stores == (("initial", (("x", 0), ("h", 0), ("in", 0), ("l", 0))),)
+        assert w.point_index == 6
+        assert w.trace == (0, 0)
+        assert w.bindings == (("in'", 0), ("l'", 0), ("x'", 0), ("h'", 0),
+                              ("x''", 0), ("h''", 4))
+
+
+def c7_akr(leaky=False):
+    """Acceptance item 7: the hashed-check program under akr, with its
+    check released; the leaky variant also outputs x mod 3."""
+    dom = Domain.integers(8, hash_table=tuple(3 * v % 8 for v in range(8)))
+    text = ("x := hash(h); if (x mod 2) == in then { l := 0 } else { l := 1 };"
+            " release rh; out l" + ("; out (x mod 3)" if leaky else ""))
+    program = parse(text, dom)
+    releases = ReleaseSpec((("rh", parse_expression("(hash(h) mod 2) == in")),))
+    f = encode_akr(FlowSpec.from_low(program, ["in", "l"]), releases, dom)
+    return build_model(program, ModelConfig(dom)), f
+
+
+def store_reads(f, bound=frozenset()):
+    """The store identifiers the formula's atoms read at the current point;
+    atoms under K or L read other points."""
+    match f:
+        case Eq(lhs, rhs):
+            return (set(expr_ids(lhs)) | set(expr_ids(rhs))) - bound
+        case Init(_, expr):
+            return set(expr_ids(expr)) - bound
+        case K() | L() | Tt() | Ff():
+            return set()
+        case Forall(var, body) | Exists(var, body):
+            return store_reads(body, bound | {var})
+        case Not(child) | F(child) | G(child):
+            return store_reads(child, bound)
+        case And(children) | Or(children):
+            return set().union(*(store_reads(c, bound) for c in children))
+        case Until(lhs, rhs) | W(lhs, rhs) | Implies(lhs, rhs):
+            return store_reads(lhs, bound) | store_reads(rhs, bound)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+TERMS = st.sampled_from([Var("l"), Var("h"), Var("v")])
+ATOMS = st.one_of(st.builds(Eq, TERMS, TERMS),
+                  st.builds(Init, st.sampled_from(["l", "h"]), TERMS))
+FORMULAS = st.recursive(ATOMS, lambda sub: st.one_of(
+    st.builds(Not, sub), st.builds(K, sub), st.builds(L, sub),
+    st.builds(F, sub), st.builds(G, sub),
+    st.builds(lambda a, b: And((a, b)), sub, sub),
+    st.builds(lambda a, b: Or((a, b)), sub, sub),
+    st.builds(Until, sub, sub), st.builds(W, sub, sub),
+    st.builds(Forall, st.just("v"), sub), st.builds(Exists, st.just("v"), sub),
+), max_leaves=6)
+STUTTER_MODELS = random_models(3, seed=31, size=8) + level_models()
+
+
+class TestStutterInvariance:
+    """The logic has no Next, so it cannot tell repeated states apart:
+    the premise of scans that step from change to change."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(FORMULAS, st.integers(0, len(STUTTER_MODELS) - 1))
+    def test_repeated_states_agree(self, body, index):
+        # v is the run's initial h
+        m = STUTTER_MODELS[index]
+        f = Forall("v", Implies(Init("h", Var("v")), body))
+        reads = sorted(store_reads(f))
+        for ex in m.executions:
+            values = [oracles.holds(m, f, ex, j) for j in range(len(ex) + 1)]
+            for j in range(len(ex)):
+                if ex.trace_ids[j] == ex.trace_ids[j + 1] and all(
+                        ex.stores[j][n] == ex.stores[j + 1][n] for n in reads):
+                    assert values[j] == values[j + 1], formula_to_source(f)
 
 
 class CountingEvaluation(Evaluation):
