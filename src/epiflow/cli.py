@@ -25,9 +25,9 @@ from .fuzz import PAIRS, FuzzConfig, fuzz_equivalences
 from .lang import LangError, ParseError, parse
 from .logic import LogicError, model_satisfies, parse_formula
 from .model import ModelConfig, build_model
-from .policies import FlowSpec, PolicyError, ReleaseSpec
-from .policyfile import (CheckRun, Policy, load_policy, run_both_sides,
-                         run_check, _policy_pieces)
+from .policies import PolicyError
+from .policyfile import (CheckRun, Policy, load_policy, policy_pieces,
+                         run_both_sides, run_check)
 from .report import build_report, model_dump, render_text
 from .semantics import knowledge_set, release_set
 from .verdicts import Outcome
@@ -216,10 +216,8 @@ def _parse_init(text: str, program, dom: Domain) -> dict:
 def cmd_knowledge(args) -> int:
     dom, text, program, cfg = _load(args)
     policy = _policy_from(args, program)
-    pieces = _policy_pieces(policy, program, dom)
-    fs: FlowSpec = pieces["fs"]
-    releases: ReleaseSpec = pieces.get("releases", ReleaseSpec(()))
-    releases.check_against(program, dom)
+    pieces = policy_pieces(policy, program, dom)
+    fs, releases = pieces["fs"], pieces["releases"]
     model = build_model(program, cfg)
     if model.tainted:
         print("model contains a non-terminated execution; refusing")

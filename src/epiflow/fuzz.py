@@ -2,8 +2,9 @@
 
 Each iteration derives its own RNG from (seed, index), generates a random
 terminating program and a random policy for the pair under test, runs both
-readings, and records any verdict disagreement as a reproducible bundle.
-The equivalence of the two readings is the oracle: mismatches are bugs.
+readings as ``epiflow diff`` does, and records any verdict disagreement
+with the program and policy texts that replay it.  The equivalence of the
+two readings is the oracle: mismatches are bugs.
 """
 
 from __future__ import annotations
@@ -16,12 +17,8 @@ from .domain import Domain
 from .lang import (Assign, Binary, Const, Expr, If, Out, Program, Release,
                    Seq, Skip, Stmt, Unary, Var, While, expr_to_source,
                    program_from_body, to_source)
-from .logic import model_satisfies
-from .model import ModelConfig, build_model
-from .policies import (FlowSpec, InitPredicate, ReleaseSpec,
-                       TemporalDeclassification, encode_ak, encode_akd,
-                       encode_aak, encode_akr, encode_aktd)
-from .semantics import (check_er, check_nani, check_nid, check_nitd, check_oni)
+from .model import ModelConfig
+from .policyfile import ABSTRACTED, Policy, run_both_sides
 from .verdicts import Outcome
 
 PAIRS = ("oni-ak", "nid-akd", "nani-aak", "akr-er", "nitd-aktd")
@@ -56,12 +53,20 @@ class FuzzConfig:
 
 @dataclass(frozen=True)
 class Mismatch:
+    """A disagreement, with the texts and ``epiflow diff`` flags that replay it."""
+
     pair: str
     index: int
     program: str
     policy: str
     semantic: str
     epistemic: str
+    flags: tuple[str, ...]
+
+    def command(self, program: str = "mismatch.wout",
+                policy: str = "mismatch.pol") -> list[str]:
+        """``epiflow`` arguments replaying this mismatch from the saved texts."""
+        return ["diff", "--program", program, "--policy", policy, *self.flags]
 
 
 @dataclass
@@ -103,7 +108,9 @@ class FuzzSummary:
                     f"-- {m.pair} #{m.index}: semantic={m.semantic} "
                     f"epistemic={m.epistemic}")
                 lines.append(f"   program: {m.program}")
-                lines.append(f"   policy:  {m.policy}")
+                lines.append("   policy:")
+                lines += [f"     {line}" for line in m.policy.splitlines()]
+                lines.append(f"   replay:  epiflow {' '.join(m.command())}")
         return "\n".join(lines) + "\n"
 
 
@@ -215,18 +222,56 @@ def _insert_release(rng: random.Random, body: Stmt, flag: str) -> Stmt:
 # One differential run per pair
 
 
-def _random_flowspec(rng: random.Random, program: Program) -> FlowSpec:
-    names = program.variables
-    low = tuple(n for n in names if rng.random() < 0.5)
-    return FlowSpec.from_low(program, low)
-
-
 def _abstractions_for(dom: Domain) -> tuple[str, ...]:
     if dom.kind == "bool":
         return ("Id",)
     if dom.signed:
         return ("Id", "Sign", "Par")
     return ("Id", "Par")
+
+
+def _replay_flags(cfg: FuzzConfig) -> tuple[str, ...]:
+    dom = cfg.domain
+    flags = ["--domain", "bool" if dom.kind == "bool" else f"int:{dom.size}"]
+    if dom.signed:
+        flags.append("--signed-window")
+    if dom.hash_table is not None:
+        flags += ["--hash", ",".join(dom.format_value(v) for v in dom.hash_table)]
+    return (*flags, "--bound", str(cfg.bound))
+
+
+def generate_case(pair: str, index: int, cfg: FuzzConfig) -> tuple[Program, Policy]:
+    """The program and policy of one differential run, drawn from its own RNG."""
+    if pair not in PAIRS:
+        raise ValueError(f"unknown pair {pair!r}")
+    rng = random.Random(f"{cfg.seed}:{pair}:{index}")
+    dom = cfg.domain
+    if pair == "nani-aak":
+        program = generate_program(rng, cfg, allow_out=False)
+    elif pair == "akr-er":
+        flags = ("r1", "r2")[: rng.randint(1, 2)]
+        program = generate_program(rng, cfg, release_flags=flags)
+    else:
+        program = generate_program(rng, cfg)
+    names = program.variables
+    low = tuple(n for n in names if rng.random() < 0.5)
+
+    def expr(depth: int) -> str:
+        return expr_to_source(_gen_expr(rng, names, dom, depth), dom)
+
+    entries = {}
+    match pair:
+        case "nid-akd":
+            entries["declassify"] = tuple(expr(2) for _ in range(rng.randint(1, 2)))
+        case "nani-aak":
+            choices = _abstractions_for(dom)
+            entries = {key: rng.choice(choices) for key in ABSTRACTED}
+            low = low or names[:1]  # a named output abstraction acts on low ones
+        case "akr-er":
+            entries["releases"] = tuple((flag, expr(2)) for flag in program.flags)
+        case "nitd-aktd":
+            entries["whens"] = tuple((expr(1), expr(1)) for _ in range(rng.randint(0, 2)))
+    return program, Policy(pair.split("-")[0], low, **entries)
 
 
 def run_one(pair: str, index: int, cfg: FuzzConfig) -> Mismatch | None:
@@ -237,74 +282,15 @@ def run_one(pair: str, index: int, cfg: FuzzConfig) -> Mismatch | None:
 
 def _compare(pair: str, index: int, cfg: FuzzConfig) -> tuple[Outcome | None, Mismatch | None]:
     """The outcome both readings agree on, or None and their mismatch."""
-    rng = random.Random(f"{cfg.seed}:{pair}:{index}")
-    dom = cfg.domain
-    mcfg = ModelConfig(dom, bound=cfg.bound)
-
-    if pair == "nani-aak":
-        program = generate_program(rng, cfg, allow_out=False)
-    elif pair == "akr-er":
-        flags = ("r1", "r2")[: rng.randint(1, 2)]
-        program = generate_program(rng, cfg, release_flags=flags)
-    else:
-        program = generate_program(rng, cfg)
-    fs = _random_flowspec(rng, program)
-
-    policy_desc = f"low: {', '.join(fs.low)}"
-    match pair:
-        case "oni-ak":
-            model = build_model(program, mcfg)
-            semantic = check_oni(model, fs)
-            epistemic = model_satisfies(model, encode_ak(fs, dom))
-        case "nid-akd":
-            preds = tuple(
-                InitPredicate.from_expression(_gen_expr(rng, program.variables, dom, 2), dom)
-                for _ in range(rng.randint(1, 2)))
-            policy_desc += "; declassify: " + "; ".join(p.label for p in preds)
-            model = build_model(program, mcfg)
-            semantic = check_nid(model, fs, preds)
-            epistemic = model_satisfies(model, encode_akd(fs, preds, dom))
-        case "nani-aak":
-            names = _abstractions_for(dom)
-            eta, phi, rho = (rng.choice(names) for _ in range(3))
-            if not fs.low:
-                fs = FlowSpec.from_low(program, program.variables[:1])
-            policy_desc += f"; eta: {eta}; phi: {phi}; rho: {rho}"
-            semantic = check_nani(program, fs, eta, phi, rho, mcfg)
-            transformed, formula = encode_aak(program, fs, eta, phi, rho, dom)
-            epistemic = model_satisfies(build_model(transformed, mcfg), formula)
-        case "akr-er":
-            releases = ReleaseSpec(tuple(
-                (flag, _gen_expr(rng, program.variables, dom, 2))
-                for flag in program.flags))
-            policy_desc += "; " + "; ".join(
-                f"release: {f} = {expr_to_source(e, dom)}" for f, e in releases.items)
-            model = build_model(program, mcfg)
-            semantic = check_er(model, fs, releases)
-            epistemic = model_satisfies(model, encode_akr(fs, releases, dom))
-        case "nitd-aktd":
-            tds = tuple(
-                TemporalDeclassification(
-                    _gen_expr(rng, program.variables, dom, 1),
-                    InitPredicate.from_expression(
-                        _gen_expr(rng, program.variables, dom, 1), dom))
-                for _ in range(rng.randint(0, 2)))
-            if tds:
-                policy_desc += "; " + "; ".join(
-                    f"when: {expr_to_source(td.condition, dom)} ==> "
-                    f"{td.declassified.label}" for td in tds)
-            model = build_model(program, mcfg)
-            semantic = check_nitd(model, fs, tds)
-            epistemic = model_satisfies(model, encode_aktd(fs, tds, dom))
-        case _:
-            raise ValueError(f"unknown pair {pair!r}")
-
-    if semantic.outcome is epistemic.outcome:
-        return semantic.outcome, None
+    program, policy = generate_case(pair, index, cfg)
+    sem_run, epi_run = run_both_sides(program, policy, ModelConfig(cfg.domain, bound=cfg.bound))
+    semantic, epistemic = sem_run.verdict.outcome, epi_run.verdict.outcome
+    if semantic is epistemic:
+        return semantic, None
     return None, Mismatch(
-        pair=pair, index=index, program=to_source(program.body, dom),
-        policy=policy_desc, semantic=semantic.outcome.value,
-        epistemic=epistemic.outcome.value)
+        pair=pair, index=index, program=to_source(program.body, cfg.domain),
+        policy=policy.to_text(), semantic=semantic.value,
+        epistemic=epistemic.value, flags=_replay_flags(cfg))
 
 
 def fuzz_equivalences(cfg: FuzzConfig) -> FuzzSummary:

@@ -265,6 +265,17 @@ def encode_akd(fs: FlowSpec, phi, dom: Domain) -> Formula:
     return G(espm(fs.low, fs.high, _as_predicates(phi, dom), dom))
 
 
+def check_output_abstraction(fs: FlowSpec, rho: str | Expr) -> None:
+    """Rules for ``rho`` that aak and nani share: an expression reads public
+    identifiers only, and a named abstraction needs one to act on."""
+    if isinstance(rho, Expr):
+        for n in expr_ids(rho):
+            if n not in fs.low:
+                raise PolicyError(f"output abstraction mentions non-public {n!r}")
+    elif not fs.low:
+        raise PolicyError("abstract output needs at least one public identifier")
+
+
 def encode_aak(program: Program, fs: FlowSpec, eta: str | Expr, phi: str | Expr,
                rho: str | Expr, dom: Domain,
                fix_low: bool = False) -> tuple[Program, Formula]:
@@ -276,15 +287,11 @@ def encode_aak(program: Program, fs: FlowSpec, eta: str | Expr, phi: str | Expr,
     both encoded as agreement predicates.  ``fix_low`` switches to the
     variant that pins public inputs exactly (making ``eta`` vacuous).
     """
+    check_output_abstraction(fs, rho)
     body: Stmt = program.body
     if isinstance(rho, Expr):
-        for n in expr_ids(rho):
-            if n not in fs.low:
-                raise PolicyError(f"output abstraction mentions non-public {n!r}")
         body = Seq(body, Out(rho))
     else:
-        if not fs.low:
-            raise PolicyError("abstract output needs at least one public identifier")
         for name in fs.low:
             body = Seq(body, Out(abstraction_expr(rho, Var(name), dom)))
     transformed = program_from_body(body, program.text)

@@ -1,4 +1,4 @@
-"""Line-oriented policy files and dispatch to the matching checker.
+"""Line-oriented policy files and the check table every command runs through.
 
 A policy file names one check and its parameters::
 
@@ -11,30 +11,73 @@ A policy file names one check and its parameters::
     #   release: r1 = <expr>                              (akr, er; repeatable)
     #   when: <state-expr> ==> <init-expr>                (aktd, nitd; repeatable)
 
-``#`` starts a comment.  Epistemic checks (ak, akd, aak, akr, aktd) go
-through the formula encoders; their trace-based counterparts (oni, nid,
-nani, er, nitd) run directly on the model.
+``#`` starts a comment.  ``CHECKS`` has one row per check.  Epistemic
+checks (ak, akd, aak, akr, aktd) go through the formula encoders; their
+trace-based twins (oni, nid, nani, er, nitd) run directly on the model.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable
 
 from .domain import Domain
 from .lang import Expr, Program, parse_expression, validate_expr
 from .logic import Formula, formula_size, model_satisfies
 from .model import Model, ModelConfig, build_model
 from .policies import (ABSTRACTIONS, FlowSpec, InitPredicate, PolicyError,
-                       ReleaseSpec, TemporalDeclassification, encode_ak,
-                       encode_akd, encode_aak, encode_akr, encode_aktd)
+                       ReleaseSpec, TemporalDeclassification, abstraction_fn,
+                       encode_ak, encode_akd, encode_aak, encode_akr, encode_aktd)
 from .semantics import (check_er, check_nani, check_nid, check_nitd, check_oni)
 from .verdicts import Verdict
 
-EPISTEMIC_CHECKS = ("ak", "akd", "aak", "akr", "aktd")
-SEMANTIC_CHECKS = ("oni", "nid", "nani", "er", "nitd")
-SEMANTIC_OF = dict(zip(EPISTEMIC_CHECKS, SEMANTIC_CHECKS))
-EPISTEMIC_OF = dict(zip(SEMANTIC_CHECKS, EPISTEMIC_CHECKS))
+
+@dataclass(frozen=True)
+class Check:
+    """One row of the check table: one reading of a security condition.
+
+    An epistemic row's ``encode(program, pieces, dom, fix_low)`` gives the
+    program to model (only aak transforms it) and the formula to evaluate;
+    a trace-based row's ``judge(model, pieces)`` gives the verdict.  Rows
+    call this module's ``encode_*``, ``check_*``, ``build_model`` and
+    ``model_satisfies`` by name, so a wrapper put on one sees every call.
+    """
+
+    twin: str
+    needs: tuple[str, ...] = ()  # policy entries the check cannot run without
+    encode: Callable[[Program, dict, Domain, bool], tuple[Program, Formula]] | None = None
+    judge: Callable[[Model, dict], Verdict] | None = None
+
+    @property
+    def reading(self) -> str:
+        return "trace" if self.encode is None else "epistemic"
+
+
+ABSTRACTED = ("eta", "phi", "rho")
+
+CHECKS: dict[str, Check] = {
+    "ak": Check("oni", encode=lambda prog, p, dom, fix_low: (
+        prog, encode_ak(p["fs"], dom))),
+    "akd": Check("nid", ("declassify",), encode=lambda prog, p, dom, fix_low: (
+        prog, encode_akd(p["fs"], p["declassify"], dom))),
+    "aak": Check("nani", ABSTRACTED, encode=lambda prog, p, dom, fix_low: encode_aak(
+        prog, p["fs"], p["eta"], p["phi"], p["rho"], dom, fix_low=fix_low)),
+    "akr": Check("er", encode=lambda prog, p, dom, fix_low: (
+        prog, encode_akr(p["fs"], p["releases"], dom))),
+    "aktd": Check("nitd", encode=lambda prog, p, dom, fix_low: (
+        prog, encode_aktd(p["fs"], p["whens"], dom))),
+    "oni": Check("ak", judge=lambda m, p: check_oni(m, p["fs"])),
+    "nid": Check("akd", ("declassify",),
+                 judge=lambda m, p: check_nid(m, p["fs"], p["declassify"])),
+    "nani": Check("aak", ABSTRACTED,
+                  judge=lambda m, p: check_nani(m, p["fs"], p["eta"], p["phi"], p["rho"])),
+    "er": Check("akr", judge=lambda m, p: check_er(m, p["fs"], p["releases"])),
+    "nitd": Check("aktd", judge=lambda m, p: check_nitd(m, p["fs"], p["whens"])),
+}
+SEMANTIC_OF = {n: c.twin for n, c in CHECKS.items() if c.reading == "epistemic"}
+EPISTEMIC_OF = {twin: n for n, twin in SEMANTIC_OF.items()}
+EPISTEMIC_CHECKS, SEMANTIC_CHECKS = tuple(SEMANTIC_OF), tuple(EPISTEMIC_OF)
 
 
 @dataclass(frozen=True)
@@ -60,6 +103,16 @@ class Policy:
             "when": [f"{cond} ==> {expr}" for cond, expr in self.whens],
         }
 
+    def to_text(self) -> str:
+        """The policy as a policy file, which ``parse_policy`` reads back."""
+        lines = [f"check: {self.check}", f"low: {', '.join(self.low)}"]
+        lines += [f"declassify: {text}" for text in self.declassify]
+        lines += [f"{key}: {value}" for key in ABSTRACTED
+                  if (value := getattr(self, key)) is not None]
+        lines += [f"release: {flag} = {expr}" for flag, expr in self.releases]
+        lines += [f"when: {cond} ==> {expr}" for cond, expr in self.whens]
+        return "\n".join(lines) + "\n"
+
 
 def parse_policy(text: str) -> Policy:
     fields: dict = {"low": (), "declassify": [], "releases": [], "whens": [],
@@ -73,7 +126,7 @@ def parse_policy(text: str) -> Policy:
         key, value = (part.strip() for part in line.split(":", 1))
         match key:
             case "check":
-                if value not in EPISTEMIC_CHECKS + SEMANTIC_CHECKS:
+                if value not in CHECKS:
                     raise PolicyError(f"policy line {lineno}: unknown check {value!r}")
                 fields["check"] = value
             case "low":
@@ -124,7 +177,7 @@ def load_policy(path: str) -> Policy:
 class CheckRun:
     check: str
     verdict: Verdict
-    model: Model | None = None
+    model: Model
     formula: Formula | None = None
     transformed: Program | None = None
     elapsed: float = 0.0
@@ -144,120 +197,79 @@ def _parse_checked(text: str, program: Program, dom: Domain,
     return expr
 
 
-def _abstraction_or_expr(value: str, program: Program, dom: Domain, what: str):
-    if value in ABSTRACTIONS:
-        return value
-    return _parse_checked(value, program, dom, what)
+def policy_pieces(policy: Policy, program: Program, dom: Domain) -> dict:
+    """The policy's entries, parsed and checked against the program.
 
-
-def _policy_pieces(policy: Policy, program: Program, dom: Domain) -> dict:
-    pieces: dict = {"fs": FlowSpec.from_low(program, policy.low)}
-    if policy.declassify:
-        pieces["declassify"] = tuple(
+    A usage error if an entry is malformed or the named check needs an
+    entry the policy lacks, so both readings of a pair accept the same
+    policies.  Releases and temporal declassifications default to none.
+    """
+    check = CHECKS.get(policy.check)
+    if check is None:
+        raise PolicyError(f"unknown check {policy.check!r}")
+    pieces = {
+        "fs": FlowSpec.from_low(program, policy.low),
+        "declassify": tuple(
             InitPredicate.from_expression(
                 _parse_checked(t, program, dom, "declassification"), dom)
-            for t in policy.declassify)
-    if policy.releases:
-        pieces["releases"] = ReleaseSpec(tuple(
+            for t in policy.declassify),
+        "releases": ReleaseSpec(tuple(
             (flag, _parse_checked(expr, program, dom, f"release {flag}"))
-            for flag, expr in policy.releases))
-    if policy.whens:
-        pieces["whens"] = tuple(
+            for flag, expr in policy.releases)),
+        "whens": tuple(
             TemporalDeclassification(
                 _parse_checked(cond, program, dom, "when-condition", extra=program.flags),
                 InitPredicate.from_expression(
                     _parse_checked(expr, program, dom, "declassification"), dom))
-            for cond, expr in policy.whens)
-    for name in ("eta", "phi", "rho"):
+            for cond, expr in policy.whens),
+    }
+    for name in ABSTRACTED:
         value = getattr(policy, name)
-        if value is not None:
-            pieces[name] = _abstraction_or_expr(value, program, dom, name)
+        if value in ABSTRACTIONS:
+            abstraction_fn(value, dom)  # rejects Sign and Par on booleans
+            pieces[name] = value
+        elif value is not None:
+            pieces[name] = _parse_checked(value, program, dom, name)
+    pieces["releases"].check_against(program, dom)
+    missing = [k for k in check.needs if not pieces.get(k)]
+    if missing:
+        raise PolicyError(f"check {policy.check!r} needs a {missing[0]!r} entry")
     return pieces
 
 
-def _require(policy: Policy, pieces: dict, *keys: str) -> None:
-    missing = [k for k in keys if k not in pieces]
-    if missing:
-        raise PolicyError(f"check {policy.check!r} needs a {missing[0]!r} entry")
+def _run(name: str, program: Program, pieces: dict, cfg: ModelConfig,
+         fix_low: bool, model: Model | None = None) -> CheckRun:
+    """One reading of a checked policy, timed; ``model`` is the program's, if built."""
+    start = time.perf_counter()
+    check = CHECKS[name]
+    modeled, formula = (program, None) if check.encode is None else check.encode(
+        program, pieces, cfg.domain, fix_low)
+    if model is None or modeled is not program:
+        model = build_model(modeled, cfg)
+    verdict = (check.judge(model, pieces) if formula is None
+               else model_satisfies(model, formula))
+    return CheckRun(name, verdict, model, formula,
+                    None if modeled is program else modeled,
+                    elapsed=time.perf_counter() - start)
 
 
 def run_check(program: Program, policy: Policy, cfg: ModelConfig,
               fix_low: bool = False) -> CheckRun:
-    """Build what the named check needs, run it, and time it."""
-    dom = cfg.domain
-    start = time.perf_counter()
-    pieces = _policy_pieces(policy, program, dom)
-    fs: FlowSpec = pieces["fs"]
-    name = policy.check
-    model: Model | None = None
-    formula: Formula | None = None
-    transformed: Program | None = None
-
-    if name in ("aak", "nani"):
-        _require(policy, pieces, "eta", "phi", "rho")
-    if name in ("akd", "nid"):
-        _require(policy, pieces, "declassify")
-    if name in ("akr", "er") and "releases" not in pieces:
-        pieces["releases"] = ReleaseSpec(())
-    if name in ("aktd", "nitd") and "whens" not in pieces:
-        pieces["whens"] = ()
-
-    match name:
-        case "oni":
-            model = build_model(program, cfg)
-            verdict = check_oni(model, fs)
-        case "nid":
-            model = build_model(program, cfg)
-            verdict = check_nid(model, fs, pieces["declassify"])
-        case "nani":
-            verdict = check_nani(program, fs, pieces["eta"], pieces["phi"],
-                                 pieces["rho"], cfg)
-        case "er":
-            model = build_model(program, cfg)
-            pieces["releases"].check_against(program, dom)
-            verdict = check_er(model, fs, pieces["releases"])
-        case "nitd":
-            model = build_model(program, cfg)
-            verdict = check_nitd(model, fs, pieces["whens"])
-        case "ak":
-            model = build_model(program, cfg)
-            formula = encode_ak(fs, dom)
-            verdict = model_satisfies(model, formula)
-        case "akd":
-            model = build_model(program, cfg)
-            formula = encode_akd(fs, pieces["declassify"], dom)
-            verdict = model_satisfies(model, formula)
-        case "aak":
-            transformed, formula = encode_aak(
-                program, fs, pieces["eta"], pieces["phi"], pieces["rho"],
-                dom, fix_low=fix_low)
-            model = build_model(transformed, cfg)
-            verdict = model_satisfies(model, formula)
-        case "akr":
-            model = build_model(program, cfg)
-            pieces["releases"].check_against(program, dom)
-            formula = encode_akr(fs, pieces["releases"], dom)
-            verdict = model_satisfies(model, formula)
-        case "aktd":
-            model = build_model(program, cfg)
-            formula = encode_aktd(fs, pieces["whens"], dom)
-            verdict = model_satisfies(model, formula)
-        case _:
-            raise PolicyError(f"unknown check {name!r}")
-
-    return CheckRun(
-        check=name, verdict=verdict, model=model, formula=formula,
-        transformed=transformed, elapsed=time.perf_counter() - start)
+    """Check the policy, build what the named check needs, run it, and time it."""
+    pieces = policy_pieces(policy, program, cfg.domain)
+    return _run(policy.check, program, pieces, cfg, fix_low)
 
 
 def run_both_sides(program: Program, policy: Policy, cfg: ModelConfig,
                    fix_low: bool = False) -> tuple[CheckRun, CheckRun]:
-    """Run the trace-based and the epistemic reading of the same policy."""
-    name = policy.check
-    semantic = SEMANTIC_OF.get(name, name)
-    epistemic = EPISTEMIC_OF.get(name, name)
-    sem_run = run_check(program, replace(policy, check=semantic), cfg, fix_low)
-    epi_run = run_check(program, replace(policy, check=epistemic), cfg, fix_low)
+    """Run the trace-based and the epistemic reading of the same policy.
+
+    The policy is checked once and the program modeled once; only aak
+    models a second program, the one its encoding transforms.
+    """
+    pieces = policy_pieces(policy, program, cfg.domain)
+    semantic = SEMANTIC_OF.get(policy.check, policy.check)
+    epistemic = EPISTEMIC_OF.get(policy.check, policy.check)
+    sem_run = _run(semantic, program, pieces, cfg, fix_low)
+    epi_run = _run(epistemic, program, pieces, cfg, fix_low, sem_run.model)
     return sem_run, epi_run
-
-

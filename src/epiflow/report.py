@@ -91,10 +91,10 @@ def build_report(run: CheckRun, policy_payload: dict, cfg_domain: Domain,
                  bound: int, termination_output: bool) -> Report:
     verdict: Verdict = run.verdict
     stats = {
-        "executions": len(run.model.executions) if run.model else 0,
-        "points": run.model.point_count if run.model else 0,
+        "executions": len(run.model.executions),
+        "points": run.model.point_count,
         # every interned trace id is some point's trace: one epoch each
-        "epochs": len(run.model.trace_parents) if run.model else 0,
+        "epochs": len(run.model.trace_parents),
         "formula_nodes": run.formula_nodes,
         "points_visited": verdict.stats.points_visited,
         "cache_hits": verdict.stats.cache_hits,

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .lang import Expr, Program, compile_expr
-from .model import Execution, Model, ModelConfig, Status, build_model
+from .lang import Expr, compile_expr
+from .model import Execution, Model, Status
 from .policies import (FlowSpec, InitPredicate, PolicyError, ReleaseSpec,
-                       TemporalDeclassification, abstraction_fn)
+                       TemporalDeclassification, abstraction_fn,
+                       check_output_abstraction)
 from .verdicts import Outcome, Stats, Verdict, Witness
 
 
@@ -85,35 +86,30 @@ def check_nid(m: Model, fs: FlowSpec, phi) -> Verdict:
     return Verdict(Outcome.HOLDS)
 
 
-def check_nani(program: Program, fs: FlowSpec, eta: str | Expr, phi: str | Expr,
-               rho: str | Expr, cfg: ModelConfig) -> Verdict:
+def check_nani(m: Model, fs: FlowSpec, eta: str | Expr, phi: str | Expr,
+               rho: str | Expr) -> Verdict:
     """Narrow abstract noninterference on final public results.
 
     The result of a run is its final low store; ``rho`` abstracts it,
     ``eta``/``phi`` group runs by the abstractions of their public and
     secret inputs.  Divergence anywhere refuses the verdict.
     """
-    m = build_model(program, cfg)
+    check_output_abstraction(fs, rho)
     refused = _taint_verdict(m)
     if refused:
         return refused
-    fs.check_against(program)
-    dom = cfg.domain
+    fs.check_against(m.program)
+    dom = m.domain
 
-    def in_abstraction(which: str | Expr, ids: tuple[str, ...]):
+    def abstraction(which: str | Expr, ids: tuple[str, ...]):
         if isinstance(which, Expr):
-            pred = InitPredicate.from_expression(which, dom)
-            return lambda store: pred(store)
+            return InitPredicate.from_expression(which, dom)
         fn = abstraction_fn(which, dom)
         return lambda store: tuple(fn(store[i]) for i in ids)
 
-    eta_fn = in_abstraction(eta, fs.low)
-    phi_fn = in_abstraction(phi, fs.high)
-    if isinstance(rho, Expr):
-        out_fn = compile_expr(rho, dom)
-    else:
-        rho_fn = abstraction_fn(rho, dom)
-        out_fn = lambda store: tuple(rho_fn(store[n]) for n in fs.low)
+    eta_fn = abstraction(eta, fs.low)
+    phi_fn = abstraction(phi, fs.high)
+    out_fn = abstraction(rho, fs.low)
 
     first_of: dict[tuple, tuple[Execution, object]] = {}
     for ex in m.executions:
@@ -234,8 +230,12 @@ def check_er(m: Model, fs: FlowSpec, rs: ReleaseSpec) -> Verdict:
         low = _low_key(m, fs, ex)
         seen: dict[int, int] = {}
         common: dict[int, frozenset] = {}
+        store = None
         for i, tid in enumerate(ex.trace_ids):
-            flags = _flags_at(all_flags, ex.stores[i], true)
+            # steps that assign nothing share their store: keep its flags
+            if ex.stores[i] is not store:
+                store = ex.stores[i]
+                flags = _flags_at(all_flags, store, true)
             if tid in common:
                 common[tid] &= flags
             else:

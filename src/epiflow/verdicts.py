@@ -59,7 +59,3 @@ class Verdict:
 
     def __str__(self) -> str:
         return self.outcome.value
-
-
-def bound_exceeded(note: str = "model contains a non-terminated execution") -> Verdict:
-    return Verdict(Outcome.BOUND_EXCEEDED, None, Stats(), note)

@@ -90,11 +90,11 @@ def test_criterion_04_abstract_noninterference():
     deceptive_fs = FlowSpec.from_low(deceptive, ["l"])
     t2, f2 = encode_aak(deceptive, deceptive_fs, "Par", "Id", "Sign", INT8S)
     confirm(4, "sign-to-parity release holds; deceptive flow fails, both routes", {
-        "nani-holds": check_nani(secure, secure_fs, "Id", "Sign", "Par",
-                                 cfg).outcome is HOLDS,
+        "nani-holds": check_nani(build_model(secure, cfg), secure_fs,
+                                 "Id", "Sign", "Par").outcome is HOLDS,
         "aak-holds": model_satisfies(build_model(t1, cfg), f1).outcome is HOLDS,
-        "nani-fails": check_nani(deceptive, deceptive_fs, "Par", "Id", "Sign",
-                                 cfg).outcome is FAILS,
+        "nani-fails": check_nani(build_model(deceptive, cfg), deceptive_fs,
+                                 "Par", "Id", "Sign").outcome is FAILS,
         "aak-fails": model_satisfies(build_model(t2, cfg), f2).outcome is FAILS,
     })
 

@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,6 +117,35 @@ class TestOtherCommands:
                     "--policy", tmp_path / "wide.pol", "--domain", "int:8"])
         assert code == 0
         assert "semantic=HOLDS epistemic=HOLDS agree" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("program, policy, flags", [
+        ("copy-then-out.wout", "low-x-ak.pol", ()),
+        ("copy-then-out.wout", "low-y-ak.pol", ()),
+        ("two-release.wout", "release.pol", ()),
+        ("payment.wout", "payment.pol", ("--domain", "int:4")),
+    ])
+    def test_diff_agrees_on_the_samples(self, program, policy, flags, capsys):
+        samples = Path(__file__).resolve().parent.parent / "samples"
+        code = run(["diff", "--program", samples / program,
+                    "--policy", samples / policy, *flags])
+        assert code == 0
+        assert capsys.readouterr().out.rstrip().endswith(" agree")
+
+    @pytest.mark.parametrize("policy, message", [
+        ("low:\neta: Id\nphi: Id\nrho: Id\n",
+         "abstract output needs at least one public identifier"),
+        ("low: l\neta: Id\nphi: Id\nrho: h\n",
+         "output abstraction mentions non-public 'h'"),
+    ])
+    def test_both_readings_refuse_the_same_output_abstractions(
+            self, tmp_path, capsys, policy, message):
+        (tmp_path / "p.wout").write_text("l := h; out l\n")
+        for command, check in (("check", "aak"), ("check", "nani"), ("diff", "nani")):
+            (tmp_path / "p.pol").write_text(f"check: {check}\n{policy}")
+            code = run([command, "--program", tmp_path / "p.wout",
+                        "--policy", tmp_path / "p.pol"])
+            assert code == 3, (command, check)
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_knowledge_rows(self, workdir, capsys):
         code = run(["knowledge", "--program", workdir / "release.wout",

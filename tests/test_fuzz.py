@@ -1,13 +1,20 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import epiflow.policyfile
+from epiflow.cli import main
 from epiflow.domain import Domain
-from epiflow.fuzz import (FuzzConfig, fuzz_equivalences, generate_program,
-                          run_one)
+from epiflow.fuzz import (PAIRS, FuzzConfig, fuzz_equivalences, generate_case,
+                          generate_program, run_one)
 from epiflow.lang import Out, Skip, Stmt, Seq, While, to_source
 from epiflow.model import ModelConfig, Status, build_model
+from epiflow.policyfile import parse_policy
 from epiflow.verdicts import Outcome
+
+DOMAINS = (Domain.booleans(), Domain.integers(4), Domain.integers(4, signed=True))
 
 
 def walk(stmt):
@@ -92,3 +99,44 @@ class TestHarness:
             assert (f"  {pair}: 12 runs: {split[Outcome.HOLDS]} HOLDS, "
                     f"{split[Outcome.FAILS]} FAILS, 0 refused, 0 mismatched"
                     in summary.render())
+
+
+class TestReplay:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(PAIRS), st.sampled_from(DOMAINS), st.booleans(),
+           st.integers(0, 10**6), st.integers(0, 10**4))
+    def test_policies_read_back_from_their_text(self, pair, dom, loops, seed, index):
+        cfg = FuzzConfig(seed=seed, domain=dom, loops=loops)
+        _, policy = generate_case(pair, index, cfg)
+        assert parse_policy(policy.to_text()) == policy
+
+    def test_mismatch_replays_with_diff(self, tmp_path, monkeypatch, capsys):
+        real = epiflow.policyfile.model_satisfies
+        flip = {Outcome.HOLDS: Outcome.FAILS, Outcome.FAILS: Outcome.HOLDS}
+
+        def flipped(model, formula):
+            verdict = real(model, formula)
+            return replace(verdict, outcome=flip[verdict.outcome])
+
+        monkeypatch.setattr(epiflow.policyfile, "model_satisfies", flipped)
+        cfg = FuzzConfig(seed=2, count=1, domain=Domain.integers(4, signed=True),
+                         loops=True, bound=500)
+        summary = fuzz_equivalences(cfg)
+        assert len(summary.mismatches) == len(PAIRS)
+        text = summary.render()
+        replays = []
+        for m in summary.mismatches:
+            assert m.command()[-5:] == ["--domain", "int:4", "--signed-window",
+                                        "--bound", "500"]
+            assert f"epiflow {' '.join(m.command())}" in text
+            assert f"   program: {m.program}" in text
+            assert all(f"     {line}" in text for line in m.policy.splitlines())
+            program, policy = tmp_path / f"{m.pair}.wout", tmp_path / f"{m.pair}.pol"
+            program.write_text(m.program)
+            policy.write_text(m.policy)
+            replays.append(m.command(str(program), str(policy)))
+            assert main(replays[-1]) == 1, m
+        monkeypatch.undo()
+        for argv in replays:
+            assert main(argv) == 0, argv
+        capsys.readouterr()

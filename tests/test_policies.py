@@ -228,7 +228,7 @@ class TestAbstractKnowledge:
                 FuzzConfig(seed=1, count=1, size=5, ident_count=2, domain=dom),
                 allow_out=False)
             fs = FlowSpec.from_low(program, program.variables[:1])
-            nani = check_nani(program, fs, "Id", "Id", "Id", cfg)
+            nani = check_nani(build_model(program, cfg), fs, "Id", "Id", "Id")
             transformed, f = encode_aak(program, fs, "Id", "Id", "Id", dom)
             aak = model_satisfies(build_model(transformed, cfg), f)
             assert nani.outcome is aak.outcome

@@ -4,12 +4,13 @@ import weakref
 import pytest
 
 from epiflow.domain import Domain
+from epiflow.fuzz import PAIRS
 from epiflow.lang import parse
 from epiflow.logic import model_satisfies, parse_formula
 from epiflow.model import ModelConfig, build_model
 from epiflow.policies import PolicyError
-from epiflow.policyfile import (CheckRun, Policy, parse_policy, run_both_sides,
-                                run_check)
+from epiflow.policyfile import (CHECKS, EPISTEMIC_CHECKS, SEMANTIC_CHECKS, CheckRun,
+                                Policy, parse_policy, run_both_sides, run_check)
 from epiflow.verdicts import Outcome
 
 BOOL = Domain.booleans()
@@ -57,6 +58,26 @@ class TestParsePolicy:
         desc = policy.describe()
         assert desc["check"] == "akr"
         assert desc["release"] == ["r1 = h1"]
+
+
+class TestCheckTable:
+    def test_rows_pair_up(self):
+        for name, check in CHECKS.items():
+            twin = CHECKS[check.twin]
+            assert twin.twin == name
+            assert twin.reading != check.reading
+            assert twin.needs == check.needs  # both readings accept the same policies
+        assert len(PAIRS) == 5
+        assert ({frozenset(pair.split("-")) for pair in PAIRS}
+                == {frozenset((name, check.twin)) for name, check in CHECKS.items()})
+
+    def test_policy_files_name_exactly_the_table_checks(self):
+        assert sorted(EPISTEMIC_CHECKS + SEMANTIC_CHECKS) == sorted(CHECKS)
+        for name in CHECKS:
+            assert parse_policy(f"check: {name}").check == name
+        for name in ("esp", "espm", "AK", "formula", "oni-ak", "ak nid"):
+            with pytest.raises(PolicyError, match="unknown check"):
+                parse_policy(f"check: {name}")
 
 
 class TestRunCheck:
@@ -112,6 +133,34 @@ class TestRunCheck:
         sem, epi = run_both_sides(program, policy, ModelConfig(BOOL))
         assert sem.check == "er" and epi.check == "akr"
         assert sem.verdict.outcome is epi.verdict.outcome is Outcome.HOLDS
+
+
+class TestBothSides:
+    # valid for every check: every entry is checked whichever check is named
+    POLICY = dict(low=("l",), declassify=("h",), eta="Id", phi="Id", rho="Id",
+                  releases=(("r1", "h"),), whens=(("l", "h"),))
+
+    @pytest.mark.parametrize("check", EPISTEMIC_CHECKS + SEMANTIC_CHECKS)
+    def test_one_model_per_program(self, check, monkeypatch):
+        import epiflow.policyfile
+
+        built = []
+
+        def counting(program, cfg):
+            built.append(program)
+            return build_model(program, cfg)
+
+        monkeypatch.setattr(epiflow.policyfile, "build_model", counting)
+        program = parse("l := h; release r1; out l", BOOL)
+        sem, epi = run_both_sides(program, Policy(check, **self.POLICY), ModelConfig(BOOL))
+        assert sem.verdict.outcome is epi.verdict.outcome
+        assert sem.model.program is program
+        if check in ("aak", "nani"):
+            assert built == [program, epi.transformed]
+            assert epi.model.program is epi.transformed
+        else:
+            assert built == [program]
+            assert epi.model is sem.model
 
 
 class TestModelLifetime:

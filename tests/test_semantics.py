@@ -85,29 +85,29 @@ class TestNani:
         program = parse("if h >= 0 then { l := 2*l*h } else { l := 2*l*h + 1 }",
                         self.INT8S)
         fs = FlowSpec.from_low(program, ["l"])
-        verdict = check_nani(program, fs, "Id", "Sign", "Par",
-                             ModelConfig(self.INT8S))
+        verdict = check_nani(build_model(program, ModelConfig(self.INT8S)), fs,
+                             "Id", "Sign", "Par")
         assert verdict.outcome is Outcome.HOLDS
 
     def test_deceptive_flow_detected(self):
         program = parse("l := 2*l*h*h", self.INT8S)
         fs = FlowSpec.from_low(program, ["l"])
-        verdict = check_nani(program, fs, "Par", "Id", "Sign",
-                             ModelConfig(self.INT8S))
+        verdict = check_nani(build_model(program, ModelConfig(self.INT8S)), fs,
+                             "Par", "Id", "Sign")
         assert verdict.outcome is Outcome.FAILS
 
     def test_identity_abstractions_trivially_hold(self):
         program = parse("l := l * h + 1; k := l", INT4)
         fs = FlowSpec.from_low(program, ["l", "k"])
-        verdict = check_nani(program, fs, "Id", "Id", "Id", ModelConfig(INT4))
+        verdict = check_nani(build_model(program, ModelConfig(INT4)), fs, "Id", "Id", "Id")
         assert verdict.outcome is Outcome.HOLDS
 
     def test_expression_abstraction(self):
         program = parse("l := h", INT4)
         fs = FlowSpec.from_low(program, ["l"])
         rho = parse_expression("l mod 2")
-        verdict = check_nani(program, fs, "Id", parse_expression("h mod 2"),
-                             rho, ModelConfig(INT4))
+        verdict = check_nani(build_model(program, ModelConfig(INT4)), fs, "Id",
+                             parse_expression("h mod 2"), rho)
         assert verdict.outcome is Outcome.HOLDS
 
 
