@@ -133,7 +133,11 @@ class Domain:
         }
 
     def spec(self) -> str:
-        """Short form usable on the command line, e.g. ``int:8``."""
+        """Short name for messages and labels, e.g. ``int:8`` or ``int:4 (signed)``.
+
+        Not a ``--domain`` value: the command line spells a signed or hashed
+        domain with further flags.
+        """
         if self.kind == "bool":
             return "bool"
         return f"int:{self.size}" + (" (signed)" if self.signed else "")

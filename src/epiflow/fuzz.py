@@ -24,7 +24,7 @@ from .verdicts import Outcome
 PAIRS = ("oni-ak", "nid-akd", "nani-aak", "akr-er", "nitd-aktd")
 
 
-DEFAULT_WEIGHTS = (("assign", 2), ("out", 2), ("skip", 1), ("if", 1), ("while", 1))
+STATEMENT_WEIGHTS = {"skip": 1, "assign": 2, "out": 2, "if": 1, "while": 1}
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,6 @@ class FuzzConfig:
     pairs: tuple[str, ...] = PAIRS
     loops: bool = False
     bound: int = 2_000
-    weights: tuple[tuple[str, int], ...] = DEFAULT_WEIGHTS
 
     def __post_init__(self) -> None:
         if not 1 <= self.ident_count <= 3:
@@ -45,10 +44,6 @@ class FuzzConfig:
         for pair in self.pairs:
             if pair not in PAIRS:
                 raise ValueError(f"unknown pair {pair!r}; choose from {PAIRS}")
-        known = dict(DEFAULT_WEIGHTS)
-        for kind, weight in self.weights:
-            if kind not in known or weight < 0:
-                raise ValueError(f"bad statement weight {kind}={weight}")
 
 
 @dataclass(frozen=True)
@@ -90,8 +85,8 @@ class FuzzSummary:
 
     def render(self) -> str:
         lines = [
-            f"fuzz seed={self.config.seed} domain={self.config.domain.spec()} "
-            f"runs={self.runs}"
+            f"fuzz seed={self.config.seed} runs={self.runs} "
+            f"domain: {' '.join(_domain_flags(self.config.domain))}"
         ]
         for pair in self.config.pairs:
             split = self.outcomes.get(pair, Counter())
@@ -135,19 +130,17 @@ def _gen_expr(rng: random.Random, ids: tuple[str, ...], dom: Domain, depth: int)
 
 def _gen_stmt(rng: random.Random, ids: tuple[str, ...], dom: Domain,
               budget: int, allow_out: bool, loops: bool,
-              frozen: frozenset[str],
-              weights: tuple[tuple[str, int], ...]) -> tuple[Stmt, int]:
+              frozen: frozenset[str]) -> tuple[Stmt, int]:
     targets = tuple(n for n in ids if n not in frozen)
-    table = dict(weights)
-    choices = ["skip"] * table.get("skip", 1)
+    choices = ["skip"] * STATEMENT_WEIGHTS["skip"]
     if targets:
-        choices += ["assign"] * table.get("assign", 2)
+        choices += ["assign"] * STATEMENT_WEIGHTS["assign"]
     if allow_out:
-        choices += ["out"] * table.get("out", 2)
+        choices += ["out"] * STATEMENT_WEIGHTS["out"]
     if budget >= 3:
-        choices += ["if"] * table.get("if", 1)
+        choices += ["if"] * STATEMENT_WEIGHTS["if"]
     if loops and budget >= 3 and dom.kind == "int" and targets:
-        choices += ["while"] * table.get("while", 1)
+        choices += ["while"] * STATEMENT_WEIGHTS["while"]
     match rng.choice(choices):
         case "skip":
             return Skip(), 1
@@ -157,10 +150,8 @@ def _gen_stmt(rng: random.Random, ids: tuple[str, ...], dom: Domain,
             return Out(_gen_expr(rng, ids, dom, 2)), 1
         case "if":
             guard = _gen_expr(rng, ids, dom, 2)
-            then, c1 = _gen_block(rng, ids, dom, budget // 2, allow_out, loops,
-                                  frozen, weights)
-            orelse, c2 = _gen_block(rng, ids, dom, budget // 2, allow_out, loops,
-                                    frozen, weights)
+            then, c1 = _gen_block(rng, ids, dom, budget // 2, allow_out, loops, frozen)
+            orelse, c2 = _gen_block(rng, ids, dom, budget // 2, allow_out, loops, frozen)
             return If(guard, then, orelse), 1 + c1 + c2
         case "while":
             # guard pattern x < c with the body bumping x and never otherwise
@@ -169,7 +160,7 @@ def _gen_stmt(rng: random.Random, ids: tuple[str, ...], dom: Domain,
             var = rng.choice(targets)
             limit = rng.choice(dom.values)
             inner, cost = _gen_block(rng, ids, dom, budget // 2, allow_out,
-                                     False, frozen | {var}, weights)
+                                     False, frozen | {var})
             body = Seq(inner, Assign(var, Binary("+", Var(var), Const(1))))
             return While(Binary("<", Var(var), Const(limit)), body), 2 + cost
     raise AssertionError("unreachable")
@@ -177,14 +168,11 @@ def _gen_stmt(rng: random.Random, ids: tuple[str, ...], dom: Domain,
 
 def _gen_block(rng: random.Random, ids: tuple[str, ...], dom: Domain,
                budget: int, allow_out: bool, loops: bool,
-               frozen: frozenset[str] = frozenset(),
-               weights: tuple[tuple[str, int], ...] = DEFAULT_WEIGHTS
-               ) -> tuple[Stmt, int]:
+               frozen: frozenset[str] = frozenset()) -> tuple[Stmt, int]:
     stmts: list[Stmt] = []
     used = 0
     while used < budget:
-        stmt, cost = _gen_stmt(rng, ids, dom, budget - used, allow_out, loops,
-                               frozen, weights)
+        stmt, cost = _gen_stmt(rng, ids, dom, budget - used, allow_out, loops, frozen)
         stmts.append(stmt)
         used += cost
         if rng.random() < 0.25:
@@ -198,8 +186,7 @@ def _gen_block(rng: random.Random, ids: tuple[str, ...], dom: Domain,
 def generate_program(rng: random.Random, cfg: FuzzConfig, allow_out: bool = True,
                      release_flags: tuple[str, ...] = ()) -> Program:
     ids = ("l", "h", "k")[: cfg.ident_count]
-    body, _ = _gen_block(rng, ids, cfg.domain, cfg.size, allow_out, cfg.loops,
-                         weights=cfg.weights)
+    body, _ = _gen_block(rng, ids, cfg.domain, cfg.size, allow_out, cfg.loops)
     # make sure every identifier occurs, so policies can mention any of them
     for name in reversed(ids):
         body = Seq(Assign(name, Var(name)), body)
@@ -230,14 +217,19 @@ def _abstractions_for(dom: Domain) -> tuple[str, ...]:
     return ("Id", "Par")
 
 
-def _replay_flags(cfg: FuzzConfig) -> tuple[str, ...]:
-    dom = cfg.domain
+def _domain_flags(dom: Domain) -> list[str]:
+    """The command-line flags that select the domain."""
     flags = ["--domain", "bool" if dom.kind == "bool" else f"int:{dom.size}"]
     if dom.signed:
         flags.append("--signed-window")
     if dom.hash_table is not None:
-        flags += ["--hash", ",".join(dom.format_value(v) for v in dom.hash_table)]
-    return (*flags, "--bound", str(cfg.bound))
+        # one token, so a leading negative value is not read as an option
+        flags.append("--hash=" + ",".join(dom.format_value(v) for v in dom.hash_table))
+    return flags
+
+
+def _replay_flags(cfg: FuzzConfig) -> tuple[str, ...]:
+    return (*_domain_flags(cfg.domain), "--bound", str(cfg.bound))
 
 
 def generate_case(pair: str, index: int, cfg: FuzzConfig) -> tuple[Program, Policy]:

@@ -130,6 +130,14 @@ def abstraction_fn(name: str, dom: Domain) -> Callable:
     raise PolicyError(f"unknown abstraction {name!r}; expected one of {ABSTRACTIONS}")
 
 
+def abstraction_predicate(which: str | Expr, ids: Iterable[str],
+                          dom: Domain) -> InitPredicate:
+    """An expression abstraction, or the named one applied to each of ``ids``."""
+    if isinstance(which, Expr):
+        return InitPredicate.from_expression(which, dom)
+    return InitPredicate.abstraction(which, ids, dom)
+
+
 def abstraction_expr(name: str, target: Expr, dom: Domain) -> Expr:
     """The abstraction as an expression over ``target`` in the domain."""
     abstraction_fn(name, dom)  # rejects unknown names and misapplied ones
@@ -289,17 +297,12 @@ def encode_aak(program: Program, fs: FlowSpec, eta: str | Expr, phi: str | Expr,
     """
     check_output_abstraction(fs, rho)
     body: Stmt = program.body
-    if isinstance(rho, Expr):
-        body = Seq(body, Out(rho))
-    else:
-        for name in fs.low:
-            body = Seq(body, Out(abstraction_expr(rho, Var(name), dom)))
+    for e in abstraction_predicate(rho, fs.low, dom).exprs:
+        body = Seq(body, Out(e))
     transformed = program_from_body(body, program.text)
 
-    eta_pred = (InitPredicate.from_expression(eta, dom) if isinstance(eta, Expr)
-                else InitPredicate.abstraction(eta, fs.low, dom))
-    phi_pred = (InitPredicate.from_expression(phi, dom) if isinstance(phi, Expr)
-                else InitPredicate.abstraction(phi, fs.high, dom))
+    eta_pred = abstraction_predicate(eta, fs.low, dom)
+    phi_pred = abstraction_predicate(phi, fs.high, dom)
     if fix_low:
         formula = espm(fs.low, fs.high, (eta_pred, phi_pred), dom)
     else:

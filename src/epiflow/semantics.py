@@ -5,6 +5,23 @@ over executions and traces, compare, and report the first offending pair.
 They share nothing with the formula evaluator, which makes them usable as
 independent oracles for the epistemic encodings (and vice versa).
 
+Each condition is one of two searches:
+
+* ``_first_split`` (oni, nid, nani) groups runs by a key of their initial
+  store, and finds the first run whose value differs from that of the
+  first run with its key.  The value is the full trace, or for nani the
+  abstracted final store.
+* ``_first_unmatched`` (er, nitd) looks for a point whose trace some
+  partner never produces: a low-equal run that agrees with the point's
+  run on every value released at that point.  It visits only the first
+  position of each epoch block on each run.  Along a run the released
+  values only grow (release flags are write-once, and a condition that
+  has held stays triggered), and agreeing on more values admits fewer
+  partners.  So a block's first position demands the most: when a later
+  position of the block fails, the first fails too, with the same
+  earliest partner, and the first failure found is the one a scan of
+  every position would find.
+
 Every checker refuses tainted models: a lasso or an out-of-budget
 execution makes the bounded model an unsound stand-in for the real one,
 so the verdict is BOUND_EXCEEDED rather than a guess.
@@ -12,78 +29,82 @@ so the verdict is BOUND_EXCEEDED rather than a guess.
 
 from __future__ import annotations
 
-from typing import Iterable
+from bisect import bisect_left, bisect_right
+from typing import Callable, Iterable
 
 from .lang import Expr, compile_expr
 from .model import Execution, Model, Status
 from .policies import (FlowSpec, InitPredicate, PolicyError, ReleaseSpec,
-                       TemporalDeclassification, abstraction_fn,
+                       TemporalDeclassification, abstraction_predicate,
                        check_output_abstraction)
 from .verdicts import Outcome, Stats, Verdict, Witness
 
 
-def _taint_verdict(m: Model) -> Verdict | None:
-    if not m.tainted:
-        return None
-    bad = next(e for e in m.executions if e.status is not Status.TERMINATED)
-    return Verdict(
-        Outcome.BOUND_EXCEEDED, None, Stats(),
-        f"execution {bad.index} is {bad.status.value}; refusing to judge")
+def _refusal(m: Model, fs: FlowSpec) -> Verdict | None:
+    """BOUND_EXCEEDED naming the first non-terminated run's initial store,
+    or None once the flow spec is checked against the program."""
+    if m.tainted:
+        bad = next(e for e in m.executions if e.status is not Status.TERMINATED)
+        start = ", ".join(f"{n}={m.domain.format_value(v)}"
+                          for n, v in _store_items(m, bad))
+        return Verdict(Outcome.BOUND_EXCEEDED, None, Stats(),
+                       f"execution from ({start}) is {bad.status.value}")
+    fs.check_against(m.program)
+    return None
 
 
 def _store_items(m: Model, ex: Execution) -> tuple:
     return tuple((n, ex.init_store[n]) for n in m.variables)
 
 
-def _low_key(m: Model, fs: FlowSpec, ex: Execution) -> tuple:
+def _low_key(fs: FlowSpec, ex: Execution) -> tuple:
     return tuple(ex.init_store[n] for n in fs.low)
 
 
-def _full_trace(m: Model, ex: Execution) -> int:
+def _full_trace(ex: Execution) -> int:
     return ex.trace_ids[len(ex)]
+
+
+def _first_split(m: Model, key: Callable[[Execution], object],
+                 value: Callable[[Execution], object]
+                 ) -> tuple[Execution, Execution] | None:
+    """The first run of its key whose value differs from the value of that
+    key's first run, as (first run, differing run); None if none does."""
+    first_of: dict = {}
+    for ex in m.executions:
+        v = value(ex)
+        leader, leader_v = first_of.setdefault(key(ex), (ex, v))
+        if leader_v != v:
+            return leader, ex
+    return None
 
 
 def check_oni(m: Model, fs: FlowSpec) -> Verdict:
     """Output-only noninterference: low-equal starts give equal traces."""
-    refused = _taint_verdict(m)
-    if refused:
-        return refused
-    fs.check_against(m.program)
-    first_of: dict[tuple, Execution] = {}
-    for ex in m.executions:
-        key = _low_key(m, fs, ex)
-        leader = first_of.setdefault(key, ex)
-        if leader is not ex and _full_trace(m, leader) != _full_trace(m, ex):
-            return Verdict(Outcome.FAILS, Witness(
-                kind="trace-pair",
-                stores=(("first", _store_items(m, leader)),
-                        ("second", _store_items(m, ex))),
-                trace=m.trace_tuple(_full_trace(m, ex)),
-                note="low-equal initial stores with different traces",
-            ))
-    return Verdict(Outcome.HOLDS)
+    return check_nid(m, fs, ())
 
 
 def check_nid(m: Model, fs: FlowSpec, phi) -> Verdict:
-    """Noninterference modulo declassification of the given predicate(s)."""
-    refused = _taint_verdict(m)
+    """Noninterference modulo declassification of the given predicate(s);
+    with none, output-only noninterference."""
+    refused = _refusal(m, fs)
     if refused:
         return refused
-    fs.check_against(m.program)
     preds = (phi,) if isinstance(phi, InitPredicate) else tuple(phi)
-    first_of: dict[tuple, Execution] = {}
-    for ex in m.executions:
-        key = (_low_key(m, fs, ex), tuple(p(ex.init_store) for p in preds))
-        leader = first_of.setdefault(key, ex)
-        if leader is not ex and _full_trace(m, leader) != _full_trace(m, ex):
-            return Verdict(Outcome.FAILS, Witness(
-                kind="trace-pair",
-                stores=(("first", _store_items(m, leader)),
-                        ("second", _store_items(m, ex))),
-                trace=m.trace_tuple(_full_trace(m, ex)),
-                note="declassification-equivalent stores with different traces",
-            ))
-    return Verdict(Outcome.HOLDS)
+    split = _first_split(
+        m, lambda ex: (_low_key(fs, ex), tuple(p(ex.init_store) for p in preds)),
+        _full_trace)
+    if split is None:
+        return Verdict(Outcome.HOLDS)
+    first, second = split
+    return Verdict(Outcome.FAILS, Witness(
+        kind="trace-pair",
+        stores=(("first", _store_items(m, first)),
+                ("second", _store_items(m, second))),
+        trace=m.trace_tuple(_full_trace(second)),
+        note=("declassification-equivalent stores with different traces" if preds
+              else "low-equal initial stores with different traces"),
+    ))
 
 
 def check_nani(m: Model, fs: FlowSpec, eta: str | Expr, phi: str | Expr,
@@ -95,35 +116,25 @@ def check_nani(m: Model, fs: FlowSpec, eta: str | Expr, phi: str | Expr,
     secret inputs.  Divergence anywhere refuses the verdict.
     """
     check_output_abstraction(fs, rho)
-    refused = _taint_verdict(m)
+    refused = _refusal(m, fs)
     if refused:
         return refused
-    fs.check_against(m.program)
     dom = m.domain
-
-    def abstraction(which: str | Expr, ids: tuple[str, ...]):
-        if isinstance(which, Expr):
-            return InitPredicate.from_expression(which, dom)
-        fn = abstraction_fn(which, dom)
-        return lambda store: tuple(fn(store[i]) for i in ids)
-
-    eta_fn = abstraction(eta, fs.low)
-    phi_fn = abstraction(phi, fs.high)
-    out_fn = abstraction(rho, fs.low)
-
-    first_of: dict[tuple, tuple[Execution, object]] = {}
-    for ex in m.executions:
-        key = (eta_fn(ex.init_store), phi_fn(ex.init_store))
-        result = out_fn(ex.final_store)
-        leader = first_of.setdefault(key, (ex, result))
-        if leader[0] is not ex and leader[1] != result:
-            return Verdict(Outcome.FAILS, Witness(
-                kind="result-pair",
-                stores=(("first", _store_items(m, leader[0])),
-                        ("second", _store_items(m, ex))),
-                note="abstraction-equivalent inputs with different abstract results",
-            ))
-    return Verdict(Outcome.HOLDS)
+    eta_fn = abstraction_predicate(eta, fs.low, dom).fn
+    phi_fn = abstraction_predicate(phi, fs.high, dom).fn
+    out_fn = abstraction_predicate(rho, fs.low, dom).fn
+    split = _first_split(
+        m, lambda ex: (eta_fn(ex.init_store), phi_fn(ex.init_store)),
+        lambda ex: out_fn(ex.final_store))
+    if split is None:
+        return Verdict(Outcome.HOLDS)
+    first, second = split
+    return Verdict(Outcome.FAILS, Witness(
+        kind="result-pair",
+        stores=(("first", _store_items(m, first)),
+                ("second", _store_items(m, second))),
+        note="abstraction-equivalent inputs with different abstract results",
+    ))
 
 
 # --------------------------------------------------------------------------
@@ -137,46 +148,77 @@ def knowledge_set(m: Model, fs: FlowSpec, store: dict, trace: tuple) -> frozense
     out = set()
     if tid is not None:
         for ex in m.executions:
-            if _low_key(m, fs, ex) == key and tid in ex.trace_id_set:
+            if _low_key(fs, ex) == key and tid in ex.trace_id_set:
                 out.add(m.values_of(ex.init_store))
     return frozenset(out)
-
-
-def _flags_at(flags: tuple[str, ...], store: dict, true) -> frozenset:
-    """The flags among ``flags`` that are set in ``store``."""
-    return frozenset(f for f in flags if store[f] == true)
 
 
 def release_set(m: Model, fs: FlowSpec, rs: ReleaseSpec, store: dict,
                 trace: tuple) -> frozenset:
     """Minimum uncertainty the release policy demands after the trace.
 
-    Looks up the run from this very store, intersects the flag sets over
-    its points with the given trace, and keeps the low-equal stores that
-    agree on every expression those flags release (on initial values).
+    Looks up the run from this very store, takes the flags set at its
+    first point with the given trace (flags are write-once, so they are
+    set at every later point with it too), and keeps the low-equal stores
+    that agree on every expression those flags release (on initial values).
     """
     dom = m.domain
     start = m.exec_by_values.get(tuple(store[n] for n in m.variables))
     if start is None:
         raise PolicyError("store is not an initial store of the model")
     tid = m.intern_lookup(trace)
-    matching = [i for i, t in enumerate(start.trace_ids) if t == tid] if tid is not None else []
-    if not matching:
+    if tid not in start.trace_id_set:
         raise PolicyError("trace never observed on the execution from this store")
-    common: frozenset | None = None
-    for i in matching:
-        flags = _flags_at(m.program.flags, start.stores[i], dom.true_value)
-        common = flags if common is None else common & flags
-    released = [compile_expr(e, dom) for f, e in rs.items if f in common]
+    flags = start.stores[bisect_left(start.trace_ids, tid)]
+    released = [compile_expr(e, dom) for f, e in rs.items
+                if flags.get(f) == dom.true_value]
     expected = [fn(start.init_store) for fn in released]
-    low = _low_key(m, fs, start)
+    low = _low_key(fs, start)
     out = set()
     for ex in m.executions:
-        if _low_key(m, fs, ex) != low:
+        if _low_key(fs, ex) != low:
             continue
         if all(fn(ex.init_store) == v for fn, v in zip(released, expected)):
             out.add(m.values_of(ex.init_store))
     return frozenset(out)
+
+
+def _masked(values: tuple, mask: tuple[bool, ...]) -> tuple:
+    return tuple(v for v, on in zip(values, mask) if on)
+
+
+def _first_unmatched(m: Model, fs: FlowSpec, values: list[tuple],
+                     released: Callable[[Execution, int], tuple[bool, ...]]
+                     ) -> tuple[Execution, int, Execution, int] | None:
+    """The first epoch-block start whose trace a partner never produces.
+
+    ``values[r]`` holds run ``r``'s releasable values, and ``released(ex,
+    i)`` marks those released at position ``i`` of ``ex``.  A partner is a
+    low-equal run that agrees with ``ex`` on the released values.  Returns
+    (run, position, first such partner, trace id), or None.  Each (low
+    values, mask, agreed values, trace id) is checked once.
+    """
+    groups: dict[tuple, list[Execution]] = {}
+    for ex in m.executions:
+        groups.setdefault(_low_key(fs, ex), []).append(ex)
+    checked: set[tuple] = set()
+    for ex in m.executions:
+        low = _low_key(fs, ex)
+        tids = ex.trace_ids
+        i = 0
+        while i < len(tids):
+            tid = tids[i]
+            mask = released(ex, i)
+            agreed = _masked(values[ex.index], mask)
+            key = (low, mask, agreed, tid)
+            if key not in checked:
+                checked.add(key)
+                for other in groups[low]:
+                    if (tid not in other.trace_id_set
+                            and _masked(values[other.index], mask) == agreed):
+                        return ex, i, other, tid
+            i = bisect_right(tids, tid, i)  # trace ids never decrease along a run
+    return None
 
 
 def check_er(m: Model, fs: FlowSpec, rs: ReleaseSpec) -> Verdict:
@@ -185,79 +227,30 @@ def check_er(m: Model, fs: FlowSpec, rs: ReleaseSpec) -> Verdict:
     Quantifies over every (initial store, trace) pair realized by a point
     of that store's own run, per the equivalence argument with the flag
     encoding; for unrealized pairs the required-release set has no
-    denotation.  Computes over low-equal groups, caching both sets per
-    (group, trace) and per (group, released values).
+    denotation.  A point releases the expressions whose flags are set at
+    every point of its run with its trace, that is at the first one.
     """
-    refused = _taint_verdict(m)
+    refused = _refusal(m, fs)
     if refused:
         return refused
-    fs.check_against(m.program)
     rs.check_against(m.program, m.domain)
     dom = m.domain
-
-    groups: dict[tuple, list[Execution]] = {}
-    for ex in m.executions:
-        groups.setdefault(_low_key(m, fs, ex), []).append(ex)
-    released = [compile_expr(e, dom) for _, e in rs.items]
-    release_values = {
-        ex.index: tuple(fn(ex.init_store) for fn in released) for ex in m.executions}
-
-    k_cache: dict[tuple, frozenset[int]] = {}
-    r_cache: dict[tuple, frozenset[int]] = {}
-
-    def knowledge_ids(low: tuple, tid: int) -> frozenset[int]:
-        key = (low, tid)
-        ids = k_cache.get(key)
-        if ids is None:
-            ids = frozenset(e.index for e in groups[low] if tid in e.trace_id_set)
-            k_cache[key] = ids
-        return ids
-
-    def required_ids(low: tuple, mask: tuple[bool, ...], expected: tuple) -> frozenset[int]:
-        key = (low, mask, expected)
-        ids = r_cache.get(key)
-        if ids is None:
-            ids = frozenset(
-                e.index for e in groups[low]
-                if tuple(v for v, on in zip(release_values[e.index], mask) if on)
-                == expected)
-            r_cache[key] = ids
-        return ids
-
-    flag_names = tuple(f for f, _ in rs.items)
-    all_flags, true = m.program.flags, dom.true_value
-    for ex in m.executions:
-        low = _low_key(m, fs, ex)
-        seen: dict[int, int] = {}
-        common: dict[int, frozenset] = {}
-        store = None
-        for i, tid in enumerate(ex.trace_ids):
-            # steps that assign nothing share their store: keep its flags
-            if ex.stores[i] is not store:
-                store = ex.stores[i]
-                flags = _flags_at(all_flags, store, true)
-            if tid in common:
-                common[tid] &= flags
-            else:
-                common[tid] = flags
-                seen[tid] = i
-        for tid, released in common.items():
-            mask = tuple(f in released for f in flag_names)
-            expected = tuple(
-                v for v, on in zip(release_values[ex.index], mask) if on)
-            required = required_ids(low, mask, expected)
-            knowledge = knowledge_ids(low, tid)
-            if not required <= knowledge:
-                extra = m.executions[min(required - knowledge)]
-                return Verdict(Outcome.FAILS, Witness(
-                    kind="release",
-                    stores=(("start", _store_items(m, ex)),
-                            ("allowed-but-excluded", _store_items(m, extra))),
-                    point_index=seen[tid],
-                    trace=m.trace_tuple(tid),
-                    note="release policy permits a store the trace rules out",
-                ))
-    return Verdict(Outcome.HOLDS)
+    exprs = [compile_expr(e, dom) for _, e in rs.items]
+    values = [tuple(fn(ex.init_store) for fn in exprs) for ex in m.executions]
+    flags, true = tuple(f for f, _ in rs.items), dom.true_value
+    found = _first_unmatched(
+        m, fs, values, lambda ex, i: tuple(ex.stores[i][f] == true for f in flags))
+    if found is None:
+        return Verdict(Outcome.HOLDS)
+    ex, i, extra, tid = found
+    return Verdict(Outcome.FAILS, Witness(
+        kind="release",
+        stores=(("start", _store_items(m, ex)),
+                ("allowed-but-excluded", _store_items(m, extra))),
+        point_index=i,
+        trace=m.trace_tuple(tid),
+        note="release policy permits a store the trace rules out",
+    ))
 
 
 def check_nitd(m: Model, fs: FlowSpec,
@@ -268,55 +261,26 @@ def check_nitd(m: Model, fs: FlowSpec,
     each property whose condition has already held along the observed run
     must be able to produce the same trace.
     """
-    refused = _taint_verdict(m)
+    refused = _refusal(m, fs)
     if refused:
         return refused
-    fs.check_against(m.program)
     tds = tuple(tds)
-    dom = m.domain
-
-    conditions = [compile_expr(td.condition, dom) for td in tds]
-
-    def trigger_index(ex: Execution, condition) -> int | None:
-        for j, store in enumerate(ex.stores):
-            if condition(store):
-                return j
-        return None
-
-    triggers = {ex.index: [trigger_index(ex, c) for c in conditions]
-                for ex in m.executions}
-    declass_values = {
-        ex.index: [td.declassified(ex.init_store) for td in tds] for ex in m.executions}
-
-    # bucket the candidate partners by (low values, agreed declassifications)
-    buckets: dict[tuple, dict[tuple, list[Execution]]] = {}
-
-    def bucket_for(mask: tuple[bool, ...]) -> dict[tuple, list[Execution]]:
-        table = buckets.get(mask)
-        if table is None:
-            table = {}
-            for ex in m.executions:
-                vals = declass_values[ex.index]
-                key = (_low_key(m, fs, ex),
-                       tuple(v for v, on in zip(vals, mask) if on))
-                table.setdefault(key, []).append(ex)
-            buckets[mask] = table
-        return table
-
-    for ex in m.executions:
-        trig = triggers[ex.index]
-        vals = declass_values[ex.index]
-        for i, tid in enumerate(ex.trace_ids):
-            mask = tuple(t is not None and t <= i for t in trig)
-            key = (_low_key(m, fs, ex), tuple(v for v, on in zip(vals, mask) if on))
-            for other in bucket_for(mask).get(key, ()):
-                if tid not in other.trace_id_set:
-                    return Verdict(Outcome.FAILS, Witness(
-                        kind="temporal",
-                        stores=(("observed", _store_items(m, ex)),
-                                ("partner", _store_items(m, other))),
-                        point_index=i,
-                        trace=m.trace_tuple(tid),
-                        note="agreeing run cannot reproduce the observed trace",
-                    ))
-    return Verdict(Outcome.HOLDS)
+    conditions = [compile_expr(td.condition, m.domain) for td in tds]
+    # the first position at which each condition holds on each run
+    triggers = [[next((j for j, store in enumerate(ex.stores) if c(store)), None)
+                 for c in conditions] for ex in m.executions]
+    values = [tuple(td.declassified(ex.init_store) for td in tds)
+              for ex in m.executions]
+    found = _first_unmatched(m, fs, values, lambda ex, i: tuple(
+        t is not None and t <= i for t in triggers[ex.index]))
+    if found is None:
+        return Verdict(Outcome.HOLDS)
+    ex, i, other, tid = found
+    return Verdict(Outcome.FAILS, Witness(
+        kind="temporal",
+        stores=(("observed", _store_items(m, ex)),
+                ("partner", _store_items(m, other))),
+        point_index=i,
+        trace=m.trace_tuple(tid),
+        note="agreeing run cannot reproduce the observed trace",
+    ))

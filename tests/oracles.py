@@ -10,6 +10,8 @@ program for lasso detection.  ``unshared_runs`` runs the compiled program
 once per initial store with a private lasso table, sharing no suffix
 between runs, as the model's builder must agree with.  ``holds`` evaluates formulas straight from
 the logic's definitions, sharing nothing with the package's evaluator.
+``release_failure`` and ``temporal_failure`` judge er and nitd point by
+point, at every position of every run against every low-equal partner.
 None of them shares code with the package's compiled programs, so
 agreement with any of them is meaningful (``unshared_runs`` excepted:
 it checks only the sharing of run suffixes).
@@ -342,3 +344,57 @@ def holds(model, f, ex, i: int, env: dict | None = None) -> bool:
         case lg.Exists(v, g):
             return any(at(g, extra={v: x}) for x in dom.values)
     raise TypeError(f"not a formula: {f!r}")
+
+
+def release_failure(model, fs, rs):
+    """The first point where epistemic release fails, or None.
+
+    At a point, the released expressions are those whose flags are set at
+    every point of the run with the point's trace.  Every low-equal run
+    agreeing with the point's run on them (on initial values) must produce
+    that trace.  Returns (run index, position, partner index, trace).
+    """
+    dom = model.domain
+
+    def released(ex, i):
+        same = [k for k, tid in enumerate(ex.trace_ids) if tid == ex.trace_ids[i]]
+        return [e for flag, e in rs.items
+                if all(ex.stores[k][flag] == dom.true_value for k in same)]
+
+    return _first_failure(model, fs, released)
+
+
+def temporal_failure(model, fs, tds):
+    """The first point where noninterference modulo temporal
+    declassifications fails, or None.
+
+    At a point, a property is released once its condition has held at
+    some position up to the point.  Every low-equal run agreeing with the
+    point's run on the released properties (on initial values) must
+    produce the point's trace.  Returns (run index, position, partner
+    index, trace).
+    """
+    dom = model.domain
+
+    def released(ex, i):
+        return [e for td in tds
+                if any(dom.truth(eval_expr(ex.stores[k], td.condition, dom))
+                       for k in range(i + 1))
+                for e in td.declassified.exprs]
+
+    return _first_failure(model, fs, released)
+
+
+def _first_failure(model, fs, released):
+    """Every position of every run, against every low-equal partner."""
+    dom = model.domain
+    for ex in model.executions:
+        for i, tid in enumerate(ex.trace_ids):
+            exprs = released(ex, i)
+            for other in model.executions:
+                if (all(other.init_store[n] == ex.init_store[n] for n in fs.low)
+                        and all(eval_expr(other.init_store, e, dom)
+                                == eval_expr(ex.init_store, e, dom) for e in exprs)
+                        and tid not in other.trace_ids):
+                    return ex.index, i, other.index, model.trace_tuple(tid)
+    return None

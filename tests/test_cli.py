@@ -49,6 +49,18 @@ class TestCheckCommand:
                     "--policy", workdir / "low-y.pol", "--low", ""])
         assert code == 2
 
+    def test_both_readings_word_a_refusal_alike(self, tmp_path):
+        (tmp_path / "spin.wout").write_text("while h do { skip }; out l\n")
+        notes = []
+        for check in ("oni", "ak"):
+            (tmp_path / f"{check}.pol").write_text(f"check: {check}\nlow: l\n")
+            report = tmp_path / f"{check}.json"
+            assert run(["check", "--program", tmp_path / "spin.wout",
+                        "--policy", tmp_path / f"{check}.pol", "--report", report]) == 2
+            notes.append(Report.from_json_text(report.read_text()).note)
+        assert notes[0] == notes[1]
+        assert notes[0].startswith("execution from (h=tt, l=tt) is lasso; ")
+
     def test_usage_error_exits_three(self, workdir):
         assert run(["check", "--program", workdir / "copy.wout"]) == 3
         assert run(["check", "--program", "missing.wout",

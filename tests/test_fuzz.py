@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 
@@ -5,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import epiflow.policyfile
-from epiflow.cli import main
+from epiflow.cli import _domain_from, build_parser, main
 from epiflow.domain import Domain
-from epiflow.fuzz import (PAIRS, FuzzConfig, fuzz_equivalences, generate_case,
-                          generate_program, run_one)
+from epiflow.fuzz import (PAIRS, FuzzConfig, FuzzSummary, fuzz_equivalences,
+                          generate_case, generate_program, run_one)
 from epiflow.lang import Out, Skip, Stmt, Seq, While, to_source
 from epiflow.model import ModelConfig, Status, build_model
 from epiflow.policyfile import parse_policy
@@ -60,6 +61,19 @@ class TestGenerator:
             model = build_model(program, ModelConfig(cfg.domain, bound=2000))
             assert all(e.status is Status.TERMINATED for e in model.executions)
 
+    def test_cases_keep_their_draws(self):
+        # each (seed, pair, index) draws the same program and policy texts
+        digest = hashlib.sha256()
+        for cfg in (FuzzConfig(seed=11),
+                    FuzzConfig(seed=29, domain=Domain.integers(4), loops=True)):
+            for pair in PAIRS:
+                for index in range(20):
+                    program, policy = generate_case(pair, index, cfg)
+                    digest.update(to_source(program.body, cfg.domain).encode())
+                    digest.update(policy.to_text().encode())
+        assert digest.hexdigest() == (
+            "2bb9e508899fa3b23e942aa7d0321abd42040e1c31277f5a531c8a25f3ef031b")
+
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
             FuzzConfig(ident_count=4)
@@ -102,6 +116,14 @@ class TestHarness:
 
 
 class TestReplay:
+    @pytest.mark.parametrize("dom", DOMAINS + (
+        Domain.integers(8, hash_table=(0, 3, 6, 1, 4, 7, 2, 5)),
+        Domain.integers(4, signed=True, hash_table=(-2, 1, 0, -1))))
+    def test_header_flags_read_back_to_the_domain(self, dom):
+        header = FuzzSummary(FuzzConfig(domain=dom)).render().splitlines()[0]
+        flags = header.split("domain: ", 1)[1].split()
+        assert _domain_from(build_parser().parse_args(["fuzz", *flags])) == dom
+
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(PAIRS), st.sampled_from(DOMAINS), st.booleans(),
            st.integers(0, 10**6), st.integers(0, 10**4))

@@ -1,9 +1,12 @@
 import pytest
 
 from conftest import exec_from
+from oracles import release_failure, temporal_failure
 from epiflow.domain import Domain
+from epiflow.fuzz import FuzzConfig, generate_case
 from epiflow.lang import Var, parse, parse_expression
 from epiflow.model import ModelConfig, build_model
+from epiflow.policyfile import policy_pieces
 from epiflow.policies import (FlowSpec, InitPredicate, PolicyError,
                               ReleaseSpec, TemporalDeclassification)
 from epiflow.semantics import (check_er, check_nani, check_nid, check_nitd,
@@ -247,3 +250,40 @@ class TestNitd:
         fs = FlowSpec.from_low(m.program, [])
         td = TemporalDeclassification(parse_expression("tt"), pred("h", BOOL))
         assert check_nitd(m, fs, (td,)).outcome is Outcome.HOLDS
+
+
+class TestAgainstPerPointReferences:
+    """er and nitd visit only epoch-block starts; the references visit every
+    position of every run and every low-equal partner."""
+
+    CONFIGS = (
+        FuzzConfig(seed=11),
+        FuzzConfig(seed=29, domain=INT4, loops=True),
+        FuzzConfig(seed=5, domain=Domain.integers(4, signed=True), loops=True,
+                   ident_count=3),
+    )
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=("bool", "int4-loops", "signed-3ids"))
+    @pytest.mark.parametrize("pair", ("akr-er", "nitd-aktd"))
+    def test_outcome_and_witness_match_the_reference(self, cfg, pair):
+        outcomes = set()
+        for index in range(40):
+            program, policy = generate_case(pair, index, cfg)
+            pieces = policy_pieces(policy, program, cfg.domain)
+            m = build_model(program, ModelConfig(cfg.domain, bound=cfg.bound))
+            if pair == "akr-er":
+                verdict = check_er(m, pieces["fs"], pieces["releases"])
+                expected = release_failure(m, pieces["fs"], pieces["releases"])
+            else:
+                verdict = check_nitd(m, pieces["fs"], pieces["whens"])
+                expected = temporal_failure(m, pieces["fs"], pieces["whens"])
+            outcomes.add(verdict.outcome)
+            if expected is None:
+                assert verdict.outcome is Outcome.HOLDS, index
+                continue
+            assert verdict.outcome is Outcome.FAILS, index
+            w = verdict.witness
+            run, partner = (m.exec_by_values[m.values_of(dict(items))].index
+                            for _, items in w.stores)
+            assert (run, w.point_index, partner, w.trace) == expected, index
+        assert outcomes == {Outcome.HOLDS, Outcome.FAILS}
