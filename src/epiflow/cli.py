@@ -269,6 +269,9 @@ def main(argv=None) -> int:
             OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        print("error: input nested too deeply to check", file=sys.stderr)
+        return EXIT_USAGE
     except Exception as err:  # a bug, not a verdict: keep it apart from exit 1
         import traceback  # only on this path, to keep start-up short
 

@@ -57,7 +57,7 @@ class Domain:
             if len(self.hash_table) != self.size:
                 raise DomainError("hash table must list one output per value")
             for v in self.hash_table:
-                if v not in self.values:
+                if v not in self:
                     raise DomainError(f"hash table entry {v!r} outside the domain")
 
     @staticmethod

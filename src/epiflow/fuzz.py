@@ -39,6 +39,10 @@ class FuzzConfig:
     bound: int = 2_000
 
     def __post_init__(self) -> None:
+        if self.count < 0:
+            raise ValueError("count must not be negative")
+        if self.size < 1:
+            raise ValueError("size must be at least 1")
         if not 1 <= self.ident_count <= 3:
             raise ValueError("ident_count must be between 1 and 3")
         for pair in self.pairs:

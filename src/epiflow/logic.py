@@ -38,7 +38,8 @@ rules keep quantifiers, knowledge and scans cheap:
   (and epoch); only its memo key is coarser.
 * K and L over a body fixed along a run work on sets of runs, held as int
   bitmasks (bit k for run k).  ``have`` is the mask of the runs that visit
-  a trace id, and ``sat`` the mask of the runs where the body holds.  Per
+  a trace id, which each evaluation builds from the runs' trace ids, and
+  ``sat`` the mask of the runs where the body holds.  Per
   identifier and value, ``runs_from`` is the mask of the runs starting
   with that value, so ``init`` atoms over bound values that pin every
   variable name the AND of their masks: one run, or none when two atoms
@@ -636,16 +637,19 @@ class Evaluation:
         """K (``args`` set): every point of the epoch; L: some point.
 
         A child fixed across the epoch is read at the current point.
-        Otherwise each execution of the epoch is visited once: at its first
-        position in the epoch for a child fixed per run and epoch, else over
-        its whole block.
+        Otherwise each execution of the epoch is visited once, in run order
+        (the bits of ``have``, lowest first): at its first position in the
+        epoch for a child fixed per run and epoch, else over its whole block.
         """
         child, every = p.kids[0], p.args
         level = child.level
         if level == _CONST or level == _EPOCH:
             return self.holds(child, ex, i)
         tid = ex.trace_ids[i]
-        for other in self.model.epoch_executions[tid]:
+        executions, runs = self.model.executions, self.have[tid]
+        while runs:
+            other = executions[(runs & -runs).bit_length() - 1]
+            runs &= runs - 1
             ids = other.trace_ids
             first = bisect_left(ids, tid)
             positions = ((first,) if level == _RUN_EPOCH
@@ -661,7 +665,7 @@ class Evaluation:
         have = [0] * len(self.model.trace_parents)
         for ex in self.model.executions:
             bit = 1 << ex.index
-            for tid in ex.trace_id_set:
+            for tid in set(ex.trace_ids):
                 have[tid] |= bit
         return have
 

@@ -3,10 +3,11 @@
 A model holds one maximal (bounded) execution per initial store and an
 interned trace table.  Two points with the same trace are
 indistinguishable to the observer; that relation is an S5 equivalence by
-construction.  Each point carries the id of its trace, and ids never
-decrease along a run, so an epoch (the points sharing one trace) meets a
-run in one contiguous block of positions.  Epochs are indexed on demand:
-by execution for the logic's K, by point for ``epoch_of`` and the dump.
+construction.  A run is its stores and the trace id at each point; its
+events are read back through the trace table.  Ids never decrease along
+a run, so an epoch (the points sharing one trace) meets a run in one
+contiguous block of positions.  Each reading indexes runs by trace itself;
+the model indexes epochs by point on demand, for ``epoch_of`` and the dump.
 
 An execution refers back to its model only weakly, so a model no longer
 in use is freed by reference counting, without the cycle collector.
@@ -53,19 +54,25 @@ class ModelConfig:
 
 @dataclass(eq=False)
 class Execution:
-    """One run: stores[i] is the store after i steps, events[i] the i-th emission."""
+    """One run: stores[i] is the store after i steps, and trace_ids[i] the
+    id of the trace emitted before point i."""
 
     index: int
     stores: list[dict]
-    events: list  # per step; None when the step was silent
     status: Status
     lasso_entry: int | None = None
     trace_ids: list[int] = field(default_factory=list)
-    trace_id_set: frozenset[int] = frozenset()
     model_ref: "weakref.ref[Model] | None" = field(default=None, repr=False)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.trace_ids) - 1
+
+    @property
+    def events(self) -> list:
+        """The emission of each step, None when the step was silent."""
+        parents = self.model.trace_parents
+        ids = self.trace_ids
+        return [None if a == b else parents[b][1] for a, b in zip(ids, ids[1:])]
 
     @property
     def init_store(self) -> dict:
@@ -97,7 +104,6 @@ class Model:
     executions: list[Execution]
     trace_parents: list[tuple[int, object]]  # trace id -> (parent id, event)
     trace_table: dict[tuple[int, object], int]
-    exec_by_values: dict[tuple, Execution]  # keyed by non-flag initial values
     variables: tuple[str, ...] = ()
 
     @property
@@ -122,13 +128,9 @@ class Model:
         return {tid: tuple(points) for tid, points in epochs.items()}
 
     @cached_property
-    def epoch_executions(self) -> dict[int, tuple[Execution, ...]]:
-        """The executions that visit each trace id, in execution order."""
-        index: dict[int, list[Execution]] = {}
-        for execution in self.executions:
-            for tid in execution.trace_id_set:
-                index.setdefault(tid, []).append(execution)
-        return {tid: tuple(execs) for tid, execs in index.items()}
+    def exec_by_values(self) -> dict[tuple, Execution]:
+        """The run from each initial store, keyed by its non-flag values."""
+        return {self.values_of(e.init_store): e for e in self.executions}
 
     def trace_tuple(self, trace_id: int) -> tuple:
         events = []
@@ -177,14 +179,12 @@ def build_model(program: Program, cfg: ModelConfig) -> Model:
         return new
 
     executions: list[Execution] = []
-    exec_by_values: dict[tuple, Execution] = {}
     states: dict[tuple, tuple[int, int, int]] = {}
     for values in itertools.product(dom.values, repeat=len(names)):
         store = dict(zip(names, values))
         store.update((f, dom.false_value) for f in flags)
         execution = _run(code, store, cfg, len(executions), extend_trace, states, executions)
         executions.append(execution)
-        exec_by_values[values] = execution
 
     model = Model(
         program=program,
@@ -192,7 +192,6 @@ def build_model(program: Program, cfg: ModelConfig) -> Model:
         executions=executions,
         trace_parents=trace_parents,
         trace_table=trace_table,
-        exec_by_values=exec_by_values,
         variables=names,
     )
     ref = weakref.ref(model)
@@ -220,7 +219,6 @@ def _run(code: Code, init: dict, cfg: ModelConfig, index: int, extend_trace,
     store = init
     values = tuple(init.values())
     stores = [init]
-    events: list = []
     trace_ids = [0]
     tid = 0
     pc = code.entry
@@ -236,9 +234,8 @@ def _run(code: Code, init: dict, cfg: ModelConfig, index: int, extend_trace,
                     or steps + rest > bound):
                 return _run(code, init, cfg, index, extend_trace, {}, executions)
             stores += earlier.stores[step + 1:]
-            events += earlier.events[step:]
             trace_ids += earlier.trace_ids[step + 1:]
-            return _execution(index, stores, events, status, None, trace_ids)
+            return Execution(index, stores, status, None, trace_ids)
         if step != steps:
             status = Status.LASSO
             lasso_entry = step
@@ -249,7 +246,6 @@ def _run(code: Code, init: dict, cfg: ModelConfig, index: int, extend_trace,
             status = Status.BOUND_EXCEEDED
             break
         op, fn, name, nxt, other = instrs[pc]
-        event = None
         if op is BRANCH:
             pc = nxt if fn(store) else other
         elif op is ASSIGN:
@@ -257,31 +253,21 @@ def _run(code: Code, init: dict, cfg: ModelConfig, index: int, extend_trace,
             values = tuple(store.values())
             pc = nxt
         else:
-            event = fn(store)
-            tid = extend_trace(tid, event)
+            tid = extend_trace(tid, fn(store))
             pc = nxt
         steps += 1
         stores.append(store)
-        events.append(event)
         trace_ids.append(tid)
 
     if status is Status.TERMINATED and cfg.termination_output:
         stores.append(store)
-        events.append(TERMINATION_MARK)
         trace_ids.append(extend_trace(tid, TERMINATION_MARK))
-    return _execution(index, stores, events, status, lasso_entry, trace_ids)
-
-
-def _execution(index: int, stores: list, events: list, status: Status,
-               lasso_entry: int | None, trace_ids: list[int]) -> Execution:
-    return Execution(index=index, stores=stores, events=events, status=status,
-                     lasso_entry=lasso_entry, trace_ids=trace_ids,
-                     trace_id_set=frozenset(trace_ids))
+    return Execution(index, stores, status, lasso_entry, trace_ids)
 
 
 def trace_of(pt: Point) -> tuple:
     """Events emitted strictly before the point, in order."""
-    return tuple(ev for ev in pt.execution.events[:pt.index] if ev is not None)
+    return pt.execution.model.trace_tuple(pt.execution.trace_ids[pt.index])
 
 
 def epoch_of(model: Model, trace: tuple) -> tuple[Point, ...]:

@@ -65,6 +65,13 @@ def _full_trace(ex: Execution) -> int:
     return ex.trace_ids[len(ex)]
 
 
+def _produces(ex: Execution, tid: int) -> bool:
+    """Whether the run ever has trace id ``tid`` (its ids never decrease)."""
+    ids = ex.trace_ids
+    i = bisect_left(ids, tid)
+    return i < len(ids) and ids[i] == tid
+
+
 def _first_split(m: Model, key: Callable[[Execution], object],
                  value: Callable[[Execution], object]
                  ) -> tuple[Execution, Execution] | None:
@@ -148,7 +155,7 @@ def knowledge_set(m: Model, fs: FlowSpec, store: dict, trace: tuple) -> frozense
     out = set()
     if tid is not None:
         for ex in m.executions:
-            if _low_key(fs, ex) == key and tid in ex.trace_id_set:
+            if _low_key(fs, ex) == key and _produces(ex, tid):
                 out.add(m.values_of(ex.init_store))
     return frozenset(out)
 
@@ -167,7 +174,7 @@ def release_set(m: Model, fs: FlowSpec, rs: ReleaseSpec, store: dict,
     if start is None:
         raise PolicyError("store is not an initial store of the model")
     tid = m.intern_lookup(trace)
-    if tid not in start.trace_id_set:
+    if tid is None or not _produces(start, tid):
         raise PolicyError("trace never observed on the execution from this store")
     flags = start.stores[bisect_left(start.trace_ids, tid)]
     released = [compile_expr(e, dom) for f, e in rs.items
@@ -214,7 +221,7 @@ def _first_unmatched(m: Model, fs: FlowSpec, values: list[tuple],
             if key not in checked:
                 checked.add(key)
                 for other in groups[low]:
-                    if (tid not in other.trace_id_set
+                    if (not _produces(other, tid)
                             and _masked(values[other.index], mask) == agreed):
                         return ex, i, other, tid
             i = bisect_right(tids, tid, i)  # trace ids never decrease along a run

@@ -231,7 +231,7 @@ def unshared_runs(program: Program, cfg):
             trace_ids.append(extend(tid, TERMINATION_MARK))
         runs.append({"index": index, "stores": stores, "events": events,
                      "status": status, "lasso_entry": entry, "trace_ids": trace_ids,
-                     "trace_id_set": frozenset(trace_ids), "configs": configs})
+                     "configs": configs})
     return runs, trace_parents
 
 

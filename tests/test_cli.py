@@ -114,6 +114,13 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "(x=tt, y=tt)" in out and "epochs:" in out
 
+    @pytest.mark.parametrize("domain, table", [("int:4", "tt,ff,tt,ff"), ("bool", "1,0")])
+    def test_hash_table_of_the_wrong_kind_exits_three(self, workdir, domain, table, capsys):
+        code = run(["model", "--program", workdir / "copy.wout", "--domain", domain,
+                    "--hash", table])
+        assert code == 3
+        assert "outside the domain" in capsys.readouterr().err
+
     def test_diff_agrees(self, workdir, capsys):
         code = run(["diff", "--program", workdir / "release.wout",
                     "--policy", workdir / "release.pol"])
@@ -215,6 +222,24 @@ class TestRobustness:
                     "--policy", tmp_path / "p.pol"])
         assert code == 1
         assert "FAILS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("shape", ["formula", "declassify", "parentheses"])
+    def test_too_deeply_nested_inputs_exit_three(self, tmp_path, shape, capsys):
+        program, policy = "out l; out h", "check: ak\nlow: l\n"
+        args = []
+        if shape == "formula":  # 400 nested F
+            args = ["--formula", "F " * 400 + "tt"]
+        elif shape == "declassify":  # 3,000 conjuncts
+            policy = "check: akd\nlow: l\ndeclassify: " + " && ".join(["h"] * 3_000) + "\n"
+        else:  # an output under 1,200 parentheses
+            program = "out " + "(" * 1_200 + "h" + ")" * 1_200
+        (tmp_path / "p.wout").write_text(program)
+        (tmp_path / "p.pol").write_text(policy)
+        code = run(["check", "--program", tmp_path / "p.wout",
+                    *(args or ["--policy", tmp_path / "p.pol"])])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "error: input nested too deeply to check\n"
 
 
 # --domain flags and the domain they select

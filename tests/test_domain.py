@@ -47,6 +47,11 @@ class TestDomains:
             Domain.integers(4, hash_table=(0, 1, 2))
         with pytest.raises(DomainError):
             Domain.integers(4, hash_table=(0, 1, 2, 9))
+        # True == 1 in Python, yet booleans are no integer values, nor ints booleans
+        with pytest.raises(DomainError, match="entry True outside"):
+            Domain.integers(4, hash_table=(True, False, True, False))
+        with pytest.raises(DomainError, match="entry 1 outside"):
+            Domain("bool", 2, False, (1, 0))
 
     def test_bad_configs(self):
         with pytest.raises(DomainError):

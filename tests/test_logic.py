@@ -505,7 +505,7 @@ class TestMemoLevels:
         ev.counted = root.kids[0]
         assert isinstance(f, G) and ev.counted.level != _POINT
         assert all(ev.holds(root, ex, 0) for ex in m.executions)
-        assert ev.calls == sum(len(ex.trace_id_set) for ex in m.executions)
+        assert ev.calls == sum(len(set(ex.trace_ids)) for ex in m.executions)
 
     def test_scans_step_from_change_to_change(self):
         # akr's G child reads the release flag, which changes only at the

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -7,8 +8,9 @@ import pytest
 from conftest import exec_from
 from epiflow.domain import Domain, Label, TERMINATION_MARK
 from epiflow.lang import Const, OutLit, Seq, While, parse, program_from_body
-from epiflow.model import (ModelConfig, Status, accessible, build_model,
-                           epoch_of, trace_of)
+from epiflow.logic import Evaluation
+from epiflow.model import (Execution, ModelConfig, Status, accessible,
+                           build_model, epoch_of, trace_of)
 from epiflow.fuzz import FuzzConfig, generate_program
 from oracles import reference_runs, run, unshared_runs
 
@@ -148,10 +150,19 @@ class TestModelShape:
         for index in range(10):
             m = build_model(generate_program(random.Random(f"e:{index}"), cfg),
                             ModelConfig(INT4))
-            assert set(m.epoch_executions) == set(m.epochs)
+            have = Evaluation(m).have
+            assert {tid for tid, runs in enumerate(have) if runs} == set(m.epochs)
             for tid, points in m.epochs.items():
-                visitors = list(dict.fromkeys(p.execution for p in points))
-                assert list(m.epoch_executions[tid]) == visitors
+                assert have[tid] == sum({1 << p.execution.index for p in points})
+
+    def test_a_run_is_its_stores_and_trace_ids(self):
+        # events and the indexes of runs are derived, never stored
+        names = [f.name for f in dataclasses.fields(Execution)]
+        assert names == ["index", "stores", "status", "lasso_entry", "trace_ids",
+                         "model_ref"]
+        m = build_model(parse("x := y; out y", BOOL), ModelConfig(BOOL))
+        assert "exec_by_values" not in vars(m) and not hasattr(m, "epoch_executions")
+        assert exec_from(m, x=True, y=False).events == [None, False]
 
 
 class TestDivergence:
@@ -320,7 +331,7 @@ class TestSharedBuild:
         assert len(m.executions) == len(runs)
         for ex, ref in zip(m.executions, runs):
             for name in ("index", "stores", "events", "status", "lasso_entry",
-                         "trace_ids", "trace_id_set"):
+                         "trace_ids"):
                 assert getattr(ex, name) == ref[name], name
         assert m.trace_parents == parents
         return _meetings(runs, cfg.bound, cfg.termination_output)

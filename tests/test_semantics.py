@@ -1,16 +1,19 @@
+import random
+
 import pytest
 
 from conftest import exec_from
 from oracles import release_failure, temporal_failure
 from epiflow.domain import Domain
-from epiflow.fuzz import FuzzConfig, generate_case
-from epiflow.lang import Var, parse, parse_expression
-from epiflow.model import ModelConfig, build_model
+from epiflow.fuzz import FuzzConfig, generate_case, generate_program
+from epiflow.lang import (Const, Var, While, parse, parse_expression,
+                          program_from_body)
+from epiflow.model import ModelConfig, Status, build_model
 from epiflow.policyfile import policy_pieces
 from epiflow.policies import (FlowSpec, InitPredicate, PolicyError,
                               ReleaseSpec, TemporalDeclassification)
-from epiflow.semantics import (check_er, check_nani, check_nid, check_nitd,
-                               check_oni, knowledge_set, release_set)
+from epiflow.semantics import (_produces, check_er, check_nani, check_nid,
+                               check_nitd, check_oni, knowledge_set, release_set)
 from epiflow.verdicts import Outcome
 
 BOOL = Domain.booleans()
@@ -250,6 +253,26 @@ class TestNitd:
         fs = FlowSpec.from_low(m.program, [])
         td = TemporalDeclassification(parse_expression("tt"), pred("h", BOOL))
         assert check_nitd(m, fs, (td,)).outcome is Outcome.HOLDS
+
+
+class TestRunMembership:
+    @pytest.mark.parametrize("dom", [BOOL, INT4], ids=["bool", "int4"])
+    def test_bisection_agrees_with_the_set_of_trace_ids(self, dom):
+        cfg = FuzzConfig(seed=17, count=1, size=8, ident_count=2, domain=dom,
+                         loops=True)
+        statuses = set()
+        for index in range(24):
+            program = generate_program(random.Random(f"member:{index}"), cfg)
+            if index % 4 == 3:
+                program = program_from_body(While(Const(True), program.body))
+            m = build_model(program, ModelConfig(dom, (3, 12, 10_000)[index % 3],
+                                                 termination_output=index % 2 == 0))
+            for ex in m.executions:
+                statuses.add(ex.status)
+                visited = set(ex.trace_ids)
+                for tid in range(len(m.trace_parents)):
+                    assert _produces(ex, tid) == (tid in visited)
+        assert statuses == set(Status)
 
 
 class TestAgainstPerPointReferences:
