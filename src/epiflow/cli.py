@@ -8,6 +8,10 @@ Subcommands::
     knowledge  knowledge/release set sizes after each observed output
     fuzz       differential fuzzing of the condition pairs
 
+Each subcommand takes only the flags it reads: all but ``fuzz`` the model
+flags, ``check``, ``diff`` and ``knowledge`` ``--policy`` and ``--low``, and
+``check`` alone ``--formula`` (in place of ``--policy``) and ``--report``.
+
 Exit status of ``check``: 0 the policy holds, 1 it fails, 2 the model has
 a non-terminating run and the verdict is refused, 3 usage error, 4 internal
 error (a crash is never reported as a verdict).
@@ -45,7 +49,7 @@ _EXIT_OF = {
 }
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
+def _model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--program", required=True, help="program file (.wout)")
     parser.add_argument("--domain", default="bool", help="bool or int:N (default bool)")
     parser.add_argument("--signed-window", action="store_true",
@@ -56,11 +60,11 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         help="step bound per execution (default 10000)")
     parser.add_argument("--termination-output", action="store_true",
                         help="append a marker event when a run terminates")
+
+
+def _low_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--low", default=None,
                         help="comma-separated low identifiers (overrides the policy)")
-    parser.add_argument("--aak-fix-low", action="store_true",
-                        help="pin public inputs exactly in the abstract-knowledge check")
-    parser.add_argument("--report", default=None, help="also write a JSON report here")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,26 +74,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="run one policy against a program")
-    _common_flags(p_check)
-    p_check.add_argument("--policy", default=None, help="policy file (.pol)")
-    p_check.add_argument("--formula", default=None,
-                         help="raw formula instead of a policy file")
+    _model_flags(p_check)
+    source = p_check.add_mutually_exclusive_group(required=True)
+    source.add_argument("--policy", help="policy file (.pol)")
+    source.add_argument("--formula", help="raw formula instead of a policy file")
+    _low_flag(p_check)
+    p_check.add_argument("--report", default=None, help="also write a JSON report here")
     p_check.set_defaults(func=cmd_check)
 
     p_model = sub.add_parser("model", help="dump executions and epochs")
-    _common_flags(p_model)
+    _model_flags(p_model)
     p_model.set_defaults(func=cmd_model)
 
     p_diff = sub.add_parser("diff", help="compare both readings of a policy")
-    _common_flags(p_diff)
-    p_diff.add_argument("--policy", required=True)
+    _model_flags(p_diff)
+    p_diff.add_argument("--policy", required=True, help="policy file (.pol)")
+    _low_flag(p_diff)
     p_diff.set_defaults(func=cmd_diff)
 
     p_know = sub.add_parser("knowledge",
                             help="knowledge/release sets along one run")
-    _common_flags(p_know)
+    _model_flags(p_know)
     p_know.add_argument("--policy", required=True,
                         help="policy carrying the low split and any releases")
+    _low_flag(p_know)
     p_know.add_argument("--init", default=None,
                         help="initial store, e.g. 'l=tt,h1=tt,h2=ff' (default: first store)")
     p_know.set_defaults(func=cmd_knowledge)
@@ -136,9 +144,7 @@ def _load(args) -> tuple:
     return dom, text, program, cfg
 
 
-def _policy_from(args, program) -> Policy:
-    if args.policy is None:
-        raise PolicyError("a policy file is required (or use --formula)")
+def _policy_from(args) -> Policy:
     policy = load_policy(args.policy)
     if args.low is not None:
         low = tuple(n.strip() for n in args.low.split(",") if n.strip())
@@ -147,21 +153,21 @@ def _policy_from(args, program) -> Policy:
 
 
 def cmd_check(args) -> int:
-    dom, text, program, cfg = _load(args)
+    if args.formula is not None and args.low is not None:
+        raise PolicyError("--low overrides a policy file; a --formula has none")
+    _, text, program, cfg = _load(args)
     if args.formula is not None:
         formula = parse_formula(args.formula)
         start = time.perf_counter()
         model = build_model(program, cfg)
         verdict = model_satisfies(model, formula)
-        run = CheckRun("formula", verdict, model, formula,
-                       elapsed=time.perf_counter() - start)
+        run = CheckRun("formula", verdict, model, time.perf_counter() - start)
         policy_payload = {"formula": args.formula}
     else:
-        policy = _policy_from(args, program)
-        run = run_check(program, policy, cfg, fix_low=args.aak_fix_low)
+        policy = _policy_from(args)
+        run = run_check(program, policy, cfg)
         policy_payload = policy.describe()
-    report = build_report(run, policy_payload, dom, text, args.program,
-                          args.bound, args.termination_output)
+    report = build_report(run, policy_payload, text, args.program)
     sys.stdout.write(render_text(report))
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
@@ -177,10 +183,8 @@ def cmd_model(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    dom, text, program, cfg = _load(args)
-    policy = _policy_from(args, program)
-    sem_run, epi_run = run_both_sides(program, policy, cfg,
-                                      fix_low=args.aak_fix_low)
+    _, _, program, cfg = _load(args)
+    sem_run, epi_run = run_both_sides(program, _policy_from(args), cfg)
     agree = sem_run.verdict.outcome is epi_run.verdict.outcome
     print(f"pair {sem_run.check}/{epi_run.check}: "
           f"semantic={sem_run.verdict} epistemic={epi_run.verdict} "
@@ -199,6 +203,8 @@ def _parse_init(text: str, program, dom: Domain) -> dict:
         name, raw = (part.strip() for part in item.split("=", 1))
         if name not in program.variables:
             raise PolicyError(f"--init names unknown identifier {name!r}")
+        if name in store:
+            raise PolicyError(f"--init names {name!r} twice")
         if dom.kind == "bool":
             if raw not in ("tt", "ff", "true", "false"):
                 raise PolicyError(f"bad boolean {raw!r} in --init")
@@ -214,9 +220,8 @@ def _parse_init(text: str, program, dom: Domain) -> dict:
 
 
 def cmd_knowledge(args) -> int:
-    dom, text, program, cfg = _load(args)
-    policy = _policy_from(args, program)
-    pieces = policy_pieces(policy, program, dom)
+    dom, _, program, cfg = _load(args)
+    pieces = policy_pieces(_policy_from(args), program, dom)
     fs, releases = pieces["fs"], pieces["releases"]
     model = build_model(program, cfg)
     if model.tainted:

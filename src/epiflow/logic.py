@@ -819,24 +819,17 @@ def model_satisfies(model: Model, f: Formula) -> Verdict:
     """
     ev = Evaluation(model)
     root = ev.compile(f)
+    size = formula_size(f)
     if model.tainted:
         bad = next(e for e in model.executions if e.status.value != "terminated")
         return Verdict(
-            Outcome.BOUND_EXCEEDED, None, Stats(),
-            f"execution from {_store_note(model, bad)} is {bad.status.value}")
-    size = formula_size(f)
+            Outcome.BOUND_EXCEEDED, None, Stats(formula_nodes=size),
+            f"execution from {model.store_text(bad.init_store)} is {bad.status.value}")
     for ex in model.executions:
         if not ev.holds(root, ex, 0):
             witness = _extract_witness(ev, root, ex)
             return Verdict(Outcome.FAILS, witness, ev.stats(size))
     return Verdict(Outcome.HOLDS, None, ev.stats(size))
-
-
-def _store_note(model: Model, ex: Execution) -> str:
-    dom = model.domain
-    pairs = ", ".join(
-        f"{n}={dom.format_value(ex.init_store[n])}" for n in model.variables)
-    return f"({pairs})"
 
 
 def _extract_witness(ev: Evaluation, root: _Plan, ex: Execution) -> Witness:

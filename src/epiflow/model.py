@@ -7,7 +7,7 @@ construction.  A run is its stores and the trace id at each point; its
 events are read back through the trace table.  Ids never decrease along
 a run, so an epoch (the points sharing one trace) meets a run in one
 contiguous block of positions.  Each reading indexes runs by trace itself;
-the model indexes epochs by point on demand, for ``epoch_of`` and the dump.
+the model indexes epochs by point on demand, for ``epoch_of``.
 
 An execution refers back to its model only weakly, so a model no longer
 in use is freed by reference counting, without the cycle collector.
@@ -151,6 +151,11 @@ class Model:
 
     def values_of(self, store: dict) -> tuple:
         return tuple(store[name] for name in self.variables)
+
+    def store_text(self, store: dict) -> str:
+        """The store's non-flag values in signature order, as ``(x=tt, y=ff)``."""
+        fmt = self.domain.format_value
+        return "(" + ", ".join(f"{n}={fmt(store[n])}" for n in self.variables) + ")"
 
 
 def build_model(program: Program, cfg: ModelConfig) -> Model:

@@ -285,15 +285,13 @@ def check_output_abstraction(fs: FlowSpec, rho: str | Expr) -> None:
 
 
 def encode_aak(program: Program, fs: FlowSpec, eta: str | Expr, phi: str | Expr,
-               rho: str | Expr, dom: Domain,
-               fix_low: bool = False) -> tuple[Program, Formula]:
+               rho: str | Expr, dom: Domain) -> tuple[Program, Formula]:
     """Abstract absence of knowledge, as a transformed program plus formula.
 
     The program gains a final output of the ``rho``-abstracted public
-    results.  By default no identifier is pinned exactly: public inputs
-    vary within their ``eta``-class and secrets within their ``phi``-class,
-    both encoded as agreement predicates.  ``fix_low`` switches to the
-    variant that pins public inputs exactly (making ``eta`` vacuous).
+    results.  No identifier is pinned exactly: public inputs vary within
+    their ``eta``-class and secrets within their ``phi``-class, both
+    encoded as agreement predicates.  ``eta: Id`` pins public inputs.
     """
     check_output_abstraction(fs, rho)
     body: Stmt = program.body
@@ -303,13 +301,9 @@ def encode_aak(program: Program, fs: FlowSpec, eta: str | Expr, phi: str | Expr,
 
     eta_pred = abstraction_predicate(eta, fs.low, dom)
     phi_pred = abstraction_predicate(phi, fs.high, dom)
-    if fix_low:
-        formula = espm(fs.low, fs.high, (eta_pred, phi_pred), dom)
-    else:
-        ordered = fs.low + fs.high
-        in_order = tuple(n for n in transformed.variables if n in ordered)
-        formula = espm((), in_order, (eta_pred, phi_pred), dom)
-    return transformed, G(formula)
+    ordered = fs.low + fs.high
+    in_order = tuple(n for n in transformed.variables if n in ordered)
+    return transformed, G(espm((), in_order, (eta_pred, phi_pred), dom))
 
 
 def _powerset(items: tuple) -> list[tuple]:

@@ -24,7 +24,7 @@ from typing import Callable
 
 from .domain import Domain
 from .lang import Expr, Program, parse_expression, validate_expr
-from .logic import Formula, formula_size, model_satisfies
+from .logic import Formula, model_satisfies
 from .model import Model, ModelConfig, build_model
 from .policies import (ABSTRACTIONS, FlowSpec, InitPredicate, PolicyError,
                        ReleaseSpec, TemporalDeclassification, abstraction_fn,
@@ -37,7 +37,7 @@ from .verdicts import Verdict
 class Check:
     """One row of the check table: one reading of a security condition.
 
-    An epistemic row's ``encode(program, pieces, dom, fix_low)`` gives the
+    An epistemic row's ``encode(program, pieces, dom)`` gives the
     program to model (only aak transforms it) and the formula to evaluate;
     a trace-based row's ``judge(model, pieces)`` gives the verdict.  Rows
     call this module's ``encode_*``, ``check_*``, ``build_model`` and
@@ -46,7 +46,7 @@ class Check:
 
     twin: str
     needs: tuple[str, ...] = ()  # policy entries the check cannot run without
-    encode: Callable[[Program, dict, Domain, bool], tuple[Program, Formula]] | None = None
+    encode: Callable[[Program, dict, Domain], tuple[Program, Formula]] | None = None
     judge: Callable[[Model, dict], Verdict] | None = None
 
     @property
@@ -57,15 +57,14 @@ class Check:
 ABSTRACTED = ("eta", "phi", "rho")
 
 CHECKS: dict[str, Check] = {
-    "ak": Check("oni", encode=lambda prog, p, dom, fix_low: (
-        prog, encode_ak(p["fs"], dom))),
-    "akd": Check("nid", ("declassify",), encode=lambda prog, p, dom, fix_low: (
+    "ak": Check("oni", encode=lambda prog, p, dom: (prog, encode_ak(p["fs"], dom))),
+    "akd": Check("nid", ("declassify",), encode=lambda prog, p, dom: (
         prog, encode_akd(p["fs"], p["declassify"], dom))),
-    "aak": Check("nani", ABSTRACTED, encode=lambda prog, p, dom, fix_low: encode_aak(
-        prog, p["fs"], p["eta"], p["phi"], p["rho"], dom, fix_low=fix_low)),
-    "akr": Check("er", encode=lambda prog, p, dom, fix_low: (
+    "aak": Check("nani", ABSTRACTED, encode=lambda prog, p, dom: encode_aak(
+        prog, p["fs"], p["eta"], p["phi"], p["rho"], dom)),
+    "akr": Check("er", encode=lambda prog, p, dom: (
         prog, encode_akr(p["fs"], p["releases"], dom))),
-    "aktd": Check("nitd", encode=lambda prog, p, dom, fix_low: (
+    "aktd": Check("nitd", encode=lambda prog, p, dom: (
         prog, encode_aktd(p["fs"], p["whens"], dom))),
     "oni": Check("ak", judge=lambda m, p: check_oni(m, p["fs"])),
     "nid": Check("akd", ("declassify",),
@@ -117,6 +116,7 @@ class Policy:
 def parse_policy(text: str) -> Policy:
     fields: dict = {"low": (), "declassify": [], "releases": [], "whens": [],
                     "eta": None, "phi": None, "rho": None, "check": None}
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -124,6 +124,10 @@ def parse_policy(text: str) -> Policy:
         if ":" not in line:
             raise PolicyError(f"policy line {lineno}: expected 'key: value'")
         key, value = (part.strip() for part in line.split(":", 1))
+        if key in ("check", "low", *ABSTRACTED):  # the other keys repeat
+            if key in seen:
+                raise PolicyError(f"policy line {lineno}: repeated key {key!r}")
+            seen.add(key)
         match key:
             case "check":
                 if value not in CHECKS:
@@ -175,16 +179,12 @@ def load_policy(path: str) -> Policy:
 
 @dataclass
 class CheckRun:
+    """A check's verdict, the model it judged (aak's transformed one) and its time."""
+
     check: str
     verdict: Verdict
     model: Model
-    formula: Formula | None = None
-    transformed: Program | None = None
     elapsed: float = 0.0
-
-    @property
-    def formula_nodes(self) -> int:
-        return formula_size(self.formula) if self.formula is not None else 0
 
 
 def _parse_checked(text: str, program: Program, dom: Domain,
@@ -238,30 +238,27 @@ def policy_pieces(policy: Policy, program: Program, dom: Domain) -> dict:
 
 
 def _run(name: str, program: Program, pieces: dict, cfg: ModelConfig,
-         fix_low: bool, model: Model | None = None) -> CheckRun:
+         model: Model | None = None) -> CheckRun:
     """One reading of a checked policy, timed; ``model`` is the program's, if built."""
     start = time.perf_counter()
     check = CHECKS[name]
     modeled, formula = (program, None) if check.encode is None else check.encode(
-        program, pieces, cfg.domain, fix_low)
+        program, pieces, cfg.domain)
     if model is None or modeled is not program:
         model = build_model(modeled, cfg)
     verdict = (check.judge(model, pieces) if formula is None
                else model_satisfies(model, formula))
-    return CheckRun(name, verdict, model, formula,
-                    None if modeled is program else modeled,
-                    elapsed=time.perf_counter() - start)
+    return CheckRun(name, verdict, model, time.perf_counter() - start)
 
 
-def run_check(program: Program, policy: Policy, cfg: ModelConfig,
-              fix_low: bool = False) -> CheckRun:
+def run_check(program: Program, policy: Policy, cfg: ModelConfig) -> CheckRun:
     """Check the policy, build what the named check needs, run it, and time it."""
     pieces = policy_pieces(policy, program, cfg.domain)
-    return _run(policy.check, program, pieces, cfg, fix_low)
+    return _run(policy.check, program, pieces, cfg)
 
 
-def run_both_sides(program: Program, policy: Policy, cfg: ModelConfig,
-                   fix_low: bool = False) -> tuple[CheckRun, CheckRun]:
+def run_both_sides(program: Program, policy: Policy,
+                   cfg: ModelConfig) -> tuple[CheckRun, CheckRun]:
     """Run the trace-based and the epistemic reading of the same policy.
 
     The policy is checked once and the program modeled once; only aak
@@ -270,6 +267,6 @@ def run_both_sides(program: Program, policy: Policy, cfg: ModelConfig,
     pieces = policy_pieces(policy, program, cfg.domain)
     semantic = SEMANTIC_OF.get(policy.check, policy.check)
     epistemic = EPISTEMIC_OF.get(policy.check, policy.check)
-    sem_run = _run(semantic, program, pieces, cfg, fix_low)
-    epi_run = _run(epistemic, program, pieces, cfg, fix_low, sem_run.model)
+    sem_run = _run(semantic, program, pieces, cfg)
+    epi_run = _run(epistemic, program, pieces, cfg, sem_run.model)
     return sem_run, epi_run

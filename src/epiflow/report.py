@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from .domain import Domain
@@ -86,32 +87,32 @@ class Report:
         return Report(**payload)
 
 
-def build_report(run: CheckRun, policy_payload: dict, cfg_domain: Domain,
-                 program_text: str, program_path: str | None,
-                 bound: int, termination_output: bool) -> Report:
+def build_report(run: CheckRun, policy_payload: dict, program_text: str,
+                 program_path: str | None) -> Report:
     verdict: Verdict = run.verdict
+    cfg = run.model.cfg
     stats = {
         "executions": len(run.model.executions),
         "points": run.model.point_count,
         # every interned trace id is some point's trace: one epoch each
         "epochs": len(run.model.trace_parents),
-        "formula_nodes": run.formula_nodes,
+        "formula_nodes": verdict.stats.formula_nodes,
         "points_visited": verdict.stats.points_visited,
         "cache_hits": verdict.stats.cache_hits,
     }
     note = verdict.note or ""
-    bookkeeping = f"bounded exploration at {bound} steps per run"
+    bookkeeping = f"bounded exploration at {cfg.bound} steps per run"
     note = f"{note}; {bookkeeping}" if note else bookkeeping
     return Report(
         check=run.check,
         program_digest=program_digest(program_text),
         program_path=program_path,
-        domain=cfg_domain.describe(),
+        domain=cfg.domain.describe(),
         policy=policy_payload,
-        bound=bound,
-        termination_output=termination_output,
+        bound=cfg.bound,
+        termination_output=cfg.termination_output,
         outcome=verdict.outcome.value,
-        witness=_witness_payload(verdict.witness, cfg_domain),
+        witness=_witness_payload(verdict.witness, cfg.domain),
         stats=stats,
         wall_time_s=round(run.elapsed, 6),
         note=note,
@@ -168,17 +169,18 @@ def model_dump(model: Model) -> str:
     """One line per execution plus the epoch table, in stable order."""
     dom = model.domain
     lines = []
+    points = Counter()
     for ex in model.executions:
-        store = ", ".join(
-            f"{n}={dom.format_value(ex.init_store[n])}" for n in model.variables)
+        points.update(ex.trace_ids)
         trace = ", ".join(dom.format_value(e) for e in model.trace_tuple(ex.trace_ids[len(ex)]))
         status = ex.status.value
         if ex.lasso_entry is not None:
             status += f"@{ex.lasso_entry}"
-        lines.append(f"({store})  steps={len(ex)}  status={status}  trace=[{trace}]")
+        lines.append(f"{model.store_text(ex.init_store)}  steps={len(ex)}  "
+                     f"status={status}  trace=[{trace}]")
     lines.append("")
     lines.append("epochs:")
-    for tid in sorted(model.epochs):
+    for tid in sorted(points):
         trace = ", ".join(dom.format_value(e) for e in model.trace_tuple(tid))
-        lines.append(f"  [{trace}] -> {len(model.epochs[tid])} points")
+        lines.append(f"  [{trace}] -> {points[tid]} points")
     return "\n".join(lines) + "\n"

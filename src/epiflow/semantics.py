@@ -45,10 +45,8 @@ def _refusal(m: Model, fs: FlowSpec) -> Verdict | None:
     or None once the flow spec is checked against the program."""
     if m.tainted:
         bad = next(e for e in m.executions if e.status is not Status.TERMINATED)
-        start = ", ".join(f"{n}={m.domain.format_value(v)}"
-                          for n, v in _store_items(m, bad))
         return Verdict(Outcome.BOUND_EXCEEDED, None, Stats(),
-                       f"execution from ({start}) is {bad.status.value}")
+                       f"execution from {m.store_text(bad.init_store)} is {bad.status.value}")
     fs.check_against(m.program)
     return None
 

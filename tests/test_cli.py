@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epiflow.cli import main
+from epiflow.cli import build_parser, main
 from epiflow.domain import Domain
 from epiflow.fuzz import FuzzConfig, _abstractions_for, _gen_expr, generate_program
 from epiflow.lang import expr_to_source, to_source
@@ -187,10 +187,64 @@ class TestOtherCommands:
         assert code == 1
         assert "INSECURE" in capsys.readouterr().out
 
+    def test_knowledge_rejects_a_repeated_init(self, workdir, capsys):
+        code = run(["knowledge", "--program", workdir / "release.wout",
+                    "--policy", workdir / "release.pol",
+                    "--init", "l=tt,l=ff,h1=tt,h2=ff"])
+        assert code == 3
+        assert capsys.readouterr().err == "error: --init names 'l' twice\n"
+
+    def test_diff_agrees_on_the_deceptive_flow_with_public_inputs_pinned(
+            self, tmp_path, capsys):
+        # eta: Id pins public inputs exactly; both readings then miss the flow
+        (tmp_path / "c4.wout").write_text("l := 2*l*h*h\n")
+        (tmp_path / "c4.pol").write_text("check: nani\nlow: l\neta: Id\nphi: Id\nrho: Sign\n")
+        code = run(["diff", "--program", tmp_path / "c4.wout", "--policy", tmp_path / "c4.pol",
+                    "--domain", "int:8", "--signed-window"])
+        assert code == 0
+        assert "semantic=HOLDS epistemic=HOLDS agree" in capsys.readouterr().out
+
     def test_fuzz_smoke(self, capsys):
         code = run(["fuzz", "--count", "5", "--seed", "3"])
         assert code == 0
         assert "no mismatches" in capsys.readouterr().out
+
+
+class TestFlags:
+    MODEL = ["--program", "--domain", "--signed-window", "--hash", "--bound",
+             "--termination-output"]
+
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        commands = build_parser()._subparsers._group_actions[0].choices
+        taken = {name: [a.option_strings[-1] for a in parser._actions
+                        if a.option_strings and a.dest != "help"]
+                 for name, parser in commands.items()}
+        assert taken == {
+            "check": self.MODEL + ["--policy", "--formula", "--low", "--report"],
+            "model": self.MODEL,
+            "diff": self.MODEL + ["--policy", "--low"],
+            "knowledge": self.MODEL + ["--policy", "--low", "--init"],
+            "fuzz": ["--pairs", "--count", "--seed", "--ids", "--size", "--loops",
+                     "--domain", "--signed-window", "--hash", "--bound"],
+        }
+        assert sum(map(len, taken.values())) == 43
+
+    @pytest.mark.parametrize("args", [
+        ["check", "--policy", "low-y.pol", "--aak-fix-low"],
+        ["diff", "--policy", "low-y.pol", "--aak-fix-low"],
+        ["model", "--report", "out.json"],
+        ["model", "--low", "zz"],
+        ["diff", "--policy", "low-y.pol", "--report", "out.json"],
+        ["knowledge", "--policy", "low-y.pol", "--report", "out.json"],
+        ["check", "--policy", "low-y.pol", "--formula", "tt"],
+        ["check"],
+        ["check", "--formula", "tt", "--low", "y"],
+    ], ids=" ".join)
+    def test_a_flag_the_command_does_not_read_exits_three(self, workdir, args):
+        command, *rest = args
+        rest = [workdir / a if a.endswith((".pol", ".json")) else a for a in rest]
+        assert run([command, "--program", workdir / "copy.wout", *rest]) == 3
+        assert not (workdir / "out.json").exists()
 
 
 class TestRobustness:

@@ -718,7 +718,7 @@ def encoded(encoder, rng, dom):
         case "aak":
             fs = FlowSpec.from_low(program, fs.low or names[:1])
             eta, phi, rho = (rng.choice(_abstractions_for(dom)) for _ in range(3))
-            return encode_aak(program, fs, eta, phi, rho, dom, fix_low=rng.random() < 0.5)[1]
+            return encode_aak(program, fs, eta, phi, rho, dom)[1]
         case "akr":
             return encode_akr(fs, ReleaseSpec(tuple((f, expr(2)) for f in program.flags)), dom)
         case "aktd":

@@ -233,12 +233,11 @@ class TestAbstractKnowledge:
             aak = model_satisfies(build_model(transformed, cfg), f)
             assert nani.outcome is aak.outcome
 
-    def test_fix_low_variant_pins_public_inputs(self):
-        # under the literal reading the deceptive flow is invisible
+    def test_eta_id_pins_public_inputs(self):
+        # with public inputs pinned exactly, the deceptive flow is invisible
         program = parse("l := 2*l*h*h", self.INT8S)
         fs = FlowSpec.from_low(program, ["l"])
-        transformed, f = encode_aak(program, fs, "Par", "Id", "Sign",
-                                    self.INT8S, fix_low=True)
+        transformed, f = encode_aak(program, fs, "Id", "Id", "Sign", self.INT8S)
         m = build_model(transformed, ModelConfig(self.INT8S))
         assert model_satisfies(m, f).outcome is Outcome.HOLDS
 

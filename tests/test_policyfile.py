@@ -49,6 +49,14 @@ class TestParsePolicy:
         with pytest.raises(PolicyError, match="unknown key"):
             parse_policy("check: ak\ncolor: blue")
 
+    @pytest.mark.parametrize("key, value", [
+        ("check", "ak"), ("low", "h"), ("eta", "Par"), ("phi", "Par"), ("rho", "Par")])
+    def test_repeated_key(self, key, value):
+        # a second line used to override the first: low became (h,)
+        text = f"check: oni\nlow: x\neta: Id\nphi: Id\nrho: Id\n\n{key}: {value}\n"
+        with pytest.raises(PolicyError, match=f"policy line 7: repeated key '{key}'"):
+            parse_policy(text)
+
     def test_missing_check(self):
         with pytest.raises(PolicyError, match="names no check"):
             parse_policy("low: x")
@@ -117,7 +125,7 @@ class TestRunCheck:
         program = parse("l := h", INT4)
         policy = Policy("aak", low=("l",), eta="Id", phi="Par", rho="Par")
         run = run_check(program, policy, ModelConfig(INT4))
-        assert run.transformed is not None
+        assert run.model.program is not program
         assert run.verdict.outcome is Outcome.HOLDS
 
     def test_bound_exceeded_propagates(self):
@@ -156,8 +164,8 @@ class TestBothSides:
         assert sem.verdict.outcome is epi.verdict.outcome
         assert sem.model.program is program
         if check in ("aak", "nani"):
-            assert built == [program, epi.transformed]
-            assert epi.model.program is epi.transformed
+            assert built == [program, epi.model.program]
+            assert epi.model.program is not program
         else:
             assert built == [program]
             assert epi.model is sem.model
@@ -186,7 +194,7 @@ class TestModelLifetime:
             # K over an atom that reads the current store
             model = build_model(program, cfg)
             formula = parse_formula("G K (l == x) || F (x == h)")
-            return CheckRun("formula", model_satisfies(model, formula), model, formula)
+            return CheckRun("formula", model_satisfies(model, formula), model)
 
         for make in (lambda: policy_check("akd"), lambda: policy_check("nid"), user_formula):
             run = make()

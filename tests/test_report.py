@@ -16,8 +16,7 @@ def make_report(check="ak", low=("x",)):
     program = parse(text, BOOL)
     policy = Policy(check, low=low)
     run = run_check(program, policy, ModelConfig(BOOL))
-    return build_report(run, policy.describe(), BOOL, text, "demo.wout",
-                        10_000, False)
+    return build_report(run, policy.describe(), text, "demo.wout")
 
 
 class TestReportFormat:
@@ -53,7 +52,7 @@ class TestReportFormat:
             program = generate_program(random.Random(f"r:{index}"), cfg)
             policy = Policy("ak", low=program.variables[:1])
             run = run_check(program, policy, ModelConfig(cfg.domain, 200, index % 2 == 1))
-            report = build_report(run, policy.describe(), cfg.domain, "", None, 200, False)
+            report = build_report(run, policy.describe(), "", None)
             assert report.stats["epochs"] == len(run.model.epochs)
 
     def test_text_rendering_mentions_the_verdict(self):
