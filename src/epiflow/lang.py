@@ -13,6 +13,8 @@ Concrete grammar (whitespace-insensitive, ``;`` separates statements)::
         | "while" E "do" "{" P "}" | "release" ID
     E ::= literal | ID | "(" E ")" | "!" E | "-" E | E OP E | "hash" "(" E ")"
     OP ::= "&&" | "||" | "==" | "!=" | "<" | "<=" | ">=" | ">" | "+" | "-" | "*" | "mod"
+
+Input nested more than ``MAX_DEPTH`` deep is refused with a ``ParseError``.
 """
 
 from __future__ import annotations
@@ -439,6 +441,18 @@ _KEYWORDS = {
 _PUNCT = (":=", "&&", "||", "==", "!=", "<=", ">=", "->", "<", ">", "+", "-",
           "*", "!", "(", ")", "{", "}", ";", ",", ".")
 
+# How tightly each binary operator binds, loosest first; all group left.
+_BINDING = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
+            "+": 4, "-": 4, "*": 5, "mod": 5}
+_COMPARISON = 3
+
+# The deepest nesting of parentheses, unary operators, blocks and the
+# formula connectives that nest (see ``logic.parse_formula``) a parser
+# accepts.  Every later walk of the tree (validation, compiling, running,
+# unparsing, formula evaluation) recurses through it within Python's
+# default recursion limit.
+MAX_DEPTH = 200
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -509,6 +523,15 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
+
+    def enter(self) -> None:
+        """One level deeper, at the next token; a parse that returns from
+        the level lowers ``depth`` again.  Refuses input nested past
+        ``MAX_DEPTH``."""
+        if self.depth == MAX_DEPTH:
+            self.fail(f"input nested more than {MAX_DEPTH} deep")
+        self.depth += 1
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -566,22 +589,14 @@ class _Parser:
             self.next()
             guard = self.expression()
             self.expect("kw", "then")
-            self.expect("punct", "{")
-            then = self.sequence({"}"})
-            self.expect("punct", "}")
+            then = self.block()
             self.expect("kw", "else")
-            self.expect("punct", "{")
-            orelse = self.sequence({"}"})
-            self.expect("punct", "}")
-            return If(guard, then, orelse)
+            return If(guard, then, self.block())
         if self.at_kw("while"):
             self.next()
             guard = self.expression()
             self.expect("kw", "do")
-            self.expect("punct", "{")
-            body = self.sequence({"}"})
-            self.expect("punct", "}")
-            return While(guard, body)
+            return While(guard, self.block())
         if self.at_kw("release"):
             self.next()
             name = self.expect("id")
@@ -592,63 +607,46 @@ class _Parser:
             return Assign(name.value, self.expression())
         self.fail(f"expected a statement, found {tok.value or tok.kind!r}")
 
+    def block(self) -> Stmt:
+        self.enter()
+        self.expect("punct", "{")
+        body = self.sequence({"}"})
+        self.depth -= 1
+        self.expect("punct", "}")
+        return body
+
     # expressions
 
-    def expression(self) -> Expr:
-        return self.or_expr()
-
-    def or_expr(self) -> Expr:
-        node = self.and_expr()
-        while self.at_punct("||"):
+    def expression(self, lowest: int = 1) -> Expr:
+        """The operators binding at least as tightly as ``lowest``, by
+        precedence climbing: one call per binding level the input uses,
+        so a parenthesis costs three frames."""
+        node = self.unary_expr()
+        compared = False
+        while True:
+            tok = self.peek()
+            binding = _BINDING.get(tok.value) if tok.kind in ("punct", "kw") else None
+            if binding is None or binding < lowest:
+                return node
+            if binding == _COMPARISON:
+                if compared:
+                    self.fail("comparisons do not chain; parenthesize")
+                compared = True
             self.next()
-            node = Binary("||", node, self.and_expr())
-        return node
-
-    def and_expr(self) -> Expr:
-        node = self.cmp_expr()
-        while self.at_punct("&&"):
-            self.next()
-            node = Binary("&&", node, self.cmp_expr())
-        return node
+            node = Binary(tok.value, node, self.expression(binding + 1))
 
     def cmp_expr(self) -> Expr:
-        node = self.add_expr()
-        tok = self.peek()
-        if tok.kind == "punct" and tok.value in ("==", "!=", "<", "<=", ">", ">="):
-            self.next()
-            node = Binary(tok.value, node, self.add_expr())
-            again = self.peek()
-            if again.kind == "punct" and again.value in ("==", "!=", "<", "<=", ">", ">="):
-                self.fail("comparisons do not chain; parenthesize")
-        return node
-
-    def add_expr(self) -> Expr:
-        node = self.mul_expr()
-        while True:
-            tok = self.peek()
-            if tok.kind == "punct" and tok.value in ("+", "-"):
-                self.next()
-                node = Binary(tok.value, node, self.mul_expr())
-            else:
-                return node
-
-    def mul_expr(self) -> Expr:
-        node = self.unary_expr()
-        while True:
-            tok = self.peek()
-            if (tok.kind == "punct" and tok.value == "*") or (tok.kind == "kw" and tok.value == "mod"):
-                self.next()
-                node = Binary("mod" if tok.value == "mod" else "*", node, self.unary_expr())
-            else:
-                return node
+        """An expression with no ``&&`` or ``||`` outside parentheses."""
+        return self.expression(_COMPARISON)
 
     def unary_expr(self) -> Expr:
-        if self.at_punct("!"):
-            self.next()
-            return Unary("!", self.unary_expr())
-        if self.at_punct("-"):
-            self.next()
+        if self.at_punct("!") or self.at_punct("-"):
+            self.enter()
+            op = self.next().value
             arg = self.unary_expr()
+            self.depth -= 1
+            if op == "!":
+                return Unary("!", arg)
             if isinstance(arg, Const) and not isinstance(arg.value, bool):
                 return Const(-arg.value)  # negative literal
             return Unary("-", arg)
@@ -665,20 +663,19 @@ class _Parser:
         if tok.kind == "kw" and tok.value in ("ff", "false"):
             self.next()
             return Const(False)
-        if tok.kind == "kw" and tok.value == "hash":
-            self.next()
-            self.expect("punct", "(")
-            arg = self.expression()
-            self.expect("punct", ")")
-            return HashCall(arg)
         if tok.kind == "id":
             self.next()
             return Var(tok.value)
-        if self.at_punct("("):
-            self.next()
+        hashed = tok.kind == "kw" and tok.value == "hash"
+        if hashed or self.at_punct("("):
+            self.enter()
+            if hashed:
+                self.next()
+            self.expect("punct", "(")
             node = self.expression()
             self.expect("punct", ")")
-            return node
+            self.depth -= 1
+            return HashCall(node) if hashed else node
         self.fail(f"expected an expression, found {tok.value or tok.kind!r}")
 
 
@@ -740,7 +737,8 @@ def _paren(e: Expr, dom: Domain | None) -> str:
 
 
 def to_source(s: Stmt, dom: Domain | None = None) -> str:
-    return "; ".join(_stmt_source(x, dom) for x in _statements(s))
+    # a list: join resuming a generator would spend a frame more per block
+    return "; ".join([_stmt_source(x, dom) for x in _statements(s)])
 
 
 def _stmt_source(s: Stmt, dom: Domain | None) -> str:

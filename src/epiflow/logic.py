@@ -20,25 +20,25 @@ models before asking for satisfaction.
 Before evaluation each node is checked like a program expression
 (identifiers, operators, literals) and compiled under its quantifier
 scope.  Values are memoized per node, keyed as coarsely as soundness
-allows -- an ``init`` atom over bound values is fixed along an execution,
-a K/L formula is constant across an epoch, and a formula built from such
-parts (temporal operators included) is fixed within one run's visit to
-one epoch -- plus the values of the bound variables free in the node.
-Only atoms that read the current store vary from point to point.  These
-rules keep quantifiers, knowledge and scans cheap:
+allows, plus the values of the bound variables free in the node.  A node
+whose atoms read no store at the current point sees of its run only the
+run's behaviour (its trace ids, one list that the runs with equal trace
+ids share) and the initial values its ``init`` atoms and binders read.
+Its key is the trace id when it is fixed across an epoch (K and L, and
+what is built from them), the behaviour when it steps along the run (a
+temporal operator, or a node above one), and the initial values it reads;
+runs that agree on these share one evaluation.  Only nodes that read the
+current store are kept per point.  These rules keep quantifiers,
+knowledge and scans cheap:
 
 * ``forall v1 ... vk. guard -> body`` is one block.  A guard conjunct
-  ``init_x(v)`` binds ``v`` to the run's own initial ``x``; conjuncts over
-  bound variables only are solved once per value of their outer variables.
-* A block with such binders whose other parts are fixed across an epoch
-  depends on the run only through the initial values its binders read.
-  It is memoized by those values, and by the trace when a part is fixed
-  per epoch, so runs that differ only in values it never reads share one
-  evaluation.  To the nodes around it the block is still fixed per run
-  (and epoch); only its memo key is coarser.
+  ``init_x(v)`` binds ``v`` to the run's own initial ``x``, so the block
+  reads the initial ``x`` when its parts use ``v``; conjuncts over bound
+  variables only are solved once per value of their outer variables.
 * K and L over a body fixed along a run work on sets of runs, held as int
   bitmasks (bit k for run k).  ``have`` is the mask of the runs that visit
-  a trace id, which each evaluation builds from the runs' trace ids, and
+  a trace id, which each evaluation builds once per behaviour, ORing the
+  mask of the runs that share it into each trace id it visits, and
   ``sat`` the mask of the runs where the body holds.  Per
   identifier and value, ``runs_from`` is the mask of the runs starting
   with that value, so ``init`` atoms over bound values that pin every
@@ -58,8 +58,9 @@ rules keep quantifiers, knowledge and scans cheap:
   contradicts itself; that makes the block false, and a guard that admits
   no instance makes it true.
 * Any other K/L body is read at the current point when it is fixed across
-  the epoch, else checked once per execution of the epoch when it is fixed
-  per run and epoch, else at every point of the epoch.
+  the epoch, else checked over each execution's block in the epoch, from
+  change to change as a temporal operator scans (below): once per
+  execution when it reads no store at the current point.
 * The logic has no Next, so no formula tells repeated states apart: it is
   stutter-invariant (Lamport, "What good is temporal logic?", 1983; Peled
   and Wilke, IPL 1997).  A temporal operator therefore scans a run from
@@ -76,7 +77,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from operator import itemgetter
 
 from .domain import Domain
@@ -103,14 +104,35 @@ def _join(a: int, b: int) -> int:
     return max(a, b)
 
 
-# The memo position of a point at each level.
-_AT = (
-    lambda ex, i: None,
-    lambda ex, i: ex.index,
-    lambda ex, i: ex.trace_ids[i],
-    lambda ex, i: (ex.index, ex.trace_ids[i]),
-    lambda ex, i: (ex.index, i),
-)
+# The memo positions below _POINT, by (fixed per epoch, scans, reads initial
+# values): each keeps only the parts of a point the node depends on.
+_POSITIONS = {
+    (False, False, False): lambda values, ex, i: None,
+    (True, False, False): lambda values, ex, i: ex.trace_ids[i],
+    (False, True, False): lambda values, ex, i: id(ex.trace_ids),
+    (True, True, False): lambda values, ex, i: (ex.trace_ids[i], id(ex.trace_ids)),
+    (False, False, True): lambda values, ex, i: values(ex.stores[0]),
+    (True, False, True): lambda values, ex, i: (ex.trace_ids[i], values(ex.stores[0])),
+    (False, True, True): lambda values, ex, i: (id(ex.trace_ids), values(ex.stores[0])),
+    (True, True, True): lambda values, ex, i: (ex.trace_ids[i], id(ex.trace_ids),
+                                               values(ex.stores[0])),
+}
+
+
+def _position(level: int, inits: frozenset, scans: bool):
+    """The memo position of a point for a node at ``level`` that reads the
+    initial values of ``inits`` and, when ``scans``, steps along its run.
+
+    Below ``_POINT`` a node reads no store at the current point, so it
+    tells runs apart only by their behaviour (the trace-id list runs with
+    equal trace ids share) and by the initial values it reads.  Its
+    position is the trace id when the node is fixed per epoch, the
+    behaviour when it scans, and those initial values.
+    """
+    if level == _POINT:
+        return lambda ex, i: (ex.index, i)
+    epoch = level == _EPOCH or level == _RUN_EPOCH
+    return partial(_POSITIONS[epoch, scans, bool(inits)], _getter(inits))
 
 
 def _changes(ex: Execution, i: int, read):
@@ -137,15 +159,6 @@ def _changes(ex: Execution, i: int, read):
         i += 1
         while i < block_end and (stores[i] is stores[i - 1] or read(stores[i]) == seen):
             i += 1
-
-
-def _init_values_at(subjects: tuple[str, ...], epoch: bool):
-    """The memo position of a block fixed by the initial values of
-    ``subjects``, and by the trace when ``epoch`` is set."""
-    values = itemgetter(*subjects) if subjects else (lambda store: ())
-    if epoch:
-        return lambda ex, i: (ex.trace_ids[i], values(ex.stores[0]))
-    return lambda ex, i: values(ex.stores[0])
 
 
 class Formula:
@@ -330,22 +343,24 @@ class _Plan:
     """A formula node compiled under its quantifier scope.
 
     ``free`` holds the bound variables free in the node; with ``at``, the
-    memo position of a point (by default the one ``level`` implies), they
-    key the memo.  ``reads`` holds the store identifiers the node's atoms
-    read at the current point (by default its kids' when it is ``_POINT``,
-    else none).  Atoms and connectives are cheaper to recompute than to
-    look up, so only the other nodes set ``memo``.  ``compute`` is a plain
-    function of the evaluation, the plan and the point, so plans hold no
-    reference back to their evaluation.  ``args`` holds what it needs
-    besides the kids.
+    memo position of a point, they key the memo.  ``reads`` holds the
+    store identifiers the node's atoms read at the current point (by
+    default its kids' when it is ``_POINT``, else none), ``inits`` the
+    identifiers whose initial value it reads, and ``scans`` whether it
+    steps along the run.  Atoms and connectives are cheaper to recompute
+    than to look up, so only the other nodes set ``memo``.  ``compute`` is
+    a plain function of the evaluation, the plan and the point, so plans
+    hold no reference back to their evaluation.  ``args`` holds what it
+    needs besides the kids.
     """
 
-    __slots__ = ("formula", "compute", "kids", "level", "free", "reads", "key", "memo",
-                 "args", "at")
+    __slots__ = ("formula", "compute", "kids", "level", "free", "reads", "inits", "scans",
+                 "key", "memo", "args", "at")
 
     def __init__(self, formula: Formula, compute, kids: tuple = (), level: int = _CONST,
-                 free: frozenset = frozenset(), memo: bool = False, args=None, at=None,
-                 reads: frozenset | None = None):
+                 free: frozenset = frozenset(), memo: bool = False, args=None,
+                 reads: frozenset | None = None, inits: frozenset = frozenset(),
+                 scans: bool = False):
         self.formula = formula
         self.compute = compute
         self.kids = kids
@@ -355,10 +370,12 @@ class _Plan:
             reads = (frozenset().union(*(kid.reads for kid in kids)) if level == _POINT
                      else frozenset())
         self.reads = reads
+        self.inits = inits
+        self.scans = scans
         self.key = _getter(free)
         self.memo = memo
         self.args = args
-        self.at = at or _AT[level]
+        self.at = _position(level, inits, scans) if memo else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,13 +408,17 @@ class _Block:
     spread: object = None
 
 
-def _combined(kids) -> tuple[int, frozenset]:
-    """The joined level and the union of the free variables of ``kids``."""
-    level, free = _CONST, frozenset()
+def _combined(kids) -> tuple[int, frozenset, frozenset, bool]:
+    """The joined level of ``kids``, the unions of their free variables and
+    of the identifiers whose initial values they read, and whether any of
+    them scans."""
+    level, free, inits, scans = _CONST, frozenset(), frozenset(), False
     for kid in kids:
         level = _join(level, kid.level)
         free |= kid.free
-    return level, free
+        inits |= kid.inits
+        scans = scans or kid.scans
+    return level, free, inits, scans
 
 
 def _conjuncts(f: Formula) -> tuple[Formula, ...]:
@@ -482,6 +503,7 @@ class Evaluation:
             case Implies(lhs, rhs):
                 return self._connective(f, Evaluation._implies, (lhs, rhs), scope)
             case K(child) | L(child):
+                # K and L read other runs' points, nothing of the current run
                 kid = self.compile(child, scope)
                 level = _CONST if kid.level == _CONST else _EPOCH
                 if kid.level == _EXEC:
@@ -490,7 +512,7 @@ class Evaluation:
                     return _Plan(f, compute, (kid,), level, kid.free,
                                  args=self._pinned_run(child, scope))
                 return _Plan(f, Evaluation._knows, (kid,), level, kid.free, memo=True,
-                             args=isinstance(f, K))
+                             args=(isinstance(f, K), _getter(kid.reads)))
             case F(child) | G(child):
                 return self._temporal(f, Evaluation._eventually, (child,), scope, isinstance(f, G))
             case Until(lhs, rhs) | W(lhs, rhs):
@@ -508,24 +530,28 @@ class Evaluation:
             except LangError as err:
                 raise LogicError(f"formula atom {expr_to_source(e)!r}: {err}") from err
             names.update(expr_ids(e))
-        compute = Evaluation._eq if isinstance(f, Eq) else Evaluation._init
+        compute, inits = ((Evaluation._eq, frozenset()) if isinstance(f, Eq)
+                          else (Evaluation._init, frozenset((f.name,))))
         reads = frozenset(names - scope)
         return _Plan(f, compute, level=_POINT if reads else fixed_level,
-                     free=frozenset(names & scope), reads=reads,
+                     free=frozenset(names & scope), reads=reads, inits=inits,
                      args=tuple(compile_expr(e, self.domain) for e in exprs))
 
     def _connective(self, f: Formula, compute, children, scope: frozenset) -> _Plan:
-        kids = tuple(self.compile(c, scope) for c in children)
-        return _Plan(f, compute, kids, *_combined(kids))
+        # map spends no frame of its own: a level of nesting costs compile,
+        # _compile and this method
+        kids = tuple(map(self.compile, children, itertools.repeat(scope)))
+        level, free, inits, scans = _combined(kids)
+        return _Plan(f, compute, kids, level, free, inits=inits, scans=scans)
 
     def _temporal(self, f: Formula, compute, children, scope: frozenset, flag: bool) -> _Plan:
         """The scan steps over the run with ``_changes``, reading the store
         identifiers its children read.  Children fixed per run and epoch
         make the scan so too."""
-        kids = tuple(self.compile(c, scope) for c in children)
-        level, free = _combined(kids)
+        kids = tuple(map(self.compile, children, itertools.repeat(scope)))
+        level, free, inits, _ = _combined(kids)
         plan = _Plan(f, compute, kids, _RUN_EPOCH if level == _EPOCH else level, free,
-                     memo=True)
+                     memo=True, inits=inits, scans=level != _CONST)
         plan.args = (flag, _getter(plan.reads))
         return plan
 
@@ -566,13 +592,9 @@ class Evaluation:
                 checks.append(plan)
         body = self.compile(node, inner)
         kids = (body, *pure, *checks)
-        level, free = _combined(kids)
-        at = None
+        level, free, inits, scans = _combined(kids)
+        inits |= {subject for var, subject in binders.items() if var in free}
         if binders:
-            if level in (_CONST, _EPOCH):
-                # the run matters only through the initial values read
-                at = _init_values_at(tuple(subject for var, subject in binders.items()
-                                           if var in free), level == _EPOCH)
             level = _join(level, _EXEC)
         solve = tuple(v for v in names if v not in binders)
         outer = frozenset().union(*(plan.free for plan in pure)) - frozenset(solve)
@@ -588,7 +610,7 @@ class Evaluation:
         block = _Block(tuple(names), tuple(binders.items()), solve, tuple(pure),
                        _getter(outer), tuple(checks), body, **pins)
         return _Plan(f, compute, kids, level, free - frozenset(names), memo=True,
-                     args=block, at=at)
+                     args=block, inits=inits, scans=scans)
 
     # -- node semantics ------------------------------------------------------
 
@@ -634,14 +656,15 @@ class Evaluation:
         return not self.holds(lhs, ex, i) or self.holds(rhs, ex, i)
 
     def _knows(self, p: _Plan, ex: Execution, i: int) -> bool:
-        """K (``args`` set): every point of the epoch; L: some point.
+        """K (``args[0]`` set): every point of the epoch; L: some point.
 
         A child fixed across the epoch is read at the current point.
         Otherwise each execution of the epoch is visited once, in run order
-        (the bits of ``have``, lowest first): at its first position in the
-        epoch for a child fixed per run and epoch, else over its whole block.
+        (the bits of ``have``, lowest first), over its block in the epoch:
+        from change to change of the store identifiers the child reads
+        (``args[1]``), so only at its first position when it reads none.
         """
-        child, every = p.kids[0], p.args
+        child, (every, read) = p.kids[0], p.args
         level = child.level
         if level == _CONST or level == _EPOCH:
             return self.holds(child, ex, i)
@@ -651,22 +674,25 @@ class Evaluation:
             other = executions[(runs & -runs).bit_length() - 1]
             runs &= runs - 1
             ids = other.trace_ids
-            first = bisect_left(ids, tid)
-            positions = ((first,) if level == _RUN_EPOCH
-                         else range(first, bisect_right(ids, tid, first)))
-            for k in positions:
+            for k in _changes(other, bisect_left(ids, tid), read):
+                if ids[k] != tid:
+                    break
                 if self.holds(child, other, k) is not every:
                     return not every
         return every
 
     @cached_property
     def have(self) -> list[int]:
-        """Per trace id, the mask of the runs that visit it."""
-        have = [0] * len(self.model.trace_parents)
+        """Per trace id, the mask of the runs that visit it: each
+        behaviour's mask of runs, ORed into each trace id it visits."""
+        behaviours: dict[int, list] = {}
         for ex in self.model.executions:
-            bit = 1 << ex.index
-            for tid in set(ex.trace_ids):
-                have[tid] |= bit
+            entry = behaviours.setdefault(id(ex.trace_ids), [ex.trace_ids, 0])
+            entry[1] |= 1 << ex.index
+        have = [0] * len(self.model.trace_parents)
+        for ids, runs in behaviours.values():
+            for tid in set(ids):
+                have[tid] |= runs
         return have
 
     @cached_property
@@ -909,11 +935,16 @@ def parse_formula(text: str) -> Formula:
     from .lang import _Parser, _tokenize
 
     p = _Parser(_tokenize(text, primes=True))
-    f = _parse_quantified(p)
+    f = _parse_formula(p)
     tok = p.peek()
     if tok.kind != "eof":
         p.fail(f"trailing input {tok.value!r}")
     return f
+
+
+# How tightly each binary connective binds, loosest first.  -> and U/W
+# group right; || and && take any number of operands.
+_CONNECTIVES = {"->": 1, "||": 2, "&&": 3, "U": 4, "W": 4}
 
 
 def _at_word(p, *words: str) -> bool:
@@ -921,57 +952,45 @@ def _at_word(p, *words: str) -> bool:
     return tok.kind == "id" and tok.value in words
 
 
-def _parse_quantified(p) -> Formula:
-    if _at_word(p, "forall", "exists"):
+def _parse_formula(p, lowest: int = 1) -> Formula:
+    """The connectives binding at least as tightly as ``lowest``, by
+    precedence climbing.  A quantifier, whose body extends right, starts
+    only where any formula may: at the top, in parentheses, or after ->."""
+    if lowest == 1 and _at_word(p, "forall", "exists"):
+        p.enter()
         word = p.next().value
         var = p.expect("id").value
         p.expect("punct", ".")
-        body = _parse_quantified(p)
+        body = _parse_formula(p)
+        p.depth -= 1
         return Forall(var, body) if word == "forall" else Exists(var, body)
-    return _parse_implies(p)
-
-
-def _parse_implies(p) -> Formula:
-    lhs = _parse_or(p)
-    if p.at_punct("->"):
+    node = _parse_unary(p)
+    while True:
+        tok = p.peek()
+        binding = _CONNECTIVES.get(tok.value) if tok.kind in ("punct", "id") else None
+        if binding is None or binding < lowest:
+            return node
         p.next()
-        return Implies(lhs, _parse_quantified(p))
-    return lhs
-
-
-def _parse_or(p) -> Formula:
-    parts = [_parse_and(p)]
-    while p.at_punct("||"):
-        p.next()
-        parts.append(_parse_and(p))
-    return parts[0] if len(parts) == 1 else Or(tuple(parts))
-
-
-def _parse_and(p) -> Formula:
-    parts = [_parse_until(p)]
-    while p.at_punct("&&"):
-        p.next()
-        parts.append(_parse_until(p))
-    return parts[0] if len(parts) == 1 else And(tuple(parts))
-
-
-def _parse_until(p) -> Formula:
-    lhs = _parse_unary(p)
-    if _at_word(p, "U", "W"):
-        word = p.next().value
-        rhs = _parse_until(p)
-        return Until(lhs, rhs) if word == "U" else W(lhs, rhs)
-    return lhs
+        if tok.value in ("||", "&&"):
+            parts = [node, _parse_formula(p, binding + 1)]
+            while p.at_punct(tok.value):
+                p.next()
+                parts.append(_parse_formula(p, binding + 1))
+            node = (Or if tok.value == "||" else And)(tuple(parts))
+        else:
+            p.enter()
+            rhs = _parse_formula(p, binding)
+            p.depth -= 1
+            node = {"->": Implies, "U": Until, "W": W}[tok.value](node, rhs)
 
 
 def _parse_unary(p) -> Formula:
-    if p.at_punct("!"):
-        p.next()
-        return Not(_parse_unary(p))
-    if _at_word(p, "K", "L", "F", "G"):
+    if p.at_punct("!") or _at_word(p, "K", "L", "F", "G"):
+        p.enter()
         word = p.next().value
         child = _parse_unary(p)
-        return {"K": K, "L": L, "F": F, "G": G}[word](child)
+        p.depth -= 1
+        return Not(child) if word == "!" else {"K": K, "L": L, "F": F, "G": G}[word](child)
     return _parse_atom(p)
 
 
@@ -994,14 +1013,16 @@ def _parse_atom(p) -> Formula:
         p.expect("punct", ")")
         return Init(name, expr)
     if p.at_punct("("):
-        save = p.pos
+        save = p.pos, p.depth
         try:
             return _comparison(p)
         except ParseError:
-            p.pos = save
+            p.pos, p.depth = save
+        p.enter()
         p.next()
-        inner = _parse_quantified(p)
+        inner = _parse_formula(p)
         p.expect("punct", ")")
+        p.depth -= 1
         return inner
     return _comparison(p)
 

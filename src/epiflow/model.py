@@ -17,6 +17,12 @@ reached so far.  A run that meets a configuration a terminated run reached
 first, with the same trace, copies that run's rest, so a store dict may be
 shared between runs: stores are read-only.
 
+Trace-id lists are hash-consed (Filliatre and Conchon, "Type-safe modular
+hash-consing", 2006): runs have equal trace ids exactly when they share
+one list object, read-only like the stores.  That list is the run's
+behaviour, all an observer can tell of the run; runs often share one
+(the loop program at int:16 has 4,096 runs and 256 behaviours).
+
 Divergence is never guessed at: an execution that exceeds the step bound
 is marked BOUND_EXCEEDED, and one that revisits a (program counter,
 store) configuration is marked LASSO.  Either taints the model, and every
@@ -55,7 +61,8 @@ class ModelConfig:
 @dataclass(eq=False)
 class Execution:
     """One run: stores[i] is the store after i steps, and trace_ids[i] the
-    id of the trace emitted before point i."""
+    id of the trace emitted before point i.  Runs with equal trace ids
+    share one ``trace_ids`` list."""
 
     index: int
     stores: list[dict]
@@ -185,10 +192,12 @@ def build_model(program: Program, cfg: ModelConfig) -> Model:
 
     executions: list[Execution] = []
     states: dict[tuple, tuple[int, int, int]] = {}
+    behaviours: dict[tuple, list[int]] = {}
     for values in itertools.product(dom.values, repeat=len(names)):
         store = dict(zip(names, values))
         store.update((f, dom.false_value) for f in flags)
-        execution = _run(code, store, cfg, len(executions), extend_trace, states, executions)
+        execution = _run(code, store, cfg, len(executions), extend_trace, states, executions,
+                         behaviours)
         executions.append(execution)
 
     model = Model(
@@ -206,7 +215,7 @@ def build_model(program: Program, cfg: ModelConfig) -> Model:
 
 
 def _run(code: Code, init: dict, cfg: ModelConfig, index: int, extend_trace,
-         states: dict, executions: list[Execution]) -> Execution:
+         states: dict, executions: list[Execution], behaviours: dict) -> Execution:
     """Run the compiled program from ``init``.
 
     A new store is made only by assigning steps.  A configuration is the
@@ -218,6 +227,10 @@ def _run(code: Code, init: dict, cfg: ModelConfig, index: int, extend_trace,
     runs are deterministic in their configuration, and a terminated run
     repeats none, so neither does the joined run.  Any other meeting
     runs this run again from ``init`` with a private table.
+
+    A joined run that met the earlier run at the same step with the same
+    trace ids so far takes the earlier run's trace-id list itself; any
+    other run's list is interned in ``behaviours``, keyed by its contents.
     """
     instrs = code.instrs
     bound = cfg.bound
@@ -237,10 +250,13 @@ def _run(code: Code, init: dict, cfg: ModelConfig, index: int, extend_trace,
             rest = len(earlier) - cfg.termination_output - step
             if (earlier.status is not Status.TERMINATED or first_tid != tid
                     or steps + rest > bound):
-                return _run(code, init, cfg, index, extend_trace, {}, executions)
+                return _run(code, init, cfg, index, extend_trace, {}, executions, behaviours)
             stores += earlier.stores[step + 1:]
+            if steps == step and trace_ids == earlier.trace_ids[:step + 1]:
+                return Execution(index, stores, status, None, earlier.trace_ids)
             trace_ids += earlier.trace_ids[step + 1:]
-            return Execution(index, stores, status, None, trace_ids)
+            return Execution(index, stores, status, None,
+                             behaviours.setdefault(tuple(trace_ids), trace_ids))
         if step != steps:
             status = Status.LASSO
             lasso_entry = step
@@ -267,7 +283,8 @@ def _run(code: Code, init: dict, cfg: ModelConfig, index: int, extend_trace,
     if status is Status.TERMINATED and cfg.termination_output:
         stores.append(store)
         trace_ids.append(extend_trace(tid, TERMINATION_MARK))
-    return Execution(index, stores, status, lasso_entry, trace_ids)
+    return Execution(index, stores, status, lasso_entry,
+                     behaviours.setdefault(tuple(trace_ids), trace_ids))
 
 
 def trace_of(pt: Point) -> tuple:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from epiflow.cli import build_parser, main
 from epiflow.domain import Domain
 from epiflow.fuzz import FuzzConfig, _abstractions_for, _gen_expr, generate_program
-from epiflow.lang import expr_to_source, to_source
+from epiflow.lang import MAX_DEPTH, expr_to_source, to_source
 from epiflow.policyfile import EPISTEMIC_CHECKS, SEMANTIC_CHECKS
 from epiflow.report import Report
 
@@ -293,7 +293,39 @@ class TestRobustness:
                     *(args or ["--policy", tmp_path / "p.pol"])])
         err = capsys.readouterr().err
         assert code == 3
-        assert err == "error: input nested too deeply to check\n"
+        # the parser refuses nesting past MAX_DEPTH where it starts; a chain
+        # of operators nests nothing, but its tree is too deep to walk
+        expected = {"formula": "1:401: input nested more than 200 deep",
+                    "declassify": "input nested too deeply to check",
+                    "parentheses": "1:205: input nested more than 200 deep"}[shape]
+        assert err == f"error: {expected}\n"
+
+    @pytest.mark.parametrize("part", ["program", "policy", "formula"])
+    def test_nesting_to_the_limit_is_checked_and_past_it_refused(self, tmp_path, part,
+                                                                 capsys):
+        # parentheses in an output on line 2 of the program, and in a
+        # declassified expression; F nested on line 2 of a formula
+        def check(depth):
+            program, declassified, args = "h := h;\nout l + h", "h", []
+            if part == "program":
+                program = "h := h;\nout " + "(" * depth + "l" + ")" * depth
+            elif part == "policy":
+                declassified = "(" * depth + "h" + ")" * depth
+            else:
+                args = ["--formula", "G tt\n&& " + "F " * depth + "l == l"]
+            (tmp_path / "p.wout").write_text(program)
+            (tmp_path / "p.pol").write_text(f"check: akd\nlow: l\ndeclassify: {declassified}\n")
+            code = run(["check", "--program", tmp_path / "p.wout", "--domain", "int:4",
+                        *(args or ["--policy", tmp_path / "p.pol"])])
+            return code, capsys.readouterr().err
+
+        assert check(MAX_DEPTH) == (0, "")
+        code, err = check(MAX_DEPTH + 1)
+        # where the level past the limit starts
+        where = {"program": f"2:{5 + MAX_DEPTH}", "policy": f"1:{1 + MAX_DEPTH}",
+                 "formula": f"2:{4 + 2 * MAX_DEPTH}"}[part]
+        assert code == 3
+        assert err.endswith(f"{where}: input nested more than {MAX_DEPTH} deep\n"), err
 
 
 # --domain flags and the domain they select

@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from epiflow.domain import Domain, Label
 from epiflow.fuzz import FuzzConfig, generate_program
-from epiflow.lang import (ASSIGN, BRANCH, EXIT, OUT, Assign, Binary, Const,
-                          HashCall, If, LangError, Out, ParseError, Seq, Skip,
-                          Unary, Var, While, compile_expr, compile_program,
-                          parse, parse_expression, to_source)
+from epiflow.lang import (ASSIGN, BRANCH, EXIT, MAX_DEPTH, OUT, Assign, Binary,
+                          Const, HashCall, If, LangError, Out, ParseError, Seq,
+                          Skip, Unary, Var, While, compile_expr, compile_program,
+                          expr_to_source, parse, parse_expression, to_source,
+                          validate_expr)
 
 BOOL = Domain.booleans()
 INT16 = Domain.integers(16)
@@ -301,3 +302,69 @@ class TestCompiledExpressions:
         dom = DOMAINS["sint8"]
         e = parse_expression(text)
         assert compile_expr(e, dom)(store) == value == oracles.eval_expr(store, e, dom)
+
+
+# programs and formulas nested ``depth`` deep in one construct each
+NESTED_PROGRAMS = {
+    "parentheses": lambda depth: "out " + "(" * depth + "l" + ")" * depth,
+    "negation": lambda depth: "out " + "-" * depth + "l",
+    "not": lambda depth: "out " + "!" * depth + "tt",
+    "hash": lambda depth: "out " + "hash(" * depth + "l" + ")" * depth,
+    "blocks": lambda depth: "if l == 0 then { " * depth + "out l" + " } else { skip }" * depth,
+    "loops": lambda depth: "while l < 1 do { " * depth + "l := 1" + " }" * depth + "; out l",
+}
+NESTED_FORMULAS = {
+    "parentheses": lambda depth: "(" * depth + "l == 0" + ")" * depth,
+    "temporal": lambda depth: "F G " * (depth // 2) + "l == 0",
+    "knowledge": lambda depth: "K L " * (depth // 2) + "l == 0",
+    "not": lambda depth: "!" * depth + "l == 0",
+    "quantifiers": lambda depth: "".join(f"{'forall' if k % 2 else 'exists'} v{k} . "
+                                         for k in range(depth)) + "l == v0",
+    "implications": lambda depth: " -> ".join(["l == 0"] * (depth + 1)),
+    "until": lambda depth: " U ".join(["l == 0"] * (depth + 1)),
+}
+HASHED = Domain.integers(4, hash_table=(1, 2, 3, 0))
+
+
+class TestNestingDepth:
+    """Input nested MAX_DEPTH deep parses, and every later walk of its tree
+    runs; one level more is refused at parse time, where it starts."""
+
+    @pytest.mark.parametrize("shape", NESTED_PROGRAMS)
+    def test_programs(self, shape):
+        from epiflow.model import ModelConfig, build_model
+
+        nested = NESTED_PROGRAMS[shape]
+        program = parse(nested(MAX_DEPTH), HASHED)
+        compile_program(program, HASHED)
+        build_model(program, ModelConfig(HASHED))
+        to_source(program.body, HASHED)
+        with pytest.raises(ParseError, match=f"input nested more than {MAX_DEPTH} deep"):
+            parse(nested(MAX_DEPTH + 1))
+
+    def test_policy_expressions(self):
+        # the negation and the hash call are a level each
+        text = "(" * (MAX_DEPTH - 2) + "-hash(l) + 1" + ")" * (MAX_DEPTH - 2)
+        expr = parse_expression(text)
+        validate_expr(expr, HASHED)
+        compile_expr(expr, HASHED)({"l": 1})
+        expr_to_source(expr, HASHED)
+        # refused at the hash call
+        with pytest.raises(ParseError, match=f"1:{MAX_DEPTH + 1}: input nested"):
+            parse_expression(f"({text})")
+
+    @pytest.mark.parametrize("shape", NESTED_FORMULAS)
+    def test_formulas(self, shape):
+        from epiflow.logic import (formula_size, formula_to_source, model_satisfies,
+                                   parse_formula, struct_eq)
+        from epiflow.model import ModelConfig, build_model
+
+        nested = NESTED_FORMULAS[shape]
+        f = parse_formula(nested(MAX_DEPTH))
+        m = build_model(parse("out l", INT8), ModelConfig(INT8))
+        model_satisfies(m, f)
+        formula_size(f)
+        assert struct_eq(f, f)
+        formula_to_source(f, INT8)
+        with pytest.raises(ParseError, match=f"input nested more than {MAX_DEPTH} deep"):
+            parse_formula(nested(MAX_DEPTH + 2))

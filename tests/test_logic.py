@@ -505,7 +505,10 @@ class TestMemoLevels:
         ev.counted = root.kids[0]
         assert isinstance(f, G) and ev.counted.level != _POINT
         assert all(ev.holds(root, ex, 0) for ex in m.executions)
-        assert ev.calls == sum(len(set(ex.trace_ids)) for ex in m.executions)
+        # one scan per behaviour and initial h and l, the values G's block reads
+        scans = {(id(ex.trace_ids), ex.init_store["h"], ex.init_store["l"]): ex.trace_ids
+                 for ex in m.executions}
+        assert ev.calls == sum(len(set(ids)) for ids in scans.values())
 
     def test_scans_step_from_change_to_change(self):
         # akr's G child reads the release flag, which changes only at the
@@ -600,6 +603,66 @@ class TestStutterInvariance:
                 if ex.trace_ids[j] == ex.trace_ids[j + 1] and all(
                         ex.stores[j][n] == ex.stores[j + 1][n] for n in reads):
                     assert values[j] == values[j + 1], formula_to_source(f)
+
+
+def shared_behaviour_models():
+    """Models where many runs share one behaviour: the loop program, whose
+    runs differ only in the dead initial x, and a program whose trace
+    tells only l and whether h < 2."""
+    shared = parse("out l; x := h; if x < 2 then { x := 0 } else { out l }; out l", INT4)
+    return [loop_model()[1], build_model(shared, ModelConfig(INT4))]
+
+
+class TestBehaviourKeys:
+    """Memos keyed by behaviour and the initial values read tell apart runs
+    that share a behaviour but differ in the initial values a node reads."""
+
+    FORMULAS = [
+        # scans that read an initial value outside any binder
+        "F (init(x, 0) && K (l == 1))",
+        "G (init(h, 1) -> L init(l, 0))",
+        "init(x, 1) U K (l == 0)",
+        "(init(h, 0) || K (l != 1)) W init(x, 2)",
+        "L F init(x, 1)",
+        # binder blocks under temporal operators
+        "G (forall v . init(x, v) -> L (init(x, v) && init(l, 0)))",
+        "F (forall v . init(h, v) -> K (init(h, v) || l == v))",
+        "G (forall v . forall w . (init(x, v) && init(h, w)) -> (v == w || L init(l, v)))",
+        # binder blocks whose other parts read initial values or scan
+        "forall v . init(x, v) -> F (init(h, v) && L (l == v))",
+        "forall v . init(l, v) -> (init(h, 0) && G L (x == v))",
+        "forall v . init(h, v) -> (init(x, v) U K (l == v))",
+        # K and L over children that read the store
+        "K (x == 0 U l == 1)",
+        "G L (x == h)",
+        "forall v . init(x, v) -> K (x == v || F (l == v))",
+    ]
+
+    def test_models_share_behaviours(self):
+        for m in shared_behaviour_models():
+            assert len({id(ex.trace_ids) for ex in m.executions}) < len(m.executions)
+
+    @pytest.mark.parametrize("text", FORMULAS)
+    def test_agrees_with_the_reference(self, text):
+        f = parse_formula(text)
+        for index, m in enumerate(shared_behaviour_models()):
+            agrees_at_every_point(m, f, seed=index)
+
+    def test_knowledge_steps_from_change_to_change(self):
+        # K's child reads x, which changes within the first epoch block:
+        # each run of the epoch is visited where the trace or x changes
+        m = build_model(parse("x := 0; while x < h do { x := x + 1 }; out l", INT4),
+                        ModelConfig(INT4))
+        f = G(K(Or((Eq(Var("x"), Var("x")), Eq(Var("l"), Var("h"))))))
+        ev = CountingEvaluation(m)
+        root = ev.compile(f)
+        ev.counted = root.kids[0].kids[0]
+        assert ev.counted.level == _POINT and ev.counted.reads == {"x", "l", "h"}
+        assert all(ev.holds(root, ex, 0) for ex in m.executions)
+        changes = sum(1 for ex in m.executions for j in range(len(ex) + 1)
+                      if j == 0 or ex.trace_ids[j] != ex.trace_ids[j - 1]
+                      or ex.stores[j]["x"] != ex.stores[j - 1]["x"])
+        assert ev.calls == changes < m.point_count
 
 
 class CountingEvaluation(Evaluation):

@@ -320,6 +320,16 @@ def _meetings(runs, bound: int, termination_output: bool) -> Counter:
     return kinds
 
 
+def assert_behaviours_shared(m) -> int:
+    """Runs have equal trace ids exactly when they share one list object;
+    returns the number of such lists."""
+    lists: dict[tuple, list] = {}
+    for ex in m.executions:
+        assert ex.trace_ids is lists.setdefault(tuple(ex.trace_ids), ex.trace_ids)
+    assert len({id(ex.trace_ids) for ex in m.executions}) == len(lists)
+    return len(lists)
+
+
 class TestSharedBuild:
     """Runs that meet an earlier run's configuration share its rest; the
     model must equal the one built run by run with private lasso tables."""
@@ -334,6 +344,7 @@ class TestSharedBuild:
                          "trace_ids"):
                 assert getattr(ex, name) == ref[name], name
         assert m.trace_parents == parents
+        assert_behaviours_shared(m)
         return _meetings(runs, cfg.bound, cfg.termination_output)
 
     @pytest.mark.parametrize("termination_output", [False, True])
@@ -364,6 +375,22 @@ class TestSharedBuild:
                     program, ModelConfig(dom, bound, termination_output))
         assert {"joined", "over-bound", "trace-differs", "earlier-bound-exceeded",
                 "earlier-lasso"} <= set(kinds), kinds
+
+    @pytest.mark.parametrize("text, termination_output, behaviours", [
+        # runs from every x join at step 1, with equal trace ids so far
+        ("x := 0; while x < h do { out l; x := x + 1 }; out l + x", False, 16),
+        ("x := 0; while x < h do { out l; x := x + 1 }; out l + x", True, 16),
+        # the branches share no configuration, only their trace ids
+        ("if h then { out 1 } else { out 1 }", False, 1),
+        ("if h then { out 1 } else { out 1 }", True, 1),
+        # lassos from h = 0 and h = 1; runs from l != 0 meet a lasso and rerun alone
+        ("l := 0; while h < 2 do { skip }; out l", False, 2),
+    ])
+    def test_runs_with_equal_trace_ids_share_one_list(self, text, termination_output,
+                                                      behaviours):
+        m = build_model(parse(text, INT4), ModelConfig(INT4, 50, termination_output))
+        assert len(m.executions) > behaviours
+        assert assert_behaviours_shared(m) == behaviours
 
     def test_runs_that_differ_in_a_dead_value_share_their_stores(self):
         loop = parse("x := 0; while x < h do { out l; x := x + 1 }; out l + x", INT4)
