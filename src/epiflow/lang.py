@@ -14,7 +14,8 @@ Concrete grammar (whitespace-insensitive, ``;`` separates statements)::
     E ::= literal | ID | "(" E ")" | "!" E | "-" E | E OP E | "hash" "(" E ")"
     OP ::= "&&" | "||" | "==" | "!=" | "<" | "<=" | ">=" | ">" | "+" | "-" | "*" | "mod"
 
-Input nested more than ``MAX_DEPTH`` deep is refused with a ``ParseError``.
+Input nested more than ``MAX_DEPTH`` deep, each operator after the first in
+a chain counting as a level, is refused with a ``ParseError``.
 """
 
 from __future__ import annotations
@@ -620,18 +621,23 @@ class _Parser:
     def expression(self, lowest: int = 1) -> Expr:
         """The operators binding at least as tightly as ``lowest``, by
         precedence climbing: one call per binding level the input uses,
-        so a parenthesis costs three frames."""
+        so a parenthesis costs three frames.  The tree of a chain is as
+        deep as the chain, so each operator after the first is a level."""
         node = self.unary_expr()
-        compared = False
+        depth, chained, compared = self.depth, False, False
         while True:
             tok = self.peek()
             binding = _BINDING.get(tok.value) if tok.kind in ("punct", "kw") else None
             if binding is None or binding < lowest:
+                self.depth = depth
                 return node
             if binding == _COMPARISON:
                 if compared:
                     self.fail("comparisons do not chain; parenthesize")
                 compared = True
+            if chained:
+                self.enter()
+            chained = True
             self.next()
             node = Binary(tok.value, node, self.expression(binding + 1))
 

@@ -57,9 +57,12 @@ knowledge and scans cheap:
   an instance pins no run only when the fixed side or its varying side
   contradicts itself; that makes the block false, and a guard that admits
   no instance makes it true.
-* Any other K/L body is read at the current point when it is fixed across
-  the epoch, else checked over each execution's block in the epoch, from
-  change to change as a temporal operator scans (below): once per
+* K and L over a body fixed across the epoch (one that reads no store, no
+  initial value and no scan) are the body itself: the observer's relation
+  is an equivalence, so ``K p``, ``L p`` and ``p`` agree at every point
+  (Fagin, Halpern, Moses and Vardi, "Reasoning About Knowledge", 1995).
+  Any other K/L body is checked over each execution's block in the epoch,
+  from change to change as a temporal operator scans (below): once per
   execution when it reads no store at the current point.
 * The logic has no Next, so no formula tells repeated states apart: it is
   stutter-invariant (Lamport, "What good is temporal logic?", 1983; Peled
@@ -91,21 +94,9 @@ class LogicError(ValueError):
     pass
 
 
-# Memoization granularity, ordered by how much of a point's identity the
-# value depends on.  EXEC and EPOCH are incomparable; their join is
-# RUN_EPOCH, a value fixed over one run's positions in one epoch.  Trace
-# ids never decrease along a run, so those positions are contiguous.
-_CONST, _EXEC, _EPOCH, _RUN_EPOCH, _POINT = 0, 1, 2, 3, 4
-
-
-def _join(a: int, b: int) -> int:
-    if {a, b} == {_EXEC, _EPOCH}:
-        return _RUN_EPOCH
-    return max(a, b)
-
-
-# The memo positions below _POINT, by (fixed per epoch, scans, reads initial
-# values): each keeps only the parts of a point the node depends on.
+# The memo positions of a node that reads no store at the current point,
+# by (fixed per epoch, scans, reads initial values): each keeps only the
+# parts of a point the node depends on.
 _POSITIONS = {
     (False, False, False): lambda values, ex, i: None,
     (True, False, False): lambda values, ex, i: ex.trace_ids[i],
@@ -119,20 +110,14 @@ _POSITIONS = {
 }
 
 
-def _position(level: int, inits: frozenset, scans: bool):
-    """The memo position of a point for a node at ``level`` that reads the
-    initial values of ``inits`` and, when ``scans``, steps along its run.
-
-    Below ``_POINT`` a node reads no store at the current point, so it
-    tells runs apart only by their behaviour (the trace-id list runs with
-    equal trace ids share) and by the initial values it reads.  Its
-    position is the trace id when the node is fixed per epoch, the
-    behaviour when it scans, and those initial values.
-    """
-    if level == _POINT:
+def _position(p: _Plan):
+    """The memo position of a point for ``p``: the point itself when ``p``
+    reads the store there, else the trace id when ``p`` is fixed per epoch,
+    the behaviour (the trace-id list runs with equal trace ids share) when
+    it scans, and the initial values it reads."""
+    if p.reads:
         return lambda ex, i: (ex.index, i)
-    epoch = level == _EPOCH or level == _RUN_EPOCH
-    return partial(_POSITIONS[epoch, scans, bool(inits)], _getter(inits))
+    return partial(_POSITIONS[p.epoch, p.scans, bool(p.inits)], _getter(p.inits))
 
 
 def _changes(ex: Execution, i: int, read):
@@ -165,88 +150,88 @@ class Formula:
     pass
 
 
-@dataclass(eq=False)
+@dataclass
 class Eq(Formula):
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(eq=False)
+@dataclass
 class Init(Formula):
     name: str
     expr: Expr
 
 
-@dataclass(eq=False)
+@dataclass
 class And(Formula):
     children: tuple[Formula, ...]
 
 
-@dataclass(eq=False)
+@dataclass
 class Not(Formula):
     child: Formula
 
 
-@dataclass(eq=False)
+@dataclass
 class K(Formula):
     child: Formula
 
 
-@dataclass(eq=False)
+@dataclass
 class Until(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(eq=False)
+@dataclass
 class Tt(Formula):
     pass
 
 
-@dataclass(eq=False)
+@dataclass
 class Ff(Formula):
     pass
 
 
-@dataclass(eq=False)
+@dataclass
 class Or(Formula):
     children: tuple[Formula, ...]
 
 
-@dataclass(eq=False)
+@dataclass
 class Implies(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(eq=False)
+@dataclass
 class Forall(Formula):
     var: str
     body: Formula
 
 
-@dataclass(eq=False)
+@dataclass
 class Exists(Formula):
     var: str
     body: Formula
 
 
-@dataclass(eq=False)
+@dataclass
 class L(Formula):
     child: Formula
 
 
-@dataclass(eq=False)
+@dataclass
 class F(Formula):
     child: Formula
 
 
-@dataclass(eq=False)
+@dataclass
 class G(Formula):
     child: Formula
 
 
-@dataclass(eq=False)
+@dataclass
 class W(Formula):
     lhs: Formula
     rhs: Formula
@@ -276,29 +261,6 @@ def formula_size(f: Formula) -> int:
 
     walk(f)
     return len(seen)
-
-
-def struct_eq(a: Formula, b: Formula) -> bool:
-    """Structural equality; node identity is deliberately not equality."""
-    if type(a) is not type(b):
-        return False
-    match a:
-        case Eq(l1, r1):
-            return (l1, r1) == (b.lhs, b.rhs)
-        case Init(n1, e1):
-            return n1 == b.name and e1 == b.expr
-        case And(cs) | Or(cs):
-            return len(cs) == len(b.children) and all(
-                struct_eq(x, y) for x, y in zip(cs, b.children))
-        case Not(c) | K(c) | L(c) | F(c) | G(c):
-            return struct_eq(c, b.child)
-        case Until(l1, r1) | Implies(l1, r1) | W(l1, r1):
-            return struct_eq(l1, b.lhs) and struct_eq(r1, b.rhs)
-        case Forall(v, body) | Exists(v, body):
-            return v == b.var and struct_eq(body, b.body)
-        case Tt() | Ff():
-            return True
-    return False
 
 
 # --------------------------------------------------------------------------
@@ -339,43 +301,53 @@ def foralls(vars_: list[str], body: Formula) -> Formula:
 # Satisfaction
 
 
+_NONE: frozenset = frozenset()
+
+
 class _Plan:
     """A formula node compiled under its quantifier scope.
 
-    ``free`` holds the bound variables free in the node; with ``at``, the
-    memo position of a point, they key the memo.  ``reads`` holds the
-    store identifiers the node's atoms read at the current point (by
-    default its kids' when it is ``_POINT``, else none), ``inits`` the
-    identifiers whose initial value it reads, and ``scans`` whether it
-    steps along the run.  Atoms and connectives are cheaper to recompute
-    than to look up, so only the other nodes set ``memo``.  ``compute`` is
-    a plain function of the evaluation, the plan and the point, so plans
-    hold no reference back to their evaluation.  ``args`` holds what it
-    needs besides the kids.
+    Five facts say what its value depends on: ``free``, the bound variables
+    free in it; ``reads``, the store identifiers its atoms read at the
+    current point; ``inits``, the identifiers whose initial value it reads;
+    ``epoch``, whether it is built on K or L (fixed per trace id); and
+    ``scans``, whether it steps along the run.  Each is the union of the
+    kids' unless ``given``.  A node with none of the last four is constant.
+    Atoms and connectives are cheaper to recompute than to look up, so only
+    the other nodes are memoized: ``at`` gives the memo position of a point
+    (None for the rest), ``key`` the values of ``free``.  ``compute`` is a
+    plain function of the evaluation, the plan and the point, so plans hold
+    no reference back to their evaluation.  ``args`` holds what it needs
+    besides the kids.
     """
 
-    __slots__ = ("formula", "compute", "kids", "level", "free", "reads", "inits", "scans",
-                 "key", "memo", "args", "at")
+    __slots__ = ("formula", "compute", "kids", "args", "free", "reads", "inits", "epoch",
+                 "scans", "key", "at")
 
-    def __init__(self, formula: Formula, compute, kids: tuple = (), level: int = _CONST,
-                 free: frozenset = frozenset(), memo: bool = False, args=None,
-                 reads: frozenset | None = None, inits: frozenset = frozenset(),
-                 scans: bool = False):
+    def __init__(self, formula: Formula, compute, kids: tuple = (), args=None,
+                 memo: bool = False, **given):
         self.formula = formula
         self.compute = compute
         self.kids = kids
-        self.level = level
-        self.free = free
-        if reads is None:
-            reads = (frozenset().union(*(kid.reads for kid in kids)) if level == _POINT
-                     else frozenset())
-        self.reads = reads
-        self.inits = inits
-        self.scans = scans
-        self.key = _getter(free)
-        self.memo = memo
         self.args = args
-        self.at = _position(level, inits, scans) if memo else None
+        free = reads = inits = _NONE
+        epoch = scans = False
+        for kid in kids:
+            free |= kid.free
+            reads |= kid.reads
+            inits |= kid.inits
+            epoch = epoch or kid.epoch
+            scans = scans or kid.scans
+        self.free, self.reads, self.inits = free, reads, inits
+        self.epoch, self.scans = epoch, scans
+        for fact, value in given.items():
+            setattr(self, fact, value)
+        self.key = _getter(self.free)
+        self.at = _position(self) if memo else None
+
+    @property
+    def constant(self) -> bool:
+        return not (self.reads or self.inits or self.epoch or self.scans)
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,17 +380,9 @@ class _Block:
     spread: object = None
 
 
-def _combined(kids) -> tuple[int, frozenset, frozenset, bool]:
-    """The joined level of ``kids``, the unions of their free variables and
-    of the identifiers whose initial values they read, and whether any of
-    them scans."""
-    level, free, inits, scans = _CONST, frozenset(), frozenset(), False
-    for kid in kids:
-        level = _join(level, kid.level)
-        free |= kid.free
-        inits |= kid.inits
-        scans = scans or kid.scans
-    return level, free, inits, scans
+# K and L read no store, initial value or scan of the current run, only
+# its trace id
+_EPISTEMIC = {"reads": _NONE, "inits": _NONE, "epoch": True, "scans": False}
 
 
 def _conjuncts(f: Formula) -> tuple[Formula, ...]:
@@ -454,7 +418,7 @@ class Evaluation:
         self.solved: dict[object, list[tuple]] = {}
         self.masks: dict[object, int] = {}
         self.every_run = (1 << len(model.executions)) - 1
-        self.plans: dict[tuple[int, frozenset], _Plan] = {}
+        self.plans: dict[tuple[int, frozenset], tuple[Formula, _Plan]] = {}
         self.points_visited = 0
         self.cache_hits = 0
 
@@ -462,7 +426,7 @@ class Evaluation:
         return Stats(self.points_visited, self.cache_hits, formula_nodes)
 
     def holds(self, p: _Plan, ex: Execution, i: int) -> bool:
-        if not p.memo:
+        if p.at is None:
             return p.compute(self, p, ex, i)
         at = p.at(ex, i)
         key = (p, at) if p.key is None else (p, at, p.key(self.env))
@@ -477,21 +441,23 @@ class Evaluation:
     # -- compilation ---------------------------------------------------------
 
     def compile(self, f: Formula, scope: frozenset = frozenset()) -> _Plan:
-        """Check the node against the model's signature and domain, and plan it."""
+        """Check the node against the model's signature and domain, and plan
+        it.  The table holds each node it keys by ``id``, so no key is reused
+        while the evaluation lives (K and L may be planned as their child)."""
         key = (id(f), scope)
-        plan = self.plans.get(key)
-        if plan is None:
-            plan = self.plans[key] = self._compile(f, scope)
-        return plan
+        entry = self.plans.get(key)
+        if entry is None:
+            entry = self.plans[key] = (f, self._compile(f, scope))
+        return entry[1]
 
     def _compile(self, f: Formula, scope: frozenset) -> _Plan:
         match f:
             case Eq(lhs, rhs):
-                return self._atom(f, (lhs, rhs), _CONST, scope)
+                return self._atom(f, (lhs, rhs), scope)
             case Init(name, expr):
                 if name not in self.signature:
                     raise LogicError(f"init names unknown identifier {name!r}")
-                return self._atom(f, (expr,), _EXEC, scope)
+                return self._atom(f, (expr,), scope)
             case Tt() | Ff():
                 return _Plan(f, Evaluation._constant, args=isinstance(f, Tt))
             case Not(child):
@@ -503,16 +469,19 @@ class Evaluation:
             case Implies(lhs, rhs):
                 return self._connective(f, Evaluation._implies, (lhs, rhs), scope)
             case K(child) | L(child):
-                # K and L read other runs' points, nothing of the current run
                 kid = self.compile(child, scope)
-                level = _CONST if kid.level == _CONST else _EPOCH
-                if kid.level == _EXEC:
-                    compute = (Evaluation._knows_runs if isinstance(f, K)
-                               else Evaluation._possible_runs)
-                    return _Plan(f, compute, (kid,), level, kid.free,
-                                 args=self._pinned_run(child, scope))
-                return _Plan(f, Evaluation._knows, (kid,), level, kid.free, memo=True,
-                             args=(isinstance(f, K), _getter(kid.reads)))
+                if not (kid.reads or kid.inits or kid.scans):
+                    # fixed across the epoch, so K p = L p = p: the
+                    # observer's relation is an equivalence
+                    return kid
+                if kid.reads or kid.epoch:
+                    args = (isinstance(f, K), _getter(kid.reads))
+                    return _Plan(f, Evaluation._knows, (kid,), args, True, **_EPISTEMIC)
+                # the child varies from run to run only
+                compute = (Evaluation._knows_runs if isinstance(f, K)
+                           else Evaluation._possible_runs)
+                return _Plan(f, compute, (kid,), self._pinned_run(child, scope),
+                             **_EPISTEMIC)
             case F(child) | G(child):
                 return self._temporal(f, Evaluation._eventually, (child,), scope, isinstance(f, G))
             case Until(lhs, rhs) | W(lhs, rhs):
@@ -521,8 +490,7 @@ class Evaluation:
                 return self._block(f, scope)
         raise TypeError(f"not a formula: {f!r}")
 
-    def _atom(self, f: Formula, exprs: tuple, fixed_level: int, scope: frozenset) -> _Plan:
-        """An atom's level is ``fixed_level`` unless it reads the current store."""
+    def _atom(self, f: Formula, exprs: tuple, scope: frozenset) -> _Plan:
         names: set[str] = set()
         for e in exprs:
             try:
@@ -530,28 +498,23 @@ class Evaluation:
             except LangError as err:
                 raise LogicError(f"formula atom {expr_to_source(e)!r}: {err}") from err
             names.update(expr_ids(e))
-        compute, inits = ((Evaluation._eq, frozenset()) if isinstance(f, Eq)
+        compute, inits = ((Evaluation._eq, _NONE) if isinstance(f, Eq)
                           else (Evaluation._init, frozenset((f.name,))))
-        reads = frozenset(names - scope)
-        return _Plan(f, compute, level=_POINT if reads else fixed_level,
-                     free=frozenset(names & scope), reads=reads, inits=inits,
-                     args=tuple(compile_expr(e, self.domain) for e in exprs))
+        return _Plan(f, compute, args=tuple(compile_expr(e, self.domain) for e in exprs),
+                     free=frozenset(names & scope), reads=frozenset(names - scope),
+                     inits=inits)
 
     def _connective(self, f: Formula, compute, children, scope: frozenset) -> _Plan:
         # map spends no frame of its own: a level of nesting costs compile,
         # _compile and this method
-        kids = tuple(map(self.compile, children, itertools.repeat(scope)))
-        level, free, inits, scans = _combined(kids)
-        return _Plan(f, compute, kids, level, free, inits=inits, scans=scans)
+        return _Plan(f, compute, tuple(map(self.compile, children, itertools.repeat(scope))))
 
     def _temporal(self, f: Formula, compute, children, scope: frozenset, flag: bool) -> _Plan:
         """The scan steps over the run with ``_changes``, reading the store
-        identifiers its children read.  Children fixed per run and epoch
-        make the scan so too."""
+        identifiers its children read; over constant children it is
+        constant."""
         kids = tuple(map(self.compile, children, itertools.repeat(scope)))
-        level, free, inits, _ = _combined(kids)
-        plan = _Plan(f, compute, kids, _RUN_EPOCH if level == _EPOCH else level, free,
-                     memo=True, inits=inits, scans=level != _CONST)
+        plan = _Plan(f, compute, kids, memo=True, scans=not all(kid.constant for kid in kids))
         plan.args = (flag, _getter(plan.reads))
         return plan
 
@@ -586,16 +549,16 @@ class Evaluation:
             if (isinstance(g, Init) and isinstance(g.expr, Var) and g.expr.name in names
                     and g.expr.name not in binders):
                 binders[g.expr.name] = g.name
-            elif plan.level == _CONST:
+            elif plan.constant:
                 pure.append(plan)
             else:
                 checks.append(plan)
         body = self.compile(node, inner)
         kids = (body, *pure, *checks)
-        level, free, inits, scans = _combined(kids)
-        inits |= {subject for var, subject in binders.items() if var in free}
-        if binders:
-            level = _join(level, _EXEC)
+        free = frozenset().union(*(kid.free for kid in kids))
+        inits = frozenset().union(
+            (subject for var, subject in binders.items() if var in free),
+            *(kid.inits for kid in kids))
         solve = tuple(v for v in names if v not in binders)
         outer = frozenset().union(*(plan.free for plan in pure)) - frozenset(solve)
         pins = {}
@@ -609,8 +572,8 @@ class Evaluation:
             compute = Evaluation._forall
         block = _Block(tuple(names), tuple(binders.items()), solve, tuple(pure),
                        _getter(outer), tuple(checks), body, **pins)
-        return _Plan(f, compute, kids, level, free - frozenset(names), memo=True,
-                     args=block, inits=inits, scans=scans)
+        return _Plan(f, compute, kids, block, True, free=free - frozenset(names),
+                     inits=inits)
 
     # -- node semantics ------------------------------------------------------
 
@@ -658,16 +621,12 @@ class Evaluation:
     def _knows(self, p: _Plan, ex: Execution, i: int) -> bool:
         """K (``args[0]`` set): every point of the epoch; L: some point.
 
-        A child fixed across the epoch is read at the current point.
-        Otherwise each execution of the epoch is visited once, in run order
-        (the bits of ``have``, lowest first), over its block in the epoch:
-        from change to change of the store identifiers the child reads
-        (``args[1]``), so only at its first position when it reads none.
+        Each execution of the epoch is visited once, in run order (the bits
+        of ``have``, lowest first), over its block in the epoch: from change
+        to change of the store identifiers the child reads (``args[1]``), so
+        only at its first position when it reads none.
         """
         child, (every, read) = p.kids[0], p.args
-        level = child.level
-        if level == _CONST or level == _EPOCH:
-            return self.holds(child, ex, i)
         tid = ex.trace_ids[i]
         executions, runs = self.model.executions, self.have[tid]
         while runs:
@@ -846,11 +805,9 @@ def model_satisfies(model: Model, f: Formula) -> Verdict:
     ev = Evaluation(model)
     root = ev.compile(f)
     size = formula_size(f)
-    if model.tainted:
-        bad = next(e for e in model.executions if e.status.value != "terminated")
-        return Verdict(
-            Outcome.BOUND_EXCEEDED, None, Stats(formula_nodes=size),
-            f"execution from {model.store_text(bad.init_store)} is {bad.status.value}")
+    note = model.refusal
+    if note is not None:
+        return Verdict(Outcome.BOUND_EXCEEDED, None, Stats(formula_nodes=size), note)
     for ex in model.executions:
         if not ev.holds(root, ex, 0):
             witness = _extract_witness(ev, root, ex)

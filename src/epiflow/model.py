@@ -119,7 +119,16 @@ class Model:
 
     @property
     def tainted(self) -> bool:
-        return any(e.status is not Status.TERMINATED for e in self.executions)
+        return self.refusal is not None
+
+    @property
+    def refusal(self) -> str | None:
+        """Why the model has no verdict: the first run that did not
+        terminate, by its initial store; None when every run terminated."""
+        bad = next((e for e in self.executions if e.status is not Status.TERMINATED), None)
+        if bad is None:
+            return None
+        return f"execution from {self.store_text(bad.init_store)} is {bad.status.value}"
 
     @property
     def point_count(self) -> int:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .domain import Domain
-from .lang import Expr, Program, parse_expression, validate_expr
+from .lang import Expr, ParseError, Program, parse_expression, validate_expr
 from .logic import Formula, model_satisfies
 from .model import Model, ModelConfig, build_model
 from .policies import (ABSTRACTIONS, FlowSpec, InitPredicate, PolicyError,
@@ -113,6 +113,16 @@ class Policy:
         return "\n".join(lines) + "\n"
 
 
+def _parsed(lineno: int, what: str, text: str) -> str:
+    """``text`` once it parses as an expression; else a usage error naming
+    the policy line.  ``policy_pieces`` checks it against the program."""
+    try:
+        parse_expression(text)
+    except ParseError as err:
+        raise PolicyError(f"policy line {lineno}: {what}: {err}") from None
+    return text
+
+
 def parse_policy(text: str) -> Policy:
     fields: dict = {"low": (), "declassify": [], "releases": [], "whens": [],
                     "eta": None, "phi": None, "rho": None, "check": None}
@@ -137,21 +147,22 @@ def parse_policy(text: str) -> Policy:
                 names = tuple(n.strip() for n in value.split(",") if n.strip())
                 fields["low"] = names
             case "declassify":
-                fields["declassify"].append(value)
+                fields["declassify"].append(_parsed(lineno, "declassification", value))
             case "eta" | "phi" | "rho":
-                fields[key] = value
+                fields[key] = value if value in ABSTRACTIONS else _parsed(lineno, key, value)
             case "release":
                 if "=" not in value:
                     raise PolicyError(
                         f"policy line {lineno}: expected 'release: flag = expr'")
                 flag, expr = (part.strip() for part in value.split("=", 1))
-                fields["releases"].append((flag, expr))
+                fields["releases"].append((flag, _parsed(lineno, f"release {flag}", expr)))
             case "when":
                 if "==>" not in value:
                     raise PolicyError(
                         f"policy line {lineno}: expected 'when: cond ==> expr'")
                 cond, expr = (part.strip() for part in value.split("==>", 1))
-                fields["whens"].append((cond, expr))
+                fields["whens"].append((_parsed(lineno, "when-condition", cond),
+                                        _parsed(lineno, "declassification", expr)))
             case _:
                 raise PolicyError(f"policy line {lineno}: unknown key {key!r}")
     if fields["check"] is None:

@@ -33,7 +33,7 @@ from bisect import bisect_left, bisect_right
 from typing import Callable, Iterable
 
 from .lang import Expr, compile_expr
-from .model import Execution, Model, Status
+from .model import Execution, Model
 from .policies import (FlowSpec, InitPredicate, PolicyError, ReleaseSpec,
                        TemporalDeclassification, abstraction_predicate,
                        check_output_abstraction)
@@ -43,10 +43,9 @@ from .verdicts import Outcome, Stats, Verdict, Witness
 def _refusal(m: Model, fs: FlowSpec) -> Verdict | None:
     """BOUND_EXCEEDED naming the first non-terminated run's initial store,
     or None once the flow spec is checked against the program."""
-    if m.tainted:
-        bad = next(e for e in m.executions if e.status is not Status.TERMINATED)
-        return Verdict(Outcome.BOUND_EXCEEDED, None, Stats(),
-                       f"execution from {m.store_text(bad.init_store)} is {bad.status.value}")
+    note = m.refusal
+    if note is not None:
+        return Verdict(Outcome.BOUND_EXCEEDED, None, Stats(), note)
     fs.check_against(m.program)
     return None
 

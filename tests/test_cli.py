@@ -293,22 +293,27 @@ class TestRobustness:
                     *(args or ["--policy", tmp_path / "p.pol"])])
         err = capsys.readouterr().err
         assert code == 3
-        # the parser refuses nesting past MAX_DEPTH where it starts; a chain
-        # of operators nests nothing, but its tree is too deep to walk
+        # the parser refuses nesting past MAX_DEPTH where it starts; in a
+        # chain of operators each after the first is a level, so the 202nd
+        # && is one too many
         expected = {"formula": "1:401: input nested more than 200 deep",
-                    "declassify": "input nested too deeply to check",
+                    "declassify": "policy line 3: declassification: 1:1008: "
+                                  "input nested more than 200 deep",
                     "parentheses": "1:205: input nested more than 200 deep"}[shape]
         assert err == f"error: {expected}\n"
 
-    @pytest.mark.parametrize("part", ["program", "policy", "formula"])
+    @pytest.mark.parametrize("part", ["program", "policy", "formula", "chain"])
     def test_nesting_to_the_limit_is_checked_and_past_it_refused(self, tmp_path, part,
                                                                  capsys):
         # parentheses in an output on line 2 of the program, and in a
-        # declassified expression; F nested on line 2 of a formula
+        # declassified expression; F nested on line 2 of a formula; a chain
+        # of operators in an output on line 2, each after the first a level
         def check(depth):
             program, declassified, args = "h := h;\nout l + h", "h", []
             if part == "program":
                 program = "h := h;\nout " + "(" * depth + "l" + ")" * depth
+            elif part == "chain":
+                program = "h := h;\nout " + " + ".join(["l"] * (depth + 2))
             elif part == "policy":
                 declassified = "(" * depth + "h" + ")" * depth
             else:
@@ -323,7 +328,7 @@ class TestRobustness:
         code, err = check(MAX_DEPTH + 1)
         # where the level past the limit starts
         where = {"program": f"2:{5 + MAX_DEPTH}", "policy": f"1:{1 + MAX_DEPTH}",
-                 "formula": f"2:{4 + 2 * MAX_DEPTH}"}[part]
+                 "formula": f"2:{4 + 2 * MAX_DEPTH}", "chain": f"2:{11 + 4 * MAX_DEPTH}"}[part]
         assert code == 3
         assert err.endswith(f"{where}: input nested more than {MAX_DEPTH} deep\n"), err
 

@@ -312,6 +312,8 @@ NESTED_PROGRAMS = {
     "hash": lambda depth: "out " + "hash(" * depth + "l" + ")" * depth,
     "blocks": lambda depth: "if l == 0 then { " * depth + "out l" + " } else { skip }" * depth,
     "loops": lambda depth: "while l < 1 do { " * depth + "l := 1" + " }" * depth + "; out l",
+    # each operator after the first is a level
+    "chain": lambda depth: "out " + " + ".join(["l"] * (depth + 2)),
 }
 NESTED_FORMULAS = {
     "parentheses": lambda depth: "(" * depth + "l == 0" + ")" * depth,
@@ -322,6 +324,7 @@ NESTED_FORMULAS = {
                                          for k in range(depth)) + "l == v0",
     "implications": lambda depth: " -> ".join(["l == 0"] * (depth + 1)),
     "until": lambda depth: " U ".join(["l == 0"] * (depth + 1)),
+    "chain": lambda depth: "l == " + " + ".join(["l"] * (depth + 2)),
 }
 HASHED = Domain.integers(4, hash_table=(1, 2, 3, 0))
 
@@ -356,7 +359,7 @@ class TestNestingDepth:
     @pytest.mark.parametrize("shape", NESTED_FORMULAS)
     def test_formulas(self, shape):
         from epiflow.logic import (formula_size, formula_to_source, model_satisfies,
-                                   parse_formula, struct_eq)
+                                   parse_formula)
         from epiflow.model import ModelConfig, build_model
 
         nested = NESTED_FORMULAS[shape]
@@ -364,7 +367,7 @@ class TestNestingDepth:
         m = build_model(parse("out l", INT8), ModelConfig(INT8))
         model_satisfies(m, f)
         formula_size(f)
-        assert struct_eq(f, f)
+        assert f == parse_formula(nested(MAX_DEPTH))
         formula_to_source(f, INT8)
         with pytest.raises(ParseError, match=f"input nested more than {MAX_DEPTH} deep"):
             parse_formula(nested(MAX_DEPTH + 2))

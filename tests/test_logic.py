@@ -8,11 +8,10 @@ from conftest import exec_from
 from epiflow.domain import Domain
 from epiflow.fuzz import FuzzConfig, _abstractions_for, _gen_expr, generate_program
 from epiflow.lang import Binary, Const, Unary, Var, expr_ids, parse, parse_expression
-from epiflow.logic import (_EPOCH, _EXEC, _POINT, _RUN_EPOCH, And, Eq,
-                           Evaluation, Exists, F, Ff, Forall, G, Implies, Init,
+from epiflow.logic import (And, Eq, Evaluation, Exists, F, Ff, Forall, G, Implies, Init,
                            K, L, LogicError, Not, Or, Tt, Until, W,
                            formula_to_source, model_satisfies, parse_formula,
-                           satisfies, struct_eq)
+                           satisfies)
 from epiflow.model import ModelConfig, Point, build_model
 from epiflow.policies import (FlowSpec, InitPredicate, ReleaseSpec,
                               TemporalDeclassification, encode_aak, encode_ak,
@@ -306,13 +305,21 @@ def agrees_at_every_point(m, f, seed=0):
         assert ev.holds(root, pt.execution, pt.index) == expected, formula_to_source(f)
 
 
-# one child per memo level, over the bound variable v
+# one child per kind of dependence, over the bound variable v
 AT_POINT = Eq(Var("l"), Var("h"))  # reads the current store
 AT_EXEC = Init("h", Var("v"))  # fixed along a run
 AT_EPOCH = K(Or((Eq(Var("l"), Var("v")), Init("l", Var("v")))))  # fixed across an epoch
 AT_RUN_EPOCH = And((AT_EXEC, AT_EPOCH))  # fixed within one run's visit to an epoch
-LEVELS = [(AT_POINT, _POINT), (AT_EXEC, _EXEC), (AT_EPOCH, _EPOCH),
-          (AT_RUN_EPOCH, _RUN_EPOCH)]
+# each with what it depends on: the store identifiers read at the current
+# point, the initial values read, fixed per epoch, scans
+LEVELS = [(AT_POINT, ({"l", "h"}, set(), False, False)),
+          (AT_EXEC, (set(), {"h"}, False, False)),
+          (AT_EPOCH, (set(), set(), True, False)),
+          (AT_RUN_EPOCH, (set(), {"h"}, True, False))]
+
+
+def facts(plan):
+    return plan.reads, plan.inits, plan.epoch, plan.scans
 
 
 def level_models():
@@ -372,12 +379,13 @@ class TestMemoLevels:
     def test_children_have_the_intended_levels(self):
         ev = Evaluation(random_models(1, seed=21)[0])
         scope = frozenset({"v"})
-        for child, level in LEVELS:
-            assert ev.compile(child, scope).level == level
+        for child, depends in LEVELS:
+            assert facts(ev.compile(child, scope)) == depends
         for temporal in (G(AT_RUN_EPOCH), F(AT_RUN_EPOCH), Until(AT_EPOCH, AT_RUN_EPOCH),
                          W(AT_RUN_EPOCH, AT_EXEC)):
-            assert ev.compile(temporal, scope).level == _RUN_EPOCH
-        assert ev.compile(Until(AT_RUN_EPOCH, AT_POINT), scope).level == _POINT
+            assert facts(ev.compile(temporal, scope)) == (set(), {"h"}, True, True)
+        assert facts(ev.compile(Until(AT_RUN_EPOCH, AT_POINT), scope)) == (
+            {"l", "h"}, {"h"}, True, True)
 
     @pytest.mark.parametrize("child", [c for c, _ in LEVELS],
                              ids=["point", "exec", "epoch", "run-epoch"])
@@ -408,8 +416,8 @@ class TestMemoLevels:
     def test_initial_value_blocks_keep_their_levels(self):
         ev = Evaluation(random_models(1, seed=21)[0])
         scope = frozenset({"u"})
-        assert ev.compile(AT_INIT_H, scope).level == _EXEC
-        assert ev.compile(AT_TRACE_AND_INIT_H, scope).level == _RUN_EPOCH
+        assert facts(ev.compile(AT_INIT_H, scope)) == (set(), {"h"}, False, False)
+        assert facts(ev.compile(AT_TRACE_AND_INIT_H, scope)) == (set(), {"h"}, True, False)
 
     @pytest.mark.parametrize("block", [AT_INIT_H, AT_TRACE_AND_INIT_H],
                              ids=["const-body", "epoch-body"])
@@ -433,8 +441,26 @@ class TestMemoLevels:
         scope = frozenset({"v"})
         assert ev.compile(K(AT_EXEC), scope).compute is Evaluation._knows_runs
         assert ev.compile(L(AT_EXEC), scope).compute is Evaluation._possible_runs
-        for child in (AT_POINT, AT_EPOCH, AT_RUN_EPOCH):
+        for child in (AT_POINT, AT_RUN_EPOCH):
             assert ev.compile(K(child), scope).compute is Evaluation._knows
+
+    def test_knowledge_of_epoch_fixed_children_is_the_child(self):
+        # K p = L p = p when p is fixed across the epoch: a constant, or a
+        # node built on K and L that reads no store, initial value or scan
+        models = level_models()
+        ev = Evaluation(models[0])
+        scope = frozenset({"v"})
+        fixed = [AT_EPOCH, Not(AT_EPOCH), L(AT_EPOCH), Eq(Var("v"), Var("v")),
+                 G(Eq(Var("v"), Var("v")))]
+        for child in fixed:
+            plan = ev.compile(child, scope)
+            assert ev.compile(K(child), scope) is plan is ev.compile(L(child), scope)
+        formulas = [f(child) for child in fixed for f in (
+            lambda c: Forall("v", K(c)), lambda c: Exists("v", L(Not(c))),
+            lambda c: G(Forall("v", K(L(c)))))]
+        for index, m in enumerate(models):
+            for f in formulas:
+                agrees_at_every_point(m, f, seed=index)
 
     @pytest.mark.parametrize("text", POSSIBILITY_BLOCKS + OTHER_BLOCKS)
     def test_possibility_blocks(self, text):
@@ -443,7 +469,7 @@ class TestMemoLevels:
         models = level_models()
         ev = Evaluation(models[0])
         ev.compile(f)
-        assert fused == any(p.compute is Evaluation._all_possible for p in ev.plans.values())
+        assert fused == any(p.compute is Evaluation._all_possible for _, p in ev.plans.values())
         for index, m in enumerate(models):
             agrees_at_every_point(m, f, seed=index)
 
@@ -454,7 +480,8 @@ class TestMemoLevels:
         models = [m for m in level_models() if "+" not in inner or m.domain == INT4]
         ev = Evaluation(models[0])
         ev.compile(f)
-        (block,) = [p.args for p in ev.plans.values() if p.compute is Evaluation._all_possible]
+        (block,) = [p.args for _, p in ev.plans.values()
+                    if p.compute is Evaluation._all_possible]
         assert " ".join(name for name, _ in block.fixed) == fixed
         assert " ".join(name for name, _ in block.varying) == varying
         for index, m in enumerate(models):
@@ -503,7 +530,7 @@ class TestMemoLevels:
         ev = CountingEvaluation(m)
         root = ev.compile(f)
         ev.counted = root.kids[0]
-        assert isinstance(f, G) and ev.counted.level != _POINT
+        assert isinstance(f, G) and not ev.counted.reads
         assert all(ev.holds(root, ex, 0) for ex in m.executions)
         # one scan per behaviour and initial h and l, the values G's block reads
         scans = {(id(ex.trace_ids), ex.init_store["h"], ex.init_store["l"]): ex.trace_ids
@@ -657,7 +684,7 @@ class TestBehaviourKeys:
         ev = CountingEvaluation(m)
         root = ev.compile(f)
         ev.counted = root.kids[0].kids[0]
-        assert ev.counted.level == _POINT and ev.counted.reads == {"x", "l", "h"}
+        assert ev.counted.reads == {"x", "l", "h"}
         assert all(ev.holds(root, ex, 0) for ex in m.executions)
         changes = sum(1 for ex in m.executions for j in range(len(ex) + 1)
                       if j == 0 or ex.trace_ids[j] != ex.trace_ids[j - 1]
@@ -702,8 +729,7 @@ class TestFormulaChecks:
 class TestFormulaSyntax:
     def test_parse_spec_surface(self):
         f = parse_formula("G (forall v . init(y, v) -> L init(y, v))")
-        assert struct_eq(
-            f, G(Forall("v", Implies(Init("y", Var("v")), L(Init("y", Var("v")))))))
+        assert f == G(Forall("v", Implies(Init("y", Var("v")), L(Init("y", Var("v"))))))
 
     def test_until_and_weak_until(self):
         f = parse_formula("x == 0 U y == 1")
@@ -717,7 +743,7 @@ class TestFormulaSyntax:
 
     def test_inequality_atom(self):
         f = parse_formula("x != y")
-        assert struct_eq(f, Not(Eq(Var("x"), Var("y"))))
+        assert f == Not(Eq(Var("x"), Var("y")))
 
     def test_precedence_of_connectives(self):
         f = parse_formula("x == 0 && y == 0 || z == 0")
@@ -728,19 +754,19 @@ class TestFormulaSyntax:
         text = "forall v . init(x, v) -> (L (init(x, v) && init(y, v)) U x == y)"
         f = parse_formula(text)
         again = parse_formula(formula_to_source(f))
-        assert struct_eq(f, again)
+        assert f == again
 
     def test_primed_names(self):
         f = parse_formula("forall h' . forall h'' . init(h, h') -> L init(h, h'')")
-        assert struct_eq(f, Forall("h'", Forall("h''", Implies(Init("h", Var("h'")),
-                                                               L(Init("h", Var("h''")))))))
+        assert f == Forall("h'", Forall("h''", Implies(Init("h", Var("h'")),
+                                                       L(Init("h", Var("h''"))))))
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(["ak", "akd", "aak", "akr", "aktd"]), st.integers(0, 2**32),
            st.sampled_from([BOOL, INT4, Domain.integers(4, signed=True)]))
     def test_encoded_formulas_read_back(self, encoder, seed, dom):
         f = encoded(encoder, random.Random(seed), dom)
-        assert struct_eq(parse_formula(formula_to_source(f, dom)), f), formula_to_source(f, dom)
+        assert parse_formula(formula_to_source(f, dom)) == f, formula_to_source(f, dom)
 
     def test_comparison_sides_round_trip(self):
         ge = Binary(">=", Var("h"), Const(0))
@@ -756,7 +782,7 @@ class TestFormulaSyntax:
             G(Until(Eq(ge, Const(True)), L(Eq(Const(False), Binary("<=", Var("h"), Var("l")))))),
         ]
         for f in formulas:
-            assert struct_eq(parse_formula(formula_to_source(f)), f), formula_to_source(f)
+            assert parse_formula(formula_to_source(f)) == f, formula_to_source(f)
 
 
 def encoded(encoder, rng, dom):

@@ -6,7 +6,7 @@ from epiflow.domain import Domain
 from epiflow.fuzz import FuzzConfig, generate_program
 from epiflow.lang import Binary, Const, Out, Seq, Var, parse, parse_expression
 from epiflow.logic import (And, Eq, Forall, G, Implies, Init, K, L, Not, W,
-                           model_satisfies, satisfies, struct_eq)
+                           model_satisfies, satisfies)
 from epiflow.model import ModelConfig, Point, build_model
 from epiflow.policies import (FlowSpec, InitPredicate, PolicyError,
                               ReleaseSpec, TemporalDeclassification,
@@ -65,7 +65,7 @@ class TestEspShape:
         expected = Forall("y'", Implies(
             Init("y", Var("y'")),
             Forall("x''", L(And((Init("y", Var("y'")), Init("x", Var("x''"))))))))
-        assert struct_eq(f, expected)
+        assert f == expected
 
     def test_warmup_two_by_two_expansion(self, copy_out_model):
         fs = FlowSpec.from_low(copy_out_model.program, ["y"])
@@ -87,7 +87,7 @@ class TestEspShape:
         f = esp(fs, BOOL)
         expected = Forall("l'", Implies(Init("l", Var("l'")),
                                         L(Init("l", Var("l'")))))
-        assert struct_eq(f, expected)
+        assert f == expected
         # a possibility at the very same point: tautological on any model
         for m in models_for(4, seed=21, ident_count=1):
             fs_m = FlowSpec.from_low(m.program, m.variables)
@@ -98,7 +98,7 @@ class TestEspShape:
         fs = FlowSpec.from_low(program, [])
         f = esp(fs, BOOL)
         expected = Forall("h''", L(Init("h", Var("h''"))))
-        assert struct_eq(f, expected)
+        assert f == expected
 
 
 class TestEspmProperties:
@@ -146,7 +146,7 @@ class TestEspmProperties:
             Forall("h''", Implies(
                 Eq(zero("h'"), zero("h''")),
                 L(And((Init("l", Var("l'")), Init("h", Var("h''"))))))))))
-        assert struct_eq(f, expected)
+        assert f == expected
 
     def test_predicate_over_unknown_identifier(self):
         with pytest.raises(PolicyError, match="neither"):

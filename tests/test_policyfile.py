@@ -57,6 +57,24 @@ class TestParsePolicy:
         with pytest.raises(PolicyError, match=f"policy line 7: repeated key '{key}'"):
             parse_policy(text)
 
+    @pytest.mark.parametrize("line, what", [
+        ("declassify: {}", "declassification"),
+        ("eta: {}", "eta"),
+        ("release: r1 = {}", "release r1"),
+        ("when: {} ==> h", "when-condition"),
+        ("when: h ==> {}", "declassification"),
+    ])
+    def test_expression_errors_name_the_line(self, line, what):
+        # the entry is not echoed: 201 nested parentheses would fill a screen;
+        # the position is within the expression
+        deep = "(" * 201 + "h" + ")" * 201
+        with pytest.raises(PolicyError) as caught:
+            parse_policy("check: akd\nlow: l\n\n" + line.format(deep))
+        assert str(caught.value) == (
+            f"policy line 4: {what}: 1:201: input nested more than 200 deep")
+        with pytest.raises(PolicyError, match=f"^policy line 2: {what}: 1:"):
+            parse_policy("check: akd\n" + line.format("h +"))
+
     def test_missing_check(self):
         with pytest.raises(PolicyError, match="names no check"):
             parse_policy("low: x")

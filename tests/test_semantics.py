@@ -1,9 +1,12 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
 from conftest import exec_from
 from oracles import release_failure, temporal_failure
+import epiflow
 from epiflow.domain import Domain
 from epiflow.fuzz import FuzzConfig, generate_case, generate_program
 from epiflow.lang import (Const, Var, While, parse, parse_expression,
@@ -26,6 +29,32 @@ def pred(text, dom):
 
 def stores(values):
     return frozenset(values)
+
+
+def imported(module: str) -> set[str]:
+    """The parts of every module name ``module`` imports, anywhere in its
+    source (function-level imports included)."""
+    tree = ast.parse(Path(epiflow.__file__).with_name(f"{module}.py").read_text())
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # from .x import y imports x, or x.y when y is a module
+            names.add(node.module or "")
+            names.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+    return {part for name in names for part in name.split(".")}
+
+
+class TestIndependentReadings:
+    """The trace reading is an oracle for the epistemic one only while
+    neither reading uses the other's code."""
+
+    @pytest.mark.parametrize("module, other", [("semantics", "logic"),
+                                               ("logic", "semantics")])
+    def test_neither_reading_imports_the_other(self, module, other):
+        assert "model" in imported(module)  # the walk sees the imports
+        assert other not in imported(module)
 
 
 class TestOni:
