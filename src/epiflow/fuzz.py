@@ -45,6 +45,8 @@ class FuzzConfig:
             raise ValueError("size must be at least 1")
         if not 1 <= self.ident_count <= 3:
             raise ValueError("ident_count must be between 1 and 3")
+        if not self.pairs:
+            raise ValueError(f"no pairs to fuzz; choose from {PAIRS}")
         for pair in self.pairs:
             if pair not in PAIRS:
                 raise ValueError(f"unknown pair {pair!r}; choose from {PAIRS}")

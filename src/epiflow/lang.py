@@ -83,6 +83,8 @@ ALL_OPS = BOOL_OPS | INT_ONLY_OPS
 
 def expr_ids(e: Expr) -> tuple[str, ...]:
     """Identifiers of an expression, in first-occurrence order."""
+    if type(e) is Var:
+        return (e.name,)
     out: list[str] = []
 
     def walk(node: Expr) -> None:
@@ -355,6 +357,61 @@ def validate_program(program: Program, dom: Domain) -> None:
     for s in _walk(program.body):
         for e in _exprs(s):
             validate_expr(e, dom)
+
+
+class _AllLive(Exception):
+    pass
+
+
+def live_inputs(program: Program) -> frozenset[str]:
+    """The ordinary identifiers whose initial value some run may read
+    before writing it (live-variable analysis: Kildall, "A unified approach
+    to global program optimization", POPL 1973).
+
+    One forward pass carries the identifiers written on every path so far.
+    An ``if`` writes what both of its branches write; a ``while`` writes
+    nothing, since its body may not run, and its body is read once from
+    the loop's entry: a later iteration starts from a superset of those
+    writes.  The pass stops as soon as every input has been read.  Any
+    other input is dead: runs that differ only in its initial value take
+    the same steps and emit the same events.
+    """
+    inputs = len(program.variables)
+    live: set[str] = set()
+
+    def read(e: Expr, written: frozenset) -> None:
+        for name in expr_ids(e):
+            if name not in written:
+                live.add(name)
+        if len(live) == inputs:
+            raise _AllLive
+
+    def block(body: Stmt, written: frozenset) -> frozenset:
+        rest = [body]  # the ``;`` spine, walked only as far as the pass goes
+        while rest:
+            s = rest.pop()
+            kind = type(s)  # not ``match``: every model build runs this pass
+            if kind is Seq:
+                rest += (s.second, s.first)
+            elif kind is Assign:
+                read(s.expr, written)
+                written |= {s.name}
+            elif kind is Out:
+                read(s.expr, written)
+            elif kind is If:
+                read(s.guard, written)
+                written = block(s.then, written) & block(s.orelse, written)
+            elif kind is While:
+                read(s.guard, written)
+                block(s.body, written)
+        return written
+
+    if inputs:
+        try:
+            block(program.body, frozenset())
+        except _AllLive:
+            pass
+    return frozenset(live)
 
 
 # --------------------------------------------------------------------------

@@ -39,9 +39,9 @@ knowledge and scans cheap:
   bitmasks (bit k for run k).  ``have`` is the mask of the runs that visit
   a trace id, which each evaluation builds once per behaviour, ORing the
   mask of the runs that share it into each trace id it visits, and
-  ``sat`` the mask of the runs where the body holds.  Per
-  identifier and value, ``runs_from`` is the mask of the runs starting
-  with that value, so ``init`` atoms over bound values that pin every
+  ``sat`` the mask of the runs where the body holds.  Per identifier and
+  value, the model's ``runs_from`` is the mask of the runs starting with
+  that value, so ``init`` atoms over bound values that pin every
   variable name the AND of their masks: one run, or none when two atoms
   disagree.  For any other body ``sat`` is the body at the start of every
   run, kept per value of its bound variables.  Then K is
@@ -480,8 +480,7 @@ class Evaluation:
                 # the child varies from run to run only
                 compute = (Evaluation._knows_runs if isinstance(f, K)
                            else Evaluation._possible_runs)
-                return _Plan(f, compute, (kid,), self._pinned_run(child, scope),
-                             **_EPISTEMIC)
+                return _Plan(f, compute, (kid,), self._pinned_run(kid), **_EPISTEMIC)
             case F(child) | G(child):
                 return self._temporal(f, Evaluation._eventually, (child,), scope, isinstance(f, G))
             case Until(lhs, rhs) | W(lhs, rhs):
@@ -518,15 +517,16 @@ class Evaluation:
         plan.args = (flag, _getter(plan.reads))
         return plan
 
-    def _pinned_run(self, child: Formula, scope: frozenset):
-        """(identifier, compiled expression) pairs of the K/L child, when it is
-        a conjunction of init atoms over bound values naming every variable."""
-        parts = _conjuncts(child)
-        if not all(isinstance(a, Init) and set(expr_ids(a.expr)) <= scope for a in parts):
+    def _pinned_run(self, kid: _Plan):
+        """(identifier, compiled expression) pairs of the K/L child ``kid``,
+        taken from its atoms' plans, when it is a conjunction of init atoms
+        over bound values naming every variable."""
+        parts = kid.kids if isinstance(kid.formula, And) else (kid,)
+        if not all(isinstance(a.formula, Init) and not a.reads for a in parts):
             return None
-        if {a.name for a in parts} != set(self.model.variables):
+        if {a.formula.name for a in parts} != set(self.model.variables):
             return None
-        return tuple((a.name, compile_expr(a.expr, self.domain)) for a in parts)
+        return tuple((a.formula.name, a.args[0]) for a in parts)
 
     def _block(self, f: Formula, scope: frozenset) -> _Plan:
         kind = type(f)
@@ -654,19 +654,6 @@ class Evaluation:
                 have[tid] |= runs
         return have
 
-    @cached_property
-    def runs_from(self) -> dict[str, dict[object, int]]:
-        """Per identifier and value, the mask of the runs whose initial
-        store holds that value."""
-        runs: dict[str, dict[object, int]] = {n: {} for n in self.model.variables}
-        for ex in self.model.executions:
-            bit = 1 << ex.index
-            init = ex.stores[0]
-            for name, by_value in runs.items():
-                value = init[name]
-                by_value[value] = by_value.get(value, 0) | bit
-        return runs
-
     def _sat(self, p: _Plan) -> int:
         """The mask of the runs where the run-fixed child of K/L ``p`` holds,
         under the current values of its bound variables.  A pinned child's
@@ -689,7 +676,7 @@ class Evaluation:
         pin: the AND of their masks.  Pins naming every variable leave the
         bit of one run, or 0 when two of them pin one identifier to
         different values."""
-        env, runs_from = self.env, self.runs_from
+        env, runs_from = self.env, self.model.runs_from
         runs = self.every_run
         for name, fn in pinned:
             runs &= runs_from[name].get(fn(env), 0)

@@ -17,6 +17,19 @@ reached so far.  A run that meets a configuration a terminated run reached
 first, with the same trace, copies that run's rest, so a store dict may be
 shared between runs: stores are read-only.
 
+It simulates one run per class of live inputs (``lang.live_inputs``): the
+initial stores that agree on every input some run may read before writing
+it.  The first run of a class is simulated; when it terminates, every later
+run of the class is a clone of it, since a dead input's initial value is
+never read, so the runs take the same steps and emit the same events, and
+differ only in their dead values until each is first written.  A clone of
+a terminated run repeats no configuration, or the run itself would repeat
+one.  Only terminated runs are cloned, since where a lasso closes depends
+on the dead values (``while tt do { x := 0 }`` closes at step 2 with entry
+0 from x = 0, with entry 2 from x = 1); the other runs of a class whose
+first run does not terminate are built one by one, as is every run of a
+program with no dead input.
+
 Trace-id lists are hash-consed (Filliatre and Conchon, "Type-safe modular
 hash-consing", 2006): runs have equal trace ids exactly when they share
 one list object, read-only like the stores.  That list is the run's
@@ -38,7 +51,7 @@ from functools import cached_property
 from enum import Enum
 
 from .domain import Domain, TERMINATION_MARK
-from .lang import ASSIGN, BRANCH, EXIT, Code, Program, compile_program
+from .lang import ASSIGN, BRANCH, EXIT, Code, Program, compile_program, live_inputs
 
 
 class Status(Enum):
@@ -58,7 +71,7 @@ class ModelConfig:
             raise ValueError("step bound must be at least 1")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Execution:
     """One run: stores[i] is the store after i steps, and trace_ids[i] the
     id of the trace emitted before point i.  Runs with equal trace ids
@@ -148,6 +161,30 @@ class Model:
         """The run from each initial store, keyed by its non-flag values."""
         return {self.values_of(e.init_store): e for e in self.executions}
 
+    @cached_property
+    def runs_from(self) -> dict[str, dict[object, int]]:
+        """Per identifier and value, the mask (bit k for run k) of the runs
+        whose initial store holds that value.
+
+        Runs are in lexicographic order of their initial values, so with d
+        values and m identifiers the runs holding the j-th value of the i-th
+        identifier are the j-th block of ``d ** (m - 1 - i)`` runs in each
+        period of ``d ** (m - i)``: one block, repeated by doubling, and
+        shifted for each value."""
+        values = self.domain.values
+        d, total = len(values), len(self.executions)
+        runs: dict[str, dict[object, int]] = {}
+        block = total
+        for name in self.variables:
+            period, block = block, block // d
+            mask, width = (1 << block) - 1, period
+            while width < total:
+                mask |= mask << width
+                width *= 2
+            mask &= (1 << total) - 1
+            runs[name] = {v: mask << (j * block) for j, v in enumerate(values)}
+        return runs
+
     def trace_tuple(self, trace_id: int) -> tuple:
         events = []
         while trace_id != 0:
@@ -202,12 +239,28 @@ def build_model(program: Program, cfg: ModelConfig) -> Model:
     executions: list[Execution] = []
     states: dict[tuple, tuple[int, int, int]] = {}
     behaviours: dict[tuple, list[int]] = {}
+    live = live_inputs(program)
+    dead = tuple(n for n in names if n not in live)
+    is_live = [n in live for n in names]
+    # per class of live values, its representative and where it first
+    # wrote each dead input, or None when the class is not cloned
+    classes: dict[tuple, tuple[Execution, dict[str, int]] | None] = {}
+    unreleased = dict.fromkeys(flags, dom.false_value)
     for values in itertools.product(dom.values, repeat=len(names)):
         store = dict(zip(names, values))
-        store.update((f, dom.false_value) for f in flags)
-        execution = _run(code, store, cfg, len(executions), extend_trace, states, executions,
-                         behaviours)
+        store.update(unreleased)
+        index = len(executions)
+        if dead:
+            key = tuple(itertools.compress(values, is_live))
+            rep = classes.get(key)
+            if rep is not None:
+                executions.append(_clone(*rep, store, index))
+                continue
+        execution, firsts = _run(code, store, cfg, index, extend_trace, states, executions,
+                                 behaviours, dead)
         executions.append(execution)
+        if dead:
+            classes.setdefault(key, (execution, firsts) if firsts is not None else None)
 
     model = Model(
         program=program,
@@ -224,7 +277,8 @@ def build_model(program: Program, cfg: ModelConfig) -> Model:
 
 
 def _run(code: Code, init: dict, cfg: ModelConfig, index: int, extend_trace,
-         states: dict, executions: list[Execution], behaviours: dict) -> Execution:
+         states: dict, executions: list[Execution], behaviours: dict,
+         dead: tuple[str, ...]) -> tuple[Execution, dict[str, int] | None]:
     """Run the compiled program from ``init``.
 
     A new store is made only by assigning steps.  A configuration is the
@@ -240,6 +294,11 @@ def _run(code: Code, init: dict, cfg: ModelConfig, index: int, extend_trace,
     A joined run that met the earlier run at the same step with the same
     trace ids so far takes the earlier run's trace-id list itself; any
     other run's list is interned in ``behaviours``, keyed by its contents.
+
+    Returns the run with, for each of the ``dead`` inputs, the position of
+    the store where the run first wrote it (the run's length when it never
+    did), or with None when the run did not terminate, or joined another
+    before writing every dead input: only then is that position known.
     """
     instrs = code.instrs
     bound = cfg.bound
@@ -252,6 +311,8 @@ def _run(code: Code, init: dict, cfg: ModelConfig, index: int, extend_trace,
     status = Status.TERMINATED
     lasso_entry: int | None = None
     steps = 0
+    pending = set(dead)
+    firsts: dict[str, int] = {}
     while True:
         run, step, first_tid = states.setdefault((pc, values), (index, steps, tid))
         if run != index:
@@ -259,13 +320,15 @@ def _run(code: Code, init: dict, cfg: ModelConfig, index: int, extend_trace,
             rest = len(earlier) - cfg.termination_output - step
             if (earlier.status is not Status.TERMINATED or first_tid != tid
                     or steps + rest > bound):
-                return _run(code, init, cfg, index, extend_trace, {}, executions, behaviours)
+                return _run(code, init, cfg, index, extend_trace, {}, executions, behaviours,
+                            dead)
             stores += earlier.stores[step + 1:]
+            firsts = None if pending else firsts
             if steps == step and trace_ids == earlier.trace_ids[:step + 1]:
-                return Execution(index, stores, status, None, earlier.trace_ids)
+                return Execution(index, stores, status, None, earlier.trace_ids), firsts
             trace_ids += earlier.trace_ids[step + 1:]
             return Execution(index, stores, status, None,
-                             behaviours.setdefault(tuple(trace_ids), trace_ids))
+                             behaviours.setdefault(tuple(trace_ids), trace_ids)), firsts
         if step != steps:
             status = Status.LASSO
             lasso_entry = step
@@ -282,6 +345,9 @@ def _run(code: Code, init: dict, cfg: ModelConfig, index: int, extend_trace,
             store = {**store, name: fn(store)}
             values = tuple(store.values())
             pc = nxt
+            if name in pending:
+                pending.remove(name)
+                firsts[name] = steps + 1
         else:
             tid = extend_trace(tid, fn(store))
             pc = nxt
@@ -292,8 +358,32 @@ def _run(code: Code, init: dict, cfg: ModelConfig, index: int, extend_trace,
     if status is Status.TERMINATED and cfg.termination_output:
         stores.append(store)
         trace_ids.append(extend_trace(tid, TERMINATION_MARK))
-    return Execution(index, stores, status, lasso_entry,
-                     behaviours.setdefault(tuple(trace_ids), trace_ids))
+    if status is not Status.TERMINATED:
+        firsts = None
+    elif pending:
+        firsts.update(dict.fromkeys(pending, len(stores)))
+    return (Execution(index, stores, status, lasso_entry,
+                      behaviours.setdefault(tuple(trace_ids), trace_ids)), firsts)
+
+
+def _clone(rep: Execution, firsts: dict[str, int], init: dict, index: int) -> Execution:
+    """The run from ``init``, which agrees with the terminated run ``rep`` on
+    every live input, so takes the same steps and emits the same events.
+    It shares ``rep``'s trace ids, and its stores are ``rep``'s with
+    ``init``'s dead values laid over them, each up to the position in
+    ``firsts`` where it is first written; from the last such position on
+    they are ``rep``'s store objects."""
+    stores = rep.stores
+    cut = max(firsts.values())
+    made, source = [init], stores[0]
+    store = init
+    for k in range(1, cut):
+        if stores[k] is not source:
+            source = stores[k]
+            store = {**source, **{n: init[n] for n, first in firsts.items() if first > k}}
+        made.append(store)
+    made += stores[cut:]
+    return Execution(index, made, Status.TERMINATED, None, rep.trace_ids)
 
 
 def trace_of(pt: Point) -> tuple:

@@ -209,6 +209,12 @@ class TestOtherCommands:
         assert code == 0
         assert "no mismatches" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("pairs", ["", ",,", " , "])
+    def test_fuzz_with_no_pairs_exits_three(self, pairs, capsys):
+        assert run(["fuzz", "--pairs", pairs, "--count", "5"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: no pairs to fuzz")
+
 
 class TestFlags:
     MODEL = ["--program", "--domain", "--signed-window", "--hash", "--bound",

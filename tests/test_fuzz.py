@@ -79,6 +79,8 @@ class TestGenerator:
             FuzzConfig(ident_count=4)
         with pytest.raises(ValueError):
             FuzzConfig(pairs=("oni-esp",))
+        with pytest.raises(ValueError, match="no pairs"):
+            FuzzConfig(pairs=())
         with pytest.raises(ValueError):
             FuzzConfig(count=-1)
         for size in (0, -3):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -9,8 +10,8 @@ from epiflow.fuzz import FuzzConfig, generate_program
 from epiflow.lang import (ASSIGN, BRANCH, EXIT, MAX_DEPTH, OUT, Assign, Binary,
                           Const, HashCall, If, LangError, Out, ParseError, Seq,
                           Skip, Unary, Var, While, compile_expr, compile_program,
-                          expr_to_source, parse, parse_expression, to_source,
-                          validate_expr)
+                          expr_to_source, live_inputs, parse, parse_expression,
+                          program_from_body, to_source, validate_expr)
 
 BOOL = Domain.booleans()
 INT16 = Domain.integers(16)
@@ -304,6 +305,45 @@ class TestCompiledExpressions:
         assert compile_expr(e, dom)(store) == value == oracles.eval_expr(store, e, dom)
 
 
+class TestLiveInputs:
+    @pytest.mark.parametrize("text, live", [
+        # a write first
+        ("x := 0; out x", ""),
+        ("x := 0; y := 1; out x + y", ""),
+        ("x := x + 1; out x", "x"),
+        ("y := hash(x); x := y; out x", "x"),
+        # writes on both branches of an if, or on one
+        ("if h then { x := 0 } else { x := 1 }; out x", "h"),
+        ("if h then { if l then { x := 0 } else { x := 1 } } else { x := 2 }; out x", "h l"),
+        ("if h then { x := 0 } else { skip }; out x", "h x"),
+        ("if h then { out x; x := 0 } else { x := 1 }; out x", "h x"),
+        # a write after an output
+        ("out l; x := l; out x", "l"),
+        ("out h; x := 1; out x", "h"),
+        # a write only inside a loop, whose body may not run
+        ("while h do { x := 0 }; out x", "h x"),
+        ("while h do { x := 0; out x }", "h"),
+        ("while x < 3 do { x := 0 }", "x"),
+        ("while h do { out x; x := 0 }", "h x"),
+        # never read at all
+        ("if h then { out 1 } else { out 2 }; x := h", "h"),
+        # release flags are never inputs
+        ("release r; out l", "l"),
+        ("out \"text\"", ""),
+    ])
+    def test_inputs_read_before_written(self, text, live):
+        assert live_inputs(parse(text)) == set(live.split())
+
+    def test_stops_once_every_input_is_read(self):
+        # what follows the first two statements is not a statement
+        body = Seq(Assign("l", Var("l")), Seq(Assign("h", Var("h")), Out("not an expression")))
+        program = program_from_body(Seq(Assign("l", Var("l")), Assign("h", Var("h"))))
+        assert live_inputs(dataclasses.replace(program, body=body)) == {"l", "h"}
+        h_unread = Seq(Assign("l", Var("l")), body.second.second)
+        with pytest.raises(TypeError):
+            live_inputs(dataclasses.replace(program, body=h_unread))
+
+
 # programs and formulas nested ``depth`` deep in one construct each
 NESTED_PROGRAMS = {
     "parentheses": lambda depth: "out " + "(" * depth + "l" + ")" * depth,
@@ -341,6 +381,8 @@ class TestNestingDepth:
         program = parse(nested(MAX_DEPTH), HASHED)
         compile_program(program, HASHED)
         build_model(program, ModelConfig(HASHED))
+        # an input written first and never read keeps the pass to the end
+        assert live_inputs(parse("d := 0; " + nested(MAX_DEPTH))) == set(program.variables)
         to_source(program.body, HASHED)
         with pytest.raises(ParseError, match=f"input nested more than {MAX_DEPTH} deep"):
             parse(nested(MAX_DEPTH + 1))

@@ -692,6 +692,35 @@ class TestBehaviourKeys:
         assert ev.calls == changes < m.point_count
 
 
+MASK_DOMAINS = [pytest.param(dom, id=dom.spec()) for dom in
+                (Domain.booleans(), Domain.integers(3), Domain.integers(4, signed=True))]
+
+
+class TestRunMasks:
+    """The model's run masks, built from the enumeration order, and
+    ``have``, built per behaviour, equal the ones ORed in run by run."""
+
+    PROGRAMS = ["out l == h", "l := h; release r; out l; out k",
+                "release r; if l == h then { release s } else { skip }; out l"]
+
+    @pytest.mark.parametrize("text", PROGRAMS)
+    @pytest.mark.parametrize("dom", MASK_DOMAINS)
+    def test_masks_match_the_per_run_construction(self, dom, text):
+        m = build_model(parse(text, dom), ModelConfig(dom))
+        runs_from = {n: {} for n in m.variables}
+        have = [0] * len(m.trace_parents)
+        for ex in m.executions:
+            bit = 1 << ex.index
+            for name, by_value in runs_from.items():
+                value = ex.stores[0][name]
+                by_value[value] = by_value.get(value, 0) | bit
+            for tid in ex.trace_ids:
+                have[tid] |= bit
+        ev = Evaluation(m)
+        assert m.runs_from == runs_from
+        assert ev.have == have
+
+
 class CountingEvaluation(Evaluation):
     """Counts the evaluations of one plan."""
 

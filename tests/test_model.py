@@ -7,11 +7,13 @@ import pytest
 
 from conftest import exec_from
 from epiflow.domain import Domain, Label, TERMINATION_MARK
-from epiflow.lang import Const, OutLit, Seq, While, parse, program_from_body
+import epiflow.model as model_module
+from epiflow.lang import (Assign, Const, HashCall, If, Out, OutLit, Seq, Skip, While,
+                          live_inputs, parse, program_from_body)
 from epiflow.logic import Evaluation
 from epiflow.model import (Execution, ModelConfig, Status, accessible,
                            build_model, epoch_of, trace_of)
-from epiflow.fuzz import FuzzConfig, generate_program
+from epiflow.fuzz import FuzzConfig, _gen_block, _gen_expr, _insert_release, generate_program
 from oracles import reference_runs, run, unshared_runs
 
 BOOL = Domain.booleans()
@@ -237,6 +239,53 @@ DIFF_CONFIGS = [pytest.param(dom, loops, id=f"{label}-loops={loops}")
                                           ("sint4", SINT4, True)]]
 
 
+HASHED4 = Domain.integers(4, hash_table=(1, 2, 3, 0))
+
+
+def _dead_input_programs(dom: Domain, loops: bool, count: int):
+    """Programs over l, h and k that write one identifier, ``dead``, before
+    any read of it: first; on both branches of an if; after an output; right
+    after overwriting an input it read, so that runs meet before the write;
+    or on one branch, never read.  Or they write it only inside a loop,
+    where it stays live.  Some hash, release a flag, or emit a label."""
+    cfg = FuzzConfig(seed=5, count=count, size=6, ident_count=3, domain=dom, loops=loops)
+    ids = ("l", "h", "k")
+    for index in range(count):
+        rng = random.Random(f"dead:{dom.spec()}:{loops}:{index}")
+        dead = rng.choice(ids)
+        others = tuple(n for n in ids if n != dead)
+        value = _gen_expr(rng, others, dom, 2)
+        if index % 5 == 0 and dom.kind == "int":
+            value = HashCall(value)
+        guard = _gen_expr(rng, others, dom, 1)
+        write = Assign(dead, value)
+        rest, _ = _gen_block(rng, ids, dom, cfg.size, True, loops)
+        match index % 6:
+            case 0:
+                body = Seq(write, rest)
+            case 1:
+                other = _gen_expr(rng, others, dom, 1)
+                body = Seq(If(guard, write, Assign(dead, other)), rest)
+            case 2:
+                body = Seq(Out(guard), Seq(write, rest))
+            case 3:
+                read = others[0]
+                overwrite = Assign(read, Const(rng.choice(dom.values)))
+                test = If(_gen_expr(rng, (read,), dom, 1), Skip(), Skip())
+                body = Seq(test, Seq(overwrite, Seq(write, rest)))
+            case 4:
+                rest, _ = _gen_block(rng, others, dom, cfg.size, True, loops)
+                body = Seq(If(guard, write, Skip()), rest)
+            case 5:
+                body = Seq(While(guard, write), rest)
+        if index % 3 == 1:
+            body = Seq(body, OutLit("end"))
+        program = program_from_body(body)
+        if index % 2:
+            program = program_from_body(_insert_release(rng, program.body, "r"))
+        yield program
+
+
 class TestCompiledRuns:
     """The compiled program against the AST-rewriting reference ``step``."""
 
@@ -358,6 +407,26 @@ class TestSharedBuild:
             kinds += self.assert_unshared(program, ModelConfig(dom, bound, termination_output))
         assert kinds["joined"], kinds
 
+    @pytest.mark.parametrize("termination_output", [False, True])
+    @pytest.mark.parametrize("dom, loops", DIFF_CONFIGS + [
+        pytest.param(HASHED4, True, id="hashed4-loops=True")])
+    def test_cloned_runs_match_the_unshared_build(self, dom, loops, termination_output,
+                                                  monkeypatch):
+        # runs that differ only in an input written before any read are
+        # cloned from the first run of their class, not simulated
+        clones = []
+        clone = model_module._clone
+        monkeypatch.setattr(model_module, "_clone",
+                            lambda *args: clones.append(args) or clone(*args))
+        with_dead = 0
+        for index, program in enumerate(_dead_input_programs(dom, loops, 40)):
+            if index % 4 == 3:
+                program = program_from_body(While(Const(True), program.body))
+            with_dead += live_inputs(program) != set(program.variables)
+            bound = (3, 12, 10_000)[index // 6 % 3]  # each shape under each bound
+            self.assert_unshared(program, ModelConfig(dom, bound, termination_output))
+        assert with_dead >= 20 and clones
+
     def test_meetings_that_cannot_join(self):
         # from x = ff the run meets the x = tt run one step later than that
         # run did, so with bound 4 the joined run is over the bound; runs
@@ -398,3 +467,17 @@ class TestSharedBuild:
         for h, l in itertools.product(INT4.values, repeat=2):
             runs = [exec_from(m, x=x, h=h, l=l) for x in INT4.values]
             assert all(ex.final_store is runs[0].final_store for ex in runs)
+        # c7's shape: x is written at step 1, and l on both branches at step 3
+        c7 = parse("x := hash(h); if (x mod 2) == in then { l := 0 } else { l := 1 }; "
+                   "release rh; out l", HASHED4)
+        m = build_model(c7, ModelConfig(HASHED4))
+        for h, in_ in itertools.product(HASHED4.values, repeat=2):
+            runs = {(x, l): exec_from(m, x=x, h=h, **{"in": in_}, l=l)
+                    for x, l in itertools.product(HASHED4.values, repeat=2)}
+            first = runs[0, 0]
+            for (x, l), ex in runs.items():
+                assert ex.trace_ids is first.trace_ids
+                assert [store["l"] for store in ex.stores[:3]] == [l] * 3
+                assert [store["x"] for store in ex.stores] == [x] + [first.stores[1]["x"]] * 5
+                assert all(a is b for a, b in zip(ex.stores[3:], first.stores[3:]))
+
