@@ -12,23 +12,22 @@ the model indexes epochs by point on demand, for ``epoch_of``.
 An execution refers back to its model only weakly, so a model no longer
 in use is freed by reference counting, without the cycle collector.
 
-The builder keeps one table of the (program counter, store) configurations
-reached so far.  A run that meets a configuration a terminated run reached
-first, with the same trace, copies that run's rest, so a store dict may be
-shared between runs: stores are read-only.
-
-It simulates one run per class of live inputs (``lang.live_inputs``): the
-initial stores that agree on every input some run may read before writing
-it.  The first run of a class is simulated; when it terminates, every later
-run of the class is a clone of it, since a dead input's initial value is
-never read, so the runs take the same steps and emit the same events, and
-differ only in their dead values until each is first written.  A clone of
-a terminated run repeats no configuration, or the run itself would repeat
-one.  Only terminated runs are cloned, since where a lasso closes depends
-on the dead values (``while tt do { x := 0 }`` closes at step 2 with entry
-0 from x = 0, with entry 2 from x = 1); the other runs of a class whose
-first run does not terminate are built one by one, as is every run of a
-program with no dead input.
+The builder simulates one run per class of live inputs
+(``lang.live_inputs``): the initial stores that agree on every input some
+run may read before writing it.  The first run of a class is simulated;
+when it terminates, every later run of the class is a clone of it, since
+a dead input's initial value is never read, so the runs take the same
+steps and emit the same events, and differ only in their dead values
+until each is first written; from there on a clone shares the first
+run's store dicts, which are read-only.  A clone of a terminated run
+repeats no configuration, or the run itself would repeat one.  Only
+terminated runs are cloned, since where a lasso closes depends on the
+dead values (``while tt do { x := 0 }`` closes at step 2 with entry 0
+from x = 0, with entry 2 from x = 1); the other runs of a class whose
+first run does not terminate are simulated one by one, as is every run
+of a program with no dead input.  Each simulated run keeps its own table
+of the configurations it reached, to find its lasso, and drops it when
+it ends.
 
 Trace-id lists are hash-consed (Filliatre and Conchon, "Type-safe modular
 hash-consing", 2006): runs have equal trace ids exactly when they share
@@ -237,7 +236,6 @@ def build_model(program: Program, cfg: ModelConfig) -> Model:
         return new
 
     executions: list[Execution] = []
-    states: dict[tuple, tuple[int, int, int]] = {}
     behaviours: dict[tuple, list[int]] = {}
     live = live_inputs(program)
     dead = tuple(n for n in names if n not in live)
@@ -256,8 +254,7 @@ def build_model(program: Program, cfg: ModelConfig) -> Model:
             if rep is not None:
                 executions.append(_clone(*rep, store, index))
                 continue
-        execution, firsts = _run(code, store, cfg, index, extend_trace, states, executions,
-                                 behaviours, dead)
+        execution, firsts = _run(code, store, cfg, index, extend_trace, behaviours, dead)
         executions.append(execution)
         if dead:
             classes.setdefault(key, (execution, firsts) if firsts is not None else None)
@@ -277,28 +274,19 @@ def build_model(program: Program, cfg: ModelConfig) -> Model:
 
 
 def _run(code: Code, init: dict, cfg: ModelConfig, index: int, extend_trace,
-         states: dict, executions: list[Execution], behaviours: dict,
-         dead: tuple[str, ...]) -> tuple[Execution, dict[str, int] | None]:
+         behaviours: dict, dead: tuple[str, ...]) -> tuple[Execution, dict[str, int] | None]:
     """Run the compiled program from ``init``.
 
     A new store is made only by assigning steps.  A configuration is the
-    program counter with the store's values, in signature order; ``states``
-    maps each one to the first (run, step, trace id) that reached it.
-    Reaching one of this run's own configurations again closes a lasso.
-    Reaching a terminated run's configuration with the same trace id
-    copies that run's rest, when the joined run stays within the bound:
-    runs are deterministic in their configuration, and a terminated run
-    repeats none, so neither does the joined run.  Any other meeting
-    runs this run again from ``init`` with a private table.
-
-    A joined run that met the earlier run at the same step with the same
-    trace ids so far takes the earlier run's trace-id list itself; any
-    other run's list is interned in ``behaviours``, keyed by its contents.
+    program counter with the store's values, in signature order; the run's
+    own table maps each one it reached to the step that first reached it,
+    and reaching one again closes a lasso.  The table is dropped when the
+    run ends.  The run's trace-id list is interned in ``behaviours``, keyed
+    by its contents.
 
     Returns the run with, for each of the ``dead`` inputs, the position of
     the store where the run first wrote it (the run's length when it never
-    did), or with None when the run did not terminate, or joined another
-    before writing every dead input: only then is that position known.
+    did), or with None when the run did not terminate.
     """
     instrs = code.instrs
     bound = cfg.bound
@@ -311,24 +299,11 @@ def _run(code: Code, init: dict, cfg: ModelConfig, index: int, extend_trace,
     status = Status.TERMINATED
     lasso_entry: int | None = None
     steps = 0
+    seen: dict[tuple, int] = {}
     pending = set(dead)
     firsts: dict[str, int] = {}
     while True:
-        run, step, first_tid = states.setdefault((pc, values), (index, steps, tid))
-        if run != index:
-            earlier = executions[run]
-            rest = len(earlier) - cfg.termination_output - step
-            if (earlier.status is not Status.TERMINATED or first_tid != tid
-                    or steps + rest > bound):
-                return _run(code, init, cfg, index, extend_trace, {}, executions, behaviours,
-                            dead)
-            stores += earlier.stores[step + 1:]
-            firsts = None if pending else firsts
-            if steps == step and trace_ids == earlier.trace_ids[:step + 1]:
-                return Execution(index, stores, status, None, earlier.trace_ids), firsts
-            trace_ids += earlier.trace_ids[step + 1:]
-            return Execution(index, stores, status, None,
-                             behaviours.setdefault(tuple(trace_ids), trace_ids)), firsts
+        step = seen.setdefault((pc, values), steps)
         if step != steps:
             status = Status.LASSO
             lasso_entry = step

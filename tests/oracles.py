@@ -7,14 +7,15 @@ written against the language semantics directly (recursive,
 trace-accumulating).  ``step`` is the AST-rewriting small-step semantics
 and ``reference_runs`` the model's runs built with it, keyed by residual
 program for lasso detection.  ``unshared_runs`` runs the compiled program
-once per initial store with a private lasso table, sharing no suffix
-between runs, as the model's builder must agree with.  ``holds`` evaluates formulas straight from
-the logic's definitions, sharing nothing with the package's evaluator.
+once per initial store with a private lasso table, cloning no run and
+sharing no trace-id list, as the model's builder must agree with.
+``holds`` evaluates formulas straight from the logic's definitions,
+sharing nothing with the package's evaluator.
 ``release_failure`` and ``temporal_failure`` judge er and nitd point by
 point, at every position of every run against every low-equal partner.
 None of them shares code with the package's compiled programs, so
 agreement with any of them is meaningful (``unshared_runs`` excepted:
-it checks only the sharing of run suffixes).
+it checks only the builder's clones and shared trace-id lists).
 """
 
 from __future__ import annotations
@@ -173,10 +174,9 @@ def unshared_runs(program: Program, cfg):
     """Every run of the compiled program, each from its own initial store.
 
     Returns ``(runs, trace_parents)``; each run is a dict with the fields
-    of ``Execution`` other than the model (status as ``Status``), plus
-    ``configs``, the (program counter, store values) configuration after
-    each step.  A run is a lasso when a configuration of its own repeats;
-    nothing is shared between runs.
+    of ``Execution`` other than the model (status as ``Status``).  A run is
+    a lasso when a (program counter, store values) configuration of its
+    own repeats; nothing is shared between runs.
     """
     from epiflow.model import Status
 
@@ -199,8 +199,7 @@ def unshared_runs(program: Program, cfg):
         store.update((f, dom.false_value) for f in flags)
         pc, tid = code.entry, 0
         stores, events, trace_ids = [store], [], [0]
-        configs = [(pc, tuple(store.values()))]
-        seen = {configs[0]: 0}
+        seen = {(pc, tuple(store.values())): 0}
         status, entry = Status.TERMINATED, None
         while pc != EXIT:
             if len(events) >= cfg.bound:
@@ -220,8 +219,7 @@ def unshared_runs(program: Program, cfg):
             stores.append(store)
             events.append(event)
             trace_ids.append(tid)
-            configs.append((pc, tuple(store.values())))
-            first = seen.setdefault(configs[-1], len(events))
+            first = seen.setdefault((pc, tuple(store.values())), len(events))
             if first != len(events):
                 status, entry = Status.LASSO, first
                 break
@@ -230,8 +228,7 @@ def unshared_runs(program: Program, cfg):
             events.append(TERMINATION_MARK)
             trace_ids.append(extend(tid, TERMINATION_MARK))
         runs.append({"index": index, "stores": stores, "events": events,
-                     "status": status, "lasso_entry": entry, "trace_ids": trace_ids,
-                     "configs": configs})
+                     "status": status, "lasso_entry": entry, "trace_ids": trace_ids})
     return runs, trace_parents
 
 
@@ -283,16 +280,32 @@ def run(stmt: Stmt, store: dict, dom: Domain, fuel: int = 10_000):
     return tuple(trace), store
 
 
-def holds(model, f, ex, i: int, env: dict | None = None) -> bool:
+def holds(model, f, ex, i: int, env: dict | None = None, memo: dict | None = None) -> bool:
     """Reference satisfaction: the logic's definitions, evaluated naively.
 
     Quantifiers try every value, K and L scan every point of the epoch,
-    temporal operators scan the rest of the run; nothing is memoized or
-    recognized by shape.  Bound variables shadow program identifiers.
+    temporal operators scan the rest of the run; nothing is recognized by
+    shape.  Bound variables shadow program identifiers.
+
+    Each answer is remembered in ``memo`` by (formula node, run index,
+    position, bound values), so a subformula is evaluated once per point
+    however deeply K and L nest.  The entry holds the node, so its id is
+    not reused while the memo lives.  Pass one dict to every call over the
+    same model to share answers between them; by default each call has
+    its own.
     """
+    env = env or {}
+    memo = {} if memo is None else memo
+    key = (id(f), ex.index, i, tuple(env.items()))
+    if key not in memo:
+        memo[key] = (f, _satisfied(model, f, ex, i, env, memo))
+    return memo[key][1]
+
+
+def _satisfied(model, f, ex, i: int, env: dict, memo: dict) -> bool:
+    """The definition of each connective, with ``holds`` for the parts."""
     from epiflow import logic as lg
 
-    env = env or {}
     dom = model.domain
 
     def value(e, k):
@@ -304,7 +317,7 @@ def holds(model, f, ex, i: int, env: dict | None = None) -> bool:
                 for k in range(len(o) + 1) if o.trace_ids[k] == tid]
 
     def at(g, other=ex, k=i, extra=None):
-        return holds(model, g, other, k, {**env, **(extra or {})})
+        return holds(model, g, other, k, {**env, **(extra or {})}, memo)
 
     rest = range(i, len(ex) + 1)
     match f:

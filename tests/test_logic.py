@@ -220,11 +220,13 @@ class TestLogicProperties:
 
 def matches_reference(m, f, every_point=False):
     # one evaluation over the whole model, so memoized values are reused
-    expected = all(oracles.holds(m, f, ex, 0) for ex in m.executions)
+    memo: dict = {}
+    expected = all(oracles.holds(m, f, ex, 0, memo=memo) for ex in m.executions)
     assert model_satisfies(m, f).holds == expected
     if every_point:
         for pt in all_points(m):
-            assert satisfies(m, pt, f) == oracles.holds(m, f, pt.execution, pt.index)
+            assert satisfies(m, pt, f) == oracles.holds(m, f, pt.execution, pt.index,
+                                                        memo=memo)
 
 
 def pred(text, dom):
@@ -295,13 +297,15 @@ class TestEvaluatorTransparency:
 
 def agrees_at_every_point(m, f, seed=0):
     """One evaluation visits every point in shuffled order, so values
-    memoized at one point are reused at the others."""
+    memoized at one point are reused at the others; the reference shares
+    one memo across the points too."""
     ev = Evaluation(m)
     root = ev.compile(f)
     points = list(all_points(m))
     random.Random(seed).shuffle(points)
+    memo: dict = {}
     for pt in points:
-        expected = oracles.holds(m, f, pt.execution, pt.index)
+        expected = oracles.holds(m, f, pt.execution, pt.index, memo=memo)
         assert ev.holds(root, pt.execution, pt.index) == expected, formula_to_source(f)
 
 
@@ -624,8 +628,9 @@ class TestStutterInvariance:
         m = STUTTER_MODELS[index]
         f = Forall("v", Implies(Init("h", Var("v")), body))
         reads = sorted(store_reads(f))
+        memo: dict = {}
         for ex in m.executions:
-            values = [oracles.holds(m, f, ex, j) for j in range(len(ex) + 1)]
+            values = [oracles.holds(m, f, ex, j, memo=memo) for j in range(len(ex) + 1)]
             for j in range(len(ex)):
                 if ex.trace_ids[j] == ex.trace_ids[j + 1] and all(
                         ex.stores[j][n] == ex.stores[j + 1][n] for n in reads):

@@ -245,9 +245,10 @@ HASHED4 = Domain.integers(4, hash_table=(1, 2, 3, 0))
 def _dead_input_programs(dom: Domain, loops: bool, count: int):
     """Programs over l, h and k that write one identifier, ``dead``, before
     any read of it: first; on both branches of an if; after an output; right
-    after overwriting an input it read, so that runs meet before the write;
-    or on one branch, never read.  Or they write it only inside a loop,
-    where it stays live.  Some hash, release a flag, or emit a label."""
+    after overwriting an input it read, so that runs of two classes reach
+    one store before the write; or on one branch, never read.  Or they
+    write it only inside a loop, where it stays live.  Some hash, release a
+    flag, or emit a label."""
     cfg = FuzzConfig(seed=5, count=count, size=6, ident_count=3, domain=dom, loops=loops)
     ids = ("l", "h", "k")
     for index in range(count):
@@ -344,31 +345,6 @@ class TestCompiledRuns:
                     assert a < b if event is not None else a == b
 
 
-def _meetings(runs, bound: int, termination_output: bool) -> Counter:
-    """How each run first meets a configuration an earlier run reached first,
-    replaying the builder's table over the reference runs: ``joined`` when
-    the builder may copy the earlier run's rest, else why it may not."""
-    first: dict = {}
-    kinds: Counter = Counter()
-    for r, ref in enumerate(runs):
-        for k, config in enumerate(ref["configs"]):
-            q, step, tid = first.setdefault(config, (r, k, ref["trace_ids"][k]))
-            if q == r:
-                continue
-            earlier = runs[q]
-            rest = len(earlier["events"]) - termination_output - step
-            if earlier["status"] is not Status.TERMINATED:
-                kinds[f"earlier-{earlier['status'].value}"] += 1
-            elif tid != ref["trace_ids"][k]:
-                kinds["trace-differs"] += 1
-            elif k + rest > bound:
-                kinds["over-bound"] += 1
-            else:
-                kinds["joined"] += 1
-            break
-    return kinds
-
-
 def assert_behaviours_shared(m) -> int:
     """Runs have equal trace ids exactly when they share one list object;
     returns the number of such lists."""
@@ -380,11 +356,12 @@ def assert_behaviours_shared(m) -> int:
 
 
 class TestSharedBuild:
-    """Runs that meet an earlier run's configuration share its rest; the
-    model must equal the one built run by run with private lasso tables."""
+    """Runs that differ only in dead inputs are cloned, and runs with equal
+    trace ids share one list; the model must equal the one built run by
+    run with private lasso tables."""
 
     @staticmethod
-    def assert_unshared(program, cfg) -> Counter:
+    def assert_unshared(program, cfg) -> None:
         m = build_model(program, cfg)
         runs, parents = unshared_runs(program, cfg)
         assert len(m.executions) == len(runs)
@@ -394,18 +371,15 @@ class TestSharedBuild:
                 assert getattr(ex, name) == ref[name], name
         assert m.trace_parents == parents
         assert_behaviours_shared(m)
-        return _meetings(runs, cfg.bound, cfg.termination_output)
 
     @pytest.mark.parametrize("termination_output", [False, True])
     @pytest.mark.parametrize("dom, loops", DIFF_CONFIGS)
     def test_models_match_the_unshared_build(self, dom, loops, termination_output):
-        kinds: Counter = Counter()
         for index, program in enumerate(_fuzzed(dom, loops, 30)):
             if index % 4 == 3:
                 program = program_from_body(While(Const(True), program.body))
             bound = (3, 12, 10_000)[index % 3]
-            kinds += self.assert_unshared(program, ModelConfig(dom, bound, termination_output))
-        assert kinds["joined"], kinds
+            self.assert_unshared(program, ModelConfig(dom, bound, termination_output))
 
     @pytest.mark.parametrize("termination_output", [False, True])
     @pytest.mark.parametrize("dom, loops", DIFF_CONFIGS + [
@@ -427,32 +401,42 @@ class TestSharedBuild:
             self.assert_unshared(program, ModelConfig(dom, bound, termination_output))
         assert with_dead >= 20 and clones
 
-    def test_meetings_that_cannot_join(self):
-        # from x = ff the run meets the x = tt run one step later than that
-        # run did, so with bound 4 the joined run is over the bound; runs
-        # that meet after different outputs differ in trace; a run from
-        # x = ff starts where the lasso from x = tt passed
+    def test_runs_that_reach_an_earlier_runs_configuration(self):
+        # each run reaches a configuration an earlier run reached first: the
+        # run from x = ff one step later than the x = tt run (over bound 4),
+        # runs after different outputs, and a run from x = ff where the
+        # lasso from x = tt passed; each must equal the run simulated alone
         late = parse("if x then { x := ff } else { x := ff; x := ff }; out l; out l", BOOL)
         relay = parse("if h then { out tt } else { out ff }; l := ff; h := ff; out l", BOOL)
         spin = parse("while tt do { x := ff }", BOOL)
         loop = parse("x := 0; while x < h do { out l; x := x + 1 }; out l + x", INT4)
-        kinds = Counter()
         for program, dom, bound in ((late, BOOL, 4), (relay, BOOL, 50), (spin, BOOL, 50),
                                     (loop, INT4, 3), (loop, INT4, 10_000)):
             for termination_output in (False, True):
-                kinds += self.assert_unshared(
-                    program, ModelConfig(dom, bound, termination_output))
-        assert {"joined", "over-bound", "trace-differs", "earlier-bound-exceeded",
-                "earlier-lasso"} <= set(kinds), kinds
+                self.assert_unshared(program, ModelConfig(dom, bound, termination_output))
+
+    def test_a_class_that_reaches_an_earlier_runs_store_is_cloned(self, monkeypatch):
+        # the l = ff run reaches the l = tt run's store before writing the
+        # dead x; it is simulated alone, and the other run of its class is
+        # a clone of it
+        calls = Counter()
+        for name in ("_run", "_clone"):
+            real = getattr(model_module, name)
+            monkeypatch.setattr(model_module, name,
+                                lambda *args, name=name, real=real:
+                                calls.update([name]) or real(*args))
+        program = parse("if l then { skip } else { skip }; l := ff; x := ff; out x", BOOL)
+        self.assert_unshared(program, ModelConfig(BOOL))
+        assert calls == {"_run": 2, "_clone": 2}
 
     @pytest.mark.parametrize("text, termination_output, behaviours", [
-        # runs from every x join at step 1, with equal trace ids so far
+        # x is dead: the runs from every x are clones of the first of their class
         ("x := 0; while x < h do { out l; x := x + 1 }; out l + x", False, 16),
         ("x := 0; while x < h do { out l; x := x + 1 }; out l + x", True, 16),
         # the branches share no configuration, only their trace ids
         ("if h then { out 1 } else { out 1 }", False, 1),
         ("if h then { out 1 } else { out 1 }", True, 1),
-        # lassos from h = 0 and h = 1; runs from l != 0 meet a lasso and rerun alone
+        # l is dead, but the lassos from h = 0 and h = 1 are simulated one by one
         ("l := 0; while h < 2 do { skip }; out l", False, 2),
     ])
     def test_runs_with_equal_trace_ids_share_one_list(self, text, termination_output,
