@@ -21,17 +21,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from dataclasses import replace
 
 from .domain import Domain, DomainError
 from .fuzz import PAIRS, FuzzConfig, fuzz_equivalences
 from .lang import LangError, ParseError, parse
-from .logic import LogicError, model_satisfies, parse_formula
+from .logic import LogicError, parse_formula
 from .model import ModelConfig, build_model
 from .policies import PolicyError
-from .policyfile import (CheckRun, Policy, load_policy, policy_pieces,
-                         run_both_sides, run_check)
+from .policyfile import (Policy, load_policy, policy_pieces, run_both_sides,
+                         run_check, run_formula)
 from .report import build_report, model_dump, render_text
 from .semantics import knowledge_set, release_set
 from .verdicts import Outcome
@@ -157,11 +156,7 @@ def cmd_check(args) -> int:
         raise PolicyError("--low overrides a policy file; a --formula has none")
     _, text, program, cfg = _load(args)
     if args.formula is not None:
-        formula = parse_formula(args.formula)
-        start = time.perf_counter()
-        model = build_model(program, cfg)
-        verdict = model_satisfies(model, formula)
-        run = CheckRun("formula", verdict, model, time.perf_counter() - start)
+        run = run_formula(program, parse_formula(args.formula), cfg)
         policy_payload = {"formula": args.formula}
     else:
         policy = _policy_from(args)

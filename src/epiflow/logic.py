@@ -19,7 +19,9 @@ models before asking for satisfaction.
 
 Before evaluation each node is checked like a program expression
 (identifiers, operators, literals) and compiled under its quantifier
-scope.  Values are memoized per node, keyed as coarsely as soundness
+scope, against the program before its model is built: the model then
+keeps at each point only the identifiers some plan reads there
+(``Evaluation.reads``).  Values are memoized per node, keyed as coarsely as soundness
 allows, plus the values of the bound variables free in the node.  A node
 whose atoms read no store at the current point sees of its run only the
 run's behaviour (its trace ids, one list that the runs with equal trace
@@ -84,7 +86,7 @@ from functools import cached_property, partial
 from operator import itemgetter
 
 from .domain import Domain
-from .lang import (Binary, Const, Expr, LangError, Unary, Var, compile_expr,
+from .lang import (Binary, Const, Expr, LangError, Program, Unary, Var, compile_expr,
                    expr_ids, expr_to_source, validate_expr)
 from .model import Execution, Model, Point
 from .verdicts import Outcome, Stats, Verdict, Witness
@@ -102,11 +104,11 @@ _POSITIONS = {
     (True, False, False): lambda values, ex, i: ex.trace_ids[i],
     (False, True, False): lambda values, ex, i: id(ex.trace_ids),
     (True, True, False): lambda values, ex, i: (ex.trace_ids[i], id(ex.trace_ids)),
-    (False, False, True): lambda values, ex, i: values(ex.stores[0]),
-    (True, False, True): lambda values, ex, i: (ex.trace_ids[i], values(ex.stores[0])),
-    (False, True, True): lambda values, ex, i: (id(ex.trace_ids), values(ex.stores[0])),
+    (False, False, True): lambda values, ex, i: values(ex.init_store),
+    (True, False, True): lambda values, ex, i: (ex.trace_ids[i], values(ex.init_store)),
+    (False, True, True): lambda values, ex, i: (id(ex.trace_ids), values(ex.init_store)),
     (True, True, True): lambda values, ex, i: (ex.trace_ids[i], id(ex.trace_ids),
-                                               values(ex.stores[0])),
+                                               values(ex.init_store)),
 }
 
 
@@ -407,20 +409,37 @@ def _split_pins(body: _Plan, solve: frozenset, outer: frozenset) -> dict:
 
 
 class Evaluation:
-    """Memoizing evaluator over a single model, with one environment."""
+    """Memoizing evaluator with one environment.  It plans formulas against
+    a program and domain, so that the model can be built keeping what the
+    plans read, then is bound to that model and evaluates over it."""
 
-    def __init__(self, model: Model):
-        self.model = model
-        self.domain: Domain = model.domain
-        self.signature = set(model.program.variables) | set(model.program.flags)
+    def __init__(self, program: Program, domain: Domain):
+        self.program = program
+        self.domain = domain
+        self.signature = set(program.variables) | set(program.flags)
+        self.model: Model | None = None
         self.env: dict[str, object] = {}
         self.memo: dict[tuple, bool] = {}
         self.solved: dict[object, list[tuple]] = {}
         self.masks: dict[object, int] = {}
-        self.every_run = (1 << len(model.executions)) - 1
+        self.every_run = 0
         self.plans: dict[tuple[int, frozenset], tuple[Formula, _Plan]] = {}
         self.points_visited = 0
         self.cache_hits = 0
+
+    @property
+    def reads(self) -> frozenset[str]:
+        """The store identifiers the plans read at the current point, which
+        the model must keep.  K and L hide their kids' reads, so this is the
+        union over every plan, not the root's."""
+        return frozenset().union(*(p.reads for _, p in self.plans.values()))
+
+    def bind(self, model: Model) -> Evaluation:
+        """Evaluate over ``model``, a model of the program, from now on."""
+        model.require(self.reads, "the formula")
+        self.model = model
+        self.every_run = (1 << len(model.executions)) - 1
+        return self
 
     def stats(self, formula_nodes: int = 0) -> Stats:
         return Stats(self.points_visited, self.cache_hits, formula_nodes)
@@ -497,6 +516,8 @@ class Evaluation:
             except LangError as err:
                 raise LogicError(f"formula atom {expr_to_source(e)!r}: {err}") from err
             names.update(expr_ids(e))
+        if self.model is not None:  # planned after binding
+            self.model.require(frozenset(names - scope), "the formula")
         compute, inits = ((Evaluation._eq, _NONE) if isinstance(f, Eq)
                           else (Evaluation._init, frozenset((f.name,))))
         return _Plan(f, compute, args=tuple(compile_expr(e, self.domain) for e in exprs),
@@ -524,7 +545,7 @@ class Evaluation:
         parts = kid.kids if isinstance(kid.formula, And) else (kid,)
         if not all(isinstance(a.formula, Init) and not a.reads for a in parts):
             return None
-        if {a.formula.name for a in parts} != set(self.model.variables):
+        if {a.formula.name for a in parts} != set(self.program.variables):
             return None
         return tuple((a.formula.name, a.args[0]) for a in parts)
 
@@ -577,24 +598,25 @@ class Evaluation:
 
     # -- node semantics ------------------------------------------------------
 
-    def _scope(self, p: _Plan, store: dict) -> dict:
+    def _scope(self, p: _Plan, ex: Execution, i: int) -> dict:
         """What the atom's expressions read: the environment when they read
-        no store identifier, else the store with the atom's bound variables
-        laid over it."""
+        no store identifier, else the store at the point with the atom's
+        bound variables laid over it."""
         if not p.reads:
             return self.env
+        store = ex.stores[i]
         if not p.free:
             return store
         return {**store, **{n: self.env[n] for n in p.free}}
 
     def _eq(self, p: _Plan, ex: Execution, i: int) -> bool:
-        scope = self._scope(p, ex.stores[i])
+        scope = self._scope(p, ex, i)
         lhs, rhs = p.args
         return lhs(scope) == rhs(scope)
 
     def _init(self, p: _Plan, ex: Execution, i: int) -> bool:
         (value,) = p.args
-        return ex.stores[0][p.formula.name] == value(self._scope(p, ex.stores[i]))
+        return ex.init_store[p.formula.name] == value(self._scope(p, ex, i))
 
     def _constant(self, p: _Plan, ex: Execution, i: int) -> bool:
         return p.args
@@ -752,7 +774,7 @@ class Evaluation:
         """Bind the block's variables to each assignment its guard admits."""
         block: _Block = p.args
         env = self.env
-        init = ex.stores[0]
+        init = ex.init_store
         for var, subject in block.binders:
             env[var] = init[subject]
         for values in self._solutions(block, ex, i):
@@ -780,17 +802,22 @@ def satisfies(model: Model, pt: Point, f: Formula) -> bool:
     """Does the formula hold at the point?  The model must be clean."""
     if model.tainted:
         raise LogicError("satisfaction undefined on models with non-terminated executions")
-    ev = Evaluation(model)
-    return ev.holds(ev.compile(f), pt.execution, pt.index)
+    ev = Evaluation(model.program, model.domain)
+    root = ev.compile(f)
+    return ev.bind(model).holds(root, pt.execution, pt.index)
 
 
-def model_satisfies(model: Model, f: Formula) -> Verdict:
+def model_satisfies(model: Model, f: Formula, ev: Evaluation | None = None) -> Verdict:
     """Check the formula, then evaluate it at the first point of every execution.
 
-    Fails fast with a witness; refuses tainted models.
+    ``ev``, when given, planned the formula against the model's program
+    before the model was built.  Fails fast with a witness; refuses tainted
+    models.
     """
-    ev = Evaluation(model)
+    if ev is None:
+        ev = Evaluation(model.program, model.domain)
     root = ev.compile(f)
+    ev.bind(model)
     size = formula_size(f)
     note = model.refusal
     if note is not None:

@@ -19,15 +19,29 @@ when it terminates, every later run of the class is a clone of it, since
 a dead input's initial value is never read, so the runs take the same
 steps and emit the same events, and differ only in their dead values
 until each is first written; from there on a clone shares the first
-run's store dicts, which are read-only.  A clone of a terminated run
-repeats no configuration, or the run itself would repeat one.  Only
-terminated runs are cloned, since where a lasso closes depends on the
-dead values (``while tt do { x := 0 }`` closes at step 2 with entry 0
-from x = 0, with entry 2 from x = 1); the other runs of a class whose
-first run does not terminate are simulated one by one, as is every run
-of a program with no dead input.  Each simulated run keeps its own table
-of the configurations it reached, to find its lasso, and drops it when
-it ends.
+run's store dicts, which are read-only.  A clone's dead values are laid
+over the first run's per-point stores only where they are kept, and over
+its final store only where they are never written.  A clone of a
+terminated run repeats no configuration, or the run itself would repeat
+one.  Only terminated runs are cloned, since where a lasso closes depends
+on the dead values (``while tt do { x := 0 }`` closes at step 2 with
+entry 0 from x = 0, with entry 2 from x = 1); the other runs of a class
+whose first run does not terminate are simulated one by one, as is every
+run of a program with no dead input.  Each simulated run keeps its own
+table of the configurations it reached, to find its lasso, and drops it
+when it ends.
+
+A model keeps per point only what its readings read (a cone-of-influence
+reduction: Clarke, Grumberg and Peled, "Model Checking", 1999).  Every
+run holds its whole initial and final stores, since what an observer
+knows depends only on initial stores and traces, and nani reads results.
+``build_model`` takes the identifiers to keep at every point: None keeps
+every store, as ``model``, ``knowledge`` and ``satisfies`` need.  Given a
+set, a run holds a view of each point's store with the kept identifiers,
+one view shared until a kept identifier is written; given the empty set,
+no per-point stores at all.  Simulation still steps whole stores, so
+lassos are found as before.  A reading that reads an identifier the model
+did not keep is an internal error (``Model.require``), never a verdict.
 
 Trace-id lists are hash-consed (Filliatre and Conchon, "Type-safe modular
 hash-consing", 2006): runs have equal trace ids exactly when they share
@@ -70,14 +84,24 @@ class ModelConfig:
             raise ValueError("step bound must be at least 1")
 
 
+class NotKeptError(RuntimeError):
+    """A reading reads an identifier its model did not keep at every point:
+    a bug in what the reading declared, not a usage error or a verdict."""
+
+
 @dataclass(eq=False, slots=True)
 class Execution:
-    """One run: stores[i] is the store after i steps, and trace_ids[i] the
-    id of the trace emitted before point i.  Runs with equal trace ids
-    share one ``trace_ids`` list."""
+    """One run: its whole initial and final stores, and trace_ids[i] the id
+    of the trace emitted before point i.  stores[i] holds the model's kept
+    identifiers after i steps (every identifier, with stores[0] the initial
+    store, when the model keeps them all), or ``stores`` is None when the
+    model keeps none.  Runs with equal trace ids share one ``trace_ids``
+    list."""
 
     index: int
-    stores: list[dict]
+    init_store: dict
+    stores: list[dict] | None
+    final_store: dict
     status: Status
     lasso_entry: int | None = None
     trace_ids: list[int] = field(default_factory=list)
@@ -92,14 +116,6 @@ class Execution:
         parents = self.model.trace_parents
         ids = self.trace_ids
         return [None if a == b else parents[b][1] for a, b in zip(ids, ids[1:])]
-
-    @property
-    def init_store(self) -> dict:
-        return self.stores[0]
-
-    @property
-    def final_store(self) -> dict:
-        return self.stores[-1]
 
     @property
     def model(self) -> "Model | None":
@@ -124,10 +140,18 @@ class Model:
     trace_parents: list[tuple[int, object]]  # trace id -> (parent id, event)
     trace_table: dict[tuple[int, object], int]
     variables: tuple[str, ...] = ()
+    kept: frozenset[str] | None = None  # identifiers kept per point; None: all
 
     @property
     def domain(self) -> Domain:
         return self.cfg.domain
+
+    def require(self, names: frozenset[str], reader: str) -> None:
+        """Raise NotKeptError unless the model kept each of ``names`` at
+        every point, which ``reader`` reads there."""
+        if self.kept is not None and not names <= self.kept:
+            missing = ", ".join(sorted(names - self.kept))
+            raise NotKeptError(f"{reader} reads {missing}, which the model did not keep")
 
     @property
     def tainted(self) -> bool:
@@ -210,13 +234,15 @@ class Model:
         return "(" + ", ".join(f"{n}={fmt(store[n])}" for n in self.variables) + ")"
 
 
-def build_model(program: Program, cfg: ModelConfig) -> Model:
+def build_model(program: Program, cfg: ModelConfig,
+                keep: frozenset[str] | None = None) -> Model:
     """Run the program from every initial store.
 
     Initial stores range over the full domain for ordinary identifiers, in
     lexicographic value order; release flags start false.  With
     ``termination_output`` set, each terminated run emits one final marker
-    event, making termination observable.
+    event, making termination observable.  Each run keeps the identifiers
+    in ``keep`` at every point, or every store when ``keep`` is None.
     """
     dom = cfg.domain
     names = program.variables
@@ -240,9 +266,10 @@ def build_model(program: Program, cfg: ModelConfig) -> Model:
     live = live_inputs(program)
     dead = tuple(n for n in names if n not in live)
     is_live = [n in live for n in names]
-    # per class of live values, its representative and where it first
-    # wrote each dead input, or None when the class is not cloned
-    classes: dict[tuple, tuple[Execution, dict[str, int]] | None] = {}
+    # per class of live values, its representative with where it first
+    # wrote each kept dead input and the dead inputs it never wrote, or
+    # None when the class is not cloned
+    classes: dict[tuple, tuple[Execution, dict[str, int], tuple[str, ...]] | None] = {}
     unreleased = dict.fromkeys(flags, dom.false_value)
     for values in itertools.product(dom.values, repeat=len(names)):
         store = dict(zip(names, values))
@@ -254,10 +281,11 @@ def build_model(program: Program, cfg: ModelConfig) -> Model:
             if rep is not None:
                 executions.append(_clone(*rep, store, index))
                 continue
-        execution, firsts = _run(code, store, cfg, index, extend_trace, behaviours, dead)
+        execution, overlay = _run(code, store, cfg, index, extend_trace, behaviours, dead,
+                                  keep)
         executions.append(execution)
         if dead:
-            classes.setdefault(key, (execution, firsts) if firsts is not None else None)
+            classes.setdefault(key, (execution, *overlay) if overlay is not None else None)
 
     model = Model(
         program=program,
@@ -266,6 +294,7 @@ def build_model(program: Program, cfg: ModelConfig) -> Model:
         trace_parents=trace_parents,
         trace_table=trace_table,
         variables=names,
+        kept=keep,
     )
     ref = weakref.ref(model)
     for execution in executions:
@@ -274,7 +303,9 @@ def build_model(program: Program, cfg: ModelConfig) -> Model:
 
 
 def _run(code: Code, init: dict, cfg: ModelConfig, index: int, extend_trace,
-         behaviours: dict, dead: tuple[str, ...]) -> tuple[Execution, dict[str, int] | None]:
+         behaviours: dict, dead: tuple[str, ...],
+         keep: frozenset[str] | None
+         ) -> tuple[Execution, tuple[dict[str, int], tuple[str, ...]] | None]:
     """Run the compiled program from ``init``.
 
     A new store is made only by assigning steps.  A configuration is the
@@ -282,17 +313,23 @@ def _run(code: Code, init: dict, cfg: ModelConfig, index: int, extend_trace,
     own table maps each one it reached to the step that first reached it,
     and reaching one again closes a lasso.  The table is dropped when the
     run ends.  The run's trace-id list is interned in ``behaviours``, keyed
-    by its contents.
+    by its contents.  Each point gets the current store (``keep`` None), a
+    view of the ``keep`` identifiers made anew when one of them is written,
+    or nothing (``keep`` empty).
 
-    Returns the run with, for each of the ``dead`` inputs, the position of
-    the store where the run first wrote it (the run's length when it never
-    did), or with None when the run did not terminate.
+    Returns the run with what its clones need: for each of the ``dead``
+    inputs it keeps per point, the position of the store where the run
+    first wrote it (the number of positions when it never did), and the
+    dead inputs it never wrote; or with None when it did not terminate or
+    there are no ``dead`` inputs.
     """
     instrs = code.instrs
     bound = cfg.bound
     store = init
     values = tuple(init.values())
-    stores = [init]
+    whole = keep is None
+    view = init
+    stores = [init] if whole or keep else None
     trace_ids = [0]
     tid = 0
     pc = code.entry
@@ -320,6 +357,10 @@ def _run(code: Code, init: dict, cfg: ModelConfig, index: int, extend_trace,
             store = {**store, name: fn(store)}
             values = tuple(store.values())
             pc = nxt
+            if whole:
+                view = store
+            elif name in keep:
+                view = {n: store[n] for n in keep}
             if name in pending:
                 pending.remove(name)
                 firsts[name] = steps + 1
@@ -327,38 +368,50 @@ def _run(code: Code, init: dict, cfg: ModelConfig, index: int, extend_trace,
             tid = extend_trace(tid, fn(store))
             pc = nxt
         steps += 1
-        stores.append(store)
+        if stores is not None:
+            stores.append(view)
         trace_ids.append(tid)
 
     if status is Status.TERMINATED and cfg.termination_output:
-        stores.append(store)
+        if stores is not None:
+            stores.append(view)
         trace_ids.append(extend_trace(tid, TERMINATION_MARK))
-    if status is not Status.TERMINATED:
-        firsts = None
-    elif pending:
-        firsts.update(dict.fromkeys(pending, len(stores)))
-    return (Execution(index, stores, status, lasso_entry,
-                      behaviours.setdefault(tuple(trace_ids), trace_ids)), firsts)
+    execution = Execution(index, init, stores, store, status, lasso_entry,
+                          behaviours.setdefault(tuple(trace_ids), trace_ids))
+    if status is not Status.TERMINATED or not dead:
+        return execution, None
+    firsts.update(dict.fromkeys(pending, len(trace_ids)))
+    laid = firsts if whole else {n: first for n, first in firsts.items() if n in keep}
+    return execution, (laid, tuple(pending))
 
 
-def _clone(rep: Execution, firsts: dict[str, int], init: dict, index: int) -> Execution:
+def _clone(rep: Execution, laid: dict[str, int], unwritten: tuple[str, ...],
+           init: dict, index: int) -> Execution:
     """The run from ``init``, which agrees with the terminated run ``rep`` on
     every live input, so takes the same steps and emits the same events.
-    It shares ``rep``'s trace ids, and its stores are ``rep``'s with
-    ``init``'s dead values laid over them, each up to the position in
-    ``firsts`` where it is first written; from the last such position on
-    they are ``rep``'s store objects."""
+
+    It shares ``rep``'s trace ids.  Its final store is ``rep``'s, with
+    ``init``'s values of the ``unwritten`` dead inputs laid over it.  Its
+    per-point stores are ``rep``'s with ``init``'s values of the kept dead
+    inputs laid over them, each up to the position in ``laid`` where it is
+    first written; from the last such position on they are ``rep``'s store
+    objects, and with no dead input kept they are ``rep``'s list."""
+    final = rep.final_store
+    if unwritten:
+        final = {**final, **{n: init[n] for n in unwritten}}
     stores = rep.stores
-    cut = max(firsts.values())
-    made, source = [init], stores[0]
-    store = init
-    for k in range(1, cut):
-        if stores[k] is not source:
-            source = stores[k]
-            store = {**source, **{n: init[n] for n, first in firsts.items() if first > k}}
-        made.append(store)
-    made += stores[cut:]
-    return Execution(index, made, Status.TERMINATED, None, rep.trace_ids)
+    if laid:
+        cut = max(laid.values())
+        made, source = [init], stores[0]
+        store = init
+        for k in range(1, cut):
+            if stores[k] is not source:
+                source = stores[k]
+                store = {**source, **{n: init[n] for n, first in laid.items() if first > k}}
+            made.append(store)
+        made += stores[cut:]
+        stores = made
+    return Execution(index, init, stores, final, Status.TERMINATED, None, rep.trace_ids)
 
 
 def trace_of(pt: Point) -> tuple:

@@ -177,6 +177,11 @@ class ReleaseSpec:
         if len(set(flags)) != len(flags):
             raise PolicyError("duplicate release flag")
 
+    @property
+    def flags(self) -> frozenset[str]:
+        """The release flags, which a reading of the policy reads at every point."""
+        return frozenset(f for f, _ in self.items)
+
     def check_against(self, program: Program, dom: Domain) -> None:
         flags = set(program.flags)
         names = set(program.variables)
@@ -196,6 +201,11 @@ class TemporalDeclassification:
 
     condition: Expr  # over the current store
     declassified: InitPredicate
+
+
+def condition_ids(tds: Iterable[TemporalDeclassification]) -> frozenset[str]:
+    """The identifiers the conditions read, at every point."""
+    return frozenset().union(*(expr_ids(td.condition) for td in tds))
 
 
 # --------------------------------------------------------------------------

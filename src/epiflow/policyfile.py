@@ -24,11 +24,12 @@ from typing import Callable
 
 from .domain import Domain
 from .lang import Expr, ParseError, Program, parse_expression, validate_expr
-from .logic import Formula, model_satisfies
+from .logic import Evaluation, Formula, model_satisfies
 from .model import Model, ModelConfig, build_model
 from .policies import (ABSTRACTIONS, FlowSpec, InitPredicate, PolicyError,
                        ReleaseSpec, TemporalDeclassification, abstraction_fn,
-                       encode_ak, encode_akd, encode_aak, encode_akr, encode_aktd)
+                       condition_ids, encode_ak, encode_akd, encode_aak, encode_akr,
+                       encode_aktd)
 from .semantics import (check_er, check_nani, check_nid, check_nitd, check_oni)
 from .verdicts import Verdict
 
@@ -39,15 +40,19 @@ class Check:
 
     An epistemic row's ``encode(program, pieces, dom)`` gives the
     program to model (only aak transforms it) and the formula to evaluate;
-    a trace-based row's ``judge(model, pieces)`` gives the verdict.  Rows
-    call this module's ``encode_*``, ``check_*``, ``build_model`` and
-    ``model_satisfies`` by name, so a wrapper put on one sees every call.
+    a trace-based row's ``judge(model, pieces)`` gives the verdict, and its
+    ``keep(pieces)`` the identifiers the judge reads at every point, which
+    the model must keep (an epistemic row's are those its formula's plans
+    read).  Rows call this module's ``encode_*``, ``check_*``,
+    ``build_model`` and ``model_satisfies`` by name, so a wrapper put on
+    one sees every call.
     """
 
     twin: str
     needs: tuple[str, ...] = ()  # policy entries the check cannot run without
     encode: Callable[[Program, dict, Domain], tuple[Program, Formula]] | None = None
     judge: Callable[[Model, dict], Verdict] | None = None
+    keep: Callable[[dict], frozenset[str]] = lambda pieces: frozenset()
 
     @property
     def reading(self) -> str:
@@ -71,8 +76,10 @@ CHECKS: dict[str, Check] = {
                  judge=lambda m, p: check_nid(m, p["fs"], p["declassify"])),
     "nani": Check("aak", ABSTRACTED,
                   judge=lambda m, p: check_nani(m, p["fs"], p["eta"], p["phi"], p["rho"])),
-    "er": Check("akr", judge=lambda m, p: check_er(m, p["fs"], p["releases"])),
-    "nitd": Check("aktd", judge=lambda m, p: check_nitd(m, p["fs"], p["whens"])),
+    "er": Check("akr", judge=lambda m, p: check_er(m, p["fs"], p["releases"]),
+                keep=lambda p: p["releases"].flags),
+    "nitd": Check("aktd", judge=lambda m, p: check_nitd(m, p["fs"], p["whens"]),
+                  keep=lambda p: condition_ids(p["whens"])),
 }
 SEMANTIC_OF = {n: c.twin for n, c in CHECKS.items() if c.reading == "epistemic"}
 EPISTEMIC_OF = {twin: n for n, twin in SEMANTIC_OF.items()}
@@ -248,36 +255,63 @@ def policy_pieces(policy: Policy, program: Program, dom: Domain) -> dict:
     return pieces
 
 
-def _run(name: str, program: Program, pieces: dict, cfg: ModelConfig,
-         model: Model | None = None) -> CheckRun:
-    """One reading of a checked policy, timed; ``model`` is the program's, if built."""
-    start = time.perf_counter()
+# What a reading needs before its model is built: the program it models,
+# the identifiers it reads at every point, and its judge of the model.
+Plan = tuple[Program, frozenset[str], Callable[[Model], Verdict]]
+
+
+def _formula_plan(program: Program, formula: Formula, dom: Domain) -> Plan:
+    """Plan the formula against the program, so the model keeps what it reads."""
+    ev = Evaluation(program, dom)
+    ev.compile(formula)
+    return program, ev.reads, lambda model: model_satisfies(model, formula, ev)
+
+
+def _plan(name: str, program: Program, pieces: dict, dom: Domain) -> Plan:
     check = CHECKS[name]
-    modeled, formula = (program, None) if check.encode is None else check.encode(
-        program, pieces, cfg.domain)
-    if model is None or modeled is not program:
-        model = build_model(modeled, cfg)
-    verdict = (check.judge(model, pieces) if formula is None
-               else model_satisfies(model, formula))
-    return CheckRun(name, verdict, model, time.perf_counter() - start)
+    if check.encode is None:
+        return program, check.keep(pieces), lambda model: check.judge(model, pieces)
+    return _formula_plan(*check.encode(program, pieces, dom), dom)
+
+
+def _judged(name: str, plan: Plan, cfg: ModelConfig, model: Model | None,
+            start: float) -> CheckRun:
+    """The reading's verdict on ``model``, or on a model built for it when
+    it models another program; timed from ``start``."""
+    modeled, keep, judge = plan
+    if model is None or modeled is not model.program:
+        model = build_model(modeled, cfg, keep)
+    return CheckRun(name, judge(model), model, time.perf_counter() - start)
 
 
 def run_check(program: Program, policy: Policy, cfg: ModelConfig) -> CheckRun:
     """Check the policy, build what the named check needs, run it, and time it."""
     pieces = policy_pieces(policy, program, cfg.domain)
-    return _run(policy.check, program, pieces, cfg)
+    start = time.perf_counter()
+    return _judged(policy.check, _plan(policy.check, program, pieces, cfg.domain),
+                   cfg, None, start)
+
+
+def run_formula(program: Program, formula: Formula, cfg: ModelConfig) -> CheckRun:
+    """Check the formula against the program, build its model, evaluate it, and time it."""
+    start = time.perf_counter()
+    return _judged("formula", _formula_plan(program, formula, cfg.domain), cfg, None, start)
 
 
 def run_both_sides(program: Program, policy: Policy,
                    cfg: ModelConfig) -> tuple[CheckRun, CheckRun]:
     """Run the trace-based and the epistemic reading of the same policy.
 
-    The policy is checked once and the program modeled once; only aak
-    models a second program, the one its encoding transforms.
+    The policy is checked once and the program modeled once, keeping what
+    either reading reads; only aak models a second program, the one its
+    encoding transforms.
     """
     pieces = policy_pieces(policy, program, cfg.domain)
-    semantic = SEMANTIC_OF.get(policy.check, policy.check)
-    epistemic = EPISTEMIC_OF.get(policy.check, policy.check)
-    sem_run = _run(semantic, program, pieces, cfg)
-    epi_run = _run(epistemic, program, pieces, cfg, sem_run.model)
-    return sem_run, epi_run
+    names = (SEMANTIC_OF.get(policy.check, policy.check),
+             EPISTEMIC_OF.get(policy.check, policy.check))
+    start = time.perf_counter()
+    plans = [_plan(name, program, pieces, cfg.domain) for name in names]
+    keep = frozenset().union(*(reads for modeled, reads, _ in plans if modeled is program))
+    model = build_model(program, cfg, keep)
+    sem_run = _judged(names[0], plans[0], cfg, model, start)
+    return sem_run, _judged(names[1], plans[1], cfg, model, time.perf_counter())

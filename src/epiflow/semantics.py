@@ -36,7 +36,7 @@ from .lang import Expr, compile_expr
 from .model import Execution, Model
 from .policies import (FlowSpec, InitPredicate, PolicyError, ReleaseSpec,
                        TemporalDeclassification, abstraction_predicate,
-                       check_output_abstraction)
+                       check_output_abstraction, condition_ids)
 from .verdicts import Outcome, Stats, Verdict, Witness
 
 
@@ -173,6 +173,7 @@ def release_set(m: Model, fs: FlowSpec, rs: ReleaseSpec, store: dict,
     tid = m.intern_lookup(trace)
     if tid is None or not _produces(start, tid):
         raise PolicyError("trace never observed on the execution from this store")
+    m.require(rs.flags, "the release set")
     flags = start.stores[bisect_left(start.trace_ids, tid)]
     released = [compile_expr(e, dom) for f, e in rs.items
                 if flags.get(f) == dom.true_value]
@@ -234,6 +235,7 @@ def check_er(m: Model, fs: FlowSpec, rs: ReleaseSpec) -> Verdict:
     denotation.  A point releases the expressions whose flags are set at
     every point of its run with its trace, that is at the first one.
     """
+    m.require(rs.flags, "er")
     refused = _refusal(m, fs)
     if refused:
         return refused
@@ -265,13 +267,16 @@ def check_nitd(m: Model, fs: FlowSpec,
     each property whose condition has already held along the observed run
     must be able to produce the same trace.
     """
+    tds = tuple(tds)
+    m.require(condition_ids(tds), "nitd")
     refused = _refusal(m, fs)
     if refused:
         return refused
-    tds = tuple(tds)
     conditions = [compile_expr(td.condition, m.domain) for td in tds]
-    # the first position at which each condition holds on each run
-    triggers = [[next((j for j, store in enumerate(ex.stores) if c(store)), None)
+    # the first position at which each condition holds on each run; a model
+    # that keeps no store per point has only constant conditions to check
+    triggers = [[next((j for j, store in enumerate(ex.stores or (ex.init_store,))
+                       if c(store)), None)
                  for c in conditions] for ex in m.executions]
     values = [tuple(td.declassified(ex.init_store) for td in tds)
               for ex in m.executions]

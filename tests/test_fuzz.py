@@ -143,8 +143,8 @@ class TestReplay:
         real = epiflow.policyfile.model_satisfies
         flip = {Outcome.HOLDS: Outcome.FAILS, Outcome.FAILS: Outcome.HOLDS}
 
-        def flipped(model, formula):
-            verdict = real(model, formula)
+        def flipped(model, formula, *planned):
+            verdict = real(model, formula, *planned)
             return replace(verdict, outcome=flip[verdict.outcome])
 
         monkeypatch.setattr(epiflow.policyfile, "model_satisfies", flipped)

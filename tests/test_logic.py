@@ -299,7 +299,7 @@ def agrees_at_every_point(m, f, seed=0):
     """One evaluation visits every point in shuffled order, so values
     memoized at one point are reused at the others; the reference shares
     one memo across the points too."""
-    ev = Evaluation(m)
+    ev = evaluation(m)
     root = ev.compile(f)
     points = list(all_points(m))
     random.Random(seed).shuffle(points)
@@ -381,7 +381,7 @@ class TestMemoLevels:
     against the reference evaluator at every point of random models."""
 
     def test_children_have_the_intended_levels(self):
-        ev = Evaluation(random_models(1, seed=21)[0])
+        ev = evaluation(random_models(1, seed=21)[0])
         scope = frozenset({"v"})
         for child, depends in LEVELS:
             assert facts(ev.compile(child, scope)) == depends
@@ -418,7 +418,7 @@ class TestMemoLevels:
 
 
     def test_initial_value_blocks_keep_their_levels(self):
-        ev = Evaluation(random_models(1, seed=21)[0])
+        ev = evaluation(random_models(1, seed=21)[0])
         scope = frozenset({"u"})
         assert facts(ev.compile(AT_INIT_H, scope)) == (set(), {"h"}, False, False)
         assert facts(ev.compile(AT_TRACE_AND_INIT_H, scope)) == (set(), {"h"}, True, False)
@@ -441,7 +441,7 @@ class TestMemoLevels:
 
 
     def test_knowledge_of_run_fixed_children_uses_masks(self):
-        ev = Evaluation(random_models(1, seed=21)[0])
+        ev = evaluation(random_models(1, seed=21)[0])
         scope = frozenset({"v"})
         assert ev.compile(K(AT_EXEC), scope).compute is Evaluation._knows_runs
         assert ev.compile(L(AT_EXEC), scope).compute is Evaluation._possible_runs
@@ -452,7 +452,7 @@ class TestMemoLevels:
         # K p = L p = p when p is fixed across the epoch: a constant, or a
         # node built on K and L that reads no store, initial value or scan
         models = level_models()
-        ev = Evaluation(models[0])
+        ev = evaluation(models[0])
         scope = frozenset({"v"})
         fixed = [AT_EPOCH, Not(AT_EPOCH), L(AT_EPOCH), Eq(Var("v"), Var("v")),
                  G(Eq(Var("v"), Var("v")))]
@@ -471,7 +471,7 @@ class TestMemoLevels:
         f = parse_formula(text)
         fused = text in POSSIBILITY_BLOCKS
         models = level_models()
-        ev = Evaluation(models[0])
+        ev = evaluation(models[0])
         ev.compile(f)
         assert fused == any(p.compute is Evaluation._all_possible for _, p in ev.plans.values())
         for index, m in enumerate(models):
@@ -482,7 +482,7 @@ class TestMemoLevels:
         f = parse_formula(f"forall u . forall w . (init(l, u) && init(h, w)) -> {inner}")
         # a + u needs integers
         models = [m for m in level_models() if "+" not in inner or m.domain == INT4]
-        ev = Evaluation(models[0])
+        ev = evaluation(models[0])
         ev.compile(f)
         (block,) = [p.args for _, p in ev.plans.values()
                     if p.compute is Evaluation._all_possible]
@@ -531,7 +531,7 @@ class TestMemoLevels:
     def test_scans_visit_each_epoch_block_once(self):
         program, m = loop_model()
         f = encode_akd(FlowSpec.from_low(program, ["l"]), (pred("h", INT4),), INT4)
-        ev = CountingEvaluation(m)
+        ev = evaluation(m, CountingEvaluation)
         root = ev.compile(f)
         ev.counted = root.kids[0]
         assert isinstance(f, G) and not ev.counted.reads
@@ -546,7 +546,7 @@ class TestMemoLevels:
         # release step: its scans visit each position where the flag or
         # the trace changes, and no other
         m, f = c7_akr()
-        ev = CountingEvaluation(m)
+        ev = evaluation(m, CountingEvaluation)
         root = ev.compile(f)
         ev.counted = root.kids[0]
         assert isinstance(f, G) and ev.counted.reads == {"rh"}
@@ -686,7 +686,7 @@ class TestBehaviourKeys:
         m = build_model(parse("x := 0; while x < h do { x := x + 1 }; out l", INT4),
                         ModelConfig(INT4))
         f = G(K(Or((Eq(Var("x"), Var("x")), Eq(Var("l"), Var("h"))))))
-        ev = CountingEvaluation(m)
+        ev = evaluation(m, CountingEvaluation)
         root = ev.compile(f)
         ev.counted = root.kids[0].kids[0]
         assert ev.counted.reads == {"x", "l", "h"}
@@ -721,9 +721,14 @@ class TestRunMasks:
                 by_value[value] = by_value.get(value, 0) | bit
             for tid in ex.trace_ids:
                 have[tid] |= bit
-        ev = Evaluation(m)
+        ev = evaluation(m)
         assert m.runs_from == runs_from
         assert ev.have == have
+
+
+def evaluation(m, kind=Evaluation):
+    """An evaluation bound to the model ``m``."""
+    return kind(m.program, m.domain).bind(m)
 
 
 class CountingEvaluation(Evaluation):

@@ -152,7 +152,7 @@ class TestModelShape:
         for index in range(10):
             m = build_model(generate_program(random.Random(f"e:{index}"), cfg),
                             ModelConfig(INT4))
-            have = Evaluation(m).have
+            have = Evaluation(m.program, m.domain).bind(m).have
             assert {tid for tid, runs in enumerate(have) if runs} == set(m.epochs)
             for tid, points in m.epochs.items():
                 assert have[tid] == sum({1 << p.execution.index for p in points})
@@ -160,8 +160,8 @@ class TestModelShape:
     def test_a_run_is_its_stores_and_trace_ids(self):
         # events and the indexes of runs are derived, never stored
         names = [f.name for f in dataclasses.fields(Execution)]
-        assert names == ["index", "stores", "status", "lasso_entry", "trace_ids",
-                         "model_ref"]
+        assert names == ["index", "init_store", "stores", "final_store", "status",
+                         "lasso_entry", "trace_ids", "model_ref"]
         m = build_model(parse("x := y; out y", BOOL), ModelConfig(BOOL))
         assert "exec_by_values" not in vars(m) and not hasattr(m, "epoch_executions")
         assert exec_from(m, x=True, y=False).events == [None, False]
@@ -355,13 +355,33 @@ def assert_behaviours_shared(m) -> int:
     return len(lists)
 
 
+def assert_kept(m, runs: list[dict], keep: frozenset) -> None:
+    """Each run of ``m`` holds the whole initial and final stores of the
+    reference run, and the ``keep`` identifiers' values at every point, in
+    one view from one assignment to the next; or no per-point stores when
+    ``keep`` is empty."""
+    assert m.kept == keep and len(m.executions) == len(runs)
+    for ex, ref in zip(m.executions, runs):
+        for name in ("index", "status", "lasso_entry", "trace_ids"):
+            assert getattr(ex, name) == ref[name], name
+        assert (ex.init_store, ex.final_store) == (ref["stores"][0], ref["stores"][-1])
+        if not keep:
+            assert ex.stores is None
+            continue
+        assert len(ex.stores) == len(ref["stores"])
+        for k, (view, store) in enumerate(zip(ex.stores, ref["stores"])):
+            assert {n: view[n] for n in keep} == {n: store[n] for n in keep}, k
+            if k and store is ref["stores"][k - 1]:  # the step assigned nothing
+                assert view is ex.stores[k - 1], k
+
+
 class TestSharedBuild:
     """Runs that differ only in dead inputs are cloned, and runs with equal
     trace ids share one list; the model must equal the one built run by
-    run with private lasso tables."""
+    run with private lasso tables, whichever identifiers it keeps."""
 
     @staticmethod
-    def assert_unshared(program, cfg) -> None:
+    def assert_unshared(program, cfg, trim: bool = True) -> None:
         m = build_model(program, cfg)
         runs, parents = unshared_runs(program, cfg)
         assert len(m.executions) == len(runs)
@@ -369,8 +389,19 @@ class TestSharedBuild:
             for name in ("index", "stores", "events", "status", "lasso_entry",
                          "trace_ids"):
                 assert getattr(ex, name) == ref[name], name
+            assert (ex.init_store, ex.final_store) == (ref["stores"][0], ref["stores"][-1])
         assert m.trace_parents == parents
         assert_behaviours_shared(m)
+        if not trim:
+            return
+        # nothing, the first identifier alone, and all the others: each
+        # identifier, dead inputs and flags included, is kept in one build
+        names = program.variables + program.flags
+        for keep in (frozenset(), frozenset(names[:1]), frozenset(names[1:])):
+            trimmed = build_model(program, cfg, keep)
+            assert trimmed.trace_parents == parents
+            assert_kept(trimmed, runs, keep)
+            assert_behaviours_shared(trimmed)
 
     @pytest.mark.parametrize("termination_output", [False, True])
     @pytest.mark.parametrize("dom, loops", DIFF_CONFIGS)
@@ -426,7 +457,7 @@ class TestSharedBuild:
                                 lambda *args, name=name, real=real:
                                 calls.update([name]) or real(*args))
         program = parse("if l then { skip } else { skip }; l := ff; x := ff; out x", BOOL)
-        self.assert_unshared(program, ModelConfig(BOOL))
+        self.assert_unshared(program, ModelConfig(BOOL), trim=False)  # one build
         assert calls == {"_run": 2, "_clone": 2}
 
     @pytest.mark.parametrize("text, termination_output, behaviours", [

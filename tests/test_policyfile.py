@@ -1,16 +1,22 @@
 import gc
+import re
 import weakref
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from epiflow.cli import main
 from epiflow.domain import Domain
 from epiflow.fuzz import PAIRS
-from epiflow.lang import parse
-from epiflow.logic import model_satisfies, parse_formula
-from epiflow.model import ModelConfig, build_model
-from epiflow.policies import PolicyError
+from epiflow.lang import LangError, Var, parse
+from epiflow.logic import Evaluation, model_satisfies, parse_formula
+from epiflow.model import ModelConfig, NotKeptError, build_model
+from epiflow.policies import (FlowSpec, InitPredicate, PolicyError, ReleaseSpec,
+                              TemporalDeclassification)
 from epiflow.policyfile import (CHECKS, EPISTEMIC_CHECKS, SEMANTIC_CHECKS, CheckRun,
                                 Policy, parse_policy, run_both_sides, run_check)
+from epiflow.semantics import check_er, check_nitd
 from epiflow.verdicts import Outcome
 
 BOOL = Domain.booleans()
@@ -172,9 +178,9 @@ class TestBothSides:
 
         built = []
 
-        def counting(program, cfg):
+        def counting(program, cfg, *keep):
             built.append(program)
-            return build_model(program, cfg)
+            return build_model(program, cfg, *keep)
 
         monkeypatch.setattr(epiflow.policyfile, "build_model", counting)
         program = parse("l := h; release r1; out l", BOOL)
@@ -219,3 +225,167 @@ class TestModelLifetime:
             model = weakref.ref(run.model)
             del run
             assert model() is None
+
+
+ROOT = Path(__file__).resolve().parents[1]
+PROGRAMS = sorted((ROOT / "samples").glob("*.wout")) + sorted(
+    (ROOT / "perfbench" / "inputs").glob("*.wout"))
+DOMAIN_FLAGS = {"bool": ("--domain", "bool", "--hash", "ff,tt"),
+                "int:4": ("--domain", "int:4", "--hash", "1,2,3,0")}
+
+
+def _policy_text(program, check: str, dom: Domain) -> str:
+    """A policy over the program's identifiers that every check accepts,
+    with when-conditions that read the current store: the last identifier
+    is secret.  Over integers the secret's parity is declassified, since
+    aak over payment takes seconds to hold with ``phi: Id``."""
+    low, first, last = program.variables[:-1], program.variables[0], program.variables[-1]
+    cond, pred = (first, last) if dom.kind == "bool" else (f"{first} < 2", f"{last} < 2")
+    phi = "Id" if dom.kind == "bool" else "Par"
+    lines = [f"check: {check}", f"low: {', '.join(low)}", f"declassify: {pred}",
+             "eta: Id", f"phi: {phi}", "rho: Id", f"when: {cond} ==> {pred}"]
+    lines += [f"release: {flag} = {pred}" for flag in program.flags]
+    if dom.kind == "bool":
+        lines += [f"when: {flag} ==> {first}" for flag in program.flags]
+    return "\n".join(lines) + "\n"
+
+
+def _formula_text(program, dom: Domain) -> str:
+    """K over an atom that reads the store, and a scan that reads it."""
+    first, last = program.variables[0], program.variables[-1]
+    value = "ff" if dom.kind == "bool" else "0"
+    return f"G (K ({first} == {last}) || F ({last} == {value}))"
+
+
+class TestKeptIdentifiers:
+    """Each reading's model keeps only what the reading reads; a model
+    that keeps less is an internal error, and one that keeps every store
+    gives the same answers."""
+
+    @staticmethod
+    def _check(argv: list, tmp_path, capsys) -> tuple:
+        """Exit code, text and report of one ``check``, without its times."""
+        report = tmp_path / "report.json"
+        report.unlink(missing_ok=True)
+        code = main([*argv, "--report", str(report)])
+        text = capsys.readouterr().out
+        json_text = report.read_text() if report.exists() else None
+        return (code, re.sub(r"wall time .*", "", text),
+                json_text and re.sub(r'"wall_time_s": [^,}\n]+', "", json_text))
+
+    @pytest.mark.parametrize("termination", [False, True])
+    @pytest.mark.parametrize("spec", DOMAIN_FLAGS)
+    def test_trimmed_and_whole_models_give_the_same_reports(self, spec, termination,
+                                                            tmp_path, monkeypatch, capsys):
+        import epiflow.policyfile
+
+        dom = Domain.booleans() if spec == "bool" else INT4
+        kept = []
+
+        def recording(program, cfg, keep=None):
+            kept.append(keep)
+            return build_model(program, cfg, keep)
+
+        def whole(program, cfg, keep=None):
+            return build_model(program, cfg)
+
+        flags = [*DOMAIN_FLAGS[spec], *(("--termination-output",) if termination else ())]
+        for path in PROGRAMS:
+            try:
+                program = parse(path.read_text(), dom)
+            except LangError:  # an integer literal outside bool
+                continue
+            base = ["check", "--program", str(path), *flags]
+            sources = [["--formula", _formula_text(program, dom)]]
+            for check in CHECKS:
+                policy = tmp_path / f"{path.stem}.{check}.pol"
+                policy.write_text(_policy_text(program, check, dom))
+                sources.append(["--policy", str(policy)])
+            for source in sources:
+                monkeypatch.setattr(epiflow.policyfile, "build_model", recording)
+                trimmed = self._check(base + source, tmp_path, capsys)
+                monkeypatch.setattr(epiflow.policyfile, "build_model", whole)
+                assert self._check(base + source, tmp_path, capsys) == trimmed, source
+                assert trimmed[0] in (0, 1, 2), (path.name, source, trimmed)
+        assert None not in kept and frozenset() in kept and any(kept)
+
+    def test_readings_keep_what_they_read(self, monkeypatch):
+        import epiflow.policyfile
+
+        kept = []
+
+        def recording(program, cfg, keep=None):
+            kept.append(keep)
+            return build_model(program, cfg, keep)
+
+        monkeypatch.setattr(epiflow.policyfile, "build_model", recording)
+        loop = parse("x := 0; while x < h do { out l; x := x + 1 }; out l + x", INT4)
+        release = parse("l := h1; release r1; out l; l := h2; release r2; out l", BOOL)
+        payment = parse((ROOT / "samples" / "payment.wout").read_text(), INT4)
+        pay = dict(low=("paid", "note", "max"),
+                   whens=(("true", "cost > max"), ("cost <= max", "cost"),
+                          ("paid >= cost", "data")))
+        cases = [
+            (loop, INT4, Policy("ak", low=("l",)), set()),
+            (loop, INT4, Policy("akd", low=("l",), declassify=("h",)), set()),
+            (loop, INT4, Policy("aak", low=("l",), eta="Id", phi="Id", rho="Id"), set()),
+            (release, BOOL, Policy("akr", low=("l",), releases=(("r1", "h1"), ("r2", "h2"))),
+             {"r1", "r2"}),
+            (payment, INT4, Policy("aktd", **pay), {"cost", "max", "paid"}),
+        ]
+        for program, dom, policy, reads in cases:
+            twin = CHECKS[policy.check].twin
+            for check in (policy.check, twin):
+                kept.clear()
+                run_check(program, replace(policy, check=check), ModelConfig(dom))
+                assert kept == [reads], check
+            kept.clear()
+            run_both_sides(program, policy, ModelConfig(dom))
+            assert kept == ([set(), set()] if twin == "nani" else [reads])
+
+    @pytest.mark.parametrize("program, policy, dom", [
+        ("two-release.wout", "release.pol", "bool"),
+        ("payment.wout", "payment.pol", "int:4"),
+    ])
+    @pytest.mark.parametrize("twin", [False, True])
+    def test_a_model_that_keeps_too_little_is_an_internal_error(
+            self, program, policy, dom, twin, tmp_path, monkeypatch, capsys):
+        import epiflow.policyfile
+
+        def short(program, cfg, keep=None):
+            assert keep
+            return build_model(program, cfg, keep - {min(keep)})
+
+        monkeypatch.setattr(epiflow.policyfile, "build_model", short)
+        text = (ROOT / "samples" / policy).read_text()
+        if twin:
+            check = parse_policy(text).check
+            text = text.replace(f"check: {check}", f"check: {CHECKS[check].twin}")
+        (tmp_path / policy).write_text(text)
+        argv = ["check", "--program", str(ROOT / "samples" / program),
+                "--policy", str(tmp_path / policy), "--domain", dom]
+        assert main(argv) == 4
+        assert "NotKeptError" in capsys.readouterr().err
+        argv[-4:-2] = ["--formula", "F (l == h2)" if dom == "bool" else "G (paid == 0)"]
+        assert main(argv) == 4
+        assert "NotKeptError" in capsys.readouterr().err
+
+    def test_every_reading_of_stores_checks_the_model(self):
+        program = parse("l := h1; release r1; out l; l := h2; release r2; out l", BOOL)
+        cfg = ModelConfig(BOOL)
+        fs = FlowSpec.from_low(program, ("l",))
+        rs = ReleaseSpec((("r1", Var("h1")),))
+        when = TemporalDeclassification(Var("r2"), InitPredicate.from_expression(Var("h2"), BOOL))
+        for keep in (frozenset(), frozenset({"l"})):
+            m = build_model(program, cfg, keep)
+            with pytest.raises(NotKeptError, match="er reads r1"):
+                check_er(m, fs, rs)
+            with pytest.raises(NotKeptError, match="nitd reads r2"):
+                check_nitd(m, fs, (when,))
+            with pytest.raises(NotKeptError, match="formula reads h1, h2"):
+                model_satisfies(m, parse_formula("G (K (h2 == h1))"))
+            with pytest.raises(NotKeptError, match="formula reads h2"):  # planned once bound
+                Evaluation(program, BOOL).bind(m).compile(parse_formula("F (h2 == l)"))
+        m = build_model(program, cfg, frozenset({"r1", "r2", "h1", "h2"}))
+        assert check_er(m, fs, rs).outcome is check_nitd(m, fs, (when,)).outcome
+        assert model_satisfies(m, parse_formula("G (K (h2 == h1))")).outcome is Outcome.FAILS
