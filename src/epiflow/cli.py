@@ -172,7 +172,7 @@ def cmd_check(args) -> int:
 
 def cmd_model(args) -> int:
     _, _, program, cfg = _load(args)
-    model = build_model(program, cfg)
+    model = build_model(program, cfg, frozenset())
     sys.stdout.write(model_dump(model))
     return EXIT_HOLDS
 
@@ -218,7 +218,7 @@ def cmd_knowledge(args) -> int:
     dom, _, program, cfg = _load(args)
     pieces = policy_pieces(_policy_from(args), program, dom)
     fs, releases = pieces["fs"], pieces["releases"]
-    model = build_model(program, cfg)
+    model = build_model(program, cfg, releases.flags)
     if model.tainted:
         print("model contains a non-terminated execution; refusing")
         return EXIT_BOUND

@@ -76,9 +76,7 @@ class HashCall(Expr):
     arg: Expr
 
 
-BOOL_OPS = {"&&", "||", "==", "!="}
 INT_ONLY_OPS = {"<", "<=", ">", ">=", "+", "-", "*", "mod"}
-ALL_OPS = BOOL_OPS | INT_ONLY_OPS
 
 
 def expr_ids(e: Expr) -> tuple[str, ...]:

@@ -35,11 +35,10 @@ A model keeps per point only what its readings read (a cone-of-influence
 reduction: Clarke, Grumberg and Peled, "Model Checking", 1999).  Every
 run holds its whole initial and final stores, since what an observer
 knows depends only on initial stores and traces, and nani reads results.
-``build_model`` takes the identifiers to keep at every point: None keeps
-every store, as ``model``, ``knowledge`` and ``satisfies`` need.  Given a
-set, a run holds a view of each point's store with the kept identifiers,
-one view shared until a kept identifier is written; given the empty set,
-no per-point stores at all.  Simulation still steps whole stores, so
+``build_model`` takes the identifiers to keep at every point.  A run
+holds a view of each point's store with the kept identifiers, one view
+shared until a kept identifier is written; given the empty set, no
+per-point stores at all.  Simulation still steps whole stores, so
 lassos are found as before.  A reading that reads an identifier the model
 did not keep is an internal error (``Model.require``), never a verdict.
 
@@ -93,10 +92,9 @@ class NotKeptError(RuntimeError):
 class Execution:
     """One run: its whole initial and final stores, and trace_ids[i] the id
     of the trace emitted before point i.  stores[i] holds the model's kept
-    identifiers after i steps (every identifier, with stores[0] the initial
-    store, when the model keeps them all), or ``stores`` is None when the
-    model keeps none.  Runs with equal trace ids share one ``trace_ids``
-    list."""
+    identifiers after i steps (stores[0] is the whole initial store), or
+    ``stores`` is None when the model keeps none.  Runs with equal trace
+    ids share one ``trace_ids`` list."""
 
     index: int
     init_store: dict
@@ -140,7 +138,7 @@ class Model:
     trace_parents: list[tuple[int, object]]  # trace id -> (parent id, event)
     trace_table: dict[tuple[int, object], int]
     variables: tuple[str, ...] = ()
-    kept: frozenset[str] | None = None  # identifiers kept per point; None: all
+    kept: frozenset[str] = frozenset()  # identifiers kept per point
 
     @property
     def domain(self) -> Domain:
@@ -149,7 +147,7 @@ class Model:
     def require(self, names: frozenset[str], reader: str) -> None:
         """Raise NotKeptError unless the model kept each of ``names`` at
         every point, which ``reader`` reads there."""
-        if self.kept is not None and not names <= self.kept:
+        if not names <= self.kept:
             missing = ", ".join(sorted(names - self.kept))
             raise NotKeptError(f"{reader} reads {missing}, which the model did not keep")
 
@@ -242,11 +240,13 @@ def build_model(program: Program, cfg: ModelConfig,
     lexicographic value order; release flags start false.  With
     ``termination_output`` set, each terminated run emits one final marker
     event, making termination observable.  Each run keeps the identifiers
-    in ``keep`` at every point, or every store when ``keep`` is None.
+    in ``keep`` at every point; None keeps every identifier and flag.
     """
     dom = cfg.domain
     names = program.variables
     flags = program.flags
+    if keep is None:
+        keep = frozenset(names + flags)
 
     code = compile_program(program, dom)
     trace_parents: list[tuple[int, object]] = [(-1, None)]
@@ -304,7 +304,7 @@ def build_model(program: Program, cfg: ModelConfig,
 
 def _run(code: Code, init: dict, cfg: ModelConfig, index: int, extend_trace,
          behaviours: dict, dead: tuple[str, ...],
-         keep: frozenset[str] | None
+         keep: frozenset[str]
          ) -> tuple[Execution, tuple[dict[str, int], tuple[str, ...]] | None]:
     """Run the compiled program from ``init``.
 
@@ -313,9 +313,8 @@ def _run(code: Code, init: dict, cfg: ModelConfig, index: int, extend_trace,
     own table maps each one it reached to the step that first reached it,
     and reaching one again closes a lasso.  The table is dropped when the
     run ends.  The run's trace-id list is interned in ``behaviours``, keyed
-    by its contents.  Each point gets the current store (``keep`` None), a
-    view of the ``keep`` identifiers made anew when one of them is written,
-    or nothing (``keep`` empty).
+    by its contents.  Each point gets a view of the ``keep`` identifiers,
+    made anew when one of them is written, or nothing (``keep`` empty).
 
     Returns the run with what its clones need: for each of the ``dead``
     inputs it keeps per point, the position of the store where the run
@@ -327,9 +326,8 @@ def _run(code: Code, init: dict, cfg: ModelConfig, index: int, extend_trace,
     bound = cfg.bound
     store = init
     values = tuple(init.values())
-    whole = keep is None
     view = init
-    stores = [init] if whole or keep else None
+    stores = [init] if keep else None
     trace_ids = [0]
     tid = 0
     pc = code.entry
@@ -357,9 +355,7 @@ def _run(code: Code, init: dict, cfg: ModelConfig, index: int, extend_trace,
             store = {**store, name: fn(store)}
             values = tuple(store.values())
             pc = nxt
-            if whole:
-                view = store
-            elif name in keep:
+            if name in keep:
                 view = {n: store[n] for n in keep}
             if name in pending:
                 pending.remove(name)
@@ -381,7 +377,7 @@ def _run(code: Code, init: dict, cfg: ModelConfig, index: int, extend_trace,
     if status is not Status.TERMINATED or not dead:
         return execution, None
     firsts.update(dict.fromkeys(pending, len(trace_ids)))
-    laid = firsts if whole else {n: first for n, first in firsts.items() if n in keep}
+    laid = {n: first for n, first in firsts.items() if n in keep}
     return execution, (laid, tuple(pending))
 
 

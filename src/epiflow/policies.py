@@ -10,7 +10,8 @@ narrowed down the initial secrets:
 
 On top of them sit the five conditions: absence of knowledge (plain, and
 modulo a declassified predicate, an abstraction pair, write-once release
-flags, or condition-triggered temporal declassifications).
+flags, or condition-triggered temporal declassifications).  A release
+flag is a condition that never resets, so akr is aktd over its flags.
 
 ``espm`` is written as the paper writes it: for the actual initial values,
 every alternative secret that agrees with the actual one on each
@@ -329,21 +330,12 @@ def _powerset(items: tuple) -> list[tuple]:
 def encode_akr(fs: FlowSpec, rs: ReleaseSpec, dom: Domain) -> Formula:
     """Absence of knowledge beyond what the set flags have released.
 
-    Release flags are write-once booleans, so at each point exactly one
-    flag pattern matches the store; under it, uncertainty must hold modulo
-    the expressions released so far (evaluated on initial stores).
+    A release flag is a condition that, once it holds, holds for good, so
+    this is aktd with each flag as the condition that declassifies its
+    expression (evaluated on initial stores).
     """
-    conjuncts = []
-    for chosen in _powerset(rs.items):
-        chosen_flags = {f for f, _ in chosen}
-        preds = tuple(
-            InitPredicate.from_expression(e, dom, label=f"released {expr_to_source(e, dom)}")
-            for _, e in chosen)
-        pattern = conj(tuple(
-            Eq(Var(f), Const(dom.true_value if f in chosen_flags else dom.false_value))
-            for f, _ in rs.items))
-        conjuncts.append(implies(pattern, espm(fs.low, fs.high, preds, dom)))
-    return G(conj(tuple(conjuncts)))
+    return encode_aktd(fs, (TemporalDeclassification(Var(flag), InitPredicate.from_expression(
+        e, dom, label=f"released {expr_to_source(e, dom)}")) for flag, e in rs.items), dom)
 
 
 def encode_aktd(fs: FlowSpec, tds: Iterable[TemporalDeclassification],

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .domain import Domain
 from .model import Model
@@ -61,22 +61,7 @@ class Report:
     note: str = ""
 
     def to_json_text(self) -> str:
-        payload = {
-            "schema": SCHEMA,
-            "check": self.check,
-            "program_digest": self.program_digest,
-            "program_path": self.program_path,
-            "domain": self.domain,
-            "policy": self.policy,
-            "bound": self.bound,
-            "termination_output": self.termination_output,
-            "outcome": self.outcome,
-            "witness": self.witness,
-            "stats": self.stats,
-            "wall_time_s": self.wall_time_s,
-            "note": self.note,
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps({"schema": SCHEMA, **asdict(self)}, indent=2) + "\n"
 
     @staticmethod
     def from_json_text(text: str) -> "Report":

@@ -174,9 +174,10 @@ def release_set(m: Model, fs: FlowSpec, rs: ReleaseSpec, store: dict,
     if tid is None or not _produces(start, tid):
         raise PolicyError("trace never observed on the execution from this store")
     m.require(rs.flags, "the release set")
-    flags = start.stores[bisect_left(start.trace_ids, tid)]
+    # a model that keeps no identifier has no per-point stores to read
+    flags = start.stores[bisect_left(start.trace_ids, tid)] if rs.items else {}
     released = [compile_expr(e, dom) for f, e in rs.items
-                if flags.get(f) == dom.true_value]
+                if flags[f] == dom.true_value]
     expected = [fn(start.init_store) for fn in released]
     low = _low_key(fs, start)
     out = set()

@@ -11,6 +11,9 @@ once per initial store with a private lasso table, cloning no run and
 sharing no trace-id list, as the model's builder must agree with.
 ``holds`` evaluates formulas straight from the logic's definitions,
 sharing nothing with the package's evaluator.
+``akr_formula`` is akr as the paper writes it, one implication per set
+of release flags under one G, for the package's encoding (aktd over the
+flags) to be compared with.
 ``release_failure`` and ``temporal_failure`` judge er and nitd point by
 point, at every position of every run against every low-equal partner.
 None of them shares code with the package's compiled programs, so
@@ -22,11 +25,13 @@ from __future__ import annotations
 
 import itertools
 
+from epiflow import logic as lg
 from epiflow.domain import Domain, Label, TERMINATION_MARK
 from epiflow.lang import (ASSIGN, BRANCH, EXIT, compile_program)
 from epiflow.lang import (Assign, Binary, Const, Expr, HashCall, If, Out,
                           OutLit, Program, Release, Seq, Skip, Stmt, Unary,
-                          Var, While)
+                          Var, While, expr_to_source)
+from epiflow.policies import InitPredicate, espm
 
 
 def eval_expr(store: dict, e: Expr, dom: Domain):
@@ -304,8 +309,6 @@ def holds(model, f, ex, i: int, env: dict | None = None, memo: dict | None = Non
 
 def _satisfied(model, f, ex, i: int, env: dict, memo: dict) -> bool:
     """The definition of each connective, with ``holds`` for the parts."""
-    from epiflow import logic as lg
-
     dom = model.domain
 
     def value(e, k):
@@ -357,6 +360,21 @@ def _satisfied(model, f, ex, i: int, env: dict, memo: dict) -> bool:
         case lg.Exists(v, g):
             return any(at(g, extra={v: x}) for x in dom.values)
     raise TypeError(f"not a formula: {f!r}")
+
+
+def akr_formula(fs, rs, dom):
+    """G of, for each set S of release flags, (the set flags are exactly S)
+    -> espm modulo the expressions the flags in S release."""
+    conjuncts = []
+    for pattern in itertools.product((False, True), repeat=len(rs.items)):
+        released = tuple(
+            InitPredicate.from_expression(e, dom, label=f"released {expr_to_source(e, dom)}")
+            for (_, e), on in zip(rs.items, pattern) if on)
+        flags = lg.conj(tuple(
+            lg.Eq(Var(f), Const(dom.true_value if on else dom.false_value))
+            for (f, _), on in zip(rs.items, pattern)))
+        conjuncts.append(lg.implies(flags, espm(fs.low, fs.high, released, dom)))
+    return lg.G(lg.conj(tuple(conjuncts)))
 
 
 def release_failure(model, fs, rs):

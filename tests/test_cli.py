@@ -5,10 +5,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epiflow import cli
 from epiflow.cli import build_parser, main
 from epiflow.domain import Domain
 from epiflow.fuzz import FuzzConfig, _abstractions_for, _gen_expr, generate_program
 from epiflow.lang import MAX_DEPTH, expr_to_source, to_source
+from epiflow.model import build_model
 from epiflow.policyfile import EPISTEMIC_CHECKS, SEMANTIC_CHECKS
 from epiflow.report import Report
 
@@ -114,6 +116,14 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "(x=tt, y=tt)" in out and "epochs:" in out
 
+    def test_model_keeps_no_store_per_point(self, workdir, monkeypatch):
+        # the dump reads initial stores, lengths and trace ids only
+        built = []
+        monkeypatch.setattr(cli, "build_model",
+                            lambda *args: built.append(build_model(*args)) or built[-1])
+        assert run(["model", "--program", workdir / "copy.wout"]) == 0
+        assert [ex.stores for ex in built[0].executions] == [None] * 4
+
     @pytest.mark.parametrize("domain, table", [("int:4", "tt,ff,tt,ff"), ("bool", "1,0")])
     def test_hash_table_of_the_wrong_kind_exits_three(self, workdir, domain, table, capsys):
         code = run(["model", "--program", workdir / "copy.wout", "--domain", domain,
@@ -186,6 +196,16 @@ class TestOtherCommands:
                     "--init", "l=tt,h1=tt,h2=ff"])
         assert code == 1
         assert "INSECURE" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("policy, code, rows", [
+        ("low-y.pol", 0, ["[] | 2 | 2 | SECURE", "[tt] | 2 | 2 | SECURE"]),
+        ("low-x.pol", 1, ["[] | 2 | 2 | SECURE", "[tt] | 1 | 2 | INSECURE"]),
+    ])
+    def test_knowledge_without_releases(self, workdir, capsys, policy, code, rows):
+        # with no release entry the release set is every low-equal store
+        assert run(["knowledge", "--program", workdir / "copy.wout",
+                    "--policy", workdir / policy, "--init", "x=tt,y=tt"]) == code
+        assert capsys.readouterr().out.splitlines()[1:] == rows
 
     def test_knowledge_rejects_a_repeated_init(self, workdir, capsys):
         code = run(["knowledge", "--program", workdir / "release.wout",

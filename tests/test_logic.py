@@ -270,6 +270,37 @@ class TestEvaluatorTransparency:
             fs = FlowSpec.from_low(program, names[:1])
             matches_reference(m, encode_akr(fs, rs, BOOL))
 
+    # release programs, with their releases and public identifiers: flags
+    # set before, after and in only some runs of the outputs they cover
+    RELEASES = [
+        (BOOL, "out h; release r; out h", {"r": "h"}, ()),
+        (BOOL, "l := h1; out l; release r1; l := h2; release r2; out l",
+         {"r1": "h1", "r2": "h2"}, ("l",)),
+        (BOOL, "if h1 then { release r } else { skip }; out h1 && h2",
+         {"r": "h1 && h2"}, ()),
+        (BOOL, "release r1; out h1 || h2; out h2; release r2",
+         {"r1": "h1 || h2", "r2": "h2"}, ()),
+        (INT4, "out h mod 2; x := h; release r; out x mod 2", {"r": "h mod 2"}, ()),
+    ]
+
+    @pytest.mark.parametrize("dom, text, releases, low", RELEASES, ids=[
+        "out-release-out", "two-release", "release-in-some-runs", "two-flags", "int4"])
+    def test_akr_at_every_point(self, dom, text, releases, low):
+        # akr is aktd over its release flags: at every point it agrees with
+        # the reference evaluator, and with the paper's formula, G of
+        # (flags = S -> espm(S)) over every set S of flags
+        program = parse(text, dom)
+        m = build_model(program, ModelConfig(dom))
+        rs = ReleaseSpec(tuple((flag, parse_expression(e)) for flag, e in releases.items()))
+        fs = FlowSpec.from_low(program, low)
+        f = encode_akr(fs, rs, dom)
+        agrees_at_every_point(m, f)
+        paper, memo = oracles.akr_formula(fs, rs, dom), {}
+        values = [satisfies(m, pt, f) for pt in all_points(m)]
+        assert values == [oracles.holds(m, paper, pt.execution, pt.index, memo=memo)
+                          for pt in all_points(m)]
+        assert set(values) == {True, False}
+
     def test_aktd(self):
         for m in random_models(4, seed=10, ident_count=3):
             a, b, c = m.variables
@@ -542,10 +573,10 @@ class TestMemoLevels:
         assert ev.calls == sum(len(set(ids)) for ids in scans.values())
 
     def test_scans_step_from_change_to_change(self):
-        # akr's G child reads the release flag, which changes only at the
-        # release step: its scans visit each position where the flag or
-        # the trace changes, and no other
-        m, f = c7_akr()
+        # the G child of the paper's akr formula reads the release flag,
+        # which changes only at the release step: its scans visit each
+        # position where the flag or the trace changes, and no other
+        m, f = c7_akr(encode=oracles.akr_formula)
         ev = evaluation(m, CountingEvaluation)
         root = ev.compile(f)
         ev.counted = root.kids[0]
@@ -570,15 +601,16 @@ class TestMemoLevels:
                               ("x''", 0), ("h''", 4))
 
 
-def c7_akr(leaky=False):
+def c7_akr(leaky=False, encode=encode_akr):
     """Acceptance item 7: the hashed-check program under akr, with its
-    check released; the leaky variant also outputs x mod 3."""
+    check released; the leaky variant also outputs x mod 3.  ``encode``
+    gives the akr formula."""
     dom = Domain.integers(8, hash_table=tuple(3 * v % 8 for v in range(8)))
     text = ("x := hash(h); if (x mod 2) == in then { l := 0 } else { l := 1 };"
             " release rh; out l" + ("; out (x mod 3)" if leaky else ""))
     program = parse(text, dom)
     releases = ReleaseSpec((("rh", parse_expression("(hash(h) mod 2) == in")),))
-    f = encode_akr(FlowSpec.from_low(program, ["in", "l"]), releases, dom)
+    f = encode(FlowSpec.from_low(program, ["in", "l"]), releases, dom)
     return build_model(program, ModelConfig(dom)), f
 
 

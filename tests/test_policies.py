@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+import oracles
 from epiflow.domain import Domain
-from epiflow.fuzz import FuzzConfig, generate_program
+from epiflow.fuzz import FuzzConfig, generate_case, generate_program
 from epiflow.lang import Binary, Const, Out, Seq, Var, parse, parse_expression
 from epiflow.logic import (And, Eq, Forall, G, Implies, Init, K, L, Not, W,
                            model_satisfies, satisfies)
 from epiflow.model import ModelConfig, Point, build_model
+from epiflow.policyfile import policy_pieces
 from epiflow.policies import (FlowSpec, InitPredicate, PolicyError,
                               ReleaseSpec, TemporalDeclassification,
                               encode_ak, encode_akd, encode_aak, encode_akr,
@@ -264,6 +266,28 @@ class TestRelease:
             empty = model_satisfies(m, encode_akr(fs, ReleaseSpec(()), BOOL))
             plain = model_satisfies(m, encode_ak(fs, BOOL))
             assert empty.outcome is plain.outcome
+
+    @pytest.mark.parametrize("cfg", [
+        FuzzConfig(seed=11, count=300),
+        FuzzConfig(seed=29, count=300, domain=INT4, loops=True),
+        FuzzConfig(seed=5, count=300, domain=Domain.integers(4, signed=True),
+                   ident_count=3, loops=True),
+    ], ids=["bool", "int4-loops", "signed-int4-loops"])
+    def test_same_verdicts_and_witnesses_as_the_papers_formula(self, cfg):
+        # akr is aktd with its release flags as the conditions; on the
+        # fuzzer's akr-er cases it gives the verdict and witness of the
+        # paper's G of (flags = S -> espm(S)) over every set S of flags
+        outcomes = set()
+        for index in range(cfg.count):
+            program, policy = generate_case("akr-er", index, cfg)
+            pieces = policy_pieces(policy, program, cfg.domain)
+            fs, rs = pieces["fs"], pieces["releases"]
+            m = build_model(program, ModelConfig(cfg.domain, bound=cfg.bound), rs.flags)
+            got = model_satisfies(m, encode_akr(fs, rs, cfg.domain))
+            paper = model_satisfies(m, oracles.akr_formula(fs, rs, cfg.domain))
+            assert (got.outcome, got.witness) == (paper.outcome, paper.witness), index
+            outcomes.add(got.outcome)
+        assert outcomes == {Outcome.HOLDS, Outcome.FAILS}
 
     def test_powerset_cap(self):
         items = tuple((f"r{i}", Var("h")) for i in range(7))

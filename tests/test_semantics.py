@@ -209,6 +209,17 @@ class TestReleaseSets:
         assert required == stores({(True, a, b)
                                    for a in (True, False) for b in (True, False)})
 
+    def test_no_releases_on_a_model_that_keeps_nothing(self):
+        # with nothing released the release set is every low-equal store,
+        # and no per-point store is read
+        program = parse("l := h1; out l; l := h2; release r2; out l", BOOL)
+        m = build_model(program, ModelConfig(BOOL), frozenset())
+        fs = FlowSpec.from_low(program, ["l"])
+        s0 = {"l": True, "h1": True, "h2": False}
+        required = release_set(m, fs, ReleaseSpec(()), s0, (True,))
+        assert required == stores({(True, a, b)
+                                   for a in (True, False) for b in (True, False)})
+
     def test_trace_not_from_this_store_rejected(self, two_release_model):
         m = two_release_model
         fs = FlowSpec.from_low(m.program, ["l"])
