@@ -216,7 +216,15 @@ def _parse_init(text: str, program, dom: Domain) -> dict:
 
 def cmd_knowledge(args) -> int:
     dom, _, program, cfg = _load(args)
-    pieces = policy_pieces(_policy_from(args), program, dom)
+    policy = _policy_from(args)
+    # the release set is defined by release flags alone: a policy that
+    # declassifies otherwise would be judged as if it declassified nothing
+    entries = policy.describe()
+    unread = [key for key in ("declassify", "when", "eta", "phi", "rho") if entries[key]]
+    if unread:
+        raise PolicyError(f"knowledge reads only low: and release: entries, "
+                          f"not the policy's {unread[0]}: entry")
+    pieces = policy_pieces(policy, program, dom)
     fs, releases = pieces["fs"], pieces["releases"]
     model = build_model(program, cfg, releases.flags)
     if model.tainted:

@@ -462,7 +462,10 @@ class Evaluation:
     def compile(self, f: Formula, scope: frozenset = frozenset()) -> _Plan:
         """Check the node against the model's signature and domain, and plan
         it.  The table holds each node it keys by ``id``, so no key is reused
-        while the evaluation lives (K and L may be planned as their child)."""
+        while the evaluation lives (K and L may be planned as their child):
+        a node shared by several parents is planned once per scope.  Each
+        use of an atom checks and compiles its expressions anew, under the
+        scope it is planned in."""
         key = (id(f), scope)
         entry = self.plans.get(key)
         if entry is None:
@@ -474,8 +477,7 @@ class Evaluation:
             case Eq(lhs, rhs):
                 return self._atom(f, (lhs, rhs), scope)
             case Init(name, expr):
-                if name not in self.signature:
-                    raise LogicError(f"init names unknown identifier {name!r}")
+                self._subject(name)
                 return self._atom(f, (expr,), scope)
             case Tt() | Ff():
                 return _Plan(f, Evaluation._constant, args=isinstance(f, Tt))
@@ -507,6 +509,11 @@ class Evaluation:
             case Forall() | Exists():
                 return self._block(f, scope)
         raise TypeError(f"not a formula: {f!r}")
+
+    def _subject(self, name: str) -> None:
+        """Refuse an ``init`` atom whose identifier the program lacks."""
+        if name not in self.signature:
+            raise LogicError(f"init names unknown identifier {name!r}")
 
     def _atom(self, f: Formula, exprs: tuple, scope: frozenset) -> _Plan:
         names: set[str] = set()
@@ -566,11 +573,14 @@ class Evaluation:
         pure: list[_Plan] = []
         checks: list[_Plan] = []
         for g in guard:
-            plan = self.compile(g, inner)
             if (isinstance(g, Init) and isinstance(g.expr, Var) and g.expr.name in names
                     and g.expr.name not in binders):
+                # a binder reads only the run's initial value, never a plan
+                self._subject(g.name)
                 binders[g.expr.name] = g.name
-            elif plan.constant:
+                continue
+            plan = self.compile(g, inner)
+            if plan.constant:
                 pure.append(plan)
             else:
                 checks.append(plan)

@@ -20,6 +20,13 @@ the property's expression over the premise values and over the
 alternative ones.  Quantified initial values are named after the
 identifier they constrain: ``x'`` for the premise value, ``x''`` for the
 epistemic alternative.
+
+aktd asks for one ``espm`` per subset of its declassifications.  These
+share one scaffold per flow spec: the premise and the possibility are
+built once, and so are each declassification's agreement and its
+condition's test; only the agreement guard, their conjunction, is new per
+subset.  The evaluator plans a node by identity, so it plans each shared
+node once.
 """
 
 from __future__ import annotations
@@ -231,6 +238,37 @@ def esp(fs: FlowSpec, dom: Domain) -> Formula:
     return foralls(low_vars, implies(premise, foralls(high_vars, possible)))
 
 
+class _Espm:
+    """``espm`` over one split of the identifiers: the premise
+    ``init_l(l') && init_h(h')`` and the possibility
+    ``L(init_l(l') && init_h(h''))``, built once for every agreement guard
+    ``modulo`` is given."""
+
+    def __init__(self, fixed_low: tuple[str, ...], high: tuple[str, ...]):
+        names = fixed_low + high
+        self.premise = {n: primed(n) for n in names}
+        self.alternative = {**self.premise, **{n: alt_primed(n) for n in high}}
+        self.premise_vars = [self.premise[n] for n in names]
+        self.alternative_vars = [self.alternative[n] for n in high]
+        self.given = init_atoms(names, [Var(self.premise[n]) for n in names])
+        self.possible = L(init_atoms(names, [Var(self.alternative[n]) for n in names]))
+
+    def agreement(self, p: InitPredicate) -> tuple[Formula, ...]:
+        """The premise and the alternative agree on ``p``: one equality per
+        expression of ``p``."""
+        outside = [n for n in p.ids if n not in self.premise]
+        if outside:
+            raise PolicyError(
+                f"declassification {p.label!r} mentions {outside[0]!r}, "
+                "which is neither fixed-public nor secret")
+        return tuple(Eq(_renamed(e, self.premise), _renamed(e, self.alternative))
+                     for e in p.exprs)
+
+    def modulo(self, agreements: Iterable[Formula]) -> Formula:
+        return foralls(self.premise_vars, implies(self.given, foralls(
+            self.alternative_vars, implies(conj(tuple(agreements)), self.possible))))
+
+
 def espm(fixed_low: Iterable[str], high: Iterable[str],
          predicates: Iterable[InitPredicate], dom: Domain) -> Formula:
     """Every initial secret agreeing on the predicates is possible.
@@ -238,26 +276,9 @@ def espm(fixed_low: Iterable[str], high: Iterable[str],
     forall l' h'. init_l(l') && init_h(h') ->
         forall h''. (p[l', h'] == p[l', h''] for each p) -> L(init_l(l') && init_h(h''))
     """
-    fixed_low = tuple(fixed_low)
-    high = tuple(high)
-    predicates = tuple(predicates)
-    known = set(fixed_low) | set(high)
-    for p in predicates:
-        outside = [n for n in p.ids if n not in known]
-        if outside:
-            raise PolicyError(
-                f"declassification {p.label!r} mentions {outside[0]!r}, "
-                "which is neither fixed-public nor secret")
-
-    names = fixed_low + high
-    premise = {n: primed(n) for n in names}
-    alternative = {**premise, **{n: alt_primed(n) for n in high}}
-    agree = conj(tuple(Eq(_renamed(e, premise), _renamed(e, alternative))
-                       for p in predicates for e in p.exprs))
-    possible = L(init_atoms(names, [Var(alternative[n]) for n in names]))
-    return foralls([premise[n] for n in names], implies(
-        init_atoms(names, [Var(premise[n]) for n in names]),
-        foralls([alternative[n] for n in high], implies(agree, possible))))
+    scaffold = _Espm(tuple(fixed_low), tuple(high))
+    agreements = [scaffold.agreement(p) for p in predicates]
+    return scaffold.modulo(a for agree in agreements for a in agree)
 
 
 # --------------------------------------------------------------------------
@@ -347,13 +368,15 @@ def encode_aktd(fs: FlowSpec, tds: Iterable[TemporalDeclassification],
     declassifications fires (an empty remainder never fires).
     """
     tds = tuple(tds)
+    subsets = _powerset(tds)
+    scaffold = _Espm(fs.low, fs.high)
+    agreement = {id(td): scaffold.agreement(td.declassified) for td in tds}
+    # "fired" means truthy, so compare against false rather than true
+    fired = {id(td): Not(Eq(td.condition, Const(dom.false_value))) for td in tds}
     conjuncts = []
-    for chosen in _powerset(tds):
+    for chosen in subsets:
         chosen_ids = {id(td) for td in chosen}
-        body = espm(fs.low, fs.high, tuple(td.declassified for td in chosen), dom)
-        # "fired" means truthy, so compare against false rather than true
-        released_later = disj(tuple(
-            Not(Eq(td.condition, Const(dom.false_value)))
-            for td in tds if id(td) not in chosen_ids))
+        body = scaffold.modulo(a for td in chosen for a in agreement[id(td)])
+        released_later = disj(tuple(fired[id(td)] for td in tds if id(td) not in chosen_ids))
         conjuncts.append(W(body, released_later))
     return conj(tuple(conjuncts))

@@ -13,7 +13,9 @@ sharing no trace-id list, as the model's builder must agree with.
 sharing nothing with the package's evaluator.
 ``akr_formula`` is akr as the paper writes it, one implication per set
 of release flags under one G, for the package's encoding (aktd over the
-flags) to be compared with.
+flags) to be compared with.  ``aktd_formula`` is aktd with a fresh
+``espm`` per set of declassifications, sharing no node between them, for
+the package's encoding (one shared ``espm`` scaffold) to be compared with.
 ``release_failure`` and ``temporal_failure`` judge er and nitd point by
 point, at every position of every run against every low-equal partner.
 None of them shares code with the package's compiled programs, so
@@ -375,6 +377,21 @@ def akr_formula(fs, rs, dom):
             for (f, _), on in zip(rs.items, pattern)))
         conjuncts.append(lg.implies(flags, espm(fs.low, fs.high, released, dom)))
     return lg.G(lg.conj(tuple(conjuncts)))
+
+
+def aktd_formula(fs, tds, dom):
+    """The conjunction, over every set S of the declassifications, of
+    espm(S) W (the condition of one outside S has fired), each espm and
+    each condition test built anew.  The sets come in the package's order
+    (bit k of the set's index for the k-th declassification), so the first
+    failing conjunct, and with it the witness, is the same."""
+    conjuncts = []
+    for mask in range(1 << len(tds)):
+        chosen = tuple(td.declassified for k, td in enumerate(tds) if mask >> k & 1)
+        fired = tuple(lg.Not(lg.Eq(td.condition, Const(dom.false_value)))
+                      for k, td in enumerate(tds) if not mask >> k & 1)
+        conjuncts.append(lg.W(espm(fs.low, fs.high, chosen, dom), lg.disj(fired)))
+    return lg.conj(tuple(conjuncts))
 
 
 def release_failure(model, fs, rs):

@@ -96,6 +96,30 @@ class TestCheckCommand:
         assert code == 3
         assert "outside the bool domain" in capsys.readouterr().err
 
+    # each atom expression is checked once per evaluation and looked up
+    # after; the messages are the ones a check of every use gives: the
+    # first fault in the expression, and an identifier valid only under
+    # a binder is unknown outside it, whichever use comes first
+    @pytest.mark.parametrize("domain, formula, message", [
+        ("bool", "(x < tt) == tt", "formula atom 'x < tt': operator '<' is not boolean"),
+        ("bool", "-x == x", "formula atom '-x': arithmetic negation is not boolean"),
+        ("bool", "(x == tt) && (x == 1)", "formula atom '1': literal 1 outside the bool domain"),
+        ("int:4", "(z + 9) == x", "formula atom 'z + 9': unknown identifier 'z'"),
+        ("int:4", "(9 + z) == x", "formula atom '9 + z': literal 9 outside the int:4 domain"),
+        ("int:4", "x == hash(x) + 5",
+         "formula atom 'hash(x) + 5': literal 5 outside the int:4 domain"),
+        ("int:4", "(forall v . init(x, v) -> v == x) && G (v == x)",
+         "formula atom 'v': unknown identifier 'v'"),
+        ("int:4", "G (v == x) && (forall v . init(x, v) -> v == x)",
+         "formula atom 'v': unknown identifier 'v'"),
+        ("int:4", "forall v . init(z, v) -> true", "init names unknown identifier 'z'"),
+    ])
+    def test_formula_errors_name_the_first_fault(self, workdir, capsys, domain, formula,
+                                                 message):
+        assert run(["check", "--program", workdir / "copy.wout", "--domain", domain,
+                    "--formula", formula]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_low_override(self, workdir):
         code = run(["check", "--program", workdir / "copy.wout",
                     "--policy", workdir / "low-y.pol", "--low", "x"])
@@ -206,6 +230,25 @@ class TestOtherCommands:
         assert run(["knowledge", "--program", workdir / "copy.wout",
                     "--policy", workdir / policy, "--init", "x=tt,y=tt"]) == code
         assert capsys.readouterr().out.splitlines()[1:] == rows
+
+    @pytest.mark.parametrize("entry", [
+        "declassify: h1", "when: tt ==> h1", "eta: Id", "phi: Id", "rho: Id"])
+    def test_knowledge_refuses_entries_it_does_not_read(self, workdir, capsys, entry):
+        # the release set comes from release flags alone; judging such a
+        # policy as if it declassified nothing would report a false leak
+        (workdir / "other.pol").write_text(f"check: akr\nlow: l\nrelease: r1 = h1\n{entry}\n")
+        assert run(["knowledge", "--program", workdir / "release.wout",
+                    "--policy", workdir / "other.pol"]) == 3
+        key = entry.split(":")[0]
+        assert capsys.readouterr().err == (
+            f"error: knowledge reads only low: and release: entries, "
+            f"not the policy's {key}: entry\n")
+
+    def test_knowledge_refuses_the_payment_policy(self, capsys):
+        samples = Path(__file__).resolve().parent.parent / "samples"
+        assert run(["knowledge", "--program", samples / "payment.wout",
+                    "--policy", samples / "payment.pol", "--domain", "int:4"]) == 3
+        assert "when: entry" in capsys.readouterr().err
 
     def test_knowledge_rejects_a_repeated_init(self, workdir, capsys):
         code = run(["knowledge", "--program", workdir / "release.wout",

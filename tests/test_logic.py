@@ -309,6 +309,25 @@ class TestEvaluatorTransparency:
                    TemporalDeclassification(parse_expression("tt"), pred(f"{b} && {c}", BOOL)))
             matches_reference(m, encode_aktd(fs, tds, BOOL))
 
+    @pytest.mark.parametrize("dom, text, whens, low", [
+        (BOOL, "out h1; l := h2; out l", [("l", "h1"), ("tt", "h2")], ("l",)),
+        (BOOL, "if h1 then { l := h2 } else { skip }; out l; out h1",
+         [("l == h2", "h1 && h2"), ("h1", "h2")], ()),
+        (INT4, "x := 0; while x < h do { out l; x := x + 1 }; out l + x",
+         [("x == 2", "h mod 2"), ("x > 2", "h")], ("l",)),
+    ], ids=["bool", "two-guards", "int4-loop"])
+    def test_aktd_at_every_point(self, dom, text, whens, low):
+        # the conjuncts share one espm scaffold and one agreement and one
+        # condition test per declassification, so a node is memoized once
+        # for all the conjuncts it serves; the value stays the reference's
+        program = parse(text, dom)
+        m = build_model(program, ModelConfig(dom))
+        tds = tuple(TemporalDeclassification(parse_expression(cond), pred(e, dom))
+                    for cond, e in whens)
+        f = encode_aktd(FlowSpec.from_low(program, low), tds, dom)
+        agrees_at_every_point(m, f)
+        assert {satisfies(m, pt, f) for pt in all_points(m)} == {True, False}
+
     def test_guarded_blocks(self):
         # binders, guards over bound values only, guards over the store, a
         # bound name that shadows an identifier, and a contradictory pinned L
@@ -790,6 +809,27 @@ class TestFormulaChecks:
         for text in ("G (y == 7)", "(x < tt) == tt"):
             with pytest.raises(LogicError):
                 model_satisfies(copy_out_model, parse_formula(text))
+
+    def test_binder_naming_an_unknown_identifier(self, copy_out_model):
+        # a guard's binder is not planned, but its identifier is checked
+        f = Forall("v", Implies(Init("z", Var("v")), Tt()))
+        with pytest.raises(LogicError) as err:
+            model_satisfies(copy_out_model, f)
+        assert str(err.value) == "init names unknown identifier 'z'"
+
+    def test_one_expression_at_two_scopes(self):
+        # v == y is valid under a binder of v, and names an unknown v outside
+        # it: whichever use is planned first, the one outside is refused
+        program = parse("x := y; out y", INT4)
+        m = build_model(program, ModelConfig(INT4))
+        inside = Forall("v", Implies(Init("x", Var("v")), Eq(Var("v"), Var("y"))))
+        for f in (And((inside, G(Eq(Var("v"), Var("y"))))),
+                  And((G(Eq(Var("v"), Var("y"))), inside))):
+            with pytest.raises(LogicError) as err:
+                model_satisfies(m, f)
+            assert str(err.value) == "formula atom 'v': unknown identifier 'v'"
+        assert model_satisfies(m, And((inside, G(Eq(Var("x"), Var("y")))))).outcome \
+            is Outcome.FAILS
 
     def test_bound_names_are_known(self, copy_out_model):
         f = Forall("v", Implies(Init("y", Var("v")), Eq(Var("v"), Var("y"))))

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -6,12 +8,12 @@ import oracles
 from epiflow.domain import Domain
 from epiflow.fuzz import FuzzConfig, generate_case, generate_program
 from epiflow.lang import Binary, Const, Out, Seq, Var, parse, parse_expression
-from epiflow.logic import (And, Eq, Forall, G, Implies, Init, K, L, Not, W,
+from epiflow.logic import (And, Eq, Evaluation, Forall, G, Implies, Init, K, L, Not, W,
                            model_satisfies, satisfies)
 from epiflow.model import ModelConfig, Point, build_model
-from epiflow.policyfile import policy_pieces
+from epiflow.policyfile import load_policy, policy_pieces
 from epiflow.policies import (FlowSpec, InitPredicate, PolicyError,
-                              ReleaseSpec, TemporalDeclassification,
+                              ReleaseSpec, TemporalDeclassification, condition_ids,
                               encode_ak, encode_akd, encode_aak, encode_akr,
                               encode_aktd, esp, espm)
 from epiflow.semantics import check_nani, check_nitd, check_oni
@@ -19,6 +21,17 @@ from epiflow.verdicts import Outcome
 
 BOOL = Domain.booleans()
 INT4 = Domain.integers(4)
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+# the differential sweeps: bool, int:4 with loops, signed int:4 with three
+# identifiers and loops
+SWEEPS = [
+    FuzzConfig(seed=11, count=300),
+    FuzzConfig(seed=29, count=300, domain=INT4, loops=True),
+    FuzzConfig(seed=5, count=300, domain=Domain.integers(4, signed=True),
+               ident_count=3, loops=True),
+]
+SWEEP_IDS = ["bool", "int4-loops", "signed-int4-loops"]
 
 
 def models_for(count, seed, domain=BOOL, ident_count=2, size=6):
@@ -267,12 +280,7 @@ class TestRelease:
             plain = model_satisfies(m, encode_ak(fs, BOOL))
             assert empty.outcome is plain.outcome
 
-    @pytest.mark.parametrize("cfg", [
-        FuzzConfig(seed=11, count=300),
-        FuzzConfig(seed=29, count=300, domain=INT4, loops=True),
-        FuzzConfig(seed=5, count=300, domain=Domain.integers(4, signed=True),
-                   ident_count=3, loops=True),
-    ], ids=["bool", "int4-loops", "signed-int4-loops"])
+    @pytest.mark.parametrize("cfg", SWEEPS, ids=SWEEP_IDS)
     def test_same_verdicts_and_witnesses_as_the_papers_formula(self, cfg):
         # akr is aktd with its release flags as the conditions; on the
         # fuzzer's akr-er cases it gives the verdict and witness of the
@@ -329,3 +337,56 @@ class TestTemporal:
         f = encode_aktd(fs, (td,), BOOL)
         assert isinstance(f, And) and len(f.children) == 2
         assert all(isinstance(c, W) for c in f.children)
+
+    def test_conjuncts_share_one_espm_scaffold(self):
+        # payment's three declassifications give 8 conjuncts, whose espm
+        # instances differ only in their agreement guards: one premise and
+        # one possibility serve them all, an evaluation plans the
+        # possibility and its atoms once, and the premise's atoms, which
+        # only bind quantified values, never
+        program = parse((SAMPLES / "payment.wout").read_text(), INT4)
+        pieces = policy_pieces(load_policy(SAMPLES / "payment.pol"), program, INT4)
+        f = encode_aktd(pieces["fs"], pieces["whens"], INT4)
+        parts = [espm_parts(conjunct.lhs) for conjunct in f.children]
+        assert len(parts) == 8
+        (premise,) = {id(p): p for p, _, _ in parts}.values()
+        (possible,) = {id(p): p for _, _, p in parts}.values()
+        guards = [agree for _, agree, _ in parts]
+        assert guards[0] is None and len({id(g) for g in guards[1:]}) == 7
+        ev = Evaluation(program, INT4)
+        ev.compile(f)
+        planned = Counter(id(node) for node, _ in ev.plans.values())
+        assert planned[id(possible)] == 1
+        assert all(planned[id(a)] == 1 for a in possible.child.children)
+        assert not any(planned[id(a)] for a in premise.children)
+
+    @pytest.mark.parametrize("cfg", SWEEPS, ids=SWEEP_IDS)
+    def test_same_verdicts_and_witnesses_as_an_unshared_encoding(self, cfg):
+        # aktd with one espm scaffold and one agreement per declassification
+        # judges the fuzzer's nitd-aktd cases as aktd with a fresh espm per
+        # subset (akr, aktd over its release flags, is compared with the
+        # paper's formula above)
+        outcomes = set()
+        for index in range(cfg.count):
+            program, policy = generate_case("nitd-aktd", index, cfg)
+            pieces = policy_pieces(policy, program, cfg.domain)
+            tds = pieces["whens"]
+            m = build_model(program, ModelConfig(cfg.domain, bound=cfg.bound), condition_ids(tds))
+            shared = model_satisfies(m, encode_aktd(pieces["fs"], tds, cfg.domain))
+            fresh = model_satisfies(m, oracles.aktd_formula(pieces["fs"], tds, cfg.domain))
+            assert (shared.outcome, shared.witness) == (fresh.outcome, fresh.witness), index
+            outcomes.add(shared.outcome)
+        assert {Outcome.HOLDS, Outcome.FAILS} <= outcomes
+
+
+def espm_parts(f):
+    """The premise, the agreement guard (None when there is none) and the
+    possibility of an espm formula."""
+    while isinstance(f, Forall):
+        f = f.body
+    premise, f = f.lhs, f.rhs
+    while isinstance(f, Forall):
+        f = f.body
+    if isinstance(f, Implies):
+        return premise, f.lhs, f.rhs
+    return premise, None, f
