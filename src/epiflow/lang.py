@@ -80,27 +80,23 @@ INT_ONLY_OPS = {"<", "<=", ">", ">=", "+", "-", "*", "mod"}
 
 
 def expr_ids(e: Expr) -> tuple[str, ...]:
-    """Identifiers of an expression, in first-occurrence order."""
+    """Identifiers of an expression, in first-occurrence order, without
+    recursion: a left operand's subtree is walked before the right's."""
     if type(e) is Var:
         return (e.name,)
-    out: list[str] = []
-
-    def walk(node: Expr) -> None:
-        match node:
-            case Const():
-                pass
-            case Var(name):
-                if name not in out:
-                    out.append(name)
-            case Unary(_, arg) | HashCall(arg):
-                walk(arg)
-            case Binary(_, lhs, rhs):
-                walk(lhs)
-                walk(rhs)
-            case _:
-                raise TypeError(f"not an expression: {node!r}")
-
-    walk(e)
+    out: dict[str, None] = {}
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Var:
+            out[node.name] = None
+        elif kind is Binary:
+            stack += (node.rhs, node.lhs)
+        elif kind is Unary or kind is HashCall:
+            stack.append(node.arg)
+        elif kind is not Const:
+            raise TypeError(f"not an expression: {node!r}")
     return tuple(out)
 
 

@@ -35,8 +35,15 @@ knowledge and scans cheap:
 
 * ``forall v1 ... vk. guard -> body`` is one block.  A guard conjunct
   ``init_x(v)`` binds ``v`` to the run's own initial ``x``, so the block
-  reads the initial ``x`` when its parts use ``v``; conjuncts over bound
-  variables only are solved once per value of their outer variables.
+  reads the initial ``x`` when its parts use ``v``.  Conjuncts over bound
+  variables only are solved as a hash join.  An equality between a near
+  side, which reads variables the block solves, and a far side, which
+  reads none, is a key; any other such conjunct filters.  The product of
+  the solved variables is enumerated once per value of the outer
+  variables the near sides and filters read, and grouped by the near
+  sides' values; an instance takes the group under its far sides' values.
+  For espm's agreement guard the groups are the alternatives' classes
+  under the declassified property, built once, not once per premise.
 * K and L over a body fixed along a run work on sets of runs, held as int
   bitmasks (bit k for run k).  ``have`` is the mask of the runs that visit
   a trace id, which each evaluation builds once per behaviour, ORing the
@@ -239,29 +246,29 @@ class W(Formula):
     rhs: Formula
 
 
+_ONE_CHILD = frozenset((Not, K, L, F, G))
+_TWO_CHILDREN = frozenset((Until, Implies, W))
+
+
 def formula_size(f: Formula) -> int:
-    """Distinct nodes reachable from the root (shared subtrees count once)."""
+    """Distinct nodes reachable from the root (shared subtrees count once),
+    counted without recursion."""
     seen: set[int] = set()
-
-    def walk(node: Formula) -> None:
+    stack = [f]
+    while stack:
+        node = stack.pop()
         if id(node) in seen:
-            return
+            continue
         seen.add(id(node))
-        match node:
-            case And(children) | Or(children):
-                for c in children:
-                    walk(c)
-            case Not(child) | K(child) | L(child) | F(child) | G(child):
-                walk(child)
-            case Until(lhs, rhs) | Implies(lhs, rhs) | W(lhs, rhs):
-                walk(lhs)
-                walk(rhs)
-            case Forall(_, body) | Exists(_, body):
-                walk(body)
-            case _:
-                pass
-
-    walk(f)
+        kind = type(node)
+        if kind is And or kind is Or:
+            stack += node.children
+        elif kind in _ONE_CHILD:
+            stack.append(node.child)
+        elif kind in _TWO_CHILDREN:
+            stack += (node.lhs, node.rhs)
+        elif kind is Forall or kind is Exists:
+            stack.append(node.body)
     return len(seen)
 
 
@@ -358,22 +365,30 @@ class _Block:
 
     ``binders`` pairs a variable with the identifier whose initial value it
     takes.  The other variables, ``solve``, range over the assignments that
-    satisfy ``pure`` (guard conjuncts over bound variables only), solved
-    once per value of the variables ``outer`` reads.  ``checks`` are the
-    rest of the guard.
+    satisfy ``pure`` (guard conjuncts over bound variables only).  Those
+    equalities whose one side reads solved variables and other side none
+    are keys: ``near`` gives the tuple of the first sides' values, ``far``
+    of the second sides'.  The rest of ``pure`` are ``filters``.  Per value
+    of the variables ``outer`` reads (the outer variables the near sides
+    and filters read) the assignments that pass the filters are grouped by
+    their ``near``; the solutions are the group under ``far``.  ``checks``
+    are the rest of the guard.
 
     A possibility block (no binders, no checks, a pinned L body) splits
     the body's pins by identifier: ``fixed`` pins identifiers none of whose
     pinned expressions reads a solved variable, ``varying`` the others.
     ``spread`` reads the values the union of the varying pins over the
-    guard's solutions depends on: ``outer``'s and those of the other bound
-    variables the varying expressions read.
+    guard's solutions depends on: those of the outer variables ``pure``
+    reads and of the other bound variables the varying expressions read.
     """
 
     vars: tuple[str, ...]
     binders: tuple[tuple[str, str], ...]
     solve: tuple[str, ...]
     pure: tuple[_Plan, ...]
+    filters: tuple[_Plan, ...]
+    near: object
+    far: object
     outer: object
     checks: tuple[_Plan, ...]
     body: _Plan
@@ -395,6 +410,27 @@ def _getter(names: frozenset):
     """Reads the values of ``names`` from a store or an environment; None
     for no names."""
     return itemgetter(*sorted(names)) if names else None
+
+
+def _values(fns: tuple):
+    """Reads the tuple of the values of compiled expressions ``fns`` in an
+    environment; ``()`` for none."""
+    return lambda env: tuple([fn(env) for fn in fns])
+
+
+def _key_sides(plan: _Plan, solve: frozenset):
+    """The (expression, compiled) pairs of the near and far side of the
+    pure guard conjunct ``plan`` when it is a key: an equality whose near
+    side reads a variable of ``solve`` and whose far side reads none.
+    None for any other conjunct."""
+    f = plan.formula
+    if not isinstance(f, Eq):
+        return None
+    lhs, rhs = zip((f.lhs, f.rhs), plan.args)
+    reads_solved = not solve.isdisjoint(expr_ids(f.lhs))
+    if reads_solved == solve.isdisjoint(expr_ids(f.rhs)):
+        return (lhs, rhs) if reads_solved else (rhs, lhs)
+    return None
 
 
 def _split_pins(body: _Plan, solve: frozenset, outer: frozenset) -> dict:
@@ -420,19 +456,16 @@ class Evaluation:
         self.model: Model | None = None
         self.env: dict[str, object] = {}
         self.memo: dict[tuple, bool] = {}
-        self.solved: dict[object, list[tuple]] = {}
+        self.solved: dict[object, dict[tuple, list[tuple]]] = {}
         self.masks: dict[object, int] = {}
         self.every_run = 0
         self.plans: dict[tuple[int, frozenset], tuple[Formula, _Plan]] = {}
+        # the store identifiers the plans read at the current point, which
+        # the model must keep: K and L hide their kids' reads, so this is
+        # the union over every plan, not the root's
+        self.reads: frozenset[str] = _NONE
         self.points_visited = 0
         self.cache_hits = 0
-
-    @property
-    def reads(self) -> frozenset[str]:
-        """The store identifiers the plans read at the current point, which
-        the model must keep.  K and L hide their kids' reads, so this is the
-        union over every plan, not the root's."""
-        return frozenset().union(*(p.reads for _, p in self.plans.values()))
 
     def bind(self, model: Model) -> Evaluation:
         """Evaluate over ``model``, a model of the program, from now on."""
@@ -470,6 +503,7 @@ class Evaluation:
         entry = self.plans.get(key)
         if entry is None:
             entry = self.plans[key] = (f, self._compile(f, scope))
+            self.reads |= entry[1].reads
         return entry[1]
 
     def _compile(self, f: Formula, scope: frozenset) -> _Plan:
@@ -591,18 +625,30 @@ class Evaluation:
             (subject for var, subject in binders.items() if var in free),
             *(kid.inits for kid in kids))
         solve = tuple(v for v in names if v not in binders)
-        outer = frozenset().union(*(plan.free for plan in pure)) - frozenset(solve)
+        solved = frozenset(solve)
+        keys, filters = [], []
+        for plan in pure:
+            sides = _key_sides(plan, solved)
+            if sides is None:
+                filters.append(plan)
+            else:
+                keys.append(sides)
+        outer = frozenset().union(*(plan.free for plan in filters),
+                                  *(expr_ids(near[0]) for near, _ in keys)) - solved
         pins = {}
         if kind is Exists:
             compute = Evaluation._exists
         elif (not binders and not checks and body.compute is Evaluation._possible_runs
                 and body.args is not None):
             compute = Evaluation._all_possible
-            pins = _split_pins(body, frozenset(solve), outer)
+            pins = _split_pins(body, solved, frozenset().union(
+                *(plan.free for plan in pure)) - solved)
         else:
             compute = Evaluation._forall
         block = _Block(tuple(names), tuple(binders.items()), solve, tuple(pure),
-                       _getter(outer), tuple(checks), body, **pins)
+                       tuple(filters), _values(tuple(near[1] for near, _ in keys)),
+                       _values(tuple(far[1] for _, far in keys)), _getter(outer),
+                       tuple(checks), body, **pins)
         return _Plan(f, compute, kids, block, True, free=free - frozenset(names),
                      inits=inits)
 
@@ -793,19 +839,25 @@ class Evaluation:
                 yield
 
     def _solutions(self, block: _Block, ex: Execution, i: int):
+        """The assignments of the solved variables the pure guard admits,
+        in product order.  The product passes through the filters once per
+        value of ``outer``, grouped by the near sides' values; each group is
+        the solutions of the far sides' values that equal them.  Domain
+        values are ints and bools, whose hashes agree with ``==``."""
         space = itertools.product(self.domain.values, repeat=len(block.solve))
         if not block.pure:
             return space
-        key = block if block.outer is None else (block, block.outer(self.env))
-        found = self.solved.get(key)
-        if found is None:
-            found = []
+        env = self.env
+        key = block if block.outer is None else (block, block.outer(env))
+        groups = self.solved.get(key)
+        if groups is None:
+            groups = {}
             for values in space:
-                self.env.update(zip(block.solve, values))
-                if all(self.holds(c, ex, i) for c in block.pure):
-                    found.append(values)
-            self.solved[key] = found
-        return found
+                env.update(zip(block.solve, values))
+                if all(self.holds(c, ex, i) for c in block.filters):
+                    groups.setdefault(block.near(env), []).append(values)
+            self.solved[key] = groups
+        return groups.get(block.far(env), ())
 
 
 def satisfies(model: Model, pt: Point, f: Formula) -> bool:

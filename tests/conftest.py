@@ -1,3 +1,4 @@
+import gc
 import sys
 from pathlib import Path
 
@@ -38,3 +39,17 @@ def exec_from(model, **values):
     """Execution starting at the given non-flag values."""
     key = tuple(values[name] for name in model.variables)
     return model.exec_by_values[key]
+
+
+def garbage_after(call):
+    """``call()``'s result and the objects it left in reference cycles,
+    which only the cyclic collector frees (kept by ``gc.DEBUG_SAVEALL``)."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        result = call()
+        gc.collect()
+        return result, list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()

@@ -16,6 +16,10 @@ of release flags under one G, for the package's encoding (aktd over the
 flags) to be compared with.  ``aktd_formula`` is aktd with a fresh
 ``espm`` per set of declassifications, sharing no node between them, for
 the package's encoding (one shared ``espm`` scaffold) to be compared with.
+``guard_solutions`` solves a quantifier block's guard of equalities by
+trying every assignment of the whole product in turn through
+``eval_expr``, grouping and keeping nothing, for the evaluator's hash join
+to be compared with.
 ``release_failure`` and ``temporal_failure`` judge er and nitd point by
 point, at every position of every run against every low-equal partner.
 None of them shares code with the package's compiled programs, so
@@ -362,6 +366,20 @@ def _satisfied(model, f, ex, i: int, env: dict, memo: dict) -> bool:
         case lg.Exists(v, g):
             return any(at(g, extra={v: x}) for x in dom.values)
     raise TypeError(f"not a formula: {f!r}")
+
+
+def guard_solutions(dom: Domain, guard, names, env: dict) -> list[tuple]:
+    """The assignments of the bound variables ``names``, as value tuples
+    in product order, under which every equality of ``guard`` (over bound
+    variables only) holds, the other bound variables taken from ``env``.
+    Every assignment of the product is tried; nothing is grouped by value
+    or kept between calls."""
+    found = []
+    for values in itertools.product(dom.values, repeat=len(names)):
+        bound = {**env, **dict(zip(names, values))}
+        if all(eval_expr(bound, g.lhs, dom) == eval_expr(bound, g.rhs, dom) for g in guard):
+            found.append(values)
+    return found
 
 
 def akr_formula(fs, rs, dom):

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import garbage_after
 from epiflow.domain import Domain, Label
 from epiflow.fuzz import FuzzConfig, generate_program
 from epiflow.lang import (ASSIGN, BRANCH, EXIT, MAX_DEPTH, OUT, Assign, Binary,
                           Const, HashCall, If, LangError, Out, ParseError, Seq,
                           Skip, Unary, Var, While, compile_expr, compile_program,
-                          expr_to_source, live_inputs, parse, parse_expression,
+                          expr_ids, expr_to_source, live_inputs, parse, parse_expression,
                           program_from_body, to_source, validate_expr)
 
 BOOL = Domain.booleans()
@@ -303,6 +304,26 @@ class TestCompiledExpressions:
         dom = DOMAINS["sint8"]
         e = parse_expression(text)
         assert compile_expr(e, dom)(store) == value == oracles.eval_expr(store, e, dom)
+
+
+class TestExpressionIdentifiers:
+    def test_first_occurrence_order(self):
+        e = parse_expression("(b + -a) * hash(c + b) == a")
+        assert expr_ids(e) == ("b", "a", "c")
+        assert expr_ids(Var("x")) == ("x",) and expr_ids(Const(3)) == ()
+
+    @pytest.mark.parametrize("left", [True, False], ids=["left-nested", "right-nested"])
+    def test_deep_expressions_leave_no_cycles(self, left):
+        # an explicit stack, not a recursive closure: deeper than the
+        # interpreter's recursion limit, and no function left in a cycle
+        e = Const(0)
+        for k in range(2000):
+            leaf = Unary("-", Var(f"v{k % 7}")) if k % 2 else HashCall(Var(f"v{k % 7}"))
+            e = Binary("+", e, leaf) if left else Binary("*", leaf, e)
+        order = range(2000) if left else reversed(range(2000))
+        ids, garbage = garbage_after(lambda: expr_ids(e))
+        assert ids == tuple(dict.fromkeys(f"v{k % 7}" for k in order))
+        assert garbage == []
 
 
 class TestLiveInputs:

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import exec_from
+from conftest import exec_from, garbage_after
 from epiflow.domain import Domain
 from epiflow.fuzz import FuzzConfig, _abstractions_for, _gen_expr, generate_program
 from epiflow.lang import Binary, Const, Unary, Var, expr_ids, parse, parse_expression
 from epiflow.logic import (And, Eq, Evaluation, Exists, F, Ff, Forall, G, Implies, Init,
                            K, L, LogicError, Not, Or, Tt, Until, W,
-                           formula_to_source, model_satisfies, parse_formula,
+                           formula_size, formula_to_source, model_satisfies, parse_formula,
                            satisfies)
 from epiflow.model import ModelConfig, Point, build_model
 from epiflow.policies import (FlowSpec, InitPredicate, ReleaseSpec,
@@ -89,6 +89,23 @@ class TestExpand:
         f = Forall("v", Forall("v", Init("x", Var("v"))))
         with pytest.raises(LogicError, match="shadow"):
             model_satisfies(copy_out_model, f)
+
+
+class TestFormulaSize:
+    def test_shared_subtrees_count_once(self):
+        shared = Eq(Var("l"), Var("h"))
+        assert formula_size(And((shared, Not(shared), Until(shared, Tt())))) == 5
+        assert formula_size(And((shared, Eq(Var("l"), Var("h"))))) == 3
+
+    def test_deep_formulas_leave_no_cycles(self):
+        # an explicit stack, not a recursive closure: deeper than the
+        # interpreter's recursion limit, and no function left in a cycle
+        f = Eq(Var("l"), Var("h"))
+        for k in range(2000):
+            f = (Not(f), And((f, f)), G(f), Until(f, f), Forall("v", f), W(Tt(), f))[k % 6]
+        size, garbage = garbage_after(lambda: formula_size(f))
+        assert size == 2001 + 2000 // 6  # each W adds its own Tt
+        assert garbage == []
 
 
 class TestSatisfies:
@@ -357,6 +374,86 @@ def agrees_at_every_point(m, f, seed=0):
     for pt in points:
         expected = oracles.holds(m, f, pt.execution, pt.index, memo=memo)
         assert ev.holds(root, pt.execution, pt.index) == expected, formula_to_source(f)
+
+
+C4 = "if h >= 0 then { l := 2*l*h } else { l := 2*l*h + 1 }"
+LOOP = "x := 0; while x < h do { out l; x := x + 1 }; out l + x"
+
+
+class TestKeyedGuards:
+    """A pure guard conjunct equating a side that reads solved variables
+    with one that reads none is a key: the solutions are grouped by the
+    first side's values and looked up under the second's."""
+
+    @pytest.mark.parametrize("text, dom, params", [
+        (C4, Domain.integers(8, signed=True), ("Id", "Sign", "Par")),
+        ("if h >= 0 then { l := l + h } else { l := l - h }", Domain.integers(4, signed=True),
+         ("Sign", "Par", "Par")),
+    ], ids=["c4-signed-int8", "sign-eta-signed-int4"])
+    def test_aak_at_every_point(self, text, dom, params):
+        # the alternatives are grouped by their classes under eta and phi
+        # once, and each premise looks up its own class
+        program = parse(text, dom)
+        transformed, f = encode_aak(program, FlowSpec.from_low(program, ("l",)), *params, dom)
+        m = build_model(transformed, ModelConfig(dom))
+        agrees_at_every_point(m, f)
+
+    @pytest.mark.parametrize("text, declassified", [
+        ("if h < l then { out l } else { out h mod 2 }", "h < l"),
+        ("out (l + h) mod 2; if l == 0 then { out h } else { skip }", "(l + h) mod 2"),
+    ], ids=["less-then-parity", "sum-parity-then-all"])
+    def test_akd_declassifying_low_and_high(self, text, declassified):
+        # the agreement's near side reads the premise's public value as
+        # well as the alternative secret, so it is grouped per public value
+        program = parse(text, INT4)
+        m = build_model(program, ModelConfig(INT4))
+        f = encode_akd(FlowSpec.from_low(program, ("l",)), (pred(declassified, INT4),), INT4)
+        agrees_at_every_point(m, f)
+        assert {satisfies(m, pt, f) for pt in all_points(m)} == {True, False}
+
+    @pytest.mark.parametrize("text", [
+        # the far side on the right, in a possibility block and in a block
+        # with a check on the store
+        "forall a . init(l, a) -> (forall b . b mod 2 == a mod 2 -> L (init(l, a) && init(h, b)))",
+        "forall a . init(h, a) -> (forall b . (b + 1 == a && l == b) -> K init(h, a))",
+        # both sides read solved variables: a filter beside a key
+        "forall a . init(l, a) -> (forall b . forall c . (b == c && c mod 2 == a mod 2)"
+        " -> L (init(l, b) && init(h, c)))",
+        "forall a . init(h, a) -> (forall b . forall c . (b * c == b + c && a == c) -> F l == b)",
+        # no assignment satisfies the guard: two keys the far sides
+        # contradict, and a filter
+        "forall a . init(h, a) -> (forall b . (a == b && a + 1 == b)"
+        " -> L (init(l, b) && init(h, b)))",
+        "G (forall a . init(h, a) -> (forall b . (b == a && b != b) -> l == b))",
+    ], ids=["far-right", "far-right-check", "filter-and-key", "filter-product",
+            "contradicting-keys", "empty-filter"])
+    def test_hand_written_guards(self, text):
+        for m in random_models(3, seed=41, domain=INT4):
+            agrees_at_every_point(m, parse_formula(text))
+
+    def test_aak_solves_the_guard_once(self):
+        # aak on c4 fixes no identifier, so the agreement's near side reads
+        # the alternative only: one grouping serves every premise
+        dom = Domain.integers(16, signed=True)
+        program = parse(C4, dom)
+        transformed, f = encode_aak(program, FlowSpec.from_low(program, ("l",)),
+                                    "Id", "Sign", "Par", dom)
+        ev = Evaluation(transformed, dom)
+        verdict = model_satisfies(build_model(transformed, ModelConfig(dom)), f, ev)
+        assert verdict.outcome is Outcome.HOLDS
+        assert len(ev.solved) == 1
+        (groups,) = ev.solved.values()
+        assert len(groups) == 16 * 2  # each l'' (eta: Id) by the Sign of h''
+
+    def test_akd_solves_the_guard_once_per_public_value(self):
+        dom = Domain.integers(16)
+        program = parse(LOOP, dom)
+        f = encode_akd(FlowSpec.from_low(program, ("l",)), (pred("l + h", dom),), dom)
+        ev = Evaluation(program, dom)
+        verdict = model_satisfies(build_model(program, ModelConfig(dom)), f, ev)
+        assert verdict.outcome is Outcome.HOLDS
+        assert len(ev.solved) == 16
+        assert {key[1] for key in ev.solved} == set(dom.values)
 
 
 # one child per kind of dependence, over the bound variable v

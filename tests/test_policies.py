@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from pathlib import Path
@@ -11,7 +12,7 @@ from epiflow.lang import Binary, Const, Out, Seq, Var, parse, parse_expression
 from epiflow.logic import (And, Eq, Evaluation, Forall, G, Implies, Init, K, L, Not, W,
                            model_satisfies, satisfies)
 from epiflow.model import ModelConfig, Point, build_model
-from epiflow.policyfile import load_policy, policy_pieces
+from epiflow.policyfile import CHECKS, load_policy, policy_pieces
 from epiflow.policies import (FlowSpec, InitPredicate, PolicyError,
                               ReleaseSpec, TemporalDeclassification, condition_ids,
                               encode_ak, encode_akd, encode_aak, encode_akr,
@@ -166,6 +167,43 @@ class TestEspmProperties:
     def test_predicate_over_unknown_identifier(self):
         with pytest.raises(PolicyError, match="neither"):
             espm(("l",), ("h",), (pred("k == 0", INT4),), INT4)
+
+
+class UngroupedEvaluation(Evaluation):
+    """Solves every guard with ``oracles.guard_solutions``: the whole
+    product, grouped by nothing, once per value of every other bound
+    variable."""
+
+    def _solutions(self, block, ex, i):
+        others = tuple((v, x) for v, x in self.env.items() if v not in block.vars)
+        found = self.solved.get((block, others))
+        if found is None:
+            found = self.solved[block, others] = oracles.guard_solutions(
+                self.domain, [plan.formula for plan in block.pure], block.solve, self.env)
+        return found
+
+
+class TestAgreementGuard:
+    @pytest.mark.parametrize("cfg", SWEEPS, ids=SWEEP_IDS)
+    def test_same_verdicts_and_witnesses_as_the_whole_product(self, cfg):
+        # espm's agreement guard, solved by grouping the alternatives by
+        # their declassified values, admits the alternatives, in the order,
+        # that trying every one of them does, on the fuzzer's aak and akd
+        # cases (on bool every aak case holds: Id is its only abstraction)
+        outcomes = set()
+        for pair, index in itertools.product(("nani-aak", "nid-akd"), range(cfg.count)):
+            program, policy = generate_case(pair, index, cfg)
+            pieces = policy_pieces(policy, program, cfg.domain)
+            modeled, f = CHECKS[CHECKS[policy.check].twin].encode(program, pieces, cfg.domain)
+            ev = Evaluation(modeled, cfg.domain)
+            ev.compile(f)
+            m = build_model(modeled, ModelConfig(cfg.domain, bound=cfg.bound), ev.reads)
+            hashed = model_satisfies(m, f, ev)
+            whole = model_satisfies(m, f, UngroupedEvaluation(modeled, cfg.domain))
+            assert (hashed.outcome, hashed.witness) == (whole.outcome, whole.witness), \
+                (pair, index)
+            outcomes.add(hashed.outcome)
+        assert {Outcome.HOLDS, Outcome.FAILS} <= outcomes
 
 
 class TestAbsenceOfKnowledge:
