@@ -370,42 +370,50 @@ def live_inputs(program: Program) -> frozenset[str]:
     other input is dead: runs that differ only in its initial value take
     the same steps and emit the same events.
     """
-    inputs = len(program.variables)
     live: set[str] = set()
-
-    def read(e: Expr, written: frozenset) -> None:
-        for name in expr_ids(e):
-            if name not in written:
-                live.add(name)
-        if len(live) == inputs:
-            raise _AllLive
-
-    def block(body: Stmt, written: frozenset) -> frozenset:
-        rest = [body]  # the ``;`` spine, walked only as far as the pass goes
-        while rest:
-            s = rest.pop()
-            kind = type(s)  # not ``match``: every model build runs this pass
-            if kind is Seq:
-                rest += (s.second, s.first)
-            elif kind is Assign:
-                read(s.expr, written)
-                written |= {s.name}
-            elif kind is Out:
-                read(s.expr, written)
-            elif kind is If:
-                read(s.guard, written)
-                written = block(s.then, written) & block(s.orelse, written)
-            elif kind is While:
-                read(s.guard, written)
-                block(s.body, written)
-        return written
-
-    if inputs:
+    if program.variables:
         try:
-            block(program.body, frozenset())
+            _live_block(program.body, frozenset(), live, len(program.variables))
         except _AllLive:
             pass
     return frozenset(live)
+
+
+# The helpers of ``live_inputs`` and ``compile_program`` are module
+# functions, not closures: a closure that calls itself sits in a reference
+# cycle, which only the cyclic collector frees, with all it refers to.
+
+
+def _live_block(body: Stmt, written: frozenset, live: set[str], inputs: int) -> frozenset:
+    """Add to ``live`` what ``body`` reads before writing, given what is
+    ``written`` on entry; return what is written on every path through it."""
+    rest = [body]  # the ``;`` spine, walked only as far as the pass goes
+    while rest:
+        s = rest.pop()
+        kind = type(s)  # not ``match``: every model build runs this pass
+        if kind is Seq:
+            rest += (s.second, s.first)
+        elif kind is Assign:
+            _live_read(s.expr, written, live, inputs)
+            written |= {s.name}
+        elif kind is Out:
+            _live_read(s.expr, written, live, inputs)
+        elif kind is If:
+            _live_read(s.guard, written, live, inputs)
+            written = (_live_block(s.then, written, live, inputs)
+                       & _live_block(s.orelse, written, live, inputs))
+        elif kind is While:
+            _live_read(s.guard, written, live, inputs)
+            _live_block(s.body, written, live, inputs)
+    return written
+
+
+def _live_read(e: Expr, written: frozenset, live: set[str], inputs: int) -> None:
+    for name in expr_ids(e):
+        if name not in written:
+            live.add(name)
+    if len(live) == inputs:
+        raise _AllLive
 
 
 # --------------------------------------------------------------------------
@@ -441,44 +449,47 @@ class Code:
 def compile_program(program: Program, dom: Domain) -> Code:
     """Compile every statement once, each to the pc of its first step."""
     instrs: list[tuple] = []
-    true = dom.true_value
-
-    def emit(op: str, fn, name, nxt: int, other: int) -> int:
-        instrs.append((op, fn, name, nxt, other))
-        return len(instrs) - 1
-
-    def block(body: Stmt, nxt: int) -> int:
-        """The pc that runs ``body`` and then continues at ``nxt``."""
-        for s in reversed(_statements(body)):
-            nxt = single(s, nxt)
-        return nxt
-
-    def single(s: Stmt, nxt: int) -> int:
-        match s:
-            case Skip():
-                return nxt
-            case Out(expr):
-                return emit(OUT, compile_expr(expr, dom), None, nxt, nxt)
-            case OutLit(text):
-                label = Label(text)
-                return emit(OUT, lambda store: label, None, nxt, nxt)
-            case Assign(name, expr):
-                return emit(ASSIGN, compile_expr(expr, dom), name, nxt, nxt)
-            case Release(flag):
-                return emit(ASSIGN, lambda store: true, flag, nxt, nxt)
-            case If(guard, then, orelse):
-                yes, no = block(then, nxt), block(orelse, nxt)
-                return emit(BRANCH, compile_expr(guard, dom), None, yes, no)
-            case While(guard, body):
-                head = len(instrs)  # the body loops back here
-                instrs.append(None)
-                instrs[head] = (BRANCH, compile_expr(guard, dom), None,
-                                block(body, head), nxt)
-                return head
-        raise TypeError(f"not a statement: {s!r}")
-
-    entry = block(program.body, EXIT)
+    entry = _compile_block(program.body, EXIT, instrs, dom)
     return Code(tuple(instrs), entry)
+
+
+def _compile_block(body: Stmt, nxt: int, instrs: list[tuple], dom: Domain) -> int:
+    """The pc that runs ``body`` and then continues at ``nxt``."""
+    for s in reversed(_statements(body)):
+        nxt = _compile_statement(s, nxt, instrs, dom)
+    return nxt
+
+
+def _compile_statement(s: Stmt, nxt: int, instrs: list[tuple], dom: Domain) -> int:
+    """Append the instructions of ``s``, which continues at ``nxt``, and
+    return the pc of its first step."""
+    match s:
+        case Skip():
+            return nxt
+        case Out(expr):
+            instr = (OUT, compile_expr(expr, dom), None, nxt, nxt)
+        case OutLit(text):
+            label = Label(text)
+            instr = (OUT, lambda store: label, None, nxt, nxt)
+        case Assign(name, expr):
+            instr = (ASSIGN, compile_expr(expr, dom), name, nxt, nxt)
+        case Release(flag):
+            true = dom.true_value
+            instr = (ASSIGN, lambda store: true, flag, nxt, nxt)
+        case If(guard, then, orelse):
+            yes = _compile_block(then, nxt, instrs, dom)
+            no = _compile_block(orelse, nxt, instrs, dom)
+            instr = (BRANCH, compile_expr(guard, dom), None, yes, no)
+        case While(guard, body):
+            head = len(instrs)  # the body loops back here
+            instrs.append(None)
+            instrs[head] = (BRANCH, compile_expr(guard, dom), None,
+                            _compile_block(body, head, instrs, dom), nxt)
+            return head
+        case _:
+            raise TypeError(f"not a statement: {s!r}")
+    instrs.append(instr)
+    return len(instrs) - 1
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,16 @@ Each condition is one of two searches:
   partners.  So a block's first position demands the most: when a later
   position of the block fails, the first fails too, with the same
   earliest partner, and the first failure found is the one a scan of
-  every position would find.
+  every position would find.  Each check passes the search its releases
+  as data: per run, the releasable values, and the first position at
+  which each is released.  Runs that agree on their low values, those
+  values, those positions and their trace ids meet the same demands, so
+  only the first run of each such class is scanned, and a class can fail
+  only where its first run does.  The partners of a low group are grouped
+  by the values each demand agrees on, once, with the trace ids they all
+  produce (a hash join, as in ``logic``'s agreement guard, but sharing no
+  code with it); a demand then passes by lookup, and only a failure
+  looks for its first partner in run order.
 
 Every checker refuses tainted models: a lasso or an out-of-budget
 execution makes the bounded model an unsound stand-in for the real one,
@@ -30,9 +39,11 @@ so the verdict is BOUND_EXCEEDED rather than a guess.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Callable, Iterable
+from itertools import compress
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .lang import Expr, compile_expr
+from .lang import Expr, compile_expr, expr_ids
 from .model import Execution, Model
 from .policies import (FlowSpec, InitPredicate, PolicyError, ReleaseSpec,
                        TemporalDeclassification, abstraction_predicate,
@@ -54,8 +65,14 @@ def _store_items(m: Model, ex: Execution) -> tuple:
     return tuple((n, ex.init_store[n]) for n in m.variables)
 
 
-def _low_key(fs: FlowSpec, ex: Execution) -> tuple:
-    return tuple(ex.init_store[n] for n in fs.low)
+def _reader(names: Sequence[str]) -> Callable[[Mapping], tuple]:
+    """The values of ``names`` in a store, always as a tuple."""
+    if len(names) > 1:
+        return itemgetter(*names)
+    if names:
+        name = names[0]
+        return lambda store: (store[name],)
+    return lambda store: ()
 
 
 def _full_trace(ex: Execution) -> int:
@@ -95,8 +112,9 @@ def check_nid(m: Model, fs: FlowSpec, phi) -> Verdict:
     if refused:
         return refused
     preds = (phi,) if isinstance(phi, InitPredicate) else tuple(phi)
+    low = _reader(fs.low)
     split = _first_split(
-        m, lambda ex: (_low_key(fs, ex), tuple(p(ex.init_store) for p in preds)),
+        m, lambda ex: (low(ex.init_store), tuple(p(ex.init_store) for p in preds)),
         _full_trace)
     if split is None:
         return Verdict(Outcome.HOLDS)
@@ -148,11 +166,12 @@ def check_nani(m: Model, fs: FlowSpec, eta: str | Expr, phi: str | Expr,
 def knowledge_set(m: Model, fs: FlowSpec, store: dict, trace: tuple) -> frozenset:
     """Initial stores compatible with observing the trace from a low-equal start."""
     tid = m.intern_lookup(trace)
-    key = tuple(store[n] for n in fs.low)
+    low = _reader(fs.low)
+    key = low(store)
     out = set()
     if tid is not None:
         for ex in m.executions:
-            if _low_key(fs, ex) == key and _produces(ex, tid):
+            if low(ex.init_store) == key and _produces(ex, tid):
                 out.add(m.values_of(ex.init_store))
     return frozenset(out)
 
@@ -179,10 +198,11 @@ def release_set(m: Model, fs: FlowSpec, rs: ReleaseSpec, store: dict,
     released = [compile_expr(e, dom) for f, e in rs.items
                 if flags[f] == dom.true_value]
     expected = [fn(start.init_store) for fn in released]
-    low = _low_key(fs, start)
+    low = _reader(fs.low)
+    key = low(start.init_store)
     out = set()
     for ex in m.executions:
-        if _low_key(fs, ex) != low:
+        if low(ex.init_store) != key:
             continue
         if all(fn(ex.init_store) == v for fn, v in zip(released, expected)):
             out.add(m.values_of(ex.init_store))
@@ -190,40 +210,126 @@ def release_set(m: Model, fs: FlowSpec, rs: ReleaseSpec, store: dict,
 
 
 def _masked(values: tuple, mask: tuple[bool, ...]) -> tuple:
-    return tuple(v for v, on in zip(values, mask) if on)
+    return tuple(compress(values, mask))
+
+
+def _initial_values(m: Model, ids: Iterable[str],
+                    fns: Sequence[Callable[[dict], object]]) -> list[tuple]:
+    """Per run, the values of ``fns`` on its initial store, which read only
+    ``ids``: computed once per distinct tuple of those initial values."""
+    read = _reader(tuple(dict.fromkeys(ids)))
+    memo: dict[tuple, tuple] = {}
+    out = []
+    for ex in m.executions:
+        key = read(ex.init_store)
+        values = memo.get(key)
+        if values is None:
+            values = memo[key] = tuple(fn(ex.init_store) for fn in fns)
+        out.append(values)
+    return out
+
+
+def _first_positions(m: Model, tests: Sequence[Callable[[dict], object]]
+                     ) -> list[tuple[int | None, ...]]:
+    """Per run, the first position at which each test holds of its store,
+    or None: computed once per distinct per-point store list (a clone
+    shares its first run's list unless it keeps a dead input).  A model
+    that keeps no store per point has only tests that read nothing, so
+    one run's initial store answers for all."""
+    memo: dict[int, tuple] = {}
+    out = []
+    for ex in m.executions:
+        key = id(ex.stores)
+        firsts = memo.get(key)
+        if firsts is None:
+            stores = ex.stores or (ex.init_store,)
+            firsts = memo[key] = tuple(_first_position(stores, test) for test in tests)
+        out.append(firsts)
+    return out
+
+
+def _first_position(stores: Sequence[dict], test: Callable[[dict], object]) -> int | None:
+    """The first position whose store passes ``test``; a store object
+    shared with the position before is not tested again."""
+    last = None
+    for j, store in enumerate(stores):
+        if store is not last:
+            if test(store):
+                return j
+            last = store
+    return None
+
+
+def _produced_by_all(runs: Iterable[Execution], values: list[tuple],
+                     mask: tuple[bool, ...]) -> dict[tuple, set[int]]:
+    """Per masked values, the trace ids that every run of ``runs`` with
+    those values produces."""
+    common: dict[tuple, set[int]] = {}
+    for ex in runs:
+        agreed = _masked(values[ex.index], mask)
+        tids = common.get(agreed)
+        if tids is None:
+            common[agreed] = set(ex.trace_ids)
+        else:
+            tids.intersection_update(ex.trace_ids)
+    return common
 
 
 def _first_unmatched(m: Model, fs: FlowSpec, values: list[tuple],
-                     released: Callable[[Execution, int], tuple[bool, ...]]
+                     triggers: list[tuple[int | None, ...]]
                      ) -> tuple[Execution, int, Execution, int] | None:
     """The first epoch-block start whose trace a partner never produces.
 
-    ``values[r]`` holds run ``r``'s releasable values, and ``released(ex,
-    i)`` marks those released at position ``i`` of ``ex``.  A partner is a
-    low-equal run that agrees with ``ex`` on the released values.  Returns
-    (run, position, first such partner, trace id), or None.  Each (low
-    values, mask, agreed values, trace id) is checked once.
+    ``values[r]`` holds run ``r``'s releasable values, and ``triggers[r]``
+    the first position at which each is released on it, or None.  A
+    partner is a low-equal run that agrees with the run on the values
+    released at the position.  Returns (run, position, first such partner,
+    trace id), or None.
+
+    A class of runs is those with equal low values, releasable values,
+    trigger positions and trace ids (one list per behaviour).  Its runs
+    meet the same (mask, agreed values, trace id) at the same block
+    starts, so only its first run is scanned: a later one fails only where
+    the first has already failed, and the witness stays the first failing
+    run.  The first partner in run order is the first run of its class
+    too.  For each low group and mask, the group's first runs are grouped
+    by their masked values once, with the trace ids all of them produce;
+    between two releases a run then passes by one subset test, and only a
+    failure looks for its first partner.
     """
-    groups: dict[tuple, list[Execution]] = {}
-    for ex in m.executions:
-        groups.setdefault(_low_key(fs, ex), []).append(ex)
-    checked: set[tuple] = set()
-    for ex in m.executions:
-        low = _low_key(fs, ex)
+    read_low = _reader(fs.low)
+    # per low key, the first run of each class of it, in run order
+    classes: dict[tuple, dict[tuple, Execution]] = {}
+    order: list[tuple[Execution, tuple, tuple, tuple]] = []
+    for ex, own, firsts in zip(m.executions, values, triggers):
+        low = read_low(ex.init_store)
+        group = classes.setdefault(low, {})
+        if group.setdefault((own, firsts, id(ex.trace_ids)), ex) is ex:
+            order.append((ex, low, own, firsts))
+    common: dict[tuple, dict[tuple, set[int]]] = {}
+    for ex, low, own, firsts in order:
         tids = ex.trace_ids
-        i = 0
-        while i < len(tids):
-            tid = tids[i]
-            mask = released(ex, i)
-            agreed = _masked(values[ex.index], mask)
-            key = (low, mask, agreed, tid)
-            if key not in checked:
-                checked.add(key)
-                for other in groups[low]:
-                    if (not _produces(other, tid)
-                            and _masked(values[other.index], mask) == agreed):
-                        return ex, i, other, tid
-            i = bisect_right(tids, tid, i)  # trace ids never decrease along a run
+        # from each position where a value is released to the next
+        starts = sorted({0, *filter(None, firsts)})
+        for start, end in zip(starts, [*starts[1:], None]):
+            mask = tuple(t is not None and t <= start for t in firsts)
+            by_agreed = common.get((low, mask))
+            if by_agreed is None:
+                by_agreed = common[low, mask] = _produced_by_all(
+                    classes[low].values(), values, mask)
+            agreed = _masked(own, mask)
+            produced = by_agreed[agreed]
+            if start and tids[start] == tids[start - 1]:
+                # a block that began earlier was checked at its start
+                start = bisect_right(tids, tids[start], start)
+            span = tids[start:end]
+            if not produced.issuperset(span):
+                # ids never decrease along a run, so the first position
+                # whose id is not produced starts its block
+                i = start + next(k for k, tid in enumerate(span) if tid not in produced)
+                other = next(o for o in classes[low].values() if not _produces(o, tids[i])
+                             and _masked(values[o.index], mask) == agreed)
+                return ex, i, other, tids[i]
     return None
 
 
@@ -241,12 +347,11 @@ def check_er(m: Model, fs: FlowSpec, rs: ReleaseSpec) -> Verdict:
     if refused:
         return refused
     rs.check_against(m.program, m.domain)
-    dom = m.domain
-    exprs = [compile_expr(e, dom) for _, e in rs.items]
-    values = [tuple(fn(ex.init_store) for fn in exprs) for ex in m.executions]
-    flags, true = tuple(f for f, _ in rs.items), dom.true_value
-    found = _first_unmatched(
-        m, fs, values, lambda ex, i: tuple(ex.stores[i][f] == true for f in flags))
+    values = _initial_values(m, (n for _, e in rs.items for n in expr_ids(e)),
+                             [compile_expr(e, m.domain) for _, e in rs.items])
+    # flags are write-once: one is released from the first position it is set at
+    found = _first_unmatched(m, fs, values,
+                             _first_positions(m, [itemgetter(f) for f, _ in rs.items]))
     if found is None:
         return Verdict(Outcome.HOLDS)
     ex, i, extra, tid = found
@@ -273,16 +378,10 @@ def check_nitd(m: Model, fs: FlowSpec,
     refused = _refusal(m, fs)
     if refused:
         return refused
-    conditions = [compile_expr(td.condition, m.domain) for td in tds]
-    # the first position at which each condition holds on each run; a model
-    # that keeps no store per point has only constant conditions to check
-    triggers = [[next((j for j, store in enumerate(ex.stores or (ex.init_store,))
-                       if c(store)), None)
-                 for c in conditions] for ex in m.executions]
-    values = [tuple(td.declassified(ex.init_store) for td in tds)
-              for ex in m.executions]
-    found = _first_unmatched(m, fs, values, lambda ex, i: tuple(
-        t is not None and t <= i for t in triggers[ex.index]))
+    values = _initial_values(m, (n for td in tds for n in td.declassified.ids),
+                             [td.declassified.fn for td in tds])
+    found = _first_unmatched(m, fs, values, _first_positions(
+        m, [compile_expr(td.condition, m.domain) for td in tds]))
     if found is None:
         return Verdict(Outcome.HOLDS)
     ex, i, other, tid = found

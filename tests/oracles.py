@@ -443,8 +443,11 @@ def temporal_failure(model, fs, tds):
     dom = model.domain
 
     def released(ex, i):
+        # a model that keeps no store per point has conditions that read
+        # nothing, so the initial store stands in for every point's
+        stores = ex.stores or [ex.init_store] * (i + 1)
         return [e for td in tds
-                if any(dom.truth(eval_expr(ex.stores[k], td.condition, dom))
+                if any(dom.truth(eval_expr(stores[k], td.condition, dom))
                        for k in range(i + 1))
                 for e in td.declassified.exprs]
 

@@ -326,6 +326,35 @@ class TestExpressionIdentifiers:
         assert garbage == []
 
 
+# a dead input (x), a loop, both branches of an if, a release and a label
+CYCLE_FREE = ("x := 0; while x < h do { out l; x := x + 1 }; "
+              "if l > 1 then { out l + x } else { skip }")
+
+
+class TestNoReferenceCycles:
+    """Compiling a program and finding its live inputs leave nothing that
+    only the cyclic collector frees."""
+
+    @pytest.mark.parametrize("text", [CYCLE_FREE, CYCLE_FREE + '; release r; out "done"'],
+                             ids=["loop-if", "release-label"])
+    def test_compile_program(self, text):
+        dom = Domain.integers(4)
+        program = parse(text, dom)
+        code, garbage = garbage_after(lambda: compile_program(program, dom))
+        assert garbage == []
+        assert [op for op, *_ in code.instrs].count(BRANCH) == 2
+
+    @pytest.mark.parametrize("text, live", [
+        (CYCLE_FREE, {"h", "l"}),
+        # every input read: the pass stops early, by an exception
+        ("out h; if l > 1 then { out x } else { skip }; out l", {"h", "l", "x"}),
+    ], ids=["dead-x", "all-live"])
+    def test_live_inputs(self, text, live):
+        program = parse(text, Domain.integers(4))
+        found, garbage = garbage_after(lambda: live_inputs(program))
+        assert found == live and garbage == []
+
+
 class TestLiveInputs:
     @pytest.mark.parametrize("text, live", [
         # a write first

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import exec_from
+from conftest import exec_from, garbage_after
 from epiflow.domain import Domain, Label, TERMINATION_MARK
 import epiflow.model as model_module
 from epiflow.lang import (Assign, Const, HashCall, If, Out, OutLit, Seq, Skip, While,
@@ -94,6 +94,15 @@ class TestAccessibility:
 
 
 class TestModelShape:
+    @pytest.mark.parametrize("keep", [None, frozenset()], ids=["every", "none"])
+    def test_build_leaves_no_reference_cycles(self, keep):
+        # x is written first, so the runs that differ only in x are clones
+        program = parse("x := 0; while x < h do { out l; x := x + 1 }; "
+                        "if l > 1 then { out l + x } else { skip }", INT4)
+        m, garbage = garbage_after(lambda: build_model(program, ModelConfig(INT4), keep))
+        assert garbage == []
+        assert len(m.executions) == 64 and m.refusal is None
+
     def test_skip_model(self):
         m = build_model(parse("skip", BOOL), ModelConfig(BOOL))
         assert len(m.executions) == 1

@@ -9,10 +9,10 @@ from oracles import release_failure, temporal_failure
 import epiflow
 from epiflow.domain import Domain
 from epiflow.fuzz import FuzzConfig, generate_case, generate_program
-from epiflow.lang import (Const, Var, While, parse, parse_expression,
+from epiflow.lang import (Assign, Const, Seq, Var, While, parse, parse_expression,
                           program_from_body)
 from epiflow.model import ModelConfig, Status, build_model
-from epiflow.policyfile import policy_pieces
+from epiflow.policyfile import CHECKS, policy_pieces
 from epiflow.policies import (FlowSpec, InitPredicate, PolicyError,
                               ReleaseSpec, TemporalDeclassification)
 from epiflow.semantics import (_produces, check_er, check_nani, check_nid,
@@ -316,24 +316,51 @@ class TestRunMembership:
 
 
 class TestAgainstPerPointReferences:
-    """er and nitd visit only epoch-block starts; the references visit every
-    position of every run and every low-equal partner."""
+    """er and nitd scan the first run of each class of runs, at its
+    epoch-block starts only; the references visit every position of every
+    run and every low-equal partner."""
 
-    CONFIGS = (
-        FuzzConfig(seed=11),
-        FuzzConfig(seed=29, domain=INT4, loops=True),
-        FuzzConfig(seed=5, domain=Domain.integers(4, signed=True), loops=True,
-                   ident_count=3),
-    )
+    INT4_3IDS = FuzzConfig(seed=7, domain=INT4, loops=True, ident_count=3)
+    # a fuzzed program reads each identifier first, so has no dead input;
+    # ``dead`` names one written before anything else runs
+    CASES = {
+        "bool": (FuzzConfig(seed=11), None),
+        "int4-loops": (FuzzConfig(seed=29, domain=INT4, loops=True), None),
+        "signed-3ids": (FuzzConfig(seed=5, domain=Domain.integers(4, signed=True),
+                                   loops=True, ident_count=3), None),
+        "int4-3ids-loops": (INT4_3IDS, None),
+        "int4-3ids-loops-dead-k": (INT4_3IDS, "k"),
+    }
+    CHECK = {"akr-er": "er", "nitd-aktd": "nitd"}
 
-    @pytest.mark.parametrize("cfg", CONFIGS, ids=("bool", "int4-loops", "signed-3ids"))
-    @pytest.mark.parametrize("pair", ("akr-er", "nitd-aktd"))
-    def test_outcome_and_witness_match_the_reference(self, cfg, pair):
-        outcomes = set()
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("pair", CHECK)
+    def test_outcome_and_witness_match_the_reference(self, case, pair):
+        # every identifier kept at every point, so a clone's store list is
+        # its own: its dead value is laid over its first run's stores
+        self.compare(*self.CASES[case], pair, lambda pieces: None)
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("pair", CHECK)
+    def test_on_models_that_keep_what_the_check_reads(self, case, pair):
+        # as ``run_check`` builds them: a clone that keeps no dead input
+        # shares its first run's store list
+        cfg, dead = self.CASES[case]
+        models = self.compare(cfg, dead, pair, CHECKS[self.CHECK[pair]].keep)
+        if dead:
+            assert any(len({id(ex.stores) for ex in m.executions}) < len(m.executions)
+                       for m in models if m.kept)
+
+    @staticmethod
+    def compare(cfg, dead, pair, keep) -> list:
+        outcomes, models = set(), []
         for index in range(40):
             program, policy = generate_case(pair, index, cfg)
+            if dead:
+                program = program_from_body(Seq(Assign(dead, Const(0)), program.body))
             pieces = policy_pieces(policy, program, cfg.domain)
-            m = build_model(program, ModelConfig(cfg.domain, bound=cfg.bound))
+            m = build_model(program, ModelConfig(cfg.domain, bound=cfg.bound), keep(pieces))
+            models.append(m)
             if pair == "akr-er":
                 verdict = check_er(m, pieces["fs"], pieces["releases"])
                 expected = release_failure(m, pieces["fs"], pieces["releases"])
@@ -350,3 +377,4 @@ class TestAgainstPerPointReferences:
                             for _, items in w.stores)
             assert (run, w.point_index, partner, w.trace) == expected, index
         assert outcomes == {Outcome.HOLDS, Outcome.FAILS}
+        return models
