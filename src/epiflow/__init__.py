@@ -20,7 +20,7 @@ from .policies import (FlowSpec, InitPredicate, PolicyError, ReleaseSpec,
                        encode_aak, encode_akr, encode_aktd, esp, espm)
 from .policyfile import Policy, load_policy, parse_policy, run_check
 from .semantics import (check_er, check_nani, check_nid, check_nitd,
-                        check_oni, knowledge_set, release_set)
+                        check_oni, knowledge_set, release_set, required_set)
 from .verdicts import Outcome, Stats, Verdict, Witness
 
 __version__ = "0.1.0"

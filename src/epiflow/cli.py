@@ -5,7 +5,7 @@ Subcommands::
     check      run one policy (or a raw formula) against a program
     model      dump the executions and the epoch table
     diff       run the trace-based and epistemic reading of one policy
-    knowledge  knowledge/release set sizes after each observed output
+    knowledge  knowledge/required set sizes after each observed output
     fuzz       differential fuzzing of the condition pairs
 
 Each subcommand takes only the flags it reads: all but ``fuzz`` the model
@@ -25,14 +25,14 @@ from dataclasses import replace
 
 from .domain import Domain, DomainError
 from .fuzz import PAIRS, FuzzConfig, fuzz_equivalences
-from .lang import LangError, ParseError, parse
+from .lang import Const, LangError, ParseError, parse
 from .logic import LogicError, parse_formula
 from .model import ModelConfig, build_model
-from .policies import PolicyError
-from .policyfile import (Policy, load_policy, policy_pieces, run_both_sides,
-                         run_check, run_formula)
+from .policies import PolicyError, TemporalDeclassification, condition_ids
+from .policyfile import (ABSTRACTED, Policy, load_policy, policy_pieces,
+                         run_both_sides, run_check, run_formula)
 from .report import build_report, model_dump, render_text
-from .semantics import knowledge_set, release_set
+from .semantics import knowledge_set, required_set
 from .verdicts import Outcome
 
 EXIT_HOLDS = 0
@@ -92,10 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff.set_defaults(func=cmd_diff)
 
     p_know = sub.add_parser("knowledge",
-                            help="knowledge/release sets along one run")
+                            help="knowledge/required sets along one run")
     _model_flags(p_know)
     p_know.add_argument("--policy", required=True,
-                        help="policy carrying the low split and any releases")
+                        help="policy carrying the low split and any declassifications")
     _low_flag(p_know)
     p_know.add_argument("--init", default=None,
                         help="initial store, e.g. 'l=tt,h1=tt,h2=ff' (default: first store)")
@@ -214,19 +214,28 @@ def _parse_init(text: str, program, dom: Domain) -> dict:
     return store
 
 
+def knowledge_conditions(pieces: dict, dom: Domain) -> tuple[TemporalDeclassification, ...]:
+    """The policy's declassifications, each on its condition: a release
+    flag's expression once the flag is set, a ``when:`` entry as given,
+    and ``declassify: e`` as ``when: true ==> e``."""
+    return (*pieces["releases"].conditions(dom), *pieces["whens"],
+            *(TemporalDeclassification(Const(True), p)
+              for p in pieces["declassify"]))
+
+
 def cmd_knowledge(args) -> int:
     dom, _, program, cfg = _load(args)
     policy = _policy_from(args)
-    # the release set is defined by release flags alone: a policy that
-    # declassifies otherwise would be judged as if it declassified nothing
-    entries = policy.describe()
-    unread = [key for key in ("declassify", "when", "eta", "phi", "rho") if entries[key]]
+    # nani's abstractions are judged on the program aak transforms, which
+    # no condition on this program's runs stands for
+    unread = [key for key in ABSTRACTED if getattr(policy, key) is not None]
     if unread:
-        raise PolicyError(f"knowledge reads only low: and release: entries, "
-                          f"not the policy's {unread[0]}: entry")
+        raise PolicyError(f"knowledge reads low:, release:, when: and declassify: "
+                          f"entries, not the policy's {unread[0]}: entry")
     pieces = policy_pieces(policy, program, dom)
-    fs, releases = pieces["fs"], pieces["releases"]
-    model = build_model(program, cfg, releases.flags)
+    fs = pieces["fs"]
+    conditions = knowledge_conditions(pieces, dom)
+    model = build_model(program, cfg, condition_ids(conditions))
     if model.tainted:
         print("model contains a non-terminated execution; refusing")
         return EXIT_BOUND
@@ -244,7 +253,7 @@ def cmd_knowledge(args) -> int:
     for cut in range(len(full) + 1):
         trace = full[:cut]
         knowledge = knowledge_set(model, fs, store, trace)
-        required = release_set(model, fs, releases, store, trace)
+        required = required_set(model, fs, conditions, store, trace)
         secure = required <= knowledge
         if not secure:
             status = EXIT_FAILS

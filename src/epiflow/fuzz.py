@@ -135,14 +135,12 @@ def _gen_expr(rng: random.Random, ids: tuple[str, ...], dom: Domain, depth: int)
 
 
 def _gen_stmt(rng: random.Random, ids: tuple[str, ...], dom: Domain,
-              budget: int, allow_out: bool, loops: bool,
-              frozen: frozenset[str]) -> tuple[Stmt, int]:
+              budget: int, loops: bool, frozen: frozenset[str]) -> tuple[Stmt, int]:
     targets = tuple(n for n in ids if n not in frozen)
     choices = ["skip"] * STATEMENT_WEIGHTS["skip"]
     if targets:
         choices += ["assign"] * STATEMENT_WEIGHTS["assign"]
-    if allow_out:
-        choices += ["out"] * STATEMENT_WEIGHTS["out"]
+    choices += ["out"] * STATEMENT_WEIGHTS["out"]
     if budget >= 3:
         choices += ["if"] * STATEMENT_WEIGHTS["if"]
     if loops and budget >= 3 and dom.kind == "int" and targets:
@@ -156,8 +154,8 @@ def _gen_stmt(rng: random.Random, ids: tuple[str, ...], dom: Domain,
             return Out(_gen_expr(rng, ids, dom, 2)), 1
         case "if":
             guard = _gen_expr(rng, ids, dom, 2)
-            then, c1 = _gen_block(rng, ids, dom, budget // 2, allow_out, loops, frozen)
-            orelse, c2 = _gen_block(rng, ids, dom, budget // 2, allow_out, loops, frozen)
+            then, c1 = _gen_block(rng, ids, dom, budget // 2, loops, frozen)
+            orelse, c2 = _gen_block(rng, ids, dom, budget // 2, loops, frozen)
             return If(guard, then, orelse), 1 + c1 + c2
         case "while":
             # guard pattern x < c with the body bumping x and never otherwise
@@ -165,20 +163,19 @@ def _gen_stmt(rng: random.Random, ids: tuple[str, ...], dom: Domain,
             # in any wrap-around domain
             var = rng.choice(targets)
             limit = rng.choice(dom.values)
-            inner, cost = _gen_block(rng, ids, dom, budget // 2, allow_out,
-                                     False, frozen | {var})
+            inner, cost = _gen_block(rng, ids, dom, budget // 2, False, frozen | {var})
             body = Seq(inner, Assign(var, Binary("+", Var(var), Const(1))))
             return While(Binary("<", Var(var), Const(limit)), body), 2 + cost
     raise AssertionError("unreachable")
 
 
 def _gen_block(rng: random.Random, ids: tuple[str, ...], dom: Domain,
-               budget: int, allow_out: bool, loops: bool,
+               budget: int, loops: bool,
                frozen: frozenset[str] = frozenset()) -> tuple[Stmt, int]:
     stmts: list[Stmt] = []
     used = 0
     while used < budget:
-        stmt, cost = _gen_stmt(rng, ids, dom, budget - used, allow_out, loops, frozen)
+        stmt, cost = _gen_stmt(rng, ids, dom, budget - used, loops, frozen)
         stmts.append(stmt)
         used += cost
         if rng.random() < 0.25:
@@ -189,10 +186,10 @@ def _gen_block(rng: random.Random, ids: tuple[str, ...], dom: Domain,
     return node, max(used, 1)
 
 
-def generate_program(rng: random.Random, cfg: FuzzConfig, allow_out: bool = True,
+def generate_program(rng: random.Random, cfg: FuzzConfig,
                      release_flags: tuple[str, ...] = ()) -> Program:
     ids = ("l", "h", "k")[: cfg.ident_count]
-    body, _ = _gen_block(rng, ids, cfg.domain, cfg.size, allow_out, cfg.loops)
+    body, _ = _gen_block(rng, ids, cfg.domain, cfg.size, cfg.loops)
     # make sure every identifier occurs, so policies can mention any of them
     for name in reversed(ids):
         body = Seq(Assign(name, Var(name)), body)
@@ -244,9 +241,7 @@ def generate_case(pair: str, index: int, cfg: FuzzConfig) -> tuple[Program, Poli
         raise ValueError(f"unknown pair {pair!r}")
     rng = random.Random(f"{cfg.seed}:{pair}:{index}")
     dom = cfg.domain
-    if pair == "nani-aak":
-        program = generate_program(rng, cfg, allow_out=False)
-    elif pair == "akr-er":
+    if pair == "akr-er":
         flags = ("r1", "r2")[: rng.randint(1, 2)]
         program = generate_program(rng, cfg, release_flags=flags)
     else:
@@ -254,17 +249,26 @@ def generate_case(pair: str, index: int, cfg: FuzzConfig) -> tuple[Program, Poli
     names = program.variables
     low = tuple(n for n in names if rng.random() < 0.5)
 
-    def expr(depth: int) -> str:
-        return expr_to_source(_gen_expr(rng, names, dom, depth), dom)
+    def expr(depth: int, over: tuple[str, ...] = names) -> str:
+        return expr_to_source(_gen_expr(rng, over, dom, depth), dom)
 
     entries = {}
     match pair:
         case "nid-akd":
             entries["declassify"] = tuple(expr(2) for _ in range(rng.randint(1, 2)))
         case "nani-aak":
-            choices = _abstractions_for(dom)
-            entries = {key: rng.choice(choices) for key in ABSTRACTED}
             low = low or names[:1]  # a named output abstraction acts on low ones
+            if dom.kind == "bool":
+                # Id is the only named abstraction on booleans, and it
+                # declassifies every secret; an expression over the
+                # identifiers an entry abstracts can keep some secret
+                over = {"eta": low, "phi": tuple(n for n in names if n not in low),
+                        "rho": low}
+                entries = {key: "Id" if rng.random() < 0.5 else expr(1, over[key])
+                           for key in ABSTRACTED}
+            else:
+                choices = _abstractions_for(dom)
+                entries = {key: rng.choice(choices) for key in ABSTRACTED}
         case "akr-er":
             entries["releases"] = tuple((flag, expr(2)) for flag in program.flags)
         case "nitd-aktd":

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .domain import Domain
-from .lang import (Binary, Const, Expr, HashCall, Out, Program, Seq, Stmt, Unary,
-                   Var, compile_expr, expr_ids, expr_to_source, program_from_body,
+from .lang import (Binary, Const, Expr, HashCall, Out, Program, Seq, Unary,
+                   Var, compile_expr, expr_ids, expr_to_source, silenced,
                    validate_expr)
 from .logic import (Eq, Formula, G, Init, L, Not, W, conj, disj, foralls,
                     implies)
@@ -202,6 +202,13 @@ class ReleaseSpec:
                         f"release expression for {flag!r} mentions unknown {n!r}")
             validate_expr(expr, dom)
 
+    def conditions(self, dom: Domain) -> tuple[TemporalDeclassification, ...]:
+        """Each flag as the condition that declassifies its expression: a
+        flag, once set, stays set, so ``release: r = e`` reads as
+        ``when: r ==> e``."""
+        return tuple(TemporalDeclassification(Var(flag), InitPredicate.from_expression(e, dom))
+                     for flag, e in self.items)
+
 
 @dataclass(frozen=True)
 class TemporalDeclassification:
@@ -320,16 +327,19 @@ def encode_aak(program: Program, fs: FlowSpec, eta: str | Expr, phi: str | Expr,
                rho: str | Expr, dom: Domain) -> tuple[Program, Formula]:
     """Abstract absence of knowledge, as a transformed program plus formula.
 
-    The program gains a final output of the ``rho``-abstracted public
-    results.  No identifier is pinned exactly: public inputs vary within
-    their ``eta``-class and secrets within their ``phi``-class, both
+    The program's outputs become ``skip``, and it gains a final output of
+    the ``rho``-abstracted public results: the observer sees the abstracted
+    final result, which is what nani judges, and nothing before it.  The
+    source signature is kept, so an identifier that only an output read is
+    still an input.  No identifier is pinned exactly: public inputs vary
+    within their ``eta``-class and secrets within their ``phi``-class, both
     encoded as agreement predicates.  ``eta: Id`` pins public inputs.
     """
     check_output_abstraction(fs, rho)
-    body: Stmt = program.body
+    body = silenced(program.body)
     for e in abstraction_predicate(rho, fs.low, dom).exprs:
         body = Seq(body, Out(e))
-    transformed = program_from_body(body, program.text)
+    transformed = Program(body, program.signature, program.text)
 
     eta_pred = abstraction_predicate(eta, fs.low, dom)
     phi_pred = abstraction_predicate(phi, fs.high, dom)
@@ -355,8 +365,7 @@ def encode_akr(fs: FlowSpec, rs: ReleaseSpec, dom: Domain) -> Formula:
     this is aktd with each flag as the condition that declassifies its
     expression (evaluated on initial stores).
     """
-    return encode_aktd(fs, (TemporalDeclassification(Var(flag), InitPredicate.from_expression(
-        e, dom, label=f"released {expr_to_source(e, dom)}")) for flag, e in rs.items), dom)
+    return encode_aktd(fs, rs.conditions(dom), dom)
 
 
 def encode_aktd(fs: FlowSpec, tds: Iterable[TemporalDeclassification],

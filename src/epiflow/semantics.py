@@ -11,25 +11,27 @@ Each condition is one of two searches:
   store, and finds the first run whose value differs from that of the
   first run with its key.  The value is the full trace, or for nani the
   abstracted final store.
-* ``_first_unmatched`` (er, nitd) looks for a point whose trace some
-  partner never produces: a low-equal run that agrees with the point's
-  run on every value released at that point.  It visits only the first
-  position of each epoch block on each run.  Along a run the released
-  values only grow (release flags are write-once, and a condition that
-  has held stays triggered), and agreeing on more values admits fewer
-  partners.  So a block's first position demands the most: when a later
-  position of the block fails, the first fails too, with the same
-  earliest partner, and the first failure found is the one a scan of
-  every position would find.  Each check passes the search its releases
-  as data: per run, the releasable values, and the first position at
-  which each is released.  Runs that agree on their low values, those
-  values, those positions and their trace ids meet the same demands, so
-  only the first run of each such class is scanned, and a class can fail
-  only where its first run does.  The partners of a low group are grouped
-  by the values each demand agrees on, once, with the trace ids they all
-  produce (a hash join, as in ``logic``'s agreement guard, but sharing no
-  code with it); a demand then passes by lookup, and only a failure
-  looks for its first partner in run order.
+* ``_first_unmatched`` (nitd, and er as nitd) looks for a point whose
+  trace some partner never produces: a low-equal run that agrees with the
+  point's run on every value released at that point.  A release flag,
+  once set, stays set, so ``release: r = e`` is the condition
+  ``when: r ==> e``, and er is nitd over its flags.  The search visits
+  only the first position of each epoch block on each run.  Along a run
+  the released values only grow (a condition that has held stays
+  triggered), and agreeing on more values admits fewer partners.  So a
+  block's first position demands the most: when a later position of the
+  block fails, the first fails too, with the same earliest partner, and
+  the first failure found is the one a scan of every position would
+  find.  nitd passes the search its releases as data: per run, the
+  releasable values, and the first position at which each is released.
+  Runs that agree on their low values, those values, those positions and
+  their trace ids meet the same demands, so only the first run of each
+  such class is scanned, and a class can fail only where its first run
+  does.  The partners of a low group are grouped by the values each
+  demand agrees on, once, with the trace ids they all produce (a hash
+  join, as in ``logic``'s agreement guard, but sharing no code with it);
+  a demand then passes by lookup, and only a failure looks for its first
+  partner in run order.
 
 Every checker refuses tainted models: a lasso or an out-of-budget
 execution makes the bounded model an unsound stand-in for the real one,
@@ -43,7 +45,7 @@ from itertools import compress
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .lang import Expr, compile_expr, expr_ids
+from .lang import Expr, compile_expr
 from .model import Execution, Model
 from .policies import (FlowSpec, InitPredicate, PolicyError, ReleaseSpec,
                        TemporalDeclassification, abstraction_predicate,
@@ -160,7 +162,7 @@ def check_nani(m: Model, fs: FlowSpec, eta: str | Expr, phi: str | Expr,
 
 
 # --------------------------------------------------------------------------
-# Knowledge and release sets
+# Knowledge and required sets
 
 
 def knowledge_set(m: Model, fs: FlowSpec, store: dict, trace: tuple) -> frozenset:
@@ -176,37 +178,44 @@ def knowledge_set(m: Model, fs: FlowSpec, store: dict, trace: tuple) -> frozense
     return frozenset(out)
 
 
-def release_set(m: Model, fs: FlowSpec, rs: ReleaseSpec, store: dict,
-                trace: tuple) -> frozenset:
-    """Minimum uncertainty the release policy demands after the trace.
+def required_set(m: Model, fs: FlowSpec, tds: Iterable[TemporalDeclassification],
+                 store: dict, trace: tuple) -> frozenset:
+    """Minimum uncertainty the conditions demand after the trace.
 
-    Looks up the run from this very store, takes the flags set at its
-    first point with the given trace (flags are write-once, so they are
-    set at every later point with it too), and keeps the low-equal stores
-    that agree on every expression those flags release (on initial values).
+    Looks up the run from this very store and its first point with the
+    given trace, and keeps the low-equal stores that agree with it (on
+    initial values) on every property whose condition has held on the run
+    by that point.  That point starts an epoch block, so some prefix of
+    some run has a required set outside its knowledge set exactly when
+    nitd fails on the same conditions.
     """
-    dom = m.domain
     start = m.exec_by_values.get(tuple(store[n] for n in m.variables))
     if start is None:
         raise PolicyError("store is not an initial store of the model")
     tid = m.intern_lookup(trace)
     if tid is None or not _produces(start, tid):
         raise PolicyError("trace never observed on the execution from this store")
-    m.require(rs.flags, "the release set")
-    # a model that keeps no identifier has no per-point stores to read
-    flags = start.stores[bisect_left(start.trace_ids, tid)] if rs.items else {}
-    released = [compile_expr(e, dom) for f, e in rs.items
-                if flags[f] == dom.true_value]
+    tds = tuple(tds)
+    m.require(condition_ids(tds), "the required set")
+    # a model that keeps no store per point has only conditions that read
+    # nothing, so the initial store answers for every point
+    stores = (start.stores or (start.init_store,))[:bisect_left(start.trace_ids, tid) + 1]
+    released = [td.declassified.fn for td in tds
+                if _first_position(stores, compile_expr(td.condition, m.domain)) is not None]
     expected = [fn(start.init_store) for fn in released]
     low = _reader(fs.low)
     key = low(start.init_store)
-    out = set()
-    for ex in m.executions:
-        if low(ex.init_store) != key:
-            continue
-        if all(fn(ex.init_store) == v for fn, v in zip(released, expected)):
-            out.add(m.values_of(ex.init_store))
-    return frozenset(out)
+    return frozenset(
+        m.values_of(ex.init_store) for ex in m.executions
+        if low(ex.init_store) == key
+        and all(fn(ex.init_store) == v for fn, v in zip(released, expected)))
+
+
+def release_set(m: Model, fs: FlowSpec, rs: ReleaseSpec, store: dict,
+                trace: tuple) -> frozenset:
+    """``required_set`` with each release flag as the condition that
+    releases its expression."""
+    return required_set(m, fs, rs.conditions(m.domain), store, trace)
 
 
 def _masked(values: tuple, mask: tuple[bool, ...]) -> tuple:
@@ -336,33 +345,18 @@ def _first_unmatched(m: Model, fs: FlowSpec, values: list[tuple],
 def check_er(m: Model, fs: FlowSpec, rs: ReleaseSpec) -> Verdict:
     """Epistemic release: required uncertainty within actual uncertainty.
 
-    Quantifies over every (initial store, trace) pair realized by a point
-    of that store's own run, per the equivalence argument with the flag
-    encoding; for unrealized pairs the required-release set has no
-    denotation.  A point releases the expressions whose flags are set at
-    every point of its run with its trace, that is at the first one.
+    A release flag, once set, stays set, so ``release: r = e`` is the
+    temporal declassification ``when: r ==> e``, and er is nitd over the
+    flags as conditions.  The first point with each trace decides, and it
+    releases the expressions whose flags are set there.  A failure is
+    reported with nitd's ``temporal`` witness.
     """
     m.require(rs.flags, "er")
     refused = _refusal(m, fs)
     if refused:
         return refused
     rs.check_against(m.program, m.domain)
-    values = _initial_values(m, (n for _, e in rs.items for n in expr_ids(e)),
-                             [compile_expr(e, m.domain) for _, e in rs.items])
-    # flags are write-once: one is released from the first position it is set at
-    found = _first_unmatched(m, fs, values,
-                             _first_positions(m, [itemgetter(f) for f, _ in rs.items]))
-    if found is None:
-        return Verdict(Outcome.HOLDS)
-    ex, i, extra, tid = found
-    return Verdict(Outcome.FAILS, Witness(
-        kind="release",
-        stores=(("start", _store_items(m, ex)),
-                ("allowed-but-excluded", _store_items(m, extra))),
-        point_index=i,
-        trace=m.trace_tuple(tid),
-        note="release policy permits a store the trace rules out",
-    ))
+    return check_nitd(m, fs, rs.conditions(m.domain))
 
 
 def check_nitd(m: Model, fs: FlowSpec,

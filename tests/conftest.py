@@ -7,8 +7,19 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from epiflow.domain import Domain
+from epiflow.fuzz import FuzzConfig
 from epiflow.lang import parse
 from epiflow.model import ModelConfig, build_model
+
+# the differential sweeps: bool, int:4 with loops, signed int:4 with three
+# identifiers and loops
+SWEEPS = [
+    FuzzConfig(seed=11, count=300),
+    FuzzConfig(seed=29, count=300, domain=Domain.integers(4), loops=True),
+    FuzzConfig(seed=5, count=300, domain=Domain.integers(4, signed=True),
+               ident_count=3, loops=True),
+]
+SWEEP_IDS = ["bool", "int4-loops", "signed-int4-loops"]
 
 
 @pytest.fixture(scope="session")

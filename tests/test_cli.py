@@ -231,24 +231,24 @@ class TestOtherCommands:
                     "--policy", workdir / policy, "--init", "x=tt,y=tt"]) == code
         assert capsys.readouterr().out.splitlines()[1:] == rows
 
-    @pytest.mark.parametrize("entry", [
-        "declassify: h1", "when: tt ==> h1", "eta: Id", "phi: Id", "rho: Id"])
+    @pytest.mark.parametrize("entry", ["eta: Id", "phi: Id", "rho: Id"])
     def test_knowledge_refuses_entries_it_does_not_read(self, workdir, capsys, entry):
-        # the release set comes from release flags alone; judging such a
-        # policy as if it declassified nothing would report a false leak
+        # nani's abstractions are judged on the program aak transforms, so
+        # no condition on this program's runs stands for them
         (workdir / "other.pol").write_text(f"check: akr\nlow: l\nrelease: r1 = h1\n{entry}\n")
         assert run(["knowledge", "--program", workdir / "release.wout",
                     "--policy", workdir / "other.pol"]) == 3
         key = entry.split(":")[0]
         assert capsys.readouterr().err == (
-            f"error: knowledge reads only low: and release: entries, "
+            f"error: knowledge reads low:, release:, when: and declassify: entries, "
             f"not the policy's {key}: entry\n")
 
-    def test_knowledge_refuses_the_payment_policy(self, capsys):
+    def test_knowledge_reads_the_payment_policy(self, capsys):
         samples = Path(__file__).resolve().parent.parent / "samples"
         assert run(["knowledge", "--program", samples / "payment.wout",
-                    "--policy", samples / "payment.pol", "--domain", "int:4"]) == 3
-        assert "when: entry" in capsys.readouterr().err
+                    "--policy", samples / "payment.pol", "--domain", "int:4"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "[] | 16 | 1 | SECURE", "[0] | 4 | 1 | SECURE", "[0, 0] | 1 | 1 | SECURE"]
 
     def test_knowledge_rejects_a_repeated_init(self, workdir, capsys):
         code = run(["knowledge", "--program", workdir / "release.wout",
@@ -266,6 +266,18 @@ class TestOtherCommands:
                     "--domain", "int:8", "--signed-window"])
         assert code == 0
         assert "semantic=HOLDS epistemic=HOLDS agree" in capsys.readouterr().out
+
+    def test_diff_agrees_on_a_program_with_outputs(self, tmp_path, capsys):
+        # aak's program outputs only the abstracted final result, which is
+        # what nani judges; the loop's own outputs are not observed
+        (tmp_path / "loop.wout").write_text(
+            "x := 0; while x < h do { out l; x := x + 1 }; out l + x\n")
+        (tmp_path / "loop.pol").write_text(
+            "check: nani\nlow: x, h\neta: Id\nphi: Par\nrho: Id\n")
+        code = run(["diff", "--program", tmp_path / "loop.wout",
+                    "--policy", tmp_path / "loop.pol", "--domain", "int:4"])
+        assert code == 0
+        assert capsys.readouterr().out.rstrip().endswith(" agree")
 
     def test_fuzz_smoke(self, capsys):
         code = run(["fuzz", "--count", "5", "--seed", "3"])

@@ -269,8 +269,7 @@ class TestEvaluatorTransparency:
         dom = Domain.integers(4, signed=True)
         cfg = FuzzConfig(seed=1, count=1, size=5, ident_count=2, domain=dom)
         for index in range(4):
-            program = generate_program(random.Random(f"aak-ref:{index}"), cfg,
-                                       allow_out=False)
+            program = generate_program(random.Random(f"aak-ref:{index}"), cfg)
             fs = FlowSpec.from_low(program, program.variables[:1])
             eta, phi, rho = (("Sign", "Par", "Par"), ("Par", "Sign", "Sign"))[index % 2]
             transformed, f = encode_aak(program, fs, eta, phi, rho, dom)

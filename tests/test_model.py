@@ -269,7 +269,7 @@ def _dead_input_programs(dom: Domain, loops: bool, count: int):
             value = HashCall(value)
         guard = _gen_expr(rng, others, dom, 1)
         write = Assign(dead, value)
-        rest, _ = _gen_block(rng, ids, dom, cfg.size, True, loops)
+        rest, _ = _gen_block(rng, ids, dom, cfg.size, loops)
         match index % 6:
             case 0:
                 body = Seq(write, rest)
@@ -284,7 +284,7 @@ def _dead_input_programs(dom: Domain, loops: bool, count: int):
                 test = If(_gen_expr(rng, (read,), dom, 1), Skip(), Skip())
                 body = Seq(test, Seq(overwrite, Seq(write, rest)))
             case 4:
-                rest, _ = _gen_block(rng, others, dom, cfg.size, True, loops)
+                rest, _ = _gen_block(rng, others, dom, cfg.size, loops)
                 body = Seq(If(guard, write, Skip()), rest)
             case 5:
                 body = Seq(While(guard, write), rest)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import oracles
+from conftest import SWEEP_IDS, SWEEPS
 from epiflow.domain import Domain
 from epiflow.fuzz import FuzzConfig, generate_case, generate_program
 from epiflow.lang import Binary, Const, Out, Seq, Var, parse, parse_expression
@@ -23,16 +24,6 @@ from epiflow.verdicts import Outcome
 BOOL = Domain.booleans()
 INT4 = Domain.integers(4)
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
-
-# the differential sweeps: bool, int:4 with loops, signed int:4 with three
-# identifiers and loops
-SWEEPS = [
-    FuzzConfig(seed=11, count=300),
-    FuzzConfig(seed=29, count=300, domain=INT4, loops=True),
-    FuzzConfig(seed=5, count=300, domain=Domain.integers(4, signed=True),
-               ident_count=3, loops=True),
-]
-SWEEP_IDS = ["bool", "int4-loops", "signed-int4-loops"]
 
 
 def models_for(count, seed, domain=BOOL, ident_count=2, size=6):
@@ -189,7 +180,7 @@ class TestAgreementGuard:
         # espm's agreement guard, solved by grouping the alternatives by
         # their declassified values, admits the alternatives, in the order,
         # that trying every one of them does, on the fuzzer's aak and akd
-        # cases (on bool every aak case holds: Id is its only abstraction)
+        # cases
         outcomes = set()
         for pair, index in itertools.product(("nani-aak", "nid-akd"), range(cfg.count)):
             program, policy = generate_case(pair, index, cfg)
@@ -278,8 +269,7 @@ class TestAbstractKnowledge:
         for seed in range(6):
             program = generate_program(
                 random.Random(f"aak:{seed}"),
-                FuzzConfig(seed=1, count=1, size=5, ident_count=2, domain=dom),
-                allow_out=False)
+                FuzzConfig(seed=1, count=1, size=5, ident_count=2, domain=dom))
             fs = FlowSpec.from_low(program, program.variables[:1])
             nani = check_nani(build_model(program, cfg), fs, "Id", "Id", "Id")
             transformed, f = encode_aak(program, fs, "Id", "Id", "Id", dom)

@@ -4,19 +4,21 @@ from pathlib import Path
 
 import pytest
 
-from conftest import exec_from
+from conftest import SWEEP_IDS, SWEEPS, exec_from
 from oracles import release_failure, temporal_failure
 import epiflow
+from epiflow.cli import knowledge_conditions
 from epiflow.domain import Domain
 from epiflow.fuzz import FuzzConfig, generate_case, generate_program
 from epiflow.lang import (Assign, Const, Seq, Var, While, parse, parse_expression,
                           program_from_body)
 from epiflow.model import ModelConfig, Status, build_model
-from epiflow.policyfile import CHECKS, policy_pieces
+from epiflow.policyfile import CHECKS, Policy, policy_pieces, run_check
 from epiflow.policies import (FlowSpec, InitPredicate, PolicyError,
-                              ReleaseSpec, TemporalDeclassification)
+                              ReleaseSpec, TemporalDeclassification, condition_ids)
 from epiflow.semantics import (_produces, check_er, check_nani, check_nid,
-                               check_nitd, check_oni, knowledge_set, release_set)
+                               check_nitd, check_oni, knowledge_set, release_set,
+                               required_set)
 from epiflow.verdicts import Outcome
 
 BOOL = Domain.booleans()
@@ -228,6 +230,45 @@ class TestReleaseSets:
             release_set(m, fs, self.RS, s0, (True,))
 
 
+class TestRequiredSets:
+    """``knowledge`` reads every condition of a policy.  Every prefix of a
+    run's trace starts an epoch block, the points nitd's search visits, so
+    some run has a prefix whose required set is not within its knowledge
+    set exactly when the trace check fails."""
+
+    CHECK = {"oni-ak": "oni", "nid-akd": "nid", "nitd-aktd": "nitd", "akr-er": "er"}
+
+    @pytest.mark.parametrize("cfg", SWEEPS, ids=SWEEP_IDS)
+    @pytest.mark.parametrize("pair", CHECK)
+    def test_some_prefix_is_insecure_exactly_when_the_check_fails(self, pair, cfg):
+        outcomes = set()
+        for index in range(min(cfg.count, 50)):
+            program, policy = generate_case(pair, index, cfg)
+            pieces = policy_pieces(policy, program, cfg.domain)
+            fs, conditions = pieces["fs"], knowledge_conditions(pieces, cfg.domain)
+            m = build_model(program, ModelConfig(cfg.domain, bound=cfg.bound),
+                            condition_ids(conditions))
+            outcome = CHECKS[self.CHECK[pair]].judge(m, pieces).outcome
+            outcomes.add(outcome)
+            insecure = any(
+                not required_set(m, fs, conditions, ex.init_store, trace)
+                <= knowledge_set(m, fs, ex.init_store, trace)
+                for ex in m.executions
+                for full in [m.trace_tuple(ex.trace_ids[len(ex)])]
+                for trace in (full[:cut] for cut in range(len(full) + 1)))
+            assert insecure == (outcome is Outcome.FAILS), index
+        assert outcomes == {Outcome.HOLDS, Outcome.FAILS}
+
+    def test_an_unconditional_declassification_releases_from_the_start(self):
+        # ``when: true ==> h`` on a model that keeps nothing per point
+        m = build_model(parse("out h", BOOL), ModelConfig(BOOL), frozenset())
+        fs = FlowSpec.from_low(m.program, [])
+        td = TemporalDeclassification(Const(True), pred("h", BOOL))
+        s0 = {"h": True}
+        assert required_set(m, fs, (td,), s0, ()) == stores({(True,)})
+        assert required_set(m, fs, (), s0, ()) == stores({(True,), (False,)})
+
+
 class TestEpistemicRelease:
     def test_release_before_each_output_is_secure(self, two_release_model):
         fs = FlowSpec.from_low(two_release_model.program, ["l"])
@@ -257,6 +298,28 @@ class TestEpistemicRelease:
         m2 = build_model(leaky, ModelConfig(dom))
         assert check_er(m2, FlowSpec.from_low(leaky, fs_low), rs).outcome \
             is Outcome.FAILS
+
+    WITNESS_CASES = {
+        "two-release-r1": ("l := h1; release r1; out l; l := h2; release r2; out l",
+                           BOOL, ("l",), (("r1", "h1"),)),
+        "two-release-r2": ("l := h1; release r1; out l; l := h2; release r2; out l",
+                           BOOL, ("l",), (("r2", "h2"),)),
+        "c7-leaky": ("x := hash(h); if (x mod 2) == in then { l := 0 } "
+                     "else { l := 1 }; release rh; out l; out (x mod 3)",
+                     Domain.integers(8, hash_table=tuple(3 * v % 8 for v in range(8))),
+                     ("in", "l"), (("rh", "(hash(h) mod 2) == in"),)),
+    }
+
+    @pytest.mark.parametrize("case", WITNESS_CASES)
+    def test_witness_is_nitds_on_the_same_flags(self, case):
+        # er is nitd with ``when: r ==> e`` for each ``release: r = e``
+        text, dom, low, items = self.WITNESS_CASES[case]
+        program = parse(text, dom)
+        er, nitd = (run_check(program, Policy(check, low, **{key: items}),
+                              ModelConfig(dom)).verdict
+                    for check, key in (("er", "releases"), ("nitd", "whens")))
+        assert er.outcome is Outcome.FAILS
+        assert er.witness == nitd.witness
 
 
 class TestNitd:
