@@ -14,7 +14,7 @@ from .lang import (LangError, ParseError, Program, compile_expr, parse,
 from .logic import (LogicError, formula_to_source, model_satisfies,
                     parse_formula, satisfies)
 from .model import (Model, ModelConfig, Point, Status, accessible,
-                    build_model, epoch_of, trace_of)
+                    build_model, epoch_of, results_model, trace_of)
 from .policies import (FlowSpec, InitPredicate, PolicyError, ReleaseSpec,
                        TemporalDeclassification, encode_ak, encode_akd,
                        encode_aak, encode_akr, encode_aktd, esp, espm)

@@ -226,8 +226,8 @@ def knowledge_conditions(pieces: dict, dom: Domain) -> tuple[TemporalDeclassific
 def cmd_knowledge(args) -> int:
     dom, _, program, cfg = _load(args)
     policy = _policy_from(args)
-    # nani's abstractions are judged on the program aak transforms, which
-    # no condition on this program's runs stands for
+    # aak's observer sees each run's abstracted result, not the outputs
+    # whose prefixes knowledge follows, so no condition stands for nani's
     unread = [key for key in ABSTRACTED if getattr(policy, key) is not None]
     if unread:
         raise PolicyError(f"knowledge reads low:, release:, when: and declassify: "

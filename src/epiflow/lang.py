@@ -337,28 +337,6 @@ def program_from_body(body: Stmt, text: str | None = None) -> Program:
     return Program(body, signature, text)
 
 
-def silenced(body: Stmt) -> Stmt:
-    """The statement with each ``out`` and ``out "text"`` made ``skip``.
-
-    A ``;`` chain is walked with a stack and rebuilt as the parser builds
-    one; only blocks recurse, as deep as ``MAX_DEPTH`` lets them nest.
-    """
-    parts = []
-    for s in _statements(body):
-        match s:
-            case Out() | OutLit():
-                s = Skip()
-            case If(guard, then, orelse):
-                s = If(guard, silenced(then), silenced(orelse))
-            case While(guard, inner):
-                s = While(guard, silenced(inner))
-        parts.append(s)
-    node = parts[-1]
-    for s in reversed(parts[:-1]):
-        node = Seq(s, node)
-    return node
-
-
 def _exprs(s: Stmt) -> tuple[Expr, ...]:
     """The expressions a statement evaluates itself (not its sub-statements)."""
     match s:

@@ -48,6 +48,12 @@ one list object, read-only like the stores.  That list is the run's
 behaviour, all an observer can tell of the run; runs often share one
 (the loop program at int:16 has 4,096 runs and 256 behaviours).
 
+An observer of results alone (aak's) judges ``results_model``: the same
+runs, each showing just its results.  The logic has no next operator, so
+no formula tells it from the model of the program with its outputs
+silenced and its results emitted at the end (stutter invariance: Peled
+and Wilke, IPL 1997).
+
 Divergence is never guessed at: an execution that exceeds the step bound
 is marked BOUND_EXCEEDED, and one that revisits a (program counter,
 store) configuration is marked LASSO.  Either taints the model, and every
@@ -63,7 +69,8 @@ from functools import cached_property
 from enum import Enum
 
 from .domain import Domain, TERMINATION_MARK
-from .lang import ASSIGN, BRANCH, EXIT, Code, Program, compile_program, live_inputs
+from .lang import (ASSIGN, BRANCH, EXIT, Code, Expr, Program, compile_expr, compile_program,
+                   live_inputs)
 
 
 class Status(Enum):
@@ -139,6 +146,11 @@ class Model:
     trace_table: dict[tuple[int, object], int]
     variables: tuple[str, ...] = ()
     kept: frozenset[str] = frozenset()  # identifiers kept per point
+
+    def __post_init__(self) -> None:
+        ref = weakref.ref(self)
+        for execution in self.executions:
+            execution.model_ref = ref
 
     @property
     def domain(self) -> Domain:
@@ -249,18 +261,7 @@ def build_model(program: Program, cfg: ModelConfig,
         keep = frozenset(names + flags)
 
     code = compile_program(program, dom)
-    trace_parents: list[tuple[int, object]] = [(-1, None)]
-    trace_table: dict[tuple[int, object], int] = {}
-
-    def extend_trace(tid: int, event) -> int:
-        key = (tid, event)
-        new = trace_table.get(key)
-        if new is None:
-            new = len(trace_parents)
-            trace_table[key] = new
-            trace_parents.append(key)
-        return new
-
+    trace_parents, trace_table, extend_trace = _trace_table()
     executions: list[Execution] = []
     behaviours: dict[tuple, list[int]] = {}
     live = live_inputs(program)
@@ -287,19 +288,43 @@ def build_model(program: Program, cfg: ModelConfig,
         if dead:
             classes.setdefault(key, (execution, *overlay) if overlay is not None else None)
 
-    model = Model(
-        program=program,
-        cfg=cfg,
-        executions=executions,
-        trace_parents=trace_parents,
-        trace_table=trace_table,
-        variables=names,
-        kept=keep,
-    )
-    ref = weakref.ref(model)
-    for execution in executions:
-        execution.model_ref = ref
-    return model
+    return Model(program, cfg, executions, trace_parents, trace_table, names, keep)
+
+
+def results_model(model: Model, outputs: tuple[Expr, ...]) -> Model:
+    """The runs of ``model``, in order, with their initial and final stores
+    and statuses: each is one silent point, then one point per expression
+    of ``outputs``, emitting its value on the final store.  Nothing is kept
+    per point."""
+    fns = [compile_expr(e, model.domain) for e in outputs]
+    parents, table, extend = _trace_table()
+    behaviours: dict[tuple, list[int]] = {}
+    runs = []
+    for ex in model.executions:
+        ids = [0]
+        for fn in fns:
+            ids.append(extend(ids[-1], fn(ex.final_store)))
+        ids = behaviours.setdefault(tuple(ids), ids)
+        runs.append(Execution(ex.index, ex.init_store, None, ex.final_store, ex.status, None, ids))
+    return Model(model.program, model.cfg, runs, parents, table, model.variables)
+
+
+def _trace_table() -> tuple:
+    """An empty trace table (each id's parent and event, and each id by
+    them), and the function that interns a trace id extended by an event."""
+    trace_parents: list[tuple[int, object]] = [(-1, None)]
+    trace_table: dict[tuple[int, object], int] = {}
+
+    def extend_trace(tid: int, event) -> int:
+        key = (tid, event)
+        new = trace_table.get(key)
+        if new is None:
+            new = len(trace_parents)
+            trace_table[key] = new
+            trace_parents.append(key)
+        return new
+
+    return trace_parents, trace_table, extend_trace
 
 
 def _run(code: Code, init: dict, cfg: ModelConfig, index: int, extend_trace,

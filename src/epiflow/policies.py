@@ -35,9 +35,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .domain import Domain
-from .lang import (Binary, Const, Expr, HashCall, Out, Program, Seq, Unary,
-                   Var, compile_expr, expr_ids, expr_to_source, silenced,
-                   validate_expr)
+from .lang import (Binary, Const, Expr, HashCall, Program, Unary, Var,
+                   compile_expr, expr_ids, expr_to_source, validate_expr)
 from .logic import (Eq, Formula, G, Init, L, Not, W, conj, disj, foralls,
                     implies)
 
@@ -324,34 +323,36 @@ def check_output_abstraction(fs: FlowSpec, rho: str | Expr) -> None:
 
 
 def encode_aak(program: Program, fs: FlowSpec, eta: str | Expr, phi: str | Expr,
-               rho: str | Expr, dom: Domain) -> tuple[Program, Formula]:
-    """Abstract absence of knowledge, as a transformed program plus formula.
+               rho: str | Expr, dom: Domain) -> tuple[tuple[Expr, ...], Formula]:
+    """Abstract absence of knowledge, as the results its observer sees plus
+    the formula, which is judged on the model of those results
+    (``model.results_model``).
 
-    The program's outputs become ``skip``, and it gains a final output of
-    the ``rho``-abstracted public results: the observer sees the abstracted
-    final result, which is what nani judges, and nothing before it.  The
-    source signature is kept, so an identifier that only an output read is
-    still an input.  No identifier is pinned exactly: public inputs vary
-    within their ``eta``-class and secrets within their ``phi``-class, both
-    encoded as agreement predicates.  ``eta: Id`` pins public inputs.
+    The observer sees the ``rho``-abstracted public results of a run, which
+    is what nani judges, and nothing before them.  No identifier is pinned
+    exactly: public inputs vary within their ``eta``-class and secrets
+    within their ``phi``-class, both encoded as agreement predicates.
+    ``eta: Id`` pins public inputs.
     """
     check_output_abstraction(fs, rho)
-    body = silenced(program.body)
-    for e in abstraction_predicate(rho, fs.low, dom).exprs:
-        body = Seq(body, Out(e))
-    transformed = Program(body, program.signature, program.text)
-
+    results = abstraction_predicate(rho, fs.low, dom).exprs
     eta_pred = abstraction_predicate(eta, fs.low, dom)
     phi_pred = abstraction_predicate(phi, fs.high, dom)
     ordered = fs.low + fs.high
-    in_order = tuple(n for n in transformed.variables if n in ordered)
-    return transformed, G(espm((), in_order, (eta_pred, phi_pred), dom))
+    in_order = tuple(n for n in program.variables if n in ordered)
+    return results, G(espm((), in_order, (eta_pred, phi_pred), dom))
+
+
+def check_powerset_cap(count: int) -> None:
+    """Refuse more declassifications than aktd's one conjunct per subset
+    of them allows; the check path refuses them for the trace twins too."""
+    if count > MAX_POWERSET:
+        raise PolicyError(
+            f"powerset construction capped at {MAX_POWERSET} elements; got {count}")
 
 
 def _powerset(items: tuple) -> list[tuple]:
-    if len(items) > MAX_POWERSET:
-        raise PolicyError(
-            f"powerset construction capped at {MAX_POWERSET} elements; got {len(items)}")
+    check_powerset_cap(len(items))
     out = []
     for mask in range(1 << len(items)):
         out.append(tuple(x for i, x in enumerate(items) if mask >> i & 1))

@@ -6,7 +6,7 @@ A policy file names one check and its parameters::
     low: l, max
     declassify: (0 <= h) && (h <= max)
 
-    # other keys, by check:
+    # other keys, by check (a check refuses the others' keys):
     #   eta: / phi: / rho:   Id | Sign | Par | <expr>     (aak, nani)
     #   release: r1 = <expr>                              (akr, er; repeatable)
     #   when: <state-expr> ==> <init-expr>                (aktd, nitd; repeatable)
@@ -25,11 +25,11 @@ from typing import Callable
 from .domain import Domain
 from .lang import Expr, ParseError, Program, parse_expression, validate_expr
 from .logic import Evaluation, Formula, model_satisfies
-from .model import Model, ModelConfig, build_model
+from .model import Model, ModelConfig, build_model, results_model
 from .policies import (ABSTRACTIONS, FlowSpec, InitPredicate, PolicyError,
                        ReleaseSpec, TemporalDeclassification, abstraction_fn,
-                       condition_ids, encode_ak, encode_akd, encode_aak, encode_akr,
-                       encode_aktd)
+                       check_powerset_cap, condition_ids, encode_ak, encode_akd,
+                       encode_aak, encode_akr, encode_aktd)
 from .semantics import (check_er, check_nani, check_nid, check_nitd, check_oni)
 from .verdicts import Verdict
 
@@ -38,19 +38,21 @@ from .verdicts import Verdict
 class Check:
     """One row of the check table: one reading of a security condition.
 
-    An epistemic row's ``encode(program, pieces, dom)`` gives the
-    program to model (only aak transforms it) and the formula to evaluate;
-    a trace-based row's ``judge(model, pieces)`` gives the verdict, and its
-    ``keep(pieces)`` the identifiers the judge reads at every point, which
-    the model must keep (an epistemic row's are those its formula's plans
-    read).  Rows call this module's ``encode_*``, ``check_*``,
-    ``build_model`` and ``model_satisfies`` by name, so a wrapper put on
-    one sees every call.
+    An epistemic row's ``encode(program, pieces, dom)`` gives the results
+    its observer sees in place of the program's outputs (aak's; None for
+    the others) and the formula to evaluate; a trace-based row's
+    ``judge(model, pieces)`` gives the verdict, and its ``keep(pieces)``
+    the identifiers the judge reads at every point, which the model must
+    keep (an epistemic row's are those its formula's plans read).  Rows
+    call this module's ``encode_*``, ``check_*``, ``build_model`` and
+    ``model_satisfies`` by name, so a wrapper put on one sees every call.
     """
 
     twin: str
-    needs: tuple[str, ...] = ()  # policy entries the check cannot run without
-    encode: Callable[[Program, dict, Domain], tuple[Program, Formula]] | None = None
+    reads: tuple[str, ...] = ()  # policy entries the check reads besides low:
+    needs: tuple[str, ...] = ()  # the ones it cannot run without
+    encode: Callable[[Program, dict, Domain],
+                     tuple[tuple[Expr, ...] | None, Formula]] | None = None
     judge: Callable[[Model, dict], Verdict] | None = None
     keep: Callable[[dict], frozenset[str]] = lambda pieces: frozenset()
 
@@ -60,25 +62,29 @@ class Check:
 
 
 ABSTRACTED = ("eta", "phi", "rho")
+DECLASSIFY = ("declassify",)
+# the policy-file key of each entry a check may read besides low:
+ENTRY_KEYS = {"declassify": "declassify", "eta": "eta", "phi": "phi", "rho": "rho",
+              "releases": "release", "whens": "when"}
 
 CHECKS: dict[str, Check] = {
-    "ak": Check("oni", encode=lambda prog, p, dom: (prog, encode_ak(p["fs"], dom))),
-    "akd": Check("nid", ("declassify",), encode=lambda prog, p, dom: (
-        prog, encode_akd(p["fs"], p["declassify"], dom))),
-    "aak": Check("nani", ABSTRACTED, encode=lambda prog, p, dom: encode_aak(
+    "ak": Check("oni", encode=lambda prog, p, dom: (None, encode_ak(p["fs"], dom))),
+    "akd": Check("nid", DECLASSIFY, DECLASSIFY, encode=lambda prog, p, dom: (
+        None, encode_akd(p["fs"], p["declassify"], dom))),
+    "aak": Check("nani", ABSTRACTED, ABSTRACTED, encode=lambda prog, p, dom: encode_aak(
         prog, p["fs"], p["eta"], p["phi"], p["rho"], dom)),
-    "akr": Check("er", encode=lambda prog, p, dom: (
-        prog, encode_akr(p["fs"], p["releases"], dom))),
-    "aktd": Check("nitd", encode=lambda prog, p, dom: (
-        prog, encode_aktd(p["fs"], p["whens"], dom))),
+    "akr": Check("er", ("releases",), encode=lambda prog, p, dom: (
+        None, encode_akr(p["fs"], p["releases"], dom))),
+    "aktd": Check("nitd", ("whens",), encode=lambda prog, p, dom: (
+        None, encode_aktd(p["fs"], p["whens"], dom))),
     "oni": Check("ak", judge=lambda m, p: check_oni(m, p["fs"])),
-    "nid": Check("akd", ("declassify",),
+    "nid": Check("akd", DECLASSIFY, DECLASSIFY,
                  judge=lambda m, p: check_nid(m, p["fs"], p["declassify"])),
-    "nani": Check("aak", ABSTRACTED,
+    "nani": Check("aak", ABSTRACTED, ABSTRACTED,
                   judge=lambda m, p: check_nani(m, p["fs"], p["eta"], p["phi"], p["rho"])),
-    "er": Check("akr", judge=lambda m, p: check_er(m, p["fs"], p["releases"]),
+    "er": Check("akr", ("releases",), judge=lambda m, p: check_er(m, p["fs"], p["releases"]),
                 keep=lambda p: p["releases"].flags),
-    "nitd": Check("aktd", judge=lambda m, p: check_nitd(m, p["fs"], p["whens"]),
+    "nitd": Check("aktd", ("whens",), judge=lambda m, p: check_nitd(m, p["fs"], p["whens"]),
                   keep=lambda p: condition_ids(p["whens"])),
 }
 SEMANTIC_OF = {n: c.twin for n, c in CHECKS.items() if c.reading == "epistemic"}
@@ -197,7 +203,7 @@ def load_policy(path: str) -> Policy:
 
 @dataclass
 class CheckRun:
-    """A check's verdict, the model it judged (aak's transformed one) and its time."""
+    """A check's verdict, the model it judged (aak's: of the results) and its time."""
 
     check: str
     verdict: Verdict
@@ -255,47 +261,62 @@ def policy_pieces(policy: Policy, program: Program, dom: Domain) -> dict:
     return pieces
 
 
-# What a reading needs before its model is built: the program it models,
-# the identifiers it reads at every point, and its judge of the model.
-Plan = tuple[Program, frozenset[str], Callable[[Model], Verdict]]
+def _check_pieces(policy: Policy, program: Program, dom: Domain) -> dict:
+    """``policy_pieces`` for a check, which both readings of a pair refuse
+    alike: an entry the named check does not read, which it would ignore,
+    and more conditions than aktd's one conjunct per subset allows."""
+    pieces = policy_pieces(policy, program, dom)
+    reads = CHECKS[policy.check].reads
+    unread = [key for entry, key in ENTRY_KEYS.items()
+              if entry not in reads and getattr(policy, entry) not in (None, ())]
+    if unread:
+        raise PolicyError(f"check {policy.check!r} does not read the policy's {unread[0]}: entry")
+    check_powerset_cap(len(policy.releases) + len(policy.whens))
+    return pieces
 
 
-def _formula_plan(program: Program, formula: Formula, dom: Domain) -> Plan:
+# What a reading needs before the program's model is built: what it reads at
+# every point, its judge, and the results it sees in place of outputs (aak).
+Plan = tuple[frozenset[str], Callable[[Model], Verdict], tuple[Expr, ...] | None]
+
+
+def _formula_plan(program: Program, results: tuple[Expr, ...] | None, formula: Formula,
+                  dom: Domain) -> Plan:
     """Plan the formula against the program, so the model keeps what it reads."""
     ev = Evaluation(program, dom)
     ev.compile(formula)
-    return program, ev.reads, lambda model: model_satisfies(model, formula, ev)
+    return ev.reads, lambda model: model_satisfies(model, formula, ev), results
 
 
 def _plan(name: str, program: Program, pieces: dict, dom: Domain) -> Plan:
     check = CHECKS[name]
     if check.encode is None:
-        return program, check.keep(pieces), lambda model: check.judge(model, pieces)
-    return _formula_plan(*check.encode(program, pieces, dom), dom)
+        return check.keep(pieces), lambda model: check.judge(model, pieces), None
+    return _formula_plan(program, *check.encode(program, pieces, dom), dom)
 
 
-def _judged(name: str, plan: Plan, cfg: ModelConfig, model: Model | None,
-            start: float) -> CheckRun:
-    """The reading's verdict on ``model``, or on a model built for it when
-    it models another program; timed from ``start``."""
-    modeled, keep, judge = plan
-    if model is None or modeled is not model.program:
-        model = build_model(modeled, cfg, keep)
+def _judged(name: str, plan: Plan, model: Model, start: float) -> CheckRun:
+    """The reading's verdict on the program's ``model``, or on the model of
+    its results; timed from ``start``."""
+    _, judge, results = plan
+    if results is not None:
+        model = results_model(model, results)
     return CheckRun(name, judge(model), model, time.perf_counter() - start)
 
 
 def run_check(program: Program, policy: Policy, cfg: ModelConfig) -> CheckRun:
     """Check the policy, build what the named check needs, run it, and time it."""
-    pieces = policy_pieces(policy, program, cfg.domain)
+    pieces = _check_pieces(policy, program, cfg.domain)
     start = time.perf_counter()
-    return _judged(policy.check, _plan(policy.check, program, pieces, cfg.domain),
-                   cfg, None, start)
+    plan = _plan(policy.check, program, pieces, cfg.domain)
+    return _judged(policy.check, plan, build_model(program, cfg, plan[0]), start)
 
 
 def run_formula(program: Program, formula: Formula, cfg: ModelConfig) -> CheckRun:
     """Check the formula against the program, build its model, evaluate it, and time it."""
     start = time.perf_counter()
-    return _judged("formula", _formula_plan(program, formula, cfg.domain), cfg, None, start)
+    plan = _formula_plan(program, None, formula, cfg.domain)
+    return _judged("formula", plan, build_model(program, cfg, plan[0]), start)
 
 
 def run_both_sides(program: Program, policy: Policy,
@@ -303,15 +324,13 @@ def run_both_sides(program: Program, policy: Policy,
     """Run the trace-based and the epistemic reading of the same policy.
 
     The policy is checked once and the program modeled once, keeping what
-    either reading reads; only aak models a second program, the one its
-    encoding transforms.
+    either reading reads; both readings judge that model's runs.
     """
-    pieces = policy_pieces(policy, program, cfg.domain)
+    pieces = _check_pieces(policy, program, cfg.domain)
     names = (SEMANTIC_OF.get(policy.check, policy.check),
              EPISTEMIC_OF.get(policy.check, policy.check))
     start = time.perf_counter()
     plans = [_plan(name, program, pieces, cfg.domain) for name in names]
-    keep = frozenset().union(*(reads for modeled, reads, _ in plans if modeled is program))
-    model = build_model(program, cfg, keep)
-    sem_run = _judged(names[0], plans[0], cfg, model, start)
-    return sem_run, _judged(names[1], plans[1], cfg, model, time.perf_counter())
+    model = build_model(program, cfg, plans[0][0] | plans[1][0])
+    sem_run = _judged(names[0], plans[0], model, start)
+    return sem_run, _judged(names[1], plans[1], model, time.perf_counter())

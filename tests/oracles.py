@@ -318,7 +318,8 @@ def _satisfied(model, f, ex, i: int, env: dict, memo: dict) -> bool:
     dom = model.domain
 
     def value(e, k):
-        return eval_expr({**ex.stores[k], **env}, e, dom)
+        # on a model that keeps no store per point, atoms read bound values only
+        return eval_expr({**(ex.stores[k] if ex.stores is not None else {}), **env}, e, dom)
 
     def epoch():
         tid = ex.trace_ids[i]
@@ -333,7 +334,7 @@ def _satisfied(model, f, ex, i: int, env: dict, memo: dict) -> bool:
         case lg.Eq(lhs, rhs):
             return value(lhs, i) == value(rhs, i)
         case lg.Init(name, expr):
-            return ex.stores[0][name] == value(expr, i)
+            return ex.init_store[name] == value(expr, i)
         case lg.Tt():
             return True
         case lg.Ff():

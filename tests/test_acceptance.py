@@ -12,7 +12,7 @@ from epiflow.domain import Domain
 from epiflow.fuzz import FuzzConfig, fuzz_equivalences, generate_program
 from epiflow.lang import parse, parse_expression
 from epiflow.logic import K, L, Not, model_satisfies, satisfies
-from epiflow.model import ModelConfig, Point, accessible, build_model
+from epiflow.model import ModelConfig, Point, accessible, build_model, results_model
 from epiflow.policies import (FlowSpec, InitPredicate, ReleaseSpec,
                               TemporalDeclassification, encode_ak, encode_akd,
                               encode_aak, encode_akr, encode_aktd, esp, espm)
@@ -85,17 +85,19 @@ def test_criterion_04_abstract_noninterference():
     cfg = ModelConfig(INT8S)
     secure = parse("if h >= 0 then { l := 2*l*h } else { l := 2*l*h + 1 }", INT8S)
     secure_fs = FlowSpec.from_low(secure, ["l"])
-    t1, f1 = encode_aak(secure, secure_fs, "Id", "Sign", "Par", INT8S)
+    r1, f1 = encode_aak(secure, secure_fs, "Id", "Sign", "Par", INT8S)
     deceptive = parse("l := 2*l*h*h", INT8S)
     deceptive_fs = FlowSpec.from_low(deceptive, ["l"])
-    t2, f2 = encode_aak(deceptive, deceptive_fs, "Par", "Id", "Sign", INT8S)
+    r2, f2 = encode_aak(deceptive, deceptive_fs, "Par", "Id", "Sign", INT8S)
     confirm(4, "sign-to-parity release holds; deceptive flow fails, both routes", {
         "nani-holds": check_nani(build_model(secure, cfg), secure_fs,
                                  "Id", "Sign", "Par").outcome is HOLDS,
-        "aak-holds": model_satisfies(build_model(t1, cfg), f1).outcome is HOLDS,
+        "aak-holds": model_satisfies(
+            results_model(build_model(secure, cfg), r1), f1).outcome is HOLDS,
         "nani-fails": check_nani(build_model(deceptive, cfg), deceptive_fs,
                                  "Par", "Id", "Sign").outcome is FAILS,
-        "aak-fails": model_satisfies(build_model(t2, cfg), f2).outcome is FAILS,
+        "aak-fails": model_satisfies(
+            results_model(build_model(deceptive, cfg), r2), f2).outcome is FAILS,
     })
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from epiflow.domain import Domain
 from epiflow.fuzz import FuzzConfig, _abstractions_for, _gen_expr, generate_program
 from epiflow.lang import MAX_DEPTH, expr_to_source, to_source
 from epiflow.model import build_model
-from epiflow.policyfile import EPISTEMIC_CHECKS, SEMANTIC_CHECKS
+from epiflow.policyfile import CHECKS, EPISTEMIC_CHECKS, EPISTEMIC_OF, SEMANTIC_CHECKS
 from epiflow.report import Report
 
 
@@ -233,8 +234,8 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("entry", ["eta: Id", "phi: Id", "rho: Id"])
     def test_knowledge_refuses_entries_it_does_not_read(self, workdir, capsys, entry):
-        # nani's abstractions are judged on the program aak transforms, so
-        # no condition on this program's runs stands for them
+        # aak's observer sees each run's abstracted result, not the outputs
+        # whose prefixes knowledge follows, so no condition stands for nani's
         (workdir / "other.pol").write_text(f"check: akr\nlow: l\nrelease: r1 = h1\n{entry}\n")
         assert run(["knowledge", "--program", workdir / "release.wout",
                     "--policy", workdir / "other.pol"]) == 3
@@ -268,7 +269,7 @@ class TestOtherCommands:
         assert "semantic=HOLDS epistemic=HOLDS agree" in capsys.readouterr().out
 
     def test_diff_agrees_on_a_program_with_outputs(self, tmp_path, capsys):
-        # aak's program outputs only the abstracted final result, which is
+        # aak's observer sees only the abstracted final result, which is
         # what nani judges; the loop's own outputs are not observed
         (tmp_path / "loop.wout").write_text(
             "x := 0; while x < h do { out l; x := x + 1 }; out l + x\n")
@@ -278,6 +279,73 @@ class TestOtherCommands:
                     "--policy", tmp_path / "loop.pol", "--domain", "int:4"])
         assert code == 0
         assert capsys.readouterr().out.rstrip().endswith(" agree")
+
+    @pytest.mark.parametrize("program, bound, outcome", [
+        ("out 1; out 1; out 1; out 1; l := h", 4, "BOUND_EXCEEDED"),
+        ("l := h", 1, "HOLDS"),
+    ])
+    def test_diff_agrees_on_runs_that_end_at_the_bound(self, tmp_path, capsys, program,
+                                                      bound, outcome):
+        # aak judges the program's own runs, so the bound cuts both readings alike
+        (tmp_path / "p.wout").write_text(program + "\n")
+        (tmp_path / "p.pol").write_text("check: aak\nlow: l\neta: Id\nphi: Id\nrho: Id\n")
+        code = run(["diff", "--program", tmp_path / "p.wout", "--policy", tmp_path / "p.pol",
+                    "--domain", "int:4", "--bound", bound])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            f"pair nani/aak: semantic={outcome} epistemic={outcome} agree\n")
+
+    def test_fuzz_reaches_refusal_with_no_mismatch(self, capsys):
+        code = run(["fuzz", "--count", "40", "--seed", "13", "--pairs", "nani-aak",
+                    "--domain", "int:4", "--loops", "--bound", "6"])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        refused = re.search(r"nani-aak: 40 runs: .* (\d+) refused, 0 mismatched", out)
+        assert refused and int(refused[1]) > 0, out
+
+    # for each pair, by its epistemic check, the entries it cannot run without
+    NEEDED = {"ak": "", "akd": "declassify: h\n", "aak": "eta: Id\nphi: Id\nrho: Id\n",
+              "akr": "", "aktd": ""}
+    FOREIGN = {"declassify": "declassify: h", "eta": "eta: Id", "phi": "phi: Id",
+               "rho": "rho: Id", "releases": "release: r1 = h", "whens": "when: l ==> h"}
+
+    @pytest.mark.parametrize("check", EPISTEMIC_CHECKS + SEMANTIC_CHECKS)
+    def test_check_and_diff_refuse_entries_the_check_does_not_read(self, tmp_path, capsys,
+                                                                   check):
+        (tmp_path / "p.wout").write_text("l := h; release r1; out l\n")
+        base = f"check: {check}\nlow: l\n{self.NEEDED[EPISTEMIC_OF.get(check, check)]}"
+        args = ["--program", tmp_path / "p.wout", "--policy", tmp_path / "p.pol"]
+        unread = [line for entry, line in self.FOREIGN.items()
+                  if entry not in CHECKS[check].reads]
+        assert len(unread) == 6 - len(CHECKS[check].reads)
+        for line in unread:
+            (tmp_path / "p.pol").write_text(f"{base}{line}\n")
+            for command in ("check", "diff"):
+                assert run([command, *args]) == 3, (command, line)
+                assert capsys.readouterr().err == (
+                    f"error: check {check!r} does not read the policy's "
+                    f"{line.split(':')[0]}: entry\n")
+        (tmp_path / "p.pol").write_text(base)
+        assert run(["diff", *args]) == 0
+
+    @pytest.mark.parametrize("pair, program, entry", [
+        (("nitd", "aktd"), "l := h; out l", "when: l ==> h"),
+        (("er", "akr"), "l := h; " + "; ".join(f"release r{i}" for i in range(1, 8)) + "; out l",
+         "release: r{} = h"),
+    ], ids=["nitd-aktd", "er-akr"])
+    def test_both_readings_refuse_more_conditions_than_the_cap(self, tmp_path, capsys, pair,
+                                                               program, entry):
+        (tmp_path / "p.wout").write_text(program + "\n")
+        args = ["--program", tmp_path / "p.wout", "--policy", tmp_path / "p.pol"]
+        for count, code in ((7, 3), (6, 0)):
+            entries = "".join(entry.format(i) + "\n" for i in range(1, count + 1))
+            for check in pair:
+                (tmp_path / "p.pol").write_text(f"check: {check}\nlow: l\n{entries}")
+                assert run(["diff", *args]) == code, (check, count)
+                if count == 7:
+                    assert run(["check", *args]) == 3, check
+                    assert capsys.readouterr().err == (
+                        "error: powerset construction capped at 6 elements; got 7\n" * 2)
 
     def test_fuzz_smoke(self, capsys):
         code = run(["fuzz", "--count", "5", "--seed", "3"])

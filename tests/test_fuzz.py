@@ -100,7 +100,7 @@ class TestHarness:
             assert summary.runs == 50
 
     def test_nani_aak_cases_output_and_fail_on_booleans(self):
-        # aak's program outputs only the abstracted final result, as nani
+        # aak's observer sees only the abstracted final result, as nani
         # judges it, so the cases keep their outputs; on booleans an
         # expression abstraction can keep a secret, so some cases fail
         cfg = FuzzConfig(seed=11, count=40, pairs=("nani-aak",))

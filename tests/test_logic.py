@@ -12,7 +12,7 @@ from epiflow.logic import (And, Eq, Evaluation, Exists, F, Ff, Forall, G, Implie
                            K, L, LogicError, Not, Or, Tt, Until, W,
                            formula_size, formula_to_source, model_satisfies, parse_formula,
                            satisfies)
-from epiflow.model import ModelConfig, Point, build_model
+from epiflow.model import ModelConfig, Point, build_model, results_model
 from epiflow.policies import (FlowSpec, InitPredicate, ReleaseSpec,
                               TemporalDeclassification, encode_aak, encode_ak,
                               encode_akd, encode_akr, encode_aktd)
@@ -272,8 +272,8 @@ class TestEvaluatorTransparency:
             program = generate_program(random.Random(f"aak-ref:{index}"), cfg)
             fs = FlowSpec.from_low(program, program.variables[:1])
             eta, phi, rho = (("Sign", "Par", "Par"), ("Par", "Sign", "Sign"))[index % 2]
-            transformed, f = encode_aak(program, fs, eta, phi, rho, dom)
-            matches_reference(build_model(transformed, ModelConfig(dom)), f)
+            results, f = encode_aak(program, fs, eta, phi, rho, dom)
+            matches_reference(results_model(build_model(program, ModelConfig(dom)), results), f)
 
     def test_akr_with_two_flags(self):
         cfg = FuzzConfig(seed=1, count=1, size=6, ident_count=2)
@@ -393,8 +393,8 @@ class TestKeyedGuards:
         # the alternatives are grouped by their classes under eta and phi
         # once, and each premise looks up its own class
         program = parse(text, dom)
-        transformed, f = encode_aak(program, FlowSpec.from_low(program, ("l",)), *params, dom)
-        m = build_model(transformed, ModelConfig(dom))
+        results, f = encode_aak(program, FlowSpec.from_low(program, ("l",)), *params, dom)
+        m = results_model(build_model(program, ModelConfig(dom)), results)
         agrees_at_every_point(m, f)
 
     @pytest.mark.parametrize("text, declassified", [
@@ -435,10 +435,11 @@ class TestKeyedGuards:
         # the alternative only: one grouping serves every premise
         dom = Domain.integers(16, signed=True)
         program = parse(C4, dom)
-        transformed, f = encode_aak(program, FlowSpec.from_low(program, ("l",)),
-                                    "Id", "Sign", "Par", dom)
-        ev = Evaluation(transformed, dom)
-        verdict = model_satisfies(build_model(transformed, ModelConfig(dom)), f, ev)
+        results, f = encode_aak(program, FlowSpec.from_low(program, ("l",)),
+                                "Id", "Sign", "Par", dom)
+        ev = Evaluation(program, dom)
+        m = results_model(build_model(program, ModelConfig(dom)), results)
+        verdict = model_satisfies(m, f, ev)
         assert verdict.outcome is Outcome.HOLDS
         assert len(ev.solved) == 1
         (groups,) = ev.solved.values()

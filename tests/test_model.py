@@ -8,11 +8,11 @@ import pytest
 from conftest import exec_from, garbage_after
 from epiflow.domain import Domain, Label, TERMINATION_MARK
 import epiflow.model as model_module
-from epiflow.lang import (Assign, Const, HashCall, If, Out, OutLit, Seq, Skip, While,
-                          live_inputs, parse, program_from_body)
+from epiflow.lang import (Assign, Const, HashCall, If, Out, OutLit, Seq, Skip, Var, While,
+                          live_inputs, parse, parse_expression, program_from_body)
 from epiflow.logic import Evaluation
 from epiflow.model import (Execution, ModelConfig, Status, accessible,
-                           build_model, epoch_of, trace_of)
+                           build_model, epoch_of, results_model, trace_of)
 from epiflow.fuzz import FuzzConfig, _gen_block, _gen_expr, _insert_release, generate_program
 from oracles import reference_runs, run, unshared_runs
 
@@ -505,3 +505,37 @@ class TestSharedBuild:
                 assert [store["x"] for store in ex.stores] == [x] + [first.stores[1]["x"]] * 5
                 assert all(a is b for a, b in zip(ex.stores[3:], first.stores[3:]))
 
+
+
+class TestResultsModel:
+    LOOP = "x := 0; while x < h do { out l; x := x + 1 }; out l + x"
+
+    @pytest.mark.parametrize("termination_output", [False, True])
+    def test_the_same_runs_showing_their_results(self, termination_output):
+        program = parse(self.LOOP, INT4)
+        m = build_model(program, ModelConfig(INT4, termination_output=termination_output))
+        results = (parse_expression("l + x"), parse_expression("x mod 2"))
+        r, garbage = garbage_after(lambda: results_model(m, results))
+        assert garbage == []
+        assert (r.program, r.cfg, r.variables, r.kept) == (program, m.cfg, m.variables,
+                                                          frozenset())
+        for ex, rx in zip(m.executions, r.executions, strict=True):
+            assert (rx.index, rx.init_store, rx.final_store, rx.status) == (
+                ex.index, ex.init_store, ex.final_store, ex.status)
+            final = ex.final_store
+            assert rx.stores is None and rx.model is r
+            assert rx.events == [INT4.normalize(final["l"] + final["x"]), final["x"] % 2]
+        # 4 values of l + x by 2 parities of x, each one list shared by its runs
+        assert assert_behaviours_shared(r) == 8
+
+    def test_a_run_keeps_its_status_whatever_its_length(self):
+        # the bound cuts the program's own runs, not runs with outputs added
+        program = parse("out 1; out 1; out 1; out 1; l := h", INT4)
+        m = build_model(program, ModelConfig(INT4, bound=4))
+        r = results_model(m, (Var("l"),))
+        assert [ex.status for ex in r.executions] == [Status.BOUND_EXCEEDED] * 16
+        assert r.refusal == m.refusal
+        r = results_model(build_model(parse("l := h", INT4), ModelConfig(INT4, bound=1)),
+                          (Var("l"),))
+        assert r.refusal is None
+        assert [len(ex) for ex in r.executions] == [1] * 16

@@ -12,7 +12,7 @@ from epiflow.fuzz import FuzzConfig, generate_case, generate_program
 from epiflow.lang import Binary, Const, Out, Seq, Var, parse, parse_expression
 from epiflow.logic import (And, Eq, Evaluation, Forall, G, Implies, Init, K, L, Not, W,
                            model_satisfies, satisfies)
-from epiflow.model import ModelConfig, Point, build_model
+from epiflow.model import ModelConfig, Point, build_model, results_model
 from epiflow.policyfile import CHECKS, load_policy, policy_pieces
 from epiflow.policies import (FlowSpec, InitPredicate, PolicyError,
                               ReleaseSpec, TemporalDeclassification, condition_ids,
@@ -185,12 +185,14 @@ class TestAgreementGuard:
         for pair, index in itertools.product(("nani-aak", "nid-akd"), range(cfg.count)):
             program, policy = generate_case(pair, index, cfg)
             pieces = policy_pieces(policy, program, cfg.domain)
-            modeled, f = CHECKS[CHECKS[policy.check].twin].encode(program, pieces, cfg.domain)
-            ev = Evaluation(modeled, cfg.domain)
+            results, f = CHECKS[CHECKS[policy.check].twin].encode(program, pieces, cfg.domain)
+            ev = Evaluation(program, cfg.domain)
             ev.compile(f)
-            m = build_model(modeled, ModelConfig(cfg.domain, bound=cfg.bound), ev.reads)
+            m = build_model(program, ModelConfig(cfg.domain, bound=cfg.bound), ev.reads)
+            if results is not None:
+                m = results_model(m, results)
             hashed = model_satisfies(m, f, ev)
-            whole = model_satisfies(m, f, UngroupedEvaluation(modeled, cfg.domain))
+            whole = model_satisfies(m, f, UngroupedEvaluation(program, cfg.domain))
             assert (hashed.outcome, hashed.witness) == (whole.outcome, whole.witness), \
                 (pair, index)
             outcomes.add(hashed.outcome)
@@ -250,17 +252,18 @@ class TestAbstractKnowledge:
         program = parse("if h >= 0 then { l := 2*l*h } else { l := 2*l*h + 1 }",
                         self.INT8S)
         fs = FlowSpec.from_low(program, ["l"])
-        transformed, f = encode_aak(program, fs, "Id", "Sign", "Par", self.INT8S)
-        m = build_model(transformed, ModelConfig(self.INT8S))
+        results, f = encode_aak(program, fs, "Id", "Sign", "Par", self.INT8S)
+        m = results_model(build_model(program, ModelConfig(self.INT8S)), results)
         assert model_satisfies(m, f).outcome is Outcome.HOLDS
-        # the appended output is the parity of the public result
-        assert transformed.body != program.body
+        # each run shows one silent point, then the parity of its public result
+        assert {len(ex) for ex in m.executions} == {1}
+        assert {e for ex in m.executions for e in ex.events} == {0, 1}
 
     def test_deceptive_flow_fails(self):
         program = parse("l := 2*l*h*h", self.INT8S)
         fs = FlowSpec.from_low(program, ["l"])
-        transformed, f = encode_aak(program, fs, "Par", "Id", "Sign", self.INT8S)
-        m = build_model(transformed, ModelConfig(self.INT8S))
+        results, f = encode_aak(program, fs, "Par", "Id", "Sign", self.INT8S)
+        m = results_model(build_model(program, ModelConfig(self.INT8S)), results)
         assert model_satisfies(m, f).outcome is Outcome.FAILS
 
     def test_identity_abstractions_match_nani(self):
@@ -271,17 +274,18 @@ class TestAbstractKnowledge:
                 random.Random(f"aak:{seed}"),
                 FuzzConfig(seed=1, count=1, size=5, ident_count=2, domain=dom))
             fs = FlowSpec.from_low(program, program.variables[:1])
-            nani = check_nani(build_model(program, cfg), fs, "Id", "Id", "Id")
-            transformed, f = encode_aak(program, fs, "Id", "Id", "Id", dom)
-            aak = model_satisfies(build_model(transformed, cfg), f)
+            model = build_model(program, cfg)
+            nani = check_nani(model, fs, "Id", "Id", "Id")
+            results, f = encode_aak(program, fs, "Id", "Id", "Id", dom)
+            aak = model_satisfies(results_model(model, results), f)
             assert nani.outcome is aak.outcome
 
     def test_eta_id_pins_public_inputs(self):
         # with public inputs pinned exactly, the deceptive flow is invisible
         program = parse("l := 2*l*h*h", self.INT8S)
         fs = FlowSpec.from_low(program, ["l"])
-        transformed, f = encode_aak(program, fs, "Id", "Id", "Sign", self.INT8S)
-        m = build_model(transformed, ModelConfig(self.INT8S))
+        results, f = encode_aak(program, fs, "Id", "Id", "Sign", self.INT8S)
+        m = results_model(build_model(program, ModelConfig(self.INT8S)), results)
         assert model_satisfies(m, f).outcome is Outcome.HOLDS
 
 

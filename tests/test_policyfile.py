@@ -14,8 +14,9 @@ from epiflow.logic import Evaluation, model_satisfies, parse_formula
 from epiflow.model import ModelConfig, NotKeptError, build_model
 from epiflow.policies import (FlowSpec, InitPredicate, PolicyError, ReleaseSpec,
                               TemporalDeclassification)
-from epiflow.policyfile import (CHECKS, EPISTEMIC_CHECKS, SEMANTIC_CHECKS, CheckRun,
-                                Policy, parse_policy, run_both_sides, run_check)
+from epiflow.policyfile import (CHECKS, ENTRY_KEYS, EPISTEMIC_CHECKS, EPISTEMIC_OF,
+                                SEMANTIC_CHECKS, CheckRun, Policy, parse_policy, run_both_sides,
+                                run_check)
 from epiflow.semantics import check_er, check_nitd
 from epiflow.verdicts import Outcome
 
@@ -145,11 +146,14 @@ class TestRunCheck:
         with pytest.raises(PolicyError, match="never released"):
             run_check(program, policy, ModelConfig(BOOL))
 
-    def test_aak_reports_transformed_program(self):
+    def test_aak_reports_the_model_of_its_results(self):
         program = parse("l := h", INT4)
         policy = Policy("aak", low=("l",), eta="Id", phi="Par", rho="Par")
         run = run_check(program, policy, ModelConfig(INT4))
-        assert run.model.program is not program
+        assert run.model.program is program
+        # each run, from (l, h), is one silent point and then the parity of l
+        assert [ex.events for ex in run.model.executions] == [
+            [h % 2] for _ in INT4.values for h in INT4.values]
         assert run.verdict.outcome is Outcome.HOLDS
 
     def test_bound_exceeded_propagates(self):
@@ -168,9 +172,18 @@ class TestRunCheck:
 
 
 class TestBothSides:
-    # valid for every check: every entry is checked whichever check is named
-    POLICY = dict(low=("l",), declassify=("h",), eta="Id", phi="Id", rho="Id",
-                  releases=(("r1", "h"),), whens=(("l", "h"),))
+    # one policy per pair, by its epistemic check, with the entries it reads
+    POLICIES = {"ak": dict(low=("l",)),
+                "akd": dict(low=("l",), declassify=("h",)),
+                "aak": dict(low=("l",), eta="Id", phi="Id", rho="Id"),
+                "akr": dict(low=("l",), releases=(("r1", "h"),)),
+                "aktd": dict(low=("l",), whens=(("l", "h"),))}
+
+    def test_both_readings_of_a_pair_read_the_same_entries(self):
+        for name, check in CHECKS.items():
+            twin = CHECKS[check.twin]
+            assert (check.reads, check.needs) == (twin.reads, twin.needs), name
+            assert set(check.needs) <= set(check.reads) <= set(ENTRY_KEYS), name
 
     @pytest.mark.parametrize("check", EPISTEMIC_CHECKS + SEMANTIC_CHECKS)
     def test_one_model_per_program(self, check, monkeypatch):
@@ -184,15 +197,17 @@ class TestBothSides:
 
         monkeypatch.setattr(epiflow.policyfile, "build_model", counting)
         program = parse("l := h; release r1; out l", BOOL)
-        sem, epi = run_both_sides(program, Policy(check, **self.POLICY), ModelConfig(BOOL))
+        policy = Policy(check, **self.POLICIES[EPISTEMIC_OF.get(check, check)])
+        sem, epi = run_both_sides(program, policy, ModelConfig(BOOL))
         assert sem.verdict.outcome is epi.verdict.outcome
-        assert sem.model.program is program
-        if check in ("aak", "nani"):
-            assert built == [program, epi.model.program]
-            assert epi.model.program is not program
-        else:
-            assert built == [program]
-            assert epi.model is sem.model
+        assert built == [program]
+        assert sem.model.program is epi.model.program is program
+        # aak judges the runs of the one model through their results
+        assert (epi.model is sem.model) is (check not in ("aak", "nani"))
+        assert [ex.init_store for ex in epi.model.executions] == [
+            ex.init_store for ex in sem.model.executions]
+        run_check(program, policy, ModelConfig(BOOL))
+        assert built == [program, program]
 
 
 class TestModelLifetime:
@@ -235,18 +250,21 @@ DOMAIN_FLAGS = {"bool": ("--domain", "bool", "--hash", "ff,tt"),
 
 
 def _policy_text(program, check: str, dom: Domain) -> str:
-    """A policy over the program's identifiers that every check accepts,
-    with when-conditions that read the current store: the last identifier
-    is secret.  Over integers the secret's parity is declassified, since
-    aak over payment takes seconds to hold with ``phi: Id``."""
+    """A policy over the program's identifiers with the entries the check
+    reads, with when-conditions that read the current store: the last
+    identifier is secret.  Over integers the secret's parity is
+    declassified, since aak over payment takes seconds to hold with
+    ``phi: Id``."""
     low, first, last = program.variables[:-1], program.variables[0], program.variables[-1]
     cond, pred = (first, last) if dom.kind == "bool" else (f"{first} < 2", f"{last} < 2")
     phi = "Id" if dom.kind == "bool" else "Par"
-    lines = [f"check: {check}", f"low: {', '.join(low)}", f"declassify: {pred}",
-             "eta: Id", f"phi: {phi}", "rho: Id", f"when: {cond} ==> {pred}"]
-    lines += [f"release: {flag} = {pred}" for flag in program.flags]
+    entries = {"declassify": [f"declassify: {pred}"], "eta": ["eta: Id"], "phi": [f"phi: {phi}"],
+               "rho": ["rho: Id"], "whens": [f"when: {cond} ==> {pred}"],
+               "releases": [f"release: {flag} = {pred}" for flag in program.flags]}
     if dom.kind == "bool":
-        lines += [f"when: {flag} ==> {first}" for flag in program.flags]
+        entries["whens"] += [f"when: {flag} ==> {first}" for flag in program.flags]
+    lines = [f"check: {check}", f"low: {', '.join(low)}"]
+    lines += [line for entry in CHECKS[check].reads for line in entries[entry]]
     return "\n".join(lines) + "\n"
 
 
@@ -341,7 +359,7 @@ class TestKeptIdentifiers:
                 assert kept == [reads], check
             kept.clear()
             run_both_sides(program, policy, ModelConfig(dom))
-            assert kept == ([set(), set()] if twin == "nani" else [reads])
+            assert kept == [reads]
 
     @pytest.mark.parametrize("program, policy, dom", [
         ("two-release.wout", "release.pol", "bool"),
