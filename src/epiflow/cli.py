@@ -26,7 +26,7 @@ from dataclasses import replace
 from .domain import Domain, DomainError
 from .fuzz import PAIRS, FuzzConfig, fuzz_equivalences
 from .lang import Const, LangError, ParseError, parse
-from .logic import LogicError, parse_formula
+from .logic import LogicError, formula_to_source, parse_formula
 from .model import ModelConfig, build_model
 from .policies import PolicyError, TemporalDeclassification, condition_ids
 from .policyfile import (ABSTRACTED, Policy, load_policy, policy_pieces,
@@ -163,7 +163,8 @@ def cmd_check(args) -> int:
         run = run_check(program, policy, cfg)
         policy_payload = policy.describe()
     report = build_report(run, policy_payload, text, args.program)
-    sys.stdout.write(render_text(report))
+    formula = None if run.formula is None else formula_to_source(run.formula, cfg.domain)
+    sys.stdout.write(render_text(report, formula))
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
             handle.write(report.to_json_text())

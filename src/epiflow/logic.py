@@ -15,7 +15,10 @@ written: quantified variables live in an environment, their values never
 written into the formula.  K quantifies over every point of the model whose trace
 equals the current one; until ranges over the remaining (finite,
 terminated) suffix of the current execution.  Callers must refuse tainted
-models before asking for satisfaction.
+models before asking for satisfaction.  A verdict asks the root at the
+start of the first run of each class of runs: those with one behaviour,
+one per-point store list when the root reads the store there, and equal
+initial values of what the root reads (``model_satisfies``).
 
 Before evaluation each node is checked like a program expression
 (identifiers, operators, literals) and compiled under its quantifier
@@ -30,8 +33,17 @@ Its key is the trace id when it is fixed across an epoch (K and L, and
 what is built from them), the behaviour when it steps along the run (a
 temporal operator, or a node above one), and the initial values it reads;
 runs that agree on these share one evaluation.  Only nodes that read the
-current store are kept per point.  These rules keep quantifiers,
-knowledge and scans cheap:
+current store are kept per point.  A closed node (one that reads no store,
+no initial value, no bound variable, and is neither built on K or L nor a
+scan) has one value everywhere, and planning folds it to that value: an
+equality that reads no identifier; Not, Implies, And and Or that closed
+kids decide (And and Or also drop closed kids of their neutral value and
+stay themselves over the rest); U and W whose goal is closed and true.
+A quantifier block is not folded; its memo asks a closed one once.  A
+witness chase stops at a folded node, as at an atom: where an open kid
+comes before the closed kid that decides their parent, the witness is the
+parent's point, not one the open kid's scan would reach.  These rules keep
+quantifiers, knowledge and scans cheap:
 
 * ``forall v1 ... vk. guard -> body`` is one block.  A guard conjunct
   ``init_x(v)`` binds ``v`` to the run's own initial ``x``, so the block
@@ -43,7 +55,10 @@ knowledge and scans cheap:
   variables the near sides and filters read, and grouped by the near
   sides' values; an instance takes the group under its far sides' values.
   For espm's agreement guard the groups are the alternatives' classes
-  under the declassified property, built once, not once per premise.
+  under the declassified property, built once, not once per premise.  A
+  folded guard conjunct is a filter.  A block whose guard only binds (espm's
+  premise: nothing solved, no check) has one instance: it binds and asks
+  its body, without enumerating an empty product.
 * K and L over a body fixed along a run work on sets of runs, held as int
   bitmasks (bit k for run k).  ``have`` is the mask of the runs that visit
   a trace id, which each evaluation builds once per behaviour, ORing the
@@ -321,9 +336,11 @@ class _Plan:
     current point; ``inits``, the identifiers whose initial value it reads;
     ``epoch``, whether it is built on K or L (fixed per trace id); and
     ``scans``, whether it steps along the run.  Each is the union of the
-    kids' unless ``given``.  A node with none of the last four is constant.
-    Atoms and connectives are cheaper to recompute than to look up, so only
-    the other nodes are memoized: ``at`` gives the memo position of a point
+    kids' unless ``given``.  A node with none of the last four is constant,
+    and closed when ``free`` is empty too: planning folds a closed node to
+    its value (``_constant``, the value in ``args``) wherever its kind
+    allows.  Atoms and connectives are cheaper to recompute than to look
+    up, so only the other nodes are memoized: ``at`` gives the memo position of a point
     (None for the rest), ``key`` the values of ``free``.  ``compute`` is a
     plain function of the evaluation, the plan and the point, so plans hold
     no reference back to their evaluation.  ``args`` holds what it needs
@@ -357,6 +374,15 @@ class _Plan:
     @property
     def constant(self) -> bool:
         return not (self.reads or self.inits or self.epoch or self.scans)
+
+
+def _folded(p: _Plan):
+    """The value of ``p`` when planning folded it, else None."""
+    return p.args if p.compute is Evaluation._constant else None
+
+
+def _fold(f: Formula, value: bool) -> _Plan:
+    return _Plan(f, Evaluation._constant, args=value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,10 +448,10 @@ def _key_sides(plan: _Plan, solve: frozenset):
     """The (expression, compiled) pairs of the near and far side of the
     pure guard conjunct ``plan`` when it is a key: an equality whose near
     side reads a variable of ``solve`` and whose far side reads none.
-    None for any other conjunct."""
-    f = plan.formula
-    if not isinstance(f, Eq):
+    None for any other conjunct, a folded one included."""
+    if plan.compute is not Evaluation._eq:
         return None
+    f = plan.formula
     lhs, rhs = zip((f.lhs, f.rhs), plan.args)
     reads_solved = not solve.isdisjoint(expr_ids(f.lhs))
     if reads_solved == solve.isdisjoint(expr_ids(f.rhs)):
@@ -433,10 +459,16 @@ def _key_sides(plan: _Plan, solve: frozenset):
     return None
 
 
+def _parts(p: _Plan) -> tuple[_Plan, ...]:
+    """The plans of the conjuncts of ``p``: its kids when it is a
+    conjunction, which planning may have thinned, else ``p`` alone."""
+    return p.kids if isinstance(p.formula, And) else (p,)
+
+
 def _split_pins(body: _Plan, solve: frozenset, outer: frozenset) -> dict:
     """The ``fixed``, ``varying`` and ``spread`` of a possibility block
     whose pinned L is ``body``, solving ``solve``."""
-    atoms = _conjuncts(body.formula.child)
+    atoms = [a.formula for a in _parts(body.kids[0])]
     varying = {a.name for a in atoms if solve & set(expr_ids(a.expr))}
     spread = outer.union(*(expr_ids(a.expr) for a in atoms if a.name in varying))
     return {"fixed": tuple(pin for pin in body.args if pin[0] not in varying),
@@ -514,15 +546,21 @@ class Evaluation:
                 self._subject(name)
                 return self._atom(f, (expr,), scope)
             case Tt() | Ff():
-                return _Plan(f, Evaluation._constant, args=isinstance(f, Tt))
+                return _fold(f, isinstance(f, Tt))
             case Not(child):
-                return self._connective(f, Evaluation._not, (child,), scope)
-            case And(children):
-                return self._connective(f, Evaluation._and, children, scope)
-            case Or(children):
-                return self._connective(f, Evaluation._or, children, scope)
+                kid = self.compile(child, scope)
+                value = _folded(kid)
+                return _Plan(f, Evaluation._not, (kid,)) if value is None else _fold(f, not value)
+            case And(children) | Or(children):
+                return self._junction(f, children, scope)
             case Implies(lhs, rhs):
-                return self._connective(f, Evaluation._implies, (lhs, rhs), scope)
+                kids = self._kids((lhs, rhs), scope)
+                premise, conclusion = map(_folded, kids)
+                if premise is False or conclusion is True:
+                    return _fold(f, True)
+                if premise is True and conclusion is False:
+                    return _fold(f, False)
+                return _Plan(f, Evaluation._implies, kids)
             case K(child) | L(child):
                 kid = self.compile(child, scope)
                 if not (kid.reads or kid.inits or kid.scans):
@@ -550,6 +588,8 @@ class Evaluation:
             raise LogicError(f"init names unknown identifier {name!r}")
 
     def _atom(self, f: Formula, exprs: tuple, scope: frozenset) -> _Plan:
+        """An equality that reads no identifier is closed: compiled
+        expressions are total on the domain, so it is folded now."""
         names: set[str] = set()
         for e in exprs:
             try:
@@ -559,22 +599,44 @@ class Evaluation:
             names.update(expr_ids(e))
         if self.model is not None:  # planned after binding
             self.model.require(frozenset(names - scope), "the formula")
-        compute, inits = ((Evaluation._eq, _NONE) if isinstance(f, Eq)
-                          else (Evaluation._init, frozenset((f.name,))))
-        return _Plan(f, compute, args=tuple(compile_expr(e, self.domain) for e in exprs),
-                     free=frozenset(names & scope), reads=frozenset(names - scope),
-                     inits=inits)
+        fns = tuple(compile_expr(e, self.domain) for e in exprs)
+        if isinstance(f, Init):
+            return _Plan(f, Evaluation._init, args=fns, free=frozenset(names & scope),
+                         reads=frozenset(names - scope), inits=frozenset((f.name,)))
+        if not names:
+            lhs, rhs = fns
+            return _fold(f, lhs({}) == rhs({}))
+        return _Plan(f, Evaluation._eq, args=fns, free=frozenset(names & scope),
+                     reads=frozenset(names - scope))
 
-    def _connective(self, f: Formula, compute, children, scope: frozenset) -> _Plan:
+    def _kids(self, children, scope: frozenset) -> tuple[_Plan, ...]:
         # map spends no frame of its own: a level of nesting costs compile,
-        # _compile and this method
-        return _Plan(f, compute, tuple(map(self.compile, children, itertools.repeat(scope))))
+        # _compile, the caller and this method
+        return tuple(map(self.compile, children, itertools.repeat(scope)))
+
+    def _junction(self, f: Formula, children, scope: frozenset) -> _Plan:
+        """And or Or.  A folded kid of the absorbing value folds the node
+        to it.  Folded kids of the neutral value are dropped, and a node left
+        with no kid folds to that value; otherwise it stays itself over the
+        kids left, so a witness chased through it takes the same path."""
+        absorbing = isinstance(f, Or)
+        kids = self._kids(children, scope)
+        values = [_folded(kid) for kid in kids]
+        if absorbing in values:
+            return _fold(f, absorbing)
+        kids = tuple(kid for kid, value in zip(kids, values) if value is None)
+        if not kids:
+            return _fold(f, not absorbing)
+        return _Plan(f, Evaluation._or if absorbing else Evaluation._and, kids)
 
     def _temporal(self, f: Formula, compute, children, scope: frozenset, flag: bool) -> _Plan:
         """The scan steps over the run with ``_changes``, reading the store
         identifiers its children read; over constant children it is
-        constant."""
-        kids = tuple(map(self.compile, children, itertools.repeat(scope)))
+        constant.  U and W whose goal is closed and true hold at once, so
+        they are folded."""
+        kids = self._kids(children, scope)
+        if len(kids) == 2 and _folded(kids[1]) is True:
+            return _fold(f, True)
         plan = _Plan(f, compute, kids, memo=True, scans=not all(kid.constant for kid in kids))
         plan.args = (flag, _getter(plan.reads))
         return plan
@@ -583,7 +645,7 @@ class Evaluation:
         """(identifier, compiled expression) pairs of the K/L child ``kid``,
         taken from its atoms' plans, when it is a conjunction of init atoms
         over bound values naming every variable."""
-        parts = kid.kids if isinstance(kid.formula, And) else (kid,)
+        parts = _parts(kid)
         if not all(isinstance(a.formula, Init) and not a.reads for a in parts):
             return None
         if {a.formula.name for a in parts} != set(self.program.variables):
@@ -643,6 +705,8 @@ class Evaluation:
             compute = Evaluation._all_possible
             pins = _split_pins(body, solved, frozenset().union(
                 *(plan.free for plan in pure)) - solved)
+        elif not solve and not pure and not checks:
+            compute = Evaluation._bound
         else:
             compute = Evaluation._forall
         block = _Block(tuple(names), tuple(binders.items()), solve, tuple(pure),
@@ -812,6 +876,18 @@ class Evaluation:
                 return False
         return weak
 
+    def _bind(self, block: _Block, ex: Execution) -> None:
+        """Bind the block's binders to the run's initial values."""
+        env, init = self.env, ex.init_store
+        for var, subject in block.binders:
+            env[var] = init[subject]
+
+    def _bound(self, p: _Plan, ex: Execution, i: int) -> bool:
+        """A forall block whose guard only binds its variables to the run's
+        initial values has one instance: bind them and ask the body."""
+        self._bind(p.args, ex)
+        return self.holds(p.args.body, ex, i)
+
     def _forall(self, p: _Plan, ex: Execution, i: int) -> bool:
         body = p.args.body
         for _ in self._instances(p, ex, i):
@@ -830,9 +906,7 @@ class Evaluation:
         """Bind the block's variables to each assignment its guard admits."""
         block: _Block = p.args
         env = self.env
-        init = ex.init_store
-        for var, subject in block.binders:
-            env[var] = init[subject]
+        self._bind(block, ex)
         for values in self._solutions(block, ex, i):
             env.update(zip(block.solve, values))
             if all(self.holds(check, ex, i) for check in block.checks):
@@ -875,6 +949,13 @@ def model_satisfies(model: Model, f: Formula, ev: Evaluation | None = None) -> V
     ``ev``, when given, planned the formula against the model's program
     before the model was built.  Fails fast with a witness; refuses tainted
     models.
+
+    The root is asked once per class of runs: those with one behaviour
+    (trace-id list), one per-point store list when the root reads the store
+    there, and equal initial values of what the root reads.  The memo of
+    every node trusts these facts, so the runs of a class get one answer;
+    asking the first run of each class in run order keeps the first
+    failing run, and so the witness.
     """
     if ev is None:
         ev = Evaluation(model.program, model.domain)
@@ -884,7 +965,14 @@ def model_satisfies(model: Model, f: Formula, ev: Evaluation | None = None) -> V
     note = model.refusal
     if note is not None:
         return Verdict(Outcome.BOUND_EXCEEDED, None, Stats(formula_nodes=size), note)
+    inits = _getter(root.inits)
+    asked: set[tuple] = set()
     for ex in model.executions:
+        key = (id(ex.trace_ids), id(ex.stores) if root.reads else None,
+               inits(ex.init_store) if inits is not None else None)
+        if key in asked:
+            continue
+        asked.add(key)
         if not ev.holds(root, ex, 0):
             witness = _extract_witness(ev, root, ex)
             return Verdict(Outcome.FAILS, witness, ev.stats(size))
@@ -894,8 +982,8 @@ def model_satisfies(model: Model, f: Formula, ev: Evaluation | None = None) -> V
 def _extract_witness(ev: Evaluation, root: _Plan, ex: Execution) -> Witness:
     """Chase the falsified formula to a concrete point and its bindings.
 
-    Stops at atoms and at epistemic nodes: their failure is the whole
-    epoch's.
+    Stops at atoms and at epistemic nodes, whose failure is the whole
+    epoch's, and at nodes planning folded.
     """
     bindings: list[tuple[str, object]] = []
     step = (root, 0, False)
@@ -918,8 +1006,11 @@ def _decisive(ev: Evaluation, p: _Plan, ex: Execution, i: int, expect: bool,
 
     Through a quantifier block that is the first assignment deciding it,
     whose bindings are recorded; through a temporal scan, the first point.
+    None at an atom, an epistemic node and a node planning folded.
     """
     f, holds = p.formula, ev.holds
+    if p.compute is Evaluation._constant:
+        return None
     match f:
         case Not():
             return p.kids[0], i, not expect

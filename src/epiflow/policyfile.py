@@ -203,12 +203,14 @@ def load_policy(path: str) -> Policy:
 
 @dataclass
 class CheckRun:
-    """A check's verdict, the model it judged (aak's: of the results) and its time."""
+    """A check's verdict, the model it judged (aak's: of the results), its
+    time, and the formula it evaluated (None for a trace-based check)."""
 
     check: str
     verdict: Verdict
     model: Model
     elapsed: float = 0.0
+    formula: Formula | None = None
 
 
 def _parse_checked(text: str, program: Program, dom: Domain,
@@ -276,8 +278,10 @@ def _check_pieces(policy: Policy, program: Program, dom: Domain) -> dict:
 
 
 # What a reading needs before the program's model is built: what it reads at
-# every point, its judge, and the results it sees in place of outputs (aak).
-Plan = tuple[frozenset[str], Callable[[Model], Verdict], tuple[Expr, ...] | None]
+# every point, its judge, the results it sees in place of outputs (aak), and
+# the formula it evaluates (epistemic readings).
+Plan = tuple[frozenset[str], Callable[[Model], Verdict], tuple[Expr, ...] | None,
+             Formula | None]
 
 
 def _formula_plan(program: Program, results: tuple[Expr, ...] | None, formula: Formula,
@@ -285,23 +289,23 @@ def _formula_plan(program: Program, results: tuple[Expr, ...] | None, formula: F
     """Plan the formula against the program, so the model keeps what it reads."""
     ev = Evaluation(program, dom)
     ev.compile(formula)
-    return ev.reads, lambda model: model_satisfies(model, formula, ev), results
+    return ev.reads, lambda model: model_satisfies(model, formula, ev), results, formula
 
 
 def _plan(name: str, program: Program, pieces: dict, dom: Domain) -> Plan:
     check = CHECKS[name]
     if check.encode is None:
-        return check.keep(pieces), lambda model: check.judge(model, pieces), None
+        return check.keep(pieces), lambda model: check.judge(model, pieces), None, None
     return _formula_plan(program, *check.encode(program, pieces, dom), dom)
 
 
 def _judged(name: str, plan: Plan, model: Model, start: float) -> CheckRun:
     """The reading's verdict on the program's ``model``, or on the model of
     its results; timed from ``start``."""
-    _, judge, results = plan
+    _, judge, results, formula = plan
     if results is not None:
         model = results_model(model, results)
-    return CheckRun(name, judge(model), model, time.perf_counter() - start)
+    return CheckRun(name, judge(model), model, time.perf_counter() - start, formula)
 
 
 def run_check(program: Program, policy: Policy, cfg: ModelConfig) -> CheckRun:

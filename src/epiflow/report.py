@@ -104,9 +104,12 @@ def build_report(run: CheckRun, policy_payload: dict, program_text: str,
     )
 
 
-def render_text(report: Report) -> str:
+def render_text(report: Report, formula: str | None = None) -> str:
+    """The report as text; ``formula``, when given, is the source of the
+    formula the check evaluated, which the machine format leaves out."""
     lines = [
         f"check     {report.check}",
+        *([f"evaluates {formula}"] if formula is not None else []),
         f"program   sha256:{report.program_digest[:16]}"
         + (f" ({report.program_path})" if report.program_path else ""),
         f"domain    {_domain_line(report.domain)}",

@@ -83,6 +83,40 @@ class TestCheckCommand:
                     "--formula", "G (forall v . init(y, v) -> L init(y, v))"])
         assert code == 0
 
+    # formulas that planning folds whole: the exit code and witness are the
+    # ones the evaluation of every node gave, and the text names the formula
+    @pytest.mark.parametrize("formula, code, source", [
+        ("!(true)", 1, "!true"), ("false", 1, "false"), ("l == h W true", 0, "l == h W true"),
+    ])
+    def test_folded_formulas_keep_their_verdict_and_witness(self, tmp_path, capsys, formula,
+                                                             code, source):
+        (tmp_path / "leak.wout").write_text("l := h; out l\n")
+        path = tmp_path / "report.json"
+        assert run(["check", "--program", tmp_path / "leak.wout", "--formula", formula,
+                    "--domain", "int:4", "--report", path]) == code
+        assert f"\nevaluates {source}\n" in capsys.readouterr().out
+        report = Report.from_json_text(path.read_text())
+        assert report.policy == {"formula": formula}
+        expected = {"kind": "epistemic",
+                    "stores": [{"label": "initial", "store": {"l": "0", "h": "0"}}],
+                    "point_index": 0, "trace": [], "bindings": {}, "note": ""}
+        assert report.witness == (expected if code else None)
+
+    def test_text_report_names_the_evaluated_formula(self, workdir, capsys):
+        # the policy's encoding, read back through formula_to_source; a
+        # trace-based check evaluates none
+        assert run(["check", "--program", workdir / "copy.wout",
+                    "--policy", workdir / "low-y.pol"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == ("evaluates G (forall y' . init(y, y') -> "
+                            "(forall x'' . L (init(y, y') && init(x, x''))))")
+        labels = [line.split()[0] for line in lines if not line.startswith(" ")]
+        assert len(labels) == len(set(labels))
+        (workdir / "oni.pol").write_text("check: oni\nlow: y\n")
+        assert run(["check", "--program", workdir / "copy.wout",
+                    "--policy", workdir / "oni.pol"]) == 0
+        assert not capsys.readouterr().out.splitlines()[1].startswith("evaluates")
+
     def test_primed_names_in_formulas_not_programs(self, workdir, tmp_path):
         code = run(["check", "--program", workdir / "copy.wout",
                     "--formula", "G (forall y' . init(y, y') -> L init(y, y'))"])

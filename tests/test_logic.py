@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,13 +7,16 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import exec_from, garbage_after
 from epiflow.domain import Domain
-from epiflow.fuzz import FuzzConfig, _abstractions_for, _gen_expr, generate_program
-from epiflow.lang import Binary, Const, Unary, Var, expr_ids, parse, parse_expression
+from epiflow.fuzz import (FuzzConfig, _abstractions_for, _gen_expr, generate_case,
+                          generate_program)
+from epiflow.lang import (Assign, Binary, Const, Seq, Unary, Var, expr_ids, parse,
+                          parse_expression, program_from_body)
 from epiflow.logic import (And, Eq, Evaluation, Exists, F, Ff, Forall, G, Implies, Init,
                            K, L, LogicError, Not, Or, Tt, Until, W,
                            formula_size, formula_to_source, model_satisfies, parse_formula,
                            satisfies)
 from epiflow.model import ModelConfig, Point, build_model, results_model
+from epiflow.policyfile import policy_pieces
 from epiflow.policies import (FlowSpec, InitPredicate, ReleaseSpec,
                               TemporalDeclassification, encode_aak, encode_ak,
                               encode_akd, encode_akr, encode_aktd)
@@ -889,6 +893,152 @@ class CountingEvaluation(Evaluation):
         if p is self.counted:
             self.calls += 1
         return super().holds(p, ex, i)
+
+
+def first_failing_run(m, f):
+    """The first run, in run order, at whose start the reference says the
+    formula fails; None when it holds at every run."""
+    memo: dict = {}
+    return next((ex for ex in m.executions if not oracles.holds(m, f, ex, 0, memo=memo)), None)
+
+
+class TestClassesAndClosedParts:
+    """The root is asked once per class of runs, closed subformulas are
+    folded while planning, and a forall block whose guard only binds asks
+    its body once: the answers stay the reference's, at every point and in
+    the verdict and witness."""
+
+    # closed parts of every kind: goals, a folded atom beside an open one,
+    # a constant guard conjunct, and ones that fold the whole formula
+    CLOSED = [
+        "l == h W true",
+        "l == h U false",
+        "(tt == ff) || l == h",
+        "(tt == tt) && F init(h, l)",
+        "G (false -> K (l == h)) && (init(l, h) U (tt == tt))",
+        "!(l == h -> true) || L (l == h W (tt == ff))",
+        "(tt == ff) U false",
+        "(tt == tt) U false || (tt == tt) W (tt == ff) && F (l == h)",
+        "G (forall v . (init(h, v) && (tt == tt)) -> L (l == v))",
+        "forall v . ((tt == ff) && init(h, v)) -> K (l == v)",
+        "forall a . forall b . (a == b && (tt) == tt) -> L (init(l, a) && init(h, b))",
+        "exists v . F (l == v) && (true U init(h, v))",
+    ]
+
+    @pytest.mark.parametrize("text", CLOSED)
+    def test_closed_parts_agree_with_the_reference(self, text):
+        f = parse_formula(text)
+        models = random_models(2, seed=51) + random_models(2, seed=52, domain=INT4, size=4)
+        for index, m in enumerate(models + shared_behaviour_models()):
+            agrees_at_every_point(m, f, seed=index)
+            verdict = model_satisfies(m, f)
+            failing = first_failing_run(m, f)
+            assert verdict.holds == (failing is None)
+            if failing is not None:
+                assert dict(verdict.witness.stores[0][1]) == failing.init_store
+
+    def test_closed_parts_fold_while_planning(self):
+        m = random_models(1, seed=51)[0]
+        ev = evaluation(m)
+        folded = [ev.compile(parse_formula(text)) for text in (
+            "l == h W true", "(tt == ff) U (tt == tt)", "!(l == h -> true)",
+            "(tt == ff) && K (l == h)", "L ((tt == ff) || true)")]
+        assert [p.args for p in folded] == [True, True, False, False, True]
+        assert all(p.compute is Evaluation._constant for p in folded)
+        # a scan is folded only for its goal: the others stay constant scans
+        for text in ("(tt == tt) U false", "true W false", "G (tt) == tt"):
+            p = ev.compile(parse_formula(text))
+            assert p.constant and p.compute is not Evaluation._constant
+        # an open kid keeps its node, over the kids left
+        p = ev.compile(parse_formula("(tt == ff) || l == h || (tt == ff)"))
+        assert p.compute is Evaluation._or and len(p.kids) == 1
+        # a closed atom in a guard is a filter, never a key
+        p = ev.compile(parse_formula("forall a . ((tt) == ff && a == l) -> L init(l, a)"))
+        assert len(p.args.filters) == 1 and p.args.filters[0].compute is Evaluation._constant
+
+    def test_witness_stops_at_a_folded_node(self):
+        # false decides the conjunction wherever G's scan would fail, so the
+        # witness is the run's first point, where the conjunction is false
+        dom = Domain.integers(4)
+        m = build_model(parse("x := 0; x := 1; out x", dom), ModelConfig(dom))
+        for text in ("G (x == 0) && false", "!(F (x == 1) || true)"):
+            verdict = model_satisfies(m, parse_formula(text))
+            assert verdict.outcome is Outcome.FAILS
+            assert verdict.witness.stores == (("initial", (("x", 0),)),)
+            assert verdict.witness.point_index == 0
+
+    def test_payment_policy_drops_the_goals_that_always_fire(self):
+        # when: true ==> cost > max fires at once, so every W whose goal
+        # waits for it holds: four of the eight conjuncts fold away
+        dom = Domain.integers(4)
+        program = parse((Path(__file__).parents[1] / "samples" / "payment.wout").read_text(), dom)
+        fs = FlowSpec.from_low(program, ("paid", "note", "max"))
+        tds = [TemporalDeclassification(parse_expression(c), pred(e, dom)) for c, e in
+               (("true", "cost > max"), ("cost <= max", "cost"), ("paid >= cost", "data"))]
+        f = encode_aktd(fs, tds, dom)
+        root = evaluation(build_model(program, ModelConfig(dom))).compile(f)
+        assert len(f.children) == 8 and len(root.kids) == 4
+
+    def test_binder_only_blocks_ask_their_body_once(self):
+        program, m = loop_model()
+        f = encode_akd(FlowSpec.from_low(program, ["l"]), (pred("h", INT4),), INT4)
+        ev = evaluation(m)
+        premise = ev.compile(f).kids[0]
+        assert premise.compute is Evaluation._bound
+        assert premise.args.binders == (("l'", "l"), ("x'", "x"), ("h'", "h"))
+        for text in ("forall v . init(h, v) -> F (l == v)",
+                     "G (forall v . forall w . (init(h, v) && init(l, w)) -> K (v == w || l == v))"):
+            plan = ev.compile(parse_formula(text))
+            assert (plan.kids[0] if isinstance(plan.formula, G) else plan).compute \
+                is Evaluation._bound
+            agrees_at_every_point(m, parse_formula(text))
+
+    def test_the_root_is_asked_once_per_class(self):
+        # c7-secure at int:8 with hash 3v mod 8: 4,096 runs, but the root
+        # reads the flag rh at the start, which clones of the dead x share,
+        # and the initial in, l and h: 512 classes
+        full, f = c7_akr()
+        ev = CountingEvaluation(full.program, full.domain)
+        ev.counted = root = ev.compile(f)
+        m = build_model(full.program, full.cfg, ev.reads)
+        assert model_satisfies(m, f, ev).outcome is Outcome.HOLDS
+        assert root.reads == {"rh"} and root.inits == {"in", "l", "h"}
+        classes = {(id(ex.trace_ids), id(ex.stores), ex.init_store["in"], ex.init_store["l"],
+                    ex.init_store["h"]) for ex in m.executions}
+        assert len(m.executions) == 4096 and ev.calls == len(classes) == 512
+
+    # roots that read the store at the start, and the dead k's initial value
+    STORE_ROOTS = [
+        "l == h W K (l == h)",
+        "init(k, 1) || G (l != h || L init(h, l))",
+        "(l == h || init(k, 0)) U (forall v . init(h, v) -> L (init(h, v) && l == h))",
+    ]
+
+    @pytest.mark.parametrize("keep_all", [False, True], ids=["shared-lists", "laid-lists"])
+    def test_store_reading_roots_over_clones(self, keep_all):
+        # k is written first, so it is dead: its clones share their first
+        # run's store list when the model keeps only what the formula
+        # reads, and lay k over it when the model keeps everything
+        cfg = FuzzConfig(seed=7, domain=INT4, loops=True, ident_count=3)
+        outcomes = set()
+        for index in range(6):
+            program, _ = generate_case("nitd-aktd", index, cfg)
+            program = program_from_body(Seq(Assign("k", Const(0)), program.body))
+            for text in self.STORE_ROOTS:
+                f = parse_formula(text)
+                ev = Evaluation(program, cfg.domain)
+                assert ev.compile(f).reads
+                m = build_model(program, ModelConfig(cfg.domain, bound=cfg.bound),
+                                None if keep_all else ev.reads)
+                lists = len({id(ex.stores) for ex in m.executions})
+                assert (lists == len(m.executions)) == keep_all
+                verdict = model_satisfies(m, f, ev)
+                failing = first_failing_run(m, f)
+                outcomes.add(verdict.outcome)
+                assert verdict.holds == (failing is None), (index, text)
+                if failing is not None:
+                    assert dict(verdict.witness.stores[0][1]) == failing.init_store
+        assert outcomes == {Outcome.HOLDS, Outcome.FAILS}
 
 
 class TestFormulaChecks:
