@@ -34,7 +34,8 @@ when it ends.
 A model keeps per point only what its readings read (a cone-of-influence
 reduction: Clarke, Grumberg and Peled, "Model Checking", 1999).  Every
 run holds its whole initial and final stores, since what an observer
-knows depends only on initial stores and traces, and nani reads results.
+knows depends only on initial stores and traces, and ``results_model``
+reads final stores.
 ``build_model`` takes the identifiers to keep at every point.  A run
 holds a view of each point's store with the kept identifiers, one view
 shared until a kept identifier is written; given the empty set, no
@@ -48,8 +49,8 @@ one list object, read-only like the stores.  That list is the run's
 behaviour, all an observer can tell of the run; runs often share one
 (the loop program at int:16 has 4,096 runs and 256 behaviours).
 
-An observer of results alone (aak's) judges ``results_model``: the same
-runs, each showing just its results.  The logic has no next operator, so
+An observer of results alone (nani's and aak's) is judged on
+``results_model``: the same runs, each showing just its results.  The logic has no next operator, so
 no formula tells it from the model of the program with its outputs
 silenced and its results emitted at the end (stutter invariance: Peled
 and Wilke, IPL 1997).
@@ -295,7 +296,8 @@ def results_model(model: Model, outputs: tuple[Expr, ...]) -> Model:
     """The runs of ``model``, in order, with their initial and final stores
     and statuses: each is one silent point, then one point per expression
     of ``outputs``, emitting its value on the final store.  Nothing is kept
-    per point."""
+    per point.  Both readings of the abstract pair judge it: nani as nid,
+    aak as akd, with ``rho``'s expressions as the outputs."""
     fns = [compile_expr(e, model.domain) for e in outputs]
     parents, table, extend = _trace_table()
     behaviours: dict[tuple, list[int]] = {}

@@ -8,10 +8,13 @@ narrowed down the initial secrets:
 * ``espm``: the same, but only secret vectors that agree with the actual
   one on a set of declassified properties need to remain possible.
 
-On top of them sit the five conditions: absence of knowledge (plain, and
-modulo a declassified predicate, an abstraction pair, write-once release
-flags, or condition-triggered temporal declassifications).  A release
-flag is a condition that never resets, so akr is aktd over its flags.
+On top of them sit the conditions: absence of knowledge, plain, modulo
+declassified predicates, and under condition-triggered temporal
+declassifications.  A release flag is a condition that never resets, so
+akr is aktd over its flags.  Abstract absence of knowledge (aak) is akd
+over the model of the runs' abstracted results (``model.results_model``),
+with nothing public and the abstractions of the inputs, ``eta`` and
+``phi``, as the declassified predicates.
 
 ``espm`` is written as the paper writes it: for the actual initial values,
 every alternative secret that agrees with the actual one on each
@@ -311,36 +314,22 @@ def encode_akd(fs: FlowSpec, phi, dom: Domain) -> Formula:
     return G(espm(fs.low, fs.high, _as_predicates(phi, dom), dom))
 
 
-def check_output_abstraction(fs: FlowSpec, rho: str | Expr) -> None:
-    """Rules for ``rho`` that aak and nani share: an expression reads public
-    identifiers only, and a named abstraction needs one to act on."""
-    if isinstance(rho, Expr):
-        for n in expr_ids(rho):
-            if n not in fs.low:
-                raise PolicyError(f"output abstraction mentions non-public {n!r}")
-    elif not fs.low:
+def check_abstractions(fs: FlowSpec, eta: str | Expr, phi: str | Expr,
+                       rho: str | Expr) -> None:
+    """Rules for the abstractions that aak and nani share: ``eta`` and
+    ``rho`` read public identifiers only and ``phi`` secret ones, and a
+    named output abstraction needs a public identifier to act on.  The pair
+    keys on nothing public, so these rules are all that is left of the
+    policy's split."""
+    for which, side, what in ((eta, fs.low, "input abstraction eta mentions non-public"),
+                              (phi, fs.high, "input abstraction phi mentions non-secret"),
+                              (rho, fs.low, "output abstraction mentions non-public")):
+        if isinstance(which, Expr):
+            for n in expr_ids(which):
+                if n not in side:
+                    raise PolicyError(f"{what} {n!r}")
+    if not isinstance(rho, Expr) and not fs.low:
         raise PolicyError("abstract output needs at least one public identifier")
-
-
-def encode_aak(program: Program, fs: FlowSpec, eta: str | Expr, phi: str | Expr,
-               rho: str | Expr, dom: Domain) -> tuple[tuple[Expr, ...], Formula]:
-    """Abstract absence of knowledge, as the results its observer sees plus
-    the formula, which is judged on the model of those results
-    (``model.results_model``).
-
-    The observer sees the ``rho``-abstracted public results of a run, which
-    is what nani judges, and nothing before them.  No identifier is pinned
-    exactly: public inputs vary within their ``eta``-class and secrets
-    within their ``phi``-class, both encoded as agreement predicates.
-    ``eta: Id`` pins public inputs.
-    """
-    check_output_abstraction(fs, rho)
-    results = abstraction_predicate(rho, fs.low, dom).exprs
-    eta_pred = abstraction_predicate(eta, fs.low, dom)
-    phi_pred = abstraction_predicate(phi, fs.high, dom)
-    ordered = fs.low + fs.high
-    in_order = tuple(n for n in program.variables if n in ordered)
-    return results, G(espm((), in_order, (eta_pred, phi_pred), dom))
 
 
 def check_powerset_cap(count: int) -> None:

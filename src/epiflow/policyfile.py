@@ -28,9 +28,9 @@ from .logic import Evaluation, Formula, model_satisfies
 from .model import Model, ModelConfig, build_model, results_model
 from .policies import (ABSTRACTIONS, FlowSpec, InitPredicate, PolicyError,
                        ReleaseSpec, TemporalDeclassification, abstraction_fn,
-                       check_powerset_cap, condition_ids, encode_ak, encode_akd,
-                       encode_aak, encode_akr, encode_aktd)
-from .semantics import (check_er, check_nani, check_nid, check_nitd, check_oni)
+                       abstraction_predicate, check_abstractions, check_powerset_cap,
+                       condition_ids, encode_ak, encode_akd, encode_akr, encode_aktd)
+from .semantics import check_er, check_nid, check_nitd, check_oni
 from .verdicts import Verdict
 
 
@@ -38,21 +38,20 @@ from .verdicts import Verdict
 class Check:
     """One row of the check table: one reading of a security condition.
 
-    An epistemic row's ``encode(program, pieces, dom)`` gives the results
-    its observer sees in place of the program's outputs (aak's; None for
-    the others) and the formula to evaluate; a trace-based row's
-    ``judge(model, pieces)`` gives the verdict, and its ``keep(pieces)``
-    the identifiers the judge reads at every point, which the model must
-    keep (an epistemic row's are those its formula's plans read).  Rows
-    call this module's ``encode_*``, ``check_*``, ``build_model`` and
-    ``model_satisfies`` by name, so a wrapper put on one sees every call.
+    An epistemic row's ``encode(pieces, dom)`` gives the formula to
+    evaluate; a trace-based row's ``judge(model, pieces)`` gives the
+    verdict, and its ``keep(pieces)`` the identifiers the judge reads at
+    every point, which the model must keep (an epistemic row's are those
+    its formula's plans read).  Both judge the model ``judged_model``
+    gives.  Rows call this module's ``encode_*``, ``check_*``,
+    ``build_model``, ``results_model`` and ``model_satisfies`` by name, so
+    a wrapper put on one sees every call.
     """
 
     twin: str
     reads: tuple[str, ...] = ()  # policy entries the check reads besides low:
     needs: tuple[str, ...] = ()  # the ones it cannot run without
-    encode: Callable[[Program, dict, Domain],
-                     tuple[tuple[Expr, ...] | None, Formula]] | None = None
+    encode: Callable[[dict, Domain], Formula] | None = None
     judge: Callable[[Model, dict], Verdict] | None = None
     keep: Callable[[dict], frozenset[str]] = lambda pieces: frozenset()
 
@@ -67,21 +66,27 @@ DECLASSIFY = ("declassify",)
 ENTRY_KEYS = {"declassify": "declassify", "eta": "eta", "phi": "phi", "rho": "rho",
               "releases": "release", "whens": "when"}
 
+
+def _akd(p: dict, dom: Domain) -> Formula:
+    return encode_akd(p["fs"], p["declassify"], dom)
+
+
+def _nid(m: Model, p: dict) -> Verdict:
+    return check_nid(m, p["fs"], p["declassify"])
+
+
+# aak and nani are akd and nid over the model of the results (see policy_pieces)
 CHECKS: dict[str, Check] = {
-    "ak": Check("oni", encode=lambda prog, p, dom: (None, encode_ak(p["fs"], dom))),
-    "akd": Check("nid", DECLASSIFY, DECLASSIFY, encode=lambda prog, p, dom: (
-        None, encode_akd(p["fs"], p["declassify"], dom))),
-    "aak": Check("nani", ABSTRACTED, ABSTRACTED, encode=lambda prog, p, dom: encode_aak(
-        prog, p["fs"], p["eta"], p["phi"], p["rho"], dom)),
-    "akr": Check("er", ("releases",), encode=lambda prog, p, dom: (
-        None, encode_akr(p["fs"], p["releases"], dom))),
-    "aktd": Check("nitd", ("whens",), encode=lambda prog, p, dom: (
-        None, encode_aktd(p["fs"], p["whens"], dom))),
+    "ak": Check("oni", encode=lambda p, dom: encode_ak(p["fs"], dom)),
+    "akd": Check("nid", DECLASSIFY, DECLASSIFY, encode=_akd),
+    "aak": Check("nani", ABSTRACTED, ABSTRACTED, encode=_akd),
+    "akr": Check("er", ("releases",), encode=lambda p, dom: encode_akr(
+        p["fs"], p["releases"], dom)),
+    "aktd": Check("nitd", ("whens",), encode=lambda p, dom: encode_aktd(
+        p["fs"], p["whens"], dom)),
     "oni": Check("ak", judge=lambda m, p: check_oni(m, p["fs"])),
-    "nid": Check("akd", DECLASSIFY, DECLASSIFY,
-                 judge=lambda m, p: check_nid(m, p["fs"], p["declassify"])),
-    "nani": Check("aak", ABSTRACTED, ABSTRACTED,
-                  judge=lambda m, p: check_nani(m, p["fs"], p["eta"], p["phi"], p["rho"])),
+    "nid": Check("akd", DECLASSIFY, DECLASSIFY, judge=_nid),
+    "nani": Check("aak", ABSTRACTED, ABSTRACTED, judge=_nid),
     "er": Check("akr", ("releases",), judge=lambda m, p: check_er(m, p["fs"], p["releases"]),
                 keep=lambda p: p["releases"].flags),
     "nitd": Check("aktd", ("whens",), judge=lambda m, p: check_nitd(m, p["fs"], p["whens"]),
@@ -203,8 +208,9 @@ def load_policy(path: str) -> Policy:
 
 @dataclass
 class CheckRun:
-    """A check's verdict, the model it judged (aak's: of the results), its
-    time, and the formula it evaluated (None for a trace-based check)."""
+    """A check's verdict, the model it judged (nani's and aak's: of the
+    results), its time, and the formula it evaluated (None for a
+    trace-based check)."""
 
     check: str
     verdict: Verdict
@@ -229,6 +235,9 @@ def policy_pieces(policy: Policy, program: Program, dom: Domain) -> dict:
     A usage error if an entry is malformed or the named check needs an
     entry the policy lacks, so both readings of a pair accept the same
     policies.  Releases and temporal declassifications default to none.
+    For nani and aak, which are nid and akd over the model of the runs'
+    results, ``results`` holds rho's expressions, nothing is public, and
+    eta and phi are the declassified predicates.
     """
     check = CHECKS.get(policy.check)
     if check is None:
@@ -260,10 +269,18 @@ def policy_pieces(policy: Policy, program: Program, dom: Domain) -> dict:
     missing = [k for k in check.needs if not pieces.get(k)]
     if missing:
         raise PolicyError(f"check {policy.check!r} needs a {missing[0]!r} entry")
+    if check.reads == ABSTRACTED:
+        fs = pieces["fs"]
+        check_abstractions(fs, pieces["eta"], pieces["phi"], pieces["rho"])
+        pieces.update(
+            fs=FlowSpec((), program.variables),
+            declassify=(abstraction_predicate(pieces["eta"], fs.low, dom),
+                        abstraction_predicate(pieces["phi"], fs.high, dom)),
+            results=abstraction_predicate(pieces["rho"], fs.low, dom).exprs)
     return pieces
 
 
-def _check_pieces(policy: Policy, program: Program, dom: Domain) -> dict:
+def check_pieces(policy: Policy, program: Program, dom: Domain) -> dict:
     """``policy_pieces`` for a check, which both readings of a pair refuse
     alike: an entry the named check does not read, which it would ignore,
     and more conditions than aktd's one conjunct per subset allows."""
@@ -277,49 +294,53 @@ def _check_pieces(policy: Policy, program: Program, dom: Domain) -> dict:
     return pieces
 
 
+def judged_model(program: Program, cfg: ModelConfig, keep: frozenset[str],
+                 pieces: dict) -> Model:
+    """The model that checks on ``pieces`` judge: the program's, keeping
+    ``keep`` at every point, or for nani and aak the model of its runs'
+    results."""
+    model = build_model(program, cfg, keep)
+    results = pieces.get("results")
+    return model if results is None else results_model(model, results)
+
+
 # What a reading needs before the program's model is built: what it reads at
-# every point, its judge, the results it sees in place of outputs (aak), and
-# the formula it evaluates (epistemic readings).
-Plan = tuple[frozenset[str], Callable[[Model], Verdict], tuple[Expr, ...] | None,
-             Formula | None]
+# every point, its judge, and the formula it evaluates (epistemic readings).
+Plan = tuple[frozenset[str], Callable[[Model], Verdict], Formula | None]
 
 
-def _formula_plan(program: Program, results: tuple[Expr, ...] | None, formula: Formula,
-                  dom: Domain) -> Plan:
+def _formula_plan(program: Program, formula: Formula, dom: Domain) -> Plan:
     """Plan the formula against the program, so the model keeps what it reads."""
     ev = Evaluation(program, dom)
     ev.compile(formula)
-    return ev.reads, lambda model: model_satisfies(model, formula, ev), results, formula
+    return ev.reads, lambda model: model_satisfies(model, formula, ev), formula
 
 
 def _plan(name: str, program: Program, pieces: dict, dom: Domain) -> Plan:
     check = CHECKS[name]
     if check.encode is None:
-        return check.keep(pieces), lambda model: check.judge(model, pieces), None, None
-    return _formula_plan(program, *check.encode(program, pieces, dom), dom)
+        return check.keep(pieces), lambda model: check.judge(model, pieces), None
+    return _formula_plan(program, check.encode(pieces, dom), dom)
 
 
 def _judged(name: str, plan: Plan, model: Model, start: float) -> CheckRun:
-    """The reading's verdict on the program's ``model``, or on the model of
-    its results; timed from ``start``."""
-    _, judge, results, formula = plan
-    if results is not None:
-        model = results_model(model, results)
+    """The reading's verdict on ``model``, timed from ``start``."""
+    _, judge, formula = plan
     return CheckRun(name, judge(model), model, time.perf_counter() - start, formula)
 
 
 def run_check(program: Program, policy: Policy, cfg: ModelConfig) -> CheckRun:
     """Check the policy, build what the named check needs, run it, and time it."""
-    pieces = _check_pieces(policy, program, cfg.domain)
+    pieces = check_pieces(policy, program, cfg.domain)
     start = time.perf_counter()
     plan = _plan(policy.check, program, pieces, cfg.domain)
-    return _judged(policy.check, plan, build_model(program, cfg, plan[0]), start)
+    return _judged(policy.check, plan, judged_model(program, cfg, plan[0], pieces), start)
 
 
 def run_formula(program: Program, formula: Formula, cfg: ModelConfig) -> CheckRun:
     """Check the formula against the program, build its model, evaluate it, and time it."""
     start = time.perf_counter()
-    plan = _formula_plan(program, None, formula, cfg.domain)
+    plan = _formula_plan(program, formula, cfg.domain)
     return _judged("formula", plan, build_model(program, cfg, plan[0]), start)
 
 
@@ -328,13 +349,14 @@ def run_both_sides(program: Program, policy: Policy,
     """Run the trace-based and the epistemic reading of the same policy.
 
     The policy is checked once and the program modeled once, keeping what
-    either reading reads; both readings judge that model's runs.
+    either reading reads; both readings judge that one model (for nani and
+    aak, the one model of its runs' results).
     """
-    pieces = _check_pieces(policy, program, cfg.domain)
+    pieces = check_pieces(policy, program, cfg.domain)
     names = (SEMANTIC_OF.get(policy.check, policy.check),
              EPISTEMIC_OF.get(policy.check, policy.check))
     start = time.perf_counter()
     plans = [_plan(name, program, pieces, cfg.domain) for name in names]
-    model = build_model(program, cfg, plans[0][0] | plans[1][0])
+    model = judged_model(program, cfg, plans[0][0] | plans[1][0], pieces)
     sem_run = _judged(names[0], plans[0], model, start)
     return sem_run, _judged(names[1], plans[1], model, time.perf_counter())

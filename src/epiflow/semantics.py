@@ -7,10 +7,11 @@ independent oracles for the epistemic encodings (and vice versa).
 
 Each condition is one of two searches:
 
-* ``_first_split`` (oni, nid, nani) groups runs by a key of their initial
-  store, and finds the first run whose value differs from that of the
-  first run with its key.  The value is the full trace, or for nani the
-  abstracted final store.
+* ``check_nid`` (oni, nid, and nani) groups runs by their low values and
+  declassified values, and finds the first run whose full trace differs
+  from that of the first run of its group.  nani is nid on the model of
+  the runs' abstracted results (``model.results_model``), with nothing
+  public and ``eta`` and ``phi`` as the declassified predicates.
 * ``_first_unmatched`` (nitd, and er as nitd) looks for a point whose
   trace some partner never produces: a low-equal run that agrees with the
   point's run on every value released at that point.  A release flag,
@@ -45,11 +46,10 @@ from itertools import compress
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .lang import Expr, compile_expr
+from .lang import compile_expr
 from .model import Execution, Model
 from .policies import (FlowSpec, InitPredicate, PolicyError, ReleaseSpec,
-                       TemporalDeclassification, abstraction_predicate,
-                       check_output_abstraction, condition_ids)
+                       TemporalDeclassification, condition_ids)
 from .verdicts import Outcome, Stats, Verdict, Witness
 
 
@@ -88,20 +88,6 @@ def _produces(ex: Execution, tid: int) -> bool:
     return i < len(ids) and ids[i] == tid
 
 
-def _first_split(m: Model, key: Callable[[Execution], object],
-                 value: Callable[[Execution], object]
-                 ) -> tuple[Execution, Execution] | None:
-    """The first run of its key whose value differs from the value of that
-    key's first run, as (first run, differing run); None if none does."""
-    first_of: dict = {}
-    for ex in m.executions:
-        v = value(ex)
-        leader, leader_v = first_of.setdefault(key(ex), (ex, v))
-        if leader_v != v:
-            return leader, ex
-    return None
-
-
 def check_oni(m: Model, fs: FlowSpec) -> Verdict:
     """Output-only noninterference: low-equal starts give equal traces."""
     return check_nid(m, fs, ())
@@ -109,56 +95,31 @@ def check_oni(m: Model, fs: FlowSpec) -> Verdict:
 
 def check_nid(m: Model, fs: FlowSpec, phi) -> Verdict:
     """Noninterference modulo declassification of the given predicate(s);
-    with none, output-only noninterference."""
+    with none, output-only noninterference.
+
+    Runs are grouped by their low values and declassified values, and the
+    first run whose full trace differs from its group's first run fails.
+    """
     refused = _refusal(m, fs)
     if refused:
         return refused
     preds = (phi,) if isinstance(phi, InitPredicate) else tuple(phi)
     low = _reader(fs.low)
-    split = _first_split(
-        m, lambda ex: (low(ex.init_store), tuple(p(ex.init_store) for p in preds)),
-        _full_trace)
-    if split is None:
-        return Verdict(Outcome.HOLDS)
-    first, second = split
-    return Verdict(Outcome.FAILS, Witness(
-        kind="trace-pair",
-        stores=(("first", _store_items(m, first)),
-                ("second", _store_items(m, second))),
-        trace=m.trace_tuple(_full_trace(second)),
-        note=("declassification-equivalent stores with different traces" if preds
-              else "low-equal initial stores with different traces"),
-    ))
-
-
-def check_nani(m: Model, fs: FlowSpec, eta: str | Expr, phi: str | Expr,
-               rho: str | Expr) -> Verdict:
-    """Narrow abstract noninterference on final public results.
-
-    The result of a run is its final low store; ``rho`` abstracts it,
-    ``eta``/``phi`` group runs by the abstractions of their public and
-    secret inputs.  Divergence anywhere refuses the verdict.
-    """
-    check_output_abstraction(fs, rho)
-    refused = _refusal(m, fs)
-    if refused:
-        return refused
-    dom = m.domain
-    eta_fn = abstraction_predicate(eta, fs.low, dom).fn
-    phi_fn = abstraction_predicate(phi, fs.high, dom).fn
-    out_fn = abstraction_predicate(rho, fs.low, dom).fn
-    split = _first_split(
-        m, lambda ex: (eta_fn(ex.init_store), phi_fn(ex.init_store)),
-        lambda ex: out_fn(ex.final_store))
-    if split is None:
-        return Verdict(Outcome.HOLDS)
-    first, second = split
-    return Verdict(Outcome.FAILS, Witness(
-        kind="result-pair",
-        stores=(("first", _store_items(m, first)),
-                ("second", _store_items(m, second))),
-        note="abstraction-equivalent inputs with different abstract results",
-    ))
+    first_of: dict = {}
+    for ex in m.executions:
+        store, tid = ex.init_store, _full_trace(ex)
+        first, first_tid = first_of.setdefault(
+            (low(store), tuple(p(store) for p in preds)), (ex, tid))
+        if first_tid != tid:
+            return Verdict(Outcome.FAILS, Witness(
+                kind="trace-pair",
+                stores=(("first", _store_items(m, first)),
+                        ("second", _store_items(m, ex))),
+                trace=m.trace_tuple(tid),
+                note=("declassification-equivalent stores with different traces" if preds
+                      else "low-equal initial stores with different traces"),
+            ))
+    return Verdict(Outcome.HOLDS)
 
 
 # --------------------------------------------------------------------------

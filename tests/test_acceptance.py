@@ -12,12 +12,12 @@ from epiflow.domain import Domain
 from epiflow.fuzz import FuzzConfig, fuzz_equivalences, generate_program
 from epiflow.lang import parse, parse_expression
 from epiflow.logic import K, L, Not, model_satisfies, satisfies
-from epiflow.model import ModelConfig, Point, accessible, build_model, results_model
+from epiflow.model import ModelConfig, Point, accessible, build_model
 from epiflow.policies import (FlowSpec, InitPredicate, ReleaseSpec,
                               TemporalDeclassification, encode_ak, encode_akd,
-                              encode_aak, encode_akr, encode_aktd, esp, espm)
+                              encode_akr, encode_aktd, esp, espm)
 from epiflow.policyfile import Policy, run_check
-from epiflow.semantics import (check_er, check_nani, check_nitd, check_oni,
+from epiflow.semantics import (check_er, check_nitd, check_oni,
                                knowledge_set, release_set)
 from epiflow.verdicts import Outcome
 
@@ -84,20 +84,17 @@ def test_criterion_03_secret_equality():
 def test_criterion_04_abstract_noninterference():
     cfg = ModelConfig(INT8S)
     secure = parse("if h >= 0 then { l := 2*l*h } else { l := 2*l*h + 1 }", INT8S)
-    secure_fs = FlowSpec.from_low(secure, ["l"])
-    r1, f1 = encode_aak(secure, secure_fs, "Id", "Sign", "Par", INT8S)
     deceptive = parse("l := 2*l*h*h", INT8S)
-    deceptive_fs = FlowSpec.from_low(deceptive, ["l"])
-    r2, f2 = encode_aak(deceptive, deceptive_fs, "Par", "Id", "Sign", INT8S)
+
+    def outcome(check, program, eta, phi, rho):
+        policy = Policy(check, low=("l",), eta=eta, phi=phi, rho=rho)
+        return run_check(program, policy, cfg).verdict.outcome
+
     confirm(4, "sign-to-parity release holds; deceptive flow fails, both routes", {
-        "nani-holds": check_nani(build_model(secure, cfg), secure_fs,
-                                 "Id", "Sign", "Par").outcome is HOLDS,
-        "aak-holds": model_satisfies(
-            results_model(build_model(secure, cfg), r1), f1).outcome is HOLDS,
-        "nani-fails": check_nani(build_model(deceptive, cfg), deceptive_fs,
-                                 "Par", "Id", "Sign").outcome is FAILS,
-        "aak-fails": model_satisfies(
-            results_model(build_model(deceptive, cfg), r2), f2).outcome is FAILS,
+        "nani-holds": outcome("nani", secure, "Id", "Sign", "Par") is HOLDS,
+        "aak-holds": outcome("aak", secure, "Id", "Sign", "Par") is HOLDS,
+        "nani-fails": outcome("nani", deceptive, "Par", "Id", "Sign") is FAILS,
+        "aak-fails": outcome("aak", deceptive, "Par", "Id", "Sign") is FAILS,
     })
 
 

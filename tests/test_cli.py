@@ -224,6 +224,10 @@ class TestOtherCommands:
          "abstract output needs at least one public identifier"),
         ("low: l\neta: Id\nphi: Id\nrho: h\n",
          "output abstraction mentions non-public 'h'"),
+        ("low: l\neta: h\nphi: Id\nrho: Id\n",
+         "input abstraction eta mentions non-public 'h'"),
+        ("low: l\neta: Id\nphi: l\nrho: Id\n",
+         "input abstraction phi mentions non-secret 'l'"),
     ])
     def test_both_readings_refuse_the_same_output_abstractions(
             self, tmp_path, capsys, policy, message):
@@ -268,8 +272,8 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("entry", ["eta: Id", "phi: Id", "rho: Id"])
     def test_knowledge_refuses_entries_it_does_not_read(self, workdir, capsys, entry):
-        # aak's observer sees each run's abstracted result, not the outputs
-        # whose prefixes knowledge follows, so no condition stands for nani's
+        # eta:, phi: and rho: are nani's and aak's own entries, which a
+        # policy for another check does not carry
         (workdir / "other.pol").write_text(f"check: akr\nlow: l\nrelease: r1 = h1\n{entry}\n")
         assert run(["knowledge", "--program", workdir / "release.wout",
                     "--policy", workdir / "other.pol"]) == 3
@@ -277,6 +281,34 @@ class TestOtherCommands:
         assert capsys.readouterr().err == (
             f"error: knowledge reads low:, release:, when: and declassify: entries, "
             f"not the policy's {key}: entry\n")
+
+    @pytest.mark.parametrize("program, params, init, code, rows", [
+        ("if h >= 0 then { l := 2*l*h } else { l := 2*l*h + 1 }",
+         "eta: Id\nphi: Sign\nrho: Par", (), 0,
+         ["[] | 64 | 4 | SECURE", "[1] | 32 | 4 | SECURE"]),
+        ("l := 2*l*h*h", "eta: Par\nphi: Id\nrho: Sign", ("--init", "l=-4,h=-3"), 1,
+         ["[] | 64 | 4 | SECURE", "[1] | 48 | 4 | INSECURE"]),
+    ], ids=["c4-secure", "c4-deceptive"])
+    def test_knowledge_follows_the_abstracted_results(
+            self, tmp_path, capsys, program, params, init, code, rows):
+        # nothing is public, and eta and phi are declassified from the start
+        (tmp_path / "c4.wout").write_text(program + "\n")
+        for check in ("nani", "aak"):
+            (tmp_path / "c4.pol").write_text(f"check: {check}\nlow: l\n{params}\n")
+            assert run(["knowledge", "--program", tmp_path / "c4.wout",
+                        "--policy", tmp_path / "c4.pol", "--domain", "int:8",
+                        "--signed-window", *init]) == code
+            assert capsys.readouterr().out.splitlines()[1:] == rows
+
+    @pytest.mark.parametrize("entry", ["declassify: h1", "release: r1 = h1", "when: tt ==> h1"])
+    def test_knowledge_refuses_other_entries_of_an_abstract_policy(self, workdir, capsys, entry):
+        (workdir / "nani.pol").write_text(
+            f"check: nani\nlow: l\neta: Id\nphi: Id\nrho: Id\n{entry}\n")
+        assert run(["knowledge", "--program", workdir / "release.wout",
+                    "--policy", workdir / "nani.pol"]) == 3
+        key = entry.split(":")[0]
+        assert capsys.readouterr().err == (
+            f"error: check 'nani' does not read the policy's {key}: entry\n")
 
     def test_knowledge_reads_the_payment_policy(self, capsys):
         samples = Path(__file__).resolve().parent.parent / "samples"

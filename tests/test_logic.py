@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import exec_from, garbage_after
+from conftest import abstract_pair, exec_from, garbage_after
 from epiflow.domain import Domain
 from epiflow.fuzz import (FuzzConfig, _abstractions_for, _gen_expr, generate_case,
                           generate_program)
@@ -15,10 +15,10 @@ from epiflow.logic import (And, Eq, Evaluation, Exists, F, Ff, Forall, G, Implie
                            K, L, LogicError, Not, Or, Tt, Until, W,
                            formula_size, formula_to_source, model_satisfies, parse_formula,
                            satisfies)
-from epiflow.model import ModelConfig, Point, build_model, results_model
+from epiflow.model import ModelConfig, Point, build_model
 from epiflow.policyfile import policy_pieces
 from epiflow.policies import (FlowSpec, InitPredicate, ReleaseSpec,
-                              TemporalDeclassification, encode_aak, encode_ak,
+                              TemporalDeclassification, encode_ak,
                               encode_akd, encode_akr, encode_aktd)
 from epiflow.verdicts import Outcome
 
@@ -274,10 +274,9 @@ class TestEvaluatorTransparency:
         cfg = FuzzConfig(seed=1, count=1, size=5, ident_count=2, domain=dom)
         for index in range(4):
             program = generate_program(random.Random(f"aak-ref:{index}"), cfg)
-            fs = FlowSpec.from_low(program, program.variables[:1])
             eta, phi, rho = (("Sign", "Par", "Par"), ("Par", "Sign", "Sign"))[index % 2]
-            results, f = encode_aak(program, fs, eta, phi, rho, dom)
-            matches_reference(results_model(build_model(program, ModelConfig(dom)), results), f)
+            f, m = abstract_pair(program, dom, program.variables[:1], eta, phi, rho)
+            matches_reference(m, f)
 
     def test_akr_with_two_flags(self):
         cfg = FuzzConfig(seed=1, count=1, size=6, ident_count=2)
@@ -397,8 +396,7 @@ class TestKeyedGuards:
         # the alternatives are grouped by their classes under eta and phi
         # once, and each premise looks up its own class
         program = parse(text, dom)
-        results, f = encode_aak(program, FlowSpec.from_low(program, ("l",)), *params, dom)
-        m = results_model(build_model(program, ModelConfig(dom)), results)
+        f, m = abstract_pair(program, dom, ("l",), *params)
         agrees_at_every_point(m, f)
 
     @pytest.mark.parametrize("text, declassified", [
@@ -439,10 +437,8 @@ class TestKeyedGuards:
         # the alternative only: one grouping serves every premise
         dom = Domain.integers(16, signed=True)
         program = parse(C4, dom)
-        results, f = encode_aak(program, FlowSpec.from_low(program, ("l",)),
-                                "Id", "Sign", "Par", dom)
+        f, m = abstract_pair(program, dom, ("l",), "Id", "Sign", "Par")
         ev = Evaluation(program, dom)
-        m = results_model(build_model(program, ModelConfig(dom)), results)
         verdict = model_satisfies(m, f, ev)
         assert verdict.outcome is Outcome.HOLDS
         assert len(ev.solved) == 1
@@ -1163,9 +1159,8 @@ def encoded(encoder, rng, dom):
         case "akd":
             return encode_akd(fs, [predicate(2) for _ in range(rng.randint(1, 2))], dom)
         case "aak":
-            fs = FlowSpec.from_low(program, fs.low or names[:1])
             eta, phi, rho = (rng.choice(_abstractions_for(dom)) for _ in range(3))
-            return encode_aak(program, fs, eta, phi, rho, dom)[1]
+            return abstract_pair(program, dom, fs.low or names[:1], eta, phi, rho)[0]
         case "akr":
             return encode_akr(fs, ReleaseSpec(tuple((f, expr(2)) for f in program.flags)), dom)
         case "aktd":

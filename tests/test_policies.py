@@ -6,19 +6,20 @@ from pathlib import Path
 import pytest
 
 import oracles
-from conftest import SWEEP_IDS, SWEEPS
+from conftest import SWEEP_IDS, SWEEPS, abstract_pair
 from epiflow.domain import Domain
 from epiflow.fuzz import FuzzConfig, generate_case, generate_program
 from epiflow.lang import Binary, Const, Out, Seq, Var, parse, parse_expression
 from epiflow.logic import (And, Eq, Evaluation, Forall, G, Implies, Init, K, L, Not, W,
                            model_satisfies, satisfies)
-from epiflow.model import ModelConfig, Point, build_model, results_model
-from epiflow.policyfile import CHECKS, load_policy, policy_pieces
+from epiflow.model import ModelConfig, Point, build_model
+from epiflow.policyfile import (CHECKS, Policy, judged_model, load_policy, policy_pieces,
+                                run_both_sides)
 from epiflow.policies import (FlowSpec, InitPredicate, PolicyError,
                               ReleaseSpec, TemporalDeclassification, condition_ids,
-                              encode_ak, encode_akd, encode_aak, encode_akr,
+                              encode_ak, encode_akd, encode_akr,
                               encode_aktd, esp, espm)
-from epiflow.semantics import check_nani, check_nitd, check_oni
+from epiflow.semantics import check_nitd, check_oni
 from epiflow.verdicts import Outcome
 
 BOOL = Domain.booleans()
@@ -185,12 +186,10 @@ class TestAgreementGuard:
         for pair, index in itertools.product(("nani-aak", "nid-akd"), range(cfg.count)):
             program, policy = generate_case(pair, index, cfg)
             pieces = policy_pieces(policy, program, cfg.domain)
-            results, f = CHECKS[CHECKS[policy.check].twin].encode(program, pieces, cfg.domain)
+            f = CHECKS[CHECKS[policy.check].twin].encode(pieces, cfg.domain)
             ev = Evaluation(program, cfg.domain)
             ev.compile(f)
-            m = build_model(program, ModelConfig(cfg.domain, bound=cfg.bound), ev.reads)
-            if results is not None:
-                m = results_model(m, results)
+            m = judged_model(program, ModelConfig(cfg.domain, bound=cfg.bound), ev.reads, pieces)
             hashed = model_satisfies(m, f, ev)
             whole = model_satisfies(m, f, UngroupedEvaluation(program, cfg.domain))
             assert (hashed.outcome, hashed.witness) == (whole.outcome, whole.witness), \
@@ -251,9 +250,7 @@ class TestAbstractKnowledge:
     def test_sign_parity_program_secure(self):
         program = parse("if h >= 0 then { l := 2*l*h } else { l := 2*l*h + 1 }",
                         self.INT8S)
-        fs = FlowSpec.from_low(program, ["l"])
-        results, f = encode_aak(program, fs, "Id", "Sign", "Par", self.INT8S)
-        m = results_model(build_model(program, ModelConfig(self.INT8S)), results)
+        f, m = abstract_pair(program, self.INT8S, ("l",), "Id", "Sign", "Par")
         assert model_satisfies(m, f).outcome is Outcome.HOLDS
         # each run shows one silent point, then the parity of its public result
         assert {len(ex) for ex in m.executions} == {1}
@@ -261,9 +258,7 @@ class TestAbstractKnowledge:
 
     def test_deceptive_flow_fails(self):
         program = parse("l := 2*l*h*h", self.INT8S)
-        fs = FlowSpec.from_low(program, ["l"])
-        results, f = encode_aak(program, fs, "Par", "Id", "Sign", self.INT8S)
-        m = results_model(build_model(program, ModelConfig(self.INT8S)), results)
+        f, m = abstract_pair(program, self.INT8S, ("l",), "Par", "Id", "Sign")
         assert model_satisfies(m, f).outcome is Outcome.FAILS
 
     def test_identity_abstractions_match_nani(self):
@@ -273,19 +268,14 @@ class TestAbstractKnowledge:
             program = generate_program(
                 random.Random(f"aak:{seed}"),
                 FuzzConfig(seed=1, count=1, size=5, ident_count=2, domain=dom))
-            fs = FlowSpec.from_low(program, program.variables[:1])
-            model = build_model(program, cfg)
-            nani = check_nani(model, fs, "Id", "Id", "Id")
-            results, f = encode_aak(program, fs, "Id", "Id", "Id", dom)
-            aak = model_satisfies(results_model(model, results), f)
-            assert nani.outcome is aak.outcome
+            policy = Policy("nani", program.variables[:1], eta="Id", phi="Id", rho="Id")
+            nani, aak = run_both_sides(program, policy, cfg)
+            assert nani.verdict.outcome is aak.verdict.outcome
 
     def test_eta_id_pins_public_inputs(self):
         # with public inputs pinned exactly, the deceptive flow is invisible
         program = parse("l := 2*l*h*h", self.INT8S)
-        fs = FlowSpec.from_low(program, ["l"])
-        results, f = encode_aak(program, fs, "Id", "Id", "Sign", self.INT8S)
-        m = results_model(build_model(program, ModelConfig(self.INT8S)), results)
+        f, m = abstract_pair(program, self.INT8S, ("l",), "Id", "Id", "Sign")
         assert model_satisfies(m, f).outcome is Outcome.HOLDS
 
 

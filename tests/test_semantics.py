@@ -13,12 +13,11 @@ from epiflow.fuzz import FuzzConfig, generate_case, generate_program
 from epiflow.lang import (Assign, Const, Seq, Var, While, parse, parse_expression,
                           program_from_body)
 from epiflow.model import ModelConfig, Status, build_model
-from epiflow.policyfile import CHECKS, Policy, policy_pieces, run_check
+from epiflow.policyfile import CHECKS, Policy, judged_model, policy_pieces, run_check
 from epiflow.policies import (FlowSpec, InitPredicate, PolicyError,
                               ReleaseSpec, TemporalDeclassification, condition_ids)
-from epiflow.semantics import (_produces, check_er, check_nani, check_nid,
-                               check_nitd, check_oni, knowledge_set, release_set,
-                               required_set)
+from epiflow.semantics import (_produces, check_er, check_nid, check_nitd,
+                               check_oni, knowledge_set, release_set, required_set)
 from epiflow.verdicts import Outcome
 
 BOOL = Domain.booleans()
@@ -116,35 +115,37 @@ class TestNid:
 
 
 class TestNani:
+    """nani is nid over the model of the runs' abstracted results, with
+    nothing public and eta and phi as the declassified predicates."""
+
     INT8S = Domain.integers(8, signed=True)
 
+    @staticmethod
+    def nani(text, dom, low, eta, phi, rho):
+        policy = Policy("nani", low=low, eta=eta, phi=phi, rho=rho)
+        return run_check(parse(text, dom), policy, ModelConfig(dom)).verdict
+
     def test_parity_of_result_is_stable_within_sign_class(self):
-        program = parse("if h >= 0 then { l := 2*l*h } else { l := 2*l*h + 1 }",
-                        self.INT8S)
-        fs = FlowSpec.from_low(program, ["l"])
-        verdict = check_nani(build_model(program, ModelConfig(self.INT8S)), fs,
-                             "Id", "Sign", "Par")
+        verdict = self.nani("if h >= 0 then { l := 2*l*h } else { l := 2*l*h + 1 }",
+                            self.INT8S, ("l",), "Id", "Sign", "Par")
         assert verdict.outcome is Outcome.HOLDS
 
     def test_deceptive_flow_detected(self):
-        program = parse("l := 2*l*h*h", self.INT8S)
-        fs = FlowSpec.from_low(program, ["l"])
-        verdict = check_nani(build_model(program, ModelConfig(self.INT8S)), fs,
-                             "Par", "Id", "Sign")
+        verdict = self.nani("l := 2*l*h*h", self.INT8S, ("l",), "Par", "Id", "Sign")
         assert verdict.outcome is Outcome.FAILS
+        # the first two runs with equal parities of l and equal h whose
+        # results differ in sign; the trace is the second one's result
+        assert verdict.witness.kind == "trace-pair"
+        assert verdict.witness.stores == (("first", (("l", -4), ("h", -3))),
+                                          ("second", (("l", -2), ("h", -3))))
+        assert verdict.witness.trace == (0,)
 
     def test_identity_abstractions_trivially_hold(self):
-        program = parse("l := l * h + 1; k := l", INT4)
-        fs = FlowSpec.from_low(program, ["l", "k"])
-        verdict = check_nani(build_model(program, ModelConfig(INT4)), fs, "Id", "Id", "Id")
+        verdict = self.nani("l := l * h + 1; k := l", INT4, ("l", "k"), "Id", "Id", "Id")
         assert verdict.outcome is Outcome.HOLDS
 
     def test_expression_abstraction(self):
-        program = parse("l := h", INT4)
-        fs = FlowSpec.from_low(program, ["l"])
-        rho = parse_expression("l mod 2")
-        verdict = check_nani(build_model(program, ModelConfig(INT4)), fs, "Id",
-                             parse_expression("h mod 2"), rho)
+        verdict = self.nani("l := h", INT4, ("l",), "Id", "h mod 2", "l mod 2")
         assert verdict.outcome is Outcome.HOLDS
 
 
@@ -236,7 +237,8 @@ class TestRequiredSets:
     some run has a prefix whose required set is not within its knowledge
     set exactly when the trace check fails."""
 
-    CHECK = {"oni-ak": "oni", "nid-akd": "nid", "nitd-aktd": "nitd", "akr-er": "er"}
+    CHECK = {"oni-ak": "oni", "nid-akd": "nid", "nani-aak": "nani", "nitd-aktd": "nitd",
+             "akr-er": "er"}
 
     @pytest.mark.parametrize("cfg", SWEEPS, ids=SWEEP_IDS)
     @pytest.mark.parametrize("pair", CHECK)
@@ -246,8 +248,9 @@ class TestRequiredSets:
             program, policy = generate_case(pair, index, cfg)
             pieces = policy_pieces(policy, program, cfg.domain)
             fs, conditions = pieces["fs"], knowledge_conditions(pieces, cfg.domain)
-            m = build_model(program, ModelConfig(cfg.domain, bound=cfg.bound),
-                            condition_ids(conditions))
+            # nani's: the model of the runs' results
+            m = judged_model(program, ModelConfig(cfg.domain, bound=cfg.bound),
+                             condition_ids(conditions), pieces)
             outcome = CHECKS[self.CHECK[pair]].judge(m, pieces).outcome
             outcomes.add(outcome)
             insecure = any(
