@@ -16,11 +16,9 @@ from .logic import (LogicError, formula_to_source, model_satisfies,
 from .model import (Model, ModelConfig, Point, Status, accessible,
                     build_model, epoch_of, results_model, trace_of)
 from .policies import (FlowSpec, InitPredicate, PolicyError, ReleaseSpec,
-                       TemporalDeclassification, encode_ak, encode_akd,
-                       encode_akr, encode_aktd, esp, espm)
+                       TemporalDeclassification, encode_aktd)
 from .policyfile import Policy, load_policy, parse_policy, run_check
-from .semantics import (check_er, check_nid, check_nitd, check_oni,
-                        knowledge_set, release_set, required_set)
+from .semantics import check_nitd, knowledge_set, required_set
 from .verdicts import Outcome, Stats, Verdict, Witness
 
 __version__ = "0.1.0"

@@ -25,13 +25,12 @@ from dataclasses import replace
 
 from .domain import Domain, DomainError
 from .fuzz import PAIRS, FuzzConfig, fuzz_equivalences
-from .lang import Const, LangError, ParseError, parse
+from .lang import LangError, ParseError, parse
 from .logic import LogicError, formula_to_source, parse_formula
 from .model import ModelConfig, build_model
-from .policies import PolicyError, TemporalDeclassification, condition_ids
-from .policyfile import (ABSTRACTED, CHECKS, Policy, check_pieces, judged_model,
-                         load_policy, policy_pieces, run_both_sides, run_check,
-                         run_formula)
+from .policies import PolicyError, condition_ids
+from .policyfile import (Policy, check_pieces, judged_model, load_policy,
+                         run_both_sides, run_check, run_formula)
 from .report import build_report, model_dump, render_text
 from .semantics import knowledge_set, required_set
 from .verdicts import Outcome
@@ -216,32 +215,12 @@ def _parse_init(text: str, program, dom: Domain) -> dict:
     return store
 
 
-def knowledge_conditions(pieces: dict, dom: Domain) -> tuple[TemporalDeclassification, ...]:
-    """The policy's declassifications, each on its condition: a release
-    flag's expression once the flag is set, a ``when:`` entry as given,
-    and ``declassify: e`` as ``when: true ==> e`` (nani's and aak's eta
-    and phi too)."""
-    return (*pieces["releases"].conditions(dom), *pieces["whens"],
-            *(TemporalDeclassification(Const(True), p)
-              for p in pieces["declassify"]))
-
-
 def cmd_knowledge(args) -> int:
     dom, _, program, cfg = _load(args)
-    policy = _policy_from(args)
-    if CHECKS[policy.check].reads == ABSTRACTED:
-        # nani and aak read their own entries only: knowledge follows the
-        # prefixes of the runs' abstracted results, with eta and phi
-        # declassified from the start
-        pieces = check_pieces(policy, program, dom)
-    else:
-        unread = [key for key in ABSTRACTED if getattr(policy, key) is not None]
-        if unread:
-            raise PolicyError(f"knowledge reads low:, release:, when: and declassify: "
-                              f"entries, not the policy's {unread[0]}: entry")
-        pieces = policy_pieces(policy, program, dom)
-    fs = pieces["fs"]
-    conditions = knowledge_conditions(pieces, dom)
+    # the policy is read as ``check`` reads it: for nani and aak, knowledge
+    # follows the prefixes of the runs' abstracted results
+    pieces = check_pieces(_policy_from(args), program, dom)
+    fs, conditions = pieces["fs"], pieces["conditions"]
     model = judged_model(program, cfg, condition_ids(conditions), pieces)
     if model.tainted:
         print("model contains a non-terminated execution; refusing")

@@ -1,35 +1,36 @@
 """Epistemic security conditions as formulas over execution models.
 
-The two workhorse formulas say, at a point, that the observer has not
-narrowed down the initial secrets:
+Every condition is one formula, aktd: absence of knowledge under
+condition-triggered declassifications.  The observer must stay uncertain
+about the initial secrets modulo each property whose condition has held
+along the run so far.  The other conditions are lists of such
+declassifications, which ``policyfile.policy_pieces`` builds: ak has none,
+akd's ``declassify: e`` is ``when: true ==> e``, and akr's
+``release: r = e`` is ``when: r ==> e``, since a release flag, once set,
+stays set.  Abstract absence of knowledge (aak) is akd over the model of
+the runs' abstracted results (``model.results_model``), with nothing
+public and the abstractions of the inputs, ``eta`` and ``phi``, as the
+declassified predicates.
 
-* ``esp``: within the current epoch, for the actual initial public values,
-  every initial secret vector is still possible.
-* ``espm``: the same, but only secret vectors that agree with the actual
-  one on a set of declassified properties need to remain possible.
-
-On top of them sit the conditions: absence of knowledge, plain, modulo
-declassified predicates, and under condition-triggered temporal
-declassifications.  A release flag is a condition that never resets, so
-akr is aktd over its flags.  Abstract absence of knowledge (aak) is akd
-over the model of the runs' abstracted results (``model.results_model``),
-with nothing public and the abstractions of the inputs, ``eta`` and
-``phi``, as the declassified predicates.
-
-``espm`` is written as the paper writes it: for the actual initial values,
-every alternative secret that agrees with the actual one on each
-declassified property stays possible.  Agreement is an equality between
-the property's expression over the premise values and over the
-alternative ones.  Quantified initial values are named after the
-identifier they constrain: ``x'`` for the premise value, ``x''`` for the
-epistemic alternative.
+Its workhorse, ``espm``, says at a point that the observer has not
+narrowed down the initial secrets beyond the declassified properties.  It
+is written as the paper writes it: for the actual initial values, every
+alternative secret that agrees with the actual one on each declassified
+property stays possible.  Agreement is an equality between the property's
+expression over the premise values and over the alternative ones.
+Quantified initial values are named after the identifier they constrain:
+``x'`` for the premise value, ``x''`` for the epistemic alternative.
 
 aktd asks for one ``espm`` per subset of its declassifications.  These
 share one scaffold per flow spec: the premise and the possibility are
 built once, and so are each declassification's agreement and its
 condition's test; only the agreement guard, their conjunction, is new per
 subset.  The evaluator plans a node by identity, so it plans each shared
-node once.
+node once.  A condition that reads nothing and holds has fired at the
+start, so its declassification joins every subset and only the others are
+enumerated.  So ak is ``G`` of ``espm`` with no agreement, and akd and aak
+are ``G`` of one ``espm``, as the paper writes akd, however many
+properties they declassify.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from typing import Callable, Iterable
 from .domain import Domain
 from .lang import (Binary, Const, Expr, HashCall, Program, Unary, Var,
                    compile_expr, expr_ids, expr_to_source, validate_expr)
-from .logic import (Eq, Formula, G, Init, L, Not, W, conj, disj, foralls,
-                    implies)
+from .logic import Eq, Formula, G, Init, L, Not, W, conj, disj, foralls, implies
 
 
 class PolicyError(ValueError):
@@ -103,9 +103,6 @@ class InitPredicate:
     fn: Callable[[dict], object]
     exprs: tuple[Expr, ...]
 
-    def __call__(self, store: dict):
-        return self.fn(store)
-
     @staticmethod
     def from_expression(expr: Expr, dom: Domain, label: str | None = None) -> "InitPredicate":
         validate_expr(expr, dom)
@@ -119,7 +116,7 @@ class InitPredicate:
         fn = abstraction_fn(name, dom)
         return InitPredicate(
             f"{name}({', '.join(ids)})", ids,
-            lambda store: tuple(fn(store[i]) for i in ids),
+            lambda store: tuple(map(fn, map(store.__getitem__, ids))),
             tuple(abstraction_expr(name, Var(i), dom) for i in ids))
 
 
@@ -187,11 +184,6 @@ class ReleaseSpec:
         if len(set(flags)) != len(flags):
             raise PolicyError("duplicate release flag")
 
-    @property
-    def flags(self) -> frozenset[str]:
-        """The release flags, which a reading of the policy reads at every point."""
-        return frozenset(f for f, _ in self.items)
-
     def check_against(self, program: Program, dom: Domain) -> None:
         flags = set(program.flags)
         names = set(program.variables)
@@ -233,20 +225,6 @@ def init_atoms(names: Iterable[str], exprs: Iterable[Expr]) -> Formula:
     return conj(tuple(Init(n, e) for n, e in zip(names, exprs)))
 
 
-def esp(fs: FlowSpec, dom: Domain) -> Formula:
-    """Every initial secret is possible, for the actual public inputs.
-
-    forall l'. (init_l(l') -> forall h''. L(init_l(l') && init_h(h'')))
-    """
-    low_vars = [primed(n) for n in fs.low]
-    high_vars = [alt_primed(n) for n in fs.high]
-    premise = init_atoms(fs.low, [Var(v) for v in low_vars])
-    possible = L(conj(
-        tuple(Init(n, Var(v)) for n, v in zip(fs.low, low_vars))
-        + tuple(Init(n, Var(v)) for n, v in zip(fs.high, high_vars))))
-    return foralls(low_vars, implies(premise, foralls(high_vars, possible)))
-
-
 class _Espm:
     """``espm`` over one split of the identifiers: the premise
     ``init_l(l') && init_h(h')`` and the possibility
@@ -278,40 +256,8 @@ class _Espm:
             self.alternative_vars, implies(conj(tuple(agreements)), self.possible))))
 
 
-def espm(fixed_low: Iterable[str], high: Iterable[str],
-         predicates: Iterable[InitPredicate], dom: Domain) -> Formula:
-    """Every initial secret agreeing on the predicates is possible.
-
-    forall l' h'. init_l(l') && init_h(h') ->
-        forall h''. (p[l', h'] == p[l', h''] for each p) -> L(init_l(l') && init_h(h''))
-    """
-    scaffold = _Espm(tuple(fixed_low), tuple(high))
-    agreements = [scaffold.agreement(p) for p in predicates]
-    return scaffold.modulo(a for agree in agreements for a in agree)
-
-
 # --------------------------------------------------------------------------
 # Security conditions
-
-
-def encode_ak(fs: FlowSpec, dom: Domain) -> Formula:
-    """Absence of knowledge: the observer never learns anything high."""
-    return G(esp(fs, dom))
-
-
-def _as_predicates(phi, dom: Domain) -> tuple[InitPredicate, ...]:
-    if isinstance(phi, InitPredicate):
-        return (phi,)
-    if isinstance(phi, Expr):
-        return (InitPredicate.from_expression(phi, dom),)
-    return tuple(
-        p if isinstance(p, InitPredicate) else InitPredicate.from_expression(p, dom)
-        for p in phi)
-
-
-def encode_akd(fs: FlowSpec, phi, dom: Domain) -> Formula:
-    """Absence of knowledge beyond the declassified predicate(s)."""
-    return G(espm(fs.low, fs.high, _as_predicates(phi, dom), dom))
 
 
 def check_abstractions(fs: FlowSpec, eta: str | Expr, phi: str | Expr,
@@ -348,14 +294,9 @@ def _powerset(items: tuple) -> list[tuple]:
     return out
 
 
-def encode_akr(fs: FlowSpec, rs: ReleaseSpec, dom: Domain) -> Formula:
-    """Absence of knowledge beyond what the set flags have released.
-
-    A release flag is a condition that, once it holds, holds for good, so
-    this is aktd with each flag as the condition that declassifies its
-    expression (evaluated on initial stores).
-    """
-    return encode_aktd(fs, rs.conditions(dom), dom)
+def _fired_from_the_start(td: TemporalDeclassification, dom: Domain) -> bool:
+    """Whether the condition reads nothing and holds, so holds at every point."""
+    return not expr_ids(td.condition) and dom.truth(compile_expr(td.condition, dom)({}))
 
 
 def encode_aktd(fs: FlowSpec, tds: Iterable[TemporalDeclassification],
@@ -364,18 +305,22 @@ def encode_aktd(fs: FlowSpec, tds: Iterable[TemporalDeclassification],
 
     For every subset of the declassifications, uncertainty modulo that
     subset must hold at least until the condition of one of the remaining
-    declassifications fires (an empty remainder never fires).
+    declassifications fires, and for good when none remains.  A subset
+    that leaves out a declassification fired from the start holds at once,
+    so those declassifications join every subset and only the others are
+    enumerated, in the same order.
     """
     tds = tuple(tds)
-    subsets = _powerset(tds)
     scaffold = _Espm(fs.low, fs.high)
-    agreement = {id(td): scaffold.agreement(td.declassified) for td in tds}
+    agreements = [scaffold.agreement(td.declassified) for td in tds]
+    always = [_fired_from_the_start(td, dom) for td in tds]
+    rest = tuple(k for k, fired in enumerate(always) if not fired)
     # "fired" means truthy, so compare against false rather than true
-    fired = {id(td): Not(Eq(td.condition, Const(dom.false_value))) for td in tds}
+    fired = {k: Not(Eq(tds[k].condition, Const(dom.false_value))) for k in rest}
     conjuncts = []
-    for chosen in subsets:
-        chosen_ids = {id(td) for td in chosen}
-        body = scaffold.modulo(a for td in chosen for a in agreement[id(td)])
-        released_later = disj(tuple(fired[id(td)] for td in tds if id(td) not in chosen_ids))
-        conjuncts.append(W(body, released_later))
+    for chosen in _powerset(rest):
+        body = scaffold.modulo(a for k, agreement in enumerate(agreements)
+                               if always[k] or k in chosen for a in agreement)
+        released_later = [fired[k] for k in rest if k not in chosen]
+        conjuncts.append(W(body, disj(released_later)) if released_later else G(body))
     return conj(tuple(conjuncts))

@@ -11,9 +11,11 @@ A policy file names one check and its parameters::
     #   release: r1 = <expr>                              (akr, er; repeatable)
     #   when: <state-expr> ==> <init-expr>                (aktd, nitd; repeatable)
 
-``#`` starts a comment.  ``CHECKS`` has one row per check.  Epistemic
-checks (ak, akd, aak, akr, aktd) go through the formula encoders; their
-trace-based twins (oni, nid, nani, er, nitd) run directly on the model.
+``#`` starts a comment.  ``CHECKS`` has one row per check.  Every check
+reads its policy as one list of conditions (``policy_pieces``): epistemic
+checks (ak, akd, aak, akr, aktd) evaluate aktd's formula over it, and
+their trace-based twins (oni, nid, nani, er, nitd) run nitd's search over
+it directly on the model.
 """
 
 from __future__ import annotations
@@ -23,14 +25,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .domain import Domain
-from .lang import Expr, ParseError, Program, parse_expression, validate_expr
+from .lang import Const, Expr, ParseError, Program, parse_expression, validate_expr
 from .logic import Evaluation, Formula, model_satisfies
 from .model import Model, ModelConfig, build_model, results_model
 from .policies import (ABSTRACTIONS, FlowSpec, InitPredicate, PolicyError,
                        ReleaseSpec, TemporalDeclassification, abstraction_fn,
                        abstraction_predicate, check_abstractions, check_powerset_cap,
-                       condition_ids, encode_ak, encode_akd, encode_akr, encode_aktd)
-from .semantics import check_er, check_nid, check_nitd, check_oni
+                       condition_ids, encode_aktd)
+from .semantics import check_nitd
 from .verdicts import Verdict
 
 
@@ -38,61 +40,42 @@ from .verdicts import Verdict
 class Check:
     """One row of the check table: one reading of a security condition.
 
-    An epistemic row's ``encode(pieces, dom)`` gives the formula to
-    evaluate; a trace-based row's ``judge(model, pieces)`` gives the
-    verdict, and its ``keep(pieces)`` the identifiers the judge reads at
-    every point, which the model must keep (an epistemic row's are those
-    its formula's plans read).  Both judge the model ``judged_model``
-    gives.  Rows call this module's ``encode_*``, ``check_*``,
-    ``build_model``, ``results_model`` and ``model_satisfies`` by name, so
-    a wrapper put on one sees every call.
+    Every row reads the policy's conditions, ``pieces["conditions"]`` (see
+    ``policy_pieces``).  An epistemic row evaluates ``encode_aktd`` over
+    them and keeps what its formula's plans read; a trace-based row judges
+    with ``check_nitd`` and keeps what the conditions read.  Both judge the
+    model ``judged_model`` gives.  ``_plan`` calls this module's
+    ``encode_aktd``, ``check_nitd``, ``build_model``, ``results_model`` and
+    ``model_satisfies`` by name, so a wrapper put on one sees every call.
     """
 
     twin: str
+    reading: str  # EPISTEMIC or TRACE
     reads: tuple[str, ...] = ()  # policy entries the check reads besides low:
     needs: tuple[str, ...] = ()  # the ones it cannot run without
-    encode: Callable[[dict, Domain], Formula] | None = None
-    judge: Callable[[Model, dict], Verdict] | None = None
-    keep: Callable[[dict], frozenset[str]] = lambda pieces: frozenset()
-
-    @property
-    def reading(self) -> str:
-        return "trace" if self.encode is None else "epistemic"
 
 
+EPISTEMIC, TRACE = "epistemic", "trace"
 ABSTRACTED = ("eta", "phi", "rho")
 DECLASSIFY = ("declassify",)
 # the policy-file key of each entry a check may read besides low:
 ENTRY_KEYS = {"declassify": "declassify", "eta": "eta", "phi": "phi", "rho": "rho",
               "releases": "release", "whens": "when"}
 
-
-def _akd(p: dict, dom: Domain) -> Formula:
-    return encode_akd(p["fs"], p["declassify"], dom)
-
-
-def _nid(m: Model, p: dict) -> Verdict:
-    return check_nid(m, p["fs"], p["declassify"])
-
-
 # aak and nani are akd and nid over the model of the results (see policy_pieces)
 CHECKS: dict[str, Check] = {
-    "ak": Check("oni", encode=lambda p, dom: encode_ak(p["fs"], dom)),
-    "akd": Check("nid", DECLASSIFY, DECLASSIFY, encode=_akd),
-    "aak": Check("nani", ABSTRACTED, ABSTRACTED, encode=_akd),
-    "akr": Check("er", ("releases",), encode=lambda p, dom: encode_akr(
-        p["fs"], p["releases"], dom)),
-    "aktd": Check("nitd", ("whens",), encode=lambda p, dom: encode_aktd(
-        p["fs"], p["whens"], dom)),
-    "oni": Check("ak", judge=lambda m, p: check_oni(m, p["fs"])),
-    "nid": Check("akd", DECLASSIFY, DECLASSIFY, judge=_nid),
-    "nani": Check("aak", ABSTRACTED, ABSTRACTED, judge=_nid),
-    "er": Check("akr", ("releases",), judge=lambda m, p: check_er(m, p["fs"], p["releases"]),
-                keep=lambda p: p["releases"].flags),
-    "nitd": Check("aktd", ("whens",), judge=lambda m, p: check_nitd(m, p["fs"], p["whens"]),
-                  keep=lambda p: condition_ids(p["whens"])),
+    "ak": Check("oni", EPISTEMIC),
+    "akd": Check("nid", EPISTEMIC, DECLASSIFY, DECLASSIFY),
+    "aak": Check("nani", EPISTEMIC, ABSTRACTED, ABSTRACTED),
+    "akr": Check("er", EPISTEMIC, ("releases",)),
+    "aktd": Check("nitd", EPISTEMIC, ("whens",)),
+    "oni": Check("ak", TRACE),
+    "nid": Check("akd", TRACE, DECLASSIFY, DECLASSIFY),
+    "nani": Check("aak", TRACE, ABSTRACTED, ABSTRACTED),
+    "er": Check("akr", TRACE, ("releases",)),
+    "nitd": Check("aktd", TRACE, ("whens",)),
 }
-SEMANTIC_OF = {n: c.twin for n, c in CHECKS.items() if c.reading == "epistemic"}
+SEMANTIC_OF = {n: c.twin for n, c in CHECKS.items() if c.reading == EPISTEMIC}
 EPISTEMIC_OF = {twin: n for n, twin in SEMANTIC_OF.items()}
 EPISTEMIC_CHECKS, SEMANTIC_CHECKS = tuple(SEMANTIC_OF), tuple(EPISTEMIC_OF)
 
@@ -230,53 +213,58 @@ def _parse_checked(text: str, program: Program, dom: Domain,
 
 
 def policy_pieces(policy: Policy, program: Program, dom: Domain) -> dict:
-    """The policy's entries, parsed and checked against the program.
+    """The policy's entries, parsed and checked against the program, as
+    the flow spec ``fs`` and the one list of ``conditions`` every check
+    reads.
 
+    Each condition is a declassification on the condition that releases
+    it: ``release: r = e`` as ``when: r ==> e``, since a flag, once set,
+    stays set; a ``when:`` entry as given; and ``declassify: e`` as
+    ``when: true ==> e``.  For nani and aak, which are nid and akd over the
+    model of the runs' results, ``results`` holds rho's expressions,
+    nothing is public, and eta and phi are declassified from the start.
     A usage error if an entry is malformed or the named check needs an
     entry the policy lacks, so both readings of a pair accept the same
-    policies.  Releases and temporal declassifications default to none.
-    For nani and aak, which are nid and akd over the model of the runs'
-    results, ``results`` holds rho's expressions, nothing is public, and
-    eta and phi are the declassified predicates.
+    policies.
     """
     check = CHECKS.get(policy.check)
     if check is None:
         raise PolicyError(f"unknown check {policy.check!r}")
-    pieces = {
-        "fs": FlowSpec.from_low(program, policy.low),
-        "declassify": tuple(
+    fs = FlowSpec.from_low(program, policy.low)
+    declassified = tuple(
+        InitPredicate.from_expression(_parse_checked(t, program, dom, "declassification"), dom)
+        for t in policy.declassify)
+    releases = ReleaseSpec(tuple(
+        (flag, _parse_checked(expr, program, dom, f"release {flag}"))
+        for flag, expr in policy.releases))
+    whens = tuple(
+        TemporalDeclassification(
+            _parse_checked(cond, program, dom, "when-condition", extra=program.flags),
             InitPredicate.from_expression(
-                _parse_checked(t, program, dom, "declassification"), dom)
-            for t in policy.declassify),
-        "releases": ReleaseSpec(tuple(
-            (flag, _parse_checked(expr, program, dom, f"release {flag}"))
-            for flag, expr in policy.releases)),
-        "whens": tuple(
-            TemporalDeclassification(
-                _parse_checked(cond, program, dom, "when-condition", extra=program.flags),
-                InitPredicate.from_expression(
-                    _parse_checked(expr, program, dom, "declassification"), dom))
-            for cond, expr in policy.whens),
-    }
+                _parse_checked(expr, program, dom, "declassification"), dom))
+        for cond, expr in policy.whens)
+    abstractions = {}
     for name in ABSTRACTED:
         value = getattr(policy, name)
         if value in ABSTRACTIONS:
             abstraction_fn(value, dom)  # rejects Sign and Par on booleans
-            pieces[name] = value
         elif value is not None:
-            pieces[name] = _parse_checked(value, program, dom, name)
-    pieces["releases"].check_against(program, dom)
-    missing = [k for k in check.needs if not pieces.get(k)]
+            value = _parse_checked(value, program, dom, name)
+        abstractions[name] = value
+    releases.check_against(program, dom)
+    missing = [k for k in check.needs if not getattr(policy, k)]
     if missing:
         raise PolicyError(f"check {policy.check!r} needs a {missing[0]!r} entry")
+    pieces = {"fs": fs}
     if check.reads == ABSTRACTED:
-        fs = pieces["fs"]
-        check_abstractions(fs, pieces["eta"], pieces["phi"], pieces["rho"])
-        pieces.update(
-            fs=FlowSpec((), program.variables),
-            declassify=(abstraction_predicate(pieces["eta"], fs.low, dom),
-                        abstraction_predicate(pieces["phi"], fs.high, dom)),
-            results=abstraction_predicate(pieces["rho"], fs.low, dom).exprs)
+        eta, phi, rho = abstractions.values()
+        check_abstractions(fs, eta, phi, rho)
+        declassified = (abstraction_predicate(eta, fs.low, dom),
+                        abstraction_predicate(phi, fs.high, dom))
+        pieces = {"fs": FlowSpec((), program.variables),
+                  "results": abstraction_predicate(rho, fs.low, dom).exprs}
+    pieces["conditions"] = (*releases.conditions(dom), *whens,
+                            *(TemporalDeclassification(Const(True), p) for p in declassified))
     return pieces
 
 
@@ -317,10 +305,10 @@ def _formula_plan(program: Program, formula: Formula, dom: Domain) -> Plan:
 
 
 def _plan(name: str, program: Program, pieces: dict, dom: Domain) -> Plan:
-    check = CHECKS[name]
-    if check.encode is None:
-        return check.keep(pieces), lambda model: check.judge(model, pieces), None
-    return _formula_plan(program, check.encode(pieces, dom), dom)
+    fs, conditions = pieces["fs"], pieces["conditions"]
+    if CHECKS[name].reading == TRACE:
+        return condition_ids(conditions), lambda model: check_nitd(model, fs, conditions), None
+    return _formula_plan(program, encode_aktd(fs, conditions, dom), dom)
 
 
 def _judged(name: str, plan: Plan, model: Model, start: float) -> CheckRun:

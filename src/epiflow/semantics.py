@@ -5,34 +5,34 @@ over executions and traces, compare, and report the first offending pair.
 They share nothing with the formula evaluator, which makes them usable as
 independent oracles for the epistemic encodings (and vice versa).
 
-Each condition is one of two searches:
+Every condition is one search, ``check_nitd``: noninterference modulo
+temporal declassifications.  A policy is a list of conditions, which
+``policyfile.policy_pieces`` builds.  oni has none; nid's
+``declassify: e`` is ``when: true ==> e``; er's ``release: r = e`` is
+``when: r ==> e``, since a release flag, once set, stays set; and nani is
+nid on the model of the runs' abstracted results (``model.results_model``),
+with nothing public and ``eta`` and ``phi`` declassified from the start.
 
-* ``check_nid`` (oni, nid, and nani) groups runs by their low values and
-  declassified values, and finds the first run whose full trace differs
-  from that of the first run of its group.  nani is nid on the model of
-  the runs' abstracted results (``model.results_model``), with nothing
-  public and ``eta`` and ``phi`` as the declassified predicates.
-* ``_first_unmatched`` (nitd, and er as nitd) looks for a point whose
-  trace some partner never produces: a low-equal run that agrees with the
-  point's run on every value released at that point.  A release flag,
-  once set, stays set, so ``release: r = e`` is the condition
-  ``when: r ==> e``, and er is nitd over its flags.  The search visits
-  only the first position of each epoch block on each run.  Along a run
-  the released values only grow (a condition that has held stays
-  triggered), and agreeing on more values admits fewer partners.  So a
-  block's first position demands the most: when a later position of the
-  block fails, the first fails too, with the same earliest partner, and
-  the first failure found is the one a scan of every position would
-  find.  nitd passes the search its releases as data: per run, the
-  releasable values, and the first position at which each is released.
-  Runs that agree on their low values, those values, those positions and
-  their trace ids meet the same demands, so only the first run of each
-  such class is scanned, and a class can fail only where its first run
-  does.  The partners of a low group are grouped by the values each
-  demand agrees on, once, with the trace ids they all produce (a hash
-  join, as in ``logic``'s agreement guard, but sharing no code with it);
-  a demand then passes by lookup, and only a failure looks for its first
-  partner in run order.
+The search, ``_first_unmatched``, looks for a point whose trace some
+partner never produces: a low-equal run that agrees with the point's run
+on every value released at that point.  It visits only the first position
+of each epoch block on each run.  Along a run the released values only
+grow (a condition that has held stays triggered), and agreeing on more
+values admits fewer partners.  So a block's first position demands the
+most: when a later position of the block fails, the first fails too, with
+the same earliest partner, and the first failure found is the one a scan
+of every position would find.  ``check_nitd`` passes the search its
+releases as data: per run, the releasable values, and the first position
+at which each is released.  A condition that reads nothing holds from the
+start or never, so when no condition reads the store no run is walked to
+find them.  Runs that agree on their low values, those values, those
+positions and their trace ids meet the same demands, so only the first run
+of each such class is scanned, and a class can fail only where its first
+run does.  The partners of a low group are grouped by the values each
+demand agrees on, once, with the trace ids they all produce (a hash join,
+as in ``logic``'s agreement guard, but sharing no code with it); a demand
+then passes by lookup, and only a failure looks for its first partner in
+run order.
 
 Every checker refuses tainted models: a lasso or an out-of-budget
 execution makes the bounded model an unsound stand-in for the real one,
@@ -43,13 +43,13 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import compress
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .lang import compile_expr
 from .model import Execution, Model
-from .policies import (FlowSpec, InitPredicate, PolicyError, ReleaseSpec,
-                       TemporalDeclassification, condition_ids)
+from .policies import (FlowSpec, PolicyError, TemporalDeclassification,
+                       condition_ids)
 from .verdicts import Outcome, Stats, Verdict, Witness
 
 
@@ -67,18 +67,10 @@ def _store_items(m: Model, ex: Execution) -> tuple:
     return tuple((n, ex.init_store[n]) for n in m.variables)
 
 
-def _reader(names: Sequence[str]) -> Callable[[Mapping], tuple]:
-    """The values of ``names`` in a store, always as a tuple."""
-    if len(names) > 1:
-        return itemgetter(*names)
-    if names:
-        name = names[0]
-        return lambda store: (store[name],)
-    return lambda store: ()
-
-
-def _full_trace(ex: Execution) -> int:
-    return ex.trace_ids[len(ex)]
+def _reader(names: Sequence[str]) -> Callable[[Mapping], object]:
+    """A key of the values of ``names`` in a store: two stores give equal
+    keys exactly when they agree on those values."""
+    return itemgetter(*names) if names else lambda store: ()
 
 
 def _produces(ex: Execution, tid: int) -> bool:
@@ -86,40 +78,6 @@ def _produces(ex: Execution, tid: int) -> bool:
     ids = ex.trace_ids
     i = bisect_left(ids, tid)
     return i < len(ids) and ids[i] == tid
-
-
-def check_oni(m: Model, fs: FlowSpec) -> Verdict:
-    """Output-only noninterference: low-equal starts give equal traces."""
-    return check_nid(m, fs, ())
-
-
-def check_nid(m: Model, fs: FlowSpec, phi) -> Verdict:
-    """Noninterference modulo declassification of the given predicate(s);
-    with none, output-only noninterference.
-
-    Runs are grouped by their low values and declassified values, and the
-    first run whose full trace differs from its group's first run fails.
-    """
-    refused = _refusal(m, fs)
-    if refused:
-        return refused
-    preds = (phi,) if isinstance(phi, InitPredicate) else tuple(phi)
-    low = _reader(fs.low)
-    first_of: dict = {}
-    for ex in m.executions:
-        store, tid = ex.init_store, _full_trace(ex)
-        first, first_tid = first_of.setdefault(
-            (low(store), tuple(p(store) for p in preds)), (ex, tid))
-        if first_tid != tid:
-            return Verdict(Outcome.FAILS, Witness(
-                kind="trace-pair",
-                stores=(("first", _store_items(m, first)),
-                        ("second", _store_items(m, ex))),
-                trace=m.trace_tuple(tid),
-                note=("declassification-equivalent stores with different traces" if preds
-                      else "low-equal initial stores with different traces"),
-            ))
-    return Verdict(Outcome.HOLDS)
 
 
 # --------------------------------------------------------------------------
@@ -172,13 +130,6 @@ def required_set(m: Model, fs: FlowSpec, tds: Iterable[TemporalDeclassification]
         and all(fn(ex.init_store) == v for fn, v in zip(released, expected)))
 
 
-def release_set(m: Model, fs: FlowSpec, rs: ReleaseSpec, store: dict,
-                trace: tuple) -> frozenset:
-    """``required_set`` with each release flag as the condition that
-    releases its expression."""
-    return required_set(m, fs, rs.conditions(m.domain), store, trace)
-
-
 def _masked(values: tuple, mask: tuple[bool, ...]) -> tuple:
     return tuple(compress(values, mask))
 
@@ -187,33 +138,29 @@ def _initial_values(m: Model, ids: Iterable[str],
                     fns: Sequence[Callable[[dict], object]]) -> list[tuple]:
     """Per run, the values of ``fns`` on its initial store, which read only
     ``ids``: computed once per distinct tuple of those initial values."""
-    read = _reader(tuple(dict.fromkeys(ids)))
-    memo: dict[tuple, tuple] = {}
-    out = []
-    for ex in m.executions:
-        key = read(ex.init_store)
-        values = memo.get(key)
-        if values is None:
-            values = memo[key] = tuple(fn(ex.init_store) for fn in fns)
-        out.append(values)
-    return out
+    names = tuple(dict.fromkeys(ids))
+    if not names:  # the same values on every run
+        return [tuple(fn({}) for fn in fns)] * len(m.executions)
+    stores = list(map(attrgetter("init_store"), m.executions))
+    read = _reader(names)
+    # any one store with a key gives that key's values
+    one_per_key = dict(zip(map(read, stores), stores))
+    memo = dict(zip(one_per_key, zip(*(map(fn, one_per_key.values()) for fn in fns))))
+    return list(map(memo.__getitem__, map(read, stores)))
 
 
 def _first_positions(m: Model, tests: Sequence[Callable[[dict], object]]
                      ) -> list[tuple[int | None, ...]]:
     """Per run, the first position at which each test holds of its store,
     or None: computed once per distinct per-point store list (a clone
-    shares its first run's list unless it keeps a dead input).  A model
-    that keeps no store per point has only tests that read nothing, so
-    one run's initial store answers for all."""
+    shares its first run's list unless it keeps a dead input)."""
     memo: dict[int, tuple] = {}
     out = []
     for ex in m.executions:
         key = id(ex.stores)
         firsts = memo.get(key)
         if firsts is None:
-            stores = ex.stores or (ex.init_store,)
-            firsts = memo[key] = tuple(_first_position(stores, test) for test in tests)
+            firsts = memo[key] = tuple(_first_position(ex.stores, test) for test in tests)
         out.append(firsts)
     return out
 
@@ -267,26 +214,33 @@ def _first_unmatched(m: Model, fs: FlowSpec, values: list[tuple],
     between two releases a run then passes by one subset test, and only a
     failure looks for its first partner.
     """
-    read_low = _reader(fs.low)
+    runs, read_low = m.executions, _reader(fs.low)
+    # the first run of each class, by the class's key: walking the runs
+    # backwards, earlier runs overwrite later ones (only a new key is kept)
+    keys = zip(map(read_low, map(attrgetter("init_store"), reversed(runs))), reversed(values),
+               reversed(triggers), map(id, map(attrgetter("trace_ids"), reversed(runs))))
+    first = dict(zip(keys, reversed(runs)))
     # per low key, the first run of each class of it, in run order
-    classes: dict[tuple, dict[tuple, Execution]] = {}
-    order: list[tuple[Execution, tuple, tuple, tuple]] = []
-    for ex, own, firsts in zip(m.executions, values, triggers):
+    classes: dict[object, list[Execution]] = {}
+    order: list[tuple[Execution, object, tuple, tuple]] = []
+    for ex in sorted(first.values(), key=attrgetter("index")):
         low = read_low(ex.init_store)
-        group = classes.setdefault(low, {})
-        if group.setdefault((own, firsts, id(ex.trace_ids)), ex) is ex:
-            order.append((ex, low, own, firsts))
+        classes.setdefault(low, []).append(ex)
+        order.append((ex, low, values[ex.index], triggers[ex.index]))
     common: dict[tuple, dict[tuple, set[int]]] = {}
+    spans: dict[tuple, list[tuple[int, int | None, tuple[bool, ...]]]] = {}
     for ex, low, own, firsts in order:
         tids = ex.trace_ids
-        # from each position where a value is released to the next
-        starts = sorted({0, *filter(None, firsts)})
-        for start, end in zip(starts, [*starts[1:], None]):
-            mask = tuple(t is not None and t <= start for t in firsts)
+        if firsts not in spans:
+            # from each position where a value is released to the next,
+            # with the values released there
+            starts = sorted({0, *filter(None, firsts)})
+            spans[firsts] = [(start, end, tuple(t is not None and t <= start for t in firsts))
+                             for start, end in zip(starts, [*starts[1:], None])]
+        for start, end, mask in spans[firsts]:
             by_agreed = common.get((low, mask))
             if by_agreed is None:
-                by_agreed = common[low, mask] = _produced_by_all(
-                    classes[low].values(), values, mask)
+                by_agreed = common[low, mask] = _produced_by_all(classes[low], values, mask)
             agreed = _masked(own, mask)
             produced = by_agreed[agreed]
             if start and tids[start] == tids[start - 1]:
@@ -297,27 +251,10 @@ def _first_unmatched(m: Model, fs: FlowSpec, values: list[tuple],
                 # ids never decrease along a run, so the first position
                 # whose id is not produced starts its block
                 i = start + next(k for k, tid in enumerate(span) if tid not in produced)
-                other = next(o for o in classes[low].values() if not _produces(o, tids[i])
+                other = next(o for o in classes[low] if not _produces(o, tids[i])
                              and _masked(values[o.index], mask) == agreed)
                 return ex, i, other, tids[i]
     return None
-
-
-def check_er(m: Model, fs: FlowSpec, rs: ReleaseSpec) -> Verdict:
-    """Epistemic release: required uncertainty within actual uncertainty.
-
-    A release flag, once set, stays set, so ``release: r = e`` is the
-    temporal declassification ``when: r ==> e``, and er is nitd over the
-    flags as conditions.  The first point with each trace decides, and it
-    releases the expressions whose flags are set there.  A failure is
-    reported with nitd's ``temporal`` witness.
-    """
-    m.require(rs.flags, "er")
-    refused = _refusal(m, fs)
-    if refused:
-        return refused
-    rs.check_against(m.program, m.domain)
-    return check_nitd(m, fs, rs.conditions(m.domain))
 
 
 def check_nitd(m: Model, fs: FlowSpec,
@@ -329,14 +266,20 @@ def check_nitd(m: Model, fs: FlowSpec,
     must be able to produce the same trace.
     """
     tds = tuple(tds)
-    m.require(condition_ids(tds), "nitd")
+    reads = condition_ids(tds)
+    m.require(reads, "nitd")
     refused = _refusal(m, fs)
     if refused:
         return refused
     values = _initial_values(m, (n for td in tds for n in td.declassified.ids),
                              [td.declassified.fn for td in tds])
-    found = _first_unmatched(m, fs, values, _first_positions(
-        m, [compile_expr(td.condition, m.domain) for td in tds]))
+    tests = [compile_expr(td.condition, m.domain) for td in tds]
+    if reads:
+        triggers = _first_positions(m, tests)
+    else:
+        # each condition holds at every position or at none
+        triggers = [tuple(0 if test({}) else None for test in tests)] * len(m.executions)
+    found = _first_unmatched(m, fs, values, triggers)
     if found is None:
         return Verdict(Outcome.HOLDS)
     ex, i, other, tid = found

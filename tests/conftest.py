@@ -8,9 +8,10 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from epiflow.domain import Domain
 from epiflow.fuzz import FuzzConfig
-from epiflow.lang import parse
+from epiflow.lang import Const, parse
 from epiflow.model import ModelConfig, build_model, results_model
-from epiflow.policyfile import CHECKS, Policy, policy_pieces
+from epiflow.policies import TemporalDeclassification, encode_aktd
+from epiflow.policyfile import Policy, policy_pieces
 
 # the differential sweeps: bool, int:4 with loops, signed int:4 with three
 # identifiers and loops
@@ -53,12 +54,18 @@ def exec_from(model, **values):
     return model.exec_by_values[key]
 
 
+def declassified(*predicates):
+    """``declassify:`` entries as the conditions every check reads:
+    ``when: true ==> p`` for each."""
+    return tuple(TemporalDeclassification(Const(True), p) for p in predicates)
+
+
 def abstract_pair(program, dom, low, eta, phi, rho):
     """aak's formula and the model of the runs' results that aak and nani
     judge, composed from the policy's pieces as the check table does."""
     pieces = policy_pieces(Policy("aak", low, eta=eta, phi=phi, rho=rho), program, dom)
     model = results_model(build_model(program, ModelConfig(dom)), pieces["results"])
-    return CHECKS["aak"].encode(pieces, dom), model
+    return encode_aktd(pieces["fs"], pieces["conditions"], dom), model
 
 
 def garbage_after(call):

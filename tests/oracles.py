@@ -11,11 +11,14 @@ once per initial store with a private lasso table, cloning no run and
 sharing no trace-id list, as the model's builder must agree with.
 ``holds`` evaluates formulas straight from the logic's definitions,
 sharing nothing with the package's evaluator.
-``akr_formula`` is akr as the paper writes it, one implication per set
-of release flags under one G, for the package's encoding (aktd over the
-flags) to be compared with.  ``aktd_formula`` is aktd with a fresh
-``espm`` per set of declassifications, sharing no node between them, for
-the package's encoding (one shared ``espm`` scaffold) to be compared with.
+``esp`` and ``espm`` are the paper's uncertainty formulas, built anew on
+each call, and ``ak_formula`` and ``akd_formula`` the paper's ak and akd:
+``G`` of each.  ``akr_formula`` is akr as the paper writes it, one
+implication per set of release flags under one G.  ``aktd_formula`` is
+aktd with a fresh ``espm`` per set of declassifications, sharing no node
+between them.  The package has one encoder, aktd over a list of
+conditions with one shared ``espm`` scaffold, and these are what it is
+compared with.
 ``guard_solutions`` solves a quantifier block's guard of equalities by
 trying every assignment of the whole product in turn through
 ``eval_expr``, grouping and keeping nothing, for the evaluator's hash join
@@ -37,7 +40,7 @@ from epiflow.lang import (ASSIGN, BRANCH, EXIT, compile_program)
 from epiflow.lang import (Assign, Binary, Const, Expr, HashCall, If, Out,
                           OutLit, Program, Release, Seq, Skip, Stmt, Unary,
                           Var, While, expr_to_source)
-from epiflow.policies import InitPredicate, espm
+from epiflow.policies import InitPredicate, PolicyError
 
 
 def eval_expr(store: dict, e: Expr, dom: Domain):
@@ -381,6 +384,66 @@ def guard_solutions(dom: Domain, guard, names, env: dict) -> list[tuple]:
         if all(eval_expr(bound, g.lhs, dom) == eval_expr(bound, g.rhs, dom) for g in guard):
             found.append(values)
     return found
+
+
+def _renamed(e: Expr, names: dict) -> Expr:
+    match e:
+        case Const():
+            return e
+        case Var(name):
+            return Var(names.get(name, name))
+        case Unary(op, arg):
+            return Unary(op, _renamed(arg, names))
+        case HashCall(arg):
+            return HashCall(_renamed(arg, names))
+        case Binary(op, lhs, rhs):
+            return Binary(op, _renamed(lhs, names), _renamed(rhs, names))
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _inits(names, values) -> lg.Formula:
+    return lg.conj(tuple(lg.Init(n, Var(v)) for n, v in zip(names, values)))
+
+
+def esp(fs, dom):
+    """Every initial secret is possible, for the actual public inputs:
+    forall l'. (init_l(l') -> forall h''. L(init_l(l') && init_h(h'')))."""
+    low_vars = [n + "'" for n in fs.low]
+    high_vars = [n + "''" for n in fs.high]
+    possible = lg.L(_inits(fs.low + fs.high, low_vars + high_vars))
+    return lg.foralls(low_vars, lg.implies(_inits(fs.low, low_vars),
+                                           lg.foralls(high_vars, possible)))
+
+
+def espm(fixed_low, high, predicates, dom):
+    """Every initial secret agreeing on the predicates is possible:
+    forall l' h'. init_l(l') && init_h(h') ->
+        forall h''. (p[l', h'] == p[l', h''] for each p) -> L(init_l(l') && init_h(h''))."""
+    names = tuple(fixed_low) + tuple(high)
+    premise = {n: n + "'" for n in names}
+    alternative = {**premise, **{n: n + "''" for n in high}}
+    agreements = []
+    for p in predicates:
+        outside = [n for n in p.ids if n not in premise]
+        if outside:
+            raise PolicyError(f"declassification {p.label!r} mentions {outside[0]!r}, "
+                              "which is neither fixed-public nor secret")
+        agreements += [lg.Eq(_renamed(e, premise), _renamed(e, alternative)) for e in p.exprs]
+    possible = lg.L(_inits(names, [alternative[n] for n in names]))
+    return lg.foralls([premise[n] for n in names], lg.implies(
+        _inits(names, [premise[n] for n in names]),
+        lg.foralls([alternative[n] for n in high],
+                   lg.implies(lg.conj(tuple(agreements)), possible))))
+
+
+def ak_formula(fs, dom):
+    """Absence of knowledge: G esp."""
+    return lg.G(esp(fs, dom))
+
+
+def akd_formula(fs, predicates, dom):
+    """Absence of knowledge modulo the declassified predicates: G espm."""
+    return lg.G(espm(fs.low, fs.high, predicates, dom))
 
 
 def akr_formula(fs, rs, dom):

@@ -13,12 +13,12 @@ from epiflow.fuzz import FuzzConfig, fuzz_equivalences, generate_program
 from epiflow.lang import parse, parse_expression
 from epiflow.logic import K, L, Not, model_satisfies, satisfies
 from epiflow.model import ModelConfig, Point, accessible, build_model
+import oracles
+from conftest import declassified
 from epiflow.policies import (FlowSpec, InitPredicate, ReleaseSpec,
-                              TemporalDeclassification, encode_ak, encode_akd,
-                              encode_akr, encode_aktd, esp, espm)
+                              TemporalDeclassification, encode_aktd)
 from epiflow.policyfile import Policy, run_check
-from epiflow.semantics import (check_er, check_nitd, check_oni,
-                               knowledge_set, release_set)
+from epiflow.semantics import check_nitd, knowledge_set, required_set
 from epiflow.verdicts import Outcome
 
 BOOL = Domain.booleans()
@@ -44,15 +44,15 @@ def test_criterion_01_output_of_public_vs_secret():
     m = build_model(program, ModelConfig(BOOL))
     public_y = FlowSpec.from_low(program, ["y"])
     public_x = FlowSpec.from_low(program, ["x"])
-    oni_fail = check_oni(m, public_x)
-    ak_fail = model_satisfies(m, encode_ak(public_x, BOOL))
+    oni_fail = check_nitd(m, public_x, ())
+    ak_fail = model_satisfies(m, encode_aktd(public_x, (), BOOL))
     confirm(1, "copied public output holds; echoed secret fails on (tt,ff)", {
-        "oni-holds": check_oni(m, public_y).outcome is HOLDS,
-        "ak-holds": model_satisfies(m, encode_ak(public_y, BOOL)).outcome is HOLDS,
+        "oni-holds": check_nitd(m, public_y, ()).outcome is HOLDS,
+        "ak-holds": model_satisfies(m, encode_aktd(public_y, (), BOOL)).outcome is HOLDS,
         "oni-fails": oni_fail.outcome is FAILS,
-        "oni-witness": oni_fail.witness.store("second") == {"x": True, "y": False},
+        "oni-witness": oni_fail.witness.store("partner") == {"x": True, "y": False},
         "ak-fails": ak_fail.outcome is FAILS,
-        "ak-witness": ak_fail.witness.binding_map == {"x'": True, "y''": False},
+        "ak-witness": ak_fail.witness.binding_map == {"x'": True, "y'": True, "y''": False},
     })
 
 
@@ -60,11 +60,11 @@ def test_criterion_02_zero_test_declassification():
     program = parse("if h == 0 then { out 1 } else { out 2 }", INT4)
     m = build_model(program, ModelConfig(INT4))
     fs = FlowSpec.from_low(program, [])
-    weaker = model_satisfies(m, encode_akd(fs, pred("h >= 0", INT4), INT4))
+    weaker = model_satisfies(m, encode_aktd(fs, declassified(pred("h >= 0", INT4)), INT4))
     confirm(2, "zero-test leak; declassifying zeroness heals it, sign does not", {
-        "ak-fails": model_satisfies(m, encode_ak(fs, INT4)).outcome is FAILS,
+        "ak-fails": model_satisfies(m, encode_aktd(fs, (), INT4)).outcome is FAILS,
         "akd-zero-holds": model_satisfies(
-            m, encode_akd(fs, pred("h == 0", INT4), INT4)).outcome is HOLDS,
+            m, encode_aktd(fs, declassified(pred("h == 0", INT4)), INT4)).outcome is HOLDS,
         "akd-sign-fails": weaker.outcome is FAILS,
         "witness-pair": weaker.witness.binding_map == {"h'": 0, "h''": 1},
     })
@@ -75,9 +75,9 @@ def test_criterion_03_secret_equality():
     m = build_model(program, ModelConfig(BOOL))
     fs = FlowSpec.from_low(program, [])
     confirm(3, "equality of two secrets leaks; declassifying it is enough", {
-        "ak-fails": model_satisfies(m, encode_ak(fs, BOOL)).outcome is FAILS,
+        "ak-fails": model_satisfies(m, encode_aktd(fs, (), BOOL)).outcome is FAILS,
         "akd-holds": model_satisfies(
-            m, encode_akd(fs, pred("h1 == h2", BOOL), BOOL)).outcome is HOLDS,
+            m, encode_aktd(fs, declassified(pred("h1 == h2", BOOL)), BOOL)).outcome is HOLDS,
     })
 
 
@@ -109,7 +109,7 @@ def test_criterion_05_bounded_secret_loop():
     m = build_model(program, ModelConfig(INT4))
     fs = FlowSpec.from_low(program, ["x", "max"])
     phi = pred("(0 <= h) && (h <= max)", INT4)
-    akd = model_satisfies(m, encode_akd(fs, phi, INT4))
+    akd = model_satisfies(m, encode_aktd(fs, declassified(phi), INT4))
     elapsed = time.monotonic() - start
     confirm(5, "secret bounded by max: counting output is declassified", {
         "akd-holds": akd.outcome is HOLDS,
@@ -132,17 +132,19 @@ def test_criterion_06_release_points():
     mv = build_model(variant, ModelConfig(BOOL))
     fsv = FlowSpec.from_low(variant, ["l"])
     rsv = ReleaseSpec((("r2", parse_expression("h2")),))
+    # release: r = e is when: r ==> e
+    released, released_v = rs.conditions(BOOL), rsv.conditions(BOOL)
 
     confirm(6, "release-then-output holds; dropping the first release fails", {
-        "akr-holds": model_satisfies(m, encode_akr(fs, rs, BOOL)).outcome is HOLDS,
-        "er-holds": check_er(m, fs, rs).outcome is HOLDS,
+        "akr-holds": model_satisfies(m, encode_aktd(fs, released, BOOL)).outcome is HOLDS,
+        "er-holds": check_nitd(m, fs, released).outcome is HOLDS,
         "k-empty": knowledge_set(m, fs, s0, ()) == low_tt,
-        "r-empty": release_set(m, fs, rs, s0, ()) == low_tt,
+        "r-empty": required_set(m, fs, released, s0, ()) == low_tt,
         "k-tt": knowledge_set(m, fs, s0, (True,)) == released_h1,
-        "r-tt": release_set(m, fs, rs, s0, (True,)) == released_h1,
+        "r-tt": required_set(m, fs, released, s0, (True,)) == released_h1,
         "akr-variant-fails": model_satisfies(
-            mv, encode_akr(fsv, rsv, BOOL)).outcome is FAILS,
-        "er-variant-fails": check_er(mv, fsv, rsv).outcome is FAILS,
+            mv, encode_aktd(fsv, released_v, BOOL)).outcome is FAILS,
+        "er-variant-fails": check_nitd(mv, fsv, released_v).outcome is FAILS,
     })
 
 
@@ -158,10 +160,11 @@ def test_criterion_07_hash_release():
     leaky = parse(base + "; out (x mod 3)", dom)
     ml = build_model(leaky, ModelConfig(dom))
     confirm(7, "hashed-check release holds; extra mod-3 output overshoots it", {
-        "akr-holds": model_satisfies(m, encode_akr(fs, rs, dom)).outcome is HOLDS,
+        "akr-holds": model_satisfies(
+            m, encode_aktd(fs, rs.conditions(dom), dom)).outcome is HOLDS,
         "akr-leak-fails": model_satisfies(
-            ml, encode_akr(FlowSpec.from_low(leaky, ["in", "l"]), rs,
-                           dom)).outcome is FAILS,
+            ml, encode_aktd(FlowSpec.from_low(leaky, ["in", "l"]), rs.conditions(dom),
+                            dom)).outcome is FAILS,
     })
 
 
@@ -250,10 +253,10 @@ def test_criterion_10_logic_properties():
                     stability &= all(satisfies(m, Point(ex, i), init)
                                      for i in range(len(ex) + 1))
 
-        plain = esp(fs, BOOL)
-        modulo_empty = espm(fs.low, fs.high, (), BOOL)
+        plain = oracles.esp(fs, BOOL)
+        modulo_empty = oracles.espm(fs.low, fs.high, (), BOOL)
         some = (pred(f"{m.variables[-1]} == tt", BOOL),)
-        modulo_some = espm(fs.low, fs.high, some, BOOL)
+        modulo_some = oracles.espm(fs.low, fs.high, some, BOOL)
         for pt in points:
             a = satisfies(m, pt, plain)
             esp_espm &= a == satisfies(m, pt, modulo_empty)

@@ -103,12 +103,13 @@ class TestCheckCommand:
         assert report.witness == (expected if code else None)
 
     def test_text_report_names_the_evaluated_formula(self, workdir, capsys):
-        # the policy's encoding, read back through formula_to_source; a
+        # the policy's encoding, read back through formula_to_source: ak is
+        # aktd with no condition, so G of espm with no agreement; a
         # trace-based check evaluates none
         assert run(["check", "--program", workdir / "copy.wout",
                     "--policy", workdir / "low-y.pol"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[1] == ("evaluates G (forall y' . init(y, y') -> "
+        assert lines[1] == ("evaluates G (forall y' . forall x' . (init(y, y') && init(x, x')) -> "
                             "(forall x'' . L (init(y, y') && init(x, x''))))")
         labels = [line.split()[0] for line in lines if not line.startswith(" ")]
         assert len(labels) == len(set(labels))
@@ -273,14 +274,25 @@ class TestOtherCommands:
     @pytest.mark.parametrize("entry", ["eta: Id", "phi: Id", "rho: Id"])
     def test_knowledge_refuses_entries_it_does_not_read(self, workdir, capsys, entry):
         # eta:, phi: and rho: are nani's and aak's own entries, which a
-        # policy for another check does not carry
+        # policy for another check does not carry; knowledge refuses them
+        # as check does
         (workdir / "other.pol").write_text(f"check: akr\nlow: l\nrelease: r1 = h1\n{entry}\n")
         assert run(["knowledge", "--program", workdir / "release.wout",
                     "--policy", workdir / "other.pol"]) == 3
         key = entry.split(":")[0]
         assert capsys.readouterr().err == (
-            f"error: knowledge reads low:, release:, when: and declassify: entries, "
-            f"not the policy's {key}: entry\n")
+            f"error: check 'akr' does not read the policy's {key}: entry\n")
+
+    @pytest.mark.parametrize("command", ["check", "knowledge"])
+    def test_knowledge_reads_a_policy_as_check_does(self, tmp_path, capsys, command):
+        # oni does not read declassify:, so neither command may drop it and
+        # call the leak secure
+        (tmp_path / "leak.wout").write_text("l := h; out l\n")
+        (tmp_path / "oni.pol").write_text("check: oni\nlow: l\ndeclassify: h\n")
+        assert run([command, "--program", tmp_path / "leak.wout", "--policy",
+                    tmp_path / "oni.pol", "--domain", "int:4"]) == 3
+        assert capsys.readouterr().err == (
+            "error: check 'oni' does not read the policy's declassify: entry\n")
 
     @pytest.mark.parametrize("program, params, init, code, rows", [
         ("if h >= 0 then { l := 2*l*h } else { l := 2*l*h + 1 }",
@@ -412,6 +424,24 @@ class TestOtherCommands:
                     assert run(["check", *args]) == 3, check
                     assert capsys.readouterr().err == (
                         "error: powerset construction capped at 6 elements; got 7\n" * 2)
+
+    def test_declassify_entries_are_not_capped(self, tmp_path, capsys):
+        # each declassify: entry is when: true ==> e, fired from the start,
+        # so it is not one of the conditions aktd enumerates subsets of
+        (tmp_path / "p.wout").write_text("if h > 1 then { out l } else { out l + 1 }\n")
+        args = ["--program", tmp_path / "p.wout", "--policy", tmp_path / "p.pol",
+                "--domain", "int:8"]
+        entries = "".join(f"declassify: h + {i}\n" for i in range(7))
+        codes = {}
+        for check in ("akd", "nid"):
+            (tmp_path / "p.pol").write_text(f"check: {check}\nlow: l\n{entries}")
+            codes[check] = run(["check", *args])
+            assert run(["diff", *args]) == 0, check
+        assert codes == {"akd": 0, "nid": 0}
+        (tmp_path / "p.pol").write_text("check: akd\nlow: l\ndeclassify: h > 2\n"
+                                        "declassify: h == 0\n")
+        assert run(["check", *args]) == 1
+        assert "FAILS" in capsys.readouterr().out
 
     def test_fuzz_smoke(self, capsys):
         code = run(["fuzz", "--count", "5", "--seed", "3"])

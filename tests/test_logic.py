@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import abstract_pair, exec_from, garbage_after
+from conftest import abstract_pair, declassified, exec_from, garbage_after
 from epiflow.domain import Domain
 from epiflow.fuzz import (FuzzConfig, _abstractions_for, _gen_expr, generate_case,
                           generate_program)
@@ -18,8 +18,7 @@ from epiflow.logic import (And, Eq, Evaluation, Exists, F, Ff, Forall, G, Implie
 from epiflow.model import ModelConfig, Point, build_model
 from epiflow.policyfile import policy_pieces
 from epiflow.policies import (FlowSpec, InitPredicate, ReleaseSpec,
-                              TemporalDeclassification, encode_ak,
-                              encode_akd, encode_akr, encode_aktd)
+                              TemporalDeclassification, encode_aktd)
 from epiflow.verdicts import Outcome
 
 BOOL = Domain.booleans()
@@ -170,15 +169,16 @@ class TestModelSatisfies:
 
     def test_loop_witness(self):
         # after seeing 0 then 1, the observer knows h = 1; the first
-        # alternative that is no longer possible is h'' = 0
+        # alternative that is no longer possible is h'' = 0 (the premise
+        # binds the run's own initial values)
         program, m = loop_model()
-        verdict = model_satisfies(m, encode_ak(FlowSpec.from_low(program, ["l"]), INT4))
+        verdict = model_satisfies(m, encode_aktd(FlowSpec.from_low(program, ["l"]), (), INT4))
         assert verdict.outcome is Outcome.FAILS
         w = verdict.witness
         assert w.stores == (("initial", (("x", 0), ("h", 1), ("l", 0))),)
         assert w.point_index == 6
         assert w.trace == (0, 1)
-        assert w.bindings == (("l'", 0), ("x''", 0), ("h''", 0))
+        assert w.bindings == (("l'", 0), ("x'", 0), ("h'", 1), ("x''", 0), ("h''", 0))
 
 
 class TestLogicProperties:
@@ -260,14 +260,14 @@ class TestEvaluatorTransparency:
     def test_verdicts_identical_without_cache_or_dispatch(self):
         for m in random_models(6, seed=8):
             fs = FlowSpec.from_low(m.program, m.variables[:1])
-            matches_reference(m, encode_ak(fs, BOOL))
+            matches_reference(m, encode_aktd(fs, (), BOOL))
 
     def test_akd(self):
         for index, m in enumerate(random_models(4, seed=9, domain=INT4)):
             names = m.variables
             fs = FlowSpec.from_low(m.program, names[:1])
             preds = (pred(f"{names[index % len(names)]} < 2", INT4),)
-            matches_reference(m, encode_akd(fs, preds, INT4))
+            matches_reference(m, encode_aktd(fs, declassified(*preds), INT4))
 
     def test_aak_with_sign_and_parity(self):
         dom = Domain.integers(4, signed=True)
@@ -287,7 +287,7 @@ class TestEvaluatorTransparency:
             names = program.variables
             rs = ReleaseSpec((("r1", Var(names[0])), ("r2", Var(names[-1]))))
             fs = FlowSpec.from_low(program, names[:1])
-            matches_reference(m, encode_akr(fs, rs, BOOL))
+            matches_reference(m, encode_aktd(fs, rs.conditions(BOOL), BOOL))
 
     # release programs, with their releases and public identifiers: flags
     # set before, after and in only some runs of the outputs they cover
@@ -312,7 +312,7 @@ class TestEvaluatorTransparency:
         m = build_model(program, ModelConfig(dom))
         rs = ReleaseSpec(tuple((flag, parse_expression(e)) for flag, e in releases.items()))
         fs = FlowSpec.from_low(program, low)
-        f = encode_akr(fs, rs, dom)
+        f = encode_aktd(fs, rs.conditions(dom), dom)
         agrees_at_every_point(m, f)
         paper, memo = oracles.akr_formula(fs, rs, dom), {}
         values = [satisfies(m, pt, f) for pt in all_points(m)]
@@ -399,16 +399,16 @@ class TestKeyedGuards:
         f, m = abstract_pair(program, dom, ("l",), *params)
         agrees_at_every_point(m, f)
 
-    @pytest.mark.parametrize("text, declassified", [
+    @pytest.mark.parametrize("text, text_of", [
         ("if h < l then { out l } else { out h mod 2 }", "h < l"),
         ("out (l + h) mod 2; if l == 0 then { out h } else { skip }", "(l + h) mod 2"),
     ], ids=["less-then-parity", "sum-parity-then-all"])
-    def test_akd_declassifying_low_and_high(self, text, declassified):
+    def test_akd_declassifying_low_and_high(self, text, text_of):
         # the agreement's near side reads the premise's public value as
         # well as the alternative secret, so it is grouped per public value
         program = parse(text, INT4)
         m = build_model(program, ModelConfig(INT4))
-        f = encode_akd(FlowSpec.from_low(program, ("l",)), (pred(declassified, INT4),), INT4)
+        f = encode_aktd(FlowSpec.from_low(program, ("l",)), declassified(pred(text_of, INT4)), INT4)
         agrees_at_every_point(m, f)
         assert {satisfies(m, pt, f) for pt in all_points(m)} == {True, False}
 
@@ -448,7 +448,7 @@ class TestKeyedGuards:
     def test_akd_solves_the_guard_once_per_public_value(self):
         dom = Domain.integers(16)
         program = parse(LOOP, dom)
-        f = encode_akd(FlowSpec.from_low(program, ("l",)), (pred("l + h", dom),), dom)
+        f = encode_aktd(FlowSpec.from_low(program, ("l",)), declassified(pred("l + h", dom)), dom)
         ev = Evaluation(program, dom)
         verdict = model_satisfies(build_model(program, ModelConfig(dom)), f, ev)
         assert verdict.outcome is Outcome.HOLDS
@@ -677,7 +677,7 @@ class TestMemoLevels:
 
     def test_scans_visit_each_epoch_block_once(self):
         program, m = loop_model()
-        f = encode_akd(FlowSpec.from_low(program, ["l"]), (pred("h", INT4),), INT4)
+        f = encode_aktd(FlowSpec.from_low(program, ["l"]), declassified(pred("h", INT4)), INT4)
         ev = evaluation(m, CountingEvaluation)
         root = ev.compile(f)
         ev.counted = root.kids[0]
@@ -717,7 +717,12 @@ class TestMemoLevels:
                               ("x''", 0), ("h''", 4))
 
 
-def c7_akr(leaky=False, encode=encode_akr):
+def _akr(fs, rs, dom):
+    """akr: aktd with each ``release: r = e`` as ``when: r ==> e``."""
+    return encode_aktd(fs, rs.conditions(dom), dom)
+
+
+def c7_akr(leaky=False, encode=_akr):
     """Acceptance item 7: the hashed-check program under akr, with its
     check released; the leaky variant also outputs x mod 3.  ``encode``
     gives the akr formula."""
@@ -965,19 +970,22 @@ class TestClassesAndClosedParts:
 
     def test_payment_policy_drops_the_goals_that_always_fire(self):
         # when: true ==> cost > max fires at once, so every W whose goal
-        # waits for it holds: four of the eight conjuncts fold away
+        # waits for it holds: four of the paper's eight conjuncts fold away
+        # when planned, and the encoder leaves them out
         dom = Domain.integers(4)
         program = parse((Path(__file__).parents[1] / "samples" / "payment.wout").read_text(), dom)
         fs = FlowSpec.from_low(program, ("paid", "note", "max"))
         tds = [TemporalDeclassification(parse_expression(c), pred(e, dom)) for c, e in
                (("true", "cost > max"), ("cost <= max", "cost"), ("paid >= cost", "data"))]
         f = encode_aktd(fs, tds, dom)
-        root = evaluation(build_model(program, ModelConfig(dom))).compile(f)
-        assert len(f.children) == 8 and len(root.kids) == 4
+        paper = oracles.aktd_formula(fs, tds, dom)
+        ev = evaluation(build_model(program, ModelConfig(dom)))
+        assert len(paper.children) == 8 and len(ev.compile(paper).kids) == 4
+        assert len(f.children) == 4 and len(ev.compile(f).kids) == 4
 
     def test_binder_only_blocks_ask_their_body_once(self):
         program, m = loop_model()
-        f = encode_akd(FlowSpec.from_low(program, ["l"]), (pred("h", INT4),), INT4)
+        f = encode_aktd(FlowSpec.from_low(program, ["l"]), declassified(pred("h", INT4)), INT4)
         ev = evaluation(m)
         premise = ev.compile(f).kids[0]
         assert premise.compute is Evaluation._bound
@@ -1155,14 +1163,15 @@ def encoded(encoder, rng, dom):
 
     match encoder:
         case "ak":
-            return encode_ak(fs, dom)
+            return encode_aktd(fs, (), dom)
         case "akd":
-            return encode_akd(fs, [predicate(2) for _ in range(rng.randint(1, 2))], dom)
+            return encode_aktd(fs, declassified(*(predicate(2) for _ in range(rng.randint(1, 2)))),
+                               dom)
         case "aak":
             eta, phi, rho = (rng.choice(_abstractions_for(dom)) for _ in range(3))
             return abstract_pair(program, dom, fs.low or names[:1], eta, phi, rho)[0]
         case "akr":
-            return encode_akr(fs, ReleaseSpec(tuple((f, expr(2)) for f in program.flags)), dom)
+            return _akr(fs, ReleaseSpec(tuple((f, expr(2)) for f in program.flags)), dom)
         case "aktd":
             return encode_aktd(fs, [TemporalDeclassification(expr(1), predicate(1))
                                     for _ in range(rng.randint(0, 2))], dom)

@@ -1,25 +1,26 @@
 import itertools
 import random
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import oracles
-from conftest import SWEEP_IDS, SWEEPS, abstract_pair
+from conftest import SWEEP_IDS, SWEEPS, abstract_pair, declassified
 from epiflow.domain import Domain
 from epiflow.fuzz import FuzzConfig, generate_case, generate_program
 from epiflow.lang import Binary, Const, Out, Seq, Var, parse, parse_expression
 from epiflow.logic import (And, Eq, Evaluation, Forall, G, Implies, Init, K, L, Not, W,
                            model_satisfies, satisfies)
 from epiflow.model import ModelConfig, Point, build_model
-from epiflow.policyfile import (CHECKS, Policy, judged_model, load_policy, policy_pieces,
+from epiflow.policyfile import (Policy, judged_model, load_policy, policy_pieces,
                                 run_both_sides)
 from epiflow.policies import (FlowSpec, InitPredicate, PolicyError,
                               ReleaseSpec, TemporalDeclassification, condition_ids,
-                              encode_ak, encode_akd, encode_akr,
-                              encode_aktd, esp, espm)
-from epiflow.semantics import check_nitd, check_oni
+                              encode_aktd, primed)
+from epiflow.semantics import check_nitd
+from oracles import esp, espm
 from epiflow.verdicts import Outcome
 
 BOOL = Domain.booleans()
@@ -66,6 +67,9 @@ class TestFlowSpec:
 
 
 class TestEspShape:
+    """The paper's esp, which ``oracles`` builds for the encoder to be
+    compared with."""
+
     def test_warmup_formula_shape(self):
         program = parse("x := y; out y")
         fs = FlowSpec.from_low(program, ["y"])
@@ -110,6 +114,9 @@ class TestEspShape:
 
 
 class TestEspmProperties:
+    """The paper's espm, as ``oracles`` builds it, and the production
+    encoder's espm for one declassification."""
+
     def test_empty_predicate_set_matches_esp(self):
         for m in models_for(10, seed=22):
             names = m.variables
@@ -142,9 +149,10 @@ class TestEspmProperties:
                     assert satisfies(m, pt, modulo)
 
     def test_alternatives_grouped_by_agreement_class(self):
-        # the alternatives h'' that must stay possible agree with h' on h == 0
+        # the alternatives h'' that must stay possible agree with h' on h == 0;
+        # declassified from the start, it is one espm, for good
         dom = Domain.integers(2)
-        f = espm(("l",), ("h",), (pred("h == 0", dom),), dom)
+        f = encode_aktd(FlowSpec(("l",), ("h",)), declassified(pred("h == 0", dom)), dom)
 
         def zero(name):
             return Binary("==", Var(name), Const(0))
@@ -154,11 +162,12 @@ class TestEspmProperties:
             Forall("h''", Implies(
                 Eq(zero("h'"), zero("h''")),
                 L(And((Init("l", Var("l'")), Init("h", Var("h''"))))))))))
-        assert f == expected
+        assert f == G(expected)
+        assert expected == espm(("l",), ("h",), (pred("h == 0", dom),), dom)
 
     def test_predicate_over_unknown_identifier(self):
         with pytest.raises(PolicyError, match="neither"):
-            espm(("l",), ("h",), (pred("k == 0", INT4),), INT4)
+            encode_aktd(FlowSpec(("l",), ("h",)), declassified(pred("k == 0", INT4)), INT4)
 
 
 class UngroupedEvaluation(Evaluation):
@@ -186,7 +195,7 @@ class TestAgreementGuard:
         for pair, index in itertools.product(("nani-aak", "nid-akd"), range(cfg.count)):
             program, policy = generate_case(pair, index, cfg)
             pieces = policy_pieces(policy, program, cfg.domain)
-            f = CHECKS[CHECKS[policy.check].twin].encode(pieces, cfg.domain)
+            f = encode_aktd(pieces["fs"], pieces["conditions"], cfg.domain)
             ev = Evaluation(program, cfg.domain)
             ev.compile(f)
             m = judged_model(program, ModelConfig(cfg.domain, bound=cfg.bound), ev.reads, pieces)
@@ -199,21 +208,44 @@ class TestAgreementGuard:
 
 
 class TestAbsenceOfKnowledge:
+    """ak is aktd with no condition."""
+
     def test_warmup_holds_with_x_high(self, copy_out_model):
         fs = FlowSpec.from_low(copy_out_model.program, ["y"])
-        v = model_satisfies(copy_out_model, encode_ak(fs, BOOL))
+        v = model_satisfies(copy_out_model, encode_aktd(fs, (), BOOL))
         assert v.outcome is Outcome.HOLDS
 
     def test_implicit_flow_fails(self):
         m = build_model(parse("if h == 0 then { out 1 } else { out 2 }", INT4),
                         ModelConfig(INT4))
         fs = FlowSpec.from_low(m.program, [])
-        assert model_satisfies(m, encode_ak(fs, INT4)).outcome is Outcome.FAILS
+        assert model_satisfies(m, encode_aktd(fs, (), INT4)).outcome is Outcome.FAILS
 
     def test_silent_program_holds(self):
         m = build_model(parse("skip", BOOL), ModelConfig(BOOL))
         fs = FlowSpec.from_low(m.program, [])
-        assert model_satisfies(m, encode_ak(fs, BOOL)).outcome is Outcome.HOLDS
+        assert model_satisfies(m, encode_aktd(fs, (), BOOL)).outcome is Outcome.HOLDS
+
+    @pytest.mark.parametrize("cfg", SWEEPS, ids=SWEEP_IDS)
+    def test_same_verdicts_and_witnesses_as_the_papers_formula(self, cfg):
+        # G esp, which quantifies only the public premise: the witness
+        # names the same run, point and alternative, and the encoder's
+        # bindings add the secret premise values
+        outcomes = set()
+        for index in range(100):
+            program, policy = generate_case("oni-ak", index, cfg)
+            fs = policy_pieces(policy, program, cfg.domain)["fs"]
+            m = build_model(program, ModelConfig(cfg.domain, bound=cfg.bound))
+            got = model_satisfies(m, encode_aktd(fs, (), cfg.domain))
+            paper = model_satisfies(m, oracles.ak_formula(fs, cfg.domain))
+            assert got.outcome is paper.outcome, index
+            if paper.witness is not None:
+                assert replace(got.witness, bindings=()) == replace(paper.witness, bindings=())
+                assert set(paper.witness.bindings) <= set(got.witness.bindings), index
+                assert {v for v, _ in got.witness.bindings} \
+                    - {v for v, _ in paper.witness.bindings} == {primed(n) for n in fs.high}
+            outcomes.add(got.outcome)
+        assert outcomes == {Outcome.HOLDS, Outcome.FAILS}
 
 
 @pytest.fixture(scope="module")
@@ -226,12 +258,12 @@ class TestDeclassification:
 
     def test_declassifying_the_branch_predicate(self, zero_test_model):
         fs = FlowSpec.from_low(zero_test_model.program, [])
-        f = encode_akd(fs, pred("h == 0", INT4), INT4)
+        f = encode_aktd(fs, declassified(pred("h == 0", INT4)), INT4)
         assert model_satisfies(zero_test_model, f).outcome is Outcome.HOLDS
 
     def test_weaker_declassification_fails_with_witness(self, zero_test_model):
         fs = FlowSpec.from_low(zero_test_model.program, [])
-        f = encode_akd(fs, pred("h >= 0", INT4), INT4)
+        f = encode_aktd(fs, declassified(pred("h >= 0", INT4)), INT4)
         verdict = model_satisfies(zero_test_model, f)
         assert verdict.outcome is Outcome.FAILS
         assert verdict.witness.binding_map == {"h'": 0, "h''": 1}
@@ -239,9 +271,26 @@ class TestDeclassification:
     def test_true_predicate_collapses_to_plain_ak(self):
         for m in models_for(8, seed=25):
             fs = FlowSpec.from_low(m.program, m.variables[:1])
-            with_true = model_satisfies(m, encode_akd(fs, pred("tt", BOOL), BOOL))
-            plain = model_satisfies(m, encode_ak(fs, BOOL))
+            with_true = model_satisfies(m, encode_aktd(fs, declassified(pred("tt", BOOL)), BOOL))
+            plain = model_satisfies(m, encode_aktd(fs, (), BOOL))
             assert with_true.outcome is plain.outcome
+
+    @pytest.mark.parametrize("cfg", SWEEPS, ids=SWEEP_IDS)
+    def test_same_verdicts_and_witnesses_as_the_papers_formula(self, cfg):
+        # each declassify: entry is when: true ==> e, which has fired from
+        # the start: the encoder asks one espm, as the paper's G espm does
+        outcomes = set()
+        for index in range(100):
+            program, policy = generate_case("nid-akd", index, cfg)
+            pieces = policy_pieces(policy, program, cfg.domain)
+            fs, conditions = pieces["fs"], pieces["conditions"]
+            m = build_model(program, ModelConfig(cfg.domain, bound=cfg.bound))
+            got = model_satisfies(m, encode_aktd(fs, conditions, cfg.domain))
+            paper = model_satisfies(m, oracles.akd_formula(
+                fs, [td.declassified for td in conditions], cfg.domain))
+            assert (got.outcome, got.witness) == (paper.outcome, paper.witness), index
+            outcomes.add(got.outcome)
+        assert outcomes == {Outcome.HOLDS, Outcome.FAILS}
 
 
 class TestAbstractKnowledge:
@@ -284,22 +333,22 @@ class TestRelease:
         m = two_release_model
         fs = FlowSpec.from_low(m.program, ["l"])
         rs = ReleaseSpec((("r1", Var("h1")), ("r2", Var("h2"))))
-        assert model_satisfies(m, encode_akr(fs, rs, BOOL)).outcome is Outcome.HOLDS
+        assert model_satisfies(m, encode_aktd(fs, rs.conditions(BOOL), BOOL)).outcome is Outcome.HOLDS
 
     def test_missing_first_release_fails(self):
         program = parse("l := h1; out l; l := h2; release r2; out l", BOOL)
         m = build_model(program, ModelConfig(BOOL))
         fs = FlowSpec.from_low(program, ["l"])
         rs = ReleaseSpec((("r2", Var("h2")),))
-        verdict = model_satisfies(m, encode_akr(fs, rs, BOOL))
+        verdict = model_satisfies(m, encode_aktd(fs, rs.conditions(BOOL), BOOL))
         assert verdict.outcome is Outcome.FAILS
         assert verdict.witness.trace == (True,) or verdict.witness.trace == (False,)
 
     def test_empty_release_spec_equals_plain_ak(self):
         for m in models_for(8, seed=26):
             fs = FlowSpec.from_low(m.program, m.variables[:1])
-            empty = model_satisfies(m, encode_akr(fs, ReleaseSpec(()), BOOL))
-            plain = model_satisfies(m, encode_ak(fs, BOOL))
+            empty = model_satisfies(m, encode_aktd(fs, ReleaseSpec(()).conditions(BOOL), BOOL))
+            plain = model_satisfies(m, oracles.ak_formula(fs, BOOL))
             assert empty.outcome is plain.outcome
 
     @pytest.mark.parametrize("cfg", SWEEPS, ids=SWEEP_IDS)
@@ -311,9 +360,11 @@ class TestRelease:
         for index in range(cfg.count):
             program, policy = generate_case("akr-er", index, cfg)
             pieces = policy_pieces(policy, program, cfg.domain)
-            fs, rs = pieces["fs"], pieces["releases"]
-            m = build_model(program, ModelConfig(cfg.domain, bound=cfg.bound), rs.flags)
-            got = model_satisfies(m, encode_akr(fs, rs, cfg.domain))
+            fs, conditions = pieces["fs"], pieces["conditions"]
+            rs = ReleaseSpec(tuple((flag, parse_expression(e)) for flag, e in policy.releases))
+            m = build_model(program, ModelConfig(cfg.domain, bound=cfg.bound),
+                            condition_ids(conditions))
+            got = model_satisfies(m, encode_aktd(fs, conditions, cfg.domain))
             paper = model_satisfies(m, oracles.akr_formula(fs, rs, cfg.domain))
             assert (got.outcome, got.witness) == (paper.outcome, paper.witness), index
             outcomes.add(got.outcome)
@@ -322,7 +373,7 @@ class TestRelease:
     def test_powerset_cap(self):
         items = tuple((f"r{i}", Var("h")) for i in range(7))
         with pytest.raises(PolicyError, match="capped"):
-            encode_akr(FlowSpec(("l",), ("h",)), ReleaseSpec(items), BOOL)
+            encode_aktd(FlowSpec(("l",), ("h",)), ReleaseSpec(items).conditions(BOOL), BOOL)
 
 
 class TestTemporal:
@@ -350,31 +401,47 @@ class TestTemporal:
         for m in models_for(6, seed=27):
             fs = FlowSpec.from_low(m.program, m.variables[:1])
             empty = model_satisfies(m, encode_aktd(fs, (), BOOL))
-            plain = model_satisfies(m, encode_ak(fs, BOOL))
+            plain = model_satisfies(m, oracles.ak_formula(fs, BOOL))
             assert empty.outcome is plain.outcome
 
     def test_weak_until_shape(self):
         fs = FlowSpec(("l",), ("h",))
-        td = TemporalDeclassification(Const(True), pred("h", BOOL))
+        td = TemporalDeclassification(Var("l"), pred("h", BOOL))
         f = encode_aktd(fs, (td,), BOOL)
+        # espm until l fires, and espm modulo h for good
         assert isinstance(f, And) and len(f.children) == 2
-        assert all(isinstance(c, W) for c in f.children)
+        assert isinstance(f.children[0], W) and isinstance(f.children[1], G)
+
+    def test_a_condition_fired_from_the_start_joins_every_subset(self):
+        # when: true ==> e leaves one espm, modulo e, for good; a subset
+        # without it would hold at once
+        fs = FlowSpec(("l",), ("h",))
+        always = TemporalDeclassification(Const(True), pred("h", BOOL))
+        assert encode_aktd(fs, (always,), BOOL) == G(espm(("l",), ("h",), (always.declassified,),
+                                                          BOOL))
+        # seven of them are not capped: nid and akd read any number of
+        # declassify: entries
+        f = encode_aktd(fs, (always,) * 7, BOOL)
+        assert isinstance(f, G)
 
     def test_conjuncts_share_one_espm_scaffold(self):
-        # payment's three declassifications give 8 conjuncts, whose espm
-        # instances differ only in their agreement guards: one premise and
-        # one possibility serve them all, an evaluation plans the
-        # possibility and its atoms once, and the premise's atoms, which
-        # only bind quantified values, never
+        # payment's three declassifications, the first on ``true``, give 4
+        # conjuncts, one per subset of the other two, whose espm instances
+        # differ only in their agreement guards: one premise and one
+        # possibility serve them all, the first declassification's
+        # agreement joins every guard, an evaluation plans the possibility
+        # and its atoms once, and the premise's atoms, which only bind
+        # quantified values, never
         program = parse((SAMPLES / "payment.wout").read_text(), INT4)
         pieces = policy_pieces(load_policy(SAMPLES / "payment.pol"), program, INT4)
-        f = encode_aktd(pieces["fs"], pieces["whens"], INT4)
-        parts = [espm_parts(conjunct.lhs) for conjunct in f.children]
-        assert len(parts) == 8
+        f = encode_aktd(pieces["fs"], pieces["conditions"], INT4)
+        parts = [espm_parts(c.lhs if isinstance(c, W) else c.child) for c in f.children]
+        assert len(parts) == 4
         (premise,) = {id(p): p for p, _, _ in parts}.values()
         (possible,) = {id(p): p for _, _, p in parts}.values()
         guards = [agree for _, agree, _ in parts]
-        assert guards[0] is None and len({id(g) for g in guards[1:]}) == 7
+        assert isinstance(guards[0], Eq) and len({id(g) for g in guards}) == 4
+        assert all(any(a is guards[0] for a in g.children) for g in guards[1:])
         ev = Evaluation(program, INT4)
         ev.compile(f)
         planned = Counter(id(node) for node, _ in ev.plans.values())
@@ -392,7 +459,7 @@ class TestTemporal:
         for index in range(cfg.count):
             program, policy = generate_case("nitd-aktd", index, cfg)
             pieces = policy_pieces(policy, program, cfg.domain)
-            tds = pieces["whens"]
+            tds = pieces["conditions"]
             m = build_model(program, ModelConfig(cfg.domain, bound=cfg.bound), condition_ids(tds))
             shared = model_satisfies(m, encode_aktd(pieces["fs"], tds, cfg.domain))
             fresh = model_satisfies(m, oracles.aktd_formula(pieces["fs"], tds, cfg.domain))

@@ -8,7 +8,7 @@ import pytest
 
 from epiflow.cli import main
 from epiflow.domain import Domain
-from epiflow.fuzz import PAIRS
+from epiflow.fuzz import PAIRS, FuzzConfig, generate_case
 from epiflow.lang import LangError, Var, parse
 from epiflow.logic import Evaluation, model_satisfies, parse_formula
 from epiflow.model import ModelConfig, NotKeptError, build_model, results_model
@@ -17,7 +17,7 @@ from epiflow.policies import (FlowSpec, InitPredicate, PolicyError, ReleaseSpec,
 from epiflow.policyfile import (CHECKS, ENTRY_KEYS, EPISTEMIC_CHECKS, EPISTEMIC_OF,
                                 SEMANTIC_CHECKS, CheckRun, Policy, parse_policy, run_both_sides,
                                 run_check)
-from epiflow.semantics import check_er, check_nitd
+from epiflow.semantics import check_nitd
 from epiflow.verdicts import Outcome
 
 BOOL = Domain.booleans()
@@ -216,6 +216,37 @@ class TestBothSides:
         assert len(derived) == 2 * abstract
 
 
+    # the differential sweeps of the CI workflow, every pair in each
+    CI_SWEEPS = {
+        "bool": FuzzConfig(seed=11),
+        "int4-loops": FuzzConfig(seed=29, domain=INT4, loops=True),
+        "signed-int4-3ids": FuzzConfig(seed=5, domain=Domain.integers(4, signed=True),
+                                       ident_count=3),
+        "int4-loops-bound6": FuzzConfig(seed=13, domain=INT4, loops=True, bound=6),
+    }
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    @pytest.mark.parametrize("sweep", CI_SWEEPS)
+    def test_both_witnesses_name_the_same_run_and_point(self, sweep, pair):
+        # both readings search the runs in order for the first point that
+        # breaks the same conditions, so a failure's trace witness observes
+        # the run and point the epistemic witness starts from
+        cfg = self.CI_SWEEPS[sweep]
+        failed = 0
+        for index in range(40):
+            program, policy = generate_case(pair, index, cfg)
+            sem, epi = run_both_sides(program, policy, ModelConfig(cfg.domain, bound=cfg.bound))
+            assert sem.verdict.outcome is epi.verdict.outcome, index
+            if sem.verdict.outcome is Outcome.FAILS:
+                failed += 1
+                trace, epistemic = sem.verdict.witness, epi.verdict.witness
+                assert trace.kind == "temporal", index
+                assert trace.store("observed") == epistemic.store("initial"), index
+                assert trace.point_index == epistemic.point_index, index
+                assert trace.trace == epistemic.trace, index
+        assert failed, pair
+
+
 class TestModelLifetime:
     """A finished check's model is freed by reference counting alone."""
 
@@ -402,8 +433,8 @@ class TestKeptIdentifiers:
         when = TemporalDeclassification(Var("r2"), InitPredicate.from_expression(Var("h2"), BOOL))
         for keep in (frozenset(), frozenset({"l"})):
             m = build_model(program, cfg, keep)
-            with pytest.raises(NotKeptError, match="er reads r1"):
-                check_er(m, fs, rs)
+            with pytest.raises(NotKeptError, match="nitd reads r1"):
+                check_nitd(m, fs, rs.conditions(BOOL))
             with pytest.raises(NotKeptError, match="nitd reads r2"):
                 check_nitd(m, fs, (when,))
             with pytest.raises(NotKeptError, match="formula reads h1, h2"):
@@ -411,5 +442,6 @@ class TestKeptIdentifiers:
             with pytest.raises(NotKeptError, match="formula reads h2"):  # planned once bound
                 Evaluation(program, BOOL).bind(m).compile(parse_formula("F (h2 == l)"))
         m = build_model(program, cfg, frozenset({"r1", "r2", "h1", "h2"}))
-        assert check_er(m, fs, rs).outcome is check_nitd(m, fs, (when,)).outcome
+        assert check_nitd(m, fs, rs.conditions(BOOL)).outcome \
+            is check_nitd(m, fs, (when,)).outcome
         assert model_satisfies(m, parse_formula("G (K (h2 == h1))")).outcome is Outcome.FAILS

@@ -42,7 +42,7 @@ class TestReportFormat:
         report = make_report()
         assert report.outcome == "FAILS"
         assert report.witness["stores"][0]["store"] == {"x": "tt", "y": "tt"}
-        assert report.witness["bindings"] == {"x'": "tt", "y''": "ff"}
+        assert report.witness["bindings"] == {"x'": "tt", "y'": "tt", "y''": "ff"}
         assert report.witness["trace"] == ["tt"]
 
     def test_epoch_count_is_the_number_of_epochs(self):

@@ -4,20 +4,18 @@ from pathlib import Path
 
 import pytest
 
-from conftest import SWEEP_IDS, SWEEPS, exec_from
+from conftest import SWEEP_IDS, SWEEPS, declassified, exec_from
 from oracles import release_failure, temporal_failure
 import epiflow
-from epiflow.cli import knowledge_conditions
 from epiflow.domain import Domain
 from epiflow.fuzz import FuzzConfig, generate_case, generate_program
 from epiflow.lang import (Assign, Const, Seq, Var, While, parse, parse_expression,
                           program_from_body)
 from epiflow.model import ModelConfig, Status, build_model
-from epiflow.policyfile import CHECKS, Policy, judged_model, policy_pieces, run_check
+from epiflow.policyfile import Policy, judged_model, policy_pieces, run_check
 from epiflow.policies import (FlowSpec, InitPredicate, PolicyError,
                               ReleaseSpec, TemporalDeclassification, condition_ids)
-from epiflow.semantics import (_produces, check_er, check_nid, check_nitd,
-                               check_oni, knowledge_set, release_set, required_set)
+from epiflow.semantics import _produces, check_nitd, knowledge_set, required_set
 from epiflow.verdicts import Outcome
 
 BOOL = Domain.booleans()
@@ -59,26 +57,29 @@ class TestIndependentReadings:
 
 
 class TestOni:
+    """oni is nitd with no condition."""
+
     def test_echoing_a_public_value_holds(self, copy_out_model):
         fs = FlowSpec.from_low(copy_out_model.program, ["y"])
-        assert check_oni(copy_out_model, fs).outcome is Outcome.HOLDS
+        assert check_nitd(copy_out_model, fs, ()).outcome is Outcome.HOLDS
 
     def test_echoing_a_secret_fails_with_pair(self, copy_out_model):
         fs = FlowSpec.from_low(copy_out_model.program, ["x"])
-        verdict = check_oni(copy_out_model, fs)
+        verdict = check_nitd(copy_out_model, fs, ())
         assert verdict.outcome is Outcome.FAILS
-        first = verdict.witness.store("first")
-        second = verdict.witness.store("second")
-        assert first == {"x": True, "y": True}
-        assert second == {"x": True, "y": False}
+        # the run from (tt, tt) outputs tt at point 2; (tt, ff) never does
+        assert verdict.witness.kind == "temporal"
+        assert verdict.witness.store("observed") == {"x": True, "y": True}
+        assert verdict.witness.store("partner") == {"x": True, "y": False}
+        assert (verdict.witness.point_index, verdict.witness.trace) == (2, (True,))
 
     def test_silent_program_holds(self):
         m = build_model(parse("skip", BOOL), ModelConfig(BOOL))
-        assert check_oni(m, FlowSpec((), ())).outcome is Outcome.HOLDS
+        assert check_nitd(m, FlowSpec((), ()), ()).outcome is Outcome.HOLDS
 
     def test_diverging_model_refused(self):
         m = build_model(parse("while tt do { skip }", BOOL), ModelConfig(BOOL))
-        assert check_oni(m, FlowSpec((), ())).outcome is Outcome.BOUND_EXCEEDED
+        assert check_nitd(m, FlowSpec((), ()), ()).outcome is Outcome.BOUND_EXCEEDED
 
 
 @pytest.fixture(scope="module")
@@ -89,29 +90,32 @@ def zero_model():
 
 
 class TestNid:
+    """nid is nitd with ``when: true ==> e`` for each ``declassify: e``."""
 
     def test_matching_declassification_holds(self, zero_model):
         fs = FlowSpec.from_low(zero_model.program, [])
-        assert check_nid(zero_model, fs, pred("h == 0", INT4)).outcome \
+        assert check_nitd(zero_model, fs, declassified(pred("h == 0", INT4))).outcome \
             is Outcome.HOLDS
 
     def test_coarser_declassification_fails(self, zero_model):
         fs = FlowSpec.from_low(zero_model.program, [])
-        assert check_nid(zero_model, fs, pred("h >= 0", INT4)).outcome \
+        assert check_nitd(zero_model, fs, declassified(pred("h >= 0", INT4))).outcome \
             is Outcome.FAILS
 
     def test_true_declassification_reduces_to_oni(self, copy_out_model):
         fs = FlowSpec.from_low(copy_out_model.program, ["x"])
-        nid = check_nid(copy_out_model, fs, pred("tt", BOOL))
-        oni = check_oni(copy_out_model, fs)
+        nid = check_nitd(copy_out_model, fs, declassified(pred("tt", BOOL)))
+        oni = check_nitd(copy_out_model, fs, ())
         assert nid.outcome is oni.outcome is Outcome.FAILS
+        assert nid.witness == oni.witness
 
     def test_equality_of_secrets(self):
         m = build_model(
             parse("if h1 then { out !h2 } else { out h2 }", BOOL),
             ModelConfig(BOOL))
         fs = FlowSpec.from_low(m.program, [])
-        assert check_nid(m, fs, pred("h1 == h2", BOOL)).outcome is Outcome.HOLDS
+        assert check_nitd(m, fs, declassified(pred("h1 == h2", BOOL))).outcome \
+            is Outcome.HOLDS
 
 
 class TestNani:
@@ -133,12 +137,12 @@ class TestNani:
     def test_deceptive_flow_detected(self):
         verdict = self.nani("l := 2*l*h*h", self.INT8S, ("l",), "Par", "Id", "Sign")
         assert verdict.outcome is Outcome.FAILS
-        # the first two runs with equal parities of l and equal h whose
-        # results differ in sign; the trace is the second one's result
-        assert verdict.witness.kind == "trace-pair"
-        assert verdict.witness.stores == (("first", (("l", -4), ("h", -3))),
-                                          ("second", (("l", -2), ("h", -3))))
-        assert verdict.witness.trace == (0,)
+        # the first run whose result's sign another run with equal parity
+        # of l and equal h never gives: its trace is that one result
+        assert verdict.witness.kind == "temporal"
+        assert verdict.witness.stores == (("observed", (("l", -4), ("h", -3))),
+                                          ("partner", (("l", -2), ("h", -3))))
+        assert (verdict.witness.point_index, verdict.witness.trace) == (1, (1,))
 
     def test_identity_abstractions_trivially_hold(self):
         verdict = self.nani("l := l * h + 1; k := l", INT4, ("l", "k"), "Id", "Id", "Id")
@@ -186,20 +190,23 @@ class TestKnowledgeSets:
 
 
 class TestReleaseSets:
+    """The required set of ``release: r = e`` entries, each read as the
+    condition ``when: r ==> e``."""
+
     RS = ReleaseSpec((("r1", Var("h1")), ("r2", Var("h2"))))
 
     def test_before_any_release(self, two_release_model):
         m = two_release_model
         fs = FlowSpec.from_low(m.program, ["l"])
         s0 = {"l": True, "h1": True, "h2": False}
-        required = release_set(m, fs, self.RS, s0, ())
+        required = required_set(m, fs, self.RS.conditions(BOOL), s0, ())
         assert required == knowledge_set(m, fs, s0, ())
 
     def test_after_first_output(self, two_release_model):
         m = two_release_model
         fs = FlowSpec.from_low(m.program, ["l"])
         s0 = {"l": True, "h1": True, "h2": False}
-        required = release_set(m, fs, self.RS, s0, (True,))
+        required = required_set(m, fs, self.RS.conditions(BOOL), s0, (True,))
         assert required == stores({(True, True, True), (True, True, False)})
 
     def test_without_the_first_release(self):
@@ -208,7 +215,7 @@ class TestReleaseSets:
         fs = FlowSpec.from_low(program, ["l"])
         rs = ReleaseSpec((("r2", Var("h2")),))
         s0 = {"l": True, "h1": True, "h2": False}
-        required = release_set(m, fs, rs, s0, (True,))
+        required = required_set(m, fs, rs.conditions(BOOL), s0, (True,))
         assert required == stores({(True, a, b)
                                    for a in (True, False) for b in (True, False)})
 
@@ -219,7 +226,7 @@ class TestReleaseSets:
         m = build_model(program, ModelConfig(BOOL), frozenset())
         fs = FlowSpec.from_low(program, ["l"])
         s0 = {"l": True, "h1": True, "h2": False}
-        required = release_set(m, fs, ReleaseSpec(()), s0, (True,))
+        required = required_set(m, fs, (), s0, (True,))
         assert required == stores({(True, a, b)
                                    for a in (True, False) for b in (True, False)})
 
@@ -228,7 +235,7 @@ class TestReleaseSets:
         fs = FlowSpec.from_low(m.program, ["l"])
         s0 = {"l": True, "h1": False, "h2": False}
         with pytest.raises(PolicyError, match="never observed"):
-            release_set(m, fs, self.RS, s0, (True,))
+            required_set(m, fs, self.RS.conditions(BOOL), s0, (True,))
 
 
 class TestRequiredSets:
@@ -237,21 +244,18 @@ class TestRequiredSets:
     some run has a prefix whose required set is not within its knowledge
     set exactly when the trace check fails."""
 
-    CHECK = {"oni-ak": "oni", "nid-akd": "nid", "nani-aak": "nani", "nitd-aktd": "nitd",
-             "akr-er": "er"}
-
     @pytest.mark.parametrize("cfg", SWEEPS, ids=SWEEP_IDS)
-    @pytest.mark.parametrize("pair", CHECK)
+    @pytest.mark.parametrize("pair", ["oni-ak", "nid-akd", "nani-aak", "nitd-aktd", "akr-er"])
     def test_some_prefix_is_insecure_exactly_when_the_check_fails(self, pair, cfg):
         outcomes = set()
         for index in range(min(cfg.count, 50)):
             program, policy = generate_case(pair, index, cfg)
             pieces = policy_pieces(policy, program, cfg.domain)
-            fs, conditions = pieces["fs"], knowledge_conditions(pieces, cfg.domain)
+            fs, conditions = pieces["fs"], pieces["conditions"]
             # nani's: the model of the runs' results
             m = judged_model(program, ModelConfig(cfg.domain, bound=cfg.bound),
                              condition_ids(conditions), pieces)
-            outcome = CHECKS[self.CHECK[pair]].judge(m, pieces).outcome
+            outcome = check_nitd(m, fs, conditions).outcome
             outcomes.add(outcome)
             insecure = any(
                 not required_set(m, fs, conditions, ex.init_store, trace)
@@ -273,17 +277,19 @@ class TestRequiredSets:
 
 
 class TestEpistemicRelease:
+    """er is nitd with ``when: r ==> e`` for each ``release: r = e``."""
+
     def test_release_before_each_output_is_secure(self, two_release_model):
         fs = FlowSpec.from_low(two_release_model.program, ["l"])
         rs = ReleaseSpec((("r1", Var("h1")), ("r2", Var("h2"))))
-        assert check_er(two_release_model, fs, rs).outcome is Outcome.HOLDS
+        assert check_nitd(two_release_model, fs, rs.conditions(BOOL)).outcome is Outcome.HOLDS
 
     def test_missing_release_detected_at_first_output(self):
         program = parse("l := h1; out l; l := h2; release r2; out l", BOOL)
         m = build_model(program, ModelConfig(BOOL))
         fs = FlowSpec.from_low(program, ["l"])
         rs = ReleaseSpec((("r2", Var("h2")),))
-        verdict = check_er(m, fs, rs)
+        verdict = check_nitd(m, fs, rs.conditions(BOOL))
         assert verdict.outcome is Outcome.FAILS
         assert len(verdict.witness.trace) == 1
 
@@ -295,11 +301,11 @@ class TestEpistemicRelease:
         rs = ReleaseSpec((("rh", parse_expression("(hash(h) mod 2) == in")),))
         secure = parse(base, dom)
         m = build_model(secure, ModelConfig(dom))
-        assert check_er(m, FlowSpec.from_low(secure, fs_low), rs).outcome \
+        assert check_nitd(m, FlowSpec.from_low(secure, fs_low), rs.conditions(dom)).outcome \
             is Outcome.HOLDS
         leaky = parse(base + "; out (x mod 3)", dom)
         m2 = build_model(leaky, ModelConfig(dom))
-        assert check_er(m2, FlowSpec.from_low(leaky, fs_low), rs).outcome \
+        assert check_nitd(m2, FlowSpec.from_low(leaky, fs_low), rs.conditions(dom)).outcome \
             is Outcome.FAILS
 
     WITNESS_CASES = {
@@ -347,12 +353,16 @@ class TestNitd:
         assert check_nitd(m, fs, tds).outcome is Outcome.HOLDS
 
     def test_no_declassifications_reduce_to_oni(self):
+        # the first run whose output another low-equal run never gives
         m = build_model(parse("if h == 0 then { out 1 } else { out 2 }", INT4),
                         ModelConfig(INT4))
         fs = FlowSpec.from_low(m.program, [])
         nitd = check_nitd(m, fs, ())
-        oni = check_oni(m, fs)
-        assert nitd.outcome is oni.outcome is Outcome.FAILS
+        assert nitd.outcome is Outcome.FAILS
+        w = nitd.witness
+        assert (w.store("observed"), w.point_index, w.store("partner"), w.trace) \
+            == ({"h": 0}, 2, {"h": 1}, (1,))
+        assert temporal_failure(m, fs, ()) == (0, 2, 1, (1,))
 
     def test_unconditional_declassification_of_the_output(self):
         m = build_model(parse("out h", BOOL), ModelConfig(BOOL))
@@ -382,9 +392,10 @@ class TestRunMembership:
 
 
 class TestAgainstPerPointReferences:
-    """er and nitd scan the first run of each class of runs, at its
-    epoch-block starts only; the references visit every position of every
-    run and every low-equal partner."""
+    """Every trace check is nitd over the policy's conditions, which scans
+    the first run of each class of runs, at its epoch-block starts only;
+    the references visit every position of every run and every low-equal
+    partner.  er's reference reads the release flags themselves."""
 
     INT4_3IDS = FuzzConfig(seed=7, domain=INT4, loops=True, ident_count=3)
     # a fuzzed program reads each identifier first, so has no dead input;
@@ -397,23 +408,25 @@ class TestAgainstPerPointReferences:
         "int4-3ids-loops": (INT4_3IDS, None),
         "int4-3ids-loops-dead-k": (INT4_3IDS, "k"),
     }
-    CHECK = {"akr-er": "er", "nitd-aktd": "nitd"}
+    PAIRS = ("akr-er", "nitd-aktd")
 
     @pytest.mark.parametrize("case", CASES)
-    @pytest.mark.parametrize("pair", CHECK)
+    @pytest.mark.parametrize("pair", PAIRS)
     def test_outcome_and_witness_match_the_reference(self, case, pair):
         # every identifier kept at every point, so a clone's store list is
         # its own: its dead value is laid over its first run's stores
         self.compare(*self.CASES[case], pair, lambda pieces: None)
 
     @pytest.mark.parametrize("case", CASES)
-    @pytest.mark.parametrize("pair", CHECK)
+    @pytest.mark.parametrize("pair", PAIRS + ("oni-ak", "nid-akd"))
     def test_on_models_that_keep_what_the_check_reads(self, case, pair):
         # as ``run_check`` builds them: a clone that keeps no dead input
-        # shares its first run's store list
+        # shares its first run's store list, and oni's and nid's models
+        # keep no store per point
         cfg, dead = self.CASES[case]
-        models = self.compare(cfg, dead, pair, CHECKS[self.CHECK[pair]].keep)
-        if dead:
+        models = self.compare(cfg, dead, pair,
+                              lambda pieces: condition_ids(pieces["conditions"]))
+        if dead and pair in self.PAIRS:
             assert any(len({id(ex.stores) for ex in m.executions}) < len(m.executions)
                        for m in models if m.kept)
 
@@ -427,12 +440,12 @@ class TestAgainstPerPointReferences:
             pieces = policy_pieces(policy, program, cfg.domain)
             m = build_model(program, ModelConfig(cfg.domain, bound=cfg.bound), keep(pieces))
             models.append(m)
+            verdict = check_nitd(m, pieces["fs"], pieces["conditions"])
             if pair == "akr-er":
-                verdict = check_er(m, pieces["fs"], pieces["releases"])
-                expected = release_failure(m, pieces["fs"], pieces["releases"])
+                expected = release_failure(m, pieces["fs"], ReleaseSpec(tuple(
+                    (flag, parse_expression(e)) for flag, e in policy.releases)))
             else:
-                verdict = check_nitd(m, pieces["fs"], pieces["whens"])
-                expected = temporal_failure(m, pieces["fs"], pieces["whens"])
+                expected = temporal_failure(m, pieces["fs"], pieces["conditions"])
             outcomes.add(verdict.outcome)
             if expected is None:
                 assert verdict.outcome is Outcome.HOLDS, index
