@@ -16,9 +16,11 @@ written into the formula.  K quantifies over every point of the model whose trac
 equals the current one; until ranges over the remaining (finite,
 terminated) suffix of the current execution.  Callers must refuse tainted
 models before asking for satisfaction.  A verdict asks the root at the
-start of the first run of each class of runs: those with one behaviour,
-one per-point store list when the root reads the store there, and equal
-initial values of what the root reads (``model_satisfies``).
+start of the first run of each part of the runs that the root cannot
+tell apart (``model_satisfies``, ``Model.parts``); K and L scanning an
+epoch likewise visit the first run of each part of it, and ``have`` and
+the masks of runs are built per class or part of runs, so no clone of
+the model is made unless a dead input read splits a class.
 
 Before evaluation each node is checked like a program expression
 (identifiers, operators, literals) and compiled under its quantifier
@@ -568,7 +570,7 @@ class Evaluation:
                     # observer's relation is an equivalence
                     return kid
                 if kid.reads or kid.epoch:
-                    args = (isinstance(f, K), _getter(kid.reads))
+                    args = (isinstance(f, K), _getter(kid.reads), kid.reads | kid.inits)
                     return _Plan(f, Evaluation._knows, (kid,), args, True, **_EPISTEMIC)
                 # the child varies from run to run only
                 compute = (Evaluation._knows_runs if isinstance(f, K)
@@ -763,16 +765,24 @@ class Evaluation:
     def _knows(self, p: _Plan, ex: Execution, i: int) -> bool:
         """K (``args[0]`` set): every point of the epoch; L: some point.
 
-        Each execution of the epoch is visited once, in run order (the bits
-        of ``have``, lowest first), over its block in the epoch: from change
-        to change of the store identifiers the child reads (``args[1]``), so
-        only at its first position when it reads none.
+        Each part of the runs of the epoch, split by what the child reads
+        (``args[2]``, ``Model.parts``), is visited once, in run order (the
+        bits of ``have``, lowest first), by its first run, over its block in
+        the epoch: from change to change of the store identifiers the child
+        reads (``args[1]``), so only at its first position when it reads
+        none.
         """
-        child, (every, read) = p.kids[0], p.args
+        child, (every, read, names) = p.kids[0], p.args
         tid = ex.trace_ids[i]
-        executions, runs = self.model.executions, self.have[tid]
+        firsts = self.masks.get(names)
+        if firsts is None:
+            firsts = 0
+            for part in self.model.parts(names):
+                firsts |= 1 << part.first.index
+            self.masks[names] = firsts
+        run, runs = self.model.run, self.have[tid] & firsts
         while runs:
-            other = executions[(runs & -runs).bit_length() - 1]
+            other = run((runs & -runs).bit_length() - 1)
             runs &= runs - 1
             ids = other.trace_ids
             for k in _changes(other, bisect_left(ids, tid), read):
@@ -785,11 +795,12 @@ class Evaluation:
     @cached_property
     def have(self) -> list[int]:
         """Per trace id, the mask of the runs that visit it: each
-        behaviour's mask of runs, ORed into each trace id it visits."""
+        behaviour's mask of runs, the OR of its classes' masks, ORed into
+        each trace id it visits."""
         behaviours: dict[int, list] = {}
-        for ex in self.model.executions:
-            entry = behaviours.setdefault(id(ex.trace_ids), [ex.trace_ids, 0])
-            entry[1] |= 1 << ex.index
+        for c in self.model.classes:
+            entry = behaviours.setdefault(id(c.first.trace_ids), [c.first.trace_ids, 0])
+            entry[1] |= c.runs
         have = [0] * len(self.model.trace_parents)
         for ids, runs in behaviours.values():
             for tid in set(ids):
@@ -800,16 +811,18 @@ class Evaluation:
         """The mask of the runs where the run-fixed child of K/L ``p`` holds,
         under the current values of its bound variables.  A pinned child's
         one bit is cheaper to find again than to key, so only the masks of
-        other children, each a pass over all runs, are kept."""
+        other children, each a pass over the parts the child reads
+        (``Model.parts``), are kept."""
         if p.args is not None:
             return self._pinned_bit(p.args)
         key = (p, p.key(self.env)) if p.key is not None else p
         sat = self.masks.get(key)
         if sat is None:
             sat = 0
-            for ex in self.model.executions:
-                if self.holds(p.kids[0], ex, 0):
-                    sat |= 1 << ex.index
+            kid = p.kids[0]
+            for part in self.model.parts(kid.inits):
+                if self.holds(kid, part.first, 0):
+                    sat |= part.runs
             self.masks[key] = sat
         return sat
 
@@ -950,12 +963,14 @@ def model_satisfies(model: Model, f: Formula, ev: Evaluation | None = None) -> V
     before the model was built.  Fails fast with a witness; refuses tainted
     models.
 
-    The root is asked once per class of runs: those with one behaviour
-    (trace-id list), one per-point store list when the root reads the store
-    there, and equal initial values of what the root reads.  The memo of
-    every node trusts these facts, so the runs of a class get one answer;
-    asking the first run of each class in run order keeps the first
-    failing run, and so the witness.
+    The root is asked once per part of the runs (``Model.parts``): the
+    classes of live inputs, split by the dead inputs the root reads at the
+    current point or initially.  The runs of a part take the same steps
+    and agree on all the root reads, so they get one answer, and no clone
+    is made unless such a split lists it; asking the first run of each
+    part in run order keeps the first failing run, and so the witness.  A
+    part whose behaviour and initial values an earlier part shares is
+    answered from the memo.
     """
     if ev is None:
         ev = Evaluation(model.program, model.domain)
@@ -965,16 +980,9 @@ def model_satisfies(model: Model, f: Formula, ev: Evaluation | None = None) -> V
     note = model.refusal
     if note is not None:
         return Verdict(Outcome.BOUND_EXCEEDED, None, Stats(formula_nodes=size), note)
-    inits = _getter(root.inits)
-    asked: set[tuple] = set()
-    for ex in model.executions:
-        key = (id(ex.trace_ids), id(ex.stores) if root.reads else None,
-               inits(ex.init_store) if inits is not None else None)
-        if key in asked:
-            continue
-        asked.add(key)
-        if not ev.holds(root, ex, 0):
-            witness = _extract_witness(ev, root, ex)
+    for part in model.parts(root.reads | root.inits):
+        if not ev.holds(root, part.first, 0):
+            witness = _extract_witness(ev, root, part.first)
             return Verdict(Outcome.FAILS, witness, ev.stats(size))
     return Verdict(Outcome.HOLDS, None, ev.stats(size))
 

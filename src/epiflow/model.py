@@ -27,9 +27,19 @@ one.  Only terminated runs are cloned, since where a lasso closes depends
 on the dead values (``while tt do { x := 0 }`` closes at step 2 with
 entry 0 from x = 0, with entry 2 from x = 1); the other runs of a class
 whose first run does not terminate are simulated one by one, as is every
-run of a program with no dead input.  Each simulated run keeps its own
-table of the configurations it reached, to find its lasso, and drops it
-when it ends.
+run of a program with no dead input.  Runs are simulated in run order.
+Each simulated run keeps its own table of the configurations it reached,
+to find its lasso, and drops it when it ends.
+
+The model records each class (``RunClass``: its first run, the mask of
+its runs, and what a clone lays over the first run), not each clone.
+``Model.executions`` still lists every run in order, and makes a clone's
+``Execution`` only when it is read.  The model owns this partition (the
+symmetry reduction of Ip and Dill, "Better verification through
+symmetry", FMSD 1996): a reading asks for the runs split by the dead
+inputs it reads (``Model.parts``) and walks the first run of each part,
+so on most programs no clone is ever made.  The point count and the
+refusal are taken from the classes, once per model.
 
 A model keeps per point only what its readings read (a cone-of-influence
 reduction: Clarke, Grumberg and Peled, "Model Checking", 1999).  Every
@@ -65,6 +75,8 @@ from __future__ import annotations
 
 import itertools
 import weakref
+from bisect import bisect_left, insort
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from enum import Enum
@@ -138,24 +150,120 @@ class Point:
             raise ValueError(f"point index {self.index} outside the execution")
 
 
+@dataclass(eq=False, slots=True)
+class RunClass:
+    """Runs that a reading cannot tell apart, by the first of them and the
+    mask of all of them (bit k for run k).
+
+    A class of live inputs is the runs that agree on every live input: its
+    first run is simulated, and when it terminates every other run of the
+    class is a clone of it.  For such a class ``laid`` holds, per dead
+    input kept at every point, the position of the store where the first
+    run first wrote it, and ``unwritten`` the dead inputs it never wrote;
+    ``laid`` is None for a run simulated alone, and for a part of a class
+    (``Model.parts``)."""
+
+    first: Execution
+    runs: int
+    laid: dict[str, int] | None = None
+    unwritten: tuple[str, ...] = ()
+
+
 @dataclass(eq=False)
 class Model:
     program: Program
     cfg: ModelConfig
-    executions: list[Execution]
+    classes: list[RunClass]  # the classes of live inputs, by first run
+    runs: list[Execution | None]  # every run; None for a clone not yet listed
     trace_parents: list[tuple[int, object]]  # trace id -> (parent id, event)
     trace_table: dict[tuple[int, object], int]
     variables: tuple[str, ...] = ()
     kept: frozenset[str] = frozenset()  # identifiers kept per point
+    dead: tuple[str, ...] = ()  # inputs never read before written
+    # why the model has no verdict: the first run that did not terminate,
+    # by its initial store; None when every run terminated
+    refusal: str | None = field(init=False)
+    _parts: dict[frozenset[str], list[RunClass]] = field(default_factory=dict, init=False,
+                                                         repr=False)
 
     def __post_init__(self) -> None:
+        """Point the first runs back at the model, and take the refusal from
+        them: only a terminated run has clones, so the first run that did
+        not terminate was simulated."""
         ref = weakref.ref(self)
-        for execution in self.executions:
-            execution.model_ref = ref
+        bad = None
+        for c in self.classes:
+            c.first.model_ref = ref
+            if bad is None and c.first.status is not Status.TERMINATED:
+                bad = c.first
+        self.refusal = None if bad is None else (
+            f"execution from {self.store_text(bad.init_store)} is {bad.status.value}")
 
     @property
     def domain(self) -> Domain:
         return self.cfg.domain
+
+    @property
+    def executions(self) -> Sequence[Execution]:
+        """Every run, in order of its initial values; a clone is listed
+        when it is first read."""
+        if len(self.classes) == len(self.runs):  # no clones
+            return self.runs
+        return _Runs(self)
+
+    def run(self, index: int) -> Execution:
+        """The run from the ``index``-th initial store, listed if it is a
+        clone not yet listed."""
+        ex = self.runs[index]
+        return ex if ex is not None else self._list(index)
+
+    def _list(self, index: int) -> Execution:
+        """Make the clone from the ``index``-th initial store: its class's
+        first run has its live values and the first value of every dead
+        input."""
+        d = len(self.domain.values)
+        weights = _weights(self.variables, d)
+        first = index - sum(index // weights[n] % d * weights[n] for n in self.dead)
+        c = self.classes[bisect_left(self.classes, first, key=_first_index)]
+        init = dict(zip(self.variables,
+                        _values_of_run(index, self.domain.values, len(self.variables))))
+        init.update(dict.fromkeys(self.program.flags, self.domain.false_value))
+        ex = self.runs[index] = _clone(c.first, c.laid, c.unwritten, init, index)
+        ex.model_ref = c.first.model_ref
+        return ex
+
+    def parts(self, names: Iterable[str]) -> list[RunClass]:
+        """The runs split into the parts that a reading which reads only
+        ``names`` of their initial and per-point stores cannot tell apart,
+        in order of their first runs.
+
+        A part is a class of live inputs, split by the values of the dead
+        inputs among ``names``.  Its runs take the same steps, emit the same
+        events and agree on ``names`` at every point, so such a reading
+        asks the first run of each part only, and the first run it fails
+        on is a first run of a part.  The first run of a split part is
+        listed; with no dead input read the parts are the classes."""
+        split = frozenset(self.dead).intersection(names) if self.dead else None
+        if not split:
+            return self.classes
+        parts = self._parts.get(split)
+        if parts is None:
+            d = len(self.domain.values)
+            weights = _weights(self.variables, d)
+            offsets = _offsets([weights[n] for n in self.dead if n in split], d)
+            rest = sum(1 << o for o in _offsets([weights[n] for n in self.dead
+                                                 if n not in split], d))
+            parts = []
+            for c in self.classes:
+                if c.laid is None:
+                    parts.append(c)
+                    continue
+                base = c.first.index
+                parts.append(RunClass(c.first, rest << base))
+                parts += (RunClass(self.run(base + o), rest << base + o) for o in offsets[1:])
+            parts.sort(key=_first_index)
+            self._parts[split] = parts
+        return parts
 
     def require(self, names: frozenset[str], reader: str) -> None:
         """Raise NotKeptError unless the model kept each of ``names`` at
@@ -168,18 +276,9 @@ class Model:
     def tainted(self) -> bool:
         return self.refusal is not None
 
-    @property
-    def refusal(self) -> str | None:
-        """Why the model has no verdict: the first run that did not
-        terminate, by its initial store; None when every run terminated."""
-        bad = next((e for e in self.executions if e.status is not Status.TERMINATED), None)
-        if bad is None:
-            return None
-        return f"execution from {self.store_text(bad.init_store)} is {bad.status.value}"
-
-    @property
+    @cached_property
     def point_count(self) -> int:
-        return sum(len(e) + 1 for e in self.executions)
+        return sum(len(c.first.trace_ids) * c.runs.bit_count() for c in self.classes)
 
     @cached_property
     def epochs(self) -> dict[int, tuple[Point, ...]]:
@@ -206,7 +305,7 @@ class Model:
         period of ``d ** (m - i)``: one block, repeated by doubling, and
         shifted for each value."""
         values = self.domain.values
-        d, total = len(values), len(self.executions)
+        d, total = len(values), len(self.runs)
         runs: dict[str, dict[object, int]] = {}
         block = total
         for name in self.variables:
@@ -245,6 +344,72 @@ class Model:
         return "(" + ", ".join(f"{n}={fmt(store[n])}" for n in self.variables) + ")"
 
 
+class _Runs(Sequence):
+    """``Model.executions`` of a model with clones: every run in order, a
+    clone listed when it is first read.  The model does not hold this view,
+    so the view makes no reference cycle."""
+
+    __slots__ = ("model",)
+
+    def __init__(self, model: Model):
+        self.model = model
+
+    def __len__(self) -> int:
+        return len(self.model.runs)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        return self.model.run(range(len(self))[k])
+
+    def __iter__(self) -> Iterator[Execution]:
+        run = self.model.run
+        for index, ex in enumerate(self.model.runs):
+            yield ex if ex is not None else run(index)
+
+
+def _first_index(c: RunClass) -> int:
+    return c.first.index
+
+
+def _weights(names: tuple[str, ...], d: int) -> dict[str, int]:
+    """Per variable, how far apart in run order two runs are that differ
+    only in its value, by one step of ``d`` values."""
+    return {n: d ** k for k, n in enumerate(reversed(names))}
+
+
+def _offsets(weights: list[int], d: int) -> list[int]:
+    """Every sum of a multiple below ``d`` of each weight, in increasing
+    order: the weights are distinct powers of ``d``, largest first."""
+    offsets = [0]
+    for w in weights:
+        offsets = [o + j * w for o in offsets for j in range(d)]
+    return offsets
+
+
+def _in_run_order(firsts: Iterator[tuple[int, tuple]], pending: list[int]
+                  ) -> Iterator[tuple[int, tuple | None]]:
+    """Each of ``firsts``, (index, values) in increasing index order, and
+    each index in ``pending``, a sorted list that the consumer fills as it
+    goes, with None: all of them in increasing index order."""
+    for first in firsts:
+        while pending and pending[0] < first[0]:
+            yield pending.pop(0), None
+        yield first
+    while pending:
+        yield pending.pop(0), None
+
+
+def _values_of_run(index: int, values: tuple, count: int) -> tuple:
+    """The initial values of the ``index``-th run, whose ``count`` inputs
+    range over ``values``: runs are in lexicographic order of them."""
+    digits = []
+    for _ in range(count):
+        index, j = divmod(index, len(values))
+        digits.append(values[j])
+    return tuple(reversed(digits))
+
+
 def build_model(program: Program, cfg: ModelConfig,
                 keep: frozenset[str] | None = None) -> Model:
     """Run the program from every initial store.
@@ -254,42 +419,54 @@ def build_model(program: Program, cfg: ModelConfig,
     ``termination_output`` set, each terminated run emits one final marker
     event, making termination observable.  Each run keeps the identifiers
     in ``keep`` at every point; None keeps every identifier and flag.
+
+    Runs are simulated in run order: the first run of each class of live
+    inputs, and each other run of a class whose first run did not
+    terminate.  A class whose first run terminated is recorded, and its
+    clones are listed when read.
     """
     dom = cfg.domain
     names = program.variables
-    flags = program.flags
     if keep is None:
-        keep = frozenset(names + flags)
+        keep = frozenset(names + program.flags)
 
     code = compile_program(program, dom)
     trace_parents, trace_table, extend_trace = _trace_table()
-    executions: list[Execution] = []
     behaviours: dict[tuple, list[int]] = {}
     live = live_inputs(program)
     dead = tuple(n for n in names if n not in live)
-    is_live = [n in live for n in names]
-    # per class of live values, its representative with where it first
-    # wrote each kept dead input and the dead inputs it never wrote, or
-    # None when the class is not cloned
-    classes: dict[tuple, tuple[Execution, dict[str, int], tuple[str, ...]] | None] = {}
-    unreleased = dict.fromkeys(flags, dom.false_value)
-    for values in itertools.product(dom.values, repeat=len(names)):
-        store = dict(zip(names, values))
-        store.update(unreleased)
-        index = len(executions)
-        if dead:
-            key = tuple(itertools.compress(values, is_live))
-            rep = classes.get(key)
-            if rep is not None:
-                executions.append(_clone(*rep, store, index))
-                continue
-        execution, overlay = _run(code, store, cfg, index, extend_trace, behaviours, dead,
-                                  keep)
-        executions.append(execution)
-        if dead:
-            classes.setdefault(key, (execution, *overlay) if overlay is not None else None)
+    d = len(dom.values)
+    unreleased = dict.fromkeys(program.flags, dom.false_value)
+    runs: list[Execution | None] = [None] * d ** len(names)
+    classes: list[RunClass] = []
+    # the first runs of the classes, which hold the first value of every
+    # dead input, and the offsets of each class's other runs from its first
+    firsts, others = range(len(runs)), []
+    if dead:
+        weights = _weights(names, d)
+        firsts = _offsets([weights[n] for n in names if n in live], d)
+        others = _offsets([weights[n] for n in dead], d)[1:]
+    pattern = sum(1 << o for o in others) | 1
+    pending: list[int] = []  # the other runs of classes whose first run did not terminate
+    first_values = itertools.product(*(dom.values if n in live else dom.values[:1] for n in names))
+    for index, values in _in_run_order(zip(firsts, first_values), pending):
+        alone = values is None
+        if alone:
+            values = _values_of_run(index, dom.values, len(names))
+        init = dict(zip(names, values))
+        init.update(unreleased)
+        ex, overlay = _run(code, init, cfg, index, extend_trace, behaviours,
+                           () if alone else dead, keep)
+        runs[index] = ex
+        if overlay is not None:
+            classes.append(RunClass(ex, pattern << index, *overlay))
+            continue
+        classes.append(RunClass(ex, 1 << index))
+        if not alone:
+            for offset in others:
+                insort(pending, index + offset)
 
-    return Model(program, cfg, executions, trace_parents, trace_table, names, keep)
+    return Model(program, cfg, classes, runs, trace_parents, trace_table, names, keep, dead)
 
 
 def results_model(model: Model, outputs: tuple[Expr, ...]) -> Model:
@@ -308,7 +485,8 @@ def results_model(model: Model, outputs: tuple[Expr, ...]) -> Model:
             ids.append(extend(ids[-1], fn(ex.final_store)))
         ids = behaviours.setdefault(tuple(ids), ids)
         runs.append(Execution(ex.index, ex.init_store, None, ex.final_store, ex.status, None, ids))
-    return Model(model.program, model.cfg, runs, parents, table, model.variables)
+    return Model(model.program, model.cfg, [RunClass(ex, 1 << ex.index) for ex in runs], runs,
+                 parents, table, model.variables)
 
 
 def _trace_table() -> tuple:

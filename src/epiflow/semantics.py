@@ -22,17 +22,21 @@ values admits fewer partners.  So a block's first position demands the
 most: when a later position of the block fails, the first fails too, with
 the same earliest partner, and the first failure found is the one a scan
 of every position would find.  ``check_nitd`` passes the search its
-releases as data: per run, the releasable values, and the first position
-at which each is released.  A condition that reads nothing holds from the
-start or never, so when no condition reads the store no run is walked to
-find them.  Runs that agree on their low values, those values, those
-positions and their trace ids meet the same demands, so only the first run
-of each such class is scanned, and a class can fail only where its first
-run does.  The partners of a low group are grouped by the values each
-demand agrees on, once, with the trace ids they all produce (a hash join,
-as in ``logic``'s agreement guard, but sharing no code with it); a demand
-then passes by lookup, and only a failure looks for its first partner in
-run order.
+releases as data: per run it walks, the releasable values, and the first
+position at which each is released.  A condition that reads nothing holds
+from the start or never, so when no condition reads the store no run is
+walked to find them.  The search asks the model for its runs split by what it reads
+(``Model.parts``: the low identifiers, the released values' and the
+conditions' identifiers), and walks the first run of each part, so no
+clone of the model is made unless a dead input it reads splits a class.
+Parts that agree on their low values, those values, those positions and
+their trace ids meet the same demands, so only the first of each such
+class is scanned, and a class can fail only where its first run does.
+The partners of a low group are grouped by the values each demand agrees
+on, once, with the trace ids they all produce (a hash join, as in
+``logic``'s agreement guard, but sharing no code with it); a demand then
+passes by lookup, and only a failure looks for its first partner in run
+order.
 
 Every checker refuses tainted models: a lasso or an out-of-budget
 execution makes the bounded model an unsound stand-in for the real one,
@@ -134,14 +138,17 @@ def _masked(values: tuple, mask: tuple[bool, ...]) -> tuple:
     return tuple(compress(values, mask))
 
 
-def _initial_values(m: Model, ids: Iterable[str],
+def _initial_values(m: Model, runs: Sequence[Execution], ids: Iterable[str],
                     fns: Sequence[Callable[[dict], object]]) -> list[tuple]:
-    """Per run, the values of ``fns`` on its initial store, which read only
-    ``ids``: computed once per distinct tuple of those initial values."""
+    """Per run of ``runs``, the values of ``fns`` on its initial store, which
+    read only ``ids``: computed once per distinct tuple of those initial
+    values, or on every run when they read every variable of the model."""
     names = tuple(dict.fromkeys(ids))
     if not names:  # the same values on every run
-        return [tuple(fn({}) for fn in fns)] * len(m.executions)
-    stores = list(map(attrgetter("init_store"), m.executions))
+        return [tuple(fn({}) for fn in fns)] * len(runs)
+    stores = list(map(attrgetter("init_store"), runs))
+    if set(m.variables) <= set(names):  # each run its own key
+        return list(zip(*(map(fn, stores) for fn in fns)))
     read = _reader(names)
     # any one store with a key gives that key's values
     one_per_key = dict(zip(map(read, stores), stores))
@@ -149,14 +156,15 @@ def _initial_values(m: Model, ids: Iterable[str],
     return list(map(memo.__getitem__, map(read, stores)))
 
 
-def _first_positions(m: Model, tests: Sequence[Callable[[dict], object]]
+def _first_positions(runs: Sequence[Execution], tests: Sequence[Callable[[dict], object]]
                      ) -> list[tuple[int | None, ...]]:
-    """Per run, the first position at which each test holds of its store,
-    or None: computed once per distinct per-point store list (a clone
-    shares its first run's list unless it keeps a dead input)."""
+    """Per run of ``runs``, the first position at which each test holds of
+    its store, or None: computed once per distinct per-point store list (a
+    listed clone shares its first run's list unless it keeps a dead
+    input)."""
     memo: dict[int, tuple] = {}
     out = []
-    for ex in m.executions:
+    for ex in runs:
         key = id(ex.stores)
         firsts = memo.get(key)
         if firsts is None:
@@ -177,13 +185,13 @@ def _first_position(stores: Sequence[dict], test: Callable[[dict], object]) -> i
     return None
 
 
-def _produced_by_all(runs: Iterable[Execution], values: list[tuple],
+def _produced_by_all(runs: Iterable[tuple[Execution, tuple]],
                      mask: tuple[bool, ...]) -> dict[tuple, set[int]]:
-    """Per masked values, the trace ids that every run of ``runs`` with
-    those values produces."""
+    """Per masked values, the trace ids that every run of ``runs`` (each
+    with its releasable values) with those values produces."""
     common: dict[tuple, set[int]] = {}
-    for ex in runs:
-        agreed = _masked(values[ex.index], mask)
+    for ex, own in runs:
+        agreed = _masked(own, mask)
         tids = common.get(agreed)
         if tids is None:
             common[agreed] = set(ex.trace_ids)
@@ -192,41 +200,43 @@ def _produced_by_all(runs: Iterable[Execution], values: list[tuple],
     return common
 
 
-def _first_unmatched(m: Model, fs: FlowSpec, values: list[tuple],
+def _first_unmatched(fs: FlowSpec, runs: Sequence[Execution], values: list[tuple],
                      triggers: list[tuple[int | None, ...]]
                      ) -> tuple[Execution, int, Execution, int] | None:
     """The first epoch-block start whose trace a partner never produces.
 
-    ``values[r]`` holds run ``r``'s releasable values, and ``triggers[r]``
-    the first position at which each is released on it, or None.  A
-    partner is a low-equal run that agrees with the run on the values
-    released at the position.  Returns (run, position, first such partner,
-    trace id), or None.
+    ``runs`` are the first runs of the parts of the model (``Model.parts``)
+    by what the search reads, in run order; ``values[r]`` holds the ``r``-th
+    one's releasable values, and ``triggers[r]`` the first position at
+    which each is released on it, or None.  A partner is a low-equal run
+    that agrees with the run on the values released at the position.
+    Returns (run, position, first such partner, trace id), or None.
 
-    A class of runs is those with equal low values, releasable values,
-    trigger positions and trace ids (one list per behaviour).  Its runs
+    The runs of a part agree on all of these and on their trace ids, so
+    its first run stands for it: a later run fails only where the first
+    fails, and the first partner in run order is the first run of its
+    part.  A class of parts is those with equal low values, releasable
+    values, trigger positions and trace ids (one list per behaviour); they
     meet the same (mask, agreed values, trace id) at the same block
-    starts, so only its first run is scanned: a later one fails only where
-    the first has already failed, and the witness stays the first failing
-    run.  The first partner in run order is the first run of its class
-    too.  For each low group and mask, the group's first runs are grouped
-    by their masked values once, with the trace ids all of them produce;
-    between two releases a run then passes by one subset test, and only a
-    failure looks for its first partner.
+    starts, so only the first of them is scanned, and the witness stays
+    the first failing run.  For each low group and mask, the group's
+    first runs are grouped by their masked values once, with the trace
+    ids all of them produce; between two releases a run then passes by
+    one subset test, and only a failure looks for its first partner.
     """
-    runs, read_low = m.executions, _reader(fs.low)
-    # the first run of each class, by the class's key: walking the runs
-    # backwards, earlier runs overwrite later ones (only a new key is kept)
+    read_low = _reader(fs.low)
+    # the first part of each class, by the class's key: walking the parts
+    # backwards, earlier parts overwrite later ones (only a new key is kept)
     keys = zip(map(read_low, map(attrgetter("init_store"), reversed(runs))), reversed(values),
                reversed(triggers), map(id, map(attrgetter("trace_ids"), reversed(runs))))
-    first = dict(zip(keys, reversed(runs)))
-    # per low key, the first run of each class of it, in run order
-    classes: dict[object, list[Execution]] = {}
+    first = dict(zip(keys, zip(reversed(runs), reversed(values), reversed(triggers))))
+    # per low key, the first run of each class of it, with its values, in run order
+    classes: dict[object, list[tuple[Execution, tuple]]] = {}
     order: list[tuple[Execution, object, tuple, tuple]] = []
-    for ex in sorted(first.values(), key=attrgetter("index")):
+    for ex, own, firsts in sorted(first.values(), key=_run_index):
         low = read_low(ex.init_store)
-        classes.setdefault(low, []).append(ex)
-        order.append((ex, low, values[ex.index], triggers[ex.index]))
+        classes.setdefault(low, []).append((ex, own))
+        order.append((ex, low, own, firsts))
     common: dict[tuple, dict[tuple, set[int]]] = {}
     spans: dict[tuple, list[tuple[int, int | None, tuple[bool, ...]]]] = {}
     for ex, low, own, firsts in order:
@@ -240,7 +250,7 @@ def _first_unmatched(m: Model, fs: FlowSpec, values: list[tuple],
         for start, end, mask in spans[firsts]:
             by_agreed = common.get((low, mask))
             if by_agreed is None:
-                by_agreed = common[low, mask] = _produced_by_all(classes[low], values, mask)
+                by_agreed = common[low, mask] = _produced_by_all(classes[low], mask)
             agreed = _masked(own, mask)
             produced = by_agreed[agreed]
             if start and tids[start] == tids[start - 1]:
@@ -251,10 +261,14 @@ def _first_unmatched(m: Model, fs: FlowSpec, values: list[tuple],
                 # ids never decrease along a run, so the first position
                 # whose id is not produced starts its block
                 i = start + next(k for k, tid in enumerate(span) if tid not in produced)
-                other = next(o for o in classes[low] if not _produces(o, tids[i])
-                             and _masked(values[o.index], mask) == agreed)
+                other = next(o for o, values in classes[low] if not _produces(o, tids[i])
+                             and _masked(values, mask) == agreed)
                 return ex, i, other, tids[i]
     return None
+
+
+def _run_index(entry: tuple) -> int:
+    return entry[0].index
 
 
 def check_nitd(m: Model, fs: FlowSpec,
@@ -271,15 +285,16 @@ def check_nitd(m: Model, fs: FlowSpec,
     refused = _refusal(m, fs)
     if refused:
         return refused
-    values = _initial_values(m, (n for td in tds for n in td.declassified.ids),
-                             [td.declassified.fn for td in tds])
+    ids = [n for td in tds for n in td.declassified.ids]
+    runs = [part.first for part in m.parts({*fs.low, *ids, *reads})]
+    values = _initial_values(m, runs, ids, [td.declassified.fn for td in tds])
     tests = [compile_expr(td.condition, m.domain) for td in tds]
     if reads:
-        triggers = _first_positions(m, tests)
+        triggers = _first_positions(runs, tests)
     else:
         # each condition holds at every position or at none
-        triggers = [tuple(0 if test({}) else None for test in tests)] * len(m.executions)
-    found = _first_unmatched(m, fs, values, triggers)
+        triggers = [tuple(0 if test({}) else None for test in tests)] * len(runs)
+    found = _first_unmatched(fs, runs, values, triggers)
     if found is None:
         return Verdict(Outcome.HOLDS)
     ex, i, other, tid = found

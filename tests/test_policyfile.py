@@ -9,14 +9,14 @@ import pytest
 from epiflow.cli import main
 from epiflow.domain import Domain
 from epiflow.fuzz import PAIRS, FuzzConfig, generate_case
-from epiflow.lang import LangError, Var, parse
+from epiflow.lang import Assign, Const, LangError, Seq, Var, parse, program_from_body
 from epiflow.logic import Evaluation, model_satisfies, parse_formula
 from epiflow.model import ModelConfig, NotKeptError, build_model, results_model
 from epiflow.policies import (FlowSpec, InitPredicate, PolicyError, ReleaseSpec,
                               TemporalDeclassification)
 from epiflow.policyfile import (CHECKS, ENTRY_KEYS, EPISTEMIC_CHECKS, EPISTEMIC_OF,
-                                SEMANTIC_CHECKS, CheckRun, Policy, parse_policy, run_both_sides,
-                                run_check)
+                                SEMANTIC_CHECKS, SEMANTIC_OF, CheckRun, Policy, parse_policy,
+                                run_both_sides, run_check)
 from epiflow.semantics import check_nitd
 from epiflow.verdicts import Outcome
 
@@ -277,6 +277,101 @@ class TestModelLifetime:
             model = weakref.ref(run.model)
             del run
             assert model() is None
+
+
+class TestClones:
+    """Runs that differ only in an input written before it is read are
+    recorded once per class, and a clone is listed only when a reading
+    reads it: every reading must answer as on the model that simulates
+    every run."""
+
+    # the differential sweeps of the tier-1 workflow
+    SWEEPS = (
+        FuzzConfig(seed=11),
+        FuzzConfig(seed=29, domain=INT4, loops=True),
+        FuzzConfig(seed=5, pairs=("nani-aak",), domain=Domain.integers(4, signed=True),
+                   ident_count=3),
+        FuzzConfig(seed=7, pairs=("akr-er", "nitd-aktd"), domain=INT4, ident_count=3,
+                   loops=True),
+        FuzzConfig(seed=17, pairs=("oni-ak", "nid-akd"), domain=INT4, ident_count=3,
+                   loops=True),
+        FuzzConfig(seed=13, domain=INT4, loops=True, bound=6),
+    )
+    LOOP = "x := 0; while x < h do { out l; x := x + 1 }; out l + x"
+
+    @pytest.fixture
+    def simulate_every_run(self, monkeypatch):
+        """A switch that, while set, makes every input live, so that the
+        model builder clones no run."""
+        import epiflow.model
+
+        switch, live = [False], epiflow.model.live_inputs
+        monkeypatch.setattr(epiflow.model, "live_inputs", lambda program: (
+            frozenset(program.variables) if switch[0] else live(program)))
+        return switch
+
+    @staticmethod
+    def answers(program, policy, cfg) -> list:
+        """Each reading's outcome, note, witness and report stats but
+        ``points_visited`` and ``cache_hits``, alone and side by side."""
+        runs = [run_check(program, replace(policy, check=name), cfg) for name in (
+            SEMANTIC_OF.get(policy.check, policy.check),
+            EPISTEMIC_OF.get(policy.check, policy.check))]
+        runs += run_both_sides(program, policy, cfg)
+        return [(run.check, run.verdict.outcome, run.verdict.note, run.verdict.witness,
+                 run.verdict.stats.formula_nodes, len(run.model.executions),
+                 run.model.point_count, len(run.model.trace_parents)) for run in runs]
+
+    @pytest.mark.parametrize("keep_every_identifier", [False, True], ids=["kept", "all"])
+    def test_readings_answer_as_with_every_run_simulated(self, keep_every_identifier,
+                                                         simulate_every_run, monkeypatch):
+        import epiflow.policyfile
+
+        if keep_every_identifier:
+            # a clone's per-point stores are its first run's with its dead
+            # value laid over them
+            monkeypatch.setattr(epiflow.policyfile, "build_model",
+                                lambda program, cfg, keep: build_model(program, cfg))
+        built = []
+        monkeypatch.setattr(epiflow.policyfile, "build_model", lambda *args, build=(
+            epiflow.policyfile.build_model): built.append(build(*args)) or built[-1])
+        for cfg in self.SWEEPS:
+            model_cfg = ModelConfig(cfg.domain, bound=cfg.bound)
+            for pair in cfg.pairs:
+                for index in range(8):
+                    fuzzed, policy = generate_case(pair, index, cfg)
+                    value = Const(cfg.domain.values[index % len(cfg.domain.values)])
+                    # a fuzzed program reads every input first: write one
+                    # before anything else runs, so that it is dead
+                    for name in fuzzed.variables:
+                        program = program_from_body(Seq(Assign(name, value), fuzzed.body))
+                        simulate_every_run[0] = False
+                        answers = self.answers(program, policy, model_cfg)
+                        simulate_every_run[0] = True
+                        assert self.answers(program, policy, model_cfg) == answers, (
+                            pair, index, name)
+        # half the builds simulate every run; of the others, all but those
+        # with a run cut by the bound clone some run
+        cloned = [m for m in built if len(m.classes) < len(m.runs)]
+        assert len(cloned) > len(built) // 3
+        # some reading left a clone unlisted, and some listed one
+        assert any(None in m.runs for m in cloned)
+        assert any(len(m.runs) - m.runs.count(None) > len(m.classes) for m in cloned)
+
+    @pytest.mark.parametrize("check, declassify", [("ak", ()), ("oni", ()), ("akd", ("h",)),
+                                                    ("nid", ("h",))])
+    def test_the_loop_program_lists_no_clone(self, check, declassify, simulate_every_run):
+        # x is dead, and no reading reads it: each of the 16 classes of
+        # (h, l) has 4 runs, 3 of them clones never listed
+        program = parse(self.LOOP, INT4)
+        policy = Policy(check, low=("l",), declassify=declassify)
+        m = run_check(program, policy, ModelConfig(INT4)).model
+        assert (len(m.classes), m.runs.count(None)) == (16, 48)
+        simulate_every_run[0] = True
+        every = run_check(program, policy, ModelConfig(INT4)).model
+        assert (len(every.classes), every.runs.count(None)) == (64, 0)
+        assert (len(m.executions), m.point_count) == (len(every.executions), every.point_count)
+        assert m.runs.count(None) == 48
 
 
 ROOT = Path(__file__).resolve().parents[1]
