@@ -20,6 +20,7 @@ error (a crash is never reported as a verdict).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import replace
 
@@ -118,19 +119,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _literal(flag: str, token: str):
+    """The value a program's literal ``token`` denotes: tt, ff, true, false
+    or an integer with an optional minus sign."""
+    if token in ("tt", "true"):
+        return True
+    if token in ("ff", "false"):
+        return False
+    if _INTEGER.fullmatch(token):
+        return int(token)
+    raise DomainError(f"{flag} takes tt, ff, true, false or an integer, not {token!r}")
+
+
 def _domain_from(args) -> Domain:
     spec = args.domain.strip()
     table = None
     if args.hash_table:
-        raw = [token.strip() for token in args.hash_table.split(",")]
-        table = tuple(True if t == "tt" else False if t == "ff" else int(t) for t in raw)
+        table = tuple(_literal("--hash", token.strip()) for token in args.hash_table.split(","))
     if spec == "bool":
         if args.signed_window:
             raise DomainError("--signed-window applies to integer domains")
         return Domain.booleans() if table is None else Domain("bool", 2, False, table)
-    if spec.startswith("int:"):
+    if spec.startswith("int:") and _INTEGER.fullmatch(spec[4:]):
         return Domain.integers(int(spec[4:]), signed=args.signed_window, hash_table=table)
-    raise DomainError(f"unknown domain {spec!r}; use bool or int:N")
+    raise DomainError(f"--domain takes bool or int:N, not {spec!r}")
 
 
 def _load(args) -> tuple:
@@ -201,14 +216,9 @@ def _parse_init(text: str, program, dom: Domain) -> dict:
             raise PolicyError(f"--init names unknown identifier {name!r}")
         if name in store:
             raise PolicyError(f"--init names {name!r} twice")
-        if dom.kind == "bool":
-            if raw not in ("tt", "ff", "true", "false"):
-                raise PolicyError(f"bad boolean {raw!r} in --init")
-            store[name] = raw in ("tt", "true")
-        else:
-            store[name] = int(raw)
-            if store[name] not in dom:
-                raise PolicyError(f"--init value {raw} outside the domain")
+        store[name] = _literal("--init", raw)
+        if store[name] not in dom:
+            raise PolicyError(f"--init value {raw} outside the domain")
     missing = [n for n in program.variables if n not in store]
     if missing:
         raise PolicyError(f"--init misses {missing[0]!r}")

@@ -25,9 +25,10 @@ its final store only where they are never written.  A clone of a
 terminated run repeats no configuration, or the run itself would repeat
 one.  Only terminated runs are cloned, since where a lasso closes depends
 on the dead values (``while tt do { x := 0 }`` closes at step 2 with
-entry 0 from x = 0, with entry 2 from x = 1); the other runs of a class
-whose first run does not terminate are simulated one by one, as is every
-run of a program with no dead input.  Runs are simulated in run order.
+entry 0 from x = 0, with entry 2 from x = 1).  So when the first run of
+some class does not terminate, the model, which is refused, is built
+again with every run simulated, as is every run of a program with no
+dead input.  Runs are simulated in run order.
 Each simulated run keeps its own table of the configurations it reached,
 to find its lasso, and drops it when it ends.
 
@@ -75,7 +76,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -160,8 +161,8 @@ class RunClass:
     class is a clone of it.  For such a class ``laid`` holds, per dead
     input kept at every point, the position of the store where the first
     run first wrote it, and ``unwritten`` the dead inputs it never wrote;
-    ``laid`` is None for a run simulated alone, and for a part of a class
-    (``Model.parts``)."""
+    ``laid`` is None for a class of one run in a model that clones no
+    run, and for a part of a class (``Model.parts``)."""
 
     first: Execution
     runs: int
@@ -255,9 +256,6 @@ class Model:
                                                  if n not in split], d))
             parts = []
             for c in self.classes:
-                if c.laid is None:
-                    parts.append(c)
-                    continue
                 base = c.first.index
                 parts.append(RunClass(c.first, rest << base))
                 parts += (RunClass(self.run(base + o), rest << base + o) for o in offsets[1:])
@@ -387,19 +385,6 @@ def _offsets(weights: list[int], d: int) -> list[int]:
     return offsets
 
 
-def _in_run_order(firsts: Iterator[tuple[int, tuple]], pending: list[int]
-                  ) -> Iterator[tuple[int, tuple | None]]:
-    """Each of ``firsts``, (index, values) in increasing index order, and
-    each index in ``pending``, a sorted list that the consumer fills as it
-    goes, with None: all of them in increasing index order."""
-    for first in firsts:
-        while pending and pending[0] < first[0]:
-            yield pending.pop(0), None
-        yield first
-    while pending:
-        yield pending.pop(0), None
-
-
 def _values_of_run(index: int, values: tuple, count: int) -> tuple:
     """The initial values of the ``index``-th run, whose ``count`` inputs
     range over ``values``: runs are in lexicographic order of them."""
@@ -420,21 +405,29 @@ def build_model(program: Program, cfg: ModelConfig,
     event, making termination observable.  Each run keeps the identifiers
     in ``keep`` at every point; None keeps every identifier and flag.
 
-    Runs are simulated in run order: the first run of each class of live
-    inputs, and each other run of a class whose first run did not
-    terminate.  A class whose first run terminated is recorded, and its
-    clones are listed when read.
+    The first run of each class of live inputs is simulated, in run order,
+    and its clones are listed when read.  When the first run of some class
+    does not terminate, the model is refused, and it is built again with
+    every run simulated, so that it lists each run's own status and lasso.
     """
+    if keep is None:
+        keep = frozenset(program.variables + program.flags)
+    code = compile_program(program, cfg.domain)
+    live = live_inputs(program)
+    dead = tuple(n for n in program.variables if n not in live)
+    model = _build(program, code, cfg, keep, dead)
+    return model if model is not None else _build(program, code, cfg, keep, ())
+
+
+def _build(program: Program, code: Code, cfg: ModelConfig, keep: frozenset[str],
+           dead: tuple[str, ...]) -> Model | None:
+    """The model that simulates the first run of each class of the runs
+    that differ only in ``dead`` inputs, or None when some first run does
+    not terminate and so has no clones."""
     dom = cfg.domain
     names = program.variables
-    if keep is None:
-        keep = frozenset(names + program.flags)
-
-    code = compile_program(program, dom)
     trace_parents, trace_table, extend_trace = _trace_table()
     behaviours: dict[tuple, list[int]] = {}
-    live = live_inputs(program)
-    dead = tuple(n for n in names if n not in live)
     d = len(dom.values)
     unreleased = dict.fromkeys(program.flags, dom.false_value)
     runs: list[Execution | None] = [None] * d ** len(names)
@@ -444,28 +437,20 @@ def build_model(program: Program, cfg: ModelConfig,
     firsts, others = range(len(runs)), []
     if dead:
         weights = _weights(names, d)
-        firsts = _offsets([weights[n] for n in names if n in live], d)
+        firsts = _offsets([weights[n] for n in names if n not in dead], d)
         others = _offsets([weights[n] for n in dead], d)[1:]
     pattern = sum(1 << o for o in others) | 1
-    pending: list[int] = []  # the other runs of classes whose first run did not terminate
-    first_values = itertools.product(*(dom.values if n in live else dom.values[:1] for n in names))
-    for index, values in _in_run_order(zip(firsts, first_values), pending):
-        alone = values is None
-        if alone:
-            values = _values_of_run(index, dom.values, len(names))
+    first_values = itertools.product(*(dom.values[:1] if n in dead else dom.values
+                                       for n in names))
+    for index, values in zip(firsts, first_values):
         init = dict(zip(names, values))
         init.update(unreleased)
-        ex, overlay = _run(code, init, cfg, index, extend_trace, behaviours,
-                           () if alone else dead, keep)
+        ex, overlay = _run(code, init, cfg, index, extend_trace, behaviours, dead, keep)
+        if overlay is None and dead:
+            return None
         runs[index] = ex
-        if overlay is not None:
-            classes.append(RunClass(ex, pattern << index, *overlay))
-            continue
-        classes.append(RunClass(ex, 1 << index))
-        if not alone:
-            for offset in others:
-                insort(pending, index + offset)
-
+        classes.append(RunClass(ex, pattern << index, *overlay) if dead
+                       else RunClass(ex, 1 << index))
     return Model(program, cfg, classes, runs, trace_parents, trace_table, names, keep, dead)
 
 

@@ -21,22 +21,27 @@ grow (a condition that has held stays triggered), and agreeing on more
 values admits fewer partners.  So a block's first position demands the
 most: when a later position of the block fails, the first fails too, with
 the same earliest partner, and the first failure found is the one a scan
-of every position would find.  ``check_nitd`` passes the search its
-releases as data: per run it walks, the releasable values, and the first
-position at which each is released.  A condition that reads nothing holds
-from the start or never, so when no condition reads the store no run is
-walked to find them.  The search asks the model for its runs split by what it reads
-(``Model.parts``: the low identifiers, the released values' and the
-conditions' identifiers), and walks the first run of each part, so no
-clone of the model is made unless a dead input it reads splits a class.
-Parts that agree on their low values, those values, those positions and
-their trace ids meet the same demands, so only the first of each such
-class is scanned, and a class can fail only where its first run does.
-The partners of a low group are grouped by the values each demand agrees
-on, once, with the trace ids they all produce (a hash join, as in
-``logic``'s agreement guard, but sharing no code with it); a demand then
-passes by lookup, and only a failure looks for its first partner in run
-order.
+of every position would find.  One pass, ``_releases``, gives each run
+it walks its releasable values and the first position at which each
+condition holds, for ``check_nitd`` and ``required_set`` alike; a
+condition that reads nothing holds from the start or never, so it is
+tested once, not along each run.
+
+The search asks the model for its runs split by the released values'
+and the conditions' identifiers (``Model.parts``), and walks the first
+run of each part, so no clone of the model is made unless a dead input
+that decides a demand splits a class.  A dead low input does not split
+one: permuting its values maps the model onto itself (the symmetry
+reduction of Ip and Dill, "Better verification through symmetry", FMSD
+1996), so a run fails exactly when the run that differs from it only in
+holding that input's first value does.  That run comes first in run
+order, so the first failing run holds the first value, and so does its
+first partner, which is low-equal to it.  Every part is scanned, in run
+order.  The partners of a low group are grouped by the values each
+demand agrees on, once, with the trace ids they all produce (a hash
+join, as in ``logic``'s agreement guard, but sharing no code with it); a
+demand then passes by lookup, and only a failure looks for its first
+partner in run order.
 
 Every checker refuses tainted models: a lasso or an out-of-budget
 execution makes the bounded model an unsound stand-in for the real one,
@@ -46,11 +51,10 @@ so the verdict is BOUND_EXCEEDED rather than a guess.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import compress
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .lang import compile_expr
+from .lang import compile_expr, expr_ids
 from .model import Execution, Model
 from .policies import (FlowSpec, PolicyError, TemporalDeclassification,
                        condition_ids)
@@ -108,9 +112,9 @@ def required_set(m: Model, fs: FlowSpec, tds: Iterable[TemporalDeclassification]
     Looks up the run from this very store and its first point with the
     given trace, and keeps the low-equal stores that agree with it (on
     initial values) on every property whose condition has held on the run
-    by that point.  That point starts an epoch block, so some prefix of
-    some run has a required set outside its knowledge set exactly when
-    nitd fails on the same conditions.
+    by that point, as nitd's release pass finds them.  That point starts
+    an epoch block, so some prefix of some run has a required set outside
+    its knowledge set exactly when nitd fails on the same conditions.
     """
     start = m.exec_by_values.get(tuple(store[n] for n in m.variables))
     if start is None:
@@ -120,57 +124,39 @@ def required_set(m: Model, fs: FlowSpec, tds: Iterable[TemporalDeclassification]
         raise PolicyError("trace never observed on the execution from this store")
     tds = tuple(tds)
     m.require(condition_ids(tds), "the required set")
-    # a model that keeps no store per point has only conditions that read
-    # nothing, so the initial store answers for every point
-    stores = (start.stores or (start.init_store,))[:bisect_left(start.trace_ids, tid) + 1]
-    released = [td.declassified.fn for td in tds
-                if _first_position(stores, compile_expr(td.condition, m.domain)) is not None]
-    expected = [fn(start.init_store) for fn in released]
+    [values], [firsts] = _releases(m, [start], tds)
+    point = bisect_left(start.trace_ids, tid)
+    released = [(td.declassified.fn, v) for td, v, first in zip(tds, values, firsts)
+                if first is not None and first <= point]
     low = _reader(fs.low)
     key = low(start.init_store)
     return frozenset(
         m.values_of(ex.init_store) for ex in m.executions
-        if low(ex.init_store) == key
-        and all(fn(ex.init_store) == v for fn, v in zip(released, expected)))
+        if low(ex.init_store) == key and all(fn(ex.init_store) == v for fn, v in released))
 
 
-def _masked(values: tuple, mask: tuple[bool, ...]) -> tuple:
-    return tuple(compress(values, mask))
-
-
-def _initial_values(m: Model, runs: Sequence[Execution], ids: Iterable[str],
-                    fns: Sequence[Callable[[dict], object]]) -> list[tuple]:
-    """Per run of ``runs``, the values of ``fns`` on its initial store, which
-    read only ``ids``: computed once per distinct tuple of those initial
-    values, or on every run when they read every variable of the model."""
-    names = tuple(dict.fromkeys(ids))
-    if not names:  # the same values on every run
-        return [tuple(fn({}) for fn in fns)] * len(runs)
+def _releases(m: Model, runs: Sequence[Execution], tds: Sequence[TemporalDeclassification]
+              ) -> tuple[list[tuple], list[tuple[int | None, ...]]]:
+    """Per run of ``runs``, its releasable values (each declassified
+    property of its initial store), and the first position at which each
+    condition holds on it, or None.  A condition that reads nothing holds
+    from the start or never, so it is tested once, and only the others are
+    tested along each run."""
     stores = list(map(attrgetter("init_store"), runs))
-    if set(m.variables) <= set(names):  # each run its own key
-        return list(zip(*(map(fn, stores) for fn in fns)))
-    read = _reader(names)
-    # any one store with a key gives that key's values
-    one_per_key = dict(zip(map(read, stores), stores))
-    memo = dict(zip(one_per_key, zip(*(map(fn, one_per_key.values()) for fn in fns))))
-    return list(map(memo.__getitem__, map(read, stores)))
-
-
-def _first_positions(runs: Sequence[Execution], tests: Sequence[Callable[[dict], object]]
-                     ) -> list[tuple[int | None, ...]]:
-    """Per run of ``runs``, the first position at which each test holds of
-    its store, or None: computed once per distinct per-point store list (a
-    listed clone shares its first run's list unless it keeps a dead
-    input)."""
-    memo: dict[int, tuple] = {}
-    out = []
+    values = list(zip(*(map(td.declassified.fn, stores) for td in tds))) or [()] * len(runs)
+    tests = [(k, compile_expr(td.condition, m.domain), expr_ids(td.condition))
+             for k, td in enumerate(tds)]
+    fixed = tuple(0 if not reads and test({}) else None for _, test, reads in tests)
+    walked = [(k, test) for k, test, reads in tests if reads]
+    if not walked:
+        return values, [fixed] * len(runs)
+    triggers = []
     for ex in runs:
-        key = id(ex.stores)
-        firsts = memo.get(key)
-        if firsts is None:
-            firsts = memo[key] = tuple(_first_position(ex.stores, test) for test in tests)
-        out.append(firsts)
-    return out
+        firsts = list(fixed)
+        for k, test in walked:
+            firsts[k] = _first_position(ex.stores, test)
+        triggers.append(tuple(firsts))
+    return values, triggers
 
 
 def _first_position(stores: Sequence[dict], test: Callable[[dict], object]) -> int | None:
@@ -186,12 +172,12 @@ def _first_position(stores: Sequence[dict], test: Callable[[dict], object]) -> i
 
 
 def _produced_by_all(runs: Iterable[tuple[Execution, tuple]],
-                     mask: tuple[bool, ...]) -> dict[tuple, set[int]]:
+                     masked: Callable[[tuple], object]) -> dict[object, set[int]]:
     """Per masked values, the trace ids that every run of ``runs`` (each
     with its releasable values) with those values produces."""
-    common: dict[tuple, set[int]] = {}
+    common: dict[object, set[int]] = {}
     for ex, own in runs:
-        agreed = _masked(own, mask)
+        agreed = masked(own)
         tids = common.get(agreed)
         if tids is None:
             common[agreed] = set(ex.trace_ids)
@@ -215,43 +201,36 @@ def _first_unmatched(fs: FlowSpec, runs: Sequence[Execution], values: list[tuple
     The runs of a part agree on all of these and on their trace ids, so
     its first run stands for it: a later run fails only where the first
     fails, and the first partner in run order is the first run of its
-    part.  A class of parts is those with equal low values, releasable
-    values, trigger positions and trace ids (one list per behaviour); they
-    meet the same (mask, agreed values, trace id) at the same block
-    starts, so only the first of them is scanned, and the witness stays
-    the first failing run.  For each low group and mask, the group's
-    first runs are grouped by their masked values once, with the trace
-    ids all of them produce; between two releases a run then passes by
-    one subset test, and only a failure looks for its first partner.
+    part.  Every part is scanned, in run order, so the first failure found
+    is on the first failing run.  For each low group and set of released
+    values, the group's first runs are grouped by those values once, with
+    the trace ids all of them produce; between two releases a run then
+    passes by one subset test, and only a failure looks for its first
+    partner.
     """
-    read_low = _reader(fs.low)
-    # the first part of each class, by the class's key: walking the parts
-    # backwards, earlier parts overwrite later ones (only a new key is kept)
-    keys = zip(map(read_low, map(attrgetter("init_store"), reversed(runs))), reversed(values),
-               reversed(triggers), map(id, map(attrgetter("trace_ids"), reversed(runs))))
-    first = dict(zip(keys, zip(reversed(runs), reversed(values), reversed(triggers))))
-    # per low key, the first run of each class of it, with its values, in run order
-    classes: dict[object, list[tuple[Execution, tuple]]] = {}
-    order: list[tuple[Execution, object, tuple, tuple]] = []
-    for ex, own, firsts in sorted(first.values(), key=_run_index):
-        low = read_low(ex.init_store)
-        classes.setdefault(low, []).append((ex, own))
-        order.append((ex, low, own, firsts))
-    common: dict[tuple, dict[tuple, set[int]]] = {}
-    spans: dict[tuple, list[tuple[int, int | None, tuple[bool, ...]]]] = {}
-    for ex, low, own, firsts in order:
+    lows = list(map(_reader(fs.low), map(attrgetter("init_store"), runs)))
+    # per low key, its runs with their values, in run order
+    groups: dict[object, list[tuple[Execution, tuple]]] = {}
+    for ex, low, own in zip(runs, lows, values):
+        groups.setdefault(low, []).append((ex, own))
+    # per set of released values, per low key, the group's common trace ids
+    common: dict[tuple[int, ...], dict[object, dict[object, set[int]]]] = {}
+    spans: dict[tuple, list[tuple[int, int | None, Callable, dict]]] = {}
+    for ex, low, own, firsts in zip(runs, lows, values, triggers):
         tids = ex.trace_ids
         if firsts not in spans:
             # from each position where a value is released to the next,
             # with the values released there
             starts = sorted({0, *filter(None, firsts)})
-            spans[firsts] = [(start, end, tuple(t is not None and t <= start for t in firsts))
-                             for start, end in zip(starts, [*starts[1:], None])]
-        for start, end, mask in spans[firsts]:
-            by_agreed = common.get((low, mask))
+            spans[firsts] = [(start, end, _reader(released), common.setdefault(released, {}))
+                             for start, end in zip(starts, [*starts[1:], None])
+                             for released in [tuple(k for k, t in enumerate(firsts)
+                                                    if t is not None and t <= start)]]
+        for start, end, masked, by_low in spans[firsts]:
+            by_agreed = by_low.get(low)
             if by_agreed is None:
-                by_agreed = common[low, mask] = _produced_by_all(classes[low], mask)
-            agreed = _masked(own, mask)
+                by_agreed = by_low[low] = _produced_by_all(groups[low], masked)
+            agreed = masked(own)
             produced = by_agreed[agreed]
             if start and tids[start] == tids[start - 1]:
                 # a block that began earlier was checked at its start
@@ -261,14 +240,10 @@ def _first_unmatched(fs: FlowSpec, runs: Sequence[Execution], values: list[tuple
                 # ids never decrease along a run, so the first position
                 # whose id is not produced starts its block
                 i = start + next(k for k, tid in enumerate(span) if tid not in produced)
-                other = next(o for o, values in classes[low] if not _produces(o, tids[i])
-                             and _masked(values, mask) == agreed)
+                other = next(o for o, theirs in groups[low] if not _produces(o, tids[i])
+                             and masked(theirs) == agreed)
                 return ex, i, other, tids[i]
     return None
-
-
-def _run_index(entry: tuple) -> int:
-    return entry[0].index
 
 
 def check_nitd(m: Model, fs: FlowSpec,
@@ -277,7 +252,10 @@ def check_nitd(m: Model, fs: FlowSpec,
 
     At every point, any run that is low-equal at the start and agrees on
     each property whose condition has already held along the observed run
-    must be able to produce the same trace.
+    must be able to produce the same trace.  Runs are split only by what a
+    demand compares beyond low-equality: the declassified and the
+    conditions' identifiers.  The witness is the first failing run in run
+    order, with its first partner.
     """
     tds = tuple(tds)
     reads = condition_ids(tds)
@@ -286,15 +264,9 @@ def check_nitd(m: Model, fs: FlowSpec,
     if refused:
         return refused
     ids = [n for td in tds for n in td.declassified.ids]
-    runs = [part.first for part in m.parts({*fs.low, *ids, *reads})]
-    values = _initial_values(m, runs, ids, [td.declassified.fn for td in tds])
-    tests = [compile_expr(td.condition, m.domain) for td in tds]
-    if reads:
-        triggers = _first_positions(runs, tests)
-    else:
-        # each condition holds at every position or at none
-        triggers = [tuple(0 if test({}) else None for test in tests)] * len(runs)
-    found = _first_unmatched(fs, runs, values, triggers)
+    # a dead low input splits no class: its first value stands for all
+    runs = [part.first for part in m.parts({*ids, *reads})]
+    found = _first_unmatched(fs, runs, *_releases(m, runs, tds))
     if found is None:
         return Verdict(Outcome.HOLDS)
     ex, i, other, tid = found

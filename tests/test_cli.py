@@ -191,6 +191,56 @@ class TestOtherCommands:
         assert code == 3
         assert "outside the domain" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, same, first", [
+        (("--hash", "false,true"), ("--hash", "ff,tt"),
+         "(y=tt)  steps=1  status=terminated  trace=[ff]"),
+        (("--domain", "int:4", "--signed-window", "--hash=1,0,-1,-2"),
+         ("--domain", "int:4", "--signed-window", "--hash=1,-0,-1,-2"),
+         "(y=-2)  steps=1  status=terminated  trace=[1]"),
+    ])
+    def test_hash_reads_the_literals_programs_read(self, tmp_path, capsys, flags, same, first):
+        (tmp_path / "h.wout").write_text("out hash(y)\n")
+        assert run(["model", "--program", tmp_path / "h.wout", *flags]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == first
+        assert run(["model", "--program", tmp_path / "h.wout", *same]) == 0
+        assert capsys.readouterr().out == out
+
+    def test_init_reads_the_literals_programs_read(self, workdir, capsys):
+        rows = []
+        for init in ("l=tt,h1=tt,h2=ff", "l=true,h1=true,h2=false"):
+            assert run(["knowledge", "--program", workdir / "release.wout",
+                        "--policy", workdir / "release.pol", "--init", init]) == 0
+            rows.append(capsys.readouterr().out)
+        assert rows[0] == rows[1]
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("model", ("--hash", "true,yes"),
+         "--hash takes tt, ff, true, false or an integer, not 'yes'"),
+        ("model", ("--domain", "int:4", "--hash", "1,2,+3,0"),
+         "--hash takes tt, ff, true, false or an integer, not '+3'"),
+        ("model", ("--domain", "int:4", "--hash", "1,2,3,"),
+         "--hash takes tt, ff, true, false or an integer, not ''"),
+        ("fuzz", ("--domain", "int:4", "--hash", "0x1,2,3,0"),
+         "--hash takes tt, ff, true, false or an integer, not '0x1'"),
+        ("model", ("--domain", "int:x"), "--domain takes bool or int:N, not 'int:x'"),
+        ("model", ("--domain", "int:4.0"), "--domain takes bool or int:N, not 'int:4.0'"),
+        ("fuzz", ("--domain", "int:"), "--domain takes bool or int:N, not 'int:'"),
+        ("knowledge", ("--domain", "int:4", "--init", "l=0,h=+1"),
+         "--init takes tt, ff, true, false or an integer, not '+1'"),
+        ("knowledge", ("--init", "l=yes,h=tt"),
+         "--init takes tt, ff, true, false or an integer, not 'yes'"),
+        ("knowledge", ("--init", "l=1,h=tt"), "--init value 1 outside the domain"),
+    ])
+    def test_a_bad_value_is_a_usage_error_naming_flag_and_token(self, tmp_path, capsys,
+                                                                 command, flags, message):
+        (tmp_path / "p.wout").write_text("l := h; out l\n")
+        (tmp_path / "p.pol").write_text("check: oni\nlow: l\n")
+        args = {"model": ["--program", tmp_path / "p.wout"], "fuzz": ["--count", "1"],
+                "knowledge": ["--program", tmp_path / "p.wout", "--policy", tmp_path / "p.pol"]}
+        assert run([command, *args[command], *flags]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_diff_agrees(self, workdir, capsys):
         code = run(["diff", "--program", workdir / "release.wout",
                     "--policy", workdir / "release.pol"])

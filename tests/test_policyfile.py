@@ -373,6 +373,31 @@ class TestClones:
         assert (len(m.executions), m.point_count) == (len(every.executions), every.point_count)
         assert m.runs.count(None) == 48
 
+    C7 = "x := hash(h); if (x mod 2) == in then { l := 0 } else { l := 1 }; release rh; out l"
+    HASHED4 = Domain.integers(4, hash_table=(1, 2, 3, 0))
+
+    @pytest.mark.parametrize("leak", ["", "; out (x mod 3)"], ids=["secure", "leaky"])
+    @pytest.mark.parametrize("policy", [
+        Policy("er", ("in", "l"), releases=(("rh", "(hash(h) mod 2) == in"),)),
+        Policy("nitd", ("in", "l"), whens=(("rh", "(hash(h) mod 2) == in"),)),
+        Policy("nid", ("in", "l"), declassify=("(hash(h) mod 2) == in",)),
+        Policy("oni", ("in", "l")),
+    ], ids=lambda policy: policy.check)
+    def test_a_dead_low_input_makes_no_clone_in_the_trace_reading(self, policy, leak,
+                                                                  simulate_every_run):
+        # acceptance criterion 7's shape: l is dead, and the trace reading
+        # reads it only to compare runs for low-equality, so it does not
+        # split the 16 classes of (h, in) by it and lists none of their
+        # 240 clones
+        program = parse(self.C7 + leak, self.HASHED4)
+        run = run_check(program, policy, ModelConfig(self.HASHED4))
+        assert (len(run.model.classes), run.model.runs.count(None)) == (16, 240)
+        simulate_every_run[0] = True
+        every = run_check(program, policy, ModelConfig(self.HASHED4))
+        assert every.model.runs.count(None) == 0
+        assert (run.verdict.outcome, run.verdict.witness) == (every.verdict.outcome,
+                                                              every.verdict.witness)
+
 
 ROOT = Path(__file__).resolve().parents[1]
 PROGRAMS = sorted((ROOT / "samples").glob("*.wout")) + sorted(
