@@ -240,7 +240,7 @@ def cmd_knowledge(args) -> int:
         store = _parse_init(args.init, program, dom)
         store.update((f, dom.false_value) for f in program.flags)
     else:
-        store = dict(model.executions[0].init_store)
+        store = dict(model.runs[0].init_store)
     execution = model.exec_by_values[tuple(store[n] for n in model.variables)]
 
     full = model.trace_tuple(execution.trace_ids[len(execution)])

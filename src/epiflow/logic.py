@@ -18,9 +18,9 @@ terminated) suffix of the current execution.  Callers must refuse tainted
 models before asking for satisfaction.  A verdict asks the root at the
 start of the first run of each part of the runs that the root cannot
 tell apart (``model_satisfies``, ``Model.parts``); K and L scanning an
-epoch likewise visit the first run of each part of it, and ``have`` and
-the masks of runs are built per class or part of runs, so no clone of
-the model is made unless a dead input read splits a class.
+epoch likewise visit the first run of each part of it, and ``have`` is
+built per class of runs, so no clone of the model is made unless a dead
+input read splits a class.
 
 Before evaluation each node is checked like a program expression
 (identifiers, operators, literals) and compiled under its quantifier
@@ -61,17 +61,14 @@ quantifiers, knowledge and scans cheap:
   folded guard conjunct is a filter.  A block whose guard only binds (espm's
   premise: nothing solved, no check) has one instance: it binds and asks
   its body, without enumerating an empty product.
-* K and L over a body fixed along a run work on sets of runs, held as int
-  bitmasks (bit k for run k).  ``have`` is the mask of the runs that visit
-  a trace id, which each evaluation builds once per behaviour, ORing the
-  mask of the runs that share it into each trace id it visits, and
-  ``sat`` the mask of the runs where the body holds.  Per identifier and
-  value, the model's ``runs_from`` is the mask of the runs starting with
-  that value, so ``init`` atoms over bound values that pin every
-  variable name the AND of their masks: one run, or none when two atoms
-  disagree.  For any other body ``sat`` is the body at the start of every
-  run, kept per value of its bound variables.  Then K is
-  ``have & ~sat == 0`` and L is ``have & sat != 0``.
+* L over ``init`` atoms over bound values that pin every variable works
+  on sets of runs, held as int bitmasks (bit k for run k).  ``have`` is
+  the mask of the runs that visit a trace id, which each evaluation builds
+  once per behaviour, ORing the mask of the runs that share it into each
+  trace id it visits.  Per identifier and value, the model's
+  ``runs_from`` is the mask of the runs starting with that value, so the
+  atoms name the AND of their masks, ``pinned``: one run, or none when two
+  atoms disagree.  Then L is ``have & pinned != 0``.
 * A forall block with no binders and no checks whose body is such a pinned
   L asks whether every run its instances pin visits the epoch.  Its pins
   split by identifier: fixed ones read no variable the guard solves,
@@ -87,9 +84,11 @@ quantifiers, knowledge and scans cheap:
   initial value and no scan) are the body itself: the observer's relation
   is an equivalence, so ``K p``, ``L p`` and ``p`` agree at every point
   (Fagin, Halpern, Moses and Vardi, "Reasoning About Knowledge", 1995).
-  Any other K/L body is checked over each execution's block in the epoch,
-  from change to change as a temporal operator scans (below): once per
-  execution when it reads no store at the current point.
+  Any other K/L body, one that reads only initial values included, is
+  checked over the block in the epoch of the first run of each part of
+  the runs it cannot tell apart, from change to change as a temporal
+  operator scans (below): once per part when it reads no store at the
+  current point.
 * The logic has no Next, so no formula tells repeated states apart: it is
   stutter-invariant (Lamport, "What good is temporal logic?", 1983; Peled
   and Wilke, IPL 1997).  A temporal operator therefore scans a run from
@@ -505,7 +504,7 @@ class Evaluation:
         """Evaluate over ``model``, a model of the program, from now on."""
         model.require(self.reads, "the formula")
         self.model = model
-        self.every_run = (1 << len(model.executions)) - 1
+        self.every_run = (1 << len(model.runs)) - 1
         return self
 
     def stats(self, formula_nodes: int = 0) -> Stats:
@@ -569,13 +568,11 @@ class Evaluation:
                     # fixed across the epoch, so K p = L p = p: the
                     # observer's relation is an equivalence
                     return kid
-                if kid.reads or kid.epoch:
-                    args = (isinstance(f, K), _getter(kid.reads), kid.reads | kid.inits)
-                    return _Plan(f, Evaluation._knows, (kid,), args, True, **_EPISTEMIC)
-                # the child varies from run to run only
-                compute = (Evaluation._knows_runs if isinstance(f, K)
-                           else Evaluation._possible_runs)
-                return _Plan(f, compute, (kid,), self._pinned_run(kid), **_EPISTEMIC)
+                pinned = None if isinstance(f, K) else self._pinned_run(kid)
+                if pinned is not None:
+                    return _Plan(f, Evaluation._possible_runs, (kid,), pinned, **_EPISTEMIC)
+                args = (isinstance(f, K), _getter(kid.reads), kid.reads | kid.inits)
+                return _Plan(f, Evaluation._knows, (kid,), args, True, **_EPISTEMIC)
             case F(child) | G(child):
                 return self._temporal(f, Evaluation._eventually, (child,), scope, isinstance(f, G))
             case Until(lhs, rhs) | W(lhs, rhs):
@@ -644,9 +641,9 @@ class Evaluation:
         return plan
 
     def _pinned_run(self, kid: _Plan):
-        """(identifier, compiled expression) pairs of the K/L child ``kid``,
+        """(identifier, compiled expression) pairs of the L child ``kid``,
         taken from its atoms' plans, when it is a conjunction of init atoms
-        over bound values naming every variable."""
+        over bound values naming every variable; else None."""
         parts = _parts(kid)
         if not all(isinstance(a.formula, Init) and not a.reads for a in parts):
             return None
@@ -702,8 +699,7 @@ class Evaluation:
         pins = {}
         if kind is Exists:
             compute = Evaluation._exists
-        elif (not binders and not checks and body.compute is Evaluation._possible_runs
-                and body.args is not None):
+        elif not binders and not checks and body.compute is Evaluation._possible_runs:
             compute = Evaluation._all_possible
             pins = _split_pins(body, solved, frozenset().union(
                 *(plan.free for plan in pure)) - solved)
@@ -764,13 +760,15 @@ class Evaluation:
 
     def _knows(self, p: _Plan, ex: Execution, i: int) -> bool:
         """K (``args[0]`` set): every point of the epoch; L: some point.
+        Every K, and every L but one pinning every variable, asks this.
 
         Each part of the runs of the epoch, split by what the child reads
-        (``args[2]``, ``Model.parts``), is visited once, in run order (the
-        bits of ``have``, lowest first), by its first run, over its block in
-        the epoch: from change to change of the store identifiers the child
-        reads (``args[1]``), so only at its first position when it reads
-        none.
+        at a point or initially (``args[2]``, ``Model.parts``), is visited
+        once, in run order (the bits of ``have``, lowest first), by its
+        first run, over its block in the epoch: from change to change of
+        the store identifiers the child reads (``args[1]``), so only at its
+        first position when it reads none, as a child that reads only
+        initial values does.
         """
         child, (every, read, names) = p.kids[0], p.args
         tid = ex.trace_ids[i]
@@ -780,9 +778,9 @@ class Evaluation:
             for part in self.model.parts(names):
                 firsts |= 1 << part.first.index
             self.masks[names] = firsts
-        run, runs = self.model.run, self.have[tid] & firsts
+        listed, runs = self.model.runs, self.have[tid] & firsts
         while runs:
-            other = run((runs & -runs).bit_length() - 1)
+            other = listed[(runs & -runs).bit_length() - 1]
             runs &= runs - 1
             ids = other.trace_ids
             for k in _changes(other, bisect_left(ids, tid), read):
@@ -807,25 +805,6 @@ class Evaluation:
                 have[tid] |= runs
         return have
 
-    def _sat(self, p: _Plan) -> int:
-        """The mask of the runs where the run-fixed child of K/L ``p`` holds,
-        under the current values of its bound variables.  A pinned child's
-        one bit is cheaper to find again than to key, so only the masks of
-        other children, each a pass over the parts the child reads
-        (``Model.parts``), are kept."""
-        if p.args is not None:
-            return self._pinned_bit(p.args)
-        key = (p, p.key(self.env)) if p.key is not None else p
-        sat = self.masks.get(key)
-        if sat is None:
-            sat = 0
-            kid = p.kids[0]
-            for part in self.model.parts(kid.inits):
-                if self.holds(kid, part.first, 0):
-                    sat |= part.runs
-            self.masks[key] = sat
-        return sat
-
     def _pinned_bit(self, pinned) -> int:
         """The runs whose initial values the (identifier, expression) pairs
         pin: the AND of their masks.  Pins naming every variable leave the
@@ -837,13 +816,10 @@ class Evaluation:
             runs &= runs_from[name].get(fn(env), 0)
         return runs
 
-    def _knows_runs(self, p: _Plan, ex: Execution, i: int) -> bool:
-        """K of a child fixed along runs: every run of the epoch satisfies it."""
-        return self.have[ex.trace_ids[i]] & ~self._sat(p) == 0
-
     def _possible_runs(self, p: _Plan, ex: Execution, i: int) -> bool:
-        """L of a child fixed along runs: some run of the epoch satisfies it."""
-        return self.have[ex.trace_ids[i]] & self._sat(p) != 0
+        """L of a child that pins every variable's initial value: the run it
+        pins visits the epoch."""
+        return self.have[ex.trace_ids[i]] & self._pinned_bit(p.args) != 0
 
     def _all_possible(self, p: _Plan, ex: Execution, i: int) -> bool:
         """A forall block of pinned L bodies: every run the instances pin

@@ -34,13 +34,15 @@ to find its lasso, and drops it when it ends.
 
 The model records each class (``RunClass``: its first run, the mask of
 its runs, and what a clone lays over the first run), not each clone.
-``Model.executions`` still lists every run in order, and makes a clone's
-``Execution`` only when it is read.  The model owns this partition (the
-symmetry reduction of Ip and Dill, "Better verification through
-symmetry", FMSD 1996): a reading asks for the runs split by the dead
-inputs it reads (``Model.parts``) and walks the first run of each part,
-so on most programs no clone is ever made.  The point count and the
-refusal are taken from the classes, once per model.
+The model owns this partition (the symmetry reduction of Ip and Dill,
+"Better verification through symmetry", FMSD 1996), and walking it is the
+one way a reading walks the runs: a reading asks for the runs split by
+the dead inputs it reads (``Model.parts``) and walks the first run of
+each part, so on most programs no clone is ever made.  The point count
+and the refusal are taken from the classes, once per model.
+``Model.executions`` lists every run in order, making every clone the
+first time it is read; only what shows a whole model (``epiflow model``,
+``epiflow knowledge``, ``epoch_of``) reads it.
 
 A model keeps per point only what its readings read (a cone-of-influence
 reduction: Clarke, Grumberg and Peled, "Model Checking", 1999).  Every
@@ -61,10 +63,11 @@ behaviour, all an observer can tell of the run; runs often share one
 (the loop program at int:16 has 4,096 runs and 256 behaviours).
 
 An observer of results alone (nani's and aak's) is judged on
-``results_model``: the same runs, each showing just its results.  The logic has no next operator, so
-no formula tells it from the model of the program with its outputs
-silenced and its results emitted at the end (stutter invariance: Peled
-and Wilke, IPL 1997).
+``results_model``: the same runs, each showing just its results.  The
+logic has no next operator, so no formula tells it from the model of the
+program with its outputs silenced and its results emitted at the end
+(stutter invariance: Peled and Wilke, IPL 1997).  It keeps the program
+model's classes, split only by the dead inputs the results read.
 
 Divergence is never guessed at: an execution that exceeds the step bound
 is marked BOUND_EXCEEDED, and one that revisits a (program counter,
@@ -76,15 +79,14 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 from enum import Enum
 
 from .domain import Domain, TERMINATION_MARK
 from .lang import (ASSIGN, BRANCH, EXIT, Code, Expr, Program, compile_expr, compile_program,
-                   live_inputs)
+                   expr_ids, live_inputs)
 
 
 class Status(Enum):
@@ -162,7 +164,10 @@ class RunClass:
     input kept at every point, the position of the store where the first
     run first wrote it, and ``unwritten`` the dead inputs it never wrote;
     ``laid`` is None for a class of one run in a model that clones no
-    run, and for a part of a class (``Model.parts``)."""
+    run.  A part of a class (``Model.parts``) carries the class's
+    ``laid`` and ``unwritten``; a class of ``results_model``, whose runs
+    keep nothing per point, carries its part's ``unwritten`` and an empty
+    ``laid``."""
 
     first: Execution
     runs: int
@@ -204,46 +209,43 @@ class Model:
     def domain(self) -> Domain:
         return self.cfg.domain
 
-    @property
-    def executions(self) -> Sequence[Execution]:
-        """Every run, in order of its initial values; a clone is listed
-        when it is first read."""
-        if len(self.classes) == len(self.runs):  # no clones
-            return self.runs
-        return _Runs(self)
+    @cached_property
+    def executions(self) -> list[Execution]:
+        """Every run, in order of its initial values: the first read lists
+        every clone."""
+        for c in self.classes:
+            clones = c.runs & (c.runs - 1)  # all but the first, the lowest bit
+            while clones:
+                self._listed(c, (clones & -clones).bit_length() - 1)
+                clones &= clones - 1
+        return self.runs
 
-    def run(self, index: int) -> Execution:
-        """The run from the ``index``-th initial store, listed if it is a
-        clone not yet listed."""
+    def _listed(self, c: RunClass, index: int) -> Execution:
+        """The ``index``-th run, of class ``c``, listed now if it is a clone
+        not yet listed: ``c``'s first run with the ``index``-th initial
+        values laid over it."""
         ex = self.runs[index]
-        return ex if ex is not None else self._list(index)
-
-    def _list(self, index: int) -> Execution:
-        """Make the clone from the ``index``-th initial store: its class's
-        first run has its live values and the first value of every dead
-        input."""
-        d = len(self.domain.values)
-        weights = _weights(self.variables, d)
-        first = index - sum(index // weights[n] % d * weights[n] for n in self.dead)
-        c = self.classes[bisect_left(self.classes, first, key=_first_index)]
-        init = dict(zip(self.variables,
-                        _values_of_run(index, self.domain.values, len(self.variables))))
-        init.update(dict.fromkeys(self.program.flags, self.domain.false_value))
-        ex = self.runs[index] = _clone(c.first, c.laid, c.unwritten, init, index)
-        ex.model_ref = c.first.model_ref
+        if ex is None:
+            init = dict(zip(self.variables,
+                            _values_of_run(index, self.domain.values, len(self.variables))))
+            init.update(dict.fromkeys(self.program.flags, self.domain.false_value))
+            ex = self.runs[index] = _clone(c.first, c.laid, c.unwritten, init, index)
+            ex.model_ref = c.first.model_ref
         return ex
 
     def parts(self, names: Iterable[str]) -> list[RunClass]:
         """The runs split into the parts that a reading which reads only
         ``names`` of their initial and per-point stores cannot tell apart,
-        in order of their first runs.
+        in order of their first runs.  This is the one way a reading walks
+        the runs.
 
         A part is a class of live inputs, split by the values of the dead
-        inputs among ``names``.  Its runs take the same steps, emit the same
-        events and agree on ``names`` at every point, so such a reading
-        asks the first run of each part only, and the first run it fails
-        on is a first run of a part.  The first run of a split part is
-        listed; with no dead input read the parts are the classes."""
+        inputs among ``names``, and carries its class's ``laid`` and
+        ``unwritten``.  Its runs take the same steps, emit the same events
+        and agree on ``names`` at every point, so such a reading asks the
+        first run of each part only, and the first run it fails on is a
+        first run of a part.  The first run of a split part is listed; with
+        no dead input read the parts are the classes."""
         split = frozenset(self.dead).intersection(names) if self.dead else None
         if not split:
             return self.classes
@@ -254,11 +256,9 @@ class Model:
             offsets = _offsets([weights[n] for n in self.dead if n in split], d)
             rest = sum(1 << o for o in _offsets([weights[n] for n in self.dead
                                                  if n not in split], d))
-            parts = []
-            for c in self.classes:
-                base = c.first.index
-                parts.append(RunClass(c.first, rest << base))
-                parts += (RunClass(self.run(base + o), rest << base + o) for o in offsets[1:])
+            parts = [RunClass(self._listed(c, c.first.index + o), rest << c.first.index + o,
+                              c.laid, c.unwritten)
+                     for c in self.classes for o in offsets]
             parts.sort(key=_first_index)
             self._parts[split] = parts
         return parts
@@ -340,30 +340,6 @@ class Model:
         """The store's non-flag values in signature order, as ``(x=tt, y=ff)``."""
         fmt = self.domain.format_value
         return "(" + ", ".join(f"{n}={fmt(store[n])}" for n in self.variables) + ")"
-
-
-class _Runs(Sequence):
-    """``Model.executions`` of a model with clones: every run in order, a
-    clone listed when it is first read.  The model does not hold this view,
-    so the view makes no reference cycle."""
-
-    __slots__ = ("model",)
-
-    def __init__(self, model: Model):
-        self.model = model
-
-    def __len__(self) -> int:
-        return len(self.model.runs)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(len(self))[k]]
-        return self.model.run(range(len(self))[k])
-
-    def __iter__(self) -> Iterator[Execution]:
-        run = self.model.run
-        for index, ex in enumerate(self.model.runs):
-            yield ex if ex is not None else run(index)
 
 
 def _first_index(c: RunClass) -> int:
@@ -459,19 +435,32 @@ def results_model(model: Model, outputs: tuple[Expr, ...]) -> Model:
     and statuses: each is one silent point, then one point per expression
     of ``outputs``, emitting its value on the final store.  Nothing is kept
     per point.  Both readings of the abstract pair judge it: nani as nid,
-    aak as akd, with ``rho``'s expressions as the outputs."""
+    aak as akd, with ``rho``'s expressions as the outputs.
+
+    Its classes are ``model``'s parts split by the identifiers the outputs
+    read: the runs of a part agree on those at the end, so they have the
+    same results, and a clone of ``model`` is made only where an output
+    reads a dead input.  Its dead inputs are ``model``'s less those."""
+    names = frozenset().union(*map(expr_ids, outputs))
     fns = [compile_expr(e, model.domain) for e in outputs]
     parents, table, extend = _trace_table()
     behaviours: dict[tuple, list[int]] = {}
-    runs = []
-    for ex in model.executions:
+    runs: list[Execution | None] = [None] * len(model.runs)
+    classes = []
+    for part in model.parts(names):
+        ex = part.first
         ids = [0]
         for fn in fns:
             ids.append(extend(ids[-1], fn(ex.final_store)))
         ids = behaviours.setdefault(tuple(ids), ids)
-        runs.append(Execution(ex.index, ex.init_store, None, ex.final_store, ex.status, None, ids))
-    return Model(model.program, model.cfg, [RunClass(ex, 1 << ex.index) for ex in runs], runs,
-                 parents, table, model.variables)
+        runs[ex.index] = Execution(ex.index, ex.init_store, None, ex.final_store, ex.status,
+                                   None, ids)
+        # nothing is kept per point, so a clone lays its dead values over
+        # the final store only
+        classes.append(RunClass(runs[ex.index], part.runs, {}, part.unwritten))
+    dead = tuple(n for n in model.dead if n not in names)
+    return Model(model.program, model.cfg, classes, runs, parents, table, model.variables,
+                 dead=dead)
 
 
 def _trace_table() -> tuple:

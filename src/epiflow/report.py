@@ -77,7 +77,7 @@ def build_report(run: CheckRun, policy_payload: dict, program_text: str,
     verdict: Verdict = run.verdict
     cfg = run.model.cfg
     stats = {
-        "executions": len(run.model.executions),
+        "executions": len(run.model.runs),
         "points": run.model.point_count,
         # every interned trace id is some point's trace: one epoch each
         "epochs": len(run.model.trace_parents),

@@ -587,13 +587,18 @@ class TestMemoLevels:
                 agrees_at_every_point(m, f, seed=index)
 
 
-    def test_knowledge_of_run_fixed_children_uses_masks(self):
+    def test_knowledge_scans_the_epoch_unless_l_pins_every_variable(self):
+        # only an L whose init atoms pin every variable is a run mask; K,
+        # and L over a child that pins less, scan the epoch's parts
         ev = evaluation(random_models(1, seed=21)[0])
+        assert set(ev.program.variables) == {"l", "h"}
         scope = frozenset({"v"})
-        assert ev.compile(K(AT_EXEC), scope).compute is Evaluation._knows_runs
-        assert ev.compile(L(AT_EXEC), scope).compute is Evaluation._possible_runs
-        for child in (AT_POINT, AT_RUN_EPOCH):
+        pinned = And((Init("l", Var("v")), AT_EXEC))
+        assert ev.compile(L(pinned), scope).compute is Evaluation._possible_runs
+        assert ev.compile(K(pinned), scope).compute is Evaluation._knows
+        for child in (AT_EXEC, AT_POINT, AT_RUN_EPOCH):
             assert ev.compile(K(child), scope).compute is Evaluation._knows
+            assert ev.compile(L(child), scope).compute is Evaluation._knows
 
     def test_knowledge_of_epoch_fixed_children_is_the_child(self):
         # K p = L p = p when p is fixed across the epoch: a constant, or a

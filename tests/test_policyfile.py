@@ -370,8 +370,37 @@ class TestClones:
         simulate_every_run[0] = True
         every = run_check(program, policy, ModelConfig(INT4)).model
         assert (len(every.classes), every.runs.count(None)) == (64, 0)
-        assert (len(m.executions), m.point_count) == (len(every.executions), every.point_count)
+        assert (len(m.runs), m.point_count) == (len(every.runs), every.point_count)
         assert m.runs.count(None) == 48
+
+    @pytest.mark.parametrize("check", ["nani", "aak"])
+    @pytest.mark.parametrize("low, rho, unlisted", [(("l",), "Id", 48), (("l", "x"), "l + x", 0)],
+                             ids=["rho-reads-no-dead-input", "rho-reads-dead-x"])
+    def test_the_results_model_lists_a_clone_only_where_rho_reads_it(
+            self, check, low, rho, unlisted, simulate_every_run, monkeypatch):
+        # x is dead: the results model keeps the 16 classes of (h, l) and
+        # lists none of their 48 clones unless rho reads x
+        import epiflow.policyfile
+
+        built = []
+        monkeypatch.setattr(epiflow.policyfile, "build_model", lambda *args, build=(
+            epiflow.policyfile.build_model): built.append(build(*args)) or built[-1])
+        program = parse(self.LOOP, INT4)
+        policy = Policy(check, low=low, eta="Id", phi="Par", rho=rho)
+        answers = []
+        for every in (False, True):
+            simulate_every_run[0] = every
+            run = run_check(program, policy, ModelConfig(INT4))
+            m = run.model
+            answers.append((run.verdict.outcome, run.verdict.witness,
+                            run.verdict.stats.formula_nodes, len(m.runs), m.point_count,
+                            len(m.trace_parents),
+                            [(ex.index, ex.init_store, ex.final_store, tuple(ex.trace_ids))
+                             for ex in m.executions]))
+        program_model, every_model = built
+        assert (len(program_model.classes), program_model.runs.count(None)) == (16, unlisted)
+        assert every_model.runs.count(None) == 0
+        assert answers[0] == answers[1]
 
     C7 = "x := hash(h); if (x mod 2) == in then { l := 0 } else { l := 1 }; release rh; out l"
     HASHED4 = Domain.integers(4, hash_table=(1, 2, 3, 0))
