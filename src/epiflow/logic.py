@@ -17,10 +17,15 @@ equals the current one; until ranges over the remaining (finite,
 terminated) suffix of the current execution.  Callers must refuse tainted
 models before asking for satisfaction.  A verdict asks the root at the
 start of the first run of each part of the runs that the root cannot
-tell apart (``model_satisfies``, ``Model.parts``); K and L scanning an
-epoch likewise visit the first run of each part of it, and ``have`` is
-built per class of runs, so no clone of the model is made unless a dead
-input read splits a class.
+tell apart (``model_satisfies``, ``Model.parts``): the classes of live
+inputs, split by the dead inputs the root reads, but for those it reads
+only through bound variables that no atom but an ``init`` of that input
+reads.  Permuting such an input's values maps the model and the formula
+onto themselves (Ip and Dill, "Better verification through symmetry",
+1996), so its runs share one answer.  K and L scanning an epoch likewise
+visit the first run of each part of it, split by every dead input their
+child reads, and ``have`` is built per class of runs, so no clone of the
+model is made unless a split lists it.
 
 Before evaluation each node is checked like a program expression
 (identifiers, operators, literals) and compiled under its quantifier
@@ -74,8 +79,12 @@ quantifiers, knowledge and scans cheap:
   split by identifier: fixed ones read no variable the guard solves,
   varying ones do.  The instances pin ``fixed & union``, where ``union``
   is the OR of the varying pins' masks over the guard's solutions, built
-  once per solved guard: per value of the variables the guard and the
-  varying pins read besides the solved ones.  The block holds when
+  once per group of solutions: per value of the far sides, of the outer
+  variables the near sides and filters read, and of the variables the
+  varying pins read besides the solved ones.  It is kept per value of the
+  variables the guard and the varying pins read, so a premise met again
+  finds it at once; espm's premises that agree on the declassified
+  property share one union.  The block holds when
   ``fixed & union & ~have == 0``.  The model holds every initial store, so
   an instance pins no run only when the fixed side or its varying side
   contradicts itself; that makes the block false, and a guard that admits
@@ -404,9 +413,13 @@ class _Block:
     A possibility block (no binders, no checks, a pinned L body) splits
     the body's pins by identifier: ``fixed`` pins identifiers none of whose
     pinned expressions reads a solved variable, ``varying`` the others.
-    ``spread`` reads the values the union of the varying pins over the
-    guard's solutions depends on: those of the outer variables ``pure``
-    reads and of the other bound variables the varying expressions read.
+    The union of the varying pins over the guard's solutions depends on
+    the solutions and on the other bound variables the varying expressions
+    read.  ``spread`` reads the values that fix both: those of the outer
+    variables ``pure`` reads and of those other variables.  ``group``
+    reads the values of ``outer``'s variables and of those other variables;
+    with the ``far`` values it names the same union for every premise
+    whose solutions are one group.
     """
 
     vars: tuple[str, ...]
@@ -422,6 +435,7 @@ class _Block:
     fixed: tuple = ()
     varying: tuple = ()
     spread: object = None
+    group: object = None
 
 
 # K and L read no store, initial value or scan of the current run, only
@@ -466,15 +480,18 @@ def _parts(p: _Plan) -> tuple[_Plan, ...]:
     return p.kids if isinstance(p.formula, And) else (p,)
 
 
-def _split_pins(body: _Plan, solve: frozenset, outer: frozenset) -> dict:
-    """The ``fixed``, ``varying`` and ``spread`` of a possibility block
-    whose pinned L is ``body``, solving ``solve``."""
+def _split_pins(body: _Plan, solve: frozenset, pure: frozenset, outer: frozenset) -> dict:
+    """The ``fixed``, ``varying``, ``spread`` and ``group`` of a possibility
+    block whose pinned L is ``body``, solving ``solve``, whose pure guard
+    conjuncts read the outer variables ``pure`` and whose near sides and
+    filters read ``outer``."""
     atoms = [a.formula for a in _parts(body.kids[0])]
     varying = {a.name for a in atoms if solve & set(expr_ids(a.expr))}
-    spread = outer.union(*(expr_ids(a.expr) for a in atoms if a.name in varying))
+    pinning = frozenset().union(*(expr_ids(a.expr) for a in atoms if a.name in varying))
     return {"fixed": tuple(pin for pin in body.args if pin[0] not in varying),
             "varying": tuple(pin for pin in body.args if pin[0] in varying),
-            "spread": _getter(spread - solve)}
+            "spread": _getter((pure | pinning) - solve),
+            "group": _getter((outer | pinning) - solve)}
 
 
 class Evaluation:
@@ -702,7 +719,7 @@ class Evaluation:
         elif not binders and not checks and body.compute is Evaluation._possible_runs:
             compute = Evaluation._all_possible
             pins = _split_pins(body, solved, frozenset().union(
-                *(plan.free for plan in pure)) - solved)
+                *(plan.free for plan in pure)) - solved, outer)
         elif not solve and not pure and not checks:
             compute = Evaluation._bound
         else:
@@ -827,20 +844,28 @@ class Evaluation:
 
         An instance pins the runs of its fixed pins and of its varying
         ones, so the instances pin ``fixed & union``, where ``union`` is the
-        OR of the varying pins over the guard's solutions, kept per solved
-        guard.  The model holds every initial store, so an instance pins no
-        run only when one side contradicts itself; that makes the block
-        false, and a guard that admits no instance makes it true.
+        OR of the varying pins over the guard's solutions, kept per value of
+        ``spread``.  On a miss it is looked up per group of solutions (the
+        ``far`` values, with ``group``'s), so premises whose guards admit
+        the same solutions build it once.  The model holds every initial
+        store, so an instance pins no run only when one side contradicts
+        itself; that makes the block false, and a guard that admits no
+        instance makes it true.
         """
         block: _Block = p.args
-        key = block if block.spread is None else (block, block.spread(self.env))
-        union = self.masks.get(key)
+        env, masks = self.env, self.masks
+        key = block if block.spread is None else (block, block.spread(env))
+        union = masks.get(key)
         if union is None:
-            union = 0
-            for _ in self._instances(p, ex, i):
-                # -1 marks an instance whose varying pins contradict
-                union |= self._pinned_bit(block.varying) or -1
-            self.masks[key] = union
+            group = (block, block.far(env), block.group and block.group(env))
+            union = masks.get(group)
+            if union is None:
+                union = 0
+                for _ in self._instances(p, ex, i):
+                    # -1 marks an instance whose varying pins contradict
+                    union |= self._pinned_bit(block.varying) or -1
+                masks[group] = union
+            masks[key] = union
         if union <= 0:
             return union == 0
         fixed = self._pinned_bit(block.fixed)
@@ -941,12 +966,14 @@ def model_satisfies(model: Model, f: Formula, ev: Evaluation | None = None) -> V
 
     The root is asked once per part of the runs (``Model.parts``): the
     classes of live inputs, split by the dead inputs the root reads at the
-    current point or initially.  The runs of a part take the same steps
-    and agree on all the root reads, so they get one answer, and no clone
-    is made unless such a split lists it; asking the first run of each
-    part in run order keeps the first failing run, and so the witness.  A
-    part whose behaviour and initial values an earlier part shares is
-    answered from the memo.
+    current point or initially, but for the ``_symmetric`` ones.  The runs
+    of a part take the same steps and agree on all the root reads, so they
+    get one answer; a symmetric input's values can be permuted without
+    changing the model or the root's value, so the runs that differ only
+    in it get one answer too.  No clone is made unless such a split lists
+    it, and asking the first run of each part in run order keeps the first
+    failing run, and so the witness.  A part whose behaviour and initial
+    values an earlier part shares is answered from the memo.
     """
     if ev is None:
         ev = Evaluation(model.program, model.domain)
@@ -956,11 +983,46 @@ def model_satisfies(model: Model, f: Formula, ev: Evaluation | None = None) -> V
     note = model.refusal
     if note is not None:
         return Verdict(Outcome.BOUND_EXCEEDED, None, Stats(formula_nodes=size), note)
-    for part in model.parts(root.reads | root.inits):
+    names = root.reads | root.inits
+    dead = names.intersection(model.dead)
+    if dead:
+        names -= _symmetric(ev, dead)
+    for part in model.parts(names):
         if not ev.holds(root, part.first, 0):
             witness = _extract_witness(ev, root, part.first)
             return Verdict(Outcome.FAILS, witness, ev.stats(size))
     return Verdict(Outcome.HOLDS, None, ev.stats(size))
+
+
+def _symmetric(ev: Evaluation, dead: frozenset) -> frozenset:
+    """The inputs of ``dead`` whose values can be permuted without changing
+    what the plans say: no plan reads one at a point, every ``init`` atom
+    on one (a guard's binder included) takes a bound variable, and no
+    other atom reads such a variable.
+
+    Permuting a dead input's values maps the model onto itself, and the
+    same permutation of those variables' values maps the formula's
+    instances onto each other, so at the first point of a run the formula
+    has the value it has at the runs that differ from it only in such
+    inputs.  Variables are told apart by name, so a name bound twice counts
+    every atom either reads."""
+    taken: dict[str, set[str]] = {}  # a bound variable -> the inputs init atoms give it
+    other: set[str] = set()  # the bound variables other atoms read
+    split = set(ev.reads)  # the inputs some atom reads otherwise
+    for (_, scope), (f, plan) in ev.plans.items():
+        if isinstance(plan.args, _Block):
+            for var, subject in plan.args.binders:
+                taken.setdefault(var, set()).add(subject)
+        elif isinstance(f, Init) and isinstance(f.expr, Var) and f.expr.name in scope:
+            taken.setdefault(f.expr.name, set()).add(f.name)
+        elif isinstance(f, (Eq, Init)):
+            other |= plan.free
+            if isinstance(f, Init):
+                split.add(f.name)
+    for var, subjects in taken.items():
+        if var in other or len(subjects) > 1:
+            split |= subjects
+    return dead.difference(split)
 
 
 def _extract_witness(ev: Evaluation, root: _Plan, ex: Execution) -> Witness:

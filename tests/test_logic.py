@@ -890,15 +890,21 @@ def evaluation(m, kind=Evaluation):
 
 
 class CountingEvaluation(Evaluation):
-    """Counts the evaluations of one plan."""
+    """Counts the evaluations of one plan, and the unions possibility
+    blocks build."""
 
     counted = None
     calls = 0
+    unions = 0
 
     def holds(self, p, ex, i):
         if p is self.counted:
             self.calls += 1
         return super().holds(p, ex, i)
+
+    def _instances(self, p, ex, i):
+        self.unions += p.compute is Evaluation._all_possible
+        return super()._instances(p, ex, i)
 
 
 def first_failing_run(m, f):
@@ -1005,16 +1011,23 @@ class TestClassesAndClosedParts:
     def test_the_root_is_asked_once_per_class(self):
         # c7-secure at int:8 with hash 3v mod 8: 4,096 runs, but the root
         # reads the flag rh at the start, which clones of the dead x share,
-        # and the initial in, l and h: 512 classes
+        # and the initial in, l and h.  The dead l is read only through
+        # the bound l', which no other atom reads, so permuting l's values
+        # maps the model and the formula onto themselves: the root is asked
+        # once per class of (h, in), 64 times, and lists no clone.  Its
+        # possibility blocks build one union per value of in' and of the
+        # released check (10 for G's block) and one for W's block
         full, f = c7_akr()
         ev = CountingEvaluation(full.program, full.domain)
         ev.counted = root = ev.compile(f)
         m = build_model(full.program, full.cfg, ev.reads)
         assert model_satisfies(m, f, ev).outcome is Outcome.HOLDS
         assert root.reads == {"rh"} and root.inits == {"in", "l", "h"}
-        classes = {(id(ex.trace_ids), id(ex.stores), ex.init_store["in"], ex.init_store["l"],
-                    ex.init_store["h"]) for ex in m.executions}
-        assert len(m.executions) == 4096 and ev.calls == len(classes) == 512
+        assert m.dead == ("x", "l") and m.runs.count(None) == 4096 - 64
+        assert ev.unions == 11
+        classes = {(id(ex.trace_ids), id(ex.stores), ex.init_store["in"], ex.init_store["h"])
+                   for ex in m.executions}
+        assert len(m.executions) == 4096 and ev.calls == len(classes) == 64
 
     # roots that read the store at the start, and the dead k's initial value
     STORE_ROOTS = [
@@ -1048,6 +1061,68 @@ class TestClassesAndClosedParts:
                 if failing is not None:
                     assert dict(verdict.witness.stores[0][1]) == failing.init_store
         assert outcomes == {Outcome.HOLDS, Outcome.FAILS}
+
+
+class TestSymmetricDeadInputs:
+    """The root merges the runs that differ only in a dead input when the
+    formula reads that input only through bound variables that no other
+    atom reads; every other formula keeps the split, and answers as on the
+    model that simulates every run."""
+
+    @staticmethod
+    def c7_secure():
+        full, _ = c7_akr()
+        return full.program, full.cfg
+
+    @staticmethod
+    def every_run_model(program, cfg, monkeypatch):
+        """The model with every input live, so that no run is a clone."""
+        import epiflow.model
+
+        with monkeypatch.context() as patched:
+            patched.setattr(epiflow.model, "live_inputs",
+                            lambda program: frozenset(program.variables))
+            return build_model(program, cfg)
+
+    # l is dead; each formula reads it otherwise than through a bound
+    # variable of its own: a constant, a program identifier, a variable
+    # another atom reads, a variable two inputs' atoms take, the store
+    SPLIT = [
+        ("init(l, 0)", {"l": 1}),
+        ("init(l, in) -> init(in, 0)", {"in": 1, "l": 1}),
+        ("forall v . init(l, v) -> v == 0", {"l": 1}),
+        ("forall v . init(in, v) -> (init(l, v) -> init(in, 0))", {"in": 1, "l": 1}),
+        ("l == 0", {"l": 1}),
+    ]
+
+    @pytest.mark.parametrize("text, witness", SPLIT, ids=[text for text, _ in SPLIT])
+    def test_a_dead_input_read_otherwise_keeps_the_split(self, text, witness, monkeypatch):
+        program, cfg = self.c7_secure()
+        f = parse_formula(text)
+        ev = Evaluation(program, cfg.domain)
+        ev.compile(f)
+        m = build_model(program, cfg, ev.reads)
+        verdict = model_satisfies(m, f, ev)
+        every = model_satisfies(self.every_run_model(program, cfg, monkeypatch), f)
+        assert verdict.outcome is every.outcome is Outcome.FAILS
+        assert verdict.witness == every.witness
+        initial = dict(verdict.witness.stores[0][1])
+        assert initial == {"x": 0, "h": 0, "in": 0, "l": 0, **witness}
+        # the failing run is a clone of the class of (h, in), listed by the split
+        assert m.runs.count(None) < 4096 - 64
+
+    def test_a_dead_input_read_through_its_own_variable_merges(self, monkeypatch):
+        # v is the run's own initial l, which L asks about over the epoch:
+        # the root is asked once per class of (h, in); L splits by l
+        program, cfg = self.c7_secure()
+        f = parse_formula("forall v . init(l, v) -> L init(l, v)")
+        ev = CountingEvaluation(program, cfg.domain)
+        ev.counted = ev.compile(f)
+        m = build_model(program, cfg, ev.reads)
+        assert model_satisfies(m, f, ev).outcome is Outcome.HOLDS
+        assert ev.calls == len(m.classes) == 64
+        every = self.every_run_model(program, cfg, monkeypatch)
+        assert model_satisfies(every, f).outcome is Outcome.HOLDS
 
 
 class TestFormulaChecks:

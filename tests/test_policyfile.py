@@ -311,15 +311,17 @@ class TestClones:
         return switch
 
     @staticmethod
-    def answers(program, policy, cfg) -> list:
+    def answers(program, policy, cfg, judged: list) -> list:
         """Each reading's outcome, note, witness and report stats but
-        ``points_visited`` and ``cache_hits``, alone and side by side."""
+        ``points_visited`` and ``cache_hits``, alone and side by side; the
+        models judged are added to ``judged``."""
         runs = [run_check(program, replace(policy, check=name), cfg) for name in (
             SEMANTIC_OF.get(policy.check, policy.check),
             EPISTEMIC_OF.get(policy.check, policy.check))]
         runs += run_both_sides(program, policy, cfg)
+        judged += [run.model for run in runs]
         return [(run.check, run.verdict.outcome, run.verdict.note, run.verdict.witness,
-                 run.verdict.stats.formula_nodes, len(run.model.executions),
+                 run.verdict.stats.formula_nodes, len(run.model.runs),
                  run.model.point_count, len(run.model.trace_parents)) for run in runs]
 
     @pytest.mark.parametrize("keep_every_identifier", [False, True], ids=["kept", "all"])
@@ -335,6 +337,7 @@ class TestClones:
         built = []
         monkeypatch.setattr(epiflow.policyfile, "build_model", lambda *args, build=(
             epiflow.policyfile.build_model): built.append(build(*args)) or built[-1])
+        unlisted = {}  # per pair, whether some judged model keeps a clone unlisted
         for cfg in self.SWEEPS:
             model_cfg = ModelConfig(cfg.domain, bound=cfg.bound)
             for pair in cfg.pairs:
@@ -346,10 +349,14 @@ class TestClones:
                     for name in fuzzed.variables:
                         program = program_from_body(Seq(Assign(name, value), fuzzed.body))
                         simulate_every_run[0] = False
-                        answers = self.answers(program, policy, model_cfg)
+                        judged = []
+                        answers = self.answers(program, policy, model_cfg, judged)
+                        unlisted[pair] = unlisted.get(pair, False) or any(
+                            None in m.runs for m in judged)
                         simulate_every_run[0] = True
-                        assert self.answers(program, policy, model_cfg) == answers, (
+                        assert self.answers(program, policy, model_cfg, []) == answers, (
                             pair, index, name)
+        assert len(unlisted) == 5 and all(unlisted.values()), unlisted
         # half the builds simulate every run; of the others, all but those
         # with a run cut by the bound clone some run
         cloned = [m for m in built if len(m.classes) < len(m.runs)]
