@@ -18,14 +18,18 @@ terminated) suffix of the current execution.  Callers must refuse tainted
 models before asking for satisfaction.  A verdict asks the root at the
 start of the first run of each part of the runs that the root cannot
 tell apart (``model_satisfies``, ``Model.parts``): the classes of live
-inputs, split by the dead inputs the root reads, but for those it reads
-only through bound variables that no atom but an ``init`` of that input
-reads.  Permuting such an input's values maps the model and the formula
-onto themselves (Ip and Dill, "Better verification through symmetry",
-1996), so its runs share one answer.  K and L scanning an epoch likewise
-visit the first run of each part of it, split by every dead input their
-child reads, and ``have`` is built per class of runs, so no clone of the
-model is made unless a split lists it.
+inputs, split by the dead inputs the root reads.  A dead input is left
+out for a node that reads it only through variables bound under the node
+that no atom but an ``init`` of that input reads, and no ``init`` of it
+reads the node's free variables (``Evaluation._merge_symmetric``):
+permuting its values maps the model and the node onto themselves (Ip and
+Dill, "Better verification through symmetry", 1996), so the runs that
+differ only in it share the node's value.  One rule serves three readers:
+the root's split; K and L scanning an epoch, which likewise visit the
+first run of each part of it, split by the dead inputs their child
+reads but for the symmetric ones; and every memo key, which leaves them
+out of the initial values it keys on.  ``have`` is built per class of
+runs, so no clone of the model is made unless a split lists it.
 
 Before evaluation each node is checked like a program expression
 (identifiers, operators, literals) and compiled under its quantifier
@@ -38,8 +42,9 @@ run's behaviour (its trace ids, one list that the runs with equal trace
 ids share) and the initial values its ``init`` atoms and binders read.
 Its key is the trace id when it is fixed across an epoch (K and L, and
 what is built from them), the behaviour when it steps along the run (a
-temporal operator, or a node above one), and the initial values it reads;
-runs that agree on these share one evaluation.  Only nodes that read the
+temporal operator, or a node above one), and the initial values it reads
+of all but the dead inputs symmetric for it; runs that agree on these
+share one evaluation.  Only nodes that read the
 current store are kept per point.  A closed node (one that reads no store,
 no initial value, no bound variable, and is neither built on K or L nor a
 scan) has one value everywhere, and planning folds it to that value: an
@@ -144,14 +149,15 @@ _POSITIONS = {
 }
 
 
-def _position(p: _Plan):
+def _position(p: _Plan, inits: frozenset):
     """The memo position of a point for ``p``: the point itself when ``p``
     reads the store there, else the trace id when ``p`` is fixed per epoch,
     the behaviour (the trace-id list runs with equal trace ids share) when
-    it scans, and the initial values it reads."""
+    it scans, and the initial values of ``inits``, those of ``p.inits``
+    that tell its runs apart."""
     if p.reads:
         return lambda ex, i: (ex.index, i)
-    return partial(_POSITIONS[p.epoch, p.scans, bool(p.inits)], _getter(p.inits))
+    return partial(_POSITIONS[p.epoch, p.scans, bool(inits)], _getter(inits))
 
 
 def _changes(ex: Execution, i: int, read):
@@ -379,7 +385,7 @@ class _Plan:
         for fact, value in given.items():
             setattr(self, fact, value)
         self.key = _getter(self.free)
-        self.at = _position(self) if memo else None
+        self.at = _position(self, self.inits) if memo else None
 
     @property
     def constant(self) -> bool:
@@ -514,15 +520,82 @@ class Evaluation:
         # the model must keep: K and L hide their kids' reads, so this is
         # the union over every plan, not the root's
         self.reads: frozenset[str] = _NONE
+        # per plan, the dead inputs it reads initially whose runs share its
+        # value (``_merge_symmetric``)
+        self.merged: dict[_Plan, frozenset[str]] = {}
         self.points_visited = 0
         self.cache_hits = 0
 
     def bind(self, model: Model) -> Evaluation:
-        """Evaluate over ``model``, a model of the program, from now on."""
+        """Evaluate over ``model``, a model of the program, from now on;
+        when it has dead inputs, merge the runs that differ only in those
+        symmetric for a plan (``_merge_symmetric``)."""
         model.require(self.reads, "the formula")
         self.model = model
         self.every_run = (1 << len(model.runs)) - 1
+        if model.dead:
+            self._merge_symmetric(frozenset(model.dead))
         return self
+
+    def _merge_symmetric(self, dead: frozenset) -> None:
+        """Find, per plan, the inputs of ``dead`` it reads initially that
+        are symmetric for it (``merged``), and leave them out of its memo
+        position and, for a K or L child, out of the parts its epoch walk
+        visits.  A dead input ``d`` is symmetric for a plan ``p`` when
+        (a) no atom under ``p``, K and L included, reads ``d`` at a point;
+        (b) every ``init`` atom on ``d`` under ``p``, a guard's binder
+        included, takes a bound variable; (c) no other atom reads such a
+        variable that a block under ``p`` binds, and no such variable is
+        taken by the ``init`` atoms of two inputs; (d) no variable free in
+        ``p`` is taken by an ``init`` atom on ``d`` under ``p``.
+
+        ``d`` is written before it is read, so permuting its values maps
+        the model onto itself.  By (a)-(d) the same permutation of the
+        values of the variables that ``d``'s atoms take, all bound under
+        ``p``, maps ``p``'s instances onto each other and fixes every other
+        atom, so ``p`` has one value at the runs that differ only in ``d``
+        (Ip and Dill, "Better verification through symmetry", 1996).
+
+        The facts are gathered bottom up, in the order the plans were
+        made: per plan, the dead inputs (a)-(c) rule out, the variables
+        free in it that ``init`` atoms take, with their inputs, and the
+        variables free in it that other atoms read."""
+        facts: dict[_Plan, tuple] = {}
+        merged = self.merged = {}
+        for _, p in self.plans.values():
+            if p in facts:
+                continue
+            split, taken, other = p.reads & dead, {}, _NONE
+            f = p.formula
+            if p.compute is Evaluation._init and isinstance(f.expr, Var) and p.free:
+                taken = {f.expr.name: frozenset((f.name,))}
+            elif p.compute is Evaluation._init or p.compute is Evaluation._eq:
+                other = p.free
+                if isinstance(f, Init) and f.name in dead:
+                    split |= {f.name}
+            for kid in p.kids:
+                kid_split, kid_taken, kid_other = facts[kid]
+                split, other = split | kid_split, other | kid_other
+                for var, inputs in kid_taken.items():
+                    taken[var] = taken.get(var, _NONE) | inputs
+            block = p.args
+            if isinstance(block, _Block):
+                for var, subject in block.binders:
+                    taken[var] = taken.get(var, _NONE) | {subject}
+                for var in block.vars:
+                    inputs = taken.pop(var, _NONE)
+                    if var in other or len(inputs) > 1:
+                        split |= inputs & dead
+                other -= set(block.vars)
+            facts[p] = split, taken, other
+            symmetric = p.inits & dead - split - frozenset().union(*taken.values())
+            if symmetric:
+                merged[p] = symmetric
+                if p.at is not None:
+                    p.at = _position(p, p.inits - symmetric)
+            if p.compute is Evaluation._knows and p.kids[0] in merged:
+                every, read, names = p.args
+                p.args = every, read, names - merged[p.kids[0]]
 
     def stats(self, formula_nodes: int = 0) -> Stats:
         return Stats(self.points_visited, self.cache_hits, formula_nodes)
@@ -780,7 +853,8 @@ class Evaluation:
         Every K, and every L but one pinning every variable, asks this.
 
         Each part of the runs of the epoch, split by what the child reads
-        at a point or initially (``args[2]``, ``Model.parts``), is visited
+        at a point or initially but for the dead inputs symmetric for it
+        (``args[2]``, ``Model.parts``, ``_merge_symmetric``), is visited
         once, in run order (the bits of ``have``, lowest first), by its
         first run, over its block in the epoch: from change to change of
         the store identifiers the child reads (``args[1]``), so only at its
@@ -966,14 +1040,15 @@ def model_satisfies(model: Model, f: Formula, ev: Evaluation | None = None) -> V
 
     The root is asked once per part of the runs (``Model.parts``): the
     classes of live inputs, split by the dead inputs the root reads at the
-    current point or initially, but for the ``_symmetric`` ones.  The runs
-    of a part take the same steps and agree on all the root reads, so they
-    get one answer; a symmetric input's values can be permuted without
-    changing the model or the root's value, so the runs that differ only
-    in it get one answer too.  No clone is made unless such a split lists
-    it, and asking the first run of each part in run order keeps the first
-    failing run, and so the witness.  A part whose behaviour and initial
-    values an earlier part shares is answered from the memo.
+    current point or initially, but for those symmetric for it
+    (``Evaluation._merge_symmetric``).  The runs of a part take the same
+    steps and agree on all the root reads, so they get one answer; a
+    symmetric input's values can be permuted without changing the model or
+    the root's value, so the runs that differ only in it get one answer
+    too.  No clone is made unless such a split lists it, and asking the
+    first run of each part in run order keeps the first failing run, and
+    so the witness.  A part whose behaviour and the initial values its root
+    keys on an earlier part shares is answered from the memo.
     """
     if ev is None:
         ev = Evaluation(model.program, model.domain)
@@ -983,46 +1058,11 @@ def model_satisfies(model: Model, f: Formula, ev: Evaluation | None = None) -> V
     note = model.refusal
     if note is not None:
         return Verdict(Outcome.BOUND_EXCEEDED, None, Stats(formula_nodes=size), note)
-    names = root.reads | root.inits
-    dead = names.intersection(model.dead)
-    if dead:
-        names -= _symmetric(ev, dead)
-    for part in model.parts(names):
+    for part in model.parts(root.reads | root.inits - ev.merged.get(root, _NONE)):
         if not ev.holds(root, part.first, 0):
             witness = _extract_witness(ev, root, part.first)
             return Verdict(Outcome.FAILS, witness, ev.stats(size))
     return Verdict(Outcome.HOLDS, None, ev.stats(size))
-
-
-def _symmetric(ev: Evaluation, dead: frozenset) -> frozenset:
-    """The inputs of ``dead`` whose values can be permuted without changing
-    what the plans say: no plan reads one at a point, every ``init`` atom
-    on one (a guard's binder included) takes a bound variable, and no
-    other atom reads such a variable.
-
-    Permuting a dead input's values maps the model onto itself, and the
-    same permutation of those variables' values maps the formula's
-    instances onto each other, so at the first point of a run the formula
-    has the value it has at the runs that differ from it only in such
-    inputs.  Variables are told apart by name, so a name bound twice counts
-    every atom either reads."""
-    taken: dict[str, set[str]] = {}  # a bound variable -> the inputs init atoms give it
-    other: set[str] = set()  # the bound variables other atoms read
-    split = set(ev.reads)  # the inputs some atom reads otherwise
-    for (_, scope), (f, plan) in ev.plans.items():
-        if isinstance(plan.args, _Block):
-            for var, subject in plan.args.binders:
-                taken.setdefault(var, set()).add(subject)
-        elif isinstance(f, Init) and isinstance(f.expr, Var) and f.expr.name in scope:
-            taken.setdefault(f.expr.name, set()).add(f.name)
-        elif isinstance(f, (Eq, Init)):
-            other |= plan.free
-            if isinstance(f, Init):
-                split.add(f.name)
-    for var, subjects in taken.items():
-        if var in other or len(subjects) > 1:
-            split |= subjects
-    return dead.difference(split)
 
 
 def _extract_witness(ev: Evaluation, root: _Plan, ex: Execution) -> Witness:

@@ -213,22 +213,31 @@ class Model:
     def executions(self) -> list[Execution]:
         """Every run, in order of its initial values: the first read lists
         every clone."""
+        clones = self._lays(self.dead)[1:]  # all but the first
         for c in self.classes:
-            clones = c.runs & (c.runs - 1)  # all but the first, the lowest bit
-            while clones:
-                self._listed(c, (clones & -clones).bit_length() - 1)
-                clones &= clones - 1
+            for offset, values in clones:
+                self._listed(c, offset, values)
         return self.runs
 
-    def _listed(self, c: RunClass, index: int) -> Execution:
-        """The ``index``-th run, of class ``c``, listed now if it is a clone
-        not yet listed: ``c``'s first run with the ``index``-th initial
-        values laid over it."""
+    def _lays(self, names: Iterable[str]) -> list[tuple[int, dict]]:
+        """Per assignment of values to the dead inputs among ``names``, in
+        run order: how far from the first run of a class the run of the
+        class holding them lies, and the assignment."""
+        values = self.domain.values
+        weights = _weights(self.variables, len(values))
+        names = [n for n in self.dead if n in names]
+        return list(zip(_offsets([weights[n] for n in names], len(values)),
+                        (dict(zip(names, vs))
+                         for vs in itertools.product(values, repeat=len(names)))))
+
+    def _listed(self, c: RunClass, offset: int, values: dict) -> Execution:
+        """The run ``offset`` runs after the first run of class ``c``, which
+        holds the dead ``values``, listed now if it is a clone not yet
+        listed: ``c``'s first run with ``values`` laid over it."""
+        index = c.first.index + offset
         ex = self.runs[index]
         if ex is None:
-            init = dict(zip(self.variables,
-                            _values_of_run(index, self.domain.values, len(self.variables))))
-            init.update(dict.fromkeys(self.program.flags, self.domain.false_value))
+            init = {**c.first.init_store, **values}
             ex = self.runs[index] = _clone(c.first, c.laid, c.unwritten, init, index)
             ex.model_ref = c.first.model_ref
         return ex
@@ -251,14 +260,11 @@ class Model:
             return self.classes
         parts = self._parts.get(split)
         if parts is None:
-            d = len(self.domain.values)
-            weights = _weights(self.variables, d)
-            offsets = _offsets([weights[n] for n in self.dead if n in split], d)
-            rest = sum(1 << o for o in _offsets([weights[n] for n in self.dead
-                                                 if n not in split], d))
-            parts = [RunClass(self._listed(c, c.first.index + o), rest << c.first.index + o,
+            rest = sum(1 << o for o, _ in self._lays(frozenset(self.dead) - split))
+            lays = self._lays(split)
+            parts = [RunClass(self._listed(c, o, values), rest << c.first.index + o,
                               c.laid, c.unwritten)
-                     for c in self.classes for o in offsets]
+                     for c in self.classes for o, values in lays]
             parts.sort(key=_first_index)
             self._parts[split] = parts
         return parts
@@ -359,16 +365,6 @@ def _offsets(weights: list[int], d: int) -> list[int]:
     for w in weights:
         offsets = [o + j * w for o in offsets for j in range(d)]
     return offsets
-
-
-def _values_of_run(index: int, values: tuple, count: int) -> tuple:
-    """The initial values of the ``index``-th run, whose ``count`` inputs
-    range over ``values``: runs are in lexicographic order of them."""
-    digits = []
-    for _ in range(count):
-        index, j = divmod(index, len(values))
-        digits.append(values[j])
-    return tuple(reversed(digits))
 
 
 def build_model(program: Program, cfg: ModelConfig,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from random_formulas import dead_input_program, random_formula
 from conftest import abstract_pair, declassified, exec_from, garbage_after
 from epiflow.domain import Domain
 from epiflow.fuzz import (FuzzConfig, _abstractions_for, _gen_expr, generate_case,
@@ -16,7 +17,7 @@ from epiflow.logic import (And, Eq, Evaluation, Exists, F, Ff, Forall, G, Implie
                            formula_size, formula_to_source, model_satisfies, parse_formula,
                            satisfies)
 from epiflow.model import ModelConfig, Point, build_model
-from epiflow.policyfile import policy_pieces
+from epiflow.policyfile import parse_policy, policy_pieces
 from epiflow.policies import (FlowSpec, InitPredicate, ReleaseSpec,
                               TemporalDeclassification, encode_aktd)
 from epiflow.verdicts import Outcome
@@ -891,15 +892,19 @@ def evaluation(m, kind=Evaluation):
 
 class CountingEvaluation(Evaluation):
     """Counts the evaluations of one plan, and the unions possibility
-    blocks build."""
+    blocks build; records the points each plan of ``watched`` is asked at,
+    by plan."""
 
     counted = None
     calls = 0
     unions = 0
+    watched: dict = {}
 
     def holds(self, p, ex, i):
         if p is self.counted:
             self.calls += 1
+        if p in self.watched:
+            self.watched[p].append((ex, i))
         return super().holds(p, ex, i)
 
     def _instances(self, p, ex, i):
@@ -1123,6 +1128,125 @@ class TestSymmetricDeadInputs:
         assert ev.calls == len(m.classes) == 64
         every = self.every_run_model(program, cfg, monkeypatch)
         assert model_satisfies(every, f).outcome is Outcome.HOLDS
+        # L asks whether some run of the epoch starts with v, the run's own
+        # l: its child reads l through the free v, so its walk splits by l
+        (knows,) = [p for _, p in ev.plans.values() if p.compute is Evaluation._knows]
+        assert knows.args[2] == {"l"} and knows.kids[0] not in ev.merged
+        assert m.runs.count(None) < 4096 - 64
+
+    def test_k_over_a_block_that_binds_the_dead_input_merges(self, monkeypatch):
+        # every run of an epoch starts with some l that some run of the
+        # epoch starts with: K's child binds l inside, so K asks it at the
+        # first run of each class of (h, in) only (L still splits by l)
+        program, cfg = self.c7_secure()
+        f = parse_formula("K (forall w . init(l, w) -> L init(l, w))")
+        ev = CountingEvaluation(program, cfg.domain)
+        root = ev.compile(f)
+        child = root.kids[0]
+        ev.watched = {child: []}
+        m = build_model(program, cfg, ev.reads)
+        verdict = model_satisfies(m, f, ev)
+        assert root.compute is Evaluation._knows and ev.merged[child] == {"l"}
+        assert root.args[2] == frozenset() and verdict.outcome is Outcome.HOLDS
+        assert [ex for ex, _ in ev.watched[child]] == [c.first for c in m.classes]
+        assert model_satisfies(self.every_run_model(program, cfg, monkeypatch), f).holds
+
+    # K's child reads the dead l otherwise than through a variable bound
+    # inside it that only l's init atoms take, one condition broken each:
+    # (a) at a point, under L; (b) through a constant; (c) through a
+    # variable another atom reads, and one in's atom takes; (d) through a
+    # variable bound outside K
+    BROKEN = [
+        "K (forall w . init(l, w) -> L (init(l, w) && l == 0))",
+        "K (forall w . init(l, w) -> L (init(l, w) && init(l, 0)))",
+        "K (forall w . init(l, w) -> L (init(l, w) && w == 0))",
+        "K (forall w . init(l, w) -> L (init(l, w) && init(in, w)))",
+        "forall v . init(l, v) -> K (exists w . init(in, w) && init(l, v))",
+    ]
+
+    @pytest.mark.parametrize("text", BROKEN, ids=["a", "b", "c-other", "c-two", "d"])
+    def test_each_broken_condition_keeps_the_split(self, text, monkeypatch):
+        program, cfg = self.c7_secure()
+        f = parse_formula(text)
+        ev = Evaluation(program, cfg.domain)
+        ev.compile(f)
+        m = build_model(program, cfg, ev.reads)
+        verdict = model_satisfies(m, f, ev)
+        (knows,) = [p for _, p in ev.plans.values() if p.compute is Evaluation._knows
+                    and isinstance(p.formula, K)]
+        assert "l" in knows.args[2] and "l" not in ev.merged.get(knows.kids[0], ())
+        every = model_satisfies(self.every_run_model(program, cfg, monkeypatch), f)
+        assert (verdict.outcome, verdict.witness) == (every.outcome, every.witness)
+        assert verdict.stats.formula_nodes == every.stats.formula_nodes
+
+    def test_payment_premises_are_evaluated_once_per_class(self, monkeypatch):
+        # c8: paid is dead, and read at points by the condition paid >= cost,
+        # so the root and the Ws split every class by it; each premise block
+        # under the Ws and the G reads paid only through the bound paid', so
+        # it is evaluated once per trace id and class of the other inputs
+        # it reads, though the Ws ask it at runs that differ in paid
+        dom = Domain.integers(4)
+        samples = Path(__file__).parents[1] / "samples"
+        program = parse((samples / "payment.wout").read_text(), dom)
+        policy = parse_policy((samples / "payment.pol").read_text())
+        pieces = policy_pieces(policy, program, dom)
+        f = encode_aktd(pieces["fs"], pieces["conditions"], dom)
+        cfg = ModelConfig(dom)
+        ev = CountingEvaluation(program, dom)
+        root = ev.compile(f)
+        premises = [kid.kids[0] for kid in root.kids]
+        ev.watched = {p: [] for p in premises}
+        m = build_model(program, cfg, ev.reads)
+        verdict = model_satisfies(m, f, ev)
+        assert m.dead == ("paid",) and len(premises) == 4
+        assert [type(kid.formula) for kid in root.kids] == [W, W, W, G]
+        assert ev.merged[root.kids[-1]] == {"paid"}
+        for p, scan in zip(premises, root.kids):
+            assert p.compute is Evaluation._bound and ev.merged[p] == {"paid"}
+            asked = [(ex.trace_ids[i], ex.init_store) for ex, i in ev.watched[p]]
+            runs = {(tid, tuple(init[n] for n in sorted(p.inits))) for tid, init in asked}
+            classes = {(tid, tuple(init[n] for n in sorted(p.inits - {"paid"})))
+                       for tid, init in asked}
+            assert len([key for key in ev.memo if key[0] is p]) == len(classes)
+            assert (len(classes) < len(runs)) == isinstance(scan.formula, W)
+        every = model_satisfies(self.every_run_model(program, cfg, monkeypatch), f)
+        assert (verdict.outcome, verdict.witness, verdict.stats.formula_nodes) == (
+            every.outcome, every.witness, every.stats.formula_nodes)
+        assert verdict.stats.points_visited < every.stats.points_visited
+
+
+class TestRandomFormulas:
+    """A seeded differential of random formulas (``random_formulas``) over
+    random programs with dead inputs: the model of classes, the model that
+    simulates every run, and the reference ``oracles.holds`` give one
+    verdict, and the first failing run in run order is the witness's."""
+
+    def test_random_formulas_answer_as_on_every_run(self, monkeypatch):
+        merged, outcomes = 0, set()
+        for index in range(40):
+            rng = random.Random(f"dead:{index}")
+            program, dead = dead_input_program(rng, BOOL)
+            cfg = ModelConfig(BOOL)
+            every = TestSymmetricDeadInputs.every_run_model(program, cfg, monkeypatch)
+            for _ in range(10):
+                f = random_formula(rng, BOOL, dead)
+                ev = Evaluation(program, BOOL)
+                ev.compile(f)
+                m = build_model(program, cfg, ev.reads)
+                assert set(m.dead) == set(dead)
+                verdict = model_satisfies(m, f, ev)
+                expected = model_satisfies(every, f)
+                failing = first_failing_run(every, f)
+                text = formula_to_source(f)
+                assert (verdict.outcome, verdict.witness) == (
+                    expected.outcome, expected.witness), (index, text)
+                assert verdict.holds == (failing is None), (index, text)
+                if failing is not None:
+                    assert dict(verdict.witness.stores[0][1]) == failing.init_store
+                merged += bool(ev.merged)
+                outcomes.add(verdict.outcome)
+        # the sweep reaches the rule: some node merges a dead input
+        assert merged >= 50 and outcomes == {Outcome.HOLDS, Outcome.FAILS}
 
 
 class TestFormulaChecks:
