@@ -25,12 +25,11 @@ import sys
 from dataclasses import replace
 
 from .domain import Domain, DomainError
-from .fuzz import PAIRS, FuzzConfig, fuzz_equivalences
 from .lang import LangError, ParseError, parse
 from .logic import LogicError, formula_to_source, parse_formula
 from .model import ModelConfig, build_model
 from .policies import PolicyError, condition_ids
-from .policyfile import (Policy, check_pieces, judged_model, load_policy,
+from .policyfile import (PAIRS, Policy, check_pieces, judged_model, load_policy,
                          run_both_sides, run_check, run_formula)
 from .report import build_report, model_dump, render_text
 from .semantics import knowledge_set, required_set
@@ -260,6 +259,9 @@ def cmd_knowledge(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    # imported here, as no other command runs the fuzzer or its generators
+    from .fuzz import FuzzConfig, fuzz_equivalences
+
     dom = _domain_from(args)
     pairs = tuple(p.strip() for p in args.pairs.split(",") if p.strip())
     cfg = FuzzConfig(seed=args.seed, count=args.count, size=args.size,

@@ -18,10 +18,8 @@ from .lang import (Assign, Binary, Const, Expr, If, Out, Program, Release,
                    Seq, Skip, Stmt, Unary, Var, While, expr_to_source,
                    program_from_body, to_source)
 from .model import ModelConfig
-from .policyfile import ABSTRACTED, Policy, run_both_sides
+from .policyfile import ABSTRACTED, PAIRS, Policy, run_both_sides
 from .verdicts import Outcome
-
-PAIRS = ("oni-ak", "nid-akd", "nani-aak", "akr-er", "nitd-aktd")
 
 
 STATEMENT_WEIGHTS = {"skip": 1, "assign": 2, "out": 2, "if": 1, "while": 1}
@@ -29,6 +27,8 @@ STATEMENT_WEIGHTS = {"skip": 1, "assign": 2, "out": 2, "if": 1, "while": 1}
 
 @dataclass(frozen=True)
 class FuzzConfig:
+    """One differential sweep: its seed, size, pairs and model settings."""
+
     seed: int = 1
     count: int = 200
     size: int = 8

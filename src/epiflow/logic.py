@@ -123,7 +123,7 @@ from functools import cached_property, partial
 from operator import itemgetter
 
 from .domain import Domain
-from .lang import (Binary, Const, Expr, LangError, Program, Unary, Var, compile_expr,
+from .lang import (Binary, Const, Expr, LangError, Node, Program, Unary, Var, compile_expr,
                    expr_ids, expr_to_source, validate_expr)
 from .model import Execution, Model, Point
 from .verdicts import Outcome, Stats, Verdict, Witness
@@ -186,93 +186,93 @@ def _changes(ex: Execution, i: int, read):
             i += 1
 
 
-class Formula:
-    pass
+class Formula(Node):
+    """A formula node: immutable, hashable, equal by type and fields (``lang.Node``)."""
+
+    __slots__ = ()
 
 
-@dataclass
 class Eq(Formula):
+    __slots__ = ("lhs", "rhs")
     lhs: Expr
     rhs: Expr
 
 
-@dataclass
 class Init(Formula):
+    __slots__ = ("name", "expr")
     name: str
     expr: Expr
 
 
-@dataclass
 class And(Formula):
+    __slots__ = ("children",)
     children: tuple[Formula, ...]
 
 
-@dataclass
 class Not(Formula):
+    __slots__ = ("child",)
     child: Formula
 
 
-@dataclass
 class K(Formula):
+    __slots__ = ("child",)
     child: Formula
 
 
-@dataclass
 class Until(Formula):
+    __slots__ = ("lhs", "rhs")
     lhs: Formula
     rhs: Formula
 
 
-@dataclass
 class Tt(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass
 class Ff(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass
 class Or(Formula):
+    __slots__ = ("children",)
     children: tuple[Formula, ...]
 
 
-@dataclass
 class Implies(Formula):
+    __slots__ = ("lhs", "rhs")
     lhs: Formula
     rhs: Formula
 
 
-@dataclass
 class Forall(Formula):
+    __slots__ = ("var", "body")
     var: str
     body: Formula
 
 
-@dataclass
 class Exists(Formula):
+    __slots__ = ("var", "body")
     var: str
     body: Formula
 
 
-@dataclass
 class L(Formula):
+    __slots__ = ("child",)
     child: Formula
 
 
-@dataclass
 class F(Formula):
+    __slots__ = ("child",)
     child: Formula
 
 
-@dataclass
 class G(Formula):
+    __slots__ = ("child",)
     child: Formula
 
 
-@dataclass
 class W(Formula):
+    __slots__ = ("lhs", "rhs")
     lhs: Formula
     rhs: Formula
 

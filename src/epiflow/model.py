@@ -97,6 +97,8 @@ class Status(Enum):
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """How to build a model: domain, step bound per run, termination marker."""
+
     domain: Domain
     bound: int = 10_000
     termination_output: bool = False
@@ -145,6 +147,8 @@ class Execution:
 
 @dataclass(frozen=True, slots=True)
 class Point:
+    """Position ``index`` of a run: the point after ``index`` steps."""
+
     execution: Execution
     index: int
 
@@ -177,6 +181,8 @@ class RunClass:
 
 @dataclass(eq=False)
 class Model:
+    """Every run of a program, one per initial store, and the traces they emit."""
+
     program: Program
     cfg: ModelConfig
     classes: list[RunClass]  # the classes of live inputs, by first run

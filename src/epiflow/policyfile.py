@@ -78,10 +78,14 @@ CHECKS: dict[str, Check] = {
 SEMANTIC_OF = {n: c.twin for n, c in CHECKS.items() if c.reading == EPISTEMIC}
 EPISTEMIC_OF = {twin: n for n, twin in SEMANTIC_OF.items()}
 EPISTEMIC_CHECKS, SEMANTIC_CHECKS = tuple(SEMANTIC_OF), tuple(EPISTEMIC_OF)
+# the pairs ``epiflow fuzz`` compares, each a trace-based check and its twin
+PAIRS = ("oni-ak", "nid-akd", "nani-aak", "akr-er", "nitd-aktd")
 
 
 @dataclass(frozen=True)
 class Policy:
+    """A policy file: the check to run and the entries it reads."""
+
     check: str
     low: tuple[str, ...] = ()
     declassify: tuple[str, ...] = ()

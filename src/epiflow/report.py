@@ -47,6 +47,8 @@ def _witness_payload(w: Witness | None, dom: Domain) -> dict | None:
 
 @dataclass(frozen=True)
 class Report:
+    """The JSON report of one check."""
+
     check: str
     program_digest: str
     program_path: str | None

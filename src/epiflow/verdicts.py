@@ -41,6 +41,8 @@ class Witness:
 
 @dataclass(frozen=True)
 class Stats:
+    """Work counts of an epistemic evaluation."""
+
     points_visited: int = 0
     cache_hits: int = 0
     formula_nodes: int = 0
@@ -48,6 +50,8 @@ class Stats:
 
 @dataclass(frozen=True)
 class Verdict:
+    """A check's outcome, with a witness when it fails."""
+
     outcome: Outcome
     witness: Witness | None = None
     stats: Stats = field(default_factory=Stats)

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import gc
+import pickle
 import sys
 from pathlib import Path
 
@@ -8,7 +11,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from epiflow.domain import Domain
 from epiflow.fuzz import FuzzConfig
-from epiflow.lang import Const, parse
+from epiflow.lang import Const, Node, parse
 from epiflow.model import ModelConfig, build_model, results_model
 from epiflow.policies import TemporalDeclassification, encode_aktd
 from epiflow.policyfile import Policy, policy_pieces
@@ -46,6 +49,36 @@ def two_release_model(booleans):
     program = parse(
         "l := h1; release r1; out l; l := h2; release r2; out l", booleans)
     return build_model(program, ModelConfig(booleans))
+
+
+def node_classes(module) -> list[type]:
+    """The ``Node`` classes ``module`` defines, its abstract bases included."""
+    return [c for c in vars(module).values()
+            if isinstance(c, type) and issubclass(c, Node) and c is not Node
+            and c.__module__ == module.__name__]
+
+
+def assert_node_contract(cls: type) -> None:
+    """``cls`` behaves as the frozen dataclass of the same name and fields,
+    which it is not, and its instances have no ``__dict__``."""
+    fields = tuple(f"{name}-value" for name in cls.__slots__)
+    node = cls(*fields)
+    twin = dataclasses.make_dataclass(cls.__qualname__, cls.__slots__, frozen=True)(*fields)
+    assert not dataclasses.is_dataclass(cls)
+    assert not hasattr(node, "__dict__")
+    assert cls.__match_args__ == cls.__slots__
+    assert tuple(getattr(node, name) for name in cls.__slots__) == fields
+    assert node == cls(*fields) and hash(node) == hash(fields) == hash(twin)
+    assert repr(node) == repr(twin)
+    assert node != twin  # equality goes by type
+    for k, name in enumerate(cls.__slots__):
+        assert node != cls(*fields[:k], "other", *fields[k + 1:])
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(node, name, "other")
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    assert tuple(getattr(node, name) for name in cls.__slots__) == fields
+    assert copy.deepcopy(node) == node == pickle.loads(pickle.dumps(node))
 
 
 def exec_from(model, **values):

@@ -1,6 +1,9 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -503,6 +506,22 @@ class TestOtherCommands:
         assert run(["fuzz", "--pairs", pairs, "--count", "5"]) == 3
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: no pairs to fuzz")
+
+
+class TestStartUp:
+    def test_only_the_fuzz_command_imports_the_fuzzer(self):
+        # a fresh interpreter, so that no other test's import counts
+        code = "import sys, epiflow.cli; print('epiflow.fuzz' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        assert done.stdout == "False\n"
+
+    def test_the_fuzzer_keeps_its_pairs(self):
+        import epiflow.fuzz
+        import epiflow.policyfile
+
+        assert epiflow.fuzz.PAIRS is epiflow.policyfile.PAIRS
 
 
 class TestFlags:

@@ -4,8 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import epiflow.lang
 import oracles
-from conftest import garbage_after
+from conftest import assert_node_contract, garbage_after, node_classes
 from epiflow.domain import Domain, Label
 from epiflow.fuzz import FuzzConfig, generate_program
 from epiflow.lang import (ASSIGN, BRANCH, EXIT, MAX_DEPTH, OUT, Assign, Binary,
@@ -17,6 +18,49 @@ from epiflow.lang import (ASSIGN, BRANCH, EXIT, MAX_DEPTH, OUT, Assign, Binary,
 BOOL = Domain.booleans()
 INT16 = Domain.integers(16)
 INT8 = Domain.integers(8)
+
+
+class TestNodes:
+    """Expression and statement nodes are slotted ``Node`` classes that
+    behave as the frozen dataclasses they replace."""
+
+    def test_every_node_class_is_covered(self):
+        names = {cls.__name__ for cls in node_classes(epiflow.lang)}
+        assert names == {"Expr", "Const", "Var", "Unary", "Binary", "HashCall", "Stmt", "Skip",
+                         "Out", "OutLit", "Assign", "Seq", "If", "While", "Release", "_Token"}
+
+    @pytest.mark.parametrize("cls", node_classes(epiflow.lang), ids=lambda cls: cls.__name__)
+    def test_contract(self, cls):
+        assert_node_contract(cls)
+
+    def test_equality_goes_by_type_and_fields(self):
+        assert Var("x") != Const("x")
+        assert Out(Var("x")) != Out(Const("x"))
+        assert Skip() == Skip() and hash(Skip()) == hash(())
+        assert Const(True) == Const(1)  # as the field tuples compare
+        assert {Binary("+", Var("x"), Const(1)), Binary("+", Var("x"), Const(1))} == {
+            Binary("+", Var("x"), Const(1))}
+
+    def test_match_patterns_read_the_fields_in_order(self):
+        match parse_expression("x + 1"):
+            case Binary(op, Var(name), Const(value)):
+                assert (op, name, value) == ("+", "x", 1)
+            case _:
+                pytest.fail("no match")
+
+    def test_construction_takes_each_field_once(self):
+        with pytest.raises(TypeError):
+            Binary("+", Var("x"))
+        with pytest.raises(TypeError):
+            Skip(Var("x"))
+
+    def test_fields_must_be_a_tuple_of_slots(self):
+        from epiflow.lang import Expr
+
+        with pytest.raises(TypeError, match="tuple __slots__"):
+            type("Loose", (Expr,), {})
+        with pytest.raises(TypeError, match="tuple __slots__"):
+            type("Named", (Expr,), {"__slots__": "name"})
 
 
 class TestParse:
@@ -434,6 +478,10 @@ class TestNestingDepth:
         # an input written first and never read keeps the pass to the end
         assert live_inputs(parse("d := 0; " + nested(MAX_DEPTH))) == set(program.variables)
         to_source(program.body, HASHED)
+        # equality, hash and repr recurse through the tree too
+        again = parse(nested(MAX_DEPTH)).body
+        assert program.body == again and hash(program.body) == hash(again)
+        assert repr(program.body) == repr(again)
         with pytest.raises(ParseError, match=f"input nested more than {MAX_DEPTH} deep"):
             parse(nested(MAX_DEPTH + 1))
 
@@ -444,6 +492,8 @@ class TestNestingDepth:
         validate_expr(expr, HASHED)
         compile_expr(expr, HASHED)({"l": 1})
         expr_to_source(expr, HASHED)
+        assert expr == parse_expression(text) and hash(expr) == hash(parse_expression(text))
+        assert repr(expr) == repr(parse_expression(text))
         # refused at the hash call
         with pytest.raises(ParseError, match=f"1:{MAX_DEPTH + 1}: input nested"):
             parse_expression(f"({text})")
@@ -459,7 +509,8 @@ class TestNestingDepth:
         m = build_model(parse("out l", INT8), ModelConfig(INT8))
         model_satisfies(m, f)
         formula_size(f)
-        assert f == parse_formula(nested(MAX_DEPTH))
+        again = parse_formula(nested(MAX_DEPTH))
+        assert f == again and hash(f) == hash(again) and repr(f) == repr(again)
         formula_to_source(f, INT8)
         with pytest.raises(ParseError, match=f"input nested more than {MAX_DEPTH} deep"):
             parse_formula(nested(MAX_DEPTH + 2))

@@ -4,9 +4,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import epiflow.logic
 import oracles
 from random_formulas import dead_input_program, random_formula
-from conftest import abstract_pair, declassified, exec_from, garbage_after
+from conftest import (abstract_pair, assert_node_contract, declassified, exec_from,
+                      garbage_after, node_classes)
 from epiflow.domain import Domain
 from epiflow.fuzz import (FuzzConfig, _abstractions_for, _gen_expr, generate_case,
                           generate_program)
@@ -1290,6 +1292,32 @@ class TestFormulaChecks:
         f = Forall("v", Implies(Init("y", Var("v")), Eq(Var("v"), Var("y"))))
         verdict = model_satisfies(copy_out_model, f)
         assert verdict.outcome is Outcome.HOLDS
+
+
+class TestFormulaNodes:
+    """Formula nodes are slotted ``Node`` classes: immutable and hashable,
+    with the equality and repr of the dataclasses they replace."""
+
+    def test_every_node_class_is_covered(self):
+        names = {cls.__name__ for cls in node_classes(epiflow.logic)}
+        assert names == {"Formula", "Eq", "Init", "And", "Not", "K", "Until", "Tt", "Ff", "Or",
+                         "Implies", "Forall", "Exists", "L", "F", "G", "W"}
+
+    @pytest.mark.parametrize("cls", node_classes(epiflow.logic), ids=lambda cls: cls.__name__)
+    def test_contract(self, cls):
+        assert_node_contract(cls)
+
+    def test_equality_goes_by_type_and_fields(self):
+        assert Tt() != Ff()
+        assert Not(Tt()) != K(Tt())
+        assert Until(Tt(), Ff()) != W(Tt(), Ff())
+        assert hash(Not(Tt())) == hash((Tt(),))
+
+    def test_formulas_are_hashable(self):
+        text = "forall v . init(l, v) -> L (init(l, v) && l == 1) U G (l == 0)"
+        f, again = parse_formula(text), parse_formula(text)
+        assert f is not again and hash(f) == hash(again)
+        assert {f, again, parse_formula("K (l == 0)")} == {f, K(Eq(Var("l"), Const(0)))}
 
 
 class TestFormulaSyntax:
