@@ -71,29 +71,28 @@ quantifiers, knowledge and scans cheap:
   folded guard conjunct is a filter.  A block whose guard only binds (espm's
   premise: nothing solved, no check) has one instance: it binds and asks
   its body, without enumerating an empty product.
-* L over ``init`` atoms over bound values that pin every variable works
-  on sets of runs, held as int bitmasks (bit k for run k).  ``have`` is
-  the mask of the runs that visit a trace id, which each evaluation builds
-  once per behaviour, ORing the mask of the runs that share it into each
+* K and L over ``init`` atoms over bound values on variables (not flags)
+  work on sets of runs, held as int bitmasks (bit k for run k).  ``have``
+  is the mask of the runs that visit a trace id, which each evaluation
+  builds once per behaviour, ORing the runs of its classes into each
   trace id it visits.  Per identifier and value, the model's
   ``runs_from`` is the mask of the runs starting with that value, so the
-  atoms name the AND of their masks, ``pinned``: one run, or none when two
-  atoms disagree.  Then L is ``have & pinned != 0``.
-* A forall block with no binders and no checks whose body is such a pinned
-  L asks whether every run its instances pin visits the epoch.  Its pins
-  split by identifier: fixed ones read no variable the guard solves,
-  varying ones do.  The instances pin ``fixed & union``, where ``union``
-  is the OR of the varying pins' masks over the guard's solutions, built
-  once per group of solutions: per value of the far sides, of the outer
-  variables the near sides and filters read, and of the variables the
-  varying pins read besides the solved ones.  It is kept per value of the
-  variables the guard and the varying pins read, so a premise met again
-  finds it at once; espm's premises that agree on the declassified
-  property share one union.  The block holds when
-  ``fixed & union & ~have == 0``.  The model holds every initial store, so
-  an instance pins no run only when the fixed side or its varying side
-  contradicts itself; that makes the block false, and a guard that admits
-  no instance makes it true.
+  atoms name the AND of their masks, ``pinned``: none when two atoms
+  disagree.  Then L is ``have & pinned != 0``, K ``have & ~pinned == 0``.
+* A forall block with no binders and no checks whose body is an L that
+  pins every variable (one run per instance, or none) asks whether every
+  run its instances pin visits the epoch.  Its pins split by identifier:
+  fixed ones read no variable the guard solves, varying ones do.  The
+  instances pin ``fixed & union``, where ``union`` is the OR of the
+  varying pins' masks over the guard's solutions, built and kept once per
+  group of solutions: per value of the far sides, of the outer variables
+  the near sides and filters read, and of the variables the varying pins
+  read besides the solved ones.  So a premise met again finds it at once,
+  and espm's premises that agree on the declassified property share one
+  union.  The block holds when ``fixed & union & ~have == 0``.  The model
+  holds every initial store, so an instance pins no run only when the
+  fixed side or its varying side contradicts itself; that makes the block
+  false, and a guard that admits no instance makes it true.
 * K and L over a body fixed across the epoch (one that reads no store, no
   initial value and no scan) are the body itself: the observer's relation
   is an equivalence, so ``K p``, ``L p`` and ``p`` agree at every point
@@ -416,16 +415,15 @@ class _Block:
     their ``near``; the solutions are the group under ``far``.  ``checks``
     are the rest of the guard.
 
-    A possibility block (no binders, no checks, a pinned L body) splits
-    the body's pins by identifier: ``fixed`` pins identifiers none of whose
-    pinned expressions reads a solved variable, ``varying`` the others.
-    The union of the varying pins over the guard's solutions depends on
-    the solutions and on the other bound variables the varying expressions
-    read.  ``spread`` reads the values that fix both: those of the outer
-    variables ``pure`` reads and of those other variables.  ``group``
-    reads the values of ``outer``'s variables and of those other variables;
-    with the ``far`` values it names the same union for every premise
-    whose solutions are one group.
+    A possibility block (no binders, no checks, an L body that pins every
+    variable) splits the body's pins by identifier: ``fixed`` pins
+    identifiers none of whose pinned expressions reads a solved variable,
+    ``varying`` the others.  The union of the varying pins over the
+    guard's solutions depends on the solutions and on the other bound
+    variables the varying expressions read.  ``group`` reads the values of
+    ``outer``'s variables and of those other variables; with the ``far``
+    values it names the same union for every premise whose solutions are
+    one group.
     """
 
     vars: tuple[str, ...]
@@ -440,7 +438,6 @@ class _Block:
     body: _Plan
     fixed: tuple = ()
     varying: tuple = ()
-    spread: object = None
     group: object = None
 
 
@@ -461,7 +458,12 @@ def _getter(names: frozenset):
 
 def _values(fns: tuple):
     """Reads the tuple of the values of compiled expressions ``fns`` in an
-    environment; ``()`` for none."""
+    environment.  A possibility block reads its ``far`` at every call, so
+    one value or none is read without a comprehension (a frame before 3.12)."""
+    if not fns:
+        return lambda env: ()
+    if len(fns) == 1:
+        return lambda env, fn=fns[0]: (fn(env),)
     return lambda env: tuple([fn(env) for fn in fns])
 
 
@@ -486,17 +488,15 @@ def _parts(p: _Plan) -> tuple[_Plan, ...]:
     return p.kids if isinstance(p.formula, And) else (p,)
 
 
-def _split_pins(body: _Plan, solve: frozenset, pure: frozenset, outer: frozenset) -> dict:
-    """The ``fixed``, ``varying``, ``spread`` and ``group`` of a possibility
-    block whose pinned L is ``body``, solving ``solve``, whose pure guard
-    conjuncts read the outer variables ``pure`` and whose near sides and
-    filters read ``outer``."""
+def _split_pins(body: _Plan, solve: frozenset, outer: frozenset) -> dict:
+    """The ``fixed``, ``varying`` and ``group`` of a possibility block whose
+    pinned L is ``body``, solving ``solve``, whose near sides and filters
+    read the outer variables ``outer``."""
     atoms = [a.formula for a in _parts(body.kids[0])]
     varying = {a.name for a in atoms if solve & set(expr_ids(a.expr))}
     pinning = frozenset().union(*(expr_ids(a.expr) for a in atoms if a.name in varying))
-    return {"fixed": tuple(pin for pin in body.args if pin[0] not in varying),
-            "varying": tuple(pin for pin in body.args if pin[0] in varying),
-            "spread": _getter((pure | pinning) - solve),
+    return {"fixed": tuple(pin for pin in body.args[1] if pin[0] not in varying),
+            "varying": tuple(pin for pin in body.args[1] if pin[0] in varying),
             "group": _getter((outer | pinning) - solve)}
 
 
@@ -658,10 +658,10 @@ class Evaluation:
                     # fixed across the epoch, so K p = L p = p: the
                     # observer's relation is an equivalence
                     return kid
-                pinned = None if isinstance(f, K) else self._pinned_run(kid)
-                if pinned is not None:
-                    return _Plan(f, Evaluation._possible_runs, (kid,), pinned, **_EPISTEMIC)
-                args = (isinstance(f, K), _getter(kid.reads), kid.reads | kid.inits)
+                every, pins = isinstance(f, K), self._pins(kid)
+                if pins is not None:
+                    return _Plan(f, Evaluation._pinned_knows, (kid,), (every, pins), **_EPISTEMIC)
+                args = (every, _getter(kid.reads), kid.reads | kid.inits)
                 return _Plan(f, Evaluation._knows, (kid,), args, True, **_EPISTEMIC)
             case F(child) | G(child):
                 return self._temporal(f, Evaluation._eventually, (child,), scope, isinstance(f, G))
@@ -730,14 +730,14 @@ class Evaluation:
         plan.args = (flag, _getter(plan.reads))
         return plan
 
-    def _pinned_run(self, kid: _Plan):
-        """(identifier, compiled expression) pairs of the L child ``kid``,
-        taken from its atoms' plans, when it is a conjunction of init atoms
-        over bound values naming every variable; else None."""
+    def _pins(self, kid: _Plan):
+        """(identifier, compiled expression) pairs of the K or L child
+        ``kid``, taken from its atoms' plans, when it is a conjunction of
+        init atoms over bound values on variables (``runs_from`` has no
+        release flag); else None."""
         parts = _parts(kid)
-        if not all(isinstance(a.formula, Init) and not a.reads for a in parts):
-            return None
-        if {a.formula.name for a in parts} != set(self.program.variables):
+        if not all(isinstance(a.formula, Init) and not a.reads
+                   and a.formula.name in self.program.variables for a in parts):
             return None
         return tuple((a.formula.name, a.args[0]) for a in parts)
 
@@ -789,10 +789,11 @@ class Evaluation:
         pins = {}
         if kind is Exists:
             compute = Evaluation._exists
-        elif not binders and not checks and body.compute is Evaluation._possible_runs:
+        elif (not binders and not checks and body.compute is Evaluation._pinned_knows
+              and not body.args[0]
+              and {n for n, _ in body.args[1]} == set(self.program.variables)):
             compute = Evaluation._all_possible
-            pins = _split_pins(body, solved, frozenset().union(
-                *(plan.free for plan in pure)) - solved, outer)
+            pins = _split_pins(body, solved, outer)
         elif not solve and not pure and not checks:
             compute = Evaluation._bound
         else:
@@ -850,7 +851,7 @@ class Evaluation:
 
     def _knows(self, p: _Plan, ex: Execution, i: int) -> bool:
         """K (``args[0]`` set): every point of the epoch; L: some point.
-        Every K, and every L but one pinning every variable, asks this.
+        Every K and L but those over pins (``_pinned_knows``) asks this.
 
         Each part of the runs of the epoch, split by what the child reads
         at a point or initially but for the dead inputs symmetric for it
@@ -884,12 +885,13 @@ class Evaluation:
     @cached_property
     def have(self) -> list[int]:
         """Per trace id, the mask of the runs that visit it: each
-        behaviour's mask of runs, the OR of its classes' masks, ORed into
-        each trace id it visits."""
+        behaviour's mask of runs, the OR of its classes' (``class_mask``
+        shifted to each first run), ORed into each trace id it visits."""
         behaviours: dict[int, list] = {}
+        mask = self.model.class_mask
         for c in self.model.classes:
             entry = behaviours.setdefault(id(c.first.trace_ids), [c.first.trace_ids, 0])
-            entry[1] |= c.runs
+            entry[1] |= mask << c.first.index
         have = [0] * len(self.model.trace_parents)
         for ids, runs in behaviours.values():
             for tid in set(ids):
@@ -898,47 +900,43 @@ class Evaluation:
 
     def _pinned_bit(self, pinned) -> int:
         """The runs whose initial values the (identifier, expression) pairs
-        pin: the AND of their masks.  Pins naming every variable leave the
-        bit of one run, or 0 when two of them pin one identifier to
-        different values."""
+        pin: the AND of their masks, 0 when two of them pin one identifier
+        to different values.  Pins naming every variable leave the bit of
+        one run or none."""
         env, runs_from = self.env, self.model.runs_from
         runs = self.every_run
         for name, fn in pinned:
             runs &= runs_from[name].get(fn(env), 0)
         return runs
 
-    def _possible_runs(self, p: _Plan, ex: Execution, i: int) -> bool:
-        """L of a child that pins every variable's initial value: the run it
-        pins visits the epoch."""
-        return self.have[ex.trace_ids[i]] & self._pinned_bit(p.args) != 0
+    def _pinned_knows(self, p: _Plan, ex: Execution, i: int) -> bool:
+        """K (``args[0]`` set) or L over pins (``args[1]``): every run
+        that visits the epoch is pinned, or some is."""
+        have, pinned = self.have[ex.trace_ids[i]], self._pinned_bit(p.args[1])
+        return have & ~pinned == 0 if p.args[0] else have & pinned != 0
 
     def _all_possible(self, p: _Plan, ex: Execution, i: int) -> bool:
         """A forall block of pinned L bodies: every run the instances pin
         visits the epoch.
 
-        An instance pins the runs of its fixed pins and of its varying
-        ones, so the instances pin ``fixed & union``, where ``union`` is the
-        OR of the varying pins over the guard's solutions, kept per value of
-        ``spread``.  On a miss it is looked up per group of solutions (the
-        ``far`` values, with ``group``'s), so premises whose guards admit
-        the same solutions build it once.  The model holds every initial
-        store, so an instance pins no run only when one side contradicts
-        itself; that makes the block false, and a guard that admits no
-        instance makes it true.
+        An instance pins the run of its fixed pins and its varying ones, so
+        the instances pin ``fixed & union``, where ``union`` is the OR of
+        the varying pins over the guard's solutions, kept per group of
+        solutions (the ``far`` values, with ``group``'s): premises whose
+        guards admit the same solutions build it once.  The model holds
+        every initial store, so an instance pins no run only when one side
+        contradicts itself; that makes the block false, and a guard that
+        admits no instance makes it true.
         """
         block: _Block = p.args
         env, masks = self.env, self.masks
-        key = block if block.spread is None else (block, block.spread(env))
+        key = (block, block.far(env), block.group and block.group(env))
         union = masks.get(key)
         if union is None:
-            group = (block, block.far(env), block.group and block.group(env))
-            union = masks.get(group)
-            if union is None:
-                union = 0
-                for _ in self._instances(p, ex, i):
-                    # -1 marks an instance whose varying pins contradict
-                    union |= self._pinned_bit(block.varying) or -1
-                masks[group] = union
+            union = 0
+            for _ in self._instances(p, ex, i):
+                # -1 marks an instance whose varying pins contradict
+                union |= self._pinned_bit(block.varying) or -1
             masks[key] = union
         if union <= 0:
             return union == 0

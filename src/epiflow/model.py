@@ -32,8 +32,8 @@ dead input.  Runs are simulated in run order.
 Each simulated run keeps its own table of the configurations it reached,
 to find its lasso, and drops it when it ends.
 
-The model records each class (``RunClass``: its first run, the mask of
-its runs, and what a clone lays over the first run), not each clone.
+The model records each class (``RunClass``: its first run and what a
+clone lays over it), not each clone; the run order gives its runs.
 The model owns this partition (the symmetry reduction of Ip and Dill,
 "Better verification through symmetry", FMSD 1996), and walking it is the
 one way a reading walks the runs: a reading asks for the runs split by
@@ -159,8 +159,8 @@ class Point:
 
 @dataclass(eq=False, slots=True)
 class RunClass:
-    """Runs that a reading cannot tell apart, by the first of them and the
-    mask of all of them (bit k for run k).
+    """Runs that a reading cannot tell apart, by the first of them (a
+    class's runs are ``Model.class_mask`` shifted to its first run).
 
     A class of live inputs is the runs that agree on every live input: its
     first run is simulated, and when it terminates every other run of the
@@ -174,7 +174,6 @@ class RunClass:
     ``laid``."""
 
     first: Execution
-    runs: int
     laid: dict[str, int] | None = None
     unwritten: tuple[str, ...] = ()
 
@@ -266,10 +265,8 @@ class Model:
             return self.classes
         parts = self._parts.get(split)
         if parts is None:
-            rest = sum(1 << o for o, _ in self._lays(frozenset(self.dead) - split))
             lays = self._lays(split)
-            parts = [RunClass(self._listed(c, o, values), rest << c.first.index + o,
-                              c.laid, c.unwritten)
+            parts = [RunClass(self._listed(c, o, values), c.laid, c.unwritten)
                      for c in self.classes for o, values in lays]
             parts.sort(key=_first_index)
             self._parts[split] = parts
@@ -287,8 +284,15 @@ class Model:
         return self.refusal is not None
 
     @cached_property
+    def class_mask(self) -> int:
+        """The runs of a class relative to its first run, bit o for the run
+        o runs after it: one per assignment of values to the dead inputs.
+        Class ``c`` holds the runs ``class_mask << c.first.index``."""
+        return sum(1 << o for o, _ in self._lays(self.dead)) if self.dead else 1
+
+    @cached_property
     def point_count(self) -> int:
-        return sum(len(c.first.trace_ids) * c.runs.bit_count() for c in self.classes)
+        return self.class_mask.bit_count() * sum(len(c.first.trace_ids) for c in self.classes)
 
     @cached_property
     def epochs(self) -> dict[int, tuple[Point, ...]]:
@@ -410,14 +414,11 @@ def _build(program: Program, code: Code, cfg: ModelConfig, keep: frozenset[str],
     unreleased = dict.fromkeys(program.flags, dom.false_value)
     runs: list[Execution | None] = [None] * d ** len(names)
     classes: list[RunClass] = []
-    # the first runs of the classes, which hold the first value of every
-    # dead input, and the offsets of each class's other runs from its first
-    firsts, others = range(len(runs)), []
+    # the first runs of the classes, which hold each dead input's first value
+    firsts = range(len(runs))
     if dead:
         weights = _weights(names, d)
         firsts = _offsets([weights[n] for n in names if n not in dead], d)
-        others = _offsets([weights[n] for n in dead], d)[1:]
-    pattern = sum(1 << o for o in others) | 1
     first_values = itertools.product(*(dom.values[:1] if n in dead else dom.values
                                        for n in names))
     for index, values in zip(firsts, first_values):
@@ -427,8 +428,7 @@ def _build(program: Program, code: Code, cfg: ModelConfig, keep: frozenset[str],
         if overlay is None and dead:
             return None
         runs[index] = ex
-        classes.append(RunClass(ex, pattern << index, *overlay) if dead
-                       else RunClass(ex, 1 << index))
+        classes.append(RunClass(ex, *overlay) if dead else RunClass(ex))
     return Model(program, cfg, classes, runs, trace_parents, trace_table, names, keep, dead)
 
 
@@ -459,7 +459,7 @@ def results_model(model: Model, outputs: tuple[Expr, ...]) -> Model:
                                    None, ids)
         # nothing is kept per point, so a clone lays its dead values over
         # the final store only
-        classes.append(RunClass(runs[ex.index], part.runs, {}, part.unwritten))
+        classes.append(RunClass(runs[ex.index], {}, part.unwritten))
     dead = tuple(n for n in model.dead if n not in names)
     return Model(model.program, model.cfg, classes, runs, parents, table, model.variables,
                  dead=dead)

@@ -3,7 +3,8 @@ for differential tests of the evaluator against ``oracles.holds``.
 
 ``dead_input_program`` draws a fuzzer program over ``l``, ``h`` and ``k``
 and writes one or two of them before anything reads them, so they are
-dead: the model records their runs as clones of one simulated run.
+dead: the model records their runs as clones of one simulated run.  Some
+programs also release a flag, ``r``.
 
 ``random_formula`` draws a closed formula over ``IDS``: atoms, the
 boolean connectives, K and L, the temporal operators and quantifier
@@ -12,12 +13,14 @@ dead one, and ``init`` atoms on an input mostly take a variable drawn for
 it, as the policy encoders' formulas do, so that many formulas read a dead
 input only through bound variables that no other atom reads.  The rest
 read it otherwise: through a constant, a program identifier, a variable
-another atom reads or another input's atoms take, or at a point.  Guards
-bind (``init(x, v)``), filter and join; a block's body is often what the
-observer knows over the run of its variable's input, its initial value
-with its current one; and ``espm`` blocks (a premise that binds every
-input, alternatives that agree on a property, and an L that pins every
-input) appear as the encoders build them.
+another atom reads or another input's atoms take, or at a point.  K and L
+also pin initial values: over ``init`` atoms on any non-empty set of
+inputs, some pinned twice, and on the release flag when there is one.
+Guards bind (``init(x, v)``), filter and join; a block's body is often
+what the observer knows over the run of its variable's input, its
+initial value with its current one; and ``espm`` blocks (a premise that
+binds every input, alternatives that agree on a property, and an L that
+pins every input) appear as the encoders build them.
 """
 
 from __future__ import annotations
@@ -37,9 +40,11 @@ IDS = ("l", "h", "k")
 def dead_input_program(rng: random.Random, dom: Domain) -> tuple[Program, tuple[str, ...]]:
     """A terminating program over ``IDS`` that writes one or two of them
     from the others or from constants, after at most one output, before
-    anything reads them; those are dead."""
+    anything reads them; those are dead.  About three in ten release
+    ``r``."""
+    flags = ("r",) if rng.random() < 0.3 else ()
     program = generate_program(rng, FuzzConfig(domain=dom, ident_count=3, size=5,
-                                               loops=dom.kind == "int"))
+                                               loops=dom.kind == "int"), flags)
     dead = tuple(sorted(rng.sample(IDS, rng.choice((1, 1, 2)))))
     live = tuple(n for n in IDS if n not in dead)
     body = program.body
@@ -57,15 +62,17 @@ def _live_expr(rng: random.Random, live: tuple[str, ...], dom: Domain) -> Expr:
 
 
 def random_formula(rng: random.Random, dom: Domain, dead: tuple[str, ...],
-                   depth: int = 4) -> Formula:
-    """A closed formula over ``IDS`` whose quantifiers and atoms name the
-    ``dead`` inputs more often than the others."""
-    return _Drawing(rng, dom, dead).formula(depth, {})
+                   depth: int = 4, flags: tuple[str, ...] = ()) -> Formula:
+    """A closed formula over ``IDS`` and the release ``flags`` whose
+    quantifiers and atoms name the ``dead`` inputs more often than the
+    others."""
+    return _Drawing(rng, dom, dead, flags).formula(depth, {})
 
 
 class _Drawing:
-    def __init__(self, rng: random.Random, dom: Domain, dead: tuple[str, ...]):
-        self.rng, self.dom, self.dead = rng, dom, dead
+    def __init__(self, rng: random.Random, dom: Domain, dead: tuple[str, ...],
+                 flags: tuple[str, ...]):
+        self.rng, self.dom, self.dead, self.flags = rng, dom, dead, flags
 
     def subject(self) -> str:
         return self.rng.choice(self.dead if self.rng.random() < 0.6 else IDS)
@@ -80,8 +87,8 @@ class _Drawing:
             return self.atom(scope)
         kind = rng.choices(
             ("not", "and", "or", "implies", "K", "L", "F", "G", "U", "W", "forall",
-             "exists", "espm"),
-            (1, 2, 1, 1, 2, 2, 1, 2, 1, 2, 4, 1, 2))[0]
+             "exists", "espm", "pins"),
+            (1, 2, 1, 1, 2, 2, 1, 2, 1, 2, 4, 1, 2, 2))[0]
         sub = depth - 1
         match kind:
             case "not":
@@ -100,6 +107,8 @@ class _Drawing:
                 return self.block(kind == "forall", sub, scope)
             case "espm":
                 return self.espm(scope)
+            case "pins":
+                return self.pins(scope)
         raise AssertionError(kind)
 
     def atom(self, scope: dict) -> Formula:
@@ -119,6 +128,28 @@ class _Drawing:
             return Eq(Var(self.subject()), Const(rng.choice(self.dom.values)))
         names = IDS + tuple(scope) if rng.random() < 0.3 else IDS
         return Eq(_gen_expr(rng, names, self.dom, 1), _gen_expr(rng, names, self.dom, 1))
+
+    def pins(self, scope: dict) -> Formula:
+        """K or L over ``init`` atoms on a non-empty set of inputs, some
+        pinned twice, and on the release flag when there is one; each takes
+        a variable drawn for its input, another variable or a constant."""
+        rng = self.rng
+        names = rng.sample(IDS, rng.randint(1, len(IDS)))
+        names += rng.sample(names, rng.choice((0, 0, 1)))
+        if self.flags and rng.random() < 0.5:
+            names.append(rng.choice(self.flags))
+        rng.shuffle(names)
+        atoms = []
+        for name in names:
+            own = [v for v, s in scope.items() if s == name]
+            r = rng.random()
+            if own and r < 0.6:
+                atoms.append(Init(name, Var(rng.choice(own))))
+            elif scope and r < 0.8:
+                atoms.append(Init(name, Var(rng.choice(list(scope)))))
+            else:
+                atoms.append(Init(name, Const(rng.choice(self.dom.values))))
+        return rng.choice((K, L))(conj(tuple(atoms)))
 
     def block(self, every: bool, depth: int, scope: dict) -> Formula:
         """One or two quantifiers, each for a subject; a forall's guard

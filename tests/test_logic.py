@@ -590,16 +590,19 @@ class TestMemoLevels:
                 agrees_at_every_point(m, f, seed=index)
 
 
-    def test_knowledge_scans_the_epoch_unless_l_pins_every_variable(self):
-        # only an L whose init atoms pin every variable is a run mask; K,
-        # and L over a child that pins less, scan the epoch's parts
+    def test_knowledge_scans_the_epoch_unless_its_child_pins_initial_values(self):
+        # K and L over init atoms over bound values are run masks, whether
+        # they pin every variable, fewer, or one twice; K and L over a
+        # child that reads the store, scans or is built on K walk the
+        # epoch's parts
         ev = evaluation(random_models(1, seed=21)[0])
         assert set(ev.program.variables) == {"l", "h"}
         scope = frozenset({"v"})
-        pinned = And((Init("l", Var("v")), AT_EXEC))
-        assert ev.compile(L(pinned), scope).compute is Evaluation._possible_runs
-        assert ev.compile(K(pinned), scope).compute is Evaluation._knows
-        for child in (AT_EXEC, AT_POINT, AT_RUN_EPOCH):
+        for pinned in (And((Init("l", Var("v")), AT_EXEC)), AT_EXEC,
+                       And((AT_EXEC, Init("h", Var("v"))))):
+            assert ev.compile(L(pinned), scope).compute is Evaluation._pinned_knows
+            assert ev.compile(K(pinned), scope).compute is Evaluation._pinned_knows
+        for child in (AT_POINT, AT_RUN_EPOCH, F(AT_EXEC)):
             assert ev.compile(K(child), scope).compute is Evaluation._knows
             assert ev.compile(L(child), scope).compute is Evaluation._knows
 
@@ -863,16 +866,23 @@ MASK_DOMAINS = [pytest.param(dom, id=dom.spec()) for dom in
 
 
 class TestRunMasks:
-    """The model's run masks, built from the enumeration order, and
-    ``have``, built per behaviour, equal the ones ORed in run by run."""
+    """The model's run masks, built from the enumeration order, ``have``,
+    built per behaviour from the class mask, and the point count equal
+    the ones made run by run."""
 
+    # the last writes its two inputs l and k before reading them: at int:3
+    # each class of h has 9 runs
     PROGRAMS = ["out l == h", "l := h; release r; out l; out k",
-                "release r; if l == h then { release s } else { skip }; out l"]
+                "release r; if l == h then { release s } else { skip }; out l",
+                "l := h; k := l; out k; if k == h then { out h } else { skip }"]
 
     @pytest.mark.parametrize("text", PROGRAMS)
     @pytest.mark.parametrize("dom", MASK_DOMAINS)
     def test_masks_match_the_per_run_construction(self, dom, text):
         m = build_model(parse(text, dom), ModelConfig(dom))
+        # from the classes, before any clone is listed
+        ev = evaluation(m)
+        built_have, points = ev.have, m.point_count
         runs_from = {n: {} for n in m.variables}
         have = [0] * len(m.trace_parents)
         for ex in m.executions:
@@ -882,9 +892,45 @@ class TestRunMasks:
                 by_value[value] = by_value.get(value, 0) | bit
             for tid in ex.trace_ids:
                 have[tid] |= bit
-        ev = evaluation(m)
         assert m.runs_from == runs_from
-        assert ev.have == have
+        assert built_have == have
+        assert points == sum(len(ex.trace_ids) for ex in m.executions)
+        if text == self.PROGRAMS[-1]:
+            assert m.dead == ("l", "k")
+            assert m.class_mask.bit_count() == len(dom.values) ** 2
+
+
+class TestPinnedKnowledge:
+    """K and L over init atoms on ordinary variables are one mask test
+    however many variables they pin, and a possibility block takes an L
+    that pins every variable; a pin on a release flag, which ``runs_from``
+    has no mask for, walks the epoch.  All answer as the reference."""
+
+    # (formula, the compute of its K or L, whether a block is a possibility block)
+    FORMULAS = [
+        ("forall v . init(l, v) -> L (init(r, ff) && init(l, v))", "_knows", False),
+        ("forall v . init(l, v) -> K (init(r, ff) && init(l, v))", "_knows", False),
+        ("forall a . forall b . L (init(l, a) && init(l, b))", "_pinned_knows", True),
+        ("forall a . forall b . a == b -> L (init(l, a) && init(l, b))", "_pinned_knows", True),
+        ("exists a . exists b . K (init(l, a) && init(l, b))", "_pinned_knows", False),
+        ("forall a . init(l, a) -> K (init(l, a) && init(l, a))", "_pinned_knows", False),
+    ]
+
+    @pytest.mark.parametrize("text, compute, block", FORMULAS,
+                             ids=[text for text, _, _ in FORMULAS])
+    @pytest.mark.parametrize("dom", [BOOL, INT4], ids=["bool", "int:4"])
+    def test_a_release_flag_and_a_repeated_pin(self, dom, text, compute, block):
+        m = build_model(parse("release r; out l", dom), ModelConfig(dom))
+        f = parse_formula(text)
+        ev = evaluation(m)
+        ev.compile(f)
+        (knows,) = [p for _, p in ev.plans.values() if isinstance(p.formula, (K, L))]
+        assert knows.compute is getattr(Evaluation, compute)
+        assert block == any(p.compute is Evaluation._all_possible
+                            for _, p in ev.plans.values())
+        agrees_at_every_point(m, f)
+        failing = first_failing_run(m, f)
+        assert model_satisfies(m, f).holds == (failing is None)
 
 
 def evaluation(m, kind=Evaluation):
@@ -1120,7 +1166,7 @@ class TestSymmetricDeadInputs:
 
     def test_a_dead_input_read_through_its_own_variable_merges(self, monkeypatch):
         # v is the run's own initial l, which L asks about over the epoch:
-        # the root is asked once per class of (h, in); L splits by l
+        # the root is asked once per class of (h, in); L is one mask test
         program, cfg = self.c7_secure()
         f = parse_formula("forall v . init(l, v) -> L init(l, v)")
         ev = CountingEvaluation(program, cfg.domain)
@@ -1131,10 +1177,11 @@ class TestSymmetricDeadInputs:
         every = self.every_run_model(program, cfg, monkeypatch)
         assert model_satisfies(every, f).outcome is Outcome.HOLDS
         # L asks whether some run of the epoch starts with v, the run's own
-        # l: its child reads l through the free v, so its walk splits by l
-        (knows,) = [p for _, p in ev.plans.values() if p.compute is Evaluation._knows]
-        assert knows.args[2] == {"l"} and knows.kids[0] not in ev.merged
-        assert m.runs.count(None) < 4096 - 64
+        # l: the epoch's runs AND the runs starting with v, so no clone is
+        # listed
+        (possible,) = [p for _, p in ev.plans.values() if isinstance(p.formula, L)]
+        assert possible.compute is Evaluation._pinned_knows
+        assert m.runs.count(None) == 4096 - 64
 
     def test_k_over_a_block_that_binds_the_dead_input_merges(self, monkeypatch):
         # every run of an epoch starts with some l that some run of the
@@ -1225,13 +1272,14 @@ class TestRandomFormulas:
 
     def test_random_formulas_answer_as_on_every_run(self, monkeypatch):
         merged, outcomes = 0, set()
+        reached = dict.fromkeys(("K", "L", "partial", "flag"), 0)
         for index in range(40):
             rng = random.Random(f"dead:{index}")
             program, dead = dead_input_program(rng, BOOL)
             cfg = ModelConfig(BOOL)
             every = TestSymmetricDeadInputs.every_run_model(program, cfg, monkeypatch)
             for _ in range(10):
-                f = random_formula(rng, BOOL, dead)
+                f = random_formula(rng, BOOL, dead, flags=program.flags)
                 ev = Evaluation(program, BOOL)
                 ev.compile(f)
                 m = build_model(program, cfg, ev.reads)
@@ -1244,11 +1292,38 @@ class TestRandomFormulas:
                     expected.outcome, expected.witness), (index, text)
                 assert verdict.holds == (failing is None), (index, text)
                 if failing is not None:
-                    assert dict(verdict.witness.stores[0][1]) == failing.init_store
+                    # the witness shows the variables, the store holds the flags too
+                    assert dict(verdict.witness.stores[0][1]) == {
+                        n: failing.init_store[n] for n in program.variables}
                 merged += bool(ev.merged)
                 outcomes.add(verdict.outcome)
-        # the sweep reaches the rule: some node merges a dead input
+                for branch in pin_branches(ev):
+                    reached[branch] += 1
+        # the sweep reaches the rule: some node merges a dead input; and K
+        # and L over pins, as mask tests (pinning fewer than every variable
+        # too) and, over a release flag, as epoch walks
         assert merged >= 50 and outcomes == {Outcome.HOLDS, Outcome.FAILS}
+        assert min(reached.values()) >= 10, reached
+
+
+def pin_branches(ev):
+    """Which ways the evaluation's K and L over ``init`` atoms go: ``K`` and
+    ``L`` for mask tests, ``partial`` for one that pins fewer than every
+    variable, and ``flag`` for an epoch walk over a release flag's pin."""
+    variables, flags = set(ev.program.variables), set(ev.program.flags)
+    branches = set()
+    for _, p in ev.plans.values():
+        if p.compute is Evaluation._pinned_knows:
+            every, pins = p.args
+            branches.add("K" if every else "L")
+            if {name for name, _ in pins} != variables:
+                branches.add("partial")
+        elif p.compute is Evaluation._knows:
+            child = p.kids[0].formula
+            atoms = child.children if isinstance(child, And) else (child,)
+            if all(isinstance(a, Init) for a in atoms) and any(a.name in flags for a in atoms):
+                branches.add("flag")
+    return branches
 
 
 class TestFormulaChecks:
