@@ -12,6 +12,14 @@ Each subcommand takes only the flags it reads: all but ``fuzz`` the model
 flags, ``check``, ``diff`` and ``knowledge`` ``--policy`` and ``--low``, and
 ``check`` alone ``--formula`` (in place of ``--policy``) and ``--report``.
 
+``main`` builds only the parser of the command its first argument names
+(``COMMANDS``): a process runs one command, and building the other four
+parsers' flags was most of its argument parsing.  Any other first argument
+(none, ``-h``, a misspelt command) gets every command's parser, for the
+help and the error that list them.  Arguments the chosen command leaves
+over are reported by the root parser under its usage line, so that line
+still names every command, as it does with all five parsers built.
+
 Exit status of ``check``: 0 the policy holds, 1 it fails, 2 the model has
 a non-terminating run and the verdict is refused, 3 usage error, 4 internal
 error (a crash is never reported as a verdict).
@@ -66,55 +74,57 @@ def _low_flag(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated low identifiers (overrides the policy)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _check_flags(parser: argparse.ArgumentParser) -> None:
+    _model_flags(parser)
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--policy", help="policy file (.pol)")
+    source.add_argument("--formula", help="raw formula instead of a policy file")
+    _low_flag(parser)
+    parser.add_argument("--report", default=None, help="also write a JSON report here")
+
+
+def _diff_flags(parser: argparse.ArgumentParser) -> None:
+    _model_flags(parser)
+    parser.add_argument("--policy", required=True, help="policy file (.pol)")
+    _low_flag(parser)
+
+
+def _knowledge_flags(parser: argparse.ArgumentParser) -> None:
+    _model_flags(parser)
+    parser.add_argument("--policy", required=True,
+                        help="policy carrying the low split and any declassifications")
+    _low_flag(parser)
+    parser.add_argument("--init", default=None,
+                        help="initial store, e.g. 'l=tt,h1=tt,h2=ff' (default: first store)")
+
+
+def _fuzz_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--pairs", default=",".join(PAIRS),
+                        help=f"comma-separated pairs (default all: {','.join(PAIRS)})")
+    parser.add_argument("--count", type=int, default=200)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--ids", type=int, default=2, help="identifier count (max 3)")
+    parser.add_argument("--size", type=int, default=8, help="statement budget")
+    parser.add_argument("--loops", action="store_true", help="allow bounded loops")
+    parser.add_argument("--domain", default="bool")
+    parser.add_argument("--signed-window", action="store_true")
+    parser.add_argument("--hash", dest="hash_table", default=None)
+    parser.add_argument("--bound", type=int, default=2_000)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command in ``COMMANDS``, or of ``command``'s
+    flags alone; its usage line names every command either way."""
     parser = argparse.ArgumentParser(
         prog="epiflow",
         description="information-flow checks on while-programs with output")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="run one policy against a program")
-    _model_flags(p_check)
-    source = p_check.add_mutually_exclusive_group(required=True)
-    source.add_argument("--policy", help="policy file (.pol)")
-    source.add_argument("--formula", help="raw formula instead of a policy file")
-    _low_flag(p_check)
-    p_check.add_argument("--report", default=None, help="also write a JSON report here")
-    p_check.set_defaults(func=cmd_check)
-
-    p_model = sub.add_parser("model", help="dump executions and epochs")
-    _model_flags(p_model)
-    p_model.set_defaults(func=cmd_model)
-
-    p_diff = sub.add_parser("diff", help="compare both readings of a policy")
-    _model_flags(p_diff)
-    p_diff.add_argument("--policy", required=True, help="policy file (.pol)")
-    _low_flag(p_diff)
-    p_diff.set_defaults(func=cmd_diff)
-
-    p_know = sub.add_parser("knowledge",
-                            help="knowledge/required sets along one run")
-    _model_flags(p_know)
-    p_know.add_argument("--policy", required=True,
-                        help="policy carrying the low split and any declassifications")
-    _low_flag(p_know)
-    p_know.add_argument("--init", default=None,
-                        help="initial store, e.g. 'l=tt,h1=tt,h2=ff' (default: first store)")
-    p_know.set_defaults(func=cmd_knowledge)
-
-    p_fuzz = sub.add_parser("fuzz", help="differential fuzzing of condition pairs")
-    p_fuzz.add_argument("--pairs", default=",".join(PAIRS),
-                        help=f"comma-separated pairs (default all: {','.join(PAIRS)})")
-    p_fuzz.add_argument("--count", type=int, default=200)
-    p_fuzz.add_argument("--seed", type=int, default=1)
-    p_fuzz.add_argument("--ids", type=int, default=2, help="identifier count (max 3)")
-    p_fuzz.add_argument("--size", type=int, default=8, help="statement budget")
-    p_fuzz.add_argument("--loops", action="store_true", help="allow bounded loops")
-    p_fuzz.add_argument("--domain", default="bool")
-    p_fuzz.add_argument("--signed-window", action="store_true")
-    p_fuzz.add_argument("--hash", dest="hash_table", default=None)
-    p_fuzz.add_argument("--bound", type=int, default=2_000)
-    p_fuzz.set_defaults(func=cmd_fuzz)
-
+    names = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=names)
+    for name, (help_text, add_flags, handler) in COMMANDS.items():
+        if command in (None, name):
+            chosen = sub.add_parser(name, help=help_text)
+            add_flags(chosen)
+            chosen.set_defaults(func=handler)
     return parser
 
 
@@ -272,8 +282,19 @@ def cmd_fuzz(args) -> int:
     return EXIT_HOLDS if summary.ok else EXIT_FAILS
 
 
+# name: (help line, flag adder, handler)
+COMMANDS = {
+    "check": ("run one policy against a program", _check_flags, cmd_check),
+    "model": ("dump executions and epochs", _model_flags, cmd_model),
+    "diff": ("compare both readings of a policy", _diff_flags, cmd_diff),
+    "knowledge": ("knowledge/required sets along one run", _knowledge_flags, cmd_knowledge),
+    "fuzz": ("differential fuzzing of condition pairs", _fuzz_flags, cmd_fuzz),
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

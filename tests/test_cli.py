@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import usage_cases
 from epiflow import cli
 from epiflow.cli import build_parser, main
 from epiflow.domain import Domain
@@ -559,6 +560,29 @@ class TestFlags:
         rest = [workdir / a if a.endswith((".pol", ".json")) else a for a in rest]
         assert run([command, "--program", workdir / "copy.wout", *rest]) == 3
         assert not (workdir / "out.json").exists()
+
+
+class TestOneParser:
+    """``main`` builds the parser of the command its first argument names,
+    and no other: help and usage errors read as with every command's."""
+
+    @pytest.mark.parametrize("argv", usage_cases.ARGVS,
+                             ids=lambda argv: " ".join(["epiflow", *argv]))
+    def test_status_and_output_are_those_of_every_parser(self, argv):
+        assert usage_cases.outputs(argv) == usage_cases.outputs(argv, every=True)
+
+    def test_check_adds_no_flag_to_another_command(self, workdir, monkeypatch, capsys):
+        def refuse(parser):
+            raise AssertionError("a check call built another command's flags")
+
+        for name, (help_text, _, handler) in cli.COMMANDS.items():
+            if name != "check":
+                monkeypatch.setitem(cli.COMMANDS, name, (help_text, refuse, handler))
+        args = ["check", "--program", workdir / "copy.wout", "--policy", workdir / "low-y.pol"]
+        assert run(args) == 0
+        assert run([*args, "--bogus"]) == 3
+        assert capsys.readouterr().err.startswith(
+            "usage: epiflow [-h] {check,model,diff,knowledge,fuzz} ...\n")
 
 
 class TestRobustness:

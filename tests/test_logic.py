@@ -1305,6 +1305,28 @@ class TestRandomFormulas:
         assert merged >= 50 and outcomes == {Outcome.HOLDS, Outcome.FAILS}
         assert min(reached.values()) >= 10, reached
 
+    def test_random_formulas_answer_as_the_reference_at_every_point(self):
+        # a fast path reached only under a temporal operator, or in an epoch
+        # the first points do not show, meets the reference here
+        answers = set()
+        for index in range(30):
+            rng = random.Random(f"points:{index}")
+            program, dead = dead_input_program(rng, BOOL)
+            pick = random.Random(index)  # the runs asked; leaves rng's formulas as drawn
+            for _ in range(10):
+                f = random_formula(rng, BOOL, dead, flags=program.flags)
+                ev = Evaluation(program, BOOL)
+                ev.compile(f)
+                m = build_model(program, ModelConfig(BOOL), ev.reads)
+                ex = pick.choice(m.executions)
+                memo: dict = {}
+                for i in range(len(ex) + 1):
+                    answer = satisfies(m, Point(ex, i), f)
+                    assert answer == oracles.holds(m, f, ex, i, memo=memo), (
+                        index, i, formula_to_source(f))
+                    answers.add((answer, i > 0))
+        assert answers == {(False, False), (False, True), (True, False), (True, True)}
+
 
 def pin_branches(ev):
     """Which ways the evaluation's K and L over ``init`` atoms go: ``K`` and
