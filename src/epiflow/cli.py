@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import replace
 
 from .domain import Domain, DomainError
 from .lang import LangError, ParseError, parse
@@ -171,7 +170,7 @@ def _policy_from(args) -> Policy:
     policy = load_policy(args.policy)
     if args.low is not None:
         low = tuple(n.strip() for n in args.low.split(",") if n.strip())
-        policy = replace(policy, low=low)
+        policy = policy._replace(low=low)
     return policy
 
 

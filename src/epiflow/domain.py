@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+
+from .node import Node
 
 
 class DomainError(ValueError):
     """A value, literal or operator fell outside the configured domain."""
 
 
-@dataclass(frozen=True)
-class Label:
+class Label(Node):
     """Symbolic output event distinct from every domain value.
 
     Covers literal outputs such as ``out "ok"`` and the optional end-of-run
@@ -19,6 +19,7 @@ class Label:
     values for them.
     """
 
+    __slots__ = ("text",)
     text: str
 
     def __str__(self) -> str:
@@ -28,8 +29,7 @@ class Label:
 TERMINATION_MARK = Label("halt")
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(Node):
     """The booleans, or the integers modulo ``size`` with wrap-around.
 
     Integer values are kept canonical in ``[0, size)``, or in
@@ -39,12 +39,14 @@ class Domain:
     :meth:`values`.
     """
 
+    __slots__ = ("kind", "size", "signed", "hash_table", "__dict__")
     kind: str  # "bool" | "int"
     size: int
-    signed: bool = False
-    hash_table: tuple | None = None  # output value per input, in value order
+    signed: bool
+    hash_table: tuple | None  # output value per input, in value order
+    _defaults = {"signed": False, "hash_table": None}
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.kind not in ("bool", "int"):
             raise DomainError(f"unknown domain kind {self.kind!r}")
         if self.kind == "bool" and (self.size != 2 or self.signed):
@@ -72,28 +74,33 @@ class Domain:
     @cached_property
     def values(self) -> tuple:
         """Every value in order; computed once per domain (not a field, so
-        equality and hashing ignore it)."""
+        equality and hashing ignore it).  The other methods do not build it,
+        so a domain too large to list still answers them."""
         if self.kind == "bool":
             return (True, False)
-        lo = -(self.size // 2) if self.signed else 0
-        return tuple(range(lo, lo + self.size))
+        return tuple(range(self.least, self.least + self.size))
+
+    @property
+    def least(self) -> int:
+        """The least value of an integer domain."""
+        return -(self.size // 2) if self.signed else 0
 
     def __contains__(self, v) -> bool:
         if self.kind == "bool":
             return isinstance(v, bool)
-        lo = self.values[0]
+        lo = self.least
         return isinstance(v, int) and not isinstance(v, bool) and lo <= v < lo + self.size
 
     def index(self, v) -> int:
         if self.kind == "bool":
             return 0 if v else 1
-        return v - self.values[0]
+        return v - self.least
 
     def normalize(self, i: int):
         """Wrap an integer into the canonical range."""
         if self.kind != "int":
             raise DomainError("normalize applies to integer domains only")
-        lo = self.values[0]
+        lo = self.least
         return (i - lo) % self.size + lo
 
     def truth(self, v) -> bool:

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .domain import Domain
 from .lang import (Assign, Binary, Const, Expr, If, Out, Program, Release,
                    Seq, Skip, Stmt, Unary, Var, While, expr_to_source,
                    program_from_body, to_source)
 from .model import ModelConfig
+from .node import Node
 from .policyfile import ABSTRACTED, PAIRS, Policy, run_both_sides
 from .verdicts import Outcome
 
@@ -25,20 +25,22 @@ from .verdicts import Outcome
 STATEMENT_WEIGHTS = {"skip": 1, "assign": 2, "out": 2, "if": 1, "while": 1}
 
 
-@dataclass(frozen=True)
-class FuzzConfig:
+class FuzzConfig(Node):
     """One differential sweep: its seed, size, pairs and model settings."""
 
-    seed: int = 1
-    count: int = 200
-    size: int = 8
-    ident_count: int = 2
-    domain: Domain = field(default_factory=Domain.booleans)
-    pairs: tuple[str, ...] = PAIRS
-    loops: bool = False
-    bound: int = 2_000
+    __slots__ = ("seed", "count", "size", "ident_count", "domain", "pairs", "loops", "bound")
+    seed: int
+    count: int
+    size: int
+    ident_count: int
+    domain: Domain
+    pairs: tuple[str, ...]
+    loops: bool
+    bound: int
+    _defaults = {"seed": 1, "count": 200, "size": 8, "ident_count": 2,
+                 "domain": Domain.booleans(), "pairs": PAIRS, "loops": False, "bound": 2_000}
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.count < 0:
             raise ValueError("count must not be negative")
         if self.size < 1:
@@ -52,10 +54,10 @@ class FuzzConfig:
                 raise ValueError(f"unknown pair {pair!r}; choose from {PAIRS}")
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(Node):
     """A disagreement, with the texts and ``epiflow diff`` flags that replay it."""
 
+    __slots__ = ("pair", "index", "program", "policy", "semantic", "epistemic", "flags")
     pair: str
     index: int
     program: str
@@ -70,15 +72,17 @@ class Mismatch:
         return ["diff", "--program", program, "--policy", policy, *self.flags]
 
 
-@dataclass
 class FuzzSummary:
     """``outcomes`` counts each pair's runs by the outcome both readings
     agreed on (``None`` for a mismatch)."""
 
-    config: FuzzConfig
-    runs: int = 0
-    outcomes: dict[str, Counter] = field(default_factory=dict)
-    mismatches: list[Mismatch] = field(default_factory=list)
+    __slots__ = ("config", "runs", "outcomes", "mismatches")
+
+    def __init__(self, config: FuzzConfig):
+        self.config = config
+        self.runs = 0
+        self.outcomes: dict[str, Counter] = {}
+        self.mismatches: list[Mismatch] = []
 
     @property
     def ok(self) -> bool:

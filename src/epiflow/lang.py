@@ -17,26 +17,22 @@ Concrete grammar (whitespace-insensitive, ``;`` separates statements)::
 Input nested more than ``MAX_DEPTH`` deep, each operator after the first in
 a chain counting as a level, is refused with a ``ParseError``.
 
-Syntax nodes, here and in ``logic``, are ``Node`` classes that name their
-fields in ``__slots__``, not dataclasses: ``dataclass`` writes each class's
-methods as source text and compiles it when the module is imported, which
-every ``epiflow`` process paid for before its first check.  A ``Node``
-class gets the same behaviour (positional construction, immutable fields,
-equality, hash and repr by type and field values, ``match`` patterns) from
-one base class, and each node is smaller for having no ``__dict__``.  The
-records that are not syntax nodes (``Identifier``, ``Program``, ``Code``)
-stay dataclasses.
+Syntax nodes, here and in ``logic``, and the ``Identifier`` and ``Program``
+records are ``Node`` classes (``node.Node``) that name their fields in
+``__slots__``, not dataclasses, so that importing the module compiles no
+per-class source text; ``Code``, a record compared by identity, is a plain
+slotted class.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Callable, Mapping
 
 from .domain import Domain, Label
+from .node import Node
 
 
 class LangError(ValueError):
@@ -48,112 +44,6 @@ class ParseError(ValueError):
         super().__init__(f"{line}:{column}: {message}")
         self.line = line
         self.column = column
-
-
-# --------------------------------------------------------------------------
-# Syntax nodes
-
-
-class Node:
-    """A syntax node: an immutable tuple of named fields.
-
-    A subclass names its fields, in order, in a tuple ``__slots__`` (the
-    annotations beside it give their types) and gets what a frozen
-    dataclass would give it, without the source text ``dataclass`` compiles
-    per class at import: an ``__init__`` taking one positional argument per
-    field, ``__match_args__`` for ``match`` patterns, and equality, hash and
-    repr by type and field values (a hash is that of the field tuple, a
-    repr reads ``Binary(op='+', lhs=..., rhs=...)``).  Assigning or
-    deleting a field raises ``AttributeError``.
-    """
-
-    __slots__ = ()
-
-    def __init_subclass__(cls) -> None:
-        super().__init_subclass__()
-        fields = cls.__dict__.get("__slots__")
-        if type(fields) is not tuple or len(fields) >= len(_INITS):
-            raise TypeError(f"{cls.__qualname__} must name at most "
-                            f"{len(_INITS) - 1} fields in a tuple __slots__")
-        cls.__match_args__ = fields
-        # the member descriptors' setters store the fields past __setattr__
-        cls.__init__ = _INITS[len(fields)](*[cls.__dict__[name].__set__ for name in fields])
-        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
-        cls._values = staticmethod(_field_values(fields))
-        cls._format = f"{cls.__qualname__}({', '.join(f'{name}={{!r}}' for name in fields)})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values(self) == other._values(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values(self))
-
-    def __repr__(self) -> str:
-        return self._format.format(*self._values(self))
-
-    def __reduce__(self):
-        return self.__class__, self._values(self)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-def _field_values(fields: tuple[str, ...]) -> Callable[[Node], tuple]:
-    """Reads the tuple of a node's field values."""
-    if len(fields) > 1:
-        return attrgetter(*fields)
-    if fields:
-        value = attrgetter(fields[0])
-        return lambda node: (value(node),)
-    return lambda node: ()
-
-
-# One ``__init__`` per field count, each storing its arguments through the
-# fields' setters: as fast as a dataclass's, with no source text to compile.
-
-
-def _init0():
-    def __init__(self):
-        pass
-    return __init__
-
-
-def _init1(set_a):
-    def __init__(self, a):
-        set_a(self, a)
-    return __init__
-
-
-def _init2(set_a, set_b):
-    def __init__(self, a, b):
-        set_a(self, a)
-        set_b(self, b)
-    return __init__
-
-
-def _init3(set_a, set_b, set_c):
-    def __init__(self, a, b, c):
-        set_a(self, a)
-        set_b(self, b)
-        set_c(self, c)
-    return __init__
-
-
-def _init4(set_a, set_b, set_c, set_d):
-    def __init__(self, a, b, c, d):
-        set_a(self, a)
-        set_b(self, b)
-        set_c(self, c)
-        set_d(self, d)
-    return __init__
-
-
-_INITS = (_init0, _init1, _init2, _init3, _init4)
 
 
 # --------------------------------------------------------------------------
@@ -281,7 +171,7 @@ def _wrap(dom: Domain) -> Callable[[int], object]:
     """Wrap an integer into the domain's canonical range."""
     if dom.kind != "int":
         return dom.normalize  # raises: arithmetic is not boolean
-    lo, size = dom.values[0], dom.size
+    lo, size = dom.least, dom.size
     if lo == 0:
         return lambda i: i % size
     return lambda i: (i - lo) % size + lo
@@ -362,21 +252,32 @@ class Release(Stmt):
     flag: str
 
 
-@dataclass(frozen=True)
-class Identifier:
+class Identifier(Node):
     """A store identifier of a program, and whether it is a release flag."""
 
+    __slots__ = ("name", "is_flag")
     name: str
-    is_flag: bool = False
+    is_flag: bool
+    _defaults = {"is_flag": False}
 
 
-@dataclass(frozen=True)
-class Program:
-    """A program's body and its store signature, in occurrence order."""
+class Program(Node):
+    """A program's body and its store signature, in occurrence order.  Its
+    source ``text``, when it has one, is not compared or hashed."""
 
+    __slots__ = ("body", "signature", "text", "__dict__")
     body: Stmt
     signature: tuple[Identifier, ...]
-    text: str | None = field(default=None, compare=False)
+    text: str | None
+    _defaults = {"text": None}
+
+    def __eq__(self, other):
+        if other.__class__ is Program:
+            return (self.body, self.signature) == (other.body, other.signature)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.body, self.signature))
 
     # computed once per program; not fields, so equality and hashing ignore them
     @cached_property
@@ -543,7 +444,6 @@ OUT, ASSIGN, BRANCH = "out", "assign", "branch"
 EXIT = -1  # the program counter of a finished run
 
 
-@dataclass(frozen=True, eq=False)
 class Code:
     """A program compiled for one domain into flat code.
 
@@ -561,8 +461,11 @@ class Code:
     terminates on reaching ``EXIT``.
     """
 
-    instrs: tuple[tuple, ...]
-    entry: int
+    __slots__ = ("instrs", "entry")
+
+    def __init__(self, instrs: tuple[tuple, ...], entry: int):
+        self.instrs = instrs
+        self.entry = entry
 
 
 def compile_program(program: Program, dom: Domain) -> Code:

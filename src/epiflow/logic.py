@@ -117,14 +117,14 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property, partial
 from operator import itemgetter
 
 from .domain import Domain
-from .lang import (Binary, Const, Expr, LangError, Node, Program, Unary, Var, compile_expr,
+from .lang import (Binary, Const, Expr, LangError, Program, Unary, Var, compile_expr,
                    expr_ids, expr_to_source, validate_expr)
 from .model import Execution, Model, Point
+from .node import Node
 from .verdicts import Outcome, Stats, Verdict, Witness
 
 
@@ -186,7 +186,7 @@ def _changes(ex: Execution, i: int, read):
 
 
 class Formula(Node):
-    """A formula node: immutable, hashable, equal by type and fields (``lang.Node``)."""
+    """A formula node: immutable, hashable, equal by type and fields (``node.Node``)."""
 
     __slots__ = ()
 
@@ -400,7 +400,6 @@ def _fold(f: Formula, value: bool) -> _Plan:
     return _Plan(f, Evaluation._constant, args=value)
 
 
-@dataclass(frozen=True, eq=False)
 class _Block:
     """Consecutive quantifiers of one kind, the guard of a forall split up.
 
@@ -426,19 +425,26 @@ class _Block:
     one group.
     """
 
-    vars: tuple[str, ...]
-    binders: tuple[tuple[str, str], ...]
-    solve: tuple[str, ...]
-    pure: tuple[_Plan, ...]
-    filters: tuple[_Plan, ...]
-    near: object
-    far: object
-    outer: object
-    checks: tuple[_Plan, ...]
-    body: _Plan
-    fixed: tuple = ()
-    varying: tuple = ()
-    group: object = None
+    __slots__ = ("vars", "binders", "solve", "pure", "filters", "near", "far", "outer",
+                 "checks", "body", "fixed", "varying", "group")
+
+    def __init__(self, vars: tuple[str, ...], binders: tuple[tuple[str, str], ...],
+                 solve: tuple[str, ...], pure: tuple[_Plan, ...], filters: tuple[_Plan, ...],
+                 near, far, outer, checks: tuple[_Plan, ...], body: _Plan,
+                 fixed: tuple = (), varying: tuple = (), group=None):
+        self.vars = vars
+        self.binders = binders
+        self.solve = solve
+        self.pure = pure
+        self.filters = filters
+        self.near = near
+        self.far = far
+        self.outer = outer
+        self.checks = checks
+        self.body = body
+        self.fixed = fixed
+        self.varying = varying
+        self.group = group
 
 
 # K and L read no store, initial value or scan of the current run, only

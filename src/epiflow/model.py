@@ -78,15 +78,16 @@ downstream verdict on a tainted model must refuse rather than answer.
 from __future__ import annotations
 
 import itertools
+import sys
 import weakref
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from functools import cached_property
 from enum import Enum
 
 from .domain import Domain, TERMINATION_MARK
 from .lang import (ASSIGN, BRANCH, EXIT, Code, Expr, Program, compile_expr, compile_program,
                    expr_ids, live_inputs)
+from .node import Node
 
 
 class Status(Enum):
@@ -95,15 +96,16 @@ class Status(Enum):
     LASSO = "lasso"
 
 
-@dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(Node):
     """How to build a model: domain, step bound per run, termination marker."""
 
+    __slots__ = ("domain", "bound", "termination_output")
     domain: Domain
-    bound: int = 10_000
-    termination_output: bool = False
+    bound: int
+    termination_output: bool
+    _defaults = {"bound": 10_000, "termination_output": False}
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.bound < 1:
             raise ValueError("step bound must be at least 1")
 
@@ -113,22 +115,35 @@ class NotKeptError(RuntimeError):
     a bug in what the reading declared, not a usage error or a verdict."""
 
 
-@dataclass(eq=False, slots=True)
 class Execution:
     """One run: its whole initial and final stores, and trace_ids[i] the id
     of the trace emitted before point i.  stores[i] holds the model's kept
     identifiers after i steps (stores[0] is the whole initial store), or
     ``stores`` is None when the model keeps none.  Runs with equal trace
-    ids share one ``trace_ids`` list."""
+    ids share one ``trace_ids`` list.  ``model_ref`` refers weakly to the
+    run's model, once the model is made."""
 
-    index: int
-    init_store: dict
-    stores: list[dict] | None
-    final_store: dict
-    status: Status
-    lasso_entry: int | None = None
-    trace_ids: list[int] = field(default_factory=list)
-    model_ref: "weakref.ref[Model] | None" = field(default=None, repr=False)
+    __slots__ = ("index", "init_store", "stores", "final_store", "status", "lasso_entry",
+                 "trace_ids", "model_ref")
+
+    def __init__(self, index: int, init_store: dict, stores: list[dict] | None,
+                 final_store: dict, status: Status, lasso_entry: int | None = None,
+                 trace_ids: list[int] | None = None,
+                 model_ref: weakref.ref[Model] | None = None):
+        self.index = index
+        self.init_store = init_store
+        self.stores = stores
+        self.final_store = final_store
+        self.status = status
+        self.lasso_entry = lasso_entry
+        self.trace_ids = [] if trace_ids is None else trace_ids
+        self.model_ref = model_ref
+
+    def __repr__(self) -> str:
+        return (f"Execution(index={self.index!r}, init_store={self.init_store!r}, "
+                f"stores={self.stores!r}, final_store={self.final_store!r}, "
+                f"status={self.status!r}, lasso_entry={self.lasso_entry!r}, "
+                f"trace_ids={self.trace_ids!r})")
 
     def __len__(self) -> int:
         return len(self.trace_ids) - 1
@@ -145,19 +160,18 @@ class Execution:
         return self.model_ref() if self.model_ref is not None else None
 
 
-@dataclass(frozen=True, slots=True)
-class Point:
+class Point(Node):
     """Position ``index`` of a run: the point after ``index`` steps."""
 
+    __slots__ = ("execution", "index")
     execution: Execution
     index: int
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if not 0 <= self.index <= len(self.execution):
             raise ValueError(f"point index {self.index} outside the execution")
 
 
-@dataclass(eq=False, slots=True)
 class RunClass:
     """Runs that a reading cannot tell apart, by the first of them (a
     class's runs are ``Model.class_mask`` shifted to its first run).
@@ -173,34 +187,42 @@ class RunClass:
     keep nothing per point, carries its part's ``unwritten`` and an empty
     ``laid``."""
 
-    first: Execution
-    laid: dict[str, int] | None = None
-    unwritten: tuple[str, ...] = ()
+    __slots__ = ("first", "laid", "unwritten")
+
+    def __init__(self, first: Execution, laid: dict[str, int] | None = None,
+                 unwritten: tuple[str, ...] = ()):
+        self.first = first
+        self.laid = laid
+        self.unwritten = unwritten
 
 
-@dataclass(eq=False)
 class Model:
-    """Every run of a program, one per initial store, and the traces they emit."""
+    """Every run of a program, one per initial store, and the traces they emit.
 
-    program: Program
-    cfg: ModelConfig
-    classes: list[RunClass]  # the classes of live inputs, by first run
-    runs: list[Execution | None]  # every run; None for a clone not yet listed
-    trace_parents: list[tuple[int, object]]  # trace id -> (parent id, event)
-    trace_table: dict[tuple[int, object], int]
-    variables: tuple[str, ...] = ()
-    kept: frozenset[str] = frozenset()  # identifiers kept per point
-    dead: tuple[str, ...] = ()  # inputs never read before written
-    # why the model has no verdict: the first run that did not terminate,
-    # by its initial store; None when every run terminated
-    refusal: str | None = field(init=False)
-    _parts: dict[frozenset[str], list[RunClass]] = field(default_factory=dict, init=False,
-                                                         repr=False)
+    ``refusal`` says why the model has no verdict: the first run that did
+    not terminate, by its initial store; None when every run terminated.
+    The instance ``__dict__`` holds the cached properties."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ("program", "cfg", "classes", "runs", "trace_parents", "trace_table",
+                 "variables", "kept", "dead", "refusal", "_parts", "__dict__", "__weakref__")
+
+    def __init__(self, program: Program, cfg: ModelConfig, classes: list[RunClass],
+                 runs: list[Execution | None], trace_parents: list[tuple[int, object]],
+                 trace_table: dict[tuple[int, object], int], variables: tuple[str, ...] = (),
+                 kept: frozenset[str] = frozenset(), dead: tuple[str, ...] = ()):
         """Point the first runs back at the model, and take the refusal from
         them: only a terminated run has clones, so the first run that did
         not terminate was simulated."""
+        self.program = program
+        self.cfg = cfg
+        self.classes = classes  # the classes of live inputs, by first run
+        self.runs = runs  # every run; None for a clone not yet listed
+        self.trace_parents = trace_parents  # trace id -> (parent id, event)
+        self.trace_table = trace_table
+        self.variables = variables
+        self.kept = kept  # identifiers kept per point
+        self.dead = dead  # inputs never read before written
+        self._parts: dict[frozenset[str], list[RunClass]] = {}
         ref = weakref.ref(self)
         bad = None
         for c in self.classes:
@@ -391,7 +413,14 @@ def build_model(program: Program, cfg: ModelConfig,
     and its clones are listed when read.  When the first run of some class
     does not terminate, the model is refused, and it is built again with
     every run simulated, so that it lists each run's own status and lasso.
+
+    A model with more runs than a list can hold is refused with a
+    ``ValueError``, before any run is made.
     """
+    count = cfg.domain.size ** len(program.variables)
+    if count > sys.maxsize // 8:  # the most items a list of pointers can hold
+        raise ValueError(f"{count:,} runs, one per initial store of {len(program.variables)} "
+                         f"identifiers over {cfg.domain.spec()}, are too many to list")
     if keep is None:
         keep = frozenset(program.variables + program.flags)
     code = compile_program(program, cfg.domain)
@@ -410,7 +439,7 @@ def _build(program: Program, code: Code, cfg: ModelConfig, keep: frozenset[str],
     names = program.variables
     trace_parents, trace_table, extend_trace = _trace_table()
     behaviours: dict[tuple, list[int]] = {}
-    d = len(dom.values)
+    d = dom.size
     unreleased = dict.fromkeys(program.flags, dom.false_value)
     runs: list[Execution | None] = [None] * d ** len(names)
     classes: list[RunClass] = []

@@ -35,13 +35,13 @@ properties they declassify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .domain import Domain
 from .lang import (Binary, Const, Expr, HashCall, Program, Unary, Var,
                    compile_expr, expr_ids, expr_to_source, validate_expr)
 from .logic import Eq, Formula, G, Init, L, Not, W, conj, disj, foralls, implies
+from .node import Node
 
 
 class PolicyError(ValueError):
@@ -59,10 +59,10 @@ def alt_primed(name: str) -> str:
     return name + "''"
 
 
-@dataclass(frozen=True)
-class FlowSpec:
+class FlowSpec(Node):
     """Split of the ordinary identifiers into public (low) and secret (high)."""
 
+    __slots__ = ("low", "high")
     low: tuple[str, ...]
     high: tuple[str, ...]
 
@@ -87,8 +87,7 @@ class FlowSpec:
             raise PolicyError("flow spec must cover exactly the ordinary identifiers")
 
 
-@dataclass(frozen=True)
-class InitPredicate:
+class InitPredicate(Node):
     """Total function from an initial store to a comparable value.
 
     Either an expression evaluated on the initial store, or one of the
@@ -98,6 +97,7 @@ class InitPredicate:
     code with them.
     """
 
+    __slots__ = ("label", "ids", "fn", "exprs")
     label: str
     ids: tuple[str, ...]
     fn: Callable[[dict], object]
@@ -173,13 +173,13 @@ def _renamed(e: Expr, names: dict[str, str]) -> Expr:
     raise TypeError(f"not an expression: {e!r}")
 
 
-@dataclass(frozen=True)
-class ReleaseSpec:
+class ReleaseSpec(Node):
     """Write-once release flags paired with the expressions they disclose."""
 
+    __slots__ = ("items",)
     items: tuple[tuple[str, Expr], ...]
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         flags = [f for f, _ in self.items]
         if len(set(flags)) != len(flags):
             raise PolicyError("duplicate release flag")
@@ -204,10 +204,10 @@ class ReleaseSpec:
                      for flag, e in self.items)
 
 
-@dataclass(frozen=True)
-class TemporalDeclassification:
+class TemporalDeclassification(Node):
     """When the state condition has held, the initial property may be known."""
 
+    __slots__ = ("condition", "declassified")
     condition: Expr  # over the current store
     declassified: InitPredicate
 

@@ -21,13 +21,13 @@ it directly on the model.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 from .domain import Domain
 from .lang import Const, Expr, ParseError, Program, parse_expression, validate_expr
 from .logic import Evaluation, Formula, model_satisfies
 from .model import Model, ModelConfig, build_model, results_model
+from .node import Node
 from .policies import (ABSTRACTIONS, FlowSpec, InitPredicate, PolicyError,
                        ReleaseSpec, TemporalDeclassification, abstraction_fn,
                        abstraction_predicate, check_abstractions, check_powerset_cap,
@@ -36,8 +36,7 @@ from .semantics import check_nitd
 from .verdicts import Verdict
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Node):
     """One row of the check table: one reading of a security condition.
 
     Every row reads the policy's conditions, ``pieces["conditions"]`` (see
@@ -49,10 +48,12 @@ class Check:
     ``model_satisfies`` by name, so a wrapper put on one sees every call.
     """
 
+    __slots__ = ("twin", "reading", "reads", "needs")
     twin: str
     reading: str  # EPISTEMIC or TRACE
-    reads: tuple[str, ...] = ()  # policy entries the check reads besides low:
-    needs: tuple[str, ...] = ()  # the ones it cannot run without
+    reads: tuple[str, ...]  # policy entries the check reads besides low:
+    needs: tuple[str, ...]  # the ones it cannot run without
+    _defaults = {"reads": (), "needs": ()}
 
 
 EPISTEMIC, TRACE = "epistemic", "trace"
@@ -82,18 +83,20 @@ EPISTEMIC_CHECKS, SEMANTIC_CHECKS = tuple(SEMANTIC_OF), tuple(EPISTEMIC_OF)
 PAIRS = ("oni-ak", "nid-akd", "nani-aak", "akr-er", "nitd-aktd")
 
 
-@dataclass(frozen=True)
-class Policy:
+class Policy(Node):
     """A policy file: the check to run and the entries it reads."""
 
+    __slots__ = ("check", "low", "declassify", "eta", "phi", "rho", "releases", "whens")
     check: str
-    low: tuple[str, ...] = ()
-    declassify: tuple[str, ...] = ()
-    eta: str | None = None
-    phi: str | None = None
-    rho: str | None = None
-    releases: tuple[tuple[str, str], ...] = ()
-    whens: tuple[tuple[str, str], ...] = ()
+    low: tuple[str, ...]
+    declassify: tuple[str, ...]
+    eta: str | None
+    phi: str | None
+    rho: str | None
+    releases: tuple[tuple[str, str], ...]
+    whens: tuple[tuple[str, str], ...]
+    _defaults = {"low": (), "declassify": (), "eta": None, "phi": None, "rho": None,
+                 "releases": (), "whens": ()}
 
     def describe(self) -> dict:
         return {
@@ -193,17 +196,20 @@ def load_policy(path: str) -> Policy:
 # Dispatch
 
 
-@dataclass
 class CheckRun:
     """A check's verdict, the model it judged (nani's and aak's: of the
     results), its time, and the formula it evaluated (None for a
     trace-based check)."""
 
-    check: str
-    verdict: Verdict
-    model: Model
-    elapsed: float = 0.0
-    formula: Formula | None = None
+    __slots__ = ("check", "verdict", "model", "elapsed", "formula")
+
+    def __init__(self, check: str, verdict: Verdict, model: Model, elapsed: float = 0.0,
+                 formula: Formula | None = None):
+        self.check = check
+        self.verdict = verdict
+        self.model = model
+        self.elapsed = elapsed
+        self.formula = formula
 
 
 def _parse_checked(text: str, program: Program, dom: Domain,

@@ -11,10 +11,10 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass
 
 from .domain import Domain
 from .model import Model
+from .node import Node
 from .policyfile import CheckRun
 from .verdicts import Verdict, Witness
 
@@ -45,10 +45,11 @@ def _witness_payload(w: Witness | None, dom: Domain) -> dict | None:
     }
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Node):
     """The JSON report of one check."""
 
+    __slots__ = ("check", "program_digest", "program_path", "domain", "policy", "bound",
+                 "termination_output", "outcome", "witness", "stats", "wall_time_s", "note")
     check: str
     program_digest: str
     program_path: str | None
@@ -60,10 +61,12 @@ class Report:
     witness: dict | None
     stats: dict
     wall_time_s: float
-    note: str = ""
+    note: str
+    _defaults = {"note": ""}
 
     def to_json_text(self) -> str:
-        return json.dumps({"schema": SCHEMA, **asdict(self)}, indent=2) + "\n"
+        payload = dict(zip(self.__match_args__, self._values(self)))
+        return json.dumps({"schema": SCHEMA, **payload}, indent=2) + "\n"
 
     @staticmethod
     def from_json_text(text: str) -> "Report":

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+
+from .node import Node
 
 
 class Outcome(Enum):
@@ -12,8 +13,7 @@ class Outcome(Enum):
     BOUND_EXCEEDED = "BOUND_EXCEEDED"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Node):
     """Everything needed to reproduce a failure.
 
     ``stores`` carries labelled initial stores (as name/value item tuples);
@@ -21,12 +21,14 @@ class Witness:
     failure adds the quantifier bindings chosen along the failing path.
     """
 
+    __slots__ = ("kind", "stores", "point_index", "trace", "bindings", "note")
     kind: str
-    stores: tuple[tuple[str, tuple], ...] = ()
-    point_index: int | None = None
-    trace: tuple | None = None
-    bindings: tuple[tuple[str, object], ...] = ()
-    note: str = ""
+    stores: tuple[tuple[str, tuple], ...]
+    point_index: int | None
+    trace: tuple | None
+    bindings: tuple[tuple[str, object], ...]
+    note: str
+    _defaults = {"stores": (), "point_index": None, "trace": None, "bindings": (), "note": ""}
 
     def store(self, label: str) -> dict:
         for name, items in self.stores:
@@ -39,23 +41,25 @@ class Witness:
         return dict(self.bindings)
 
 
-@dataclass(frozen=True)
-class Stats:
+class Stats(Node):
     """Work counts of an epistemic evaluation."""
 
-    points_visited: int = 0
-    cache_hits: int = 0
-    formula_nodes: int = 0
+    __slots__ = ("points_visited", "cache_hits", "formula_nodes")
+    points_visited: int
+    cache_hits: int
+    formula_nodes: int
+    _defaults = {"points_visited": 0, "cache_hits": 0, "formula_nodes": 0}
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Node):
     """A check's outcome, with a witness when it fails."""
 
+    __slots__ = ("outcome", "witness", "stats", "note")
     outcome: Outcome
-    witness: Witness | None = None
-    stats: Stats = field(default_factory=Stats)
-    note: str = ""
+    witness: Witness | None
+    stats: Stats
+    note: str
+    _defaults = {"witness": None, "stats": Stats(), "note": ""}
 
     @property
     def holds(self) -> bool:

@@ -11,8 +11,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from epiflow.domain import Domain
 from epiflow.fuzz import FuzzConfig
-from epiflow.lang import Const, Node, parse
+from epiflow.lang import Const, parse
 from epiflow.model import ModelConfig, build_model, results_model
+from epiflow.node import Node
 from epiflow.policies import TemporalDeclassification, encode_aktd
 from epiflow.policyfile import Policy, policy_pieces
 
@@ -58,27 +59,57 @@ def node_classes(module) -> list[type]:
             and c.__module__ == module.__name__]
 
 
-def assert_node_contract(cls: type) -> None:
-    """``cls`` behaves as the frozen dataclass of the same name and fields,
-    which it is not, and its instances have no ``__dict__``."""
-    fields = tuple(f"{name}-value" for name in cls.__slots__)
-    node = cls(*fields)
-    twin = dataclasses.make_dataclass(cls.__qualname__, cls.__slots__, frozen=True)(*fields)
+def assert_node_contract(cls: type, values: tuple | None = None, variants: tuple = (),
+                         uncompared: tuple = ()) -> None:
+    """``cls`` behaves as the frozen dataclass of the same name, fields and
+    defaults, which it is not, and its instances have a ``__dict__`` only
+    where its ``__slots__`` name one, for cached properties.
+
+    ``values`` are the fields of one valid instance (by default a string
+    per field); each of ``variants`` is another, by default ``values`` with
+    one field changed at a time.  ``uncompared`` are the fields the twin
+    dataclass leaves out of equality and hashing."""
+    names = cls.__match_args__
+    defaults = cls.__dict__.get("_defaults", {})
+    twin = dataclasses.make_dataclass(cls.__qualname__, [
+        (name, object, dataclasses.field(compare=name not in uncompared,
+                                         **({"default": defaults[name]} if name in defaults
+                                            else {})))
+        for name in names], frozen=True)
+    if values is None:
+        values = tuple(f"{name}-value" for name in names)
+        variants = [values[:k] + ("other",) + values[k + 1:] for k in range(len(names))]
+    node, twin_node = cls(*values), twin(*values)
     assert not dataclasses.is_dataclass(cls)
-    assert not hasattr(node, "__dict__")
-    assert cls.__match_args__ == cls.__slots__
-    assert tuple(getattr(node, name) for name in cls.__slots__) == fields
-    assert node == cls(*fields) and hash(node) == hash(fields) == hash(twin)
-    assert repr(node) == repr(twin)
-    assert node != twin  # equality goes by type
-    for k, name in enumerate(cls.__slots__):
-        assert node != cls(*fields[:k], "other", *fields[k + 1:])
+    assert names == tuple(name for name in cls.__slots__ if name != "__dict__")
+    assert hasattr(node, "__dict__") == ("__dict__" in cls.__slots__)
+    assert tuple(getattr(node, name) for name in names) == values
+    assert cls(**dict(zip(names, values))) == node == cls(*values)
+    required = len(names) - len(defaults)
+    least, twin_least = cls(*values[:required]), twin(*values[:required])
+    assert all(getattr(least, name) == getattr(twin_least, name) for name in names)
+    assert repr(node) == repr(twin_node)
+    try:
+        expected = hash(twin_node)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(node)
+    else:
+        assert hash(node) == expected
+    assert node != twin_node  # equality goes by type
+    for variant in variants:
+        other = cls(*variant)
+        assert (other == node) == (twin(*variant) == twin_node)
+        assert node._replace(**dict(zip(names, variant))) == other
+    for name in names:
         with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
             setattr(node, name, "other")
         with pytest.raises(AttributeError):
             delattr(node, name)
-    assert tuple(getattr(node, name) for name in cls.__slots__) == fields
-    assert copy.deepcopy(node) == node == pickle.loads(pickle.dumps(node))
+    assert tuple(getattr(node, name) for name in names) == values
+    copies_equal = copy.deepcopy(twin_node) == twin_node
+    assert (copy.deepcopy(node) == node) == copies_equal
+    assert (pickle.loads(pickle.dumps(node)) == node) == copies_equal
 
 
 def exec_from(model, **values):

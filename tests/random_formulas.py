@@ -20,7 +20,8 @@ Guards bind (``init(x, v)``), filter and join; a block's body is often
 what the observer knows over the run of its variable's input, its
 initial value with its current one; and ``espm`` blocks (a premise that
 binds every input, alternatives that agree on a property, and an L that
-pins every input) appear as the encoders build them.
+pins every input) appear as the encoders build them.  Given a weight for
+them, it also draws possibility blocks whose L pins only some inputs.
 """
 
 from __future__ import annotations
@@ -62,17 +63,22 @@ def _live_expr(rng: random.Random, live: tuple[str, ...], dom: Domain) -> Expr:
 
 
 def random_formula(rng: random.Random, dom: Domain, dead: tuple[str, ...],
-                   depth: int = 4, flags: tuple[str, ...] = ()) -> Formula:
+                   depth: int = 4, flags: tuple[str, ...] = (),
+                   possible: int = 0) -> Formula:
     """A closed formula over ``IDS`` and the release ``flags`` whose
     quantifiers and atoms name the ``dead`` inputs more often than the
-    others."""
-    return _Drawing(rng, dom, dead, flags).formula(depth, {})
+    others.  ``possible`` weighs possibility blocks that pin some inputs
+    (``_Drawing.possible``) against the other nodes' weights, 1 to 4; with
+    the default 0 the formulas are those drawn before there were any."""
+    return _Drawing(rng, dom, dead, flags, possible).formula(depth, {})
 
 
 class _Drawing:
     def __init__(self, rng: random.Random, dom: Domain, dead: tuple[str, ...],
-                 flags: tuple[str, ...]):
+                 flags: tuple[str, ...], possible: int = 0):
         self.rng, self.dom, self.dead, self.flags = rng, dom, dead, flags
+        # a kind weighed 0 last draws as if it were not there
+        self.weights = (1, 2, 1, 1, 2, 2, 1, 2, 1, 2, 4, 1, 2, 2, possible)
 
     def subject(self) -> str:
         return self.rng.choice(self.dead if self.rng.random() < 0.6 else IDS)
@@ -87,8 +93,7 @@ class _Drawing:
             return self.atom(scope)
         kind = rng.choices(
             ("not", "and", "or", "implies", "K", "L", "F", "G", "U", "W", "forall",
-             "exists", "espm", "pins"),
-            (1, 2, 1, 1, 2, 2, 1, 2, 1, 2, 4, 1, 2, 2))[0]
+             "exists", "espm", "pins", "possible"), self.weights)[0]
         sub = depth - 1
         match kind:
             case "not":
@@ -109,6 +114,8 @@ class _Drawing:
                 return self.espm(scope)
             case "pins":
                 return self.pins(scope)
+            case "possible":
+                return self.possible(scope)
         raise AssertionError(kind)
 
     def atom(self, scope: dict) -> Formula:
@@ -150,6 +157,37 @@ class _Drawing:
             else:
                 atoms.append(Init(name, Const(rng.choice(self.dom.values))))
         return rng.choice((K, L))(conj(tuple(atoms)))
+
+    def possible(self, scope: dict) -> Formula:
+        """A possibility block as ``espm``'s inner one, but pinning some of
+        the inputs, not always every one: one or two foralls whose guard
+        reads only bound variables, over an L of ``init`` atoms that take
+        the block's variables, outer ones or constants."""
+        rng = self.rng
+        inner = dict(scope)
+        names = []
+        for _ in range(rng.choice((1, 1, 2))):
+            var = self.fresh(inner)
+            inner[var] = self.subject()
+            names.append(var)
+        atoms = []
+        for name in rng.sample(IDS, rng.randint(1, len(IDS))):
+            own = [v for v in names if inner[v] == name]
+            r = rng.random()
+            if own and r < 0.6:
+                atoms.append(Init(name, Var(rng.choice(own))))
+            elif r < 0.85:
+                atoms.append(Init(name, Var(rng.choice(list(inner)))))
+            else:
+                atoms.append(Init(name, Const(rng.choice(self.dom.values))))
+        guard = []
+        for var in names:
+            r = rng.random()
+            if r < 0.3:
+                guard.append(Eq(Var(var), Const(rng.choice(self.dom.values))))
+            elif r < 0.5 and len(inner) > 1:
+                guard.append(Eq(Var(var), Var(rng.choice([v for v in inner if v != var]))))
+        return foralls(names, implies(conj(tuple(guard)), L(conj(tuple(atoms)))))
 
     def block(self, every: bool, depth: int, scope: dict) -> Formula:
         """One or two quantifiers, each for a subject; a forall's guard

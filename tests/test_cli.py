@@ -509,14 +509,47 @@ class TestOtherCommands:
         assert out == "" and err.startswith("error: no pairs to fuzz")
 
 
+def fresh(code: str) -> subprocess.CompletedProcess:
+    """``code`` run by a fresh interpreter, so that no other test's import
+    counts, with this epiflow on its path."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+
+
 class TestStartUp:
     def test_only_the_fuzz_command_imports_the_fuzzer(self):
-        # a fresh interpreter, so that no other test's import counts
-        code = "import sys, epiflow.cli; print('epiflow.fuzz' in sys.modules)"
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, check=True)
+        done = fresh("import sys, epiflow.cli; print('epiflow.fuzz' in sys.modules)")
         assert done.stdout == "False\n"
+
+    @pytest.mark.parametrize("module", ["epiflow.cli", "epiflow.fuzz"])
+    def test_no_record_class_is_generated_at_import(self, module):
+        # dataclasses compile each class's methods from source text and
+        # import inspect to do it
+        done = fresh(f"import sys, {module}; "
+                     "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        assert done.stdout == "[]\n"
+
+
+class TestHugeDomains:
+    """A model with more runs than a list can hold is a usage error, found
+    before anything of the size of the domain is made."""
+
+    @pytest.mark.parametrize("domain, runs", [
+        ("int:99999999", "9,999,999,500,000,009,999,999,900,000,000,499,999,999"),
+        ("int:5000", "3,125,000,000,000,000,000"),
+    ])
+    def test_refused_with_little_memory(self, domain, runs):
+        samples = Path(__file__).resolve().parent.parent / "samples"
+        argv = ["check", "--program", str(samples / "payment.wout"),
+                "--policy", str(samples / "payment.pol"), "--domain", domain]
+        done = fresh("import resource; from epiflow.cli import main; "
+                     f"status = main({argv!r}); "
+                     "print(status, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)")
+        status, peak_mb = map(int, done.stdout.split())
+        assert status == 3 and peak_mb < 100
+        assert done.stderr == (f"error: {runs} runs, one per initial store of 5 identifiers "
+                               f"over {domain}, are too many to list\n")
 
     def test_the_fuzzer_keeps_its_pairs(self):
         import epiflow.fuzz

@@ -1,6 +1,7 @@
 import pytest
 
 from epiflow.domain import Domain, DomainError, Label, TERMINATION_MARK
+from epiflow.lang import compile_expr, parse_expression
 
 
 class TestDomains:
@@ -65,6 +66,16 @@ class TestDomains:
         assert Domain.booleans().format_value(True) == "tt"
         assert Domain.integers(8, signed=True).format_value(-3) == "-3"
         assert Domain.integers(4).format_value(Label("ok")) == '"ok"'
+
+    def test_a_huge_domain_answers_without_listing_its_values(self):
+        size = 10**12
+        dom = Domain.integers(size, signed=True)
+        assert -5 in dom and size // 2 not in dom
+        assert dom.index(-5) == size // 2 - 5
+        assert dom.normalize(size // 2) == -(size // 2)
+        add = compile_expr(parse_expression("x + 1"), dom)
+        assert add({"x": size // 2 - 1}) == -(size // 2)
+        assert "values" not in vars(dom)
 
     def test_termination_mark_is_not_a_value(self):
         dom = Domain.integers(4)

@@ -1,6 +1,5 @@
 import hashlib
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -151,7 +150,7 @@ class TestReplay:
 
         def flipped(model, formula, *planned):
             verdict = real(model, formula, *planned)
-            return replace(verdict, outcome=flip[verdict.outcome])
+            return verdict._replace(outcome=flip[verdict.outcome])
 
         monkeypatch.setattr(epiflow.policyfile, "model_satisfies", flipped)
         cfg = FuzzConfig(seed=2, count=1, domain=Domain.integers(4, signed=True),

@@ -1307,24 +1307,28 @@ class TestRandomFormulas:
 
     def test_random_formulas_answer_as_the_reference_at_every_point(self):
         # a fast path reached only under a temporal operator, or in an epoch
-        # the first points do not show, meets the reference here
+        # the first points do not show, meets the reference here; so does a
+        # possibility block that pins fewer than every input
         answers = set()
         for index in range(30):
             rng = random.Random(f"points:{index}")
             program, dead = dead_input_program(rng, BOOL)
             pick = random.Random(index)  # the runs asked; leaves rng's formulas as drawn
             for _ in range(10):
-                f = random_formula(rng, BOOL, dead, flags=program.flags)
+                f = random_formula(rng, BOOL, dead, flags=program.flags, possible=2)
                 ev = Evaluation(program, BOOL)
-                ev.compile(f)
+                root = ev.compile(f)
                 m = build_model(program, ModelConfig(BOOL), ev.reads)
+                ev.bind(m)  # one plan and one memo for every point of the case
                 ex = pick.choice(m.executions)
                 memo: dict = {}
                 for i in range(len(ex) + 1):
-                    answer = satisfies(m, Point(ex, i), f)
+                    answer = ev.holds(root, ex, i)
                     assert answer == oracles.holds(m, f, ex, i, memo=memo), (
                         index, i, formula_to_source(f))
                     answers.add((answer, i > 0))
+                # the public entry point, which plans anew, at the last point
+                assert satisfies(m, Point(ex, len(ex)), f) == answer, (index, formula_to_source(f))
         assert answers == {(False, False), (False, True), (True, False), (True, True)}
 
 

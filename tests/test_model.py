@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -168,9 +167,8 @@ class TestModelShape:
 
     def test_a_run_is_its_stores_and_trace_ids(self):
         # events and the indexes of runs are derived, never stored
-        names = [f.name for f in dataclasses.fields(Execution)]
-        assert names == ["index", "init_store", "stores", "final_store", "status",
-                         "lasso_entry", "trace_ids", "model_ref"]
+        assert Execution.__slots__ == ("index", "init_store", "stores", "final_store", "status",
+                                       "lasso_entry", "trace_ids", "model_ref")
         m = build_model(parse("x := y; out y", BOOL), ModelConfig(BOOL))
         assert "exec_by_values" not in vars(m) and not hasattr(m, "epoch_executions")
         assert exec_from(m, x=True, y=False).events == [None, False]
@@ -209,6 +207,21 @@ class TestDivergence:
         assert ex.status is Status.LASSO
         assert (ex.lasso_entry, len(ex)) == (4, 7)
         assert ex.stores[4] == ex.stores[7]
+
+    def test_a_model_too_large_to_list_is_refused_before_any_run(self):
+        program = parse("out a + b + c + d + e")
+        with pytest.raises(ValueError, match="^3,125,000,000,000,000,000 runs, one per initial "
+                                             "store of 5 identifiers over int:5000, are too many"):
+            build_model(program, ModelConfig(Domain.integers(5000)))
+
+    def test_a_lasso_that_first_repeats_off_a_loop_head_is_exact(self):
+        # from x = tt the out of step 6 repeats step 3's configuration; the
+        # loop head repeats only at step 7, after one more output
+        program = parse("while tt do { if x then { x := ff } else { skip }; out tt }", BOOL)
+        m = build_model(program, ModelConfig(BOOL))
+        ex = exec_from(m, x=True)
+        assert (ex.status, ex.lasso_entry, len(ex)) == (Status.LASSO, 3, 6)
+        assert len(m.trace_parents) == 2  # nothing interned past the first repeat
 
     def test_terminating_model_is_clean(self, copy_out_model):
         assert not copy_out_model.tainted

@@ -1,7 +1,6 @@
 import itertools
 import random
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -240,7 +239,7 @@ class TestAbsenceOfKnowledge:
             paper = model_satisfies(m, oracles.ak_formula(fs, cfg.domain))
             assert got.outcome is paper.outcome, index
             if paper.witness is not None:
-                assert replace(got.witness, bindings=()) == replace(paper.witness, bindings=())
+                assert got.witness._replace(bindings=()) == paper.witness._replace(bindings=())
                 assert set(paper.witness.bindings) <= set(got.witness.bindings), index
                 assert {v for v, _ in got.witness.bindings} \
                     - {v for v, _ in paper.witness.bindings} == {primed(n) for n in fs.high}

@@ -1,7 +1,6 @@
 import gc
 import re
 import weakref
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -315,7 +314,7 @@ class TestClones:
         """Each reading's outcome, note, witness and report stats but
         ``points_visited`` and ``cache_hits``, alone and side by side; the
         models judged are added to ``judged``."""
-        runs = [run_check(program, replace(policy, check=name), cfg) for name in (
+        runs = [run_check(program, policy._replace(check=name), cfg) for name in (
             SEMANTIC_OF.get(policy.check, policy.check),
             EPISTEMIC_OF.get(policy.check, policy.check))]
         runs += run_both_sides(program, policy, cfg)
@@ -548,7 +547,7 @@ class TestKeptIdentifiers:
             twin = CHECKS[policy.check].twin
             for check in (policy.check, twin):
                 kept.clear()
-                run_check(program, replace(policy, check=check), ModelConfig(dom))
+                run_check(program, policy._replace(check=check), ModelConfig(dom))
                 assert kept == [reads], check
             kept.clear()
             run_both_sides(program, policy, ModelConfig(dom))
